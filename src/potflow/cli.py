@@ -60,6 +60,23 @@ def _load_json_arg(arg: str) -> dict:
     return data
 
 
+def _parse_document(arg: str, parse, what: str):
+    """Build an object from an inline-JSON or file document argument."""
+    data = _load_json_arg(arg)
+    try:
+        return parse(data)
+    except Exception as exc:
+        raise SchemaError(f"invalid {what} document: {exc}") from exc
+
+
+def _parse_point(option: str, value: str) -> complex:
+    try:
+        re, im = (float(v) for v in value.split(","))
+    except ValueError as exc:
+        raise SchemaError(f"invalid {option} value {value!r}") from exc
+    return complex(re, im)
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -93,22 +110,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _parse_compact_set(data: dict):
-    from . import equilibrium
-    try:
-        return equilibrium.CompactSet.from_dict(data)
-    except Exception as exc:
-        raise SchemaError(f"invalid compact-set document: {exc}") from exc
-
-
 def _cmd_fekete(args) -> int:
     from . import equilibrium
-    K = _parse_compact_set(_load_json_arg(args.domain))
-    pole = None
-    if args.pole is not None:
-        re, im = (float(v) for v in args.pole.split(","))
-        pole = complex(re, im)
-    report = equilibrium.transfinite_diameter(K, pole=pole, n_max=args.n_max)
+    from .errors import ParameterError
+    K = _parse_document(args.domain, equilibrium.CompactSet.from_dict, "compact-set")
+    pole = None if args.pole is None else _parse_point("--pole", args.pole)
+    try:
+        report = equilibrium.transfinite_diameter(K, pole=pole, n_max=args.n_max)
+    except ParameterError as exc:   # pole on the carrier, n_max too small
+        raise SchemaError(str(exc)) from exc
 
     outdir = Path(args.out) if args.out else None
     if outdir:
@@ -124,18 +134,10 @@ def _cmd_fekete(args) -> int:
     return EXIT_OK
 
 
-def _parse_vortex_system(data: dict):
-    from . import vortex
-    try:
-        return vortex.VortexSystem.from_dict(data)
-    except Exception as exc:
-        raise SchemaError(f"invalid vortex-system document: {exc}") from exc
-
-
 def _cmd_vortex(args) -> int:
     from . import vortex
     from .errors import CollisionError
-    system = _parse_vortex_system(_load_json_arg(args.system))
+    system = _parse_document(args.system, vortex.VortexSystem.from_dict, "vortex-system")
     summary: dict = {"t_end": args.t_end, "tol": args.tol}
     try:
         traj = vortex.simulate(system, args.t_end, args.tol)
@@ -179,11 +181,7 @@ def _cmd_torus(args) -> int:
     """Kernel report for a torus modulus (plus the strip double when the
     modulus is purely imaginary)."""
     from . import schottky, surface, verify
-    try:
-        re, im = (float(v) for v in args.tau.split(","))
-    except ValueError as exc:
-        raise SchemaError(f"invalid --tau value {args.tau!r}") from exc
-    tau = complex(re, im)
+    tau = _parse_point("--tau", args.tau)
     if tau.imag <= 0:
         raise SchemaError("tau must have positive imaginary part")
     if args.n < 16:
@@ -234,26 +232,21 @@ def _cmd_torus(args) -> int:
 
 def _cmd_green(args) -> int:
     from . import planar_green
-    try:
-        domain = planar_green.DomainDescriptor.from_dict(_load_json_arg(args.domain))
-    except SchemaError:
-        raise
-    except Exception as exc:
-        raise SchemaError(f"invalid domain document: {exc}") from exc
-    try:
-        re, im = (float(v) for v in args.a.split(","))
-    except ValueError as exc:
-        raise SchemaError(f"invalid --a value {args.a!r}") from exc
-    a = complex(re, im)
+    from .errors import ConditioningError, DomainError, ParameterError, PoleError
+    domain = _parse_document(args.domain, planar_green.DomainDescriptor.from_dict,
+                             "domain")
+    a = _parse_point("--a", args.a)
+    z = _parse_point("--z", args.z) if args.z else None
     doc: dict = {"domain": domain.to_dict(), "a": [a.real, a.imag]}
-    exp = planar_green.robin_data(domain, a)
-    doc["robin"] = {"h0": exp.h0, "h1": [exp.h1.real, exp.h1.imag],
-                    "curvature": exp.curvature}
-    if args.z:
-        re, im = (float(v) for v in args.z.split(","))
-        z = complex(re, im)
-        doc["z"] = [z.real, z.imag]
-        doc["green"] = planar_green.green(domain, z, a)
+    try:
+        exp = planar_green.robin_data(domain, a)
+        doc["robin"] = {"h0": exp.h0, "h1": [exp.h1.real, exp.h1.imag],
+                        "curvature": exp.curvature}
+        if z is not None:
+            doc["z"] = [z.real, z.imag]
+            doc["green"] = planar_green.green(domain, z, a)
+    except (DomainError, ParameterError, ConditioningError, PoleError) as exc:
+        raise SchemaError(str(exc)) from exc
     _write_or_print(_json_dumps(doc), args.out)
     return EXIT_OK
 
@@ -269,7 +262,6 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", choices=["planar", "surface", "schottky", "all"],
                    default="all")
     p.add_argument("--out", default=None, help="write the JSON table here")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("fekete", help="Fekete ladder and capacity report")
@@ -278,7 +270,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=64)
     p.add_argument("--pole", default=None, help="finite pole 're,im'")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_fekete)
 
     p = sub.add_parser("vortex", help="integrate a point-vortex system")
@@ -287,7 +278,6 @@ def build_parser() -> _Parser:
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_vortex)
 
     p = sub.add_parser("torus", help="torus / strip-double kernel report")
@@ -295,7 +285,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=0.0, help="hydro circulation")
     p.add_argument("--n", type=int, default=192, help="period quadrature nodes")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_torus)
 
     p = sub.add_parser("green", help="Green/Robin report for a domain")
@@ -303,7 +292,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True, help="source point 're,im'")
     p.add_argument("--z", default=None, help="evaluation point 're,im'")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_green)
     return parser
 

@@ -61,10 +61,6 @@ class TorusLattice:
     def qh(self) -> complex:
         return cmath.exp(1j * cmath.pi * self.tau)
 
-    @property
-    def im_tau(self) -> float:
-        return self.tau.imag
-
 
 def _check_tau(tau: complex) -> None:
     if tau.imag < _MIN_IM_TAU:

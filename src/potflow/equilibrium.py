@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,8 +45,9 @@ class CompactSet:
     """Compact carrier set with a boundary parametrization t in [0,1].
 
     kinds: circle(R), disk(R) (carrier is its boundary circle), segment of
-    given length centered at the origin, or the boundary of a rectangle
-    DomainDescriptor.
+    given length centered at the origin, or the boundary of a
+    DomainDescriptor with a boundary parametrization (disk, rectangle).
+    Everything that depends on the kind lives in ``_CARRIERS``.
     """
 
     kind: str
@@ -54,22 +55,21 @@ class CompactSet:
     length: float = 2.0
     domain: "planar_green.DomainDescriptor | None" = None
 
+    def __post_init__(self):
+        message = _carrier_spec(self.kind).invalid(self)
+        if message:
+            raise ParameterError(message)
+
     @staticmethod
     def circle(R: float = 1.0) -> "CompactSet":
-        if R <= 0:
-            raise ParameterError("radius must be positive")
         return CompactSet("circle", R=R)
 
     @staticmethod
     def disk(R: float = 1.0) -> "CompactSet":
-        if R <= 0:
-            raise ParameterError("radius must be positive")
         return CompactSet("disk", R=R)
 
     @staticmethod
     def segment(length: float = 2.0) -> "CompactSet":
-        if length <= 0:
-            raise ParameterError("length must be positive")
         return CompactSet("segment", length=length)
 
     @staticmethod
@@ -78,65 +78,76 @@ class CompactSet:
 
     @property
     def closed(self) -> bool:
-        return self.kind != "segment"
+        return _CARRIERS[self.kind].closed
 
     def boundary_point(self, t: float) -> complex:
-        if self.kind in ("circle", "disk"):
-            return self.R * complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
-        if self.kind == "segment":
-            return complex(-self.length / 2 + self.length * t, 0.0)
-        if self.kind == "domain_boundary":
-            d = self.domain
-            if d.kind == "disk":
-                return d.R * complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
-            if d.kind == "rectangle":
-                per = 2 * (d.w + d.h)
-                s = (t % 1.0) * per
-                if s < d.w:
-                    return complex(s, 0.0)
-                s -= d.w
-                if s < d.h:
-                    return complex(d.w, s)
-                s -= d.h
-                if s < d.w:
-                    return complex(d.w - s, d.h)
-                return complex(0.0, d.h - (s - d.w))
-            raise ParameterError(f"unsupported domain boundary {d.kind!r}")
-        raise ParameterError(f"unknown carrier kind {self.kind!r}")
+        return _CARRIERS[self.kind].point(self, t)
 
     def boundary_speed(self, t: float) -> float:
-        if self.kind in ("circle", "disk"):
-            return 2 * math.pi * self.R
-        if self.kind == "segment":
-            return self.length
-        if self.kind == "domain_boundary":
-            d = self.domain
-            if d.kind == "disk":
-                return 2 * math.pi * d.R
-            if d.kind == "rectangle":
-                return 2 * (d.w + d.h)
-        raise ParameterError(f"unknown carrier kind {self.kind!r}")
+        return _CARRIERS[self.kind].speed(self)
 
     def to_dict(self) -> dict:
-        if self.kind in ("circle", "disk"):
-            return {"kind": self.kind, "R": self.R}
-        if self.kind == "segment":
-            return {"kind": "segment", "length": self.length}
-        return {"kind": "domain_boundary", "domain": self.domain.to_dict()}
+        return _CARRIERS[self.kind].to_dict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "CompactSet":
-        kind = data.get("kind")
-        if kind == "circle":
-            return CompactSet.circle(float(data["R"]))
-        if kind == "disk":
-            return CompactSet.disk(float(data["R"]))
-        if kind == "segment":
-            return CompactSet.segment(float(data["length"]))
-        if kind == "domain_boundary":
-            return CompactSet.domain_boundary(
-                planar_green.DomainDescriptor.from_dict(data["domain"]))
+        return _carrier_spec(data.get("kind")).parse(data)
+
+
+@dataclass(frozen=True)
+class _Carrier:
+    """One carrier kind as plain functions of its CompactSet K."""
+
+    parse: Callable          # document dict -> CompactSet
+    to_dict: Callable        # K -> document dict
+    invalid: Callable        # K -> error message, or None when K is valid
+    point: Callable          # (K, t) -> z, constant speed in t
+    speed: Callable          # K -> |dz/dt|
+    on_carrier: Callable     # (K, z, tol) -> bool
+    closed: bool = True
+
+
+_DISK = planar_green._KINDS["disk"]
+_ROUND = _Carrier(
+    parse=lambda data: CompactSet(data["kind"], R=float(data["R"])),
+    to_dict=lambda K: {"kind": K.kind, "R": K.R},
+    invalid=lambda K: "radius must be positive" if K.R <= 0 else None,
+    point=_DISK.boundary_point,
+    speed=_DISK.perimeter,
+    on_carrier=lambda K, z, tol: abs(abs(z) - K.R) < tol,
+)
+_CARRIERS: dict[str, _Carrier] = {
+    "circle": _ROUND,
+    "disk": _ROUND,
+    "segment": _Carrier(
+        parse=lambda data: CompactSet.segment(float(data["length"])),
+        to_dict=lambda K: {"kind": "segment", "length": K.length},
+        invalid=lambda K: "length must be positive" if K.length <= 0 else None,
+        point=lambda K, t: complex(-K.length / 2 + K.length * t, 0.0),
+        speed=lambda K: K.length,
+        on_carrier=lambda K, z, tol: (abs(z.imag) < tol
+                                      and abs(z.real) <= K.length / 2 + tol),
+        closed=False,
+    ),
+    "domain_boundary": _Carrier(
+        parse=lambda data: CompactSet.domain_boundary(
+            planar_green.DomainDescriptor.from_dict(data["domain"])),
+        to_dict=lambda K: {"kind": "domain_boundary", "domain": K.domain.to_dict()},
+        invalid=lambda K: (None if planar_green._KINDS[K.domain.kind].boundary_point
+                           else f"unsupported domain boundary {K.domain.kind!r}"),
+        point=lambda K, t: planar_green._KINDS[K.domain.kind].boundary_point(K.domain, t),
+        speed=lambda K: planar_green._KINDS[K.domain.kind].perimeter(K.domain),
+        # boundary_distance vanishes exactly on disk and rectangle boundaries
+        on_carrier=lambda K, z, tol: abs(K.domain.boundary_distance(z)) < tol,
+    ),
+}
+
+
+def _carrier_spec(kind) -> _Carrier:
+    spec = _CARRIERS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
         raise ParameterError(f"unknown carrier kind {kind!r}")
+    return spec
 
 
 @dataclass
@@ -263,6 +274,7 @@ def _golden_refine(K: CompactSet, ts: np.ndarray, pole: complex | None,
     """Cyclic one-point golden-section refinement on the parameter."""
     n = len(ts)
     ts = np.array(ts, dtype=float)
+    closed = K.closed
     zs = np.array([K.boundary_point(t) for t in ts])
     width = 1.5 / n
     for sweep in range(sweeps):
@@ -272,11 +284,11 @@ def _golden_refine(K: CompactSet, ts: np.ndarray, pole: complex | None,
             base = _point_objective(zs[i], others, pole, n)
 
             def val(t: float) -> float:
-                tt = t % 1.0 if K.closed else min(max(t, 0.0), 1.0)
+                tt = t % 1.0 if closed else min(max(t, 0.0), 1.0)
                 return _point_objective(K.boundary_point(tt), others, pole, n)
 
             lo, hi = ts[i] - width, ts[i] + width
-            if not K.closed:
+            if not closed:
                 lo, hi = max(lo, 0.0), min(hi, 1.0)
             x1 = hi - _GOLDEN * (hi - lo)
             x2 = lo + _GOLDEN * (hi - lo)
@@ -294,7 +306,7 @@ def _golden_refine(K: CompactSet, ts: np.ndarray, pole: complex | None,
             fbest = max(f1, f2)
             if fbest > base:
                 gain += fbest - base
-                ts[i] = tbest % 1.0 if K.closed else min(max(tbest, 0.0), 1.0)
+                ts[i] = tbest % 1.0 if closed else min(max(tbest, 0.0), 1.0)
                 zs[i] = K.boundary_point(ts[i])
         width = max(width * 0.6, 1e-7 / n)
         if gain < gain_tol:
@@ -318,7 +330,7 @@ def fekete_points(K: CompactSet, n: int, pole: complex | None = None
     """
     if n < 2:
         raise ParameterError("need at least two points")
-    if pole is not None and _on_carrier(K, complex(pole)):
+    if pole is not None and _CARRIERS[K.kind].on_carrier(K, complex(pole), 1e-12):
         raise ParameterError("pole must lie off the carrier set")
     ts = _leja_start(K, n, pole)
     ts = _golden_refine(K, ts, pole)
@@ -326,14 +338,6 @@ def fekete_points(K: CompactSet, n: int, pole: complex | None = None
     logprod = _log_objective(zs, pole)
     delta_n = math.exp(2.0 * logprod / (n * (n - 1)))
     return zs, delta_n
-
-
-def _on_carrier(K: CompactSet, z: complex, tol: float = 1e-12) -> bool:
-    if K.kind in ("circle", "disk"):
-        return abs(abs(z) - K.R) < tol
-    if K.kind == "segment":
-        return abs(z.imag) < tol and abs(z.real) <= K.length / 2 + tol
-    return False
 
 
 _DEFAULT_LADDER = (4, 6, 8, 12, 16, 24, 32, 48, 64)
@@ -409,17 +413,14 @@ def _carrier_nodes(K: CompactSet, m: int) -> tuple[np.ndarray, np.ndarray]:
     return zs, ss
 
 
-def equilibrium_measure(K: CompactSet, m: int = 256
-                        ) -> tuple[WeightedMeasure, float]:
-    """Equilibrium weights minimizing the discrete logarithmic energy.
+def _log_kernel(K: CompactSet, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Carrier nodes and the regularized log-kernel matrix on them.
 
-    The kernel diagonal uses the local self-energy of a small uniform cell
+    The diagonal is the local self-energy of a small uniform cell
     (periodic-trapezoid constant on closed carriers, straight-segment
     constant on open ones), so the discrete energy tracks the continuous
-    one.  gamma is read off the potential level on the support.
+    one.
     """
-    if m < 32:
-        raise ParameterError("need m >= 32 nodes")
     zs, ss = _carrier_nodes(K, m)
     diff = np.abs(zs[:, None] - zs[None, :])
     if np.any((diff + np.eye(m)) < 1e-13):
@@ -430,6 +431,18 @@ def equilibrium_measure(K: CompactSet, m: int = 256
         np.fill_diagonal(Kmat, np.log(2 * math.pi / ss) / (2 * math.pi))
     else:
         np.fill_diagonal(Kmat, (np.log(1.0 / ss) + 1.5) / (2 * math.pi))
+    return zs, Kmat
+
+
+def equilibrium_measure(K: CompactSet, m: int = 256
+                        ) -> tuple[WeightedMeasure, float]:
+    """Equilibrium weights minimizing the discrete logarithmic energy of
+    the ``_log_kernel`` matrix; gamma is read off the potential level on
+    the support.
+    """
+    if m < 32:
+        raise ParameterError("need m >= 32 nodes")
+    zs, Kmat = _log_kernel(K, m)
 
     w = np.full(m, 1.0 / m)
     L = float(np.max(np.sum(np.abs(Kmat), axis=1)))
@@ -450,15 +463,7 @@ def equilibrium_measure(K: CompactSet, m: int = 256
 
 def equilibrium_energy(measure: WeightedMeasure, K: CompactSet) -> float:
     """Discrete energy of an equilibrium measure (same regularized kernel)."""
-    m = len(measure.weights)
-    zs, ss = _carrier_nodes(K, m)
-    diff = np.abs(zs[:, None] - zs[None, :])
-    with np.errstate(divide="ignore"):
-        Kmat = np.log(1.0 / diff) / (2 * math.pi)
-    if K.closed:
-        np.fill_diagonal(Kmat, np.log(2 * math.pi / ss) / (2 * math.pi))
-    else:
-        np.fill_diagonal(Kmat, (np.log(1.0 / ss) + 1.5) / (2 * math.pi))
+    _, Kmat = _log_kernel(K, len(measure.weights))
     w = measure.weights
     return 0.5 * float(w @ (Kmat @ w))
 
@@ -476,46 +481,9 @@ def harmonic_measure(domain, a: complex, m: int = 256) -> WeightedMeasure:
     a = complex(a)
     if not domain.contains(a):
         raise DomainError(f"{a} is not interior to {domain.kind}")
-    if domain.kind == "disk":
-        R = domain.R
-        ts = np.arange(m) / m
-        zs = R * np.exp(2j * math.pi * ts)
-        dens = (R * R - abs(a) ** 2) / (2 * math.pi * R * np.abs(zs - a) ** 2)
-        weights = dens * (2 * math.pi * R / m)
-        weights = weights / weights.sum()
-        return WeightedMeasure(zs, weights)
-    if domain.kind == "rectangle":
-        solver = planar_green.RectangleGreenSolver(domain)
-        g = solver.solve(_nearest_node(solver, a))
-        pts, wts = [], []
-        hx, hy = solver.hx, solver.hy
-        v = g.values
-        nx, ny = solver.nx, solver.ny
-        # one-sided second-order normal derivative; G vanishes on the boundary
-        for i in range(1, nx):
-            x = i * hx
-            pts.append(complex(x, 0.0))
-            wts.append((4 * v[i, 1] - v[i, 2]) / (2 * hy) * hx)
-            pts.append(complex(x, domain.h))
-            wts.append((4 * v[i, ny - 1] - v[i, ny - 2]) / (2 * hy) * hx)
-        for j in range(1, ny):
-            y = j * hy
-            pts.append(complex(0.0, y))
-            wts.append((4 * v[1, j] - v[2, j]) / (2 * hx) * hy)
-            pts.append(complex(domain.w, y))
-            wts.append((4 * v[nx - 1, j] - v[nx - 2, j]) / (2 * hx) * hy)
-        wts = np.asarray(wts)
-        total = wts.sum()
-        if abs(total - 1.0) > 1e-3:
-            raise ConditioningError(f"harmonic-measure mass {total:.6f} off unity")
-        return WeightedMeasure(np.asarray(pts), wts / total)
-    raise ParameterError(f"harmonic measure unsupported for {domain.kind!r}")
-
-
-def _nearest_node(solver, a: complex) -> complex:
-    i = round(complex(a).real / solver.hx)
-    j = round(complex(a).imag / solver.hy)
-    return complex(i * solver.hx, j * solver.hy)
+    rule = planar_green._kind_function(domain.kind, "harmonic",
+                                       "harmonic measure unsupported for {!r}")
+    return WeightedMeasure(*rule(domain, a, m))
 
 
 def condenser_capacity(r: float, R: float, n_dim: int = 2) -> float:

@@ -223,27 +223,14 @@ def area_quadrature(f: Callable[[complex], complex], region,
                     singularities: Sequence[complex] = (),
                     excision_radius: float = 1e-2,
                     with_error: bool = False):
-    """Integrate f dx dy over a DomainDescriptor region.
+    """Integrate f dx dy over a region that supplies its own rule
+    ``region.area_rule(resolution) -> (nodes, weights)``.
 
-    Disks use a polar tensor rule; rectangles a tensor midpoint rule.
     Declared integrable singularities are excised by a disk of radius
     ``excision_radius`` which is then covered by a sqrt-clustered polar
     refinement.  Undeclared non-finite values raise EvaluationError.
     """
-    kind = getattr(region, "kind", None)
-    if kind == "disk":
-        center, radius = 0j, region.R
-        nodes, weights = _disk_rule(center, radius, resolution, 2 * resolution)
-    elif kind == "rectangle":
-        nx = resolution
-        ny = max(8, int(round(resolution * region.h / region.w)))
-        xs = (np.arange(nx) + 0.5) / nx * region.w
-        ys = (np.arange(ny) + 0.5) / ny * region.h
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        nodes = (xx + 1j * yy).ravel()
-        weights = np.full(nodes.shape, (region.w / nx) * (region.h / ny))
-    else:
-        raise ParameterError(f"unsupported region kind {kind!r}")
+    nodes, weights = region.area_rule(resolution)
 
     sing = [complex(s) for s in singularities]
     if sing:

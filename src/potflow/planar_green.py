@@ -45,6 +45,8 @@ class DomainDescriptor:
     kinds: disk(R), half_plane (Im z > 0), slit_plane (complement of the
     ray [0, inf)), rectangle(w, h, grid) = (0,w) x (0,h), and
     periodic_strip(tau) = {-1/2 < Re z < 0} with Im z mod Im tau.
+    Everything that depends on the kind, validation included, lives in
+    the ``_KINDS`` table at the end of this module.
     """
 
     kind: str
@@ -54,10 +56,13 @@ class DomainDescriptor:
     grid: int = 128
     tau: complex = 2j
 
+    def __post_init__(self):
+        message = _kind_function(self.kind, "invalid")(self)
+        if message:
+            raise ParameterError(message)
+
     @staticmethod
     def disk(R: float = 1.0) -> "DomainDescriptor":
-        if R <= 0:
-            raise ParameterError("disk radius must be positive")
         return DomainDescriptor("disk", R=R)
 
     @staticmethod
@@ -70,85 +75,37 @@ class DomainDescriptor:
 
     @staticmethod
     def rectangle(w: float, h: float, grid: int = 128) -> "DomainDescriptor":
-        if w <= 0 or h <= 0:
-            raise ParameterError("rectangle sides must be positive")
-        if grid > 512:
-            raise ParameterError("grids are capped at 512^2")
         return DomainDescriptor("rectangle", w=w, h=h, grid=grid)
 
     @staticmethod
     def periodic_strip(tau: complex) -> "DomainDescriptor":
-        tau = complex(tau)
-        if abs(tau.real) > 1e-14 or tau.imag <= 0:
-            raise ParameterError("periodic strip needs purely imaginary tau, Im tau > 0")
-        return DomainDescriptor("periodic_strip", tau=tau)
+        return DomainDescriptor("periodic_strip", tau=complex(tau))
 
     def contains(self, z: complex) -> bool:
-        z = complex(z)
-        if self.kind == "disk":
-            return abs(z) < self.R
-        if self.kind == "half_plane":
-            return z.imag > 0
-        if self.kind == "slit_plane":
-            return not (z.imag == 0 and z.real >= 0)
-        if self.kind == "rectangle":
-            return 0 < z.real < self.w and 0 < z.imag < self.h
-        if self.kind == "periodic_strip":
-            return -0.5 < z.real < 0.0
-        raise ParameterError(f"unknown kind {self.kind!r}")
+        return _KINDS[self.kind].contains(self, complex(z))
 
     def boundary_distance(self, z: complex) -> float:
-        z = complex(z)
-        if self.kind == "disk":
-            return self.R - abs(z)
-        if self.kind == "half_plane":
-            return z.imag
-        if self.kind == "slit_plane":
-            return abs(z) if z.real <= 0 else abs(z.imag)
-        if self.kind == "rectangle":
-            return min(z.real, self.w - z.real, z.imag, self.h - z.imag)
-        if self.kind == "periodic_strip":
-            return min(-z.real, z.real + 0.5)
-        raise ParameterError(f"unknown kind {self.kind!r}")
+        return _KINDS[self.kind].boundary_distance(self, complex(z))
 
     def boundary_curve(self, truncation: float = 40.0) -> numkit.Curve:
-        if self.kind == "disk":
-            return numkit.circle(0j, self.R)
-        if self.kind == "half_plane":
-            # truncated real axis, positive orientation (domain on the left)
-            return numkit.line_segment(-truncation, truncation, sample_count=512)
-        raise ParameterError(f"no boundary curve for kind {self.kind!r}")
+        return _kind_function(self.kind, "boundary_curve",
+                              "no boundary curve for kind {!r}")(self, truncation)
+
+    def area_rule(self, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+        """Area quadrature nodes and weights: a polar tensor rule on disks,
+        a tensor midpoint rule on rectangles."""
+        return _kind_function(self.kind, "area_rule",
+                              "unsupported region kind {!r}")(self, resolution)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_dict(self) -> dict:
-        if self.kind == "disk":
-            return {"kind": "disk", "R": self.R}
-        if self.kind in ("half_plane", "slit_plane"):
-            return {"kind": self.kind}
-        if self.kind == "rectangle":
-            return {"kind": "rectangle", "w": self.w, "h": self.h, "grid": self.grid}
-        if self.kind == "periodic_strip":
-            return {"kind": "periodic_strip", "tau": [self.tau.real, self.tau.imag]}
-        raise ParameterError(f"unknown kind {self.kind!r}")
+        return _KINDS[self.kind].to_dict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "DomainDescriptor":
-        kind = data.get("kind")
-        if kind == "disk":
-            return DomainDescriptor.disk(float(data["R"]))
-        if kind == "half_plane":
-            return DomainDescriptor.half_plane()
-        if kind == "slit_plane":
-            return DomainDescriptor.slit_plane()
-        if kind == "rectangle":
-            return DomainDescriptor.rectangle(float(data["w"]), float(data["h"]),
-                                              int(data.get("grid", 128)))
-        if kind == "periodic_strip":
-            t = data["tau"]
-            return DomainDescriptor.periodic_strip(complex(t[0], t[1]))
-        raise ParameterError(f"unknown domain kind {kind!r}")
+        return _kind_function(data.get("kind"), "parse")(data)
 
 
 @dataclass(frozen=True)
@@ -166,47 +123,38 @@ def _slit_root(z: complex) -> complex:
     return s if s.imag > 0 else -s
 
 
-def _require_interior(domain: DomainDescriptor, *points: complex) -> None:
+def _require_interior(domain: DomainDescriptor, *points: complex) -> "_Kind":
+    """The domain's kind record, once every (complex) point is checked interior."""
+    spec = _KINDS[domain.kind]
     for p in points:
-        if not domain.contains(p):
+        if not spec.contains(domain, p):
             raise DomainError(f"{p} is not interior to {domain.kind}")
+    return spec
+
+
+def _kind_function(kind, name: str, missing: str = "unknown domain kind {!r}") -> Callable:
+    """The named function of a kind's record; ``missing`` formats the error
+    raised when the kind is unknown or has no such operation."""
+    fn = getattr(_KINDS.get(kind), name, None) if isinstance(kind, str) else None
+    if fn is None:
+        raise ParameterError(missing.format(kind))
+    return fn
 
 
 def green(domain: DomainDescriptor, z: complex, a: complex) -> float:
     """Dirichlet Green function of the domain, positive inside, 0 on the boundary."""
     z, a = complex(z), complex(a)
-    _require_interior(domain, z, a)
+    spec = _require_interior(domain, z, a)
     if abs(z - a) < 1e-14:
         raise PoleError("Green function pole at z = a")
-    if domain.kind == "disk":
-        R = domain.R
-        return -math.log(abs(R * (z - a) / (R * R - z * a.conjugate()))) / (2 * math.pi)
-    if domain.kind == "half_plane":
-        return -math.log(abs((z - a) / (z - a.conjugate()))) / (2 * math.pi)
-    if domain.kind == "slit_plane":
-        w, wa = _slit_root(z), _slit_root(a)
-        return -math.log(abs((w - wa) / (w - wa.conjugate()))) / (2 * math.pi)
-    if domain.kind == "rectangle":
-        return fd_dirichlet_green(domain, a).value(z)
-    if domain.kind == "periodic_strip":
-        from . import schottky
-        return schottky.g_electro_strip(z, a, schottky.StripDouble(domain.tau))
-    raise ParameterError(f"unknown kind {domain.kind!r}")
+    return spec.green(domain, z, a)
 
 
 def green_z_derivative(domain: DomainDescriptor, z: complex, a: complex) -> complex:
     """dG/dz for the closed-form kinds (used by contour formulas)."""
-    z, a = complex(z), complex(a)
-    if domain.kind == "disk":
-        R = domain.R
-        return -(R * R - abs(a) ** 2) / (4 * math.pi * (z - a) * (R * R - z * a.conjugate()))
-    if domain.kind == "half_plane":
-        return -(1.0 / (z - a) - 1.0 / (z - a.conjugate())) / (4 * math.pi)
-    if domain.kind == "slit_plane":
-        w, wa = _slit_root(z), _slit_root(a)
-        dwdz = 1.0 / (2 * w)
-        return -(1.0 / (w - wa) - 1.0 / (w - wa.conjugate())) * dwdz / (4 * math.pi)
-    raise ParameterError(f"no closed-form derivative for kind {domain.kind!r}")
+    dgdz = _kind_function(domain.kind, "green_z_derivative",
+                          "no closed-form derivative for kind {!r}")
+    return dgdz(domain, complex(z), complex(a))
 
 
 def robin_data(domain: DomainDescriptor, a: complex,
@@ -218,33 +166,10 @@ def robin_data(domain: DomainDescriptor, a: complex,
     oracle with Richardson extrapolation over two grids.
     """
     a = complex(a)
-    _require_interior(domain, a)
-    if domain.boundary_distance(a) < 1e-9:
+    spec = _require_interior(domain, a)
+    if spec.boundary_distance(domain, a) < 1e-9:
         raise ConditioningError("point too close to the boundary for Robin data")
-    if domain.kind == "disk":
-        R = domain.R
-        h0 = math.log((R * R - abs(a) ** 2) / R)
-        h1 = -a.conjugate() / (R * R - abs(a) ** 2)
-        return GreenExpansion(h0, h1, -4.0)
-    if domain.kind == "half_plane":
-        y = a.imag
-        return GreenExpansion(math.log(2 * y), -0.5j / y, -4.0)
-    if domain.kind == "slit_plane":
-        w = _slit_root(a)
-        h0 = math.log(4 * abs(w) * w.imag)
-        h1 = 1.0 / (4 * a) + 1.0 / (4j * w * w.imag)
-        return GreenExpansion(h0, h1, -4.0)
-    if domain.kind == "rectangle":
-        return _rectangle_robin(domain, a, _rect_offset)
-    if domain.kind == "periodic_strip":
-        from . import schottky
-        dbl = schottky.StripDouble(domain.tau)
-        h0 = schottky.gamma_electro(a, dbl)
-        h1 = schottky.gamma_electro_gradient(a, dbl)
-        kappa = -4 * math.pi * schottky.strip_bergman_kernels(a, a, dbl)[0].real \
-            * math.exp(2 * h0)
-        return GreenExpansion(h0, h1, kappa)
-    raise ParameterError(f"unknown kind {domain.kind!r}")
+    return spec.robin(domain, a, _rect_offset)
 
 
 def h1_contour(domain: DomainDescriptor, a: complex, n: int = 256) -> complex:
@@ -351,8 +276,8 @@ class RectangleGreenSolver:
             raise ParameterError("grid spacing must be at most min(w,h)/32")
         ix = self.nx - 1
         iy = self.ny - 1
-        dx = sp.diags([1, -2, 1], [-1, 0, 1], shape=(ix, ix)) / self.hx ** 2
-        dy = sp.diags([1, -2, 1], [-1, 0, 1], shape=(iy, iy)) / self.hy ** 2
+        dx = sp.diags([1, -2, 1], [-1, 0, 1], shape=(ix, ix), dtype=float) / self.hx ** 2
+        dy = sp.diags([1, -2, 1], [-1, 0, 1], shape=(iy, iy), dtype=float) / self.hy ** 2
         lap = sp.kron(dx, sp.identity(iy)) + sp.kron(sp.identity(ix), dy)
         try:
             self._lu = spla.splu((-lap).tocsc())
@@ -424,13 +349,17 @@ def rectangle_green_series(domain: DomainDescriptor, z: complex, a: complex,
     return total
 
 
+def _nearest_node(solver: RectangleGreenSolver, a: complex) -> complex:
+    i = round(complex(a).real / solver.hx)
+    j = round(complex(a).imag / solver.hy)
+    return complex(i * solver.hx, j * solver.hy)
+
+
 def _rectangle_h0_single(solver: RectangleGreenSolver, a: complex,
                          offset_nodes: int) -> float:
     """h0 estimate on one grid: 2*pi*G + log|z-a| averaged over the symmetric
     4-point stencil at a fixed node offset (odd/even expansion terms cancel)."""
-    i = round(complex(a).real / solver.hx)
-    j = round(complex(a).imag / solver.hy)
-    src = complex(i * solver.hx, j * solver.hy)
+    src = _nearest_node(solver, a)
     g = solver.solve(src)
     d = offset_nodes * solver.hx
     vals = [2 * math.pi * g.value(src + dz) + math.log(abs(dz))
@@ -456,3 +385,200 @@ def _rectangle_robin(domain: DomainDescriptor, a: complex, offset: int) -> Green
     dx = (h0_at(a + step) - h0_at(a - step)) / (2 * step)
     dy = (h0_at(a + 1j * step) - h0_at(a - 1j * step)) / (2 * step)
     return GreenExpansion(h0, 0.5 * (dx - 1j * dy), -4.0)
+
+
+def _rectangle_harmonic(domain: DomainDescriptor, a: complex,
+                        _m: int) -> tuple[np.ndarray, np.ndarray]:
+    """-dG/dn on the boundary nodes by a one-sided second-order difference of
+    the finite-difference Green function (which vanishes on the boundary)."""
+    solver = RectangleGreenSolver(domain)
+    g = solver.solve(_nearest_node(solver, a))
+    pts, wts = [], []
+    hx, hy = solver.hx, solver.hy
+    v = g.values
+    nx, ny = solver.nx, solver.ny
+    for i in range(1, nx):
+        x = i * hx
+        pts.append(complex(x, 0.0))
+        wts.append((4 * v[i, 1] - v[i, 2]) / (2 * hy) * hx)
+        pts.append(complex(x, domain.h))
+        wts.append((4 * v[i, ny - 1] - v[i, ny - 2]) / (2 * hy) * hx)
+    for j in range(1, ny):
+        y = j * hy
+        pts.append(complex(0.0, y))
+        wts.append((4 * v[1, j] - v[2, j]) / (2 * hx) * hy)
+        pts.append(complex(domain.w, y))
+        wts.append((4 * v[nx - 1, j] - v[nx - 2, j]) / (2 * hx) * hy)
+    wts = np.asarray(wts)
+    total = wts.sum()
+    if abs(total - 1.0) > 1e-3:
+        raise ConditioningError(f"harmonic-measure mass {total:.6f} off unity")
+    return np.asarray(pts), wts / total
+
+
+def _rectangle_point(d: DomainDescriptor, t: float) -> complex:
+    s = (t % 1.0) * (2 * (d.w + d.h))
+    if s < d.w:
+        return complex(s, 0.0)
+    s -= d.w
+    if s < d.h:
+        return complex(d.w, s)
+    s -= d.h
+    if s < d.w:
+        return complex(d.w - s, d.h)
+    return complex(0.0, d.h - (s - d.w))
+
+
+def _rectangle_area_rule(d: DomainDescriptor, n: int) -> tuple[np.ndarray, np.ndarray]:
+    ny = max(8, int(round(n * d.h / d.w)))
+    xx, yy = np.meshgrid((np.arange(n) + 0.5) / n * d.w,
+                         (np.arange(ny) + 0.5) / ny * d.h, indexing="ij")
+    nodes = (xx + 1j * yy).ravel()
+    return nodes, np.full(nodes.shape, (d.w / n) * (d.h / ny))
+
+
+# ---------------------------------------------------------------------------
+# the domain-kind table
+# ---------------------------------------------------------------------------
+
+def _disk_robin(d: DomainDescriptor, a: complex, _offset: int) -> GreenExpansion:
+    R = d.R
+    h0 = math.log((R * R - abs(a) ** 2) / R)
+    h1 = -a.conjugate() / (R * R - abs(a) ** 2)
+    return GreenExpansion(h0, h1, -4.0)
+
+
+def _disk_harmonic(d: DomainDescriptor, a: complex,
+                   m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form Poisson density on m equispaced boundary nodes."""
+    R = d.R
+    zs = R * np.exp(2j * math.pi * (np.arange(m) / m))
+    dens = (R * R - abs(a) ** 2) / (2 * math.pi * R * np.abs(zs - a) ** 2)
+    weights = dens * (2 * math.pi * R / m)
+    return zs, weights / weights.sum()
+
+
+def _slit_green(d: DomainDescriptor, z: complex, a: complex) -> float:
+    w, wa = _slit_root(z), _slit_root(a)
+    return -math.log(abs((w - wa) / (w - wa.conjugate()))) / (2 * math.pi)
+
+
+def _slit_dgdz(d: DomainDescriptor, z: complex, a: complex) -> complex:
+    w, wa = _slit_root(z), _slit_root(a)
+    dwdz = 1.0 / (2 * w)
+    return -(1.0 / (w - wa) - 1.0 / (w - wa.conjugate())) * dwdz / (4 * math.pi)
+
+
+def _slit_robin(d: DomainDescriptor, a: complex, _offset: int) -> GreenExpansion:
+    w = _slit_root(a)
+    return GreenExpansion(math.log(4 * abs(w) * w.imag),
+                          1.0 / (4 * a) + 1.0 / (4j * w * w.imag), -4.0)
+
+
+def _strip_green(d: DomainDescriptor, z: complex, a: complex) -> float:
+    from . import schottky
+    return schottky.g_electro_strip(z, a, schottky.StripDouble(d.tau))
+
+
+def _strip_robin(d: DomainDescriptor, a: complex, _offset: int) -> GreenExpansion:
+    from . import schottky
+    dbl = schottky.StripDouble(d.tau)
+    h0 = schottky.gamma_electro(a, dbl)
+    h1 = schottky.gamma_electro_gradient(a, dbl)
+    kappa = -4 * math.pi * schottky.strip_bergman_kernels(a, a, dbl)[0].real \
+        * math.exp(2 * h0)
+    return GreenExpansion(h0, h1, kappa)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One domain kind as plain functions of its descriptor d.  The
+    optional operations are None where the kind has no closed form."""
+
+    parse: Callable          # document dict -> DomainDescriptor
+    to_dict: Callable        # d -> document dict
+    contains: Callable       # (d, z) -> bool
+    boundary_distance: Callable  # (d, z) -> float, > 0 exactly inside
+    green: Callable          # (d, z, a) -> float
+    robin: Callable          # (d, a, rectangle stencil offset) -> GreenExpansion
+    invalid: Callable = lambda d: None   # d -> error message, or None when valid
+    green_z_derivative: Callable | None = None   # (d, z, a) -> complex
+    boundary_curve: Callable | None = None       # (d, truncation) -> Curve
+    # constant-speed positively oriented parametrisation t in [0, 1) -> z,
+    # and its speed, the perimeter
+    boundary_point: Callable | None = None
+    perimeter: Callable | None = None
+    area_rule: Callable | None = None    # (d, resolution) -> (nodes, weights)
+    harmonic: Callable | None = None     # (d, a, m) -> (points, unit-mass weights)
+
+
+_KINDS: dict[str, _Kind] = {
+    "disk": _Kind(
+        parse=lambda data: DomainDescriptor.disk(float(data["R"])),
+        to_dict=lambda d: {"kind": "disk", "R": d.R},
+        invalid=lambda d: "disk radius must be positive" if d.R <= 0 else None,
+        contains=lambda d, z: abs(z) < d.R,
+        boundary_distance=lambda d, z: d.R - abs(z),
+        green=lambda d, z, a: -math.log(
+            abs(d.R * (z - a) / (d.R * d.R - z * a.conjugate()))) / (2 * math.pi),
+        robin=_disk_robin,
+        green_z_derivative=lambda d, z, a: -(d.R * d.R - abs(a) ** 2) / (
+            4 * math.pi * (z - a) * (d.R * d.R - z * a.conjugate())),
+        boundary_curve=lambda d, truncation: numkit.circle(0j, d.R),
+        # reads only d.R, so equilibrium's circle carriers share it
+        boundary_point=lambda d, t: d.R * complex(math.cos(2 * math.pi * t),
+                                                  math.sin(2 * math.pi * t)),
+        perimeter=lambda d: 2 * math.pi * d.R,
+        area_rule=lambda d, n: numkit._disk_rule(0j, d.R, n, 2 * n),
+        harmonic=_disk_harmonic,
+    ),
+    "half_plane": _Kind(
+        parse=lambda data: DomainDescriptor.half_plane(),
+        to_dict=lambda d: {"kind": "half_plane"},
+        contains=lambda d, z: z.imag > 0,
+        boundary_distance=lambda d, z: z.imag,
+        green=lambda d, z, a: -math.log(abs((z - a) / (z - a.conjugate()))) / (2 * math.pi),
+        robin=lambda d, a, _offset: GreenExpansion(
+            math.log(2 * a.imag), -0.5j / a.imag, -4.0),
+        green_z_derivative=lambda d, z, a: (
+            -(1.0 / (z - a) - 1.0 / (z - a.conjugate())) / (4 * math.pi)),
+        # truncated real axis, positive orientation (domain on the left)
+        boundary_curve=lambda d, truncation: numkit.line_segment(
+            -truncation, truncation, sample_count=512),
+    ),
+    "slit_plane": _Kind(
+        parse=lambda data: DomainDescriptor.slit_plane(),
+        to_dict=lambda d: {"kind": "slit_plane"},
+        contains=lambda d, z: not (z.imag == 0 and z.real >= 0),
+        boundary_distance=lambda d, z: abs(z) if z.real <= 0 else abs(z.imag),
+        green=_slit_green,
+        robin=_slit_robin,
+        green_z_derivative=_slit_dgdz,
+    ),
+    "rectangle": _Kind(
+        parse=lambda data: DomainDescriptor.rectangle(
+            float(data["w"]), float(data["h"]), int(data.get("grid", 128))),
+        to_dict=lambda d: {"kind": "rectangle", "w": d.w, "h": d.h, "grid": d.grid},
+        invalid=lambda d: ("rectangle sides must be positive" if d.w <= 0 or d.h <= 0
+                           else "grids are capped at 512^2" if d.grid > 512 else None),
+        contains=lambda d, z: 0 < z.real < d.w and 0 < z.imag < d.h,
+        boundary_distance=lambda d, z: min(z.real, d.w - z.real, z.imag, d.h - z.imag),
+        green=lambda d, z, a: fd_dirichlet_green(d, a).value(z),
+        robin=_rectangle_robin,
+        boundary_point=_rectangle_point,
+        perimeter=lambda d: 2 * (d.w + d.h),
+        area_rule=_rectangle_area_rule,
+        harmonic=_rectangle_harmonic,
+    ),
+    "periodic_strip": _Kind(
+        parse=lambda data: DomainDescriptor.periodic_strip(
+            complex(data["tau"][0], data["tau"][1])),
+        to_dict=lambda d: {"kind": "periodic_strip", "tau": [d.tau.real, d.tau.imag]},
+        invalid=lambda d: ("periodic strip needs purely imaginary tau, Im tau > 0"
+                           if abs(d.tau.real) > 1e-14 or d.tau.imag <= 0 else None),
+        contains=lambda d, z: -0.5 < z.real < 0.0,
+        boundary_distance=lambda d, z: min(-z.real, z.real + 0.5),
+        green=_strip_green,
+        robin=_strip_robin,
+    ),
+}

@@ -128,18 +128,14 @@ def planar_checks() -> list[Check]:
 
     # Robin-function bounds: log d <= h0 <= log 2d (convex), log 4d (slit)
     worst = 0.0
-    for kind in ("disk", "half_plane", "slit_plane", "rectangle"):
-        dom = {"disk": disk,
-               "half_plane": planar_green.DomainDescriptor.half_plane(),
-               "slit_plane": planar_green.DomainDescriptor.slit_plane(),
-               "rectangle": planar_green.DomainDescriptor.rectangle(1.0, 1.0, 96),
-               }[kind]
-        factor = 4.0 if kind == "slit_plane" else 2.0
-        pts = _interior_samples(dom, rng, 6 if kind == "rectangle" else 50)
-        for p in pts:
+    for dom, factor, count, slack in (
+            (disk, 2.0, 50, 1e-9),
+            (planar_green.DomainDescriptor.half_plane(), 2.0, 50, 1e-9),
+            (planar_green.DomainDescriptor.slit_plane(), 4.0, 50, 1e-9),
+            (planar_green.DomainDescriptor.rectangle(1.0, 1.0, 96), 2.0, 6, 1e-3)):
+        for p in _interior_samples(dom, rng, count):
             h0 = planar_green.robin_data(dom, p).h0
             d = dom.boundary_distance(p)
-            slack = 1e-3 if kind == "rectangle" else 1e-9
             viol = max(math.log(d) - h0, h0 - math.log(factor * d), 0.0)
             worst = max(worst, viol - slack if viol > slack else 0.0)
     out.append(Check("Robin function distance bounds", "estimates", worst, 0.0))
@@ -185,19 +181,22 @@ def planar_checks() -> list[Check]:
     return out
 
 
+# candidate sampling boxes; a candidate is kept when it lies at least 0.02
+# inside the domain
+_SAMPLERS = {
+    "disk": lambda dom, rng: dom.R * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)),
+    "half_plane": lambda dom, rng: rng.uniform(-3, 3) + 1j * rng.uniform(0.05, 3),
+    "slit_plane": lambda dom, rng: rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3),
+    "rectangle": lambda dom, rng: (rng.uniform(0.1, 0.9) * dom.w
+                                   + 1j * rng.uniform(0.1, 0.9) * dom.h),
+}
+
+
 def _interior_samples(dom, rng, count: int):
+    sample = _SAMPLERS[dom.kind]
     pts = []
     while len(pts) < count:
-        if dom.kind == "disk":
-            p = dom.R * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-        elif dom.kind == "half_plane":
-            p = rng.uniform(-3, 3) + 1j * rng.uniform(0.05, 3)
-        elif dom.kind == "slit_plane":
-            p = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
-        elif dom.kind == "rectangle":
-            p = rng.uniform(0.1, 0.9) * dom.w + 1j * rng.uniform(0.1, 0.9) * dom.h
-        else:
-            p = complex(rng.uniform(-0.45, -0.05), rng.uniform(0, dom.tau.imag))
+        p = sample(dom, rng)
         if dom.contains(p) and dom.boundary_distance(p) > 0.02:
             pts.append(p)
     return pts

@@ -19,6 +19,19 @@ def test_schema_error_exit_65(capsys):
     assert "line" in err and "column" in err
     assert run(["fekete", "--domain", '{"kind":"nonagon"}']) == 65
     assert run(["green", "--domain", '{"kind":"disk","R":1.0}', "--a", "xx"]) == 65
+    assert run(["fekete", "--domain",
+                '{"kind":"domain_boundary","domain":{"kind":"half_plane"}}']) == 65
+    rect = '{"kind":"rectangle","w":1,"h":1,"grid":64}'
+    assert run(["fekete", "--domain", f'{{"kind":"domain_boundary","domain":{rect}}}',
+                "--n-max", "8", "--pole", "0.5,0"]) == 65
+    capsys.readouterr()
+    disk, strip = '{"kind":"disk","R":1.0}', '{"kind":"periodic_strip","tau":[0,0.01]}'
+    for domain, a, z in ((disk, "0.5,0", "bad"), (disk, "2,0", None),
+                         (strip, "-0.25,0.005", None)):
+        argv = ["green", "--domain", domain, f"--a={a}"] + ([f"--z={z}"] if z else [])
+        assert run(argv) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
 
 
 def test_green_report(tmp_path, capsys):

@@ -69,8 +69,10 @@ def test_fekete_points_stay_on_carrier():
 
 
 def test_fekete_pole_on_carrier_rejected():
-    with pytest.raises(ParameterError):
-        eq.fekete_points(eq.CompactSet.circle(1.0), 4, pole=1.0 + 0j)
+    rect = eq.CompactSet.domain_boundary(pg.DomainDescriptor.rectangle(1, 1, 64))
+    for K, pole in ((eq.CompactSet.circle(1.0), 1.0 + 0j), (rect, 0.5 + 0j)):
+        with pytest.raises(ParameterError):
+            eq.fekete_points(K, 8, pole=pole)
 
 
 def test_ladder_monotone_and_capacity_circle():

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from potflow import numkit, planar_green as pg
+from potflow import equilibrium, numkit, planar_green as pg
 from potflow.errors import ConditioningError, DomainError, ParameterError, PoleError
 
 DISK = pg.DomainDescriptor.disk(1.0)
@@ -224,13 +225,31 @@ def test_monotonicity_under_inclusion():
     assert h_small < h_big
 
 
+ALL_KINDS = (DISK, pg.DomainDescriptor.half_plane(), pg.DomainDescriptor.slit_plane(),
+             pg.DomainDescriptor.rectangle(2.0, 1.0, 64),
+             pg.DomainDescriptor.periodic_strip(2j))
+
+
 def test_domain_descriptor_json_roundtrip():
-    for dom in (DISK, pg.DomainDescriptor.half_plane(),
-                pg.DomainDescriptor.slit_plane(),
-                pg.DomainDescriptor.rectangle(2.0, 1.0, 64),
-                pg.DomainDescriptor.periodic_strip(2j)):
+    for dom in ALL_KINDS:
         again = pg.DomainDescriptor.from_dict(json.loads(dom.to_json()))
         assert again == dom
+    CS = equilibrium.CompactSet
+    for K in (CS.circle(1.5), CS.disk(2.0), CS.segment(3.0),
+              CS.domain_boundary(DISK), CS.domain_boundary(ALL_KINDS[3])):
+        again = CS.from_dict(json.loads(json.dumps(K.to_dict())))
+        assert again == K
+
+
+_EDGES = st.sampled_from([0.0, -0.0, -0.5, 0.5, 1.0, 2.0, -1.0])
+_COORD = st.one_of(_EDGES, st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_KINDS), _COORD, _COORD)
+def test_contains_iff_positive_boundary_distance(dom, x, y):
+    z = complex(x, y)
+    assert dom.contains(z) == (dom.boundary_distance(z) > 0)
 
 
 def test_periodic_strip_delegates():
