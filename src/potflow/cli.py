@@ -25,6 +25,11 @@ EXIT_SIMULATION_ABORT = 3
 EXIT_USAGE = 64
 EXIT_SCHEMA = 65
 
+# Largest accepted counts: --n sets the node count of each torus period
+# integral, --n-max the size of the n x n Fekete energy matrices.
+MAX_TORUS_N = 65536
+MAX_FEKETE_N = 256
+
 
 class UsageError(Exception):
     pass
@@ -115,6 +120,8 @@ def _cmd_fekete(args) -> int:
     from .errors import ParameterError
     K = _parse_document(args.domain, equilibrium.CompactSet.from_dict, "compact-set")
     pole = None if args.pole is None else _parse_point("--pole", args.pole)
+    if args.n_max > MAX_FEKETE_N:
+        raise SchemaError(f"--n-max must be at most {MAX_FEKETE_N}")
     try:
         report = equilibrium.transfinite_diameter(K, pole=pole, n_max=args.n_max)
     except ParameterError as exc:   # pole on the carrier, n_max too small
@@ -136,11 +143,13 @@ def _cmd_fekete(args) -> int:
 
 def _cmd_vortex(args) -> int:
     from . import vortex
-    from .errors import CollisionError
+    from .errors import CollisionError, ParameterError
     system = _parse_document(args.system, vortex.VortexSystem.from_dict, "vortex-system")
     summary: dict = {"t_end": args.t_end, "tol": args.tol}
     try:
         traj = vortex.simulate(system, args.t_end, args.tol)
+    except ParameterError as exc:   # t_end or tol out of range, step budget
+        raise SchemaError(str(exc)) from exc
     except CollisionError as exc:
         summary["aborted"] = "collision"
         summary["collision_time"] = exc.time
@@ -181,14 +190,18 @@ def _cmd_torus(args) -> int:
     """Kernel report for a torus modulus (plus the strip double when the
     modulus is purely imaginary)."""
     from . import schottky, surface, verify
+    from .errors import ConditioningError
     tau = _parse_point("--tau", args.tau)
     if tau.imag <= 0:
         raise SchemaError("tau must have positive imaginary part")
-    if args.n < 16:
-        raise SchemaError("--n must be at least 16")
+    if not 16 <= args.n <= MAX_TORUS_N:
+        raise SchemaError(f"--n must lie in [16, {MAX_TORUS_N}]")
+    try:
+        spec = surface.TorusSpec.from_tau(tau)
+    except ConditioningError as exc:   # Im tau too small for the q-series
+        raise SchemaError(str(exc)) from exc
 
     rows = []
-    spec = surface.TorusSpec.from_tau(tau)
     L = spec.lattice
     rows.append({"anchor": "Legendre",
                  "residual": abs(L.eta1 * tau - L.eta2 - 2j * math.pi),

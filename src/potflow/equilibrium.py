@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import planar_green
+from . import numkit, planar_green
 from .errors import (
     ConditioningError,
     ConvergenceWarning,
@@ -404,12 +404,9 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 def _carrier_nodes(K: CompactSet, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and local arclength cell sizes on the carrier."""
-    if K.closed:
-        ts = np.arange(m) / m
-    else:
-        ts = (np.arange(m) + 0.5) / m
-    zs = np.array([K.boundary_point(t) for t in ts])
-    ss = np.array([K.boundary_speed(t) / m for t in ts])
+    ts, w = (numkit.trapezoid_rule if K.closed else numkit.midpoint_rule)(m)
+    zs = np.array([K.boundary_point(t) for t in ts.tolist()])
+    ss = np.array([K.boundary_speed(t) for t in ts.tolist()]) * w
     return zs, ss
 
 

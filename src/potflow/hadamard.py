@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import planar_green
+from . import numkit, planar_green
 from .errors import DomainError, NormalizationError, ParameterError, PoleError
 
 __all__ = [
@@ -125,8 +125,8 @@ def _normal_density(a: complex, R: float, theta: np.ndarray) -> np.ndarray:
 
 
 def _assert_unit_flux(R: float, n: int) -> None:
-    theta = 2 * math.pi * np.arange(n) / n
-    flux = -np.sum(_normal_density(0j, R, theta)) * (2 * math.pi * R / n)
+    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
+    flux = -(R * w) @ _normal_density(0j, R, theta)
     if abs(flux - 1.0) > 1e-10:
         raise NormalizationError(f"outward-normal convention broken: flux {flux}")
 
@@ -157,12 +157,10 @@ def hadamard_delta_green(var: BoundaryVariation, a: complex, b: complex,
     else:
         raise ParameterError(f"unknown scheme {scheme!r}")
 
-    theta = 2 * math.pi * np.arange(n) / n
-    dn = np.array([var.delta_n(t) for t in theta])
-    integrand = (_normal_density(a, var.base.R, theta)
-                 * _normal_density(b, var.base.R, theta) * dn)
-    rhs = float(np.sum(integrand) * 2 * math.pi * var.base.R / n)
-    return lhs, rhs
+    R = var.base.R
+    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
+    weights = R * w * _normal_density(a, R, theta) * _normal_density(b, R, theta)
+    return lhs, float(numkit.integrate(var.delta_n, theta, weights))
 
 
 def hadamard_delta_h0(var: BoundaryVariation, a: complex,
@@ -177,11 +175,10 @@ def hadamard_delta_h0(var: BoundaryVariation, a: complex,
     minus = _PerturbedDisk(var, -eps).robin_h0(a)
     lhs = (plus - minus) / (2 * eps)
 
-    theta = 2 * math.pi * np.arange(n) / n
-    dn = np.array([var.delta_n(t) for t in theta])
-    integrand = _normal_density(a, var.base.R, theta) ** 2 * dn
-    rhs = 2 * math.pi * float(np.sum(integrand) * 2 * math.pi * var.base.R / n)
-    return lhs, rhs
+    R = var.base.R
+    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
+    weights = R * w * _normal_density(a, R, theta) ** 2
+    return lhs, 2 * math.pi * float(numkit.integrate(var.delta_n, theta, weights))
 
 
 def triple_green(a: complex, b: complex, c: complex, n: int = 512,
@@ -197,8 +194,7 @@ def triple_green(a: complex, b: complex, c: complex, n: int = 512,
         if abs(complex(p)) >= R:
             raise DomainError("arguments must be interior to the disk")
     _assert_unit_flux(R, n)
-    theta = 2 * math.pi * np.arange(n) / n
-    integrand = (_normal_density(complex(a), R, theta)
-                 * _normal_density(complex(b), R, theta)
-                 * _normal_density(complex(c), R, theta))
-    return float(np.sum(integrand) * 2 * math.pi * R / n)
+    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
+    return float((R * w) @ (_normal_density(complex(a), R, theta)
+                            * _normal_density(complex(b), R, theta)
+                            * _normal_density(complex(c), R, theta)))

@@ -1,12 +1,14 @@
 """Shared numeric substrate.
 
-Complex calculus by central differences, contour and area quadrature, and
-an embedded Runge-Kutta 4(5) integrator with PI step control.  Everything
+Quadrature rules as (nodes, weights) arrays with one ``integrate``, contour
+and area quadrature built on them, complex calculus by central differences,
+and an embedded Runge-Kutta 4(5) integrator with PI step control.  Everything
 here is pure and reentrant; all state lives in the arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -16,6 +18,12 @@ import numpy as np
 from .errors import CollisionError, EvaluationError, ParameterError
 
 __all__ = [
+    "integrate",
+    "trapezoid_rule",
+    "midpoint_rule",
+    "gauss_legendre_rule",
+    "product_rule",
+    "polar_rule",
     "Curve",
     "Trajectory",
     "circle",
@@ -43,6 +51,101 @@ def require_finite(value: complex, node) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# quadrature rules: every integral is a (nodes, weights) rule plus integrate
+# ---------------------------------------------------------------------------
+
+def integrate(f: Callable, nodes: np.ndarray, weights: np.ndarray):
+    """weights @ f(nodes) for a scalar integrand called on Python numbers.
+
+    A non-finite value raises EvaluationError naming its node.
+    """
+    zs = nodes.tolist()
+    values = np.array([f(z) for z in zs])
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise EvaluationError(zs[int(np.argmax(bad))])
+    return weights @ values
+
+
+def trapezoid_rule(n: int, period: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic trapezoid rule on [0, period): nodes k period / n.
+
+    Spectrally accurate for smooth periodic integrands.
+    """
+    return period * np.arange(n) / n, np.full(n, period / n)
+
+
+def midpoint_rule(n: int, length: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-centred rule on [0, length): nodes (k + 1/2) length / n."""
+    return length * (np.arange(n) + 0.5) / n, np.full(n, length / n)
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre_rule(edges, n: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Composite n-point Gauss-Legendre rule on the panels between ``edges``."""
+    x, w = _legendre(n)
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def product_rule(rule_a, rule_b, origin: complex = 0j, da: complex = 1.0,
+                 db: complex = 1j) -> tuple[np.ndarray, np.ndarray]:
+    """Area rule from two 1-D rules: nodes origin + s da + t db.
+
+    The weights carry the Jacobian |Im(conj(da) db)| of the affine map.
+    """
+    (s, ws), (t, wt) = rule_a, rule_b
+    nodes = origin + s[:, None] * da + t[None, :] * db
+    jac = abs((complex(da).conjugate() * db).imag)
+    return nodes.ravel(), (np.outer(ws, wt) * jac).ravel()
+
+
+def polar_rule(center: complex, angular, extent, n: int, band=0.0,
+               inner: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Area rule in polar coordinates around ``center``.
+
+    The angular rule ``(theta, weights)`` times, on each ray, an n-point
+    Gauss-Legendre rule in r out to ``extent`` (a scalar or R(theta) per
+    angle), with the Jacobian r in the weights.  ``band > 0`` (a scalar
+    or one value per angle, at most the extent) puts the nodes of [0, band]
+    at r = u^2, clustering them toward the centre to absorb a log-type
+    singularity there, and a plain rule on [band, extent] where band <
+    extent.  ``inner > 0`` excises the disk r < inner instead and places
+    log-radial nodes on [inner, extent] for 1/r-type integrands.
+    """
+    theta, wtheta = angular
+    x, w = _legendre(n)
+    R = np.broadcast_to(np.asarray(extent, dtype=float), theta.shape)[:, None]
+    parts = []
+    if inner > 0:
+        s0, s1 = math.log(inner), np.log(R)
+        r = np.exp(0.5 * (s1 - s0) * x + 0.5 * (s1 + s0))
+        parts.append((r, 0.5 * (s1 - s0) * w * r * r))
+    else:
+        rho = np.broadcast_to(np.asarray(band, dtype=float), theta.shape)[:, None]
+        if np.any(rho > 0):
+            u1 = np.sqrt(rho)
+            u = 0.5 * u1 * (x + 1.0)
+            r = u * u
+            parts.append((r, 0.5 * u1 * w * r * 2 * u))
+        if np.any(rho < R):
+            r = rho + 0.5 * (R - rho) * (x + 1.0)
+            parts.append((r, 0.5 * (R - rho) * w * r))
+    r, wr = (np.hstack(p) for p in zip(*parts))
+    nodes = center + r * np.exp(1j * theta)[:, None]
+    return nodes.ravel(), (wtheta[:, None] * wr).ravel()
+
+
+# ---------------------------------------------------------------------------
 # curves and contour quadrature
 # ---------------------------------------------------------------------------
 
@@ -56,13 +159,19 @@ class Curve:
 
     point: Callable[[float], complex]
     derivative: Callable[[float], complex]
-    orientation: int = +1
     sample_count: int = 256
     closed: bool = True
 
-    def points(self, n: int) -> np.ndarray:
-        t = np.arange(n) / n if self.closed else np.linspace(0.0, 1.0, n)
-        return np.array([self.point(ti) for ti in t])
+    def rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes on the curve and their dz-weights: the trapezoid rule in t
+        on closed curves, composite Gauss-Legendre on open ones."""
+        if self.closed:
+            t, w = trapezoid_rule(n)
+        else:
+            t, w = gauss_legendre_rule(np.linspace(0.0, 1.0, max(4, n // 16) + 1))
+        ts = t.tolist()
+        return (np.array([self.point(s) for s in ts], dtype=complex),
+                w * np.array([self.derivative(s) for s in ts], dtype=complex))
 
 
 def circle(center: complex = 0j, radius: float = 1.0, orientation: int = +1,
@@ -78,29 +187,19 @@ def circle(center: complex = 0j, radius: float = 1.0, orientation: int = +1,
     def dpt(t: float) -> complex:
         return 2j * np.pi * s * radius * np.exp(2j * np.pi * s * t)
 
-    return Curve(pt, dpt, orientation, sample_count, closed=True)
+    return Curve(pt, dpt, sample_count, closed=True)
 
 
 def line_segment(z0: complex, z1: complex, sample_count: int = 64) -> Curve:
     """Open straight segment from z0 to z1."""
     return Curve(lambda t: z0 + (z1 - z0) * t,
                  lambda t: z1 - z0,
-                 +1, sample_count, closed=False)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+                 sample_count, closed=False)
 
 
 def gauss_legendre_panel(f, a: float, b: float, panels: int = 8) -> complex:
     """Composite 16-point Gauss-Legendre rule for smooth integrands on [a,b]."""
-    total = 0.0 + 0.0j
-    edges = np.linspace(a, b, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            total += w * half * f(mid + half * x)
-    return total
+    return integrate(f, *gauss_legendre_rule(np.linspace(a, b, panels + 1)))
 
 
 def contour_integral(f: Callable[[complex], complex], curve: Curve,
@@ -114,19 +213,7 @@ def contour_integral(f: Callable[[complex], complex], curve: Curve,
         n = curve.sample_count
     if n < 16:
         raise ParameterError("need at least 16 sample nodes")
-    if curve.closed:
-        t = np.arange(n) / n
-        total = 0j
-        for ti in t:
-            z = curve.point(ti)
-            total += require_finite(f(z), z) * curve.derivative(ti)
-        return total / n
-
-    def integrand(t):
-        z = curve.point(t)
-        return require_finite(f(z), z) * curve.derivative(t)
-
-    return gauss_legendre_panel(integrand, 0.0, 1.0, panels=max(4, n // 16))
+    return integrate(f, *curve.rule(n))
 
 
 # ---------------------------------------------------------------------------
@@ -194,30 +281,6 @@ def laplacian_at(f: Callable[[complex], float], z0: complex,
 # area quadrature
 # ---------------------------------------------------------------------------
 
-def _disk_rule(center: complex, radius: float, nr: int, nt: int,
-               r_inner: float = 0.0, sqrt_cluster: bool = False):
-    """Polar tensor rule on an annulus/disk; returns nodes and weights.
-
-    ``sqrt_cluster=True`` substitutes r = u^2 to cluster nodes toward the
-    inner edge, which tames integrable (log-type) singularities there.
-    """
-    xt = (np.arange(nt) + 0.5) / nt * 2 * np.pi
-    xg, wg = np.polynomial.legendre.leggauss(nr)
-    if sqrt_cluster:
-        u0, u1 = math.sqrt(r_inner), math.sqrt(radius)
-        u = 0.5 * (u1 - u0) * xg + 0.5 * (u1 + u0)
-        wu = 0.5 * (u1 - u0) * wg
-        r = u * u
-        wr = wu * 2 * u
-    else:
-        r = 0.5 * (radius - r_inner) * xg + 0.5 * (radius + r_inner)
-        wr = 0.5 * (radius - r_inner) * wg
-    rr, tt = np.meshgrid(r, xt, indexing="ij")
-    ww = np.outer(wr * r, np.full(nt, 2 * np.pi / nt))
-    nodes = center + rr * np.exp(1j * tt)
-    return nodes.ravel(), ww.ravel()
-
-
 def area_quadrature(f: Callable[[complex], complex], region,
                     resolution: int = 64,
                     singularities: Sequence[complex] = (),
@@ -232,23 +295,15 @@ def area_quadrature(f: Callable[[complex], complex], region,
     """
     nodes, weights = region.area_rule(resolution)
 
-    sing = [complex(s) for s in singularities]
-    if sing:
-        keep = np.ones(len(nodes), dtype=bool)
-        for s in sing:
-            keep &= np.abs(nodes - s) > excision_radius
-        nodes, weights = nodes[keep], weights[keep]
-
-    total = 0j
-    for z, w in zip(nodes, weights):
-        total += w * require_finite(f(z), z)
-
+    sing = np.array(singularities, dtype=complex)
+    keep = np.all(np.abs(nodes[:, None] - sing) > excision_radius, axis=1)
     # cover each excised disk with a clustered polar patch
-    for s in sing:
-        pn, pw = _disk_rule(s, excision_radius, max(24, resolution // 2),
-                            max(32, resolution), sqrt_cluster=True)
-        for z, w in zip(pn, pw):
-            total += w * require_finite(f(z), z)
+    angular = midpoint_rule(max(32, resolution), 2 * math.pi)
+    rules = [(nodes[keep], weights[keep])] + [
+        polar_rule(s, angular, excision_radius, max(24, resolution // 2),
+                   band=excision_radius) for s in sing.tolist()]
+    total = integrate(f, np.concatenate([r[0] for r in rules]),
+                      np.concatenate([r[1] for r in rules]))
 
     if with_error:
         half = area_quadrature(f, region, max(resolution // 2, 16),

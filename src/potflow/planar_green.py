@@ -194,10 +194,10 @@ def poisson_value(boundary_data: Callable[[complex], float], a: complex,
     if r >= R:
         raise DomainError("evaluation point must satisfy |a| < R")
     phi = cmath.phase(a) if r > 0 else 0.0
-    theta = 2 * math.pi * np.arange(n) / n
+    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
     kernel = (R * R - r * r) / (R * R - 2 * R * r * np.cos(theta - phi) + r * r)
-    u = np.array([boundary_data(R * complex(math.cos(t), math.sin(t))) for t in theta])
-    return float(np.sum(u * kernel) / n)
+    return float(numkit.integrate(boundary_data, R * np.exp(1j * theta),
+                                  w * kernel / (2 * math.pi)))
 
 
 def conformal_transport(src: GreenExpansion, fprime: complex,
@@ -431,10 +431,8 @@ def _rectangle_point(d: DomainDescriptor, t: float) -> complex:
 
 def _rectangle_area_rule(d: DomainDescriptor, n: int) -> tuple[np.ndarray, np.ndarray]:
     ny = max(8, int(round(n * d.h / d.w)))
-    xx, yy = np.meshgrid((np.arange(n) + 0.5) / n * d.w,
-                         (np.arange(ny) + 0.5) / ny * d.h, indexing="ij")
-    nodes = (xx + 1j * yy).ravel()
-    return nodes, np.full(nodes.shape, (d.w / n) * (d.h / ny))
+    return numkit.product_rule(numkit.midpoint_rule(n, d.w),
+                               numkit.midpoint_rule(ny, d.h))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +450,10 @@ def _disk_harmonic(d: DomainDescriptor, a: complex,
                    m: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Poisson density on m equispaced boundary nodes."""
     R = d.R
-    zs = R * np.exp(2j * math.pi * (np.arange(m) / m))
+    t, w = numkit.trapezoid_rule(m)
+    zs = R * np.exp(2j * math.pi * t)
     dens = (R * R - abs(a) ** 2) / (2 * math.pi * R * np.abs(zs - a) ** 2)
-    weights = dens * (2 * math.pi * R / m)
+    weights = dens * (2 * math.pi * R * w)
     return zs, weights / weights.sum()
 
 
@@ -529,7 +528,8 @@ _KINDS: dict[str, _Kind] = {
         boundary_point=lambda d, t: d.R * complex(math.cos(2 * math.pi * t),
                                                   math.sin(2 * math.pi * t)),
         perimeter=lambda d: 2 * math.pi * d.R,
-        area_rule=lambda d, n: numkit._disk_rule(0j, d.R, n, 2 * n),
+        area_rule=lambda d, n: numkit.polar_rule(
+            0j, numkit.midpoint_rule(2 * n, 2 * math.pi), d.R, n),
         harmonic=_disk_harmonic,
     ),
     "half_plane": _Kind(

@@ -94,15 +94,14 @@ class StripDouble:
 
     def p11_quadrature(self, n: int = 64, h: float = 1e-6) -> float:
         """P11 = (1/2) int_Omega du1 wedge *du1 by fd gradient + midpoint rule."""
-        xs = -0.5 + (np.arange(n) + 0.5) / (2 * n)
-        ys = (np.arange(n) + 0.5) / n * self.T
-        total = 0.0
-        for x in xs:
-            for y in ys:
-                ux = (self.u1(complex(x + h, y)) - self.u1(complex(x - h, y))) / (2 * h)
-                uy = (self.u1(complex(x, y + h)) - self.u1(complex(x, y - h))) / (2 * h)
-                total += ux * ux + uy * uy
-        return 0.5 * total * (0.5 * self.T) / (n * n)
+        def grad_sq(z: complex) -> float:
+            ux = (self.u1(z + h) - self.u1(z - h)) / (2 * h)
+            uy = (self.u1(z + 1j * h) - self.u1(z - 1j * h)) / (2 * h)
+            return ux * ux + uy * uy
+
+        cell = numkit.product_rule(numkit.midpoint_rule(n, 0.5),
+                                   numkit.midpoint_rule(n, self.T), -0.5)
+        return 0.5 * float(numkit.integrate(grad_sq, *cell))
 
     def to_dict(self) -> dict:
         return {"tau": [self.tau.real, self.tau.imag], "p": self.p}
@@ -212,17 +211,14 @@ def hydro_circulation(a: complex, dbl: StripDouble, p: float | None = None,
     """
     if p is None:
         p = dbl.p
-    ys = dbl.T * np.arange(n) / n
-    gx = 0.0
-    for y in ys:
-        zp = complex(-0.5 + h, y)
-        zm = complex(-0.5 - h, y)
+    def gx(z: complex) -> float:
         # G extends smoothly across the wall on the double
-        gp = _g_hydro_extended(zp, a, dbl, p)
-        gm = _g_hydro_extended(zm, a, dbl, p)
-        gx += (gp - gm) / (2 * h)
+        return (_g_hydro_extended(z + h, a, dbl, p)
+                - _g_hydro_extended(z - h, a, dbl, p)) / (2 * h)
+
+    ys, wy = numkit.trapezoid_rule(n, dbl.T)
     # *dG = G_x dy along the wall; orientation -y makes -oint = +T mean(G_x)
-    return gx / n * dbl.T
+    return float(numkit.integrate(gx, -0.5 + 1j * ys, wy))
 
 
 def _g_hydro_extended(z: complex, a: complex, dbl: StripDouble, p: float) -> float:
@@ -251,25 +247,15 @@ def neumann_strip(z: complex, a: complex, dbl: StripDouble) -> float:
 
 def _strip_quadrature(func, dbl: StripDouble, resolution: int = 12) -> complex:
     """Tensor composite Gauss-Legendre over Omega = (-1/2,0) x (0, Im tau)."""
-    total = 0j
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    ex = np.linspace(-0.5, 0.0, resolution + 1)
-    ey = np.linspace(0.0, dbl.T, resolution + 1)
-    for x0, x1 in zip(ex[:-1], ex[1:]):
-        xm, xh = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-        for y0, y1 in zip(ey[:-1], ey[1:]):
-            ym, yh = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
-            for xi, wi in zip(xg, wg):
-                for yj, wj in zip(xg, wg):
-                    z = complex(xm + xh * xi, ym + yh * yj)
-                    total += wi * wj * xh * yh * func(z)
-    return total
+    return numkit.integrate(func, *numkit.product_rule(
+        numkit.gauss_legendre_rule(np.linspace(-0.5, 0.0, resolution + 1)),
+        numkit.gauss_legendre_rule(np.linspace(0.0, dbl.T, resolution + 1))))
 
 
 def _beta_period_of(f, dbl: StripDouble, x0: float = -0.25, n: int = 256) -> complex:
     """oint f dz over the vertical cycle Re z = x0 (period tau)."""
-    ys = dbl.T * np.arange(n) / n
-    return sum(f(complex(x0, y)) for y in ys) * 1j * dbl.T / n
+    ys, wy = numkit.trapezoid_rule(n, dbl.T)
+    return numkit.integrate(f, x0 + 1j * ys, 1j * wy)
 
 
 def reproducing_check(kernel: str, f, a: complex, dbl: StripDouble,
@@ -524,9 +510,8 @@ def circular_slit_map(z: complex, a: complex,
     # leading coefficient by a circle average (all higher Taylor terms of the
     # simple zero carry e^{ik phi} and drop out exactly)
     r = min(0.1, (1 - abs(a)) / 3)
-    m = 16
-    fprime = sum(raw(a + r * cmath.exp(2j * math.pi * k / m))
-                 * cmath.exp(-2j * math.pi * k / m) for k in range(m)) / (m * r)
+    fprime = numkit.contour_integral(lambda zz: raw(zz) / (zz - a) ** 2,
+                                     numkit.circle(a, r), 16) / (2j * math.pi)
     phase = fprime / abs(fprime)
     if z == a:
         return 0j

@@ -12,7 +12,6 @@ numerically by the zero-mean normalization.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -94,11 +93,9 @@ def sphere_expansion(a: complex) -> SurfaceExpansion:
     )
 
 
-def _unit_disk_polar_integral(f: Callable[[complex], float],
-                              center: complex = 0j,
-                              nr: int = 64, nt: int = 128,
-                              cluster_radius: float = 0.1) -> float:
-    """Integrate f over {|z| <= 1} with polar coordinates around ``center``.
+def _unit_disk_rule(center: complex = 0j, nr: int = 64, nt: int = 128,
+                    cluster_radius: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+    """Area rule on {|z| <= 1} in polar coordinates around ``center``.
 
     The radial extent R(theta) to the unit circle is smooth in theta, so
     the angular trapezoid rule is spectral; an inner sqrt-clustered band
@@ -107,28 +104,11 @@ def _unit_disk_polar_integral(f: Callable[[complex], float],
     c = complex(center)
     if abs(c) >= 1.0:
         raise ParameterError("polar center must lie in the open disk")
-    thetas = 2 * math.pi * np.arange(nt) / nt
-    xg, wg = np.polynomial.legendre.leggauss(nr)
-    total = 0.0
-    rho = min(cluster_radius, (1 - abs(c)) / 2)
-    # inner band [0, rho] in u = sqrt(r)
-    u1 = math.sqrt(rho)
-    for th in thetas:
-        e = cmath.exp(1j * th)
-        proj = (c.conjugate() * e).real
-        R = -proj + math.sqrt(max(1.0 - abs(c) ** 2 + proj * proj, 0.0))
-        inner = 0.0
-        for x, w in zip(xg, wg):
-            u = 0.5 * u1 * (x + 1.0)
-            r = u * u
-            if r > 0:
-                inner += 0.5 * u1 * w * f(c + r * e) * r * 2 * u
-        outer = 0.0
-        for x, w in zip(xg, wg):
-            r = rho + 0.5 * (R - rho) * (x + 1.0)
-            outer += 0.5 * (R - rho) * w * f(c + r * e) * r
-        total += inner + outer
-    return total * 2 * math.pi / nt
+    theta, w = numkit.trapezoid_rule(nt, 2 * math.pi)
+    proj = (c.conjugate() * np.exp(1j * theta)).real
+    R = -proj + np.sqrt(np.maximum(1.0 - abs(c) ** 2 + proj * proj, 0.0))
+    return numkit.polar_rule(c, (theta, w), R, nr,
+                             band=min(cluster_radius, (1 - abs(c)) / 2))
 
 
 def sphere_green_mean(a: complex, resolution: int = 64) -> float:
@@ -149,12 +129,10 @@ def sphere_green_mean(a: complex, resolution: int = 64) -> float:
         return sphere_green(zz, a) * sphere_lambda_sq(zz) / abs(w) ** 4
 
     ainv = 1.0 / a.conjugate() if a != 0 else None
-    total = _unit_disk_polar_integral(f_plane, a if abs(a) < 1 else 0j,
-                                      resolution, 2 * resolution)
     center_inv = ainv if (ainv is not None and abs(ainv) < 1) else 0j
-    total += _unit_disk_polar_integral(f_inv, center_inv,
-                                       resolution, 2 * resolution)
-    return total
+    plane = _unit_disk_rule(a if abs(a) < 1 else 0j, resolution, 2 * resolution)
+    inverted = _unit_disk_rule(center_inv, resolution, 2 * resolution)
+    return float(numkit.integrate(f_plane, *plane) + numkit.integrate(f_inv, *inverted))
 
 
 def _sphere_green_grad(z: complex, a: complex) -> complex:
@@ -189,11 +167,10 @@ def sphere_mutual_energy(a: complex, b: complex, resolution: int = 64) -> float:
     ainv = 1.0 / a.conjugate() if a != 0 else 0j
     binv = 1.0 / b.conjugate() if b != 0 else 0j
     center_inv = ainv if abs(ainv) < 1 else (binv if abs(binv) < 1 else 0j)
-    total = _unit_disk_polar_integral(lambda z: integrand(z, False),
-                                      center_plane, resolution, 2 * resolution)
-    total += _unit_disk_polar_integral(lambda z: integrand(z, True),
-                                       center_inv, resolution, 2 * resolution)
-    return total
+    plane = _unit_disk_rule(center_plane, resolution, 2 * resolution)
+    inverted = _unit_disk_rule(center_inv, resolution, 2 * resolution)
+    return float(numkit.integrate(lambda z: integrand(z, False), *plane)
+                 + numkit.integrate(lambda z: integrand(z, True), *inverted))
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +241,9 @@ class OneForm:
 
 def form_period(form: OneForm, cycle: numkit.Curve, n: int = 128) -> complex:
     """Line integral of the one-form over a parametrized cycle."""
-    def integrand_t(t: float) -> complex:
-        z = cycle.point(t)
-        dz = cycle.derivative(t)
-        return form.f(z) * dz + form.g(z) * dz.conjugate()
-
-    if cycle.closed:
-        # trapezoid in the parameter
-        ts = np.arange(n) / n
-        return sum(integrand_t(t) for t in ts) / n
-    return numkit.gauss_legendre_panel(integrand_t, 0.0, 1.0, panels=max(4, n // 16))
+    nodes, dz = cycle.rule(n)
+    return (numkit.integrate(form.f, nodes, dz)
+            + numkit.integrate(form.g, nodes, dz.conjugate()))
 
 
 def torus_kernels(z: complex, a: complex, spec: TorusSpec) -> tuple[complex, complex]:
@@ -325,15 +295,13 @@ def torus_harmonic_basis(spec: TorusSpec):
 
 def alpha_cycle(spec: TorusSpec, offset: complex = 0j) -> numkit.Curve:
     """The segment [0,1] (optionally offset) traversed once."""
-    return numkit.Curve(lambda t: offset + t, lambda t: 1.0 + 0j,
-                        +1, 128, closed=True)
+    return numkit.Curve(lambda t: offset + t, lambda t: 1.0 + 0j, 128)
 
 
 def beta_cycle(spec: TorusSpec, offset: complex = 0j) -> numkit.Curve:
     """The segment [0,tau] (optionally offset) traversed once."""
     tau = spec.tau
-    return numkit.Curve(lambda t: offset + t * tau, lambda t: tau,
-                        +1, 128, closed=True)
+    return numkit.Curve(lambda t: offset + t * tau, lambda t: tau, 128)
 
 
 @functools.lru_cache(maxsize=32)
@@ -354,15 +322,9 @@ def torus_green_constant(tau: complex, resolution: int = 160) -> float:
         return -(elliptic.log_abs_theta1(w, L)
                  - math.log(abs(th0)) - math.log(abs(w))) / (2 * math.pi)
 
-    nodes, weights = np.polynomial.legendre.leggauss(resolution)
-    xs = 0.5 * nodes            # [-1/2, 1/2]
-    wxs = 0.5 * weights
-    ys = 0.5 * T * nodes        # [-T/2, T/2]
-    wys = 0.5 * T * weights
-    A = 0.0
-    for x, wx in zip(xs, wxs):
-        for y, wy in zip(ys, wys):
-            A += wx * wy * smooth(complex(x, y))
+    A = numkit.integrate(smooth, *numkit.product_rule(
+        numkit.gauss_legendre_rule([-0.5, 0.5], resolution),
+        numkit.gauss_legendre_rule([-T / 2, T / 2], resolution)))
 
     B = -_log_abs_rectangle_integral(0.5, T / 2) / (2 * math.pi)
     C = T * T / 24.0
@@ -392,18 +354,14 @@ def torus_monopole_green(z: complex, a: complex, spec: TorusSpec) -> float:
 def wedge_integral_cell(form1: OneForm, form2: OneForm, spec: TorusSpec,
                         n: int = 48) -> complex:
     """int_F omega1 wedge omega2 over the fundamental cell (midpoint rule)."""
-    tau = spec.tau
-    ss = (np.arange(n) + 0.5) / n
-    total = 0j
-    for s in ss:
-        for t in ss:
-            z = s + t * tau
-            f1, g1 = form1.f(z), form1.g(z)
-            f2, g2 = form2.f(z), form2.g(z)
-            # (f1 dz + g1 dzbar) ^ (f2 dz + g2 dzbar) = (f1 g2 - g1 f2) dz^dzbar
-            total += (f1 * g2 - g1 * f2)
-    # dz ^ dzbar = -2i dx dy; cell area = Im tau
-    return total / (n * n) * (-2j) * spec.volume
+    def coefficient(z: complex) -> complex:
+        # (f1 dz + g1 dzbar) ^ (f2 dz + g2 dzbar) = (f1 g2 - g1 f2) dz^dzbar
+        return form1.f(z) * form2.g(z) - form1.g(z) * form2.f(z)
+
+    cell = numkit.product_rule(numkit.midpoint_rule(n), numkit.midpoint_rule(n),
+                               0j, 1.0, spec.tau)
+    # dz ^ dzbar = -2i dx dy
+    return numkit.integrate(coefficient, *cell) * (-2j)
 
 
 def bergman_expansion_check(spec: TorusSpec, samples: int = 5) -> float:
@@ -438,41 +396,15 @@ def _centered_rect_polar(f: Callable[[complex], complex], hw: float, hh: float,
     singularity at the origin.
     """
     thc = math.atan2(hh, hw)
-    panels = [(-thc, thc), (thc, math.pi - thc),
-              (math.pi - thc, math.pi + thc),
-              (math.pi + thc, 2 * math.pi - thc)]
-    xg, wg = np.polynomial.legendre.leggauss(nr)
-    xt, wt = np.polynomial.legendre.leggauss(nt)
-    total = 0j
-    for k, (t0, t1) in enumerate(panels):
-        for xtheta, wtheta in zip(xt, wt):
-            th = 0.5 * (t1 - t0) * xtheta + 0.5 * (t1 + t0)
-            wth = 0.5 * (t1 - t0) * wtheta
-            c, s = math.cos(th), math.sin(th)
-            R = hw / abs(c) if k % 2 == 0 else hh / abs(s)
-            e = complex(c, s)
-            radial = 0j
-            if r_inner > 0:
-                # log-radial substitution handles 1/r-type integrands
-                s0, s1 = math.log(r_inner), math.log(R)
-                for x, w in zip(xg, wg):
-                    sv = 0.5 * (s1 - s0) * x + 0.5 * (s1 + s0)
-                    r = math.exp(sv)
-                    radial += 0.5 * (s1 - s0) * w * f(r * e) * r * r
-            else:
-                rho = min(cluster, R / 2) if cluster > 0 else 0.0
-                if rho > 0:
-                    u1 = math.sqrt(rho)
-                    for x, w in zip(xg, wg):
-                        u = 0.5 * u1 * (x + 1.0)
-                        r = u * u
-                        if r > 0:
-                            radial += 0.5 * u1 * w * f(r * e) * r * 2 * u
-                for x, w in zip(xg, wg):
-                    r = rho + 0.5 * (R - rho) * (x + 1.0)
-                    radial += 0.5 * (R - rho) * w * f(r * e) * r
-            total += wth * radial
-    return total
+    edges = [-thc, thc, math.pi - thc, math.pi + thc, 2 * math.pi - thc]
+    theta, w = numkit.gauss_legendre_rule(edges, nt)
+    # panels alternate between the vertical (hw) and horizontal (hh) sides
+    vertical = np.repeat([True, False, True, False], nt)
+    R = (np.where(vertical, hw, hh)
+         / np.abs(np.where(vertical, np.cos(theta), np.sin(theta))))
+    band = np.minimum(cluster, R / 2) if cluster > 0 else 0.0
+    return numkit.integrate(f, *numkit.polar_rule(0j, (theta, w), R, nr, band,
+                                                  r_inner))
 
 
 def torus_green_mean(a: complex, spec: TorusSpec) -> float:

@@ -488,36 +488,32 @@ def schottky_checks() -> list[Check]:
     am = 0.3
     bmod = abs(abs(schottky.circular_slit_map(cmath.exp(1.3j), am)) - (1 - am * am))
     rr = 0.05
-    deriv = sum(schottky.circular_slit_map(am + rr * cmath.exp(2j * math.pi * k / 16), am)
-                * cmath.exp(-2j * math.pi * k / 16) for k in range(16)) / (16 * rr)
+    deriv = _contour_residue(lambda w: schottky.circular_slit_map(w, am) / (w - am) ** 2,
+                             am, rr, 16)
     out.append(Check("slit map: boundary modulus exp(gamma), f'(a)=1",
                      "fGG", max(bmod, abs(deriv - 1.0)), 1e-8))
     return out
 
 
 def _kernel_period_residual(dbl: schottky.StripDouble, a: complex, n: int = 192) -> float:
-    xs = -0.5 + np.arange(n) / n
-    ys = dbl.T * np.arange(n) / n
-    pa_e = sum(schottky.strip_bergman_kernels(complex(x, 0), a, dbl)[0] for x in xs) / n
-    pa_h = sum(schottky.strip_bergman_kernels(complex(x, 0), a, dbl)[1] for x in xs) / n
-    pb_e = sum(schottky.strip_bergman_kernels(complex(0, y), a, dbl)[0]
-               for y in ys) * 1j * dbl.T / n
-    pb_h = sum(schottky.strip_bergman_kernels(complex(0, y), a, dbl)[1]
-               for y in ys) * 1j * dbl.T / n
+    t, w = numkit.trapezoid_rule(n)
+    ys, wy = numkit.trapezoid_rule(n, dbl.T)
+    pa_e, pa_h, pb_e, pb_h = (
+        numkit.integrate(lambda z, k=k: schottky.strip_bergman_kernels(z, a, dbl)[k],
+                         nodes, dz)
+        for nodes, dz in ((-0.5 + t + 0j, w), (1j * ys, 1j * wy)) for k in (0, 1))
     return max(abs(pa_e), abs(pb_e - 2j), abs(pa_h + 2 / dbl.T), abs(pb_h))
 
 
 def _strip_flux(a: complex, dbl: schottky.StripDouble, n: int = 96,
                 h: float = 1e-6) -> float:
-    ys = dbl.T * np.arange(n) / n
-    total = 0.0
-    for y in ys:
-        d0 = (schottky._g_hydro_extended(complex(h, y), a, dbl, 0.0)
-              - schottky._g_hydro_extended(complex(-h, y), a, dbl, 0.0)) / (2 * h)
-        d1 = (schottky._g_hydro_extended(complex(-0.5 + h, y), a, dbl, 0.0)
-              - schottky._g_hydro_extended(complex(-0.5 - h, y), a, dbl, 0.0)) / (2 * h)
-        total += -d0 + d1
-    return total * dbl.T / n
+    def gx(z: complex) -> float:
+        return (schottky._g_hydro_extended(z + h, a, dbl, 0.0)
+                - schottky._g_hydro_extended(z - h, a, dbl, 0.0)) / (2 * h)
+
+    ys, wy = numkit.trapezoid_rule(n, dbl.T)
+    return float(numkit.integrate(gx, -0.5 + 1j * ys, wy)
+                 - numkit.integrate(gx, 1j * ys, wy))
 
 
 def _wall_tangential(dbl: schottky.StripDouble, a: complex, x0: float,
@@ -528,27 +524,24 @@ def _wall_tangential(dbl: schottky.StripDouble, a: complex, x0: float,
 
 def _hydrohydro(dbl: schottky.StripDouble, a: complex, b: complex,
                 p: float, n: int = 128, h: float = 1e-6) -> float:
-    ys = dbl.T * np.arange(n) / n
-    total = 0.0
-    for y in ys:
-        for x0, orient in ((0.0, +1), (-0.5, -1)):
-            g_val = schottky._g_hydro_extended(complex(x0, y), a, dbl, p)
-            dgb = (schottky._g_hydro_extended(complex(x0 + h, y), b, dbl, p)
-                   - schottky._g_hydro_extended(complex(x0 - h, y), b, dbl, p)) / (2 * h)
-            total += g_val * dgb * orient
-    return total * dbl.T / n
+    def integrand(z: complex) -> float:
+        dgb = (schottky._g_hydro_extended(z + h, b, dbl, p)
+               - schottky._g_hydro_extended(z - h, b, dbl, p)) / (2 * h)
+        return schottky._g_hydro_extended(z, a, dbl, p) * dgb
+
+    # the wall x = 0 carries orientation +1, the wall x = -1/2 orientation -1
+    ys, wy = numkit.trapezoid_rule(n, dbl.T)
+    return float(numkit.integrate(integrand, 1j * ys, wy)
+                 - numkit.integrate(integrand, -0.5 + 1j * ys, wy))
 
 
 def _contour_residue(f, c: complex, radius: float = 0.01, n: int = 64) -> complex:
-    total = 0j
-    for k in range(n):
-        w = c + radius * cmath.exp(2j * math.pi * k / n)
-        total += f(w) * radius * cmath.exp(2j * math.pi * k / n) * 2j * math.pi / n
-    return total / (2j * math.pi)
+    return numkit.contour_integral(f, numkit.circle(c, radius), n) / (2j * math.pi)
 
 
 def _cycle_integral(f, z0: complex, dz: complex, n: int = 256) -> complex:
-    return sum(f(z0 + dz * k / n) * dz for k in range(n)) / n
+    t, w = numkit.trapezoid_rule(n)
+    return numkit.integrate(f, z0 + dz * t, dz * w)
 
 
 def _complex_gradient(f, z: complex, h: float = 1e-6) -> complex:

@@ -26,9 +26,15 @@ def test_schema_error_exit_65(capsys):
                 "--n-max", "8", "--pole", "0.5,0"]) == 65
     capsys.readouterr()
     disk, strip = '{"kind":"disk","R":1.0}', '{"kind":"periodic_strip","tau":[0,0.01]}'
-    for domain, a, z in ((disk, "0.5,0", "bad"), (disk, "2,0", None),
-                         (strip, "-0.25,0.005", None)):
-        argv = ["green", "--domain", domain, f"--a={a}"] + ([f"--z={z}"] if z else [])
+    system = '{"vortices":[{"z":[0.1,0],"gamma":1}],"domain":{"kind":"disk","R":1}}'
+    for argv in (["green", "--domain", disk, "--a=0.5,0", "--z=bad"],
+                 ["green", "--domain", disk, "--a=2,0"],
+                 ["green", "--domain", strip, "--a=-0.25,0.005"],
+                 ["torus", "--tau", "0,0.01"], ["torus", "--tau", "0,2", "--n", "65537"],
+                 ["vortex", "--system", system, "--t-end", "-1"],
+                 ["vortex", "--system", system, "--tol", "1"],
+                 ["fekete", "--domain", '{"kind":"circle","R":1.0}',
+                  "--n-max", "100000000"]):
         assert run(argv) == 65
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1

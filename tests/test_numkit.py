@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potflow import numkit, planar_green
+from potflow import numkit, planar_green, surface
 from potflow.errors import (
     CollisionError,
     EvaluationError,
@@ -71,6 +71,78 @@ def test_spectral_convergence_for_analytic():
     e1 = abs(numkit.contour_integral(f, numkit.circle(), n=32) - exact)
     e2 = abs(numkit.contour_integral(f, numkit.circle(), n=64) - exact)
     assert e2 < max(e1 / 100, 1e-15)
+
+
+def test_gauss_legendre_rule_exact_to_degree_31_per_panel():
+    edges = [-1.0, -0.3, 0.2, 1.5]
+    x, w = numkit.gauss_legendre_rule(edges, 16)
+    x, w = x.reshape(3, 16), w.reshape(3, 16)
+    for (a, b), xp, wp in zip(zip(edges[:-1], edges[1:]), x, w):
+        assert np.all((a < xp) & (xp < b))
+        for k in range(32):
+            exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+            assert abs(wp @ xp ** k - exact) < 1e-13 * max(1.0, abs(a), abs(b)) ** (k + 1)
+
+
+def test_trapezoid_rule_exact_for_low_fourier_modes():
+    n = 16
+    t, w = numkit.trapezoid_rule(n)
+    for k in range(-n + 1, n):
+        assert abs(w @ np.exp(2j * np.pi * k * t) - (1.0 if k == 0 else 0.0)) < 1e-14
+    theta, wt = numkit.trapezoid_rule(n, 2 * np.pi)
+    assert abs(wt @ np.cos(theta) ** 2 - np.pi) < 1e-14
+
+
+def test_midpoint_and_product_rules_exact_on_a_rectangle():
+    # midpoint is exact for degree 1, Gauss-Legendre (16 nodes) to degree 31
+    w_, h_, origin = 1.5, 0.75, 0.25 - 0.5j
+    f = lambda z: 2.0 + 3.0 * (z - origin).real * (z - origin).imag
+    exact = 2.0 * w_ * h_ + 3.0 * (w_ ** 2 / 2) * (h_ ** 2 / 2)
+    nodes, weights = numkit.product_rule(numkit.midpoint_rule(7), numkit.midpoint_rule(5),
+                                         origin, w_, 1j * h_)
+    assert abs(numkit.integrate(f, nodes, weights) - exact) < 1e-14
+    nodes, weights = numkit.product_rule(numkit.gauss_legendre_rule([0.0, w_]),
+                                         numkit.gauss_legendre_rule([0.0, h_]))
+    val = numkit.integrate(lambda z: z.real ** 3 * z.imag ** 5, nodes, weights)
+    assert abs(val - (w_ ** 4 / 4) * (h_ ** 6 / 6)) < 1e-15
+    # a parallelogram cell along 1 and tau has area Im tau
+    tau = 0.3 + 1.7j
+    _, weights = numkit.product_rule(numkit.midpoint_rule(4), numkit.midpoint_rule(4),
+                                     0j, 1.0, tau)
+    assert abs(weights.sum() - tau.imag) < 1e-15
+
+
+@pytest.mark.parametrize("band", [0.0, 0.5, 2.0])
+def test_polar_rule_disk_area(band):
+    R = 2.0
+    angular = numkit.midpoint_rule(32, 2 * np.pi)
+    nodes, weights = numkit.polar_rule(0.3 + 0.1j, angular, R, 24, band=band)
+    assert np.all(np.abs(nodes - (0.3 + 0.1j)) < R)
+    assert abs(weights.sum() - np.pi * R ** 2) < 1e-12
+    val = numkit.integrate(lambda z: abs(z - (0.3 + 0.1j)) ** 2, nodes, weights)
+    assert abs(val - np.pi * R ** 4 / 2) < 1e-12
+
+
+def test_polar_rule_annulus_by_excision():
+    angular = numkit.trapezoid_rule(16, 2 * np.pi)
+    nodes, weights = numkit.polar_rule(0j, angular, 1.0, 48, inner=0.1)
+    assert np.all(np.abs(nodes) > 0.1)
+    assert abs(weights.sum() - np.pi * (1.0 - 0.01)) < 1e-12
+
+
+@pytest.mark.parametrize("cluster, r_inner", [(0.0, 0.0), (0.2, 0.0), (0.0, 0.05)])
+def test_polar_rule_centred_rectangle_area(cluster, r_inner):
+    hw, hh = 0.5, 0.8
+    val = surface._centered_rect_polar(lambda w: 1.0, hw, hh, 48, 32, r_inner, cluster)
+    assert abs(val - (4 * hw * hh - np.pi * r_inner ** 2)) < 1e-12
+
+
+def test_integrate_nonfinite_value_names_node():
+    nodes, weights = numkit.trapezoid_rule(16)
+    bad = nodes[5]
+    with pytest.raises(EvaluationError) as err:
+        numkit.integrate(lambda t: float("nan") if t == bad else t, nodes, weights)
+    assert err.value.node == bad
 
 
 def test_wirtinger_conjugate():

@@ -29,10 +29,10 @@ def test_sphere_green_zero_mean():
 
 
 def test_sphere_area_is_4pi():
-    total = sf._unit_disk_polar_integral(sf.sphere_lambda_sq, 0j, 48, 96)
-    total += sf._unit_disk_polar_integral(
+    total = numkit.integrate(sf.sphere_lambda_sq, *sf._unit_disk_rule(0j, 48, 96))
+    total += numkit.integrate(
         lambda w: sf.sphere_lambda_sq(1 / w) / abs(w) ** 4 if abs(w) > 1e-14
-        else 0.0, 0j, 48, 96)
+        else 0.0, *sf._unit_disk_rule(0j, 48, 96))
     assert abs(total - 4 * math.pi) < 1e-6
 
 
