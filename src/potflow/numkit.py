@@ -55,15 +55,16 @@ def require_finite(value: complex, node) -> complex:
 # ---------------------------------------------------------------------------
 
 def integrate(f: Callable, nodes: np.ndarray, weights: np.ndarray):
-    """weights @ f(nodes) for a scalar integrand called on Python numbers.
+    """weights @ f(nodes) for an integrand called on Python numbers.
 
+    f returns a scalar, or a sequence of m components for an (m,) result.
     A non-finite value raises EvaluationError naming its node.
     """
     zs = nodes.tolist()
     values = np.array([f(z) for z in zs])
     bad = ~np.isfinite(values)
     if bad.any():
-        raise EvaluationError(zs[int(np.argmax(bad))])
+        raise EvaluationError(zs[int(np.argwhere(bad)[0, 0])])
     return weights @ values
 
 

@@ -9,6 +9,7 @@ H(z,a) = h0(a) + Re(h1(a)(z-a)) + O((z-a)^2) with h1 = dh0/da.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -305,11 +306,22 @@ class RectangleGreenSolver:
         return RectangleGreenGrid(self.domain, complex(a), full)
 
 
+@functools.lru_cache(maxsize=4)
+def _rectangle_solver(w: float, h: float, n: int) -> RectangleGreenSolver:
+    """The factorized solver of the (0,w) x (0,h) rectangle on an n grid,
+    shared per process.  At most four factors stay alive (a 192 grid holds
+    about 38 MB); the public ``RectangleGreenSolver`` never caches."""
+    return RectangleGreenSolver(DomainDescriptor.rectangle(w, h, n))
+
+
 def fd_dirichlet_green(domain: DomainDescriptor, a: complex,
                        grid: int | None = None) -> RectangleGreenGrid:
     """Numeric Dirichlet Green function on a rectangle (unit point source,
     zero boundary); second-order convergent in the grid spacing."""
-    return RectangleGreenSolver(domain, grid).solve(a)
+    if domain.kind != "rectangle":
+        raise ParameterError("solver requires a rectangle domain")
+    n = grid if grid is not None else domain.grid
+    return _rectangle_solver(domain.w, domain.h, n).solve(a)
 
 
 def rectangle_green_series(domain: DomainDescriptor, z: complex, a: complex,
@@ -374,8 +386,8 @@ def _rectangle_robin(domain: DomainDescriptor, a: complex, offset: int) -> Green
     the extrapolation removes the O(h^2) solve error.
     """
     n1 = domain.grid
-    coarse = RectangleGreenSolver(domain, n1)
-    fine = RectangleGreenSolver(domain, 2 * n1)
+    coarse = _rectangle_solver(domain.w, domain.h, n1)
+    fine = _rectangle_solver(domain.w, domain.h, 2 * n1)
     h0 = (4 * _rectangle_h0_single(fine, a, 2 * offset)
           - _rectangle_h0_single(coarse, a, offset)) / 3
     # h1 by central differences of the fine-grid h0 over a grid-aligned step
@@ -391,7 +403,7 @@ def _rectangle_harmonic(domain: DomainDescriptor, a: complex,
                         _m: int) -> tuple[np.ndarray, np.ndarray]:
     """-dG/dn on the boundary nodes by a one-sided second-order difference of
     the finite-difference Green function (which vanishes on the boundary)."""
-    solver = RectangleGreenSolver(domain)
+    solver = _rectangle_solver(domain.w, domain.h, domain.grid)
     g = solver.solve(_nearest_node(solver, a))
     pts, wts = [], []
     hx, hy = solver.hx, solver.hy
@@ -474,14 +486,21 @@ def _slit_robin(d: DomainDescriptor, a: complex, _offset: int) -> GreenExpansion
                           1.0 / (4 * a) + 1.0 / (4j * w * w.imag), -4.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _strip_double(tau: complex):
+    """The strip's torus double (lattice constants included), built once per tau."""
+    from . import schottky
+    return schottky.StripDouble(tau)
+
+
 def _strip_green(d: DomainDescriptor, z: complex, a: complex) -> float:
     from . import schottky
-    return schottky.g_electro_strip(z, a, schottky.StripDouble(d.tau))
+    return schottky.g_electro_strip(z, a, _strip_double(d.tau))
 
 
 def _strip_robin(d: DomainDescriptor, a: complex, _offset: int) -> GreenExpansion:
     from . import schottky
-    dbl = schottky.StripDouble(d.tau)
+    dbl = _strip_double(d.tau)
     h0 = schottky.gamma_electro(a, dbl)
     h1 = schottky.gamma_electro_gradient(a, dbl)
     kappa = -4 * math.pi * schottky.strip_bergman_kernels(a, a, dbl)[0].real \

@@ -498,10 +498,10 @@ def schottky_checks() -> list[Check]:
 def _kernel_period_residual(dbl: schottky.StripDouble, a: complex, n: int = 192) -> float:
     t, w = numkit.trapezoid_rule(n)
     ys, wy = numkit.trapezoid_rule(n, dbl.T)
-    pa_e, pa_h, pb_e, pb_h = (
-        numkit.integrate(lambda z, k=k: schottky.strip_bergman_kernels(z, a, dbl)[k],
+    (pa_e, pa_h), (pb_e, pb_h) = (
+        numkit.integrate(lambda z: schottky.strip_bergman_kernels(z, a, dbl)[:2],
                          nodes, dz)
-        for nodes, dz in ((-0.5 + t + 0j, w), (1j * ys, 1j * wy)) for k in (0, 1))
+        for nodes, dz in ((-0.5 + t + 0j, w), (1j * ys, 1j * wy)))
     return max(abs(pa_e), abs(pb_e - 2j), abs(pa_h + 2 / dbl.T), abs(pb_h))
 
 

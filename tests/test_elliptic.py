@@ -143,3 +143,32 @@ def test_lattice_sum_oracle(tau):
     z = 0.22 + 0.31j
     assert abs(elliptic.wp(z, L) - elliptic.wp_lattice_sum(z, tau, 80)) < 1e-4
     assert abs(elliptic.zeta_w(z, L) - elliptic.zeta_lattice_sum(z, tau, 80)) < 1e-3
+
+
+def _jtheta_reference(z: complex, tau: complex) -> tuple:
+    """(theta1, theta1', wp, zeta, eta1) at z from mpmath's jtheta alone.
+
+    theta1(z) = jtheta(1, pi z, exp(i pi tau)).  With th^(k) its k-th
+    z-derivative: eta1 = -th'''(0) / (3 th'(0)), zeta = eta1 z + th'/th
+    and wp = -eta1 - (th'' th - th'^2) / th^2.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z, q = mpmath.mpc(z), mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        th = [mpmath.pi ** k * mpmath.jtheta(1, mpmath.pi * z, q, k) for k in range(3)]
+        eta1 = -mpmath.pi ** 2 * mpmath.jtheta(1, 0, q, 3) / (3 * mpmath.jtheta(1, 0, q, 1))
+        wp = -eta1 - (th[2] * th[0] - th[1] ** 2) / th[0] ** 2
+        zeta = eta1 * z + th[1] / th[0]
+        return tuple(complex(v) for v in (th[0], th[1], wp, zeta, eta1))
+
+
+@pytest.mark.parametrize("tau", (2j, 0.3 + 1.1j, 0.5j))
+def test_theta_and_weierstrass_match_mpmath_jtheta(tau):
+    L = elliptic.lattice_constants(tau)
+    # three points in or near the centred cell and one shifted by 1 + tau
+    for z in (0.23 + 0.17j, -0.31 + 0.4 * tau, 0.41 - 0.2 * tau, 1.3 + 0.2j + tau):
+        ref = _jtheta_reference(z, tau)
+        got = (elliptic.theta1(z, L), elliptic.theta1_prime(z, L),
+               elliptic.wp(z, L), elliptic.zeta_w(z, L), L.eta1)
+        for name, g, r in zip(("theta1", "theta1'", "wp", "zeta", "eta1"), got, ref):
+            assert abs(g - r) <= 1e-13 * abs(r), (name, z)

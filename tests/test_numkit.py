@@ -145,6 +145,19 @@ def test_integrate_nonfinite_value_names_node():
     assert err.value.node == bad
 
 
+def test_integrate_vector_valued_integrand():
+    nodes, weights = numkit.gauss_legendre_rule([0.0, 0.5, 1.0], 8)
+    val = numkit.integrate(lambda t: (t ** 3, t ** 15 - t), nodes, weights)
+    assert val.shape == (2,)
+    assert abs(val[0] - 0.25) < 1e-15 and abs(val[1] - (1 / 16 - 0.5)) < 1e-15
+    # NaNs in the second component at node 5 and the first at node 9: the
+    # error names node 5, not the node of a flattened (node, component) index
+    with pytest.raises(EvaluationError) as err:
+        numkit.integrate(lambda t: (math.nan if t == nodes[9] else t,
+                                    math.nan if t == nodes[5] else t), nodes, weights)
+    assert err.value.node == nodes[5]
+
+
 def test_wirtinger_conjugate():
     val = numkit.wirtinger_derivative(lambda z: z.conjugate(), 0.3 + 0.7j, "dzbar")
     assert abs(val - 1.0) < 1e-9

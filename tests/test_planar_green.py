@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potflow import equilibrium, numkit, planar_green as pg
+from potflow import equilibrium, numkit, planar_green as pg, schottky
 from potflow.errors import ConditioningError, DomainError, ParameterError, PoleError
 
 DISK = pg.DomainDescriptor.disk(1.0)
@@ -259,3 +259,73 @@ def test_periodic_strip_delegates():
     rd = pg.robin_data(dom, -0.25 + 0.5j)
     d = dom.boundary_distance(-0.25 + 0.5j)
     assert rd.h0 >= math.log(d) - 1e-9
+
+
+def _count_calls(monkeypatch, cls, name):
+    """Patch cls.name to count its calls; returns the one-element counter."""
+    count = [0]
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return count
+
+
+def _equal_rectangles(grid):
+    dom = pg.DomainDescriptor.rectangle(1.0, 1.0, grid)
+    return (dom, pg.DomainDescriptor.rectangle(1, 1, grid),
+            pg.DomainDescriptor("rectangle", w=1.0, h=1.0, grid=grid),
+            pg.DomainDescriptor.from_dict(json.loads(dom.to_json())))
+
+
+def test_rectangle_factors_once_per_grid(monkeypatch):
+    built = _count_calls(monkeypatch, pg.RectangleGreenSolver, "__init__")
+    doms = _equal_rectangles(48)
+    pg._rectangle_solver.cache_clear()
+    robins = [pg.robin_data(d, 0.4 + 0.55j) for d in doms[:3]]
+    assert built[0] == 2                 # the coarse and the Richardson fine grid
+    assert robins[0] == robins[1] == robins[2]
+    pg._rectangle_solver.cache_clear()
+    built[0] = 0
+    values = [pg.green(d, 0.3 + 0.6j, 0.5 + 0.5j) for d in doms]
+    assert built[0] == 1
+    assert len(set(values)) == 1
+    pg.RectangleGreenSolver(doms[0])     # the public constructor never caches
+    assert built[0] == 2
+
+
+def test_cached_rectangle_solve_is_bit_identical():
+    dom = pg.DomainDescriptor.rectangle(2.0, 1.0, 64)
+    a, z = 1.0 + 0.5j, 0.7 + 0.3j
+    fresh = pg.RectangleGreenSolver(dom).solve(a)
+    for _ in range(2):                   # cold, then from the cache
+        assert np.array_equal(pg.fd_dirichlet_green(dom, a).values, fresh.values)
+        assert pg.green(dom, z, a) == fresh.value(z)
+    fine = pg.RectangleGreenSolver(dom, 96).solve(a)
+    assert np.array_equal(pg.fd_dirichlet_green(dom, a, grid=96).values, fine.values)
+
+
+def test_rectangle_cache_evicts_beyond_four_grids():
+    pg._rectangle_solver.cache_clear()
+    grids = (32, 34, 36, 38, 40)
+    for n in grids:
+        pg.fd_dirichlet_green(pg.DomainDescriptor.rectangle(1.0, 1.0, n), 0.5 + 0.5j)
+    info = pg._rectangle_solver.cache_info()
+    assert info.currsize <= 4 and info.misses == len(grids)
+    pg.fd_dirichlet_green(pg.DomainDescriptor.rectangle(1.0, 1.0, 32), 0.5 + 0.5j)
+    assert pg._rectangle_solver.cache_info().misses == len(grids) + 1   # 32 was evicted
+
+
+def test_strip_queries_share_one_double_per_tau(monkeypatch):
+    built = _count_calls(monkeypatch, schottky.StripDouble, "__post_init__")
+    pg._strip_double.cache_clear()
+    for tau in (2j, 3j):
+        dom = pg.DomainDescriptor.periodic_strip(tau)
+        again = pg.DomainDescriptor.from_dict(json.loads(dom.to_json()))
+        for d in (dom, again):
+            pg.green(d, -0.2 + 0.3j, -0.25 + 0.5j)
+            pg.robin_data(d, -0.3 + 0.1j)
+    assert built[0] == 2
