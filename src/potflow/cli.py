@@ -26,9 +26,11 @@ EXIT_USAGE = 64
 EXIT_SCHEMA = 65
 
 # Largest accepted counts: --n sets the node count of each torus period
-# integral, --n-max the size of the n x n Fekete energy matrices.
+# integral, --n-max the size of the n x n Fekete energy matrices, and the
+# vortex count the size of the n x n pairwise arrays of a vortex run.
 MAX_TORUS_N = 65536
 MAX_FEKETE_N = 256
+MAX_VORTICES = 2000
 
 
 class UsageError(Exception):
@@ -144,7 +146,13 @@ def _cmd_fekete(args) -> int:
 def _cmd_vortex(args) -> int:
     from . import vortex
     from .errors import CollisionError, ParameterError
-    system = _parse_document(args.system, vortex.VortexSystem.from_dict, "vortex-system")
+
+    def parse(data: dict) -> vortex.VortexSystem:
+        if len(data["vortices"]) > MAX_VORTICES:
+            raise ParameterError(f"at most {MAX_VORTICES} vortices")
+        return vortex.VortexSystem.from_dict(data)
+
+    system = _parse_document(args.system, parse, "vortex-system")
     summary: dict = {"t_end": args.t_end, "tol": args.tol}
     try:
         traj = vortex.simulate(system, args.t_end, args.tol)
@@ -174,6 +182,8 @@ def _cmd_vortex(args) -> int:
     for name, series in traj.monitors.items():
         summary[f"max_drift_{name}"] = float(np.max(np.abs(series - series[0])))
     summary["steps"] = int(len(traj.times))
+    summary["steps_rejected"] = traj.steps_rejected
+    summary["field_evals"] = traj.field_evals
     summary["final_state"] = [[z.real, z.imag] for z in traj.final_state]
 
     if args.out:

@@ -54,18 +54,26 @@ def require_finite(value: complex, node) -> complex:
 # quadrature rules: every integral is a (nodes, weights) rule plus integrate
 # ---------------------------------------------------------------------------
 
+# Nodes handed to a scalar integrand per block: the Python objects of one
+# block are alive at a time, not those of the whole rule.
+INTEGRATE_BLOCK = 1024
+
+
 def integrate(f: Callable, nodes: np.ndarray, weights: np.ndarray):
     """weights @ f(nodes) for an integrand called on Python numbers.
 
     f returns a scalar, or a sequence of m components for an (m,) result.
     A non-finite value raises EvaluationError naming its node.
     """
-    zs = nodes.tolist()
-    values = np.array([f(z) for z in zs])
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise EvaluationError(zs[int(np.argwhere(bad)[0, 0])])
-    return weights @ values
+    blocks = []
+    for start in range(0, len(nodes), INTEGRATE_BLOCK):
+        zs = nodes[start:start + INTEGRATE_BLOCK].tolist()
+        values = np.array([f(z) for z in zs])
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise EvaluationError(zs[int(np.argwhere(bad)[0, 0])])
+        blocks.append(values)
+    return weights @ (np.concatenate(blocks) if blocks else np.zeros(0))
 
 
 def trapezoid_rule(n: int, period: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -319,11 +327,18 @@ def area_quadrature(f: Callable[[complex], complex], region,
 
 @dataclass
 class Trajectory:
-    """Integration record: strictly increasing times, states, monitors."""
+    """Integration record: strictly increasing times, states, monitors.
+
+    ``len(times) - 1`` steps were accepted; ``steps_rejected`` were tried
+    and repeated with a smaller h, and ``field_evals`` counts the calls of
+    the field (one initial call plus seven per attempted step).
+    """
 
     times: np.ndarray
     states: np.ndarray                       # shape (len(times), dim), complex
     monitors: Mapping[str, np.ndarray] = field(default_factory=dict)
+    steps_rejected: int = 0
+    field_evals: int = 0
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -423,4 +438,6 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
         steps += 1
 
     return Trajectory(np.asarray(times), np.asarray(states),
-                      {name: np.asarray(v) for name, v in mon.items()})
+                      {name: np.asarray(v) for name, v in mon.items()},
+                      steps_rejected=steps - (len(times) - 1),
+                      field_evals=1 + 7 * steps)

@@ -13,9 +13,10 @@ which in the free plane reduces to the pairwise logarithmic energy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,20 @@ __all__ = [
 COLLISION_THRESHOLD = 1e-10
 
 
+@functools.lru_cache(maxsize=4)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the n(n-1)/2 vortex pairs i < j, read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _min_pair_distance(z: np.ndarray) -> float:
+    """min |z_i - z_j| over the pairs i < j (inf for fewer than two points)."""
+    i, j = _pairs(len(z))
+    return float(np.abs(z[i] - z[j]).min(initial=math.inf))
+
+
 @dataclass
 class VortexSystem:
     """Positions z_k and strengths Gamma_k in the plane or a disk."""
@@ -49,17 +64,18 @@ class VortexSystem:
         self.strengths = np.asarray(self.strengths, dtype=float)
         if len(self.positions) != len(self.strengths):
             raise ParameterError("positions and strengths must match")
+        if len(self.positions) == 0:
+            raise ParameterError("a vortex system needs at least one vortex")
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.strengths).all()):
+            raise ParameterError("vortex positions and strengths must be finite")
         if self.domain is not None and self.domain.kind != "disk":
             raise ParameterError("vortex domains are the plane or a disk")
-        n = len(self.positions)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(self.positions[i] - self.positions[j]) < COLLISION_THRESHOLD:
-                    raise SingularConfigurationError("coincident vortex positions")
+        if _min_pair_distance(self.positions) < COLLISION_THRESHOLD:
+            raise SingularConfigurationError("coincident vortex positions")
         if self.domain is not None:
-            for z in self.positions:
-                if not self.domain.contains(z):
-                    raise DomainError(f"vortex at {z} outside the disk")
+            outside = self.positions[np.abs(self.positions) >= self.domain.R]
+            if outside.size:
+                raise DomainError(f"vortex at {outside[0]} outside the disk")
 
     @property
     def n(self) -> int:
@@ -101,35 +117,11 @@ def bound_vortex_force(h1: complex, gamma: float) -> complex:
     return -(gamma * gamma) / (2 * math.pi) * complex(h1).conjugate()
 
 
-def _h1_assembled(positions: np.ndarray, strengths: np.ndarray,
-                  domain, k: int) -> complex:
-    """Expansion coefficient h1 at vortex k (Kirchhoff-Routh assembly)."""
-    a = positions[k]
-    h1 = 0j
-    if domain is None:
-        for j in range(len(positions)):
-            if j == k:
-                continue
-            h1 -= strengths[j] / strengths[k] / (a - positions[j])
-    else:
-        R = domain.R
-        for j in range(len(positions)):
-            if j == k:
-                continue
-            b = positions[j]
-            # 2 d/dz of 2pi G_disk(z, b) = -1/(z-b) - conj(b)/(R^2 - z conj(b))
-            h1 += strengths[j] / strengths[k] * (
-                -1.0 / (a - b) - b.conjugate() / (R * R - a * b.conjugate()))
-        h1 += -a.conjugate() / (R * R - abs(a) ** 2)
-    return h1
-
-
 def free_vortex_velocity(system: VortexSystem, k: int) -> complex:
     """da_k/dt = (Gamma_k / 2pi i) conj(h1^(k)); zero for a lone plane vortex."""
     if not 0 <= k < system.n:
         raise ParameterError("vortex index out of range")
-    h1 = _h1_assembled(system.positions, system.strengths, system.domain, k)
-    return system.strengths[k] / (2j * math.pi) * h1.conjugate()
+    return complex(_velocities(system.positions, system.strengths, system.domain)[k])
 
 
 def forced_vortex_velocity(h1: complex, gamma: float, f_ext: complex) -> complex:
@@ -156,26 +148,44 @@ def stream_function(system: VortexSystem, z: complex) -> float:
 
 def hamiltonian(system: VortexSystem) -> float:
     """Kirchhoff-Routh energy (interaction Green terms plus Robin terms)."""
-    z, g = system.positions, system.strengths
-    total = 0.0
-    for j in range(system.n):
-        for k in range(j + 1, system.n):
-            if system.domain is None:
-                total += g[j] * g[k] * (-math.log(abs(z[j] - z[k])) / (2 * math.pi))
-            else:
-                total += g[j] * g[k] * planar_green.green(system.domain, z[j], z[k])
-        if system.domain is not None:
-            h0 = planar_green.robin_data(system.domain, z[j]).h0
-            total += g[j] * g[j] / (4 * math.pi) * h0
-    return total
+    return _energy(system.positions, system.strengths, system.domain)
 
 
-def _velocities(positions: np.ndarray, strengths: np.ndarray, domain) -> np.ndarray:
-    out = np.empty(len(positions), dtype=complex)
-    for k in range(len(positions)):
-        h1 = _h1_assembled(positions, strengths, domain, k)
-        out[k] = strengths[k] / (2j * math.pi) * h1.conjugate()
-    return out
+def _velocities(z: np.ndarray, g: np.ndarray, domain) -> np.ndarray:
+    """dz_k/dt = conj(Gamma_k h1^(k)) / 2pi i for every vortex at once.
+
+    Gamma_k h1^(k) = sum_{j != k} Gamma_j (-1/(z_k - z_j) - conj(z_j)/(R^2 -
+    z_k conj(z_j))) + Gamma_k h1_Robin(z_k), the R terms only in the disk;
+    it is never divided by Gamma_k, so a zero-strength vortex is a tracer.
+    """
+    m = z[:, None] - z[None, :]
+    np.fill_diagonal(m, 1.0)            # no 1/0 here; the k = k terms are zeroed below
+    np.divide(-1.0, m, out=m)
+    if domain is not None:
+        r2, zc = domain.R * domain.R, z.conj()
+        # 2 d/dz of 2pi G_disk(z, b) = -1/(z-b) - conj(b)/(R^2 - z conj(b))
+        image = r2 - z[:, None] * zc[None, :]
+        m -= np.divide(zc[None, :], image, out=image)
+    np.fill_diagonal(m, 0.0)
+    gh1 = m @ g
+    if domain is not None:
+        gh1 -= g * zc / (r2 - np.abs(z) ** 2)
+    return gh1.conj() / (2j * math.pi)
+
+
+def _energy(z: np.ndarray, g: np.ndarray, domain) -> float:
+    """sum_{j<k} G_j G_k G(z_j, z_k) + sum_k (G_k^2 / 4pi) h0(z_k), with
+    G = -log|z - a| / 2pi in the plane and the closed-form disk G and h0."""
+    i, j = _pairs(len(z))
+    zi, zj = z[i], z[j]
+    ratio = zi - zj
+    if domain is not None:
+        R = domain.R
+        ratio = R * ratio / (R * R - zi * zj.conj())
+    total = -(g[i] * g[j]) @ np.log(np.abs(ratio)) / (2 * math.pi)
+    if domain is not None:
+        total += (g * g) @ np.log((R * R - np.abs(z) ** 2) / R) / (4 * math.pi)
+    return float(total)
 
 
 def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10,
@@ -194,16 +204,10 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10,
         return _velocities(y, g, domain)
 
     def separation(y: np.ndarray) -> float:
-        sep = math.inf
-        for i in range(len(y)):
-            for j in range(i + 1, len(y)):
-                sep = min(sep, abs(y[i] - y[j]))
-            if domain is not None:
-                sep = min(sep, domain.boundary_distance(y[i]))
-        return sep
+        sep = _min_pair_distance(y)
+        return sep if domain is None else min(sep, domain.R - float(np.abs(y).max()))
 
-    monitors = {"energy": lambda y: hamiltonian(
-        VortexSystem(y, g, domain))}
+    monitors = {"energy": lambda y: _energy(y, g, domain)}
     if domain is None:
         monitors["moment"] = lambda y: abs(np.sum(g * y))
         monitors["angular"] = lambda y: float(np.sum(g * np.abs(y) ** 2))

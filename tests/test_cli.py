@@ -38,6 +38,15 @@ def test_schema_error_exit_65(capsys):
         assert run(argv) == 65
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
+    too_many = [{"z": [0.9 * math.cos(k), 0.9 * math.sin(k)], "gamma": 1}
+                for k in range(cli.MAX_VORTICES + 1)]
+    for vortices in ('[]', '[{"z":[NaN,0],"gamma":1}]',
+                     '[{"z":[0.1,0],"gamma":Infinity},{"z":[0.5,0],"gamma":1}]',
+                     json.dumps(too_many)):
+        system = f'{{"vortices":{vortices},"domain":{{"kind":"disk","R":1}}}}'
+        assert run(["vortex", "--system", system, "--t-end", "1"]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
 
 
 def test_green_report(tmp_path, capsys):
@@ -96,6 +105,9 @@ def test_vortex_pair_csv(tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("t,re_z1,im_z1,re_z2,im_z2,energy")
     assert summary["max_drift_energy"] < 1e-8
+    assert summary["steps"] == len(lines) - 1
+    assert summary["field_evals"] == 1 + 7 * (summary["steps"] - 1
+                                              + summary["steps_rejected"])
 
 
 def test_vortex_equal_pair_return(tmp_path):

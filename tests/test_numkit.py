@@ -156,6 +156,16 @@ def test_integrate_vector_valued_integrand():
         numkit.integrate(lambda t: (math.nan if t == nodes[9] else t,
                                     math.nan if t == nodes[5] else t), nodes, weights)
     assert err.value.node == nodes[5]
+    # past the first block of INTEGRATE_BLOCK nodes the error still names its
+    # node (block offset included), and a rule of several blocks sums whole
+    nodes, weights = numkit.trapezoid_rule(3 * numkit.INTEGRATE_BLOCK + 5)
+    bad = numkit.INTEGRATE_BLOCK + 17
+    with pytest.raises(EvaluationError) as err:
+        numkit.integrate(lambda t: (t, math.nan if t == nodes[bad] else 1.0),
+                         nodes, weights)
+    assert err.value.node == nodes[bad]
+    val = numkit.integrate(lambda t: (t, math.cos(2 * math.pi * t)), nodes, weights)
+    assert val[0] == weights @ nodes and abs(val[1]) < 1e-15
 
 
 def test_wirtinger_conjugate():
@@ -259,6 +269,21 @@ def test_rk_linear_field_matches_exponential():
     tol = 1e-9
     traj = numkit.rk_integrate(lambda y: -0.7 * y, [2.0 + 1j], 3.0, tol)
     assert abs(traj.final_state[0] - (2.0 + 1j) * math.exp(-2.1)) < 10 * tol
+
+
+def test_rk_step_and_field_counts():
+    calls = []
+
+    def field(y):
+        # y = (x, t): x' is a narrow pulse at t = 1.5 that the step size,
+        # grown on the flat part, first steps over and has to reject
+        calls.append(1)
+        return np.array([30 * np.exp(-400 * (y[1].real - 1.5) ** 2), 1.0])
+
+    traj = numkit.rk_integrate(field, [0j, 0j], 3.0, 1e-10)
+    accepted = len(traj.times) - 1
+    assert traj.steps_rejected > 0
+    assert traj.field_evals == len(calls) == 1 + 7 * (accepted + traj.steps_rejected)
 
 
 def test_rk_tolerance_validation():

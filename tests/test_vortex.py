@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from potflow import planar_green as pg, vortex as vx
 from potflow.errors import (
@@ -125,9 +125,13 @@ def test_stream_function_near_vortex_expansion():
 
 def test_vortex_system_validation():
     with pytest.raises(SingularConfigurationError):
-        vx.VortexSystem([0.1, 0.1], [1.0, 1.0])
-    with pytest.raises(DomainError):
-        vx.VortexSystem([1.5], [1.0], DISK)
+        vx.VortexSystem([0.1, 0.3, 0.1], [1.0, 1.0, 1.0])
+    with pytest.raises(DomainError, match="outside the disk"):
+        vx.VortexSystem([0.2, 1.5, 0.3j], [1.0, 1.0, 1.0], DISK)
+    for zs, gs in (([], []), ([0.1, math.nan], [1.0, 1.0]),
+                   ([0.1, 0.2], [1.0, math.inf]), ([0.1], [1.0, 1.0])):
+        with pytest.raises(ParameterError):
+            vx.VortexSystem(zs, gs, DISK)
 
 
 def test_pair_translation_simulation():
@@ -190,6 +194,18 @@ def test_collision_abort_with_time():
     assert drift < 1e-6
 
 
+def test_separation_guard_pairs_and_wall(monkeypatch):
+    guards = []
+    monkeypatch.setattr(vx.numkit, "rk_integrate",
+                        lambda *args, separation=None, **kwargs: guards.append(separation))
+    vx.simulate(vx.VortexSystem([0.5, -0.5], [1.0, 1.0], DISK), 1.0)
+    vx.simulate(vx.VortexSystem([0.5, -0.5], [1.0, 1.0]), 1.0)
+    in_disk, in_plane = guards
+    y = np.array([0.3, 0.3 + 2e-3j, 0.999j])      # pair 2e-3 apart, wall 1e-3 off
+    assert abs(in_disk(y) - 1e-3) < 1e-15
+    assert abs(in_plane(y) - 2e-3) < 1e-15
+
+
 def test_vortex_json_roundtrip():
     system = vx.VortexSystem([0.5, -0.2 + 0.3j], [1.0, -0.5], DISK)
     import json
@@ -197,3 +213,81 @@ def test_vortex_json_roundtrip():
     assert np.allclose(again.positions, system.positions)
     assert np.allclose(again.strengths, system.strengths)
     assert again.domain == system.domain
+
+
+@st.composite
+def vortex_configurations(draw):
+    """(positions, strengths, domain): 2-40 vortices of mixed sign in the
+    plane or a disk, kept 1e-3 R apart and 1e-3 R inside the wall."""
+    domain = draw(st.sampled_from([None, "disk"]))
+    R = 1.0 if domain is None else draw(st.floats(0.5, 2.0))
+    if domain is not None:
+        domain = pg.DomainDescriptor.disk(R)
+    polar = draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 2 * math.pi)),
+                          min_size=2, max_size=40))
+    kept = []
+    for u, th in polar:
+        z = R * (1 - 1e-3) * math.sqrt(u) * cmath.exp(1j * th)
+        if all(abs(z - w) >= 1e-3 * R for w in kept):
+            kept.append(z)
+    assume(len(kept) >= 2)
+    g = draw(st.lists(st.floats(-2, 2), min_size=len(kept), max_size=len(kept)))
+    return np.array(kept), np.array(g), domain
+
+
+@settings(max_examples=60, deadline=None)
+@given(vortex_configurations())
+def test_pairwise_arrays_match_scalar_kirchhoff_routh(config):
+    # Scalar oracle, one pair at a time: in the plane dz_k/dt is the sum of
+    # i * pair_force(z_k, z_j, 1, G_j); in the disk Gamma_k h1_k sums
+    # G_j 4pi dG/dz(z_k, z_j) and adds Gamma_k h1_Robin(z_k).  Both sides
+    # are sums of terms of either sign, so they are compared relative to
+    # the sum of the terms' magnitudes.
+    z, g, domain = config
+    n = len(z)
+    v = vx._velocities(z, g, domain)
+    for k in range(n):
+        if domain is None:
+            terms = [1j * vx.pair_force(z[k], z[j], 1.0, g[j])
+                     for j in range(n) if j != k]
+        else:
+            parts = [g[j] * 4 * math.pi * pg.green_z_derivative(domain, z[k], z[j])
+                     for j in range(n) if j != k]
+            parts.append(g[k] * pg.robin_data(domain, z[k]).h1)
+            terms = [p.conjugate() / (2j * math.pi) for p in parts]
+        scale = sum(abs(t) for t in terms) + 1e-300
+        assert abs(v[k] - sum(terms)) <= 1e-12 * scale
+    terms = [g[j] * g[k] * (-math.log(abs(z[j] - z[k])) / (2 * math.pi)
+                            if domain is None else pg.green(domain, z[j], z[k]))
+             for j in range(n) for k in range(j + 1, n)]
+    if domain is not None:
+        terms += [g[k] ** 2 * pg.robin_data(domain, z[k]).h0 / (4 * math.pi)
+                  for k in range(n)]
+    scale = sum(abs(t) for t in terms) + 1e-300
+    assert abs(vx._energy(z, g, domain) - sum(terms)) <= 1e-12 * scale
+
+
+def test_simulate_builds_no_vortex_system(monkeypatch):
+    system = vx.VortexSystem([0.4, -0.3 + 0.2j, 0.1 - 0.5j], [1.0, -0.7, 0.4], DISK)
+    builds = []
+    post_init = vx.VortexSystem.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(vx.VortexSystem, "__post_init__", counted)
+    traj = vx.simulate(system, 1.0, 1e-10)
+    assert builds == [] and len(traj.times) > 2
+
+
+def test_zero_strength_disk_vortex_is_a_tracer():
+    # a zero-strength vortex moves with the flow and acts on nothing: the
+    # other vortex keeps its radius and follows its lone orbit
+    system = vx.VortexSystem([0.5, -0.2 + 0.3j], [1.0, 0.0], DISK)
+    traj = vx.simulate(system, 3.0, 1e-10)
+    assert np.all(np.isfinite(traj.states))
+    assert np.max(np.abs(traj.monitors["radius_0"] - 0.5)) < 1e-9
+    lone = vx.simulate(vx.VortexSystem([0.5], [1.0], DISK), 3.0, 1e-10)
+    assert abs(traj.final_state[0] - lone.final_state[0]) < 1e-8
+    assert abs(traj.final_state[1] - system.positions[1]) > 1e-2   # advected
