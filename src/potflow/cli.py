@@ -145,7 +145,7 @@ def _cmd_fekete(args) -> int:
 
 def _cmd_vortex(args) -> int:
     from . import vortex
-    from .errors import CollisionError, ParameterError
+    from .errors import CollisionError, EvaluationError, ParameterError
 
     def parse(data: dict) -> vortex.VortexSystem:
         if len(data["vortices"]) > MAX_VORTICES:
@@ -156,7 +156,7 @@ def _cmd_vortex(args) -> int:
     summary: dict = {"t_end": args.t_end, "tol": args.tol}
     try:
         traj = vortex.simulate(system, args.t_end, args.tol)
-    except ParameterError as exc:   # t_end or tol out of range, step budget
+    except (ParameterError, EvaluationError) as exc:   # t_end, tol, budget, NaN field
         raise SchemaError(str(exc)) from exc
     except CollisionError as exc:
         summary["aborted"] = "collision"

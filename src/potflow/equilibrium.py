@@ -9,9 +9,7 @@ own ladder).
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,7 +18,6 @@ import numpy as np
 from . import numkit, planar_green
 from .errors import (
     ConditioningError,
-    ConvergenceWarning,
     DomainError,
     OptimizationQualityError,
     ParameterError,
@@ -80,11 +77,12 @@ class CompactSet:
     def closed(self) -> bool:
         return _CARRIERS[self.kind].closed
 
-    def boundary_point(self, t: float) -> complex:
-        return _CARRIERS[self.kind].point(self, t)
+    def jet(self, t, side=1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """z, z', z'' at t; one-sided at breakpoints (side > 0: from the right)."""
+        return _CARRIERS[self.kind].jet(self, np.asarray(t, dtype=float), side)
 
-    def boundary_speed(self, t: float) -> float:
-        return _CARRIERS[self.kind].speed(self)
+    def boundary_point(self, t: float) -> complex:
+        return complex(self.jet(t)[0])
 
     def to_dict(self) -> dict:
         return _CARRIERS[self.kind].to_dict(self)
@@ -101,9 +99,9 @@ class _Carrier:
     parse: Callable          # document dict -> CompactSet
     to_dict: Callable        # K -> document dict
     invalid: Callable        # K -> error message, or None when K is valid
-    point: Callable          # (K, t) -> z, constant speed in t
-    speed: Callable          # K -> |dz/dt|
+    jet: Callable            # (K, t ndarray, side) -> (z, z', z''), constant speed
     on_carrier: Callable     # (K, z, tol) -> bool
+    breaks: Callable = lambda K: ()  # parameters where z' jumps, end points
     closed: bool = True
 
 
@@ -112,8 +110,7 @@ _ROUND = _Carrier(
     parse=lambda data: CompactSet(data["kind"], R=float(data["R"])),
     to_dict=lambda K: {"kind": K.kind, "R": K.R},
     invalid=lambda K: "radius must be positive" if K.R <= 0 else None,
-    point=_DISK.boundary_point,
-    speed=_DISK.perimeter,
+    jet=_DISK.boundary_jet,
     on_carrier=lambda K, z, tol: abs(abs(z) - K.R) < tol,
 )
 _CARRIERS: dict[str, _Carrier] = {
@@ -123,22 +120,25 @@ _CARRIERS: dict[str, _Carrier] = {
         parse=lambda data: CompactSet.segment(float(data["length"])),
         to_dict=lambda K: {"kind": "segment", "length": K.length},
         invalid=lambda K: "length must be positive" if K.length <= 0 else None,
-        point=lambda K, t: complex(-K.length / 2 + K.length * t, 0.0),
-        speed=lambda K: K.length,
+        jet=lambda K, t, side=1: ((-K.length / 2 + K.length * t).astype(complex),
+                                  np.full(t.shape, K.length + 0j),
+                                  np.zeros(t.shape, dtype=complex)),
         on_carrier=lambda K, z, tol: (abs(z.imag) < tol
                                       and abs(z.real) <= K.length / 2 + tol),
+        breaks=lambda K: (0.0, 1.0),
         closed=False,
     ),
     "domain_boundary": _Carrier(
         parse=lambda data: CompactSet.domain_boundary(
             planar_green.DomainDescriptor.from_dict(data["domain"])),
         to_dict=lambda K: {"kind": "domain_boundary", "domain": K.domain.to_dict()},
-        invalid=lambda K: (None if planar_green._KINDS[K.domain.kind].boundary_point
+        invalid=lambda K: (None if planar_green._KINDS[K.domain.kind].boundary_jet
                            else f"unsupported domain boundary {K.domain.kind!r}"),
-        point=lambda K, t: planar_green._KINDS[K.domain.kind].boundary_point(K.domain, t),
-        speed=lambda K: planar_green._KINDS[K.domain.kind].perimeter(K.domain),
+        jet=lambda K, t, side=1: planar_green._KINDS[K.domain.kind].boundary_jet(
+            K.domain, t, side),
         # boundary_distance vanishes exactly on disk and rectangle boundaries
         on_carrier=lambda K, z, tol: abs(K.domain.boundary_distance(z)) < tol,
+        breaks=lambda K: planar_green._KINDS[K.domain.kind].boundary_breaks(K.domain),
     ),
 }
 
@@ -181,6 +181,8 @@ class CapacityReport:
     Invariants: logcap = exp(-gamma) and logcap = delta by construction of
     gamma; energy is extrapolated from its own ladder so the three-way
     identity logcap = delta = exp(-4 pi E) is a genuine consistency check.
+    Per rung: newton_iterations, the accepted Newton steps (at most
+    _NEWTON_CAP), and grad_norm, the free gradient's inf-norm at exit.
     """
 
     n_values: list[int]
@@ -189,6 +191,8 @@ class CapacityReport:
     gamma: float
     logcap: float
     energy: float
+    newton_iterations: list[int] = field(default_factory=list)
+    grad_norm: list[float] = field(default_factory=list)
     points: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
@@ -199,10 +203,9 @@ class CapacityReport:
             "gamma": float(self.gamma),
             "logcap": float(self.logcap),
             "energy": float(self.energy),
+            "newton_iterations": [int(k) for k in self.newton_iterations],
+            "grad_norm": [float(g) for g in self.grad_norm],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def discrete_energy(points: Sequence[complex], strengths: Sequence[float]) -> float:
@@ -211,20 +214,17 @@ def discrete_energy(points: Sequence[complex], strengths: Sequence[float]) -> fl
     g = np.asarray(strengths, dtype=float)
     if len(z) != len(g):
         raise ParameterError("points and strengths must have equal length")
-    diff = np.abs(z[:, None] - z[None, :])
-    mask = ~np.eye(len(z), dtype=bool)
-    if np.any(diff[mask] == 0.0):
+    diff = np.abs(z[:, None] - z[None, :]) + np.eye(len(z))   # log 1 on the diagonal
+    if np.any(diff == 0.0):
         raise SingularConfigurationError("coincident points in energy sum")
-    logs = np.zeros_like(diff)
-    logs[mask] = np.log(1.0 / diff[mask])
-    return float((g[:, None] * g[None, :] * logs).sum() / (4 * math.pi))
+    return float((g[:, None] * g[None, :] * np.log(1.0 / diff)).sum() / (4 * math.pi))
 
 
 # ---------------------------------------------------------------------------
-# Fekete optimization: Leja start + cyclic golden-section refinement
+# Fekete optimization: Leja start + projected Newton on all the parameters
 # ---------------------------------------------------------------------------
 
-_GOLDEN = (math.sqrt(5) - 1) / 2
+_NEWTON_CAP = 100
 
 
 def _log_objective(z: np.ndarray, pole: complex | None) -> float:
@@ -238,106 +238,110 @@ def _log_objective(z: np.ndarray, pole: complex | None) -> float:
     return total
 
 
-def _point_objective(zi: complex, others: np.ndarray, pole: complex | None,
-                     n: int) -> float:
-    val = float(np.sum(np.log(np.abs(zi - others) + 1e-300)))
-    if pole is not None:
-        val -= (n - 1) * math.log(abs(zi - pole) + 1e-300)
-    return val
-
-
 def _leja_start(K: CompactSet, n: int, pole: complex | None,
                 candidates: int = 2048) -> np.ndarray:
-    ts = np.linspace(0.0, 1.0, candidates, endpoint=K.closed is False)
-    if K.closed:
-        ts = np.arange(candidates) / candidates
-    zs = np.array([K.boundary_point(t) for t in ts])
+    ts = (np.arange(candidates) / candidates if K.closed
+          else np.linspace(0.0, 1.0, candidates))
+    zs = K.jet(ts)[0]
+    polepen = 0.0 if pole is None else np.log(np.abs(zs - pole) + 1e-300)
     # start from the candidate farthest from the centroid, then grow greedily
-    first = int(np.argmax(np.abs(zs - zs.mean())))
-    chosen = [first]
-    scores = np.log(np.abs(zs - zs[first]) + 1e-300)
-    if pole is not None:
-        polepen = np.log(np.abs(zs - pole) + 1e-300)
+    chosen = [int(np.argmax(np.abs(zs - zs.mean())))]
+    scores = np.log(np.abs(zs - zs[chosen[0]]) + 1e-300)
     for _ in range(1, n):
-        pen = scores.copy()
-        if pole is not None:
-            pen = pen - len(chosen) * polepen
+        pen = scores - len(chosen) * polepen
         pen[chosen] = -np.inf
-        nxt = int(np.argmax(pen))
-        chosen.append(nxt)
-        scores += np.log(np.abs(zs - zs[nxt]) + 1e-300)
+        chosen.append(int(np.argmax(pen)))
+        scores += np.log(np.abs(zs - zs[chosen[-1]]) + 1e-300)
     return ts[np.array(chosen)]
 
 
-def _golden_refine(K: CompactSet, ts: np.ndarray, pole: complex | None,
-                   sweeps: int = 120, gain_tol: float = 1e-10) -> np.ndarray:
-    """Cyclic one-point golden-section refinement on the parameter."""
-    n = len(ts)
-    ts = np.array(ts, dtype=float)
-    closed = K.closed
-    zs = np.array([K.boundary_point(t) for t in ts])
-    width = 1.5 / n
-    for sweep in range(sweeps):
-        gain = 0.0
-        for i in range(n):
-            others = np.delete(zs, i)
-            base = _point_objective(zs[i], others, pole, n)
+def _newton_refine(K: CompactSet, ts: np.ndarray, pole: complex | None
+                   ) -> tuple[np.ndarray, int, float]:
+    """Projected Newton ascent (Bertsekas 1982) of the log Fekete product.
 
-            def val(t: float) -> float:
-                tt = t % 1.0 if closed else min(max(t, 0.0), 1.0)
-                return _point_objective(K.boundary_point(tt), others, pole, n)
+    The breakpoints cut [0, 1] into pieces; a point on one takes the side
+    whose one-sided derivative ascends, or is held.  Steps are clipped to
+    each point's piece; |eigenvalues| of -H are floored, which absorbs the
+    rotation null-mode of closed carriers.  Returns the parameters, the
+    accepted steps and the free gradient's inf-norm at exit.
+    """
+    n, closed = len(ts), K.closed
+    breaks = tuple(_CARRIERS[K.kind].breaks(K))
+    # pieces run between consecutive edges; a closed carrier wraps at 1
+    edges = np.array(breaks + (1.0,) if closed and breaks
+                     else breaks or (-np.inf, np.inf))
+    last, eye = len(edges) - 1, np.eye(n)
+    t, order = ts, np.argsort(ts)
+    f = _log_objective(K.jet(t)[0], pole)
+    for steps in range(_NEWTON_CAP + 1):
+        z, dz_right = K.jet(t, 1)[:2]
+        dz_left = K.jet(t, -1)[1]
+        inv = 1.0 / (z[:, None] - z[None, :] + eye) - eye
+        inv2 = inv * inv
+        # the gradient is Re(z_i' w_i); q_i = -dw_i/dz_i enters the Hessian
+        w, q = inv.sum(axis=1), inv2.sum(axis=1)
+        if pole is not None:
+            ip = 1.0 / (z - pole)
+            w, q = w - (n - 1) * ip, q - (n - 1) * ip * ip
 
-            lo, hi = ts[i] - width, ts[i] + width
-            if not closed:
-                lo, hi = max(lo, 0.0), min(hi, 1.0)
-            x1 = hi - _GOLDEN * (hi - lo)
-            x2 = lo + _GOLDEN * (hi - lo)
-            f1, f2 = val(x1), val(x2)
-            for _ in range(48):
-                if f1 < f2:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + _GOLDEN * (hi - lo)
-                    f2 = val(x2)
-                else:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - _GOLDEN * (hi - lo)
-                    f1 = val(x1)
-            tbest = (x1 if f1 >= f2 else x2)
-            fbest = max(f1, f2)
-            if fbest > base:
-                gain += fbest - base
-                ts[i] = tbest % 1.0 if closed else min(max(tbest, 0.0), 1.0)
-                zs[i] = K.boundary_point(ts[i])
-        width = max(width * 0.6, 1e-7 / n)
-        if gain < gain_tol:
+        # the piece after each point; points on a breakpoint pick a side
+        k = np.searchsorted(edges, t, side="right") - 1
+        at_break = t == edges[k]
+        g_right, g_left = (dz_right * w).real, (dz_left * w).real
+        up_right = (k < last) & (g_right > 0)
+        left = (at_break & ((k > 0) | closed) & (g_left < 0)
+                & ~(up_right & (g_right >= -g_left)))
+        held = at_break & ~up_right & ~left
+        k = np.where(left, np.where(k > 0, k, last) - 1, k)
+        lo, hi = edges[k], edges[np.minimum(k + 1, last)]
+        t = np.where(left, hi, t)          # t = 0 on a closed carrier becomes 1
+        dz, ddz = K.jet(t, np.where(left, -1, 1))[1:]
+
+        free = np.flatnonzero(~held)
+        g = (dz * w).real[free]
+        grad_norm = float(np.max(np.abs(g), initial=0.0))
+        if steps == _NEWTON_CAP or free.size == 0:
             break
-        if width <= 1e-7 / n:
-            # search window at its floor: the configuration has plateaued
-            if gain > 1e-6:
-                warnings.warn(
-                    "Fekete refinement stagnated before the interior tolerance",
-                    ConvergenceWarning)
+        H = (dz[:, None] * dz[None, :] * inv2).real
+        np.fill_diagonal(H, (ddz * w - dz * dz * q).real)
+        lam, V = np.linalg.eigh(-H[np.ix_(free, free)])
+        lam = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
+        step = np.zeros(n)
+        step[free] = V @ ((V.T @ g) / lam)
+        if g @ step[free] <= 1e-15 * abs(f):       # Newton decrement at roundoff
             break
-    return ts
+        with np.errstate(divide="ignore"):          # coincident trial points
+            for alpha in 0.5 ** np.arange(40):
+                trial = np.clip(t + alpha * step, lo, hi)   # held points stay
+                trial = np.mod(trial, 1.0) if closed else trial
+                ordered = closed or np.all(np.diff(trial[order]) > 0)
+                f_trial = _log_objective(K.jet(trial)[0], pole) if ordered else -np.inf
+                if f_trial > f:
+                    break
+            else:
+                break                                # no step raises f
+        t, f = trial, f_trial
+    return np.mod(t, 1.0) if closed else t, steps, grad_norm
 
 
-def fekete_points(K: CompactSet, n: int, pole: complex | None = None
-                  ) -> tuple[np.ndarray, float]:
+def fekete_points(K: CompactSet, n: int, pole: complex | None = None,
+                  counters: dict | None = None) -> tuple[np.ndarray, float]:
     """Near-maximizers of the Fekete product on K and the value delta_n.
 
     delta_n uses the exponent 2/(n(n-1)); a finite pole divides each pair
-    term by |z_j - a||z_k - a|.
+    term by |z_j - a||z_k - a|.  A ``counters`` dict gets the solver's
+    ``newton_iterations`` and ``grad_norm`` appended to lists of those names.
     """
     if n < 2:
         raise ParameterError("need at least two points")
     if pole is not None and _CARRIERS[K.kind].on_carrier(K, complex(pole), 1e-12):
         raise ParameterError("pole must lie off the carrier set")
-    ts = _leja_start(K, n, pole)
-    ts = _golden_refine(K, ts, pole)
-    zs = np.array([K.boundary_point(t) for t in ts])
-    logprod = _log_objective(zs, pole)
-    delta_n = math.exp(2.0 * logprod / (n * (n - 1)))
-    return zs, delta_n
+    ts, iterations, grad_norm = _newton_refine(K, _leja_start(K, n, pole), pole)
+    if counters is not None:
+        counters.setdefault("newton_iterations", []).append(iterations)
+        counters.setdefault("grad_norm", []).append(grad_norm)
+    zs = K.jet(ts)[0]
+    return zs, math.exp(2.0 * _log_objective(zs, pole) / (n * (n - 1)))
 
 
 _DEFAULT_LADDER = (4, 6, 8, 12, 16, 24, 32, 48, 64)
@@ -368,14 +372,13 @@ def transfinite_diameter(K: CompactSet, pole: complex | None = None,
     ns = [n for n in _DEFAULT_LADDER if n <= n_max]
     if ns[-1] != n_max:
         ns.append(n_max)
-    deltas, deltas_sq, points = [], [], {}
+    deltas, deltas_sq, points, counters = [], [], {}, {}
     for n in ns:
-        zs, dn = fekete_points(K, n, pole)
+        zs, dn = fekete_points(K, n, pole, counters=counters)
         points[n] = zs
         deltas.append(dn)
-        # the 2/n^2 normalization ties the ladder to the discrete energy
-        logprod = _log_objective(zs, pole)
-        deltas_sq.append(math.exp(2.0 * logprod / (n * n)))
+        # the 2/n^2 normalization, dn^((n-1)/n), ties the ladder to the discrete energy
+        deltas_sq.append(dn ** ((n - 1) / n))
 
     for prev, nxt in zip(deltas[:-1], deltas[1:]):
         if math.log(nxt) > math.log(prev) + 1e-6:
@@ -385,7 +388,8 @@ def transfinite_diameter(K: CompactSet, pole: complex | None = None,
     delta = _extrapolate(np.array(ns), np.array(deltas))
     gamma = -math.log(delta)
     energy = -math.log(_extrapolate(np.array(ns), np.array(deltas_sq))) / (4 * math.pi)
-    return CapacityReport(ns, deltas, delta, gamma, math.exp(-gamma), energy, points)
+    return CapacityReport(ns, deltas, delta, gamma, math.exp(-gamma), energy,
+                          points=points, **counters)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +409,8 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 def _carrier_nodes(K: CompactSet, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and local arclength cell sizes on the carrier."""
     ts, w = (numkit.trapezoid_rule if K.closed else numkit.midpoint_rule)(m)
-    zs = np.array([K.boundary_point(t) for t in ts.tolist()])
-    ss = np.array([K.boundary_speed(t) for t in ts.tolist()]) * w
-    return zs, ss
+    zs, dz, _ = K.jet(ts)
+    return zs, np.abs(dz) * w
 
 
 def _log_kernel(K: CompactSet, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -442,15 +445,11 @@ def equilibrium_measure(K: CompactSet, m: int = 256
     zs, Kmat = _log_kernel(K, m)
 
     w = np.full(m, 1.0 / m)
-    L = float(np.max(np.sum(np.abs(Kmat), axis=1)))
-    step = 1.0 / L
+    step = 1.0 / float(np.max(np.sum(np.abs(Kmat), axis=1)))
     for _ in range(10_000):
-        grad = Kmat @ w
-        w_new = _project_simplex(w - step * grad)
-        if np.max(np.abs(w_new - w)) < 1e-14:
-            w = w_new
+        w, w_old = _project_simplex(w - step * (Kmat @ w)), w
+        if np.max(np.abs(w - w_old)) < 1e-14:
             break
-        w = w_new
 
     V = Kmat @ w
     support = w > 1e-12 / m

@@ -57,7 +57,3 @@ class NormalizationError(PotflowError):
 
 class OptimizationQualityError(PotflowError):
     """An optimizer produced an inconsistent (e.g. non-monotone) ladder."""
-
-
-class ConvergenceWarning(UserWarning):
-    """Optimization stagnated before reaching the requested tolerance."""

@@ -379,7 +379,8 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
 
     ``separation``, when given, returns the minimal pairwise distance of
     the state; falling below ``collision_threshold`` aborts with a
-    CollisionError carrying the time stamp.
+    CollisionError carrying the time stamp.  A non-finite field value
+    raises EvaluationError naming the t the step started from.
     """
     if not (1e-12 <= tol <= 1e-3):
         raise ParameterError("tol must lie in [1e-12, 1e-3]")
@@ -415,6 +416,9 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
         y4 = y + h * (_DP_B4 @ k)
         sc = tol * (1.0 + np.abs(y))
         err = float(np.max(np.abs(y5 - y4) / sc)) + 1e-300
+        # rejecting a non-finite step would shrink h until the step budget
+        if not (math.isfinite(err) and np.isfinite(k).all()):
+            raise EvaluationError(f"t={t:.6g}", "non-finite field value")
 
         if err <= 1.0:
             t += h

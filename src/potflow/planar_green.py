@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import numkit
 from .errors import ConditioningError, DomainError, ParameterError, PoleError
@@ -275,6 +273,11 @@ class RectangleGreenSolver:
         self.hy = domain.h / self.ny
         if self.hx > min(domain.w, domain.h) / 32:
             raise ParameterError("grid spacing must be at most min(w,h)/32")
+        # scipy.sparse is imported here, not at module level: it adds ~30 MB
+        # of RSS and most of the import time to runs that factor no grid
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         ix = self.nx - 1
         iy = self.ny - 1
         dx = sp.diags([1, -2, 1], [-1, 0, 1], shape=(ix, ix), dtype=float) / self.hx ** 2
@@ -428,17 +431,31 @@ def _rectangle_harmonic(domain: DomainDescriptor, a: complex,
     return np.asarray(pts), wts / total
 
 
-def _rectangle_point(d: DomainDescriptor, t: float) -> complex:
-    s = (t % 1.0) * (2 * (d.w + d.h))
-    if s < d.w:
-        return complex(s, 0.0)
-    s -= d.w
-    if s < d.h:
-        return complex(d.w, s)
-    s -= d.h
-    if s < d.w:
-        return complex(d.w - s, d.h)
-    return complex(0.0, d.h - (s - d.w))
+def _rectangle_breaks(d: DomainDescriptor) -> tuple[float, ...]:
+    """Boundary parameters of the corners 0, w, w + ih, ih."""
+    P = 2 * (d.w + d.h)
+    return (0.0, d.w / P, (d.w + d.h) / P, (2 * d.w + d.h) / P)
+
+
+def _rectangle_jet(d: DomainDescriptor, t: np.ndarray, side=1):
+    """Boundary point, dz/dt and d2z/dt2; at a corner the derivative is
+    the one of the side after it (side > 0) or before it (side < 0)."""
+    t = np.mod(t, 1.0)
+    tb = np.array(_rectangle_breaks(d) + (1.0,))
+    corners = np.array([0.0, d.w, complex(d.w, d.h), complex(0.0, d.h), 0.0])
+    # linear interpolation keeps each side's constant coordinate exact
+    z = np.interp(t, tb, corners)
+    k = np.where(np.asarray(side) > 0, np.searchsorted(tb, t, side="right"),
+                 np.searchsorted(tb, t, side="left")) - 1
+    dz = 2 * (d.w + d.h) * np.array([1.0, 1j, -1.0, -1j])[k % 4]
+    return z, dz, np.zeros_like(z)
+
+
+def _circle_jet(R: float, t: np.ndarray):
+    """R e^(2 pi i t) and its first two t-derivatives."""
+    a = 2 * math.pi * np.asarray(t, dtype=float)
+    z = R * (np.cos(a) + 1j * np.sin(a))
+    return z, 2j * math.pi * z, -(2 * math.pi) ** 2 * z
 
 
 def _rectangle_area_rule(d: DomainDescriptor, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -522,10 +539,11 @@ class _Kind:
     invalid: Callable = lambda d: None   # d -> error message, or None when valid
     green_z_derivative: Callable | None = None   # (d, z, a) -> complex
     boundary_curve: Callable | None = None       # (d, truncation) -> Curve
-    # constant-speed positively oriented parametrisation t in [0, 1) -> z,
-    # and its speed, the perimeter
-    boundary_point: Callable | None = None
-    perimeter: Callable | None = None
+    # constant-speed positively oriented parametrisation of the boundary:
+    # (d, t ndarray in [0, 1], side) -> (z, dz/dt, d2z/dt2), one-sided at the
+    # corner parameters of boundary_breaks
+    boundary_jet: Callable | None = None
+    boundary_breaks: Callable = lambda d: ()
     area_rule: Callable | None = None    # (d, resolution) -> (nodes, weights)
     harmonic: Callable | None = None     # (d, a, m) -> (points, unit-mass weights)
 
@@ -544,9 +562,7 @@ _KINDS: dict[str, _Kind] = {
             4 * math.pi * (z - a) * (d.R * d.R - z * a.conjugate())),
         boundary_curve=lambda d, truncation: numkit.circle(0j, d.R),
         # reads only d.R, so equilibrium's circle carriers share it
-        boundary_point=lambda d, t: d.R * complex(math.cos(2 * math.pi * t),
-                                                  math.sin(2 * math.pi * t)),
-        perimeter=lambda d: 2 * math.pi * d.R,
+        boundary_jet=lambda d, t, side=1: _circle_jet(d.R, t),
         area_rule=lambda d, n: numkit.polar_rule(
             0j, numkit.midpoint_rule(2 * n, 2 * math.pi), d.R, n),
         harmonic=_disk_harmonic,
@@ -584,8 +600,8 @@ _KINDS: dict[str, _Kind] = {
         boundary_distance=lambda d, z: min(z.real, d.w - z.real, z.imag, d.h - z.imag),
         green=lambda d, z, a: fd_dirichlet_green(d, a).value(z),
         robin=_rectangle_robin,
-        boundary_point=_rectangle_point,
-        perimeter=lambda d: 2 * (d.w + d.h),
+        boundary_jet=_rectangle_jet,
+        boundary_breaks=_rectangle_breaks,
         area_rule=_rectangle_area_rule,
         harmonic=_rectangle_harmonic,
     ),

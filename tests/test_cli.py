@@ -1,6 +1,8 @@
 import json
 import math
 
+import numpy as np
+
 from potflow import cli, verify
 
 
@@ -80,6 +82,17 @@ def test_fekete_segment(tmp_path):
     assert abs(report["logcap"] - 0.5) < 2e-2
 
 
+def test_fekete_report_has_newton_counters(tmp_path):
+    out = tmp_path / "seg"
+    assert run(["fekete", "--domain", '{"kind":"segment","length":2.0}',
+                "--n-max", "16", "--out", str(out)]) == 0
+    report = json.loads((out / "capacity.json").read_text())
+    assert report["n_values"] == [4, 6, 8, 12, 16]
+    assert len(report["newton_iterations"]) == len(report["grad_norm"]) == 5
+    assert all(0 <= k < 100 for k in report["newton_iterations"])
+    assert all(0.0 <= g < 1e-3 for g in report["grad_norm"])
+
+
 def test_fekete_deterministic(tmp_path):
     outs = []
     for name in ("one", "two"):
@@ -147,6 +160,16 @@ def test_vortex_collision_exit_3(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "c" / "summary.json").read_text())
     assert summary["aborted"] == "collision"
     assert summary["collision_time"] == 0.37
+
+
+def test_vortex_nonfinite_field_exit_65(monkeypatch, capsys):
+    from potflow import vortex
+
+    monkeypatch.setattr(vortex, "_velocities",
+                        lambda z, g, domain: np.full(len(z), complex("nan")))
+    assert run(["vortex", "--system", PAIR, "--t-end", "1.0"]) == 65
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "non-finite field value at node t=0" in err[0]
 
 
 def test_verify_failure_exit_2(monkeypatch, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from potflow import equilibrium as eq, planar_green as pg
 from potflow.errors import ParameterError, SingularConfigurationError
@@ -60,6 +61,88 @@ def test_fekete_segment_endpoints():
     pts, d2 = eq.fekete_points(K, 2)
     assert abs(d2 - 2.0) < 1e-9
     assert sorted(p.real for p in pts) == pytest.approx([-1.0, 1.0], abs=1e-9)
+
+
+def stieltjes_points(n):
+    """Fekete points of [-1, 1]: the end points and the zeros of P'_{n-1}."""
+    c = np.zeros(n)
+    c[-1] = 1.0
+    inner = legendre.legroots(legendre.legder(c))
+    return np.sort(np.concatenate([[-1.0, 1.0], inner]))
+
+
+def delta_of(x):
+    n = len(x)
+    d = np.abs(np.subtract.outer(x, x))[np.triu_indices(n, 1)]
+    return math.exp(2 * np.sum(np.log(d)) / (n * (n - 1)))
+
+
+def test_segment_rungs_are_the_stieltjes_points():
+    rep = eq.transfinite_diameter(eq.CompactSet.segment(2.0), n_max=64)
+    assert rep.n_values == [4, 6, 8, 12, 16, 24, 32, 48, 64]
+    for n, dn in zip(rep.n_values, rep.delta_n):
+        exact = stieltjes_points(n)
+        assert abs(dn / delta_of(exact) - 1) < 1e-12, n
+        assert np.max(np.abs(np.sort(rep.points[n].real) - exact)) < 1e-8, n
+    assert all(k < 100 for k in rep.newton_iterations)
+
+
+@pytest.mark.parametrize("pole", [None, 0j])
+def test_circle_rungs_are_regular_polygons(pole):
+    rep = eq.transfinite_diameter(eq.CompactSet.circle(1.0), pole=pole, n_max=64)
+    for n, dn in zip(rep.n_values, rep.delta_n):
+        assert abs(dn / n ** (1 / (n - 1)) - 1) < 1e-12, n
+
+
+@pytest.mark.slow
+def test_rungs_at_n128():
+    _, dn = eq.fekete_points(eq.CompactSet.segment(2.0), 128)
+    assert abs(dn / delta_of(stieltjes_points(128)) - 1) < 1e-12
+    for pole in (None, 0j):
+        _, dn = eq.fekete_points(eq.CompactSet.circle(1.0), 128, pole)
+        assert abs(dn / 128 ** (1 / 127) - 1) < 1e-12
+
+
+def rectangle_arclength(z, w, h):
+    """Arclength position of a boundary point, counterclockwise from 0."""
+    if z.imag == 0.0:
+        return z.real
+    if z.real == w:
+        return w + z.imag
+    if z.imag == h:
+        return w + h + (w - z.real)
+    return 2 * w + h + (h - z.imag)
+
+
+def rectangle_point(s, w, h):
+    s %= 2 * (w + h)
+    if s <= w:
+        return complex(s, 0.0)
+    if s <= w + h:
+        return complex(w, s - w)
+    if s <= 2 * w + h:
+        return complex(w - (s - w - h), h)
+    return complex(0.0, h - (s - 2 * w - h))
+
+
+@pytest.mark.parametrize("w,h", [(1.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_rectangle_fekete_points_are_locally_optimal(w, h, n):
+    # nudging any point by +-1e-6 in t along the boundary (round a corner
+    # when it sits on one) does not raise the log product
+    K = eq.CompactSet.domain_boundary(pg.DomainDescriptor.rectangle(w, h, 64))
+    zs, _ = eq.fekete_points(K, n)
+
+    def logprod(z):
+        return np.sum(np.log(np.abs(np.subtract.outer(z, z))[np.triu_indices(n, 1)]))
+
+    base, ds = logprod(zs), 1e-6 * 2 * (w + h)
+    for i, z in enumerate(zs):
+        s = rectangle_arclength(z, w, h)
+        for sign in (1, -1):
+            moved = zs.copy()
+            moved[i] = rectangle_point(s + sign * ds, w, h)
+            assert logprod(moved) <= base + 1e-13 * abs(base), (i, sign)
 
 
 def test_fekete_points_stay_on_carrier():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -284,6 +285,23 @@ def test_rk_step_and_field_counts():
     accepted = len(traj.times) - 1
     assert traj.steps_rejected > 0
     assert traj.field_evals == len(calls) == 1 + 7 * (accepted + traj.steps_rejected)
+
+
+def test_rk_nonfinite_field_raises_within_one_step():
+    # y' = 1, so y tracks t; the field turns NaN once t passes 0.5
+    nan_calls = []
+
+    def field(y):
+        if y[0].real > 0.5:
+            nan_calls.append(y[0].real)
+            return np.array([complex("nan")])
+        return np.array([1.0 + 0j])
+
+    t0 = time.perf_counter()
+    with pytest.raises(EvaluationError, match="non-finite field value at node t=0"):
+        numkit.rk_integrate(field, [0j], 2.0, 1e-8)
+    assert time.perf_counter() - t0 < 0.5
+    assert 0 < len(nan_calls) <= 6    # only the stages of the step that met it
 
 
 def test_rk_tolerance_validation():
