@@ -76,10 +76,21 @@ def _parse_document(arg: str, parse, what: str):
         raise SchemaError(f"invalid {what} document: {exc}") from exc
 
 
+def _finite_float(value: str) -> float:
+    """float(value); inf and nan are input errors, a non-number a ValueError."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise SchemaError(f"numbers must be finite, got {value!r}")
+    return x
+
+
+_finite_float.__name__ = "float"    # argparse names the type in usage errors
+
+
 def _parse_point(option: str, value: str) -> complex:
     try:
-        re, im = (float(v) for v in value.split(","))
-    except ValueError as exc:
+        re, im = (_finite_float(v) for v in value.split(","))
+    except (ValueError, SchemaError) as exc:
         raise SchemaError(f"invalid {option} value {value!r}") from exc
     return complex(re, im)
 
@@ -298,14 +309,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("vortex", help="integrate a point-vortex system")
     p.add_argument("--system", required=True,
                    help="vortex system as inline JSON or a file path")
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--t-end", type=_finite_float, default=10.0)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_vortex)
 
     p = sub.add_parser("torus", help="torus / strip-double kernel report")
     p.add_argument("--tau", required=True, help="modulus 're,im'")
-    p.add_argument("--p", type=float, default=0.0, help="hydro circulation")
+    p.add_argument("--p", type=_finite_float, default=0.0, help="hydro circulation")
     p.add_argument("--n", type=int, default=192, help="period quadrature nodes")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_torus)

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _MIN_IM_TAU = 0.05
+# theta1's fourth term sin(7 pi z0) overflows at Im z0 = Im tau / 2 beyond Im tau 64.5
+_MAX_IM_TAU = 60.0
 _MAX_TERMS = 4000
 _POLE_TOL = 1e-12
 
@@ -66,6 +68,9 @@ def _check_tau(tau: complex) -> None:
     if tau.imag < _MIN_IM_TAU:
         raise ConditioningError(
             f"Im tau = {tau.imag:.3g} too small; series convergence not guaranteed")
+    if tau.imag > _MAX_IM_TAU:
+        raise ConditioningError(
+            f"Im tau = {tau.imag:.3g} too large; series terms overflow")
 
 
 def reduce_to_cell(z: complex, tau: complex) -> tuple[complex, int, int]:

@@ -53,6 +53,8 @@ class CompactSet:
     domain: "planar_green.DomainDescriptor | None" = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.R) and math.isfinite(self.length)):
+            raise ParameterError("carrier parameters must be finite")
         message = _carrier_spec(self.kind).invalid(self)
         if message:
             raise ParameterError(message)

@@ -59,11 +59,9 @@ class _PerturbedDisk:
     """
 
     def __init__(self, var: BoundaryVariation, eps: float):
-        R = var.base.R
-        self.R = R
-        self.eps = eps
+        self.base, self.R, self.eps = var.base, var.base.R, eps
         theta = 2 * math.pi * np.arange(_FOURIER_N) / _FOURIER_N
-        dn = np.array([var.delta_n(t) for t in theta]) / R
+        dn = np.array([var.delta_n(t) for t in theta]) / self.R
         ak = np.fft.rfft(dn) / _FOURIER_N
         # analytic completion: Re(A) = dn on |w| = 1 with A analytic in w
         self._a_coef = np.concatenate([[ak[0].real], 2 * ak[1:]])
@@ -71,19 +69,15 @@ class _PerturbedDisk:
         resid = -0.5 * (A.imag ** 2)
         bk = np.fft.rfft(resid) / _FOURIER_N
         self._b_coef = np.concatenate([[bk[0].real], 2 * bk[1:]])
+        # coefficients of A' and B'
+        self._a_prime, self._b_prime = (np.arange(1, len(c)) * c[1:]
+                                        for c in (self._a_coef, self._b_coef))
 
     @staticmethod
     def _poly(coef: np.ndarray, w: complex) -> complex:
         out = 0j
         for c in coef[::-1]:
             out = out * w + c
-        return out
-
-    @staticmethod
-    def _poly_prime(coef: np.ndarray, w: complex) -> complex:
-        out = 0j
-        for k in range(len(coef) - 1, 0, -1):
-            out = out * w + k * coef[k]
         return out
 
     def push(self, w: complex) -> complex:
@@ -96,8 +90,8 @@ class _PerturbedDisk:
         u = w / self.R
         val = (1 + self.eps * self._poly(self._a_coef, u)
                + self.eps ** 2 * self._poly(self._b_coef, u))
-        return val + u * (self.eps * self._poly_prime(self._a_coef, u)
-                          + self.eps ** 2 * self._poly_prime(self._b_coef, u))
+        return val + u * (self.eps * self._poly(self._a_prime, u)
+                          + self.eps ** 2 * self._poly(self._b_prime, u))
 
     def pull(self, z: complex) -> complex:
         w = z
@@ -109,24 +103,24 @@ class _PerturbedDisk:
         raise ParameterError("conformal inversion did not converge")
 
     def green(self, z: complex, a: complex) -> float:
-        base = planar_green.DomainDescriptor.disk(self.R)
-        return planar_green.green(base, self.pull(z), self.pull(a))
+        return planar_green.green(self.base, self.pull(z), self.pull(a))
 
     def robin_h0(self, a: complex) -> float:
-        base = planar_green.DomainDescriptor.disk(self.R)
         w = self.pull(a)
-        return planar_green.robin_data(base, w).h0 + math.log(abs(self._push_prime(w)))
+        return planar_green.robin_data(self.base, w).h0 + math.log(abs(self._push_prime(w)))
 
 
-def _normal_density(a: complex, R: float, theta: np.ndarray) -> np.ndarray:
-    """dG/dn(R e^{i theta}, a): negative of the harmonic-measure density."""
+def _densities(R: float, n: int, *points: complex) -> tuple[np.ndarray, np.ndarray, list]:
+    """n trapezoid angles theta on |z| = R, their arc-length weights, and
+    -dG/dn(R e^{i theta}, p), the disk's Poisson density, for each point p."""
+    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
     z = R * np.exp(1j * theta)
-    return -(R * R - abs(a) ** 2) / (2 * math.pi * R * np.abs(z - a) ** 2)
+    return theta, R * w, [planar_green._disk_poisson(R, complex(p), z) for p in points]
 
 
 def _assert_unit_flux(R: float, n: int) -> None:
-    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
-    flux = -(R * w) @ _normal_density(0j, R, theta)
+    _, ds, (density,) = _densities(R, n, 0j)
+    flux = ds @ density
     if abs(flux - 1.0) > 1e-10:
         raise NormalizationError(f"outward-normal convention broken: flux {flux}")
 
@@ -157,10 +151,8 @@ def hadamard_delta_green(var: BoundaryVariation, a: complex, b: complex,
     else:
         raise ParameterError(f"unknown scheme {scheme!r}")
 
-    R = var.base.R
-    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
-    weights = R * w * _normal_density(a, R, theta) * _normal_density(b, R, theta)
-    return lhs, float(numkit.integrate(var.delta_n, theta, weights))
+    theta, ds, (pa, pb) = _densities(var.base.R, n, a, b)
+    return lhs, float(numkit.integrate(var.delta_n, theta, ds * pa * pb))
 
 
 def hadamard_delta_h0(var: BoundaryVariation, a: complex,
@@ -175,10 +167,8 @@ def hadamard_delta_h0(var: BoundaryVariation, a: complex,
     minus = _PerturbedDisk(var, -eps).robin_h0(a)
     lhs = (plus - minus) / (2 * eps)
 
-    R = var.base.R
-    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
-    weights = R * w * _normal_density(a, R, theta) ** 2
-    return lhs, 2 * math.pi * float(numkit.integrate(var.delta_n, theta, weights))
+    theta, ds, (pa,) = _densities(var.base.R, n, a)
+    return lhs, 2 * math.pi * float(numkit.integrate(var.delta_n, theta, ds * pa ** 2))
 
 
 def triple_green(a: complex, b: complex, c: complex, n: int = 512,
@@ -190,11 +180,8 @@ def triple_green(a: complex, b: complex, c: complex, n: int = 512,
     with delta_n = -dG/dn(.,c) changes G(a,b) by -triple_green(a,b,c) per
     unit time.
     """
-    for p in (a, b, c):
-        if abs(complex(p)) >= R:
-            raise DomainError("arguments must be interior to the disk")
+    if any(abs(complex(p)) >= R for p in (a, b, c)):
+        raise DomainError("arguments must be interior to the disk")
     _assert_unit_flux(R, n)
-    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
-    return float((R * w) @ (_normal_density(complex(a), R, theta)
-                            * _normal_density(complex(b), R, theta)
-                            * _normal_density(complex(c), R, theta)))
+    _, ds, (pa, pb, pc) = _densities(R, n, a, b, c)
+    return -float(ds @ (pa * pb * pc))

@@ -56,6 +56,8 @@ class DomainDescriptor:
     tau: complex = 2j
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.R, self.w, self.h, self.tau))):
+            raise ParameterError("domain parameters must be finite")
         message = _kind_function(self.kind, "invalid")(self)
         if message:
             raise ParameterError(message)
@@ -146,14 +148,14 @@ def green(domain: DomainDescriptor, z: complex, a: complex) -> float:
     spec = _require_interior(domain, z, a)
     if abs(z - a) < 1e-14:
         raise PoleError("Green function pole at z = a")
-    return spec.green(domain, z, a)
+    return float(spec.green(domain, z, a))
 
 
 def green_z_derivative(domain: DomainDescriptor, z: complex, a: complex) -> complex:
     """dG/dz for the closed-form kinds (used by contour formulas)."""
     dgdz = _kind_function(domain.kind, "green_z_derivative",
                           "no closed-form derivative for kind {!r}")
-    return dgdz(domain, complex(z), complex(a))
+    return complex(dgdz(domain, complex(z), complex(a)))
 
 
 def robin_data(domain: DomainDescriptor, a: complex,
@@ -168,7 +170,8 @@ def robin_data(domain: DomainDescriptor, a: complex,
     spec = _require_interior(domain, a)
     if spec.boundary_distance(domain, a) < 1e-9:
         raise ConditioningError("point too close to the boundary for Robin data")
-    return spec.robin(domain, a, _rect_offset)
+    h0, h1, curvature = spec.robin(domain, a, _rect_offset)
+    return GreenExpansion(float(h0), complex(h1), curvature)
 
 
 def h1_contour(domain: DomainDescriptor, a: complex, n: int = 256) -> complex:
@@ -189,14 +192,11 @@ def poisson_value(boundary_data: Callable[[complex], float], a: complex,
                   R: float = 1.0, n: int = 256) -> float:
     """Harmonic extension at a from boundary values on |z| = R (trapezoid rule)."""
     a = complex(a)
-    r = abs(a)
-    if r >= R:
+    if abs(a) >= R:
         raise DomainError("evaluation point must satisfy |a| < R")
-    phi = cmath.phase(a) if r > 0 else 0.0
     theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
-    kernel = (R * R - r * r) / (R * R - 2 * R * r * np.cos(theta - phi) + r * r)
-    return float(numkit.integrate(boundary_data, R * np.exp(1j * theta),
-                                  w * kernel / (2 * math.pi)))
+    z = R * np.exp(1j * theta)
+    return float(numkit.integrate(boundary_data, z, R * w * _disk_poisson(R, a, z)))
 
 
 def conformal_transport(src: GreenExpansion, fprime: complex,
@@ -382,7 +382,7 @@ def _rectangle_h0_single(solver: RectangleGreenSolver, a: complex,
     return float(np.mean(vals))
 
 
-def _rectangle_robin(domain: DomainDescriptor, a: complex, offset: int) -> GreenExpansion:
+def _rectangle_robin(domain: DomainDescriptor, a: complex, offset: int) -> tuple:
     """h0 on a rectangle via the fd oracle plus Richardson extrapolation.
 
     The stencil offset is held at the same physical size on both grids so
@@ -399,7 +399,7 @@ def _rectangle_robin(domain: DomainDescriptor, a: complex, offset: int) -> Green
         return _rectangle_h0_single(fine, p, 2 * offset)
     dx = (h0_at(a + step) - h0_at(a - step)) / (2 * step)
     dy = (h0_at(a + 1j * step) - h0_at(a - 1j * step)) / (2 * step)
-    return GreenExpansion(h0, 0.5 * (dx - 1j * dy), -4.0)
+    return h0, 0.5 * (dx - 1j * dy), -4.0
 
 
 def _rectangle_harmonic(domain: DomainDescriptor, a: complex,
@@ -407,28 +407,21 @@ def _rectangle_harmonic(domain: DomainDescriptor, a: complex,
     """-dG/dn on the boundary nodes by a one-sided second-order difference of
     the finite-difference Green function (which vanishes on the boundary)."""
     solver = _rectangle_solver(domain.w, domain.h, domain.grid)
-    g = solver.solve(_nearest_node(solver, a))
-    pts, wts = [], []
+    v = solver.solve(_nearest_node(solver, a)).values
     hx, hy = solver.hx, solver.hy
-    v = g.values
-    nx, ny = solver.nx, solver.ny
-    for i in range(1, nx):
-        x = i * hx
-        pts.append(complex(x, 0.0))
-        wts.append((4 * v[i, 1] - v[i, 2]) / (2 * hy) * hx)
-        pts.append(complex(x, domain.h))
-        wts.append((4 * v[i, ny - 1] - v[i, ny - 2]) / (2 * hy) * hx)
-    for j in range(1, ny):
-        y = j * hy
-        pts.append(complex(0.0, y))
-        wts.append((4 * v[1, j] - v[2, j]) / (2 * hx) * hy)
-        pts.append(complex(domain.w, y))
-        wts.append((4 * v[nx - 1, j] - v[nx - 2, j]) / (2 * hx) * hy)
-    wts = np.asarray(wts)
+    x, y = np.arange(1, solver.nx) * hx, np.arange(1, solver.ny) * hy
+    # (bottom, top) node pairs along x, then (left, right) pairs along y
+    pts = np.concatenate([np.column_stack([x + 0j, x + 1j * domain.h]).ravel(),
+                          np.column_stack([1j * y, domain.w + 1j * y]).ravel()])
+    wts = np.concatenate([
+        np.column_stack([4 * v[1:-1, 1] - v[1:-1, 2],
+                         4 * v[1:-1, -2] - v[1:-1, -3]]).ravel() / (2 * hy) * hx,
+        np.column_stack([4 * v[1, 1:-1] - v[2, 1:-1],
+                         4 * v[-2, 1:-1] - v[-3, 1:-1]]).ravel() / (2 * hx) * hy])
     total = wts.sum()
     if abs(total - 1.0) > 1e-3:
         raise ConditioningError(f"harmonic-measure mass {total:.6f} off unity")
-    return np.asarray(pts), wts / total
+    return pts, wts / total
 
 
 def _rectangle_breaks(d: DomainDescriptor) -> tuple[float, ...]:
@@ -468,11 +461,19 @@ def _rectangle_area_rule(d: DomainDescriptor, n: int) -> tuple[np.ndarray, np.nd
 # the domain-kind table
 # ---------------------------------------------------------------------------
 
-def _disk_robin(d: DomainDescriptor, a: complex, _offset: int) -> GreenExpansion:
-    R = d.R
-    h0 = math.log((R * R - abs(a) ** 2) / R)
-    h1 = -a.conjugate() / (R * R - abs(a) ** 2)
-    return GreenExpansion(h0, h1, -4.0)
+# The disk's closed forms: these two and its record below, each written once.
+
+def _disk_poisson(R: float, a, z):
+    """Poisson density -dG/dn(z, a) = (R^2 - |a|^2) / (2 pi R |z - a|^2) of
+    the disk |z| < R at boundary points z: unit mass in arc length."""
+    return (R * R - abs(a) ** 2) / (2 * math.pi * R * abs(z - a) ** 2)
+
+
+def _disk_image(d: DomainDescriptor, z, a):
+    """4 pi dG/dz + 1/(z - a) = -conj(a)/(R^2 - z conj(a)), the regular part
+    of 4 pi dG/dz (the image charge at R^2/conj(a)); at z = a it is h1(a)."""
+    ac = a.conjugate()
+    return -ac / (d.R * d.R - z * ac)
 
 
 def _disk_harmonic(d: DomainDescriptor, a: complex,
@@ -481,8 +482,7 @@ def _disk_harmonic(d: DomainDescriptor, a: complex,
     R = d.R
     t, w = numkit.trapezoid_rule(m)
     zs = R * np.exp(2j * math.pi * t)
-    dens = (R * R - abs(a) ** 2) / (2 * math.pi * R * np.abs(zs - a) ** 2)
-    weights = dens * (2 * math.pi * R * w)
+    weights = _disk_poisson(R, a, zs) * (2 * math.pi * R * w)
     return zs, weights / weights.sum()
 
 
@@ -497,10 +497,10 @@ def _slit_dgdz(d: DomainDescriptor, z: complex, a: complex) -> complex:
     return -(1.0 / (w - wa) - 1.0 / (w - wa.conjugate())) * dwdz / (4 * math.pi)
 
 
-def _slit_robin(d: DomainDescriptor, a: complex, _offset: int) -> GreenExpansion:
+def _slit_robin(d: DomainDescriptor, a: complex, _offset: int) -> tuple:
     w = _slit_root(a)
-    return GreenExpansion(math.log(4 * abs(w) * w.imag),
-                          1.0 / (4 * a) + 1.0 / (4j * w * w.imag), -4.0)
+    return (math.log(4 * abs(w) * w.imag),
+            1.0 / (4 * a) + 1.0 / (4j * w * w.imag), -4.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -515,27 +515,28 @@ def _strip_green(d: DomainDescriptor, z: complex, a: complex) -> float:
     return schottky.g_electro_strip(z, a, _strip_double(d.tau))
 
 
-def _strip_robin(d: DomainDescriptor, a: complex, _offset: int) -> GreenExpansion:
+def _strip_robin(d: DomainDescriptor, a: complex, _offset: int) -> tuple:
     from . import schottky
     dbl = _strip_double(d.tau)
     h0 = schottky.gamma_electro(a, dbl)
     h1 = schottky.gamma_electro_gradient(a, dbl)
     kappa = -4 * math.pi * schottky.strip_bergman_kernels(a, a, dbl)[0].real \
         * math.exp(2 * h0)
-    return GreenExpansion(h0, h1, kappa)
+    return h0, h1, kappa
 
 
 @dataclass(frozen=True)
 class _Kind:
     """One domain kind as plain functions of its descriptor d.  The
-    optional operations are None where the kind has no closed form."""
+    optional operations are None where the kind has no closed form.  The
+    disk's operations also take numpy arrays of z and a, element by element."""
 
     parse: Callable          # document dict -> DomainDescriptor
     to_dict: Callable        # d -> document dict
     contains: Callable       # (d, z) -> bool
     boundary_distance: Callable  # (d, z) -> float, > 0 exactly inside
     green: Callable          # (d, z, a) -> float
-    robin: Callable          # (d, a, rectangle stencil offset) -> GreenExpansion
+    robin: Callable          # (d, a, rectangle stencil offset) -> (h0, h1, curvature)
     invalid: Callable = lambda d: None   # d -> error message, or None when valid
     green_z_derivative: Callable | None = None   # (d, z, a) -> complex
     boundary_curve: Callable | None = None       # (d, truncation) -> Curve
@@ -555,11 +556,12 @@ _KINDS: dict[str, _Kind] = {
         invalid=lambda d: "disk radius must be positive" if d.R <= 0 else None,
         contains=lambda d, z: abs(z) < d.R,
         boundary_distance=lambda d, z: d.R - abs(z),
-        green=lambda d, z, a: -math.log(
+        green=lambda d, z, a: -np.log(
             abs(d.R * (z - a) / (d.R * d.R - z * a.conjugate()))) / (2 * math.pi),
-        robin=_disk_robin,
-        green_z_derivative=lambda d, z, a: -(d.R * d.R - abs(a) ** 2) / (
-            4 * math.pi * (z - a) * (d.R * d.R - z * a.conjugate())),
+        robin=lambda d, a, _offset=0: (
+            np.log((d.R * d.R - abs(a) ** 2) / d.R), _disk_image(d, a, a), -4.0),
+        green_z_derivative=lambda d, z, a: (
+            1 / (a - z) + _disk_image(d, z, a)) / (4 * math.pi),
         boundary_curve=lambda d, truncation: numkit.circle(0j, d.R),
         # reads only d.R, so equilibrium's circle carriers share it
         boundary_jet=lambda d, t, side=1: _circle_jet(d.R, t),
@@ -573,8 +575,7 @@ _KINDS: dict[str, _Kind] = {
         contains=lambda d, z: z.imag > 0,
         boundary_distance=lambda d, z: z.imag,
         green=lambda d, z, a: -math.log(abs((z - a) / (z - a.conjugate()))) / (2 * math.pi),
-        robin=lambda d, a, _offset: GreenExpansion(
-            math.log(2 * a.imag), -0.5j / a.imag, -4.0),
+        robin=lambda d, a, _offset: (math.log(2 * a.imag), -0.5j / a.imag, -4.0),
         green_z_derivative=lambda d, z, a: (
             -(1.0 / (z - a) - 1.0 / (z - a.conjugate())) / (4 * math.pi)),
         # truncated real axis, positive orientation (domain on the left)

@@ -495,16 +495,16 @@ def circular_slit_map(z: complex, a: complex,
         gs = _conjugate_green_disk(anchor, a, base, n_panels)
 
         def regular(t: float) -> complex:
-            # G_z = -(1/4pi)[1/(z-a) + conj(a)/(1 - conj(a) z)] on the disk
             zt = anchor + (zz - anchor) * t
-            reg = -a.conjugate() / (1 - a.conjugate() * zt) / (4 * math.pi)
+            reg = planar_green._disk_image(domain, zt, a) / (4 * math.pi)
             return reg * (zz - anchor)
 
         return gs + 2 * numkit.gauss_legendre_panel(regular, 0.0, 1.0, 4).imag
 
     def raw(zz: complex) -> complex:
-        # closed-form disk Green function, valid up to the boundary
-        g = -math.log(abs((zz - a) / (1 - a.conjugate() * zz))) / (2 * math.pi)
+        # the record's closed-form Green function: no interior check, so it
+        # holds up to the boundary
+        g = planar_green._KINDS["disk"].green(domain, zz, a)
         return cmath.exp(gamma - 2 * math.pi * (g + 1j * conj_green(zz)))
 
     # leading coefficient by a circle average (all higher Taylor terms of the

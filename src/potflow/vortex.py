@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 COLLISION_THRESHOLD = 1e-10
+# the disk record (G, Robin data, wall distance), evaluated on arrays
+_DISK = planar_green._KINDS["disk"]
 
 
 @functools.lru_cache(maxsize=4)
@@ -73,7 +75,8 @@ class VortexSystem:
         if _min_pair_distance(self.positions) < COLLISION_THRESHOLD:
             raise SingularConfigurationError("coincident vortex positions")
         if self.domain is not None:
-            outside = self.positions[np.abs(self.positions) >= self.domain.R]
+            outside = self.positions[
+                _DISK.boundary_distance(self.domain, self.positions) <= 0]
             if outside.size:
                 raise DomainError(f"vortex at {outside[0]} outside the disk")
 
@@ -135,15 +138,11 @@ def forced_vortex_velocity(h1: complex, gamma: float, f_ext: complex) -> complex
 def stream_function(system: VortexSystem, z: complex) -> float:
     """psi(z) = sum_k Gamma_k G(z, z_k) for the system's domain."""
     z = complex(z)
-    total = 0.0
-    for zk, gk in zip(system.positions, system.strengths):
-        if abs(z - zk) < 1e-14:
-            raise SingularConfigurationError("stream function evaluated at a vortex")
-        if system.domain is None:
-            total += gk * (-math.log(abs(z - zk)) / (2 * math.pi))
-        else:
-            total += gk * planar_green.green(system.domain, z, zk)
-    return total
+    if np.abs(z - system.positions).min() < 1e-14:
+        raise SingularConfigurationError("stream function evaluated at a vortex")
+    if system.domain is not None:
+        planar_green._require_interior(system.domain, z)
+    return float(system.strengths @ _green(system.domain, z, system.positions))
 
 
 def hamiltonian(system: VortexSystem) -> float:
@@ -151,40 +150,34 @@ def hamiltonian(system: VortexSystem) -> float:
     return _energy(system.positions, system.strengths, system.domain)
 
 
+def _green(domain, z, a):
+    """G(z, a) elementwise: -log|z - a| / 2pi in the plane, else the disk's."""
+    return (-np.log(np.abs(z - a)) / (2 * math.pi) if domain is None
+            else _DISK.green(domain, z, a))
+
+
 def _velocities(z: np.ndarray, g: np.ndarray, domain) -> np.ndarray:
     """dz_k/dt = conj(Gamma_k h1^(k)) / 2pi i for every vortex at once.
 
-    Gamma_k h1^(k) = sum_{j != k} Gamma_j (-1/(z_k - z_j) - conj(z_j)/(R^2 -
-    z_k conj(z_j))) + Gamma_k h1_Robin(z_k), the R terms only in the disk;
-    it is never divided by Gamma_k, so a zero-strength vortex is a tracer.
+    Gamma_k h1^(k) = sum_j Gamma_j m_kj with m = 4pi dG/dz(z_k, z_j) off the
+    diagonal and the Robin h1(z_k) on it: the pole -1/(z_k - z_j), j != k,
+    plus, in the disk, the regular part of 4pi dG/dz, which is h1 at j = k.
+    It is never divided by Gamma_k, so a zero-strength vortex is a tracer.
     """
-    m = z[:, None] - z[None, :]
-    np.fill_diagonal(m, 1.0)            # no 1/0 here; the k = k terms are zeroed below
-    np.divide(-1.0, m, out=m)
+    m = z - z[:, None]
+    m.flat[:: len(z) + 1] = np.inf      # so the k = k pole term 1/m is exactly 0
+    np.divide(1.0, m, out=m)
     if domain is not None:
-        r2, zc = domain.R * domain.R, z.conj()
-        # 2 d/dz of 2pi G_disk(z, b) = -1/(z-b) - conj(b)/(R^2 - z conj(b))
-        image = r2 - z[:, None] * zc[None, :]
-        m -= np.divide(zc[None, :], image, out=image)
-    np.fill_diagonal(m, 0.0)
-    gh1 = m @ g
-    if domain is not None:
-        gh1 -= g * zc / (r2 - np.abs(z) ** 2)
-    return gh1.conj() / (2j * math.pi)
+        m += planar_green._disk_image(domain, z[:, None], z)
+    return (m @ g).conj() / (2j * math.pi)
 
 
 def _energy(z: np.ndarray, g: np.ndarray, domain) -> float:
-    """sum_{j<k} G_j G_k G(z_j, z_k) + sum_k (G_k^2 / 4pi) h0(z_k), with
-    G = -log|z - a| / 2pi in the plane and the closed-form disk G and h0."""
+    """sum_{j<k} G_j G_k G(z_j, z_k) + sum_k (G_k^2 / 4pi) h0(z_k)."""
     i, j = _pairs(len(z))
-    zi, zj = z[i], z[j]
-    ratio = zi - zj
+    total = (g[i] * g[j]) @ _green(domain, z[i], z[j])
     if domain is not None:
-        R = domain.R
-        ratio = R * ratio / (R * R - zi * zj.conj())
-    total = -(g[i] * g[j]) @ np.log(np.abs(ratio)) / (2 * math.pi)
-    if domain is not None:
-        total += (g * g) @ np.log((R * R - np.abs(z) ** 2) / R) / (4 * math.pi)
+        total += (g * g) @ _DISK.robin(domain, z)[0] / (4 * math.pi)
     return float(total)
 
 
@@ -205,7 +198,7 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10,
 
     def separation(y: np.ndarray) -> float:
         sep = _min_pair_distance(y)
-        return sep if domain is None else min(sep, domain.R - float(np.abs(y).max()))
+        return sep if domain is None else min(sep, _DISK.boundary_distance(domain, y).min())
 
     monitors = {"energy": lambda y: _energy(y, g, domain)}
     if domain is None:

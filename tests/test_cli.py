@@ -36,7 +36,23 @@ def test_schema_error_exit_65(capsys):
                  ["vortex", "--system", system, "--t-end", "-1"],
                  ["vortex", "--system", system, "--tol", "1"],
                  ["fekete", "--domain", '{"kind":"circle","R":1.0}',
-                  "--n-max", "100000000"]):
+                  "--n-max", "100000000"],
+                 # non-finite numbers in documents, points and options
+                 ["fekete", "--domain", '{"kind":"circle","R":NaN}', "--n-max", "8"],
+                 ["fekete", "--domain", '{"kind":"segment","length":Infinity}',
+                  "--n-max", "8"],
+                 ["torus", "--tau", "nan,2"],
+                 ["torus", "--tau", "0,2", "--p", "nan", "--n", "16"],
+                 ["green", "--domain", '{"kind":"periodic_strip","tau":[0,Infinity]}',
+                  "--a=-0.25,0.5", "--z=-0.2,0.3"],
+                 ["green", "--domain", '{"kind":"disk","R":Infinity}', "--a=0,0",
+                  "--z=0.1,0"],
+                 ["vortex", "--system", system, "--t-end", "nan"],
+                 ["vortex", "--system", system, "--t-end", "inf"],
+                 ["vortex", "--system", system, "--tol=-inf"],
+                 # Im tau beyond the overflow-free range of the q-series
+                 ["torus", "--tau", "0,100", "--n", "16"],
+                 ["torus", "--tau", "0,500", "--n", "16"]):
         assert run(argv) == 65
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1

@@ -127,6 +127,16 @@ def test_small_im_tau_rejected():
         elliptic.lattice_constants(0.01j)
 
 
+def test_large_im_tau_rejected():
+    # at the bound the series stay finite up to the edge of the cell
+    L = elliptic.lattice_constants(60j)
+    assert abs(L.eta1 * L.tau - L.eta2 - 2j * math.pi) < 1e-12
+    assert math.isfinite(elliptic.log_abs_theta1(0.25 + 30j, L))
+    for im_tau in (60.5, 100.0, 500.0):   # 100 overflowed theta1, 500 already wp
+        with pytest.raises(ConditioningError):
+            elliptic.lattice_constants(complex(0, im_tau))
+
+
 def test_sqrt_wp_minus_e2_branch(L2i):
     w = 0.21 + 0.13j
     s = elliptic.sqrt_wp_minus_e2(w, L2i)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potflow import equilibrium, numkit, planar_green as pg, schottky
+from potflow import equilibrium, hadamard, numkit, planar_green as pg, schottky
 from potflow.errors import ConditioningError, DomainError, ParameterError, PoleError
 
 DISK = pg.DomainDescriptor.disk(1.0)
@@ -101,6 +101,56 @@ def test_poisson_values():
     assert abs(pg.poisson_value(lambda z: z.real, 0.3, 1.0, 128) - 0.3) < 1e-13
     val = pg.poisson_value(lambda z: (z * z).real, 0.3 + 0.2j, 1.0, 256)
     assert abs(val - 0.05) < 1e-13
+
+
+@pytest.mark.parametrize("R", [1.0, 1.7])
+def test_disk_record_broadcasts_like_the_scalar_functions(R):
+    # One evaluation on arrays against the public scalar functions, element
+    # by element.  numpy's complex abs, multiply and divide differ from
+    # Python's by 1 ulp on about a third of inputs, and the subtractions
+    # R^2 - |a|^2 and R^2 - z conj(a) amplify that, so each quantity is held
+    # to 4 ulp of its condition scale: its magnitude times R^2 / (R^2 - |a|^2)
+    # for h1 and the density, plus the cancelling terms' size for G, dG/dz, h0.
+    rng = np.random.default_rng(7)
+    n = 500
+    def interior():
+        return R * np.sqrt(rng.uniform(0, 0.99, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    D, spec = pg.DomainDescriptor.disk(R), pg._KINDS["disk"]
+    z, a = interior(), interior()
+    b = R * np.exp(2j * np.pi * rng.uniform(size=n))
+    h0, h1, _ = spec.robin(D, a)
+    arrays = {"green": spec.green(D, z, a), "dgdz": spec.green_z_derivative(D, z, a),
+              "h0": h0, "h1": h1, "poisson": pg._disk_poisson(R, a, b)}
+    amp = R * R / (R * R - np.abs(a) ** 2)
+    image = np.abs(R * R - z * a.conj())
+    scales = {"green": np.abs(arrays["green"]) + (1 + R * R / image) / (2 * np.pi),
+              "dgdz": (1 / np.abs(z - a) + np.abs(a) * R * R / image ** 2) / (4 * np.pi),
+              "h0": np.abs(h0) + amp, "h1": np.abs(h1) * amp,
+              "poisson": arrays["poisson"] * (amp + 2)}
+    for k in range(n):
+        exp = pg.robin_data(D, a[k])
+        scalars = {"green": pg.green(D, z[k], a[k]),
+                   "dgdz": pg.green_z_derivative(D, z[k], a[k]),
+                   "h0": exp.h0, "h1": exp.h1,
+                   "poisson": pg._disk_poisson(R, complex(a[k]), complex(b[k]))}
+        for name, value in scalars.items():
+            assert abs(arrays[name][k] - value) <= 4 * np.finfo(float).eps * scales[name][k]
+    # the density is -dG/dn = -2 Re(dG/dz z/R) on the circle
+    dgdn = np.array([2 * (pg.green_z_derivative(D, bk, ak) * bk / R).real
+                     for ak, bk in zip(a, b)])
+    assert np.allclose(-dgdn, arrays["poisson"], rtol=1e-12, atol=0)
+
+
+def test_one_disk_poisson_density():
+    # hadamard's boundary densities and the disk's harmonic measure are the
+    # shared density array itself, not a copy of its formula
+    R, a = 1.3, 0.4 - 0.7j
+    theta, ds, (density,) = hadamard._densities(R, 64, a)
+    assert np.array_equal(density, pg._disk_poisson(R, a, R * np.exp(1j * theta)))
+    zs, weights = pg._disk_harmonic(pg.DomainDescriptor.disk(R), a, 64)
+    _, w = numkit.trapezoid_rule(64)
+    shared = pg._disk_poisson(R, a, zs) * (2 * math.pi * R * w)
+    assert np.array_equal(weights, shared / shared.sum())
 
 
 def test_poisson_domain_error():
