@@ -1,9 +1,11 @@
 """Weierstrass and theta functions for the lattice spanned by 1 and tau.
 
 Evaluation goes through q-series (Fourier expansions in the nome
-qh = exp(i*pi*tau)) after folding the argument into the fundamental cell,
-so convergence is geometric for Im tau bounded away from zero.  Raw
-lattice sums are kept as a slow cross-check oracle for the tests.
+qh = exp(i*pi*tau), DLMF 20.2 and 23.8) after folding the argument into
+the fundamental cell, so convergence is geometric for Im tau bounded away
+from zero.  The truncated series of a lattice are tabulated once per tau.
+Every function takes a scalar z, giving a Python complex (a float for
+``log_abs_theta1``), or a numpy array, giving an array of its shape.
 
 Quasi-period convention: zeta(z+1) = zeta(z) + eta1 and
 zeta(z+tau) = zeta(z) + eta2, tied together by the Legendre identity
@@ -13,10 +15,14 @@ eta1*tau - eta2 = 2*pi*i.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConditioningError, PoleError
+from .numkit import as_points, first_where
 
 __all__ = [
     "TorusLattice",
@@ -30,15 +36,15 @@ __all__ = [
     "wp_prime",
     "zeta_w",
     "sqrt_wp_minus_e2",
-    "wp_lattice_sum",
-    "zeta_lattice_sum",
 ]
 
 _MIN_IM_TAU = 0.05
 # theta1's fourth term sin(7 pi z0) overflows at Im z0 = Im tau / 2 beyond Im tau 64.5
 _MAX_IM_TAU = 60.0
-_MAX_TERMS = 4000
 _POLE_TOL = 1e-12
+# a series term is dropped where its bound, relative to the series' scale,
+# is below this
+_SERIES_TOL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,8 @@ class TorusLattice:
 
 
 def _check_tau(tau: complex) -> None:
+    if not cmath.isfinite(tau):
+        raise ConditioningError(f"tau = {tau} is not finite")
     if tau.imag < _MIN_IM_TAU:
         raise ConditioningError(
             f"Im tau = {tau.imag:.3g} too small; series convergence not guaranteed")
@@ -73,168 +81,181 @@ def _check_tau(tau: complex) -> None:
             f"Im tau = {tau.imag:.3g} too large; series terms overflow")
 
 
-def reduce_to_cell(z: complex, tau: complex) -> tuple[complex, int, int]:
-    """Fold z into the centered fundamental cell: z = z0 + m + n*tau."""
-    n = round(z.imag / tau.imag)
+def _xp(z):
+    return np if isinstance(z, np.ndarray) else cmath
+
+
+def reduce_to_cell(z, tau: complex):
+    """Fold z into the centered fundamental cell: z = z0 + m + n*tau
+    (m, n ints for a scalar z, float arrays of integers for an array)."""
+    z = as_points(z)
+    rnd = np.rint if isinstance(z, np.ndarray) else round
+    n = rnd(z.imag / tau.imag)
     w = z - n * tau
-    m = round(w.real)
+    m = rnd(w.real)
     return w - m, m, n
 
 
-def _n_terms(tau: complex) -> int:
-    # worst-case decay exp(-pi*Im(tau)*n) after argument reduction
-    n = int(40 / tau.imag) + 24
-    if n > _MAX_TERMS:
-        raise ConditioningError("theta/q-series would need too many terms")
-    return n
-
-
 # ---------------------------------------------------------------------------
-# theta-1
+# the per-lattice series table, and theta1 and the Weierstrass functions on it
 # ---------------------------------------------------------------------------
 
-def _theta1_reduced(z0: complex, tau: complex) -> complex:
-    qh = cmath.exp(1j * cmath.pi * tau)
-    total = 0j
-    for k in range(_n_terms(tau)):
-        term = (-1) ** k * qh ** ((k + 0.5) ** 2) * cmath.sin((2 * k + 1) * cmath.pi * z0)
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-30) and k > 2:
-            break
-    return 2 * total
+@functools.lru_cache(maxsize=64)
+def _series(tau: complex) -> dict:
+    """eta1 and, per series, (trig, [(f_k, c_k)]) for sum_k c_k trig(f_k z0);
+    "theta" sums theta1 / 2 and "theta_prime" theta1' / (2 pi).
+
+    |Im z0| <= Im tau / 2 after reduction, so term n of wp, wp' and zeta
+    is at most A n^p e^{-pi n Im tau} / (1 - e^{-2 pi n Im tau}), p = 1, 2,
+    0, with A its constant; term k of theta1 is at most (2k+1)
+    e^{-pi Im tau k^2} times the first, of theta1' (2k+1)^2 e^{...} times.
+    Powers and coefficients are formed in a fixed operation order (powers
+    by repeated multiplication), which fixes the last bits of every scalar
+    value.
+    """
+    # enough for Im tau >= 0.05, which needs 337 and 18 terms
+    T, n, k = tau.imag, np.arange(1, 1001), np.arange(200)
+    decay = np.exp(-np.pi * n * T) / -np.expm1(-2 * np.pi * n * T)
+    # the bounds are unimodal and reach the tolerance first, so the terms
+    # kept are a prefix
+    n_wp, n_wpp, n_zeta, n_theta = (
+        int(np.count_nonzero(bound >= _SERIES_TOL))
+        for bound in (n * decay, n * n * decay, decay,
+                      (2 * k + 1) ** 2 * np.exp(-np.pi * T * k * k)))
+
+    qh, q = cmath.exp(1j * cmath.pi * tau), cmath.exp(2j * cmath.pi * tau)
+    wp, wpp, zeta, acc, qn, qe = [], [], [], 0j, qh * qh, q
+    for m in range(1, max(n_wp, n_wpp, n_zeta) + 1):
+        f = 2 * cmath.pi * m
+        wp.append((f, -8 * cmath.pi ** 2 * m * qn / (1 - qn)))
+        wpp.append((f, 16 * cmath.pi ** 3 * m * m * qn / (1 - qn)))
+        zeta.append((f, 4 * cmath.pi * qn / (1 - qn)))
+        acc += m * qe / (1 - qe)   # powers of q, which round unlike qh^2's
+        qn, qe = qn * (qh * qh), qe * q
+    theta, theta_prime = [], []
+    for j in range(n_theta):
+        f, c = (2 * j + 1) * cmath.pi, qh ** ((j + 0.5) ** 2)
+        theta.append((f, (-1) ** j * c))
+        theta_prime.append((f, (-1) ** j * (2 * j + 1) * c))
+    # eta1 from the no-linear-term condition of zeta at 0 (Eisenstein E2)
+    return {"eta1": cmath.pi ** 2 / 3 - 8 * cmath.pi ** 2 * acc,
+            "wp": ("cos", wp[:n_wp]), "wp_prime": ("sin", wpp[:n_wpp]),
+            "zeta": ("sin", zeta[:n_zeta]), "theta": ("sin", theta),
+            "theta_prime": ("cos", theta_prime)}
 
 
-def theta1(z: complex, L: TorusLattice) -> complex:
+def _sum(name: str, z0, tau: complex, head=0j):
+    """head plus the named series at z0.  The terms are added one by one,
+    in order, with cmath for a scalar and numpy ufuncs for an array, so
+    both round alike: on rectangular lattices (all c_k real) the sums of
+    an array equal its elements' scalar sums to the bit."""
+    trig_name, terms = _series(tau)[name]
+    trig = getattr(_xp(z0), trig_name)
+    for f, c in terms:
+        head = head + c * trig(f * z0)
+    return head
+
+
+def _shift_factor(z0, m, n, L: TorusLattice):
+    """theta1(z0 + m + n tau) / theta1(z0)."""
+    return (-1) ** (m + n) * L.qh ** (-n * n) * _xp(z0).exp(-2j * cmath.pi * n * z0)
+
+
+def theta1(z, L: TorusLattice):
     """Odd quasi-periodic theta-1 with simple zeros exactly on the lattice.
 
     theta1(z+1) = -theta1(z), theta1(z+tau) = -qh^{-1} e^{-2 pi i z} theta1(z).
     """
-    z0, m, n = reduce_to_cell(complex(z), L.tau)
-    base = _theta1_reduced(z0, L.tau)
-    if m == 0 and n == 0:
-        return base
-    mult = (-1) ** (m + n) * L.qh ** (-n * n) * cmath.exp(-2j * cmath.pi * n * z0)
-    return mult * base
+    z0, m, n = reduce_to_cell(z, L.tau)
+    base = 2 * _sum("theta", z0, L.tau)
+    if isinstance(z0, np.ndarray) or m or n:
+        base = _shift_factor(z0, m, n, L) * base
+    return base
 
 
-def log_abs_theta1(z: complex, L: TorusLattice) -> float:
+def log_abs_theta1(z, L: TorusLattice):
     """log|theta1(z)| evaluated overflow-free for any z."""
-    z0, m, n = reduce_to_cell(complex(z), L.tau)
-    base = _theta1_reduced(z0, L.tau)
-    if base == 0:
-        raise PoleError(f"theta1 vanishes at lattice point near {z}")
+    z = as_points(z)
+    z0, m, n = reduce_to_cell(z, L.tau)
+    base = 2 * _sum("theta", z0, L.tau)
+    if (p := first_where(base == 0, z)) is not None:
+        raise PoleError(f"theta1 vanishes at lattice point near {p}")
     # |qh^{-n^2}| = exp(pi Im(tau) n^2), |e^{-2 pi i n z0}| = exp(2 pi n Im z0)
-    return (math.log(abs(base)) + cmath.pi * L.tau.imag * n * n
+    return (_log_abs(base) + cmath.pi * L.tau.imag * n * n
             + 2 * cmath.pi * n * z0.imag)
 
 
-def theta1_prime(z: complex, L: TorusLattice) -> complex:
+def _log_abs(w):
+    """math.log(abs(w)), elementwise for an array.  numpy's complex abs and
+    log round differently from the C library's hypot and log in the last
+    bit (for a third and 0.1% of arguments), which finite differences of
+    the Green functions magnify a millionfold."""
+    if isinstance(w, np.ndarray):
+        r = np.hypot(w.real, w.imag)
+        return np.fromiter(map(math.log, r.flat), float, r.size).reshape(w.shape)
+    return math.log(abs(w))
+
+
+def theta1_prime(z, L: TorusLattice):
     """d/dz theta1 at z (direct series on the reduced argument)."""
-    z0, m, n = reduce_to_cell(complex(z), L.tau)
-    qh = L.qh
-    total = 0j
-    for k in range(_n_terms(L.tau)):
-        term = ((-1) ** k * (2 * k + 1) * qh ** ((k + 0.5) ** 2)
-                * cmath.cos((2 * k + 1) * cmath.pi * z0))
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-30) and k > 2:
-            break
-    dbase = 2 * cmath.pi * total
-    if m == 0 and n == 0:
-        return dbase
-    mult = (-1) ** (m + n) * qh ** (-n * n) * cmath.exp(-2j * cmath.pi * n * z0)
-    base = _theta1_reduced(z0, L.tau)
-    return mult * (dbase - 2j * cmath.pi * n * base)
+    z0, m, n = reduce_to_cell(z, L.tau)
+    dbase = 2 * cmath.pi * _sum("theta_prime", z0, L.tau)
+    if isinstance(z0, np.ndarray) or m or n:
+        dbase = _shift_factor(z0, m, n, L) * (
+            dbase - 2j * cmath.pi * n * (2 * _sum("theta", z0, L.tau)))
+    return dbase
 
 
 def theta1_prime0(L: TorusLattice) -> complex:
     return theta1_prime(0.0, L)
 
 
-# ---------------------------------------------------------------------------
-# Weierstrass functions via trigonometric q-series
-# ---------------------------------------------------------------------------
+def _off_lattice(z, tau: complex):
+    """reduce_to_cell(z), after a PoleError at the first z on the lattice."""
+    z = as_points(z)
+    z0, m, n = reduce_to_cell(z, tau)
+    if (p := first_where(abs(z0) < _POLE_TOL, z)) is not None:
+        raise PoleError(f"{p} is within {_POLE_TOL} of a lattice point")
+    return z0, m, n
 
-def _require_off_lattice(z0: complex, z: complex) -> None:
-    if abs(z0) < _POLE_TOL:
-        raise PoleError(f"{z} is within {_POLE_TOL} of a lattice point")
 
-
-def wp(z: complex, L: TorusLattice) -> complex:
+def wp(z, L: TorusLattice):
     """Weierstrass wp, doubly periodic, wp(z) = 1/z^2 + O(z^2)."""
-    z0, _, _ = reduce_to_cell(complex(z), L.tau)
-    _require_off_lattice(z0, z)
-    qh2 = L.qh * L.qh
-    s = cmath.sin(cmath.pi * z0)
-    total = -L.eta1 + cmath.pi ** 2 / (s * s)
-    qn = qh2
-    for n in range(1, _n_terms(L.tau)):
-        term = -8 * cmath.pi ** 2 * n * qn / (1 - qn) * cmath.cos(2 * cmath.pi * n * z0)
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-30):
-            break
-        qn *= qh2
-    return total
+    z0 = _off_lattice(z, L.tau)[0]
+    s = _xp(z0).sin(cmath.pi * z0)
+    return _sum("wp", z0, L.tau, -L.eta1 + cmath.pi ** 2 / (s * s))
 
 
-def wp_prime(z: complex, L: TorusLattice) -> complex:
-    z0, _, _ = reduce_to_cell(complex(z), L.tau)
-    _require_off_lattice(z0, z)
-    qh2 = L.qh * L.qh
-    s = cmath.sin(cmath.pi * z0)
-    total = -2 * cmath.pi ** 3 * cmath.cos(cmath.pi * z0) / (s * s * s)
-    qn = qh2
-    for n in range(1, _n_terms(L.tau)):
-        term = 16 * cmath.pi ** 3 * n * n * qn / (1 - qn) * cmath.sin(2 * cmath.pi * n * z0)
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-30):
-            break
-        qn *= qh2
-    return total
+def wp_prime(z, L: TorusLattice):
+    z0 = _off_lattice(z, L.tau)[0]
+    xp = _xp(z0)
+    s = xp.sin(cmath.pi * z0)
+    head = -2 * cmath.pi ** 3 * xp.cos(cmath.pi * z0) / (s * s * s)
+    return _sum("wp_prime", z0, L.tau, head)
 
 
-def zeta_w(z: complex, L: TorusLattice) -> complex:
+def zeta_w(z, L: TorusLattice):
     """Weierstrass zeta; quasi-periodic with increments eta1 and eta2."""
-    z0, m, n = reduce_to_cell(complex(z), L.tau)
-    _require_off_lattice(z0, z)
-    qh2 = L.qh * L.qh
-    total = L.eta1 * z0 + cmath.pi / cmath.tan(cmath.pi * z0)
-    qn = qh2
-    for k in range(1, _n_terms(L.tau)):
-        term = 4 * cmath.pi * qn / (1 - qn) * cmath.sin(2 * cmath.pi * k * z0)
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-30):
-            break
-        qn *= qh2
-    return total + m * L.eta1 + n * L.eta2
+    z0, m, n = _off_lattice(z, L.tau)
+    head = L.eta1 * z0 + cmath.pi / _xp(z0).tan(cmath.pi * z0)
+    return _sum("zeta", z0, L.tau, head) + m * L.eta1 + n * L.eta2
 
 
 def lattice_constants(tau: complex) -> TorusLattice:
     """Populate all derived constants for the lattice (1, tau).
 
-    eta1 comes from the no-linear-term condition of the zeta series
-    (equivalently the Eisenstein series E2); eta2 from the Legendre
-    identity eta1*tau - eta2 = 2*pi*i, which is then re-checked.
+    eta1 comes with the series table; eta2 from the Legendre identity
+    eta1*tau - eta2 = 2*pi*i, which is then re-checked.
     """
     tau = complex(tau)
     _check_tau(tau)
-    qh2 = cmath.exp(2j * cmath.pi * tau)
-    acc = 0j
-    qn = qh2
-    for n in range(1, _n_terms(tau)):
-        term = n * qn / (1 - qn)
-        acc += term
-        if abs(term) < 1e-19 * (abs(acc) + 1e-30):
-            break
-        qn *= qh2
-    eta1 = cmath.pi ** 2 / 3 - 8 * cmath.pi ** 2 * acc
+    eta1 = _series(tau)["eta1"]
     eta2 = eta1 * tau - 2j * cmath.pi
+    qh2 = cmath.exp(2j * cmath.pi * tau)
 
     L = TorusLattice(tau=tau, q=qh2, eta1=eta1, eta2=eta2,
                      g2=0j, g3=0j, e1=0j, e2=0j, e3=0j)
-    e1 = wp(0.5, L)
-    e2 = wp(0.5 * (1 + tau), L)
-    e3 = wp(0.5 * tau, L)
+    e1, e2, e3 = (wp(h, L) for h in (0.5, 0.5 * (1 + tau), 0.5 * tau))
     g2 = 2 * (e1 * e1 + e2 * e2 + e3 * e3)
     g3 = 4 * e1 * e2 * e3
     L = TorusLattice(tau=tau, q=qh2, eta1=eta1, eta2=eta2,
@@ -247,7 +268,7 @@ def lattice_constants(tau: complex) -> TorusLattice:
     return L
 
 
-def sqrt_wp_minus_e2(w: complex, L: TorusLattice) -> complex:
+def sqrt_wp_minus_e2(w, L: TorusLattice):
     """Single-valued odd branch of sqrt(wp(w) - e2), ~ 1/w near 0.
 
     wp - e2 has double zeros at the half period (1+tau)/2, so the root is
@@ -258,40 +279,10 @@ def sqrt_wp_minus_e2(w: complex, L: TorusLattice) -> complex:
 
     with w2 = (1+tau)/2.
     """
-    w = complex(w)
+    w = as_points(w)
     w2 = 0.5 * (1 + L.tau)
     num = theta1(w + w2, L)
     den = theta1(w, L)
-    if abs(den) < 1e-290:
-        raise PoleError(f"sqrt(wp - e2) has a pole at lattice point near {w}")
-    return cmath.exp(1j * cmath.pi * w) * theta1_prime0(L) * num / (den * theta1(w2, L))
-
-
-# ---------------------------------------------------------------------------
-# raw lattice sums (slow cross-check oracles)
-# ---------------------------------------------------------------------------
-
-def wp_lattice_sum(z: complex, tau: complex, extent: int = 120) -> complex:
-    """Symmetric truncated lattice sum for wp (test oracle, O(1/extent^2))."""
-    z = complex(z)
-    total = 1.0 / (z * z)
-    for m in range(-extent, extent + 1):
-        for n in range(-extent, extent + 1):
-            if m == 0 and n == 0:
-                continue
-            om = m + n * tau
-            total += 1.0 / ((z - om) ** 2) - 1.0 / (om * om)
-    return total
-
-
-def zeta_lattice_sum(z: complex, tau: complex, extent: int = 120) -> complex:
-    """Symmetric truncated lattice sum for zeta (test oracle)."""
-    z = complex(z)
-    total = 1.0 / z
-    for m in range(-extent, extent + 1):
-        for n in range(-extent, extent + 1):
-            if m == 0 and n == 0:
-                continue
-            om = m + n * tau
-            total += 1.0 / (z - om) + 1.0 / om + z / (om * om)
-    return total
+    if (p := first_where(abs(den) < 1e-290, w)) is not None:
+        raise PoleError(f"sqrt(wp - e2) has a pole at lattice point near {p}")
+    return _xp(w).exp(1j * cmath.pi * w) * theta1_prime0(L) * num / (den * theta1(w2, L))

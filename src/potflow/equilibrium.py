@@ -111,7 +111,7 @@ _DISK = planar_green._KINDS["disk"]
 _ROUND = _Carrier(
     parse=lambda data: CompactSet(data["kind"], R=float(data["R"])),
     to_dict=lambda K: {"kind": K.kind, "R": K.R},
-    invalid=lambda K: "radius must be positive" if K.R <= 0 else None,
+    invalid=lambda K: planar_green.size_error("radius", K.R),
     jet=_DISK.boundary_jet,
     on_carrier=lambda K, z, tol: abs(abs(z) - K.R) < tol,
 )
@@ -121,7 +121,7 @@ _CARRIERS: dict[str, _Carrier] = {
     "segment": _Carrier(
         parse=lambda data: CompactSet.segment(float(data["length"])),
         to_dict=lambda K: {"kind": "segment", "length": K.length},
-        invalid=lambda K: "length must be positive" if K.length <= 0 else None,
+        invalid=lambda K: planar_green.size_error("length", K.length),
         jet=lambda K, t, side=1: ((-K.length / 2 + K.length * t).astype(complex),
                                   np.full(t.shape, K.length + 0j),
                                   np.zeros(t.shape, dtype=complex)),
@@ -343,7 +343,11 @@ def fekete_points(K: CompactSet, n: int, pole: complex | None = None,
         counters.setdefault("newton_iterations", []).append(iterations)
         counters.setdefault("grad_norm", []).append(grad_norm)
     zs = K.jet(ts)[0]
-    return zs, math.exp(2.0 * _log_objective(zs, pole) / (n * (n - 1)))
+    log_delta = 2.0 * _log_objective(zs, pole) / (n * (n - 1))
+    if not -700.0 < log_delta < 700.0:
+        raise ParameterError("pole too far from or too near the carrier: "
+                             "delta_n leaves the floating-point range")
+    return zs, math.exp(log_delta)
 
 
 _DEFAULT_LADDER = (4, 6, 8, 12, 16, 24, 32, 48, 64)

@@ -152,7 +152,9 @@ def hadamard_delta_green(var: BoundaryVariation, a: complex, b: complex,
         raise ParameterError(f"unknown scheme {scheme!r}")
 
     theta, ds, (pa, pb) = _densities(var.base.R, n, a, b)
-    return lhs, float(numkit.integrate(var.delta_n, theta, ds * pa * pb))
+    # delta_n is a function of one angle
+    return lhs, float(numkit.integrate(numkit.pointwise(var.delta_n), theta,
+                                       ds * pa * pb))
 
 
 def hadamard_delta_h0(var: BoundaryVariation, a: complex,
@@ -168,7 +170,8 @@ def hadamard_delta_h0(var: BoundaryVariation, a: complex,
     lhs = (plus - minus) / (2 * eps)
 
     theta, ds, (pa,) = _densities(var.base.R, n, a)
-    return lhs, 2 * math.pi * float(numkit.integrate(var.delta_n, theta, ds * pa ** 2))
+    return lhs, 2 * math.pi * float(numkit.integrate(
+        numkit.pointwise(var.delta_n), theta, ds * pa ** 2))
 
 
 def triple_green(a: complex, b: complex, c: complex, n: int = 512,

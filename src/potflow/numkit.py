@@ -18,7 +18,10 @@ import numpy as np
 from .errors import CollisionError, EvaluationError, ParameterError
 
 __all__ = [
+    "as_points",
+    "first_where",
     "integrate",
+    "pointwise",
     "trapezoid_rule",
     "midpoint_rule",
     "gauss_legendre_rule",
@@ -44,6 +47,20 @@ DEFAULT_H1 = 1e-5
 DEFAULT_H2 = 1e-4
 
 
+def as_points(z):
+    """An array of dimension >= 1 as a complex ndarray, else (a number or a
+    0-d array) a Python complex."""
+    array = isinstance(z, np.ndarray) and z.ndim
+    return z.astype(complex, copy=False) if array else complex(z)
+
+
+def first_where(bad, z):
+    """The first point of z where ``bad`` holds (elementwise), or None."""
+    if isinstance(bad, np.ndarray):
+        return complex(z.flat[np.argmax(bad)]) if bad.any() else None
+    return z if bad else None
+
+
 def require_finite(value: complex, node) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise EvaluationError(node)
@@ -54,33 +71,34 @@ def require_finite(value: complex, node) -> complex:
 # quadrature rules: every integral is a (nodes, weights) rule plus integrate
 # ---------------------------------------------------------------------------
 
-# Nodes handed to a scalar integrand per block: the Python objects of one
-# block are alive at a time, not those of the whole rule.
-INTEGRATE_BLOCK = 1024
-
-
 def integrate(f: Callable, nodes: np.ndarray, weights: np.ndarray):
-    """weights @ f(nodes) for an integrand called on Python numbers.
+    """f(nodes) @ weights for an integrand called once on the node array.
 
-    f returns a scalar, or a sequence of m components for an (m,) result.
-    A non-finite value raises EvaluationError naming its node.
+    f returns an array whose last axis is the node axis: (n,) for one
+    integral, (m, n) (or a sequence of m arrays) for m.  A scalar return,
+    e.g. ``lambda z: 1.0``, stands for that value at every node.  A
+    non-finite value raises EvaluationError naming the first node that
+    has one.  Wrap an integrand of one Python number in ``pointwise``.
     """
-    blocks = []
-    for start in range(0, len(nodes), INTEGRATE_BLOCK):
-        zs = nodes[start:start + INTEGRATE_BLOCK].tolist()
-        values = np.array([f(z) for z in zs])
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise EvaluationError(zs[int(np.argwhere(bad)[0, 0])])
-        blocks.append(values)
-    return weights @ (np.concatenate(blocks) if blocks else np.zeros(0))
+    values = np.asarray(f(nodes))
+    if values.ndim == 0:
+        values = np.full(nodes.shape, values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = ~finite.reshape(-1, finite.shape[-1]).all(axis=0)
+        raise EvaluationError(nodes[np.argmax(bad)].item())
+    return values @ weights
+
+
+def pointwise(f: Callable) -> Callable:
+    """The array form of an integrand of one Python number: f is called on
+    each node in turn and its components are stacked ahead of the node axis."""
+    return lambda nodes: np.array([f(z) for z in nodes.tolist()]).T
 
 
 def trapezoid_rule(n: int, period: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic trapezoid rule on [0, period): nodes k period / n.
-
-    Spectrally accurate for smooth periodic integrands.
-    """
+    """Periodic trapezoid rule on [0, period): nodes k period / n (spectral
+    for smooth periodic integrands)."""
     return period * np.arange(n) / n, np.full(n, period / n)
 
 
@@ -188,15 +206,9 @@ def circle(center: complex = 0j, radius: float = 1.0, orientation: int = +1,
     """Positively (or negatively) oriented circle."""
     if radius <= 0:
         raise ParameterError("radius must be positive")
-    s = orientation
-
-    def pt(t: float) -> complex:
-        return center + radius * np.exp(2j * np.pi * s * t)
-
-    def dpt(t: float) -> complex:
-        return 2j * np.pi * s * radius * np.exp(2j * np.pi * s * t)
-
-    return Curve(pt, dpt, sample_count, closed=True)
+    w = 2j * np.pi * orientation
+    return Curve(lambda t: center + radius * np.exp(w * t),
+                 lambda t: w * radius * np.exp(w * t), sample_count, closed=True)
 
 
 def line_segment(z0: complex, z1: complex, sample_count: int = 64) -> Curve:
@@ -207,13 +219,14 @@ def line_segment(z0: complex, z1: complex, sample_count: int = 64) -> Curve:
 
 
 def gauss_legendre_panel(f, a: float, b: float, panels: int = 8) -> complex:
-    """Composite 16-point Gauss-Legendre rule for smooth integrands on [a,b]."""
+    """Composite 16-point Gauss-Legendre rule for smooth integrands on [a,b];
+    f receives the array of nodes, as in ``integrate``."""
     return integrate(f, *gauss_legendre_rule(np.linspace(a, b, panels + 1)))
 
 
-def contour_integral(f: Callable[[complex], complex], curve: Curve,
+def contour_integral(f: Callable[[np.ndarray], np.ndarray], curve: Curve,
                      n: int | None = None) -> complex:
-    """Integrate f along the curve.
+    """Integrate f along the curve; f receives the array of nodes.
 
     Closed analytic curves use the trapezoid rule (spectrally accurate for
     analytic integrands); open curves use composite Gauss-Legendre.
@@ -242,14 +255,10 @@ def wirtinger_derivative(f: Callable[[complex], complex], z0: complex,
     if not (1e-8 <= h <= 1e-2):
         raise ParameterError("step h must lie in [1e-8, 1e-2]")
     fe = lambda z: require_finite(f(z), z)
-    if which == "dz":
+    if which in ("dz", "dzbar"):
         dx = (fe(z0 + h) - fe(z0 - h)) / (2 * h)
         dy = (fe(z0 + 1j * h) - fe(z0 - 1j * h)) / (2 * h)
-        return 0.5 * (dx - 1j * dy)
-    if which == "dzbar":
-        dx = (fe(z0 + h) - fe(z0 - h)) / (2 * h)
-        dy = (fe(z0 + 1j * h) - fe(z0 - 1j * h)) / (2 * h)
-        return 0.5 * (dx + 1j * dy)
+        return 0.5 * (dx - 1j * dy) if which == "dz" else 0.5 * (dx + 1j * dy)
     if which == "dzdzbar":
         lap = (fe(z0 + h) + fe(z0 - h) + fe(z0 + 1j * h) + fe(z0 - 1j * h)
                - 4 * fe(z0)) / (h * h)
@@ -261,11 +270,8 @@ def mixed_second_derivative(f2: Callable[[complex, complex], complex],
                             z0: complex, a0: complex,
                             h: float = DEFAULT_H2) -> complex:
     """d^2/dz dabar of a two-point function f2(z, a), error O(h^2)."""
-    def da_bar(z):
-        g = lambda a: f2(z, a)
-        return wirtinger_derivative(g, a0, "dzbar", h)
-
-    return wirtinger_derivative(da_bar, z0, "dz", h)
+    return wirtinger_derivative(
+        lambda z: wirtinger_derivative(lambda a: f2(z, a), a0, "dzbar", h), z0, "dz", h)
 
 
 def fd_laplacian(samples: Sequence[complex], h: float) -> float:
@@ -290,13 +296,14 @@ def laplacian_at(f: Callable[[complex], float], z0: complex,
 # area quadrature
 # ---------------------------------------------------------------------------
 
-def area_quadrature(f: Callable[[complex], complex], region,
+def area_quadrature(f: Callable[[np.ndarray], np.ndarray], region,
                     resolution: int = 64,
                     singularities: Sequence[complex] = (),
                     excision_radius: float = 1e-2,
                     with_error: bool = False):
     """Integrate f dx dy over a region that supplies its own rule
-    ``region.area_rule(resolution) -> (nodes, weights)``.
+    ``region.area_rule(resolution) -> (nodes, weights)``; f receives the
+    array of nodes, as in ``integrate``.
 
     Declared integrable singularities are excised by a disk of radius
     ``excision_radius`` which is then covered by a sqrt-clustered polar
@@ -352,7 +359,6 @@ class Trajectory:
 
 
 # Dormand-Prince coefficients (5th order propagated, 4th order embedded).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     [],
     [1 / 5],
@@ -384,8 +390,9 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
     """
     if not (1e-12 <= tol <= 1e-3):
         raise ParameterError("tol must lie in [1e-12, 1e-3]")
-    if t_end <= 0:
-        raise ParameterError("t_end must be positive (reverse the field instead)")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ParameterError("t_end must be positive and finite "
+                             "(reverse the field instead)")
     y = np.asarray(state0, dtype=complex)
     if not np.all(np.isfinite(y.view(float))):
         raise EvaluationError(y, "non-finite initial state")

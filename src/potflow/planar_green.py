@@ -37,6 +37,25 @@ __all__ = [
 ]
 
 
+# Sizes (radius, sides, lengths) accepted for domains and Fekete carriers.
+# Squares of sizes appear throughout (R^2 in the disk's closed forms, z'^2
+# and 1/(z_j - z_k)^2 in the Fekete Newton step) and leave the
+# floating-point range near 1e154 and 1e-154; a factor 1e50 is kept to
+# spare on either side (fekete at n = 64 runs warning-free from 1e-150 to
+# 1e153).
+SIZE_RANGE = (1e-100, 1e100)
+
+
+def size_error(name: str, *sizes: float) -> str | None:
+    """The complaint about sizes outside SIZE_RANGE, or None."""
+    lo, hi = SIZE_RANGE
+    if any(s <= 0 for s in sizes):
+        return f"{name} must be positive"
+    if not all(lo <= s <= hi for s in sizes):
+        return f"{name} must lie in [{lo:g}, {hi:g}]"
+    return None
+
+
 @dataclass(frozen=True)
 class DomainDescriptor:
     """Canonical planar domain.
@@ -58,7 +77,9 @@ class DomainDescriptor:
     def __post_init__(self):
         if not all(map(cmath.isfinite, (self.R, self.w, self.h, self.tau))):
             raise ParameterError("domain parameters must be finite")
-        message = _kind_function(self.kind, "invalid")(self)
+        # R, w and h: the kind's sizes, and defaults of 1 that it ignores
+        message = (_kind_function(self.kind, "invalid")(self)
+                   or size_error("domain sizes", self.R, self.w, self.h))
         if message:
             raise ParameterError(message)
 
@@ -118,8 +139,11 @@ class GreenExpansion:
     curvature: float = -4.0
 
 
-def _slit_root(z: complex) -> complex:
+def _slit_root(z):
     """sqrt with branch cut along [0, inf): the root with positive Im."""
+    if isinstance(z, np.ndarray):
+        s = np.sqrt(z)
+        return np.where(s.imag > 0, s, -s)
     s = cmath.sqrt(z)
     return s if s.imag > 0 else -s
 
@@ -151,11 +175,14 @@ def green(domain: DomainDescriptor, z: complex, a: complex) -> float:
     return float(spec.green(domain, z, a))
 
 
-def green_z_derivative(domain: DomainDescriptor, z: complex, a: complex) -> complex:
-    """dG/dz for the closed-form kinds (used by contour formulas)."""
+def green_z_derivative(domain: DomainDescriptor, z, a: complex):
+    """dG/dz for the closed-form kinds (used by contour formulas), for a
+    scalar or an array of z."""
     dgdz = _kind_function(domain.kind, "green_z_derivative",
                           "no closed-form derivative for kind {!r}")
-    return complex(dgdz(domain, complex(z), complex(a)))
+    z = numkit.as_points(z)
+    val = dgdz(domain, z, complex(a))
+    return val if isinstance(z, np.ndarray) else complex(val)
 
 
 def robin_data(domain: DomainDescriptor, a: complex,
@@ -188,9 +215,10 @@ def h1_contour(domain: DomainDescriptor, a: complex, n: int = 256) -> complex:
     return 4j * math.pi * val
 
 
-def poisson_value(boundary_data: Callable[[complex], float], a: complex,
+def poisson_value(boundary_data: Callable[[np.ndarray], np.ndarray], a: complex,
                   R: float = 1.0, n: int = 256) -> float:
-    """Harmonic extension at a from boundary values on |z| = R (trapezoid rule)."""
+    """Harmonic extension at a from boundary values on |z| = R (trapezoid
+    rule); boundary_data receives the array of boundary nodes."""
     a = complex(a)
     if abs(a) >= R:
         raise DomainError("evaluation point must satisfy |a| < R")
@@ -220,15 +248,17 @@ def curvature_of_metric(gamma: Callable[[complex], float], z: complex,
     return math.exp(2 * gamma(complex(z))) * lap
 
 
-def bergman_disk(z: complex, a: complex) -> complex:
-    """Bergman kernel of the unit disk, K(z,a) = 1/(pi (1 - z conj(a))^2)."""
-    z, a = complex(z), complex(a)
+def bergman_disk(z, a: complex):
+    """Bergman kernel of the unit disk, K(z,a) = 1/(pi (1 - z conj(a))^2),
+    for a scalar or an array of z."""
+    z, a = numkit.as_points(z), complex(a)
     return 1.0 / (math.pi * (1 - z * a.conjugate()) ** 2)
 
 
-def szego_disk(z: complex, a: complex) -> complex:
-    """Szego kernel of the unit disk, 1/(2 pi (1 - z conj(a)))."""
-    return 1.0 / (2 * math.pi * (1 - complex(z) * complex(a).conjugate()))
+def szego_disk(z, a: complex):
+    """Szego kernel of the unit disk, 1/(2 pi (1 - z conj(a))), for a scalar
+    or an array of z."""
+    return 1.0 / (2 * math.pi * (1 - numkit.as_points(z) * complex(a).conjugate()))
 
 
 # ---------------------------------------------------------------------------

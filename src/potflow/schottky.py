@@ -85,16 +85,17 @@ class StripDouble:
         return -complex(z).conjugate()
 
     @staticmethod
-    def u1(z: complex) -> float:
-        """Harmonic measure of the x = -1/2 boundary component."""
-        return -2.0 * complex(z).real
+    def u1(z):
+        """Harmonic measure of the x = -1/2 boundary component (elementwise
+        for an array of z)."""
+        return -2.0 * numkit.as_points(z).real
 
     def contains(self, z: complex) -> bool:
         return -0.5 < complex(z).real < 0.0
 
     def p11_quadrature(self, n: int = 64, h: float = 1e-6) -> float:
         """P11 = (1/2) int_Omega du1 wedge *du1 by fd gradient + midpoint rule."""
-        def grad_sq(z: complex) -> float:
+        def grad_sq(z: np.ndarray) -> np.ndarray:
             ux = (self.u1(z + h) - self.u1(z - h)) / (2 * h)
             uy = (self.u1(z + 1j * h) - self.u1(z - 1j * h)) / (2 * h)
             return ux * ux + uy * uy
@@ -119,17 +120,14 @@ def schwarz_circle(z: complex, R: float = 1.0) -> complex:
     return R * R / z
 
 
-def strip_bergman_kernels(z: complex, a: complex, dbl: StripDouble
-                          ) -> tuple[complex, complex, complex]:
-    """(K_electro, K_hydro, K_double) at (z, a) on the strip double."""
-    z, a = complex(z), complex(a)
+def strip_bergman_kernels(z, a: complex, dbl: StripDouble):
+    """(K_electro, K_hydro, K_double) at (z, a) on the strip double, for a
+    scalar or an array of z.  wp raises the PoleError where z + conj(a)
+    is on the lattice."""
     L = dbl.lattice
-    w = z + a.conjugate()
-    wr, _, _ = elliptic.reduce_to_cell(w, L.tau)
-    if abs(wr) < 1e-12:
-        raise PoleError("K_electro pole: z + conj(a) on the lattice")
+    w = numkit.as_points(z) + complex(a).conjugate()
     ke = (elliptic.wp(w, L) + L.eta1) / math.pi
-    return ke, ke - 2.0 / dbl.T, 1.0 / dbl.T + 0j
+    return ke, ke - 2.0 / dbl.T, surface._constant_like(w, 1.0 / dbl.T + 0j)
 
 
 def kkl_combinations(z: complex, a: complex, dbl: StripDouble
@@ -211,7 +209,8 @@ def hydro_circulation(a: complex, dbl: StripDouble, p: float | None = None,
     """
     if p is None:
         p = dbl.p
-    def gx(z: complex) -> float:
+
+    def gx(z: np.ndarray) -> np.ndarray:
         # G extends smoothly across the wall on the double
         return (_g_hydro_extended(z + h, a, dbl, p)
                 - _g_hydro_extended(z - h, a, dbl, p)) / (2 * h)
@@ -221,8 +220,9 @@ def hydro_circulation(a: complex, dbl: StripDouble, p: float | None = None,
     return float(numkit.integrate(gx, -0.5 + 1j * ys, wy))
 
 
-def _g_hydro_extended(z: complex, a: complex, dbl: StripDouble, p: float) -> float:
-    """g_hydro continued smoothly a little across the strip walls."""
+def _g_hydro_extended(z, a: complex, dbl: StripDouble, p: float):
+    """g_hydro continued smoothly a little across the strip walls (a scalar
+    or an array of z)."""
     spec = dbl.spec
     ge = (surface.torus_monopole_green(z, a, spec)
           - surface.torus_monopole_green(z, StripDouble.involution(a), spec))
@@ -262,8 +262,9 @@ def reproducing_check(kernel: str, f, a: complex, dbl: StripDouble,
                       resolution: int = 12) -> complex:
     """(i/2) int_Omega f dz wedge conj(K(.,a) dz) = int f conj(K) dx dy.
 
-    ``kernel`` is "electro" or "hydro"; hydro requires f to be exact
-    (vanishing period around the strip), which is checked first.
+    f receives numpy arrays of points (the quadrature nodes).  ``kernel``
+    is "electro" or "hydro"; hydro requires f to be exact (vanishing period
+    around the strip), which is checked first.
     """
     a = complex(a)
     if kernel not in ("electro", "hydro"):
@@ -275,7 +276,7 @@ def reproducing_check(kernel: str, f, a: complex, dbl: StripDouble,
                 f"integrand has nonzero strip period {abs(period):.2e}; "
                 "not admissible for the hydrodynamic kernel")
 
-    def integrand(z: complex) -> complex:
+    def integrand(z: np.ndarray) -> np.ndarray:
         ke, kh, _ = strip_bergman_kernels(z, a, dbl)
         k = ke if kernel == "electro" else kh
         return f(z) * k.conjugate()
@@ -288,21 +289,21 @@ def orthogonality_integral(b: complex, dbl: StripDouble,
     """int_Omega K_double dz wedge conj(K_hydro(.,b) dz) (vanishes)."""
     b = complex(b)
 
-    def integrand(z: complex) -> complex:
+    def integrand(z: np.ndarray) -> np.ndarray:
         _, kh, kd = strip_bergman_kernels(z, b, dbl)
         return kd * kh.conjugate()
 
     return _strip_quadrature(integrand, dbl, resolution)
 
 
-def upsilon_third_kind(z: complex, a: complex, b: complex,
-                       dbl: StripDouble) -> complex:
+def upsilon_third_kind(z, a: complex, b: complex, dbl: StripDouble):
     """Coefficient of the Abelian differential of the third kind with
-    residues +1 at a, -1 at b and purely imaginary periods:
+    residues +1 at a, -1 at b and purely imaginary periods (a scalar or an
+    array of z):
 
         zeta(z-a) - zeta(z-b) + eta1 (a-b) + (2 pi/tau) Im(a-b).
     """
-    z, a, b = complex(z), complex(a), complex(b)
+    z, a, b = numkit.as_points(z), complex(a), complex(b)
     L = dbl.lattice
     return (elliptic.zeta_w(z - a, L) - elliptic.zeta_w(z - b, L)
             + L.eta1 * (a - b) + 2 * math.pi / dbl.tau * (a - b).imag)
@@ -426,12 +427,12 @@ def _conjugate_green_disk(z: complex, a: complex, base: complex,
     segment passes too close.
     """
     D = planar_green.DomainDescriptor.disk(1.0)
+    dgdz = planar_green._KINDS["disk"].green_z_derivative
 
     def leg(z0: complex, z1: complex) -> float:
-        def integrand(t: float) -> complex:
-            zt = z0 + (z1 - z0) * t
-            return planar_green.green_z_derivative(D, zt, a) * (z1 - z0)
-        val = numkit.gauss_legendre_panel(integrand, 0.0, 1.0, panels=n_panels)
+        val = numkit.gauss_legendre_panel(
+            lambda t: dgdz(D, z0 + (z1 - z0) * t, a) * (z1 - z0), 0.0, 1.0,
+            panels=n_panels)
         return 2 * val.imag
 
     # detour via a midpoint offset if the segment passes near the pole
@@ -494,7 +495,7 @@ def circular_slit_map(z: complex, a: complex,
         anchor = a + r_safe * direction
         gs = _conjugate_green_disk(anchor, a, base, n_panels)
 
-        def regular(t: float) -> complex:
+        def regular(t: np.ndarray) -> np.ndarray:
             zt = anchor + (zz - anchor) * t
             reg = planar_green._disk_image(domain, zt, a) / (4 * math.pi)
             return reg * (zz - anchor)
@@ -510,8 +511,9 @@ def circular_slit_map(z: complex, a: complex,
     # leading coefficient by a circle average (all higher Taylor terms of the
     # simple zero carry e^{ik phi} and drop out exactly)
     r = min(0.1, (1 - abs(a)) / 3)
-    fprime = numkit.contour_integral(lambda zz: raw(zz) / (zz - a) ** 2,
-                                     numkit.circle(a, r), 16) / (2j * math.pi)
+    fprime = numkit.contour_integral(
+        numkit.pointwise(lambda zz: raw(zz) / (zz - a) ** 2),
+        numkit.circle(a, r), 16) / (2j * math.pi)
     phase = fprime / abs(fprime)
     if z == a:
         return 0j

@@ -51,18 +51,21 @@ __all__ = [
 SPHERE_VOLUME = 4 * math.pi
 
 
-def sphere_lambda_sq(z: complex) -> float:
-    """Metric density lambda^2 = 4 / (1 + |z|^2)^2 of the unit sphere."""
-    return 4.0 / (1.0 + abs(complex(z)) ** 2) ** 2
+def sphere_lambda_sq(z):
+    """Metric density lambda^2 = 4 / (1 + |z|^2)^2 of the unit sphere
+    (elementwise for an array of z)."""
+    return 4.0 / (1.0 + abs(numkit.as_points(z)) ** 2) ** 2
 
 
-def sphere_green(z: complex, a: complex) -> float:
-    """Monopole Green function of the round unit sphere (zero mean)."""
-    z, a = complex(z), complex(a)
-    if abs(z - a) < 1e-14:
+def sphere_green(z, a: complex):
+    """Monopole Green function of the round unit sphere (zero mean), for a
+    scalar or an array of z."""
+    z, a = numkit.as_points(z), complex(a)
+    if numkit.first_where(abs(z - a) < 1e-14, z) is not None:
         raise PoleError("sphere Green function pole at z = a")
     r2 = abs(z - a) ** 2 / ((1 + abs(z) ** 2) * (1 + abs(a) ** 2))
-    return -(math.log(r2) + 1.0) / (4 * math.pi)
+    log = np.log if isinstance(z, np.ndarray) else math.log
+    return -(log(r2) + 1.0) / (4 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -115,16 +118,17 @@ def sphere_green_mean(a: complex, resolution: int = 64) -> float:
     """Quadrature of int_M G(., a) vol (should vanish by normalization).
 
     The sphere splits as {|z| <= 1} plus the inverted chart; the patch
-    containing the pole is integrated in polar coordinates around it.
+    containing the pole is integrated in polar coordinates around it.  The
+    polar rules have no node at their centre, so the far pole w = 0 of the
+    inverted chart (where the integrand decays like |w|^2 log|w|) is never
+    evaluated.
     """
     a = complex(a)
 
-    def f_plane(z: complex) -> float:
+    def f_plane(z: np.ndarray) -> np.ndarray:
         return sphere_green(z, a) * sphere_lambda_sq(z)
 
-    def f_inv(w: complex) -> float:
-        if abs(w) < 1e-14:
-            return 0.0  # integrand decays like |w|^2 log|w| at the far pole
+    def f_inv(w: np.ndarray) -> np.ndarray:
         zz = 1.0 / w
         return sphere_green(zz, a) * sphere_lambda_sq(zz) / abs(w) ** 4
 
@@ -147,14 +151,13 @@ def sphere_mutual_energy(a: complex, b: complex, resolution: int = 64) -> float:
     In chart coordinates the integrand is grad G_a . grad G_b dx dy with no
     metric factor (conformal invariance); with p = 2 dG/dz this equals
     Re(p_a conj(p_b)).  The 1/r pole singularities are integrable; each
-    chart is integrated in polar coordinates around the pole it contains.
+    chart is integrated in polar coordinates around the pole it contains
+    (no node at the centre, so none at w = 0 in the inverted chart).
     """
     a, b = complex(a), complex(b)
 
-    def integrand(z: complex, inverted: bool) -> float:
+    def integrand(z: np.ndarray, inverted: bool) -> np.ndarray:
         if inverted:
-            if abs(z) < 1e-12:
-                return 0.0
             zz = 1.0 / z
             ga = _sphere_green_grad(zz, a) * (-1.0 / (z * z))
             gb = _sphere_green_grad(zz, b) * (-1.0 / (z * z))
@@ -229,7 +232,11 @@ class PeriodMatrices:
 
 @dataclass(frozen=True)
 class OneForm:
-    """Real or complex one-form f dz + g dzbar with coefficient callables."""
+    """Real or complex one-form f dz + g dzbar with coefficient callables.
+
+    The coefficients receive numpy arrays of points (the quadrature nodes)
+    and return arrays of their shape, or a constant.
+    """
 
     f: Callable[[complex], complex]
     g: Callable[[complex], complex]
@@ -246,16 +253,22 @@ def form_period(form: OneForm, cycle: numkit.Curve, n: int = 128) -> complex:
             + numkit.integrate(form.g, nodes, dz.conjugate()))
 
 
-def torus_kernels(z: complex, a: complex, spec: TorusSpec) -> tuple[complex, complex]:
-    """Bergman and Schiffer kernels of the flat torus.
+def torus_kernels(z, a: complex, spec: TorusSpec):
+    """Bergman and Schiffer kernels of the flat torus, for a scalar or an
+    array of z.
 
     K(z,a) = 1/Im tau (constant); L(z,a) = (wp(z-a) + eta1)/pi - 1/Im tau
     with the double pole 1/(pi (z-a)^2) and zero principal-value mean.
     """
     L = spec.lattice
-    K = 1.0 / spec.volume + 0j
-    Lk = (elliptic.wp(complex(z) - complex(a), L) + L.eta1) / math.pi - 1.0 / spec.volume
-    return K, Lk
+    w = numkit.as_points(z) - complex(a)
+    Lk = (elliptic.wp(w, L) + L.eta1) / math.pi - 1.0 / spec.volume
+    return _constant_like(w, 1.0 / spec.volume + 0j), Lk
+
+
+def _constant_like(z, value: complex):
+    """value, as an array of z's shape when z is an array."""
+    return np.full(z.shape, value) if isinstance(z, np.ndarray) else value
 
 
 def torus_harmonic_basis(spec: TorusSpec):
@@ -316,13 +329,21 @@ def torus_green_constant(tau: complex, resolution: int = 160) -> float:
     T = tau.imag
     th0 = elliptic.theta1_prime0(L)
 
-    def smooth(w: complex) -> float:
-        if abs(w) < 1e-12:
-            return 0.0
-        return -(elliptic.log_abs_theta1(w, L)
-                 - math.log(abs(th0)) - math.log(abs(w))) / (2 * math.pi)
+    def smooth(w: np.ndarray) -> np.ndarray:
+        # the limit at w = 0 is 0; a node there (odd resolution) reads 0
+        r = np.abs(w)
+        at_pole = r < 1e-12
+        w, r = np.where(at_pole, 0.25, w), np.where(at_pole, 0.25, r)
+        val = -(elliptic.log_abs_theta1(w, L) - math.log(abs(th0))
+                - np.log(r)) / (2 * math.pi)
+        return np.where(at_pole, 0.0, val)
 
-    A = numkit.integrate(smooth, *numkit.product_rule(
+    def blocked(w: np.ndarray) -> np.ndarray:
+        # 4096 nodes at a time keep a cold call's temporaries near 1 MB; the
+        # values, and so their sum, equal those of one whole-array call
+        return np.concatenate([smooth(b) for b in np.array_split(w, w.size // 4096 + 1)])
+
+    A = numkit.integrate(blocked, *numkit.product_rule(
         numkit.gauss_legendre_rule([-0.5, 0.5], resolution),
         numkit.gauss_legendre_rule([-T / 2, T / 2], resolution)))
 
@@ -338,12 +359,13 @@ def _log_abs_rectangle_integral(a: float, b: float) -> float:
     return 4 * quadrant
 
 
-def torus_monopole_green(z: complex, a: complex, spec: TorusSpec) -> float:
-    """Zero-mean monopole Green function of the flat torus."""
+def torus_monopole_green(z, a: complex, spec: TorusSpec):
+    """Zero-mean monopole Green function of the flat torus, for a scalar or
+    an array of z."""
     L = spec.lattice
-    w = complex(z) - complex(a)
+    w = numkit.as_points(z) - complex(a)
     wr, _, _ = elliptic.reduce_to_cell(w, L.tau)
-    if abs(wr) < 1e-13:
+    if numkit.first_where(abs(wr) < 1e-13, w) is not None:
         raise PoleError("torus Green function pole at z = a (mod lattice)")
     T = spec.volume
     val = -(elliptic.log_abs_theta1(wr, L)

@@ -417,7 +417,7 @@ def schottky_checks() -> list[Check]:
     out.append(Check("electro kernel reproduces constants",
                      "Kelectroreproducing", abs(r_e - 1.0), 1e-6))
     tau = dbl.tau
-    fexp = lambda w: (2j * math.pi / tau) * cmath.exp(2j * math.pi * w / tau)
+    fexp = lambda w: (2j * math.pi / tau) * np.exp(2j * math.pi * w / tau)
     worst = 0.0
     for pt in (a, -0.15 + 0.35j, -0.4 + 1.4j):
         r_h = schottky.reproducing_check("hydro", fexp, pt, dbl)
@@ -488,8 +488,9 @@ def schottky_checks() -> list[Check]:
     am = 0.3
     bmod = abs(abs(schottky.circular_slit_map(cmath.exp(1.3j), am)) - (1 - am * am))
     rr = 0.05
-    deriv = _contour_residue(lambda w: schottky.circular_slit_map(w, am) / (w - am) ** 2,
-                             am, rr, 16)
+    deriv = _contour_residue(
+        numkit.pointwise(lambda w: schottky.circular_slit_map(w, am) / (w - am) ** 2),
+        am, rr, 16)
     out.append(Check("slit map: boundary modulus exp(gamma), f'(a)=1",
                      "fGG", max(bmod, abs(deriv - 1.0)), 1e-8))
     return out
@@ -507,7 +508,7 @@ def _kernel_period_residual(dbl: schottky.StripDouble, a: complex, n: int = 192)
 
 def _strip_flux(a: complex, dbl: schottky.StripDouble, n: int = 96,
                 h: float = 1e-6) -> float:
-    def gx(z: complex) -> float:
+    def gx(z: np.ndarray) -> np.ndarray:
         return (schottky._g_hydro_extended(z + h, a, dbl, 0.0)
                 - schottky._g_hydro_extended(z - h, a, dbl, 0.0)) / (2 * h)
 
@@ -524,7 +525,7 @@ def _wall_tangential(dbl: schottky.StripDouble, a: complex, x0: float,
 
 def _hydrohydro(dbl: schottky.StripDouble, a: complex, b: complex,
                 p: float, n: int = 128, h: float = 1e-6) -> float:
-    def integrand(z: complex) -> float:
+    def integrand(z: np.ndarray) -> np.ndarray:
         dgb = (schottky._g_hydro_extended(z + h, b, dbl, p)
                - schottky._g_hydro_extended(z - h, b, dbl, p)) / (2 * h)
         return schottky._g_hydro_extended(z, a, dbl, p) * dgb

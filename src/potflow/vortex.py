@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 COLLISION_THRESHOLD = 1e-10
+MAX_MODULUS = 1e100
 # the disk record (G, Robin data, wall distance), evaluated on arrays
 _DISK = planar_green._KINDS["disk"]
 
@@ -70,6 +71,11 @@ class VortexSystem:
             raise ParameterError("a vortex system needs at least one vortex")
         if not (np.isfinite(self.positions).all() and np.isfinite(self.strengths).all()):
             raise ParameterError("vortex positions and strengths must be finite")
+        # keeps Gamma |z|^2 and Gamma_j Gamma_k log|z_j - z_k| (the monitors
+        # and the energy) finite
+        if np.abs(np.r_[self.positions, self.strengths]).max() > MAX_MODULUS:
+            raise ParameterError("vortex positions and strengths must be at most "
+                                 f"{MAX_MODULUS:g} in modulus")
         if self.domain is not None and self.domain.kind != "disk":
             raise ParameterError("vortex domains are the plane or a disk")
         if _min_pair_distance(self.positions) < COLLISION_THRESHOLD:

@@ -52,7 +52,18 @@ def test_schema_error_exit_65(capsys):
                  ["vortex", "--system", system, "--tol=-inf"],
                  # Im tau beyond the overflow-free range of the q-series
                  ["torus", "--tau", "0,100", "--n", "16"],
-                 ["torus", "--tau", "0,500", "--n", "16"]):
+                 ["torus", "--tau", "0,500", "--n", "16"],
+                 # sizes outside [1e-100, 1e100] overflowed the Fekete Newton step
+                 ["fekete", "--domain", '{"kind":"segment","length":1e300}',
+                  "--n-max", "8"],
+                 ["fekete", "--domain", '{"kind":"segment","length":1e-300}',
+                  "--n-max", "8"],
+                 ["fekete", "--domain", '{"kind":"circle","R":1e154}', "--n-max", "8"],
+                 ["fekete", "--domain", '{"kind":"circle","R":5e-324}', "--n-max", "8"],
+                 ["fekete", "--domain", '{"kind":"circle","R":1}', "--pole=1e300,0",
+                  "--n-max", "8"],
+                 ["green", "--domain", '{"kind":"disk","R":1e300}', "--a=0,0",
+                  "--z=0.5,0"]):
         assert run(argv) == 65
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1

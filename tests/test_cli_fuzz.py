@@ -19,7 +19,8 @@ FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 
 NAN, INF = float("nan"), float("inf")
-numbers = st.sampled_from([-1.0, 0.0, 0.3, 0.5, 1.0, 2.0, NAN, INF, -INF])
+numbers = st.sampled_from([-1.0, 0.0, 0.3, 0.5, 1.0, 2.0, NAN, INF, -INF,
+                           1e300, 1e-300, 5e-324, 1e154])
 values = st.one_of(numbers, st.sampled_from(["x", None, True, [], {}]))
 points = st.one_of(
     st.tuples(numbers, numbers).map(lambda p: f"{p[0]},{p[1]}"),

@@ -127,6 +127,12 @@ def test_small_im_tau_rejected():
         elliptic.lattice_constants(0.01j)
 
 
+def test_nonfinite_tau_rejected():
+    for tau in (complex(0, math.nan), complex(math.nan, 2), complex(math.inf, 2)):
+        with pytest.raises(ConditioningError):
+            elliptic.lattice_constants(tau)
+
+
 def test_large_im_tau_rejected():
     # at the bound the series stay finite up to the edge of the cell
     L = elliptic.lattice_constants(60j)
@@ -145,14 +151,28 @@ def test_sqrt_wp_minus_e2_branch(L2i):
     assert abs(1e-4 * elliptic.sqrt_wp_minus_e2(1e-4, L2i) - 1) < 1e-6
 
 
+def _lattice_sums(z: complex, tau: complex, extent: int) -> tuple:
+    """Symmetric truncated lattice sums for (wp, zeta), O(1/extent^2)."""
+    wp, zeta = 1.0 / (z * z), 1.0 / z
+    for m in range(-extent, extent + 1):
+        for n in range(-extent, extent + 1):
+            if m == 0 and n == 0:
+                continue
+            om = m + n * tau
+            wp += 1.0 / ((z - om) ** 2) - 1.0 / (om * om)
+            zeta += 1.0 / (z - om) + 1.0 / om + z / (om * om)
+    return wp, zeta
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("tau", (2j, 0.3 + 1.5j))
 def test_lattice_sum_oracle(tau):
     # raw symmetric lattice sums converge O(1/extent^2): coarse cross-check
     L = elliptic.lattice_constants(tau)
     z = 0.22 + 0.31j
-    assert abs(elliptic.wp(z, L) - elliptic.wp_lattice_sum(z, tau, 80)) < 1e-4
-    assert abs(elliptic.zeta_w(z, L) - elliptic.zeta_lattice_sum(z, tau, 80)) < 1e-3
+    wp, zeta = _lattice_sums(z, tau, 80)
+    assert abs(elliptic.wp(z, L) - wp) < 1e-4
+    assert abs(elliptic.zeta_w(z, L) - zeta) < 1e-3
 
 
 def _jtheta_reference(z: complex, tau: complex) -> tuple:
@@ -172,13 +192,67 @@ def _jtheta_reference(z: complex, tau: complex) -> tuple:
         return tuple(complex(v) for v in (th[0], th[1], wp, zeta, eta1))
 
 
+def _oracle_points(tau: complex) -> tuple:
+    """Three points in or near the centred cell and one shifted by 1 + tau."""
+    return 0.23 + 0.17j, -0.31 + 0.4 * tau, 0.41 - 0.2 * tau, 1.3 + 0.2j + tau
+
+
 @pytest.mark.parametrize("tau", (2j, 0.3 + 1.1j, 0.5j))
 def test_theta_and_weierstrass_match_mpmath_jtheta(tau):
     L = elliptic.lattice_constants(tau)
-    # three points in or near the centred cell and one shifted by 1 + tau
-    for z in (0.23 + 0.17j, -0.31 + 0.4 * tau, 0.41 - 0.2 * tau, 1.3 + 0.2j + tau):
+    for z in _oracle_points(tau):
         ref = _jtheta_reference(z, tau)
         got = (elliptic.theta1(z, L), elliptic.theta1_prime(z, L),
                elliptic.wp(z, L), elliptic.zeta_w(z, L), L.eta1)
         for name, g, r in zip(("theta1", "theta1'", "wp", "zeta", "eta1"), got, ref):
             assert abs(g - r) <= 1e-13 * abs(r), (name, z)
+
+
+@pytest.mark.parametrize("tau", (2j, 0.3 + 1.1j, 0.5j))
+def test_array_evaluation_matches_mpmath_jtheta(tau):
+    L = elliptic.lattice_constants(tau)
+    z = np.array(_oracle_points(tau)).reshape(2, 2)
+    ref = np.array([_jtheta_reference(p, tau)[:4] for p in z.ravel()]).T.reshape(4, 2, 2)
+    for name, fn, r in zip(("theta1", "theta1'", "wp", "zeta"),
+                           (elliptic.theta1, elliptic.theta1_prime, elliptic.wp,
+                            elliptic.zeta_w), ref):
+        got = fn(z, L)
+        assert got.shape == (2, 2)
+        assert np.all(np.abs(got - r) <= 1e-13 * np.abs(r)), name
+
+
+_PUBLIC = (elliptic.wp, elliptic.wp_prime, elliptic.zeta_w, elliptic.theta1,
+           elliptic.theta1_prime, elliptic.log_abs_theta1, elliptic.sqrt_wp_minus_e2)
+
+
+@pytest.mark.parametrize("tau", (2j, 1.5j, 0.3 + 2j, 0.5j, 0.1j))
+def test_array_evaluation_broadcasts_like_the_scalar_functions(tau):
+    L = elliptic.lattice_constants(tau)
+    rng = np.random.default_rng(8)
+    # a (3, 5) grid over several cells, kept off the lattice
+    z = rng.uniform(-1.5, 1.5, (3, 5)) + 1j * rng.uniform(-1.5, 1.5, (3, 5)) * tau.imag
+    z = np.where(np.abs(elliptic.reduce_to_cell(z, tau)[0]) < 0.05, z + 0.3, z)
+    for fn in _PUBLIC:
+        got = fn(z, L)
+        assert got.shape == z.shape, fn.__name__
+        ref = np.array([fn(complex(p), L) for p in z.ravel()]).reshape(z.shape)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), fn.__name__
+    z0, m, n = elliptic.reduce_to_cell(z, tau)
+    for idx in np.ndindex(z.shape):
+        assert (z0[idx], m[idx], n[idx]) == elliptic.reduce_to_cell(z[idx], tau)
+    # a 0-d array is a scalar: Python complex out (float for log_abs_theta1)
+    for fn in _PUBLIC:
+        out = fn(np.array(0.23 + 0.17j), L)
+        assert type(out) is (float if fn is elliptic.log_abs_theta1 else complex)
+        assert out == fn(0.23 + 0.17j, L)
+
+
+def test_array_pole_errors_name_the_first_point(L2i):
+    z = np.array([0.3 + 0.2j, 1 + 2j, 2.0, 0.1j])
+    with pytest.raises(PoleError, match=r"\(1\+2j\)"):
+        elliptic.wp(z, L2i)
+    with pytest.raises(PoleError, match=r"\(1\+2j\)"):
+        elliptic.zeta_w(z, L2i)
+    with pytest.raises(PoleError, match=r"\(1\+2j\)"):
+        elliptic.log_abs_theta1(z, L2i)
+    assert np.isfinite(elliptic.wp(z[[0, 3]], L2i)).all()

@@ -151,6 +151,40 @@ def test_fekete_points_stay_on_carrier():
     assert np.max(np.abs(np.abs(pts) - 1.5)) < 1e-12
 
 
+def test_carrier_sizes_outside_the_range_rejected():
+    # fekete at n = 64 runs warning-free from about 1e-150 to 1e153; the
+    # accepted range [1e-100, 1e100] keeps a factor 1e50 to spare
+    lo, hi = pg.SIZE_RANGE
+    for size in (lo, 1.0, hi):
+        eq.CompactSet.circle(size), eq.CompactSet.segment(size)
+        eq.CompactSet.domain_boundary(pg.DomainDescriptor.rectangle(size, 1.0, 8))
+    for size in (1e300, 1e154, 1e-300, 5e-324, 1e-101):
+        with pytest.raises(ParameterError, match="must lie in"):
+            eq.CompactSet.circle(size)
+        with pytest.raises(ParameterError, match="must lie in"):
+            eq.CompactSet.segment(size)
+        with pytest.raises(ParameterError, match="must lie in"):
+            pg.DomainDescriptor.disk(size)
+        with pytest.raises(ParameterError, match="must lie in"):
+            pg.DomainDescriptor.rectangle(1.0, size)
+
+
+@pytest.mark.parametrize("size", [1e-100, 1e100])
+def test_fekete_at_the_ends_of_the_size_range(size):
+    # capacity scales with the size: R for a circle, length / 4 for a segment,
+    # and the ladder of the unit size scales with it to roundoff
+    for K, unit in ((eq.CompactSet.circle, 1.0), (eq.CompactSet.segment, 0.25)):
+        rep = eq.transfinite_diameter(K(size), n_max=64)
+        ref = eq.transfinite_diameter(K(1.0), n_max=64)
+        assert abs(rep.delta / size - unit) < 1e-3 * unit
+        assert np.allclose(np.array(rep.delta_n) / size, ref.delta_n, rtol=1e-12, atol=0)
+
+
+def test_fekete_pole_too_far_rejected():
+    with pytest.raises(ParameterError, match="floating-point range"):
+        eq.fekete_points(eq.CompactSet.circle(1.0), 8, pole=1e300 + 0j)
+
+
 def test_fekete_pole_on_carrier_rejected():
     rect = eq.CompactSet.domain_boundary(pg.DomainDescriptor.rectangle(1, 1, 64))
     for K, pole in ((eq.CompactSet.circle(1.0), 1.0 + 0j), (rect, 0.5 + 0j)):

@@ -42,7 +42,7 @@ def test_contour_nonfinite_sample_names_node():
     node = np.exp(2j * np.pi * 0.25)  # hit exactly by the n = 64 grid
 
     def bad(z):
-        return float("nan") if abs(z - node) < 1e-12 else 1.0
+        return np.where(abs(z - node) < 1e-12, np.nan, 1.0)
 
     with pytest.raises(EvaluationError) as err:
         numkit.contour_integral(bad, numkit.circle(), n=64)
@@ -142,7 +142,7 @@ def test_integrate_nonfinite_value_names_node():
     nodes, weights = numkit.trapezoid_rule(16)
     bad = nodes[5]
     with pytest.raises(EvaluationError) as err:
-        numkit.integrate(lambda t: float("nan") if t == bad else t, nodes, weights)
+        numkit.integrate(lambda t: np.where(t == bad, np.nan, t), nodes, weights)
     assert err.value.node == bad
 
 
@@ -152,21 +152,59 @@ def test_integrate_vector_valued_integrand():
     assert val.shape == (2,)
     assert abs(val[0] - 0.25) < 1e-15 and abs(val[1] - (1 / 16 - 0.5)) < 1e-15
     # NaNs in the second component at node 5 and the first at node 9: the
-    # error names node 5, not the node of a flattened (node, component) index
+    # error names node 5, not the node of a flattened (component, node) index
     with pytest.raises(EvaluationError) as err:
-        numkit.integrate(lambda t: (math.nan if t == nodes[9] else t,
-                                    math.nan if t == nodes[5] else t), nodes, weights)
+        numkit.integrate(lambda t: (np.where(t == nodes[9], np.nan, t),
+                                    np.where(t == nodes[5], np.nan, t)), nodes, weights)
     assert err.value.node == nodes[5]
-    # past the first block of INTEGRATE_BLOCK nodes the error still names its
-    # node (block offset included), and a rule of several blocks sums whole
-    nodes, weights = numkit.trapezoid_rule(3 * numkit.INTEGRATE_BLOCK + 5)
-    bad = numkit.INTEGRATE_BLOCK + 17
+    # on a long rule the error still names its node, and the rule sums whole
+    nodes, weights = numkit.trapezoid_rule(3 * 1024 + 5)
+    bad = 1024 + 17
     with pytest.raises(EvaluationError) as err:
-        numkit.integrate(lambda t: (t, math.nan if t == nodes[bad] else 1.0),
+        numkit.integrate(lambda t: (t, np.where(t == nodes[bad], np.nan, 1.0)),
                          nodes, weights)
     assert err.value.node == nodes[bad]
-    val = numkit.integrate(lambda t: (t, math.cos(2 * math.pi * t)), nodes, weights)
+    val = numkit.integrate(lambda t: (t, np.cos(2 * np.pi * t)), nodes, weights)
     assert val[0] == weights @ nodes and abs(val[1]) < 1e-15
+
+
+def test_integrate_calls_the_integrand_once_on_the_node_array():
+    nodes, weights = numkit.gauss_legendre_rule([0.0, 1.0], 16)
+    calls = []
+    val = numkit.integrate(lambda t: calls.append(t.shape) or t * t, nodes, weights)
+    assert calls == [nodes.shape] and abs(val - 1 / 3) < 1e-15
+    # a scalar return stands for that value at every node
+    for c in (2.0, 1j):
+        assert (numkit.integrate(lambda t: c, nodes, weights)
+                == numkit.integrate(lambda t: np.full(t.shape, c), nodes, weights))
+    assert abs(numkit.integrate(lambda t: 2.0, nodes, weights) - 2.0) < 1e-15
+    with pytest.raises(EvaluationError) as err:
+        numkit.integrate(lambda t: math.inf, nodes, weights)
+    assert err.value.node == nodes[0]
+
+
+@pytest.mark.parametrize("bad", [0, 3, 15])
+def test_integrate_names_the_first_bad_node(bad):
+    # first, inner and last position; a bad node after it is not the one named
+    nodes, weights = numkit.trapezoid_rule(16)
+    mask = np.zeros(16, dtype=bool)
+    mask[[bad, 15]] = True
+    with pytest.raises(EvaluationError) as err:
+        numkit.integrate(lambda t: np.where(mask, np.inf, 1.0), nodes, weights)
+    assert err.value.node == nodes[bad]
+
+
+def test_pointwise_adapter_feeds_python_numbers():
+    nodes, weights = numkit.gauss_legendre_rule([0.0, 1.0], 16)
+    seen = []
+    f = numkit.pointwise(lambda t: seen.append(type(t)) or (math.sin(t), 1.0))
+    val = numkit.integrate(f, nodes, weights)
+    assert set(seen) == {float} and len(seen) == 16
+    assert abs(val[0] - (1 - math.cos(1.0))) < 1e-15 and abs(val[1] - 1.0) < 1e-15
+    with pytest.raises(EvaluationError) as err:
+        numkit.integrate(numkit.pointwise(lambda t: math.nan if t > 0.5 else t),
+                         nodes, weights)
+    assert err.value.node == nodes[nodes > 0.5][0]
 
 
 def test_wirtinger_conjugate():
@@ -241,7 +279,7 @@ def test_area_quadrature_declared_singularity():
     # int_{|z|<1} log|z - a| dx dy = pi (|a|^2 - 1)/2 for |a| < 1
     disk = planar_green.DomainDescriptor.disk(1.0)
     a = 0.3
-    val = numkit.area_quadrature(lambda z: math.log(abs(z - a)), disk, 96,
+    val = numkit.area_quadrature(lambda z: np.log(abs(z - a)), disk, 96,
                                  singularities=[a])
     assert abs(val - math.pi * (a * a - 1) / 2) < 2e-4
 
@@ -307,6 +345,13 @@ def test_rk_nonfinite_field_raises_within_one_step():
 def test_rk_tolerance_validation():
     with pytest.raises(ParameterError):
         numkit.rk_integrate(lambda y: y, [1.0 + 0j], 1.0, 1.0)
+
+
+def test_rk_nonfinite_t_end_rejected():
+    # inf ran to the step budget and nan returned the initial state
+    for t_end in (math.inf, math.nan, -math.inf, 0.0):
+        with pytest.raises(ParameterError, match="t_end"):
+            numkit.rk_integrate(lambda y: 1j * y, [1.0 + 0j], t_end, 1e-8)
 
 
 def test_rk_collision_guard_timestamps():

@@ -159,6 +159,22 @@ def test_neumann_hydro_relation_p_independent(dbl):
         assert abs(m1 + m2) < 1e-6
 
 
+def test_kernels_and_green_on_arrays_match_scalar_calls(dbl):
+    rng = np.random.default_rng(17)
+    z = (rng.uniform(-0.48, -0.02, 12) + 1j * rng.uniform(0, 2, 12)).reshape(3, 4)
+    kernels = sk.strip_bergman_kernels(z, A, dbl)
+    g = sk._g_hydro_extended(z, A, dbl, 0.7)
+    ups = sk.upsilon_third_kind(z, A, B, dbl)
+    for idx in np.ndindex(z.shape):
+        scalar = sk.strip_bergman_kernels(complex(z[idx]), A, dbl)
+        for arr, val in zip(kernels, scalar):
+            assert arr.shape == z.shape and abs(arr[idx] - val) <= 1e-13 * abs(val)
+        assert g[idx] == sk._g_hydro_extended(complex(z[idx]), A, dbl, 0.7)
+        val = sk.upsilon_third_kind(complex(z[idx]), A, B, dbl)
+        assert abs(ups[idx] - val) <= 1e-13 * abs(val)
+    assert type(sk.strip_bergman_kernels(np.array(Z), A, dbl)[2]) is complex
+
+
 def test_reproducing_electro_constant(dbl):
     val = sk.reproducing_check("electro", lambda w: 1.0 + 0j, A, dbl)
     assert abs(val - 1.0) < 1e-6
@@ -166,7 +182,7 @@ def test_reproducing_electro_constant(dbl):
 
 def test_reproducing_hydro_exponential(dbl):
     tau = dbl.tau
-    f = lambda w: (2j * math.pi / tau) * cmath.exp(2j * math.pi * w / tau)
+    f = lambda w: (2j * math.pi / tau) * np.exp(2j * math.pi * w / tau)
     for pt in (A, -0.15 + 0.35j, -0.4 + 1.4j):
         val = sk.reproducing_check("hydro", f, pt, dbl)
         assert abs(val - f(pt)) < 1e-6

@@ -132,6 +132,18 @@ def test_vortex_system_validation():
                    ([0.1, 0.2], [1.0, math.inf]), ([0.1], [1.0, 1.0])):
         with pytest.raises(ParameterError):
             vx.VortexSystem(zs, gs, DISK)
+    # moduli above 1e100 would overflow the monitors and the energy
+    for zs, gs in (([0.1, 1e154j], [1.0, 1.0]), ([0.1, 0.2], [1.0, -1e300])):
+        with pytest.raises(ParameterError, match="modulus"):
+            vx.VortexSystem(zs, gs)
+    vx.VortexSystem([0.1, 1e100], [1e100, 5e-324])
+
+
+def test_simulate_rejects_nonfinite_t_end():
+    system = vx.VortexSystem([0.5 + 0j], [1.0], DISK)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="t_end"):
+            vx.simulate(system, t_end)
 
 
 def test_pair_translation_simulation():
