@@ -130,14 +130,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fekete(args) -> int:
     from . import equilibrium
-    from .errors import ParameterError
+    from .errors import OptimizationQualityError, ParameterError
     K = _parse_document(args.domain, equilibrium.CompactSet.from_dict, "compact-set")
     pole = None if args.pole is None else _parse_point("--pole", args.pole)
     if args.n_max > MAX_FEKETE_N:
         raise SchemaError(f"--n-max must be at most {MAX_FEKETE_N}")
     try:
         report = equilibrium.transfinite_diameter(K, pole=pole, n_max=args.n_max)
-    except ParameterError as exc:   # pole on the carrier, n_max too small
+    # pole on or too close to the carrier, n_max too small, a non-monotone ladder
+    except (ParameterError, OptimizationQualityError) as exc:
         raise SchemaError(str(exc)) from exc
 
     outdir = Path(args.out) if args.out else None

@@ -392,8 +392,12 @@ def transfinite_diameter(K: CompactSet, pole: complex | None = None,
                 "delta_n ladder is not monotone; optimization quality insufficient")
 
     delta = _extrapolate(np.array(ns), np.array(deltas))
+    delta_sq = _extrapolate(np.array(ns), np.array(deltas_sq))
+    if not all(math.isfinite(v) and v > 0 for v in (delta, delta_sq)):
+        raise ParameterError("extrapolated transfinite diameter is not finite and "
+                             "positive; is the pole too close to the carrier?")
     gamma = -math.log(delta)
-    energy = -math.log(_extrapolate(np.array(ns), np.array(deltas_sq))) / (4 * math.pi)
+    energy = -math.log(delta_sq) / (4 * math.pi)
     return CapacityReport(ns, deltas, delta, gamma, math.exp(-gamma), energy,
                           points=points, **counters)
 

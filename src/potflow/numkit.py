@@ -182,23 +182,25 @@ class Curve:
 
     ``point`` and ``derivative`` must be smooth; for ``closed`` curves both
     are 1-periodic, which makes the trapezoid rule spectrally accurate.
+    Both receive the array of parameters; wrap a function of one Python
+    float in ``pointwise``.
     """
 
-    point: Callable[[float], complex]
-    derivative: Callable[[float], complex]
+    point: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray]   # may return a constant
     sample_count: int = 256
     closed: bool = True
 
     def rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes on the curve and their dz-weights: the trapezoid rule in t
-        on closed curves, composite Gauss-Legendre on open ones."""
+        on closed curves, composite Gauss-Legendre on open ones.  ``point``
+        and ``derivative`` are called once, on the array of parameters."""
         if self.closed:
             t, w = trapezoid_rule(n)
         else:
             t, w = gauss_legendre_rule(np.linspace(0.0, 1.0, max(4, n // 16) + 1))
-        ts = t.tolist()
-        return (np.array([self.point(s) for s in ts], dtype=complex),
-                w * np.array([self.derivative(s) for s in ts], dtype=complex))
+        return (np.asarray(self.point(t), dtype=complex),
+                w * np.asarray(self.derivative(t), dtype=complex))
 
 
 def circle(center: complex = 0j, radius: float = 1.0, orientation: int = +1,

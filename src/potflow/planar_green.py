@@ -277,18 +277,48 @@ class RectangleGreenGrid:
 
     def value(self, z: complex) -> float:
         """Bilinear interpolation; exact at grid nodes."""
-        x, y = complex(z).real, complex(z).imag
-        i = min(int(x / self.hx), self.values.shape[0] - 2)
-        j = min(int(y / self.hy), self.values.shape[1] - 2)
-        tx = x / self.hx - i
-        ty = y / self.hy - j
         v = self.values
-        return float((1 - tx) * (1 - ty) * v[i, j] + tx * (1 - ty) * v[i + 1, j]
-                     + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
+        return float(sum(w * v[p, q] for p, q, w in _corners(z, self.hx, self.hy, v.shape)))
+
+
+def _corners(z: complex, hx: float, hy: float, shape: tuple[int, int]) -> tuple:
+    """The four corner nodes (p, q) of the grid cell holding z, each with
+    its bilinear weight; shape is the node count (nx+1, ny+1)."""
+    x, y = complex(z).real / hx, complex(z).imag / hy
+    i = min(int(x), shape[0] - 2)
+    j = min(int(y), shape[1] - 2)
+    tx, ty = x - i, y - j
+    return ((i, j, (1 - tx) * (1 - ty)), (i + 1, j, tx * (1 - ty)),
+            (i, j + 1, (1 - tx) * ty), (i + 1, j + 1, tx * ty))
+
+
+def _sine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The table S[p, k] = sin(k pi p / n) for the nodes p = 0..n and the
+    modes k = 1..n-1, with the boundary rows exactly 0, and the eigenvalues
+    (2/h sin(k pi / 2n))^2 of the Dirichlet second difference on the modes."""
+    p, k = np.arange(n + 1)[:, None], np.arange(1, n)
+    s = np.sin(math.pi / n * (p * k % (2 * n)))   # exact reduction to [0, 2 pi)
+    s[[0, n]] = 0.0
+    return s, (2 / h * np.sin(k * math.pi / (2 * n))) ** 2
 
 
 class RectangleGreenSolver:
-    """Factorized 5-point Laplacian on a rectangle grid, reused across sources."""
+    """Inverse 5-point Dirichlet Laplacian on a rectangle grid, reused
+    across sources.
+
+    The second difference in x is diagonal in the discrete sine basis
+    (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970): sin(k pi p / nx),
+    k = 1..nx-1, are its eigenvectors, with eigenvalues
+    lam_k = (2/hx sin(k pi / 2nx))^2 and squared norms nx/2.  Each mode then
+    leaves the tridiagonal system (lam_k - D_yy) g = delta_j, whose Dirichlet
+    Green function is hy^2 sinh(theta_k q<) sinh(theta_k (ny - q>)) /
+    (sinh theta_k sinh(theta_k ny)) with sinh(theta_k / 2) = sqrt(lam_k) hy / 2.
+    The grid Green function of a unit source at node (i, j) is therefore, in
+    closed form,
+    G_h(p, q) = sum_k Sx[p, k] Sx[i, k] wt_k E_k(q, j),
+    with E_k the sinh product written in decaying exponentials: there is
+    nothing to factor and no table along y.
+    """
 
     def __init__(self, domain: DomainDescriptor, grid: int | None = None):
         if domain.kind != "rectangle":
@@ -303,20 +333,12 @@ class RectangleGreenSolver:
         self.hy = domain.h / self.ny
         if self.hx > min(domain.w, domain.h) / 32:
             raise ParameterError("grid spacing must be at most min(w,h)/32")
-        # scipy.sparse is imported here, not at module level: it adds ~30 MB
-        # of RSS and most of the import time to runs that factor no grid
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        ix = self.nx - 1
-        iy = self.ny - 1
-        dx = sp.diags([1, -2, 1], [-1, 0, 1], shape=(ix, ix), dtype=float) / self.hx ** 2
-        dy = sp.diags([1, -2, 1], [-1, 0, 1], shape=(iy, iy), dtype=float) / self.hy ** 2
-        lap = sp.kron(dx, sp.identity(iy)) + sp.kron(sp.identity(ix), dy)
-        try:
-            self._lu = spla.splu((-lap).tocsc())
-        except RuntimeError as exc:  # degenerate grid
-            raise ParameterError(f"singular linear system: {exc}") from exc
+        self._sx, lam = _sine_basis(self.nx, self.hx)
+        half = np.sqrt(lam) * self.hy / 2                 # sinh(theta / 2)
+        self._theta = 2 * np.arcsinh(half)
+        sinh_theta = 2 * half * np.sqrt(1 + half ** 2)
+        self._wt = self.hy / (self.nx * self.hx * sinh_theta
+                              * -np.expm1(-2 * self.ny * self._theta))
 
     def node_index(self, a: complex) -> tuple[int, int]:
         i = round(complex(a).real / self.hx)
@@ -328,22 +350,40 @@ class RectangleGreenSolver:
             raise DomainError(f"source {a} is not a grid node")
         return i, j
 
+    def _transverse(self, q: np.ndarray, j: int) -> np.ndarray:
+        """wt_k E_k(q, j) for the rows q, shape (len(q), nx-1), with
+        E_k = 2 (1 - exp(-2 theta ny)) sinh(theta q<) sinh(theta (ny - q>))
+        / sinh(theta ny); the grouping makes it exactly 0 at q = 0 and q = ny."""
+        d, s = np.abs(q - j)[:, None], (q + j)[:, None]
+        far = 2 * self.ny
+        e = self._theta
+        return self._wt * ((np.exp(-e * d) - np.exp(-e * s))
+                           - (np.exp(-e * (far - s)) - np.exp(-e * (far - d))))
+
     def solve(self, a: complex) -> RectangleGreenGrid:
+        """The whole grid Green function of the source node a."""
         i, j = self.node_index(a)
-        iy = self.ny - 1
-        rhs = np.zeros((self.nx - 1) * iy)
-        rhs[(i - 1) * iy + (j - 1)] = 1.0 / (self.hx * self.hy)
-        sol = self._lu.solve(rhs)
-        full = np.zeros((self.nx + 1, self.ny + 1))
-        full[1:-1, 1:-1] = sol.reshape(self.nx - 1, iy)
+        full = (self._sx * self._sx[i]) @ self._transverse(np.arange(self.ny + 1), j).T
         return RectangleGreenGrid(self.domain, complex(a), full)
+
+    def values(self, a: complex, zs) -> np.ndarray:
+        """G_h(z, a) at a few points z, bilinear between nodes as in
+        ``RectangleGreenGrid.value``, in O(nx) per point and without
+        building the grid."""
+        i, j = self.node_index(a)
+        shape = (self.nx + 1, self.ny + 1)
+        corners = [c for z in zs for c in _corners(z, self.hx, self.hy, shape)]
+        p, q, wts = (np.array(column) for column in zip(*corners))
+        sx = self._sx
+        nodes = (sx[i] * sx[p] * self._transverse(q, j)).sum(-1)
+        return (wts * nodes).reshape(-1, 4).sum(-1)
 
 
 @functools.lru_cache(maxsize=4)
 def _rectangle_solver(w: float, h: float, n: int) -> RectangleGreenSolver:
-    """The factorized solver of the (0,w) x (0,h) rectangle on an n grid,
-    shared per process.  At most four factors stay alive (a 192 grid holds
-    about 38 MB); the public ``RectangleGreenSolver`` never caches."""
+    """The solver of the (0,w) x (0,h) rectangle on an n grid, shared per
+    process.  At most four stay alive (a 192 grid holds about 0.3 MB, its x
+    sine table); the public ``RectangleGreenSolver`` never caches."""
     return RectangleGreenSolver(DomainDescriptor.rectangle(w, h, n))
 
 
@@ -405,11 +445,9 @@ def _rectangle_h0_single(solver: RectangleGreenSolver, a: complex,
     """h0 estimate on one grid: 2*pi*G + log|z-a| averaged over the symmetric
     4-point stencil at a fixed node offset (odd/even expansion terms cancel)."""
     src = _nearest_node(solver, a)
-    g = solver.solve(src)
     d = offset_nodes * solver.hx
-    vals = [2 * math.pi * g.value(src + dz) + math.log(abs(dz))
-            for dz in (d, -d, 1j * d, -1j * d)]
-    return float(np.mean(vals))
+    dz = np.array([d, -d, 1j * d, -1j * d])
+    return float(np.mean(2 * math.pi * solver.values(src, src + dz) + np.log(np.abs(dz))))
 
 
 def _rectangle_robin(domain: DomainDescriptor, a: complex, offset: int) -> tuple:

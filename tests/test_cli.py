@@ -78,6 +78,24 @@ def test_schema_error_exit_65(capsys):
         assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_fekete_degenerate_ladders_exit_65(monkeypatch, capsys):
+    from potflow import equilibrium
+
+    # a pole 1e-11 off the segment: the extrapolated delta comes out negative
+    assert run(["fekete", "--domain", '{"kind":"segment","length":2}',
+                "--pole=0,1e-11", "--n-max", "16"]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "not finite and positive" in err
+    # a ladder that grows with n fails the monotonicity check
+    monkeypatch.setattr(equilibrium, "fekete_points",
+                        lambda K, n, pole, counters: (np.zeros(n, complex), float(n)))
+    assert run(["fekete", "--domain", '{"kind":"circle","R":1.0}', "--n-max", "8"]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "not monotone" in err
+
+
 def test_green_report(tmp_path, capsys):
     out = tmp_path / "green.json"
     code = run(["green", "--domain", '{"kind":"disk","R":1.0}',

@@ -74,6 +74,35 @@ def test_spectral_convergence_for_analytic():
     assert e2 < max(e1 / 100, 1e-15)
 
 
+def _counted(fn, calls):
+    def wrapped(t):
+        calls.append(np.shape(t))
+        return fn(t)
+    return wrapped
+
+
+@pytest.mark.parametrize("curve", [
+    numkit.circle(0.5j, 2.0), numkit.circle(orientation=-1),
+    numkit.line_segment(-1.0, 2.0 + 1j), numkit.line_segment(-3.0, 3.0),
+    surface.alpha_cycle(surface.TorusSpec.from_tau(0.2 + 1.5j), 0.1j),
+    surface.beta_cycle(surface.TorusSpec.from_tau(0.2 + 1.5j), 0.25)])
+def test_curve_rule_calls_each_callable_once_on_the_node_array(curve):
+    for n in (16, 64):
+        calls = []
+        counted = numkit.Curve(_counted(curve.point, calls),
+                               _counted(curve.derivative, calls),
+                               curve.sample_count, curve.closed)
+        z, dz = counted.rule(n)
+        assert len(calls) == 2 and calls[0] == calls[1] == z.shape
+        # the same nodes and weights as one scalar call per parameter
+        t, w = (numkit.trapezoid_rule(n) if curve.closed else numkit.gauss_legendre_rule(
+            np.linspace(0.0, 1.0, max(4, n // 16) + 1)))
+        assert z.dtype == dz.dtype == complex
+        assert np.allclose(z, [complex(curve.point(s)) for s in t], rtol=0, atol=1e-14)
+        assert np.allclose(dz, w * np.array([complex(curve.derivative(s)) for s in t]),
+                           rtol=0, atol=1e-14)
+
+
 def test_gauss_legendre_rule_exact_to_degree_31_per_panel():
     edges = [-1.0, -0.3, 0.2, 1.5]
     x, w = numkit.gauss_legendre_rule(edges, 16)

@@ -1,11 +1,15 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import potflow
 from potflow import equilibrium, hadamard, numkit, planar_green as pg, schottky
 from potflow.errors import ConditioningError, DomainError, ParameterError, PoleError
 
@@ -235,10 +239,76 @@ def test_fd_green_symmetry_and_boundary():
     assert np.all(g1.values[:, 0] == 0) and np.all(g1.values[:, -1] == 0)
 
 
+def _dense_fd_green(solver, sources):
+    """The grid Green functions of the source nodes (i, j) from the 5-point
+    matrix assembled densely and solved with np.linalg.solve, on the
+    interior nodes."""
+    ix, iy = solver.nx - 1, solver.ny - 1
+
+    def second_difference(m, h):
+        return (2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h ** 2
+
+    lap = (np.kron(second_difference(ix, solver.hx), np.eye(iy))
+           + np.kron(np.eye(ix), second_difference(iy, solver.hy)))
+    rhs = np.zeros((ix * iy, len(sources)))
+    for col, (i, j) in enumerate(sources):
+        rhs[(i - 1) * iy + (j - 1), col] = 1.0 / (solver.hx * solver.hy)
+    return np.linalg.solve(lap, rhs).T.reshape(len(sources), ix, iy)
+
+
+# the coarsest grids the spacing rule (h <= min(w, h)/32) allows: w > h and w < h
+@pytest.mark.parametrize("w, h, grid", [(2.0, 1.0, 64), (1.0, 1.5, 32)])
+def test_sine_basis_solver_matches_dense_solve(w, h, grid):
+    solver = pg.RectangleGreenSolver(pg.DomainDescriptor.rectangle(w, h, grid))
+    sources = [(1, 1), (solver.nx // 2, solver.ny // 3), (solver.nx - 2, solver.ny - 1)]
+    oracle = _dense_fd_green(solver, sources)
+    p, q = np.meshgrid(np.arange(1, solver.nx), np.arange(1, solver.ny), indexing="ij")
+    nodes = p * solver.hx + 1j * q * solver.hy
+    for (i, j), expected in zip(sources, oracle):
+        a = complex(i * solver.hx, j * solver.hy)
+        scale = np.abs(expected).max()
+        grid_fn = solver.solve(a)
+        full = grid_fn.values
+        assert full.shape == (solver.nx + 1, solver.ny + 1)
+        assert np.all(full[[0, -1], :] == 0) and np.all(full[:, [0, -1]] == 0)
+        assert np.abs(full[1:-1, 1:-1] - expected).max() < 1e-12 * scale
+        assert np.abs(solver.values(a, nodes.ravel()) - expected.ravel()).max() \
+            < 1e-12 * scale
+        # off the nodes, the point values interpolate like RectangleGreenGrid.value
+        z = np.array([0.3 * w + 0.7j * h, 0.55 * w + 0.21j * h, a + 0.5 * solver.hx])
+        assert np.abs(solver.values(a, z) - [grid_fn.value(zk) for zk in z]).max() \
+            < 1e-12 * scale
+
+
 def test_fd_green_requires_grid_node():
     dom = pg.DomainDescriptor.rectangle(1.0, 1.0, 64)
     with pytest.raises(DomainError):
         pg.fd_dirichlet_green(dom, 0.5 + 0.5001j)
+
+
+def test_tall_rectangle_solves_the_five_point_system():
+    # 31 x 3199 interior nodes: too many for a dense solve, so check the
+    # 5-point residual of the grid Green function instead
+    solver = pg.RectangleGreenSolver(pg.DomainDescriptor.rectangle(1.0, 100.0, 32))
+    assert (solver.nx, solver.ny) == (32, 3200)
+    i, j, hx, hy = 16, 1600, solver.hx, solver.hy
+    a = complex(i * hx, j * hy)
+    g = solver.solve(a).values
+    assert np.all(g[[0, -1], :] == 0) and np.all(g[:, [0, -1]] == 0)
+    inner = g[1:-1, 1:-1]
+    lap = ((2 * inner - g[2:, 1:-1] - g[:-2, 1:-1]) / hx ** 2
+           + (2 * inner - g[1:-1, 2:] - g[1:-1, :-2]) / hy ** 2)
+    source = np.zeros_like(lap)
+    source[i - 1, j - 1] = 1 / (hx * hy)
+    assert np.abs(lap - source).max() < 1e-14 / (hx * hy)
+    nodes = a + np.array([0, 3 * hx, 7j * hy, -(i - 1) * hx - 1500j * hy])
+    picks = np.round([(z.real / hx, z.imag / hy) for z in nodes]).astype(int)
+    assert np.allclose(solver.values(a, nodes), g[picks[:, 0], picks[:, 1]],
+                       rtol=1e-12, atol=0)
+    # the Richardson fine grid of a 1 x 8.1 rectangle has 2074 nodes along
+    # the height; far from the ends h0 is that of the unit-width strip
+    rd = pg.robin_data(pg.DomainDescriptor.rectangle(1.0, 8.1, 128), 0.5 + 4.05j)
+    assert abs(rd.h0 - math.log(2 / math.pi)) < 1e-3
 
 
 def test_rectangle_robin_center():
@@ -367,6 +437,23 @@ def test_rectangle_cache_evicts_beyond_four_grids():
     assert info.currsize <= 4 and info.misses == len(grids)
     pg.fd_dirichlet_green(pg.DomainDescriptor.rectangle(1.0, 1.0, 32), 0.5 + 0.5j)
     assert pg._rectangle_solver.cache_info().misses == len(grids) + 1   # 32 was evicted
+
+
+def test_rectangle_queries_import_no_scipy():
+    code = """if True:
+        import sys
+        from potflow import equilibrium, planar_green as pg
+        dom = pg.DomainDescriptor.rectangle(2.0, 1.0, 128)
+        pg.green(dom, 0.7 + 0.3j, 1.0 + 0.5j)
+        pg.robin_data(dom, 0.9 + 0.4j)
+        equilibrium.harmonic_measure(dom, 0.9 + 0.4j)
+        assert "scipy" not in sys.modules, sorted(sys.modules)
+    """
+    package_root = os.path.dirname(os.path.dirname(potflow.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_strip_queries_share_one_double_per_tau(monkeypatch):
