@@ -181,14 +181,12 @@ def _cmd_vortex(args) -> int:
     for k in range(system.n):
         header += [f"re_z{k + 1}", f"im_z{k + 1}"]
     header.append("energy")
-    lines = [",".join(header)]
-    energy = traj.monitors["energy"]
-    for i, t in enumerate(traj.times):
-        row = [_fmt(t)]
-        for k in range(system.n):
-            row += [_fmt(traj.states[i][k].real), _fmt(traj.states[i][k].imag)]
-        row.append(_fmt(energy[i]))
-        lines.append(",".join(row))
+    # rows t, (re, im) per vortex, energy; "%.17g" % x is format(x, ".17g").
+    # The table is freed once the rows are formatted, before the join.
+    row_fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header), *(
+        row_fmt % tuple(row.tolist()) for row in np.column_stack(
+            [traj.times, traj.states.view(float), traj.monitors["energy"]]))]
     csv_text = "\n".join(lines) + "\n"
 
     for name, series in traj.monitors.items():
@@ -196,6 +194,8 @@ def _cmd_vortex(args) -> int:
     summary["steps"] = int(len(traj.times))
     summary["steps_rejected"] = traj.steps_rejected
     summary["field_evals"] = traj.field_evals
+    summary["h_min"] = traj.h_min
+    summary["h_max"] = traj.h_max
     summary["final_state"] = [[z.real, z.imag] for z in traj.final_state]
 
     if args.out:

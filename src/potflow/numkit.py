@@ -341,6 +341,8 @@ class Trajectory:
     ``len(times) - 1`` steps were accepted; ``steps_rejected`` were tried
     and repeated with a smaller h, and ``field_evals`` counts the calls of
     the field (one initial call plus seven per attempted step).
+    ``h_min`` and ``h_max`` are the smallest and largest accepted step
+    (NaN for a trajectory without steps).
     """
 
     times: np.ndarray
@@ -348,31 +350,38 @@ class Trajectory:
     monitors: Mapping[str, np.ndarray] = field(default_factory=dict)
     steps_rejected: int = 0
     field_evals: int = 0
+    h_min: float = field(init=False)
+    h_max: float = field(init=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ParameterError("times and states must have equal length")
-        if np.any(np.diff(self.times) <= 0):
+        steps = np.diff(self.times)
+        if np.any(steps <= 0):
             raise ParameterError("times must be strictly increasing")
+        self.h_min, self.h_max = ((float(steps.min()), float(steps.max()))
+                                  if steps.size else (math.nan, math.nan))
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
 
-# Dormand-Prince coefficients (5th order propagated, 4th order embedded).
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+# Dormand-Prince coefficients (5th order propagated, 4th order embedded):
+# stage i is y + h * (_DP_A[i, :i] @ k[:i]), the error estimate h * (_DP_E @ k).
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
 
 
 def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
@@ -419,12 +428,10 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
         h = min(h, t_end - t)
         k[0] = field(y)
         for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = field(yi)
+            k[i] = field(y + h * (_DP_A[i, :i] @ k[:i]))
         y5 = y + h * (_DP_B5 @ k)
-        y4 = y + h * (_DP_B4 @ k)
         sc = tol * (1.0 + np.abs(y))
-        err = float(np.max(np.abs(y5 - y4) / sc)) + 1e-300
+        err = float(np.max(np.abs(h * (_DP_E @ k)) / sc)) + 1e-300
         # rejecting a non-finite step would shrink h until the step budget
         if not (math.isfinite(err) and np.isfinite(k).all()):
             raise EvaluationError(f"t={t:.6g}", "non-finite field value")
@@ -439,7 +446,7 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
             if not np.all(np.isfinite(y.view(float))):
                 raise EvaluationError(y, "non-finite state")
             times.append(t)
-            states.append(y.copy())
+            states.append(y)                 # y5 is a fresh array
             for name, fn in (monitors or {}).items():
                 mon[name].append(fn(y))
             # PI controller (Gustafsson): combine current and previous error

@@ -44,6 +44,8 @@ __all__ = [
 # spare on either side (fekete at n = 64 runs warning-free from 1e-150 to
 # 1e153).
 SIZE_RANGE = (1e-100, 1e100)
+# rectangle grids have at most MAX_GRID cells along x
+MAX_GRID = 512
 
 
 def size_error(name: str, *sizes: float) -> str | None:
@@ -324,8 +326,8 @@ class RectangleGreenSolver:
         if domain.kind != "rectangle":
             raise ParameterError("solver requires a rectangle domain")
         n = grid if grid is not None else domain.grid
-        if n > 512:
-            raise ParameterError("grids are capped at 512^2")
+        if n > MAX_GRID:
+            raise ParameterError(f"grids are capped at {MAX_GRID}^2")
         self.domain = domain
         self.nx = n
         self.hx = domain.w / n
@@ -457,6 +459,9 @@ def _rectangle_robin(domain: DomainDescriptor, a: complex, offset: int) -> tuple
     the extrapolation removes the O(h^2) solve error.
     """
     n1 = domain.grid
+    if 2 * n1 > MAX_GRID:
+        raise ParameterError(f"rectangle Robin data needs grid <= {MAX_GRID // 2} "
+                             f"(the Richardson fine grid is 2 x grid, capped at {MAX_GRID})")
     coarse = _rectangle_solver(domain.w, domain.h, n1)
     fine = _rectangle_solver(domain.w, domain.h, 2 * n1)
     h0 = (4 * _rectangle_h0_single(fine, a, 2 * offset)
@@ -664,7 +669,8 @@ _KINDS: dict[str, _Kind] = {
             float(data["w"]), float(data["h"]), int(data.get("grid", 128))),
         to_dict=lambda d: {"kind": "rectangle", "w": d.w, "h": d.h, "grid": d.grid},
         invalid=lambda d: ("rectangle sides must be positive" if d.w <= 0 or d.h <= 0
-                           else "grids are capped at 512^2" if d.grid > 512 else None),
+                           else f"grids are capped at {MAX_GRID}^2" if d.grid > MAX_GRID
+                           else None),
         contains=lambda d, z: 0 < z.real < d.w and 0 < z.imag < d.h,
         boundary_distance=lambda d, z: min(z.real, d.w - z.real, z.imag, d.h - z.imag),
         green=lambda d, z, a: fd_dirichlet_green(d, a).value(z),

@@ -178,13 +178,23 @@ def _velocities(z: np.ndarray, g: np.ndarray, domain) -> np.ndarray:
     return (m @ g).conj() / (2j * math.pi)
 
 
+def _energy_of(g: np.ndarray, domain):
+    """z -> sum_{j<k} G_j G_k G(z_j, z_k) + sum_k (G_k^2 / 4pi) h0(z_k), with
+    the pair indices and the weights G_j G_k and G_k^2 computed once."""
+    i, j = _pairs(len(g))
+    pair_w, self_w = g[i] * g[j], g * g
+
+    def energy(z: np.ndarray) -> float:
+        total = pair_w @ _green(domain, z[i], z[j])
+        if domain is not None:
+            total += self_w @ _DISK.robin(domain, z)[0] / (4 * math.pi)
+        return float(total)
+    return energy
+
+
 def _energy(z: np.ndarray, g: np.ndarray, domain) -> float:
-    """sum_{j<k} G_j G_k G(z_j, z_k) + sum_k (G_k^2 / 4pi) h0(z_k)."""
-    i, j = _pairs(len(z))
-    total = (g[i] * g[j]) @ _green(domain, z[i], z[j])
-    if domain is not None:
-        total += (g * g) @ _DISK.robin(domain, z)[0] / (4 * math.pi)
-    return float(total)
+    """The Kirchhoff-Routh energy of positions z and strengths g."""
+    return _energy_of(g, domain)(z)
 
 
 def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10,
@@ -197,16 +207,17 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10,
     vortices (or a vortex and the wall) come within the threshold.
     """
     g = system.strengths * (-1.0 if backward else 1.0)
+    gc = g.astype(complex)               # what m @ g would promote per call
     domain = system.domain
 
     def field(y: np.ndarray) -> np.ndarray:
-        return _velocities(y, g, domain)
+        return _velocities(y, gc, domain)
 
     def separation(y: np.ndarray) -> float:
         sep = _min_pair_distance(y)
         return sep if domain is None else min(sep, _DISK.boundary_distance(domain, y).min())
 
-    monitors = {"energy": lambda y: _energy(y, g, domain)}
+    monitors = {"energy": _energy_of(g, domain)}
     if domain is None:
         monitors["moment"] = lambda y: abs(np.sum(g * y))
         monitors["angular"] = lambda y: float(np.sum(g * np.abs(y) ** 2))

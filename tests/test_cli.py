@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from potflow import cli, verify
+from potflow import cli, verify, vortex
 
 
 def run(argv):
@@ -149,6 +149,14 @@ def test_fekete_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_rectangle_robin_grid_cap_exit_65(capsys):
+    # the Richardson fine grid is 2 x grid, so Robin data stops at grid 256
+    rect = '{"kind":"rectangle","w":1,"h":1,"grid":300}'
+    assert run(["green", "--domain", rect, "--a=0.5,0.5"]) == 65
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Robin data needs grid <= 256" in err[0]
+
+
 PAIR = ('{"domain":{"kind":"plane"},"vortices":'
         '[{"z":[0,0],"gamma":1.0},{"z":[1,0],"gamma":-1.0}]}')
 
@@ -166,6 +174,23 @@ def test_vortex_pair_csv(tmp_path):
     assert summary["steps"] == len(lines) - 1
     assert summary["field_evals"] == 1 + 7 * (summary["steps"] - 1
                                               + summary["steps_rejected"])
+    steps = np.diff([float(line.split(",")[0]) for line in lines[1:]])
+    assert (summary["h_min"], summary["h_max"]) == (steps.min(), steps.max())
+
+
+def test_vortex_csv_rows_are_17_digit_values(tmp_path):
+    system = ('{"domain":{"kind":"disk","R":1.0},"vortices":'
+              '[{"z":[0.4,0],"gamma":1.0},{"z":[-0.3,0.2],"gamma":-0.7},'
+              '{"z":[0.1,-0.5],"gamma":0.4}]}')
+    out = tmp_path / "run"
+    assert run(["vortex", "--system", system, "--t-end", "1", "--out", str(out)]) == 0
+    traj = vortex.simulate(vortex.VortexSystem.from_dict(json.loads(system)), 1.0, 1e-10)
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == len(traj.times) + 1
+    for line, t, z, e in zip(lines[1:], traj.times, traj.states,
+                             traj.monitors["energy"]):
+        values = [t, *np.column_stack([z.real, z.imag]).ravel(), e]
+        assert line == ",".join(format(float(x), ".17g") for x in values)
 
 
 def test_vortex_equal_pair_return(tmp_path):
@@ -192,7 +217,6 @@ def test_vortex_disk_radius_drift(tmp_path):
 
 
 def test_vortex_collision_exit_3(tmp_path, monkeypatch):
-    from potflow import vortex
     from potflow.errors import CollisionError
 
     def crash(system, t_end, tol):
@@ -208,8 +232,6 @@ def test_vortex_collision_exit_3(tmp_path, monkeypatch):
 
 
 def test_vortex_nonfinite_field_exit_65(monkeypatch, capsys):
-    from potflow import vortex
-
     monkeypatch.setattr(vortex, "_velocities",
                         lambda z, g, domain: np.full(len(z), complex("nan")))
     assert run(["vortex", "--system", PAIR, "--t-end", "1.0"]) == 65

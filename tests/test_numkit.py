@@ -409,3 +409,10 @@ def test_trajectory_monitor_recording():
 def test_trajectory_times_strictly_increasing():
     with pytest.raises(ParameterError):
         numkit.Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1), dtype=complex))
+
+
+def test_trajectory_step_size_range():
+    traj = numkit.Trajectory(np.array([0.0, 0.25, 0.75, 1.0]), np.zeros((4, 1), dtype=complex))
+    assert (traj.h_min, traj.h_max) == (0.25, 0.5)
+    lone = numkit.Trajectory(np.array([0.0]), np.zeros((1, 1), dtype=complex))
+    assert math.isnan(lone.h_min) and math.isnan(lone.h_max)

@@ -303,3 +303,31 @@ def test_zero_strength_disk_vortex_is_a_tracer():
     lone = vx.simulate(vx.VortexSystem([0.5], [1.0], DISK), 3.0, 1e-10)
     assert abs(traj.final_state[0] - lone.final_state[0]) < 1e-8
     assert abs(traj.final_state[1] - system.positions[1]) > 1e-2   # advected
+
+
+def test_two_ring_disk_run_reproduces_recorded_steps_and_state():
+    # 6 unit vortices on r = 0.3 and 10 on r = 0.6: counts and final state
+    # recorded from the per-stage reference integrator (t = 2, tol = 1e-10)
+    z0 = np.r_[0.3 * np.exp(2j * np.pi * np.arange(6) / 6),
+               0.6 * np.exp(2j * np.pi * np.arange(10) / 10)]
+    traj = vx.simulate(vx.VortexSystem(z0, np.ones(16), DISK), 2.0, 1e-10)
+    recorded = np.array([
+        -0.24267366008367214 + 0.15863575596419516j,
+        -0.2819137527829033 - 0.1381116628638571j,
+        -0.019651636619709253 - 0.2953839300363859j,
+        0.24267366008367655 - 0.1586357559641983j,
+        0.28191375278289904 + 0.1381116628638529j,
+        0.019651636619707858 + 0.2953839300363899j,
+        -0.5926480784065675 + 0.08223803802213012j,
+        -0.5391188120488528 - 0.28357939846361296j,
+        -0.2561420418566446 - 0.5362506037000238j,
+        0.10931370725939986 - 0.5929885000232806j,
+        0.42423356777612586 - 0.41708813415877477j,
+        0.5926480784065683 - 0.08223803802212598j,
+        0.5391188120488496 + 0.28357939846361335j,
+        0.2561420418566457 + 0.5362506037000229j,
+        -0.1093137072593997 + 0.5929885000232819j,
+        -0.42423356777612353 + 0.41708813415877427j,
+    ])
+    assert (len(traj.times), traj.steps_rejected, traj.field_evals) == (316, 0, 2206)
+    assert np.max(np.abs(traj.final_state - recorded)) < 1e-12
