@@ -31,6 +31,7 @@ __all__ = [
     "theta1",
     "theta1_prime",
     "theta1_prime0",
+    "theta1_log_derivative",
     "log_abs_theta1",
     "wp",
     "wp_prime",
@@ -208,6 +209,12 @@ def theta1_prime(z, L: TorusLattice):
 
 def theta1_prime0(L: TorusLattice) -> complex:
     return theta1_prime(0.0, L)
+
+
+def theta1_log_derivative(z, L: TorusLattice):
+    """theta1'/theta1 at z, free of the quasi-periodic factors, which cancel."""
+    z0, _, n = _off_lattice(z, L.tau)
+    return cmath.pi * _sum("theta_prime", z0, L.tau) / _sum("theta", z0, L.tau) - 2j * cmath.pi * n
 
 
 def _off_lattice(z, tau: complex):

@@ -403,18 +403,8 @@ def transfinite_diameter(K: CompactSet, pole: complex | None = None,
 
 
 # ---------------------------------------------------------------------------
-# equilibrium measure by projected gradient on the simplex
+# equilibrium measure by one bordered solve
 # ---------------------------------------------------------------------------
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
-
 
 def _carrier_nodes(K: CompactSet, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and local arclength cell sizes on the carrier."""
@@ -447,24 +437,24 @@ def _log_kernel(K: CompactSet, m: int) -> tuple[np.ndarray, np.ndarray]:
 def equilibrium_measure(K: CompactSet, m: int = 256
                         ) -> tuple[WeightedMeasure, float]:
     """Equilibrium weights minimizing the discrete logarithmic energy of
-    the ``_log_kernel`` matrix; gamma is read off the potential level on
-    the support.
+    the ``_log_kernel`` matrix, and gamma = 2 pi V from the potential
+    level V on the carrier.
+
+    The weights with unit mass and constant potential solve Symm's
+    bordered system [K, -1; 1^T, 0] [w; V] = [0; 1] (G. T. Symm, Numer.
+    Math. 9, 1966).  They minimize the energy on the simplex while all
+    are positive, which is checked.
     """
     if m < 32:
         raise ParameterError("need m >= 32 nodes")
     zs, Kmat = _log_kernel(K, m)
-
-    w = np.full(m, 1.0 / m)
-    step = 1.0 / float(np.max(np.sum(np.abs(Kmat), axis=1)))
-    for _ in range(10_000):
-        w, w_old = _project_simplex(w - step * (Kmat @ w)), w
-        if np.max(np.abs(w - w_old)) < 1e-14:
-            break
-
-    V = Kmat @ w
-    support = w > 1e-12 / m
-    gamma = 2 * math.pi * float(np.median(V[support]))
-    return WeightedMeasure(zs, w), gamma
+    border = np.block([[Kmat, -np.ones((m, 1))], [np.ones((1, m)), np.zeros((1, 1))]])
+    sol = np.linalg.solve(border, np.r_[np.zeros(m), 1.0])
+    w, V = sol[:m], sol[m]
+    if np.any(w < 0):
+        raise ConditioningError("negative equilibrium weight: the node set "
+                                "resolves no positive equilibrium measure")
+    return WeightedMeasure(zs, w), 2 * math.pi * float(V)
 
 
 def equilibrium_energy(measure: WeightedMeasure, K: CompactSet) -> float:
@@ -481,8 +471,9 @@ def equilibrium_energy(measure: WeightedMeasure, K: CompactSet) -> float:
 def harmonic_measure(domain, a: complex, m: int = 256) -> WeightedMeasure:
     """Harmonic measure of the domain at a: density -dG/dn times arclength.
 
-    Disk uses the closed-form Poisson density; rectangles differentiate the
-    finite-difference Green function one-sidedly at the boundary.
+    The disk uses the closed-form Poisson density on m equispaced nodes,
+    the rectangle -dG/dn of its theta-function Green function on m
+    Gauss-Legendre nodes.
     """
     a = complex(a)
     if not domain.contains(a):

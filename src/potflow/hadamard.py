@@ -65,7 +65,7 @@ class _PerturbedDisk:
         ak = np.fft.rfft(dn) / _FOURIER_N
         # analytic completion: Re(A) = dn on |w| = 1 with A analytic in w
         self._a_coef = np.concatenate([[ak[0].real], 2 * ak[1:]])
-        A = np.array([self._poly(self._a_coef, w) for w in np.exp(1j * theta)])
+        A = np.polynomial.polynomial.polyval(np.exp(1j * theta), self._a_coef)
         resid = -0.5 * (A.imag ** 2)
         bk = np.fft.rfft(resid) / _FOURIER_N
         self._b_coef = np.concatenate([[bk[0].real], 2 * bk[1:]])

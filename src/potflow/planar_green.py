@@ -4,6 +4,11 @@ All Green functions carry the physics normalization: -Laplace G = delta_a
 with G = (1/2pi)(-log|z-a| + H(z,a)), so the harmonic-measure density
 -dG/dn has unit total mass.  Robin data (h0, h1) follows the expansion
 H(z,a) = h0(a) + Re(h1(a)(z-a)) + O((z-a)^2) with h1 = dh0/da.
+
+Every kind answers in closed form: the rectangle's Schottky double (its
+reflections in the four sides) is the torus with periods 2w and 2ih, so
+its G is a theta1 quotient on the lattice (1, i h/w).  Its eigenfunction
+series and 5-point finite-difference Green function remain as oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import numkit
+from . import elliptic, numkit
 from .errors import ConditioningError, DomainError, ParameterError, PoleError
 
 __all__ = [
@@ -63,7 +68,8 @@ class DomainDescriptor:
     """Canonical planar domain.
 
     kinds: disk(R), half_plane (Im z > 0), slit_plane (complement of the
-    ray [0, inf)), rectangle(w, h, grid) = (0,w) x (0,h), and
+    ray [0, inf)), rectangle(w, h, grid) = (0,w) x (0,h) (grid: the mesh
+    of ``fd_dirichlet_green`` only), and
     periodic_strip(tau) = {-1/2 < Re z < 0} with Im z mod Im tau.
     Everything that depends on the kind, validation included, lives in
     the ``_KINDS`` table at the end of this module.
@@ -187,19 +193,18 @@ def green_z_derivative(domain: DomainDescriptor, z, a: complex):
     return val if isinstance(z, np.ndarray) else complex(val)
 
 
-def robin_data(domain: DomainDescriptor, a: complex,
-               _rect_offset: int = 4) -> GreenExpansion:
+def robin_data(domain: DomainDescriptor, a: complex) -> GreenExpansion:
     """Robin function h0(a), coefficient h1(a) = dh0/da, and curvature.
 
-    Closed forms for disk / half-plane / slit plane (curvature -4, the
-    Liouville case); the rectangle goes through the finite-difference
-    oracle with Richardson extrapolation over two grids.
+    Closed forms on every kind: the simply connected ones (disk,
+    half-plane, slit plane, rectangle) have curvature -4, the Liouville
+    case; the periodic strip's comes from its Bergman kernel.
     """
     a = complex(a)
     spec = _require_interior(domain, a)
     if spec.boundary_distance(domain, a) < 1e-9:
         raise ConditioningError("point too close to the boundary for Robin data")
-    h0, h1, curvature = spec.robin(domain, a, _rect_offset)
+    h0, h1, curvature = spec.robin(domain, a)
     return GreenExpansion(float(h0), complex(h1), curvature)
 
 
@@ -264,6 +269,89 @@ def szego_disk(z, a: complex):
 
 
 # ---------------------------------------------------------------------------
+# rectangle: closed forms on the torus double
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def _rectangle_double(ratio: float) -> tuple[elliptic.TorusLattice, float]:
+    """The lattice (1, i ratio) of the double of a rectangle of height /
+    width = ratio >= 1, and log theta1'(0) on it, built once per ratio."""
+    if ratio > elliptic._MAX_IM_TAU:
+        raise ParameterError(f"rectangle aspect ratio {ratio:.6g} exceeds "
+                             f"{elliptic._MAX_IM_TAU:g}, the theta series' limit")
+    L = elliptic.lattice_constants(1j * ratio)
+    return L, math.log(elliptic.theta1_prime0(L).real)
+
+
+def _rectangle_frame(d: DomainDescriptor, *points):
+    """(flip, lattice, log theta1'(0), width, height, points) in the frame
+    where the rectangle is at least as tall as wide: a wide one is flipped
+    through z -> i conj(z), which keeps G and h0 and maps dG/dz and h1 to
+    -i conj(.).  Below, th(s) = theta1(s / p) with the period p = 2 width."""
+    flip = d.w > d.h
+    width, height = (d.h, d.w) if flip else (d.w, d.h)
+    L, log_prime0 = _rectangle_double(height / width)
+    return (flip, L, log_prime0, width, height,
+            [1j * z.conjugate() if flip else z for z in points])
+
+
+def _rectangle_green(d: DomainDescriptor, z, a):
+    """G = -(1/2pi) log|th(z-a) th(z+a) / (th(z-conj a) th(z+conj a))|, the
+    images of a in the sides.  It is exactly 0 on x = 0 and y = 0, where the
+    factors pair up as conjugates, so z is first moved into the lower-left
+    quarter by the reflections in the midlines, which leave G unchanged."""
+    _, L, _, width, height, (z, a) = _rectangle_frame(d, z, a)
+    for out, mirror in ((z.real > width / 2, lambda s: width - s.conjugate()),
+                        (z.imag > height / 2, lambda s: s.conjugate() + 1j * height)):
+        if isinstance(z, np.ndarray):
+            z, a = np.where(out, mirror(z), z), np.where(out, mirror(a), a)
+        elif out:
+            z, a = mirror(z), mirror(a)
+    ac = a.conjugate()
+    t = lambda s: elliptic.log_abs_theta1(s / (2 * width), L)  # noqa: E731
+    return -((t(z - a) + t(z + a)) - (t(z - ac) + t(z + ac))) / (2 * math.pi)
+
+
+def _rectangle_dgdz(d: DomainDescriptor, z, a):
+    flip, L, _, width, _, (z, a) = _rectangle_frame(d, z, a)
+    ac, p = a.conjugate(), 2 * width
+    r = lambda s: elliptic.theta1_log_derivative(s / p, L)  # noqa: E731
+    val = -(r(z - a) + r(z + a) - r(z - ac) - r(z + ac)) / (4 * math.pi * p)
+    return -1j * val.conjugate() if flip else val
+
+
+def _rectangle_robin(d: DomainDescriptor, a: complex) -> tuple:
+    """h0 = -log|th'(0)| - log|th(2a)| + log|th(2i Im a)| + log|th(2 Re a)|,
+    the limit of 2 pi G + log|z - a| at z = a, and its a-derivative h1."""
+    flip, L, log_prime0, width, _, (a,) = _rectangle_frame(d, a)
+    p = 2 * width
+    u = [s / p for s in (2 * a, 2j * a.imag, 2 * a.real)]
+    t = [elliptic.log_abs_theta1(s, L) for s in u]
+    r = [elliptic.theta1_log_derivative(s, L) / p for s in u]
+    h0 = math.log(p) - log_prime0 - t[0] + t[1] + t[2]
+    h1 = -r[0] + 1j * r[1].imag + r[2].real
+    return h0, -1j * h1.conjugate() if flip else h1, -4.0
+
+
+def _rectangle_harmonic(d: DomainDescriptor, a: complex,
+                        m: int) -> tuple[np.ndarray, np.ndarray]:
+    """-dG/dn times arclength on a Gauss-Legendre rule per side, the m nodes
+    shared in proportion to the side lengths.  The density is analytic on
+    each closed side (G extends across it by odd reflection), so the rules
+    converge geometrically; the mass is checked, not normalized."""
+    edges = _rectangle_breaks(d) + (1.0,)
+    t, wt = (np.concatenate(part) for part in zip(*(
+        numkit.gauss_legendre_rule(ends, max(2, round(m * (ends[1] - ends[0]))))
+        for ends in zip(edges[:-1], edges[1:]))))
+    z, dz, _ = _rectangle_jet(d, t)
+    # -dG/dn |dz| = -2 Re(dG/dz n) |dz| with the outward normal n = -i dz/|dz|
+    weights = 2 * (1j * _rectangle_dgdz(d, z, a) * dz).real * wt
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise ConditioningError(f"harmonic-measure mass {weights.sum():.15f}: raise m")
+    return z, weights
+
+
+# ---------------------------------------------------------------------------
 # rectangle: finite-difference oracle
 # ---------------------------------------------------------------------------
 
@@ -280,18 +368,11 @@ class RectangleGreenGrid:
     def value(self, z: complex) -> float:
         """Bilinear interpolation; exact at grid nodes."""
         v = self.values
-        return float(sum(w * v[p, q] for p, q, w in _corners(z, self.hx, self.hy, v.shape)))
-
-
-def _corners(z: complex, hx: float, hy: float, shape: tuple[int, int]) -> tuple:
-    """The four corner nodes (p, q) of the grid cell holding z, each with
-    its bilinear weight; shape is the node count (nx+1, ny+1)."""
-    x, y = complex(z).real / hx, complex(z).imag / hy
-    i = min(int(x), shape[0] - 2)
-    j = min(int(y), shape[1] - 2)
-    tx, ty = x - i, y - j
-    return ((i, j, (1 - tx) * (1 - ty)), (i + 1, j, tx * (1 - ty)),
-            (i, j + 1, (1 - tx) * ty), (i + 1, j + 1, tx * ty))
+        x, y = complex(z).real / self.hx, complex(z).imag / self.hy
+        i, j = min(int(x), v.shape[0] - 2), min(int(y), v.shape[1] - 2)
+        tx, ty = x - i, y - j
+        return float((1 - ty) * ((1 - tx) * v[i, j] + tx * v[i + 1, j])
+                     + ty * ((1 - tx) * v[i, j + 1] + tx * v[i + 1, j + 1]))
 
 
 def _sine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -343,8 +424,7 @@ class RectangleGreenSolver:
                               * -np.expm1(-2 * self.ny * self._theta))
 
     def node_index(self, a: complex) -> tuple[int, int]:
-        i = round(complex(a).real / self.hx)
-        j = round(complex(a).imag / self.hy)
+        i, j = round(complex(a).real / self.hx), round(complex(a).imag / self.hy)
         if not (0 < i < self.nx and 0 < j < self.ny):
             raise DomainError("source must be an interior grid node")
         if (abs(i * self.hx - complex(a).real) > 1e-9 * self.hx
@@ -368,24 +448,11 @@ class RectangleGreenSolver:
         full = (self._sx * self._sx[i]) @ self._transverse(np.arange(self.ny + 1), j).T
         return RectangleGreenGrid(self.domain, complex(a), full)
 
-    def values(self, a: complex, zs) -> np.ndarray:
-        """G_h(z, a) at a few points z, bilinear between nodes as in
-        ``RectangleGreenGrid.value``, in O(nx) per point and without
-        building the grid."""
-        i, j = self.node_index(a)
-        shape = (self.nx + 1, self.ny + 1)
-        corners = [c for z in zs for c in _corners(z, self.hx, self.hy, shape)]
-        p, q, wts = (np.array(column) for column in zip(*corners))
-        sx = self._sx
-        nodes = (sx[i] * sx[p] * self._transverse(q, j)).sum(-1)
-        return (wts * nodes).reshape(-1, 4).sum(-1)
-
 
 @functools.lru_cache(maxsize=4)
 def _rectangle_solver(w: float, h: float, n: int) -> RectangleGreenSolver:
-    """The solver of the (0,w) x (0,h) rectangle on an n grid, shared per
-    process.  At most four stay alive (a 192 grid holds about 0.3 MB, its x
-    sine table); the public ``RectangleGreenSolver`` never caches."""
+    """The (0,w) x (0,h) rectangle's solver on an n grid, at most four per
+    process; the public ``RectangleGreenSolver`` never caches."""
     return RectangleGreenSolver(DomainDescriptor.rectangle(w, h, n))
 
 
@@ -399,102 +466,28 @@ def fd_dirichlet_green(domain: DomainDescriptor, a: complex,
     return _rectangle_solver(domain.w, domain.h, n).solve(a)
 
 
-def rectangle_green_series(domain: DomainDescriptor, z: complex, a: complex,
-                           terms: int = 400) -> float:
-    """Eigenfunction-series oracle for the rectangle Green function.
-
-    Sine expansion along the axis with the larger source/target separation,
-    with 1D two-point kernels in the transverse direction; geometric
-    convergence whenever the separation along the chosen axis is positive.
-    """
-    z, a = complex(z), complex(a)
-    w, h = domain.w, domain.h
-    if abs(z.real - a.real) >= abs(z.imag - a.imag):
-        # expand in sin(n pi y / h), propagate in x
-        u1, u2, span = z.imag, a.imag, h
-        x1, x2, width = z.real, a.real, w
-    else:
-        u1, u2, span = z.real, a.real, w
-        x1, x2, width = z.imag, a.imag, h
-    lo, hi = min(x1, x2), max(x1, x2)
-    total = 0.0
-    for nmode in range(1, terms + 1):
-        k = nmode * math.pi / span
-        # 1D Green of -d^2/dx^2 + k^2 with Dirichlet ends, written in
-        # decaying exponentials so large k stays finite
-        denom = -math.expm1(-2 * k * width)
-        g = (math.exp(-k * (hi - lo)) - math.exp(-k * (hi + lo))
-             - math.exp(-k * (2 * width - hi - lo))
-             + math.exp(-k * (2 * width - hi + lo))) / (2 * k * denom)
-        term = (2.0 / span) * math.sin(nmode * math.pi * u1 / span) \
-            * math.sin(nmode * math.pi * u2 / span) * g
-        total += term
-        # the sine factors vanish at symmetric nodes, so gate the exit on
-        # the mode envelope rather than on a single term
-        if (2.0 / span) * abs(g) < 1e-17 and nmode > 8:
-            break
-    return total
-
-
-def _nearest_node(solver: RectangleGreenSolver, a: complex) -> complex:
-    i = round(complex(a).real / solver.hx)
-    j = round(complex(a).imag / solver.hy)
-    return complex(i * solver.hx, j * solver.hy)
-
-
-def _rectangle_h0_single(solver: RectangleGreenSolver, a: complex,
-                         offset_nodes: int) -> float:
-    """h0 estimate on one grid: 2*pi*G + log|z-a| averaged over the symmetric
-    4-point stencil at a fixed node offset (odd/even expansion terms cancel)."""
-    src = _nearest_node(solver, a)
-    d = offset_nodes * solver.hx
-    dz = np.array([d, -d, 1j * d, -1j * d])
-    return float(np.mean(2 * math.pi * solver.values(src, src + dz) + np.log(np.abs(dz))))
-
-
-def _rectangle_robin(domain: DomainDescriptor, a: complex, offset: int) -> tuple:
-    """h0 on a rectangle via the fd oracle plus Richardson extrapolation.
-
-    The stencil offset is held at the same physical size on both grids so
-    the extrapolation removes the O(h^2) solve error.
-    """
-    n1 = domain.grid
-    if 2 * n1 > MAX_GRID:
-        raise ParameterError(f"rectangle Robin data needs grid <= {MAX_GRID // 2} "
-                             f"(the Richardson fine grid is 2 x grid, capped at {MAX_GRID})")
-    coarse = _rectangle_solver(domain.w, domain.h, n1)
-    fine = _rectangle_solver(domain.w, domain.h, 2 * n1)
-    h0 = (4 * _rectangle_h0_single(fine, a, 2 * offset)
-          - _rectangle_h0_single(coarse, a, offset)) / 3
-    # h1 by central differences of the fine-grid h0 over a grid-aligned step
-    step = 4 * fine.hx
-    def h0_at(p: complex) -> float:
-        return _rectangle_h0_single(fine, p, 2 * offset)
-    dx = (h0_at(a + step) - h0_at(a - step)) / (2 * step)
-    dy = (h0_at(a + 1j * step) - h0_at(a - 1j * step)) / (2 * step)
-    return h0, 0.5 * (dx - 1j * dy), -4.0
-
-
-def _rectangle_harmonic(domain: DomainDescriptor, a: complex,
-                        _m: int) -> tuple[np.ndarray, np.ndarray]:
-    """-dG/dn on the boundary nodes by a one-sided second-order difference of
-    the finite-difference Green function (which vanishes on the boundary)."""
-    solver = _rectangle_solver(domain.w, domain.h, domain.grid)
-    v = solver.solve(_nearest_node(solver, a)).values
-    hx, hy = solver.hx, solver.hy
-    x, y = np.arange(1, solver.nx) * hx, np.arange(1, solver.ny) * hy
-    # (bottom, top) node pairs along x, then (left, right) pairs along y
-    pts = np.concatenate([np.column_stack([x + 0j, x + 1j * domain.h]).ravel(),
-                          np.column_stack([1j * y, domain.w + 1j * y]).ravel()])
-    wts = np.concatenate([
-        np.column_stack([4 * v[1:-1, 1] - v[1:-1, 2],
-                         4 * v[1:-1, -2] - v[1:-1, -3]]).ravel() / (2 * hy) * hx,
-        np.column_stack([4 * v[1, 1:-1] - v[2, 1:-1],
-                         4 * v[-2, 1:-1] - v[-3, 1:-1]]).ravel() / (2 * hx) * hy])
-    total = wts.sum()
-    if abs(total - 1.0) > 1e-3:
-        raise ConditioningError(f"harmonic-measure mass {total:.6f} off unity")
-    return pts, wts / total
+def rectangle_green_series(domain: DomainDescriptor, z: complex, a: complex) -> float:
+    """Eigenfunction-series oracle for the rectangle Green function: modes
+    sin(n pi y / h) times 1D two-point kernels in x, summed until their
+    envelope falls below 1e-17.  Mode n decays like exp(-n pi sep / span),
+    so the axes are first swapped when that makes sep / span larger."""
+    z, a, w, h = complex(z), complex(a), domain.w, domain.h
+    if abs(z.real - a.real) / h < abs(z.imag - a.imag) / w:
+        z, a, w, h = 1j * z.conjugate(), 1j * a.conjugate(), h, w   # y <-> x
+    lo, hi = sorted((z.real, a.real))
+    if hi - lo < 1e-4 * h:         # beyond about 1e5 modes
+        raise ParameterError("the series oracle needs z and a at least 1e-4 h apart")
+    total, n = 0.0, np.arange(1, 65)
+    while True:
+        k = n * math.pi / h
+        # 1D Green of -d^2/dx^2 + k^2, Dirichlet ends, in decaying exponentials
+        g = (np.exp(-k * (hi - lo)) - np.exp(-k * (hi + lo)) - np.exp(-k * (2 * w - hi - lo))
+             + np.exp(-k * (2 * w - hi + lo))) / (2 * k * -np.expm1(-2 * k * w))
+        total += 2 / h * np.sum(np.sin(k * z.imag) * np.sin(k * a.imag) * g)
+        # the sines vanish at symmetric nodes: stop on the envelope, not the terms
+        if 2 / h * g[-1] < 1e-17:
+            return float(total)
+        n = np.arange(n[-1] + 1, 2 * n[-1] + 1)
 
 
 def _rectangle_breaks(d: DomainDescriptor) -> tuple[float, ...]:
@@ -534,7 +527,12 @@ def _rectangle_area_rule(d: DomainDescriptor, n: int) -> tuple[np.ndarray, np.nd
 # the domain-kind table
 # ---------------------------------------------------------------------------
 
-# The disk's closed forms: these two and its record below, each written once.
+# The disk's closed forms: these three and its record below, each written once.
+
+def _disk_h0(d: DomainDescriptor, a):
+    """Robin h0(a) = log((R^2 - |a|^2) / R) of the disk |z| < R."""
+    return np.log((d.R * d.R - abs(a) ** 2) / d.R)
+
 
 def _disk_poisson(R: float, a, z):
     """Poisson density -dG/dn(z, a) = (R^2 - |a|^2) / (2 pi R |z - a|^2) of
@@ -570,7 +568,7 @@ def _slit_dgdz(d: DomainDescriptor, z: complex, a: complex) -> complex:
     return -(1.0 / (w - wa) - 1.0 / (w - wa.conjugate())) * dwdz / (4 * math.pi)
 
 
-def _slit_robin(d: DomainDescriptor, a: complex, _offset: int) -> tuple:
+def _slit_robin(d: DomainDescriptor, a: complex) -> tuple:
     w = _slit_root(a)
     return (math.log(4 * abs(w) * w.imag),
             1.0 / (4 * a) + 1.0 / (4j * w * w.imag), -4.0)
@@ -588,7 +586,7 @@ def _strip_green(d: DomainDescriptor, z: complex, a: complex) -> float:
     return schottky.g_electro_strip(z, a, _strip_double(d.tau))
 
 
-def _strip_robin(d: DomainDescriptor, a: complex, _offset: int) -> tuple:
+def _strip_robin(d: DomainDescriptor, a: complex) -> tuple:
     from . import schottky
     dbl = _strip_double(d.tau)
     h0 = schottky.gamma_electro(a, dbl)
@@ -602,14 +600,15 @@ def _strip_robin(d: DomainDescriptor, a: complex, _offset: int) -> tuple:
 class _Kind:
     """One domain kind as plain functions of its descriptor d.  The
     optional operations are None where the kind has no closed form.  The
-    disk's operations also take numpy arrays of z and a, element by element."""
+    disk's operations also take numpy arrays of z and a, element by element,
+    and the rectangle's green and green_z_derivative arrays of z."""
 
     parse: Callable          # document dict -> DomainDescriptor
     to_dict: Callable        # d -> document dict
     contains: Callable       # (d, z) -> bool
     boundary_distance: Callable  # (d, z) -> float, > 0 exactly inside
     green: Callable          # (d, z, a) -> float
-    robin: Callable          # (d, a, rectangle stencil offset) -> (h0, h1, curvature)
+    robin: Callable          # (d, a) -> (h0, h1, curvature)
     invalid: Callable = lambda d: None   # d -> error message, or None when valid
     green_z_derivative: Callable | None = None   # (d, z, a) -> complex
     boundary_curve: Callable | None = None       # (d, truncation) -> Curve
@@ -631,8 +630,7 @@ _KINDS: dict[str, _Kind] = {
         boundary_distance=lambda d, z: d.R - abs(z),
         green=lambda d, z, a: -np.log(
             abs(d.R * (z - a) / (d.R * d.R - z * a.conjugate()))) / (2 * math.pi),
-        robin=lambda d, a, _offset=0: (
-            np.log((d.R * d.R - abs(a) ** 2) / d.R), _disk_image(d, a, a), -4.0),
+        robin=lambda d, a: (_disk_h0(d, a), _disk_image(d, a, a), -4.0),
         green_z_derivative=lambda d, z, a: (
             1 / (a - z) + _disk_image(d, z, a)) / (4 * math.pi),
         boundary_curve=lambda d, truncation: numkit.circle(0j, d.R),
@@ -648,7 +646,7 @@ _KINDS: dict[str, _Kind] = {
         contains=lambda d, z: z.imag > 0,
         boundary_distance=lambda d, z: z.imag,
         green=lambda d, z, a: -math.log(abs((z - a) / (z - a.conjugate()))) / (2 * math.pi),
-        robin=lambda d, a, _offset: (math.log(2 * a.imag), -0.5j / a.imag, -4.0),
+        robin=lambda d, a: (math.log(2 * a.imag), -0.5j / a.imag, -4.0),
         green_z_derivative=lambda d, z, a: (
             -(1.0 / (z - a) - 1.0 / (z - a.conjugate())) / (4 * math.pi)),
         # truncated real axis, positive orientation (domain on the left)
@@ -673,8 +671,9 @@ _KINDS: dict[str, _Kind] = {
                            else None),
         contains=lambda d, z: 0 < z.real < d.w and 0 < z.imag < d.h,
         boundary_distance=lambda d, z: min(z.real, d.w - z.real, z.imag, d.h - z.imag),
-        green=lambda d, z, a: fd_dirichlet_green(d, a).value(z),
+        green=_rectangle_green,
         robin=_rectangle_robin,
+        green_z_derivative=_rectangle_dgdz,
         boundary_jet=_rectangle_jet,
         boundary_breaks=_rectangle_breaks,
         area_rule=_rectangle_area_rule,

@@ -132,7 +132,7 @@ def planar_checks() -> list[Check]:
             (disk, 2.0, 50, 1e-9),
             (planar_green.DomainDescriptor.half_plane(), 2.0, 50, 1e-9),
             (planar_green.DomainDescriptor.slit_plane(), 4.0, 50, 1e-9),
-            (planar_green.DomainDescriptor.rectangle(1.0, 1.0, 96), 2.0, 6, 1e-3)):
+            (planar_green.DomainDescriptor.rectangle(1.0, 1.0, 96), 2.0, 50, 1e-9)):
         for p in _interior_samples(dom, rng, count):
             h0 = planar_green.robin_data(dom, p).h0
             d = dom.boundary_distance(p)

@@ -187,7 +187,7 @@ def _energy_of(g: np.ndarray, domain):
     def energy(z: np.ndarray) -> float:
         total = pair_w @ _green(domain, z[i], z[j])
         if domain is not None:
-            total += self_w @ _DISK.robin(domain, z)[0] / (4 * math.pi)
+            total += self_w @ planar_green._disk_h0(domain, z) / (4 * math.pi)
         return float(total)
     return energy
 

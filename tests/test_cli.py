@@ -149,12 +149,23 @@ def test_fekete_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_rectangle_robin_grid_cap_exit_65(capsys):
-    # the Richardson fine grid is 2 x grid, so Robin data stops at grid 256
+def test_rectangle_green_grid_and_aspect_limits(capsys):
+    # the closed forms ignore the grid: a 300 grid answers
     rect = '{"kind":"rectangle","w":1,"h":1,"grid":300}'
-    assert run(["green", "--domain", rect, "--a=0.5,0.5"]) == 65
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "Robin data needs grid <= 256" in err[0]
+    assert run(["green", "--domain", rect, "--a=0.5,0.5", "--z=0.3,0.3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["robin"]["h0"] - math.log(4 * math.sqrt(math.pi)
+                                             / math.gamma(0.25) ** 2)) < 1e-13
+    assert doc["green"] > 0
+    # grids above 512 and aspect ratios above 60 (the theta series' Im tau
+    # cap), tall or wide, exit 65 with one stderr line
+    for rect, a, message in (('{"kind":"rectangle","w":1,"h":1,"grid":513}', "0.5,0.5",
+                              "grids are capped at 512"),
+                             ('{"kind":"rectangle","w":1,"h":61}', "0.5,30", "aspect ratio"),
+                             ('{"kind":"rectangle","w":61,"h":1}', "30,0.5", "aspect ratio")):
+        assert run(["green", "--domain", rect, f"--a={a}"]) == 65
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0], err
 
 
 PAIR = ('{"domain":{"kind":"plane"},"vortices":'

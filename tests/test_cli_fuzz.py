@@ -1,9 +1,8 @@
 """Random argv and documents for every subcommand but ``verify``: each run
 ends with a documented exit code and, on failure, one stderr line.
 
-Sizes stay small so the whole module runs in a few seconds: rectangle grids
-of at most 64, ``--n-max`` at most 16, ``--t-end`` at most 0.1, at most 8
-vortices and ``--n`` at most 64.
+Sizes stay small so the whole module runs in a few seconds: ``--n-max`` at
+most 16, ``--t-end`` at most 0.1, at most 8 vortices and ``--n`` at most 64.
 """
 
 import contextlib
@@ -42,8 +41,9 @@ def documents(draw, depth=1):
             doc[key] = draw(values)
     if draw(st.booleans()):
         doc["tau"] = draw(st.one_of(values, st.lists(numbers, max_size=3)))
-    # a missing grid means 128 (and 256 for Robin data): keep rectangles at 64
-    doc["grid"] = draw(st.sampled_from([-4, 0, 8, 33, 64, "x", None]))
+    # the grid is only the mesh of fd_dirichlet_green, which no command
+    # builds, so any size is cheap; above 512 it is an input error
+    doc["grid"] = draw(st.sampled_from([-4, 0, 8, 33, 64, 300, 513, "x", None]))
     if depth > 0 and draw(st.booleans()):
         doc["domain"] = draw(documents(depth=0))
     return doc

@@ -244,6 +244,17 @@ def test_equilibrium_potential_dominated_by_level():
         assert mu.potential(z) <= gamma / (2 * math.pi) + 1e-10
 
 
+@pytest.mark.parametrize("K", [eq.CompactSet.segment(2.0),
+                               eq.CompactSet.domain_boundary(pg.DomainDescriptor.rectangle(1, 1))])
+def test_equilibrium_measure_levels_the_potential(K):
+    # the bordered solve: positive unit-mass weights whose discrete
+    # potential is gamma / 2 pi at every node
+    mu, gamma = eq.equilibrium_measure(K, 128)
+    _, Kmat = eq._log_kernel(K, 128)
+    assert np.all(mu.weights > 0) and abs(mu.weights.sum() - 1.0) < 1e-12
+    assert np.abs(Kmat @ mu.weights - gamma / (2 * math.pi)).max() < 1e-12
+
+
 def test_equilibrium_requires_enough_nodes():
     with pytest.raises(ParameterError):
         eq.equilibrium_measure(eq.CompactSet.circle(1.0), 8)
@@ -289,7 +300,26 @@ def test_harmonic_measure_rectangle_mass():
     dom = pg.DomainDescriptor.rectangle(1.0, 1.0, 128)
     eta = eq.harmonic_measure(dom, 0.5 + 0.5j, 128)
     assert np.all(eta.weights >= 0)
-    assert abs(eta.weights.sum() - 1.0) < 1e-12  # normalized after 1e-4 raw check
+    assert abs(eta.weights.sum() - 1.0) < 1e-12  # the raw quadrature, not normalized
+
+
+@pytest.mark.parametrize("w, h, grid, a", [(1.0, 1.0, 128, 0.3 + 0.65j),
+                                           (2.0, 1.0, 64, 0.55 + 0.3j),
+                                           (1.0, 3.0, 128, 0.7 + 1.1j)])
+def test_harmonic_measure_rectangle_reproduces_harmonics(w, h, grid, a):
+    dom = pg.DomainDescriptor.rectangle(w, h, grid)
+    eta = eq.harmonic_measure(dom, a)
+    assert np.all(eta.weights > 0) and abs(eta.weights.sum() - 1.0) < 1e-12
+    for f in (lambda z: z.real, lambda z: (z * z).real, lambda z: (z ** 3).real,
+              lambda z: (z ** 3).imag):
+        assert abs(eta.integrate(f) - f(a)) < 1e-10
+
+
+def test_harmonic_measure_rectangle_refuses_an_unresolved_rule():
+    from potflow.errors import ConditioningError
+    dom = pg.DomainDescriptor.rectangle(1.0, 1.0)
+    with pytest.raises(ConditioningError, match="mass"):
+        eq.harmonic_measure(dom, 0.02 + 0.5j, 64)
 
 
 def test_condenser_capacity():

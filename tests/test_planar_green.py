@@ -272,12 +272,8 @@ def test_sine_basis_solver_matches_dense_solve(w, h, grid):
         assert full.shape == (solver.nx + 1, solver.ny + 1)
         assert np.all(full[[0, -1], :] == 0) and np.all(full[:, [0, -1]] == 0)
         assert np.abs(full[1:-1, 1:-1] - expected).max() < 1e-12 * scale
-        assert np.abs(solver.values(a, nodes.ravel()) - expected.ravel()).max() \
-            < 1e-12 * scale
-        # off the nodes, the point values interpolate like RectangleGreenGrid.value
-        z = np.array([0.3 * w + 0.7j * h, 0.55 * w + 0.21j * h, a + 0.5 * solver.hx])
-        assert np.abs(solver.values(a, z) - [grid_fn.value(zk) for zk in z]).max() \
-            < 1e-12 * scale
+        # the interpolant is exact at the nodes
+        assert np.abs(np.vectorize(grid_fn.value)(nodes) - expected).max() < 1e-12 * scale
 
 
 def test_fd_green_requires_grid_node():
@@ -301,22 +297,103 @@ def test_tall_rectangle_solves_the_five_point_system():
     source = np.zeros_like(lap)
     source[i - 1, j - 1] = 1 / (hx * hy)
     assert np.abs(lap - source).max() < 1e-14 / (hx * hy)
-    nodes = a + np.array([0, 3 * hx, 7j * hy, -(i - 1) * hx - 1500j * hy])
-    picks = np.round([(z.real / hx, z.imag / hy) for z in nodes]).astype(int)
-    assert np.allclose(solver.values(a, nodes), g[picks[:, 0], picks[:, 1]],
-                       rtol=1e-12, atol=0)
-    # the Richardson fine grid of a 1 x 8.1 rectangle has 2074 nodes along
-    # the height; far from the ends h0 is that of the unit-width strip
+    # far from the ends of a 1 x 8.1 rectangle h0 is that of the unit-width
+    # strip, up to the images in the ends, ~exp(-8.1 pi)
     rd = pg.robin_data(pg.DomainDescriptor.rectangle(1.0, 8.1, 128), 0.5 + 4.05j)
-    assert abs(rd.h0 - math.log(2 / math.pi)) < 1e-3
+    assert abs(rd.h0 - math.log(2 / math.pi)) < 1e-9
 
 
 def test_rectangle_robin_center():
-    # series-limit reference: h0(center of unit square) = -0.617386
+    # Schwarz-Christoffel: h0(centre of the unit square) = -log K(1/sqrt 2)
     dom = pg.DomainDescriptor.rectangle(1.0, 1.0, 96)
     rd = pg.robin_data(dom, 0.5 + 0.5j)
-    assert abs(rd.h0 - (-0.617386)) < 1e-3
-    assert abs(rd.h1) < 1e-3  # symmetry
+    assert abs(rd.h0 - math.log(4 * math.sqrt(math.pi) / math.gamma(0.25) ** 2)) < 1e-13
+    assert abs(rd.h1) < 1e-13  # symmetry
+
+
+RECT = pg._KINDS["rectangle"]
+
+
+def _rectangle_pairs(dom, count, seed):
+    """count random (z, a) pairs in the rectangle, at least 0.1 of the
+    shorter side apart."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        z, a = (complex(rng.uniform(0, dom.w), rng.uniform(0, dom.h)) for _ in range(2))
+        if abs(z - a) > 0.1 * min(dom.w, dom.h):
+            pairs.append((z, a))
+    return pairs
+
+
+@pytest.mark.parametrize("w, h", [(1.0, 1.0), (2.0, 1.0), (1.0, 8.0)])
+def test_rectangle_green_matches_series(w, h):
+    dom = pg.DomainDescriptor.rectangle(w, h)
+    for z, a in _rectangle_pairs(dom, 20, 5):
+        assert abs(pg.green(dom, z, a) - pg.rectangle_green_series(dom, z, a)) < 1e-13
+
+
+def _theta_green_mpmath(dom, z, a):
+    """The theta1 image quotient at 40 digits on the lattice (1, i h/w) as
+    given, without the reflection of wide rectangles."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q = mpmath.exp(-mpmath.pi * mpmath.mpf(dom.h) / dom.w)
+
+        def th(s):
+            return mpmath.jtheta(1, mpmath.pi * mpmath.mpc(s) / (2 * dom.w), q)
+
+        ac = a.conjugate()
+        quotient = th(z - a) * th(z + a) / (th(z - ac) * th(z + ac))
+        return float(-mpmath.log(abs(quotient)) / (2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("w, h", [(16.0, 1.0), (1.0, 50.0)])
+def test_rectangle_green_and_series_match_mpmath_theta(w, h):
+    dom = pg.DomainDescriptor.rectangle(w, h)
+    for z, a in _rectangle_pairs(dom, 8, 6):
+        exact = _theta_green_mpmath(dom, z, a)
+        assert abs(pg.green(dom, z, a) - exact) < 1e-13
+        assert abs(pg.rectangle_green_series(dom, z, a) - exact) < 1e-13
+
+
+@pytest.mark.parametrize("w, h", [(1.0, 1.0), (3.0, 1.0), (1.0, 2.5)])
+def test_rectangle_green_vanishes_on_the_sides_and_is_symmetric(w, h):
+    dom = pg.DomainDescriptor.rectangle(w, h)
+    s = np.linspace(0, 1, 41)
+    sides = np.concatenate([w * s, w * s + 1j * h, 1j * h * s, w + 1j * h * s])
+    for z, a in _rectangle_pairs(dom, 10, 7):
+        assert np.all(RECT.green(dom, sides, a) == 0.0)     # exactly, by the folding
+        assert abs(pg.green(dom, z, a) - pg.green(dom, a, z)) < 1e-15
+        # the array path agrees with the scalar one
+        assert RECT.green(dom, np.array([z]), a)[0] == pg.green(dom, z, a)
+
+
+@pytest.mark.parametrize("w, h, a", [(1.0, 1.0, 0.3 + 0.6j), (2.0, 1.0, 0.7 + 0.35j),
+                                     (1.0, 3.0, 0.6 + 2.1j)])
+def test_rectangle_derivatives_match_difference_quotients(w, h, a):
+    dom, e = pg.DomainDescriptor.rectangle(w, h), 1e-5
+    rd = pg.robin_data(dom, a)
+
+    def h0(p):
+        return pg.robin_data(dom, p).h0
+
+    fd = 0.5 * ((h0(a + e) - h0(a - e)) - 1j * (h0(a + 1j * e) - h0(a - 1j * e))) / (2 * e)
+    assert abs(rd.h1 - fd) < 1e-8 and rd.curvature == -4.0
+    z = np.array([0.2 * w + 0.3j * h, 0.8 * w + 0.9j * h, 0.5 * w + 0.1j * h])
+    g = RECT.green
+    fd = 0.5 * ((g(dom, z + e, a) - g(dom, z - e, a))
+                - 1j * (g(dom, z + 1j * e, a) - g(dom, z - 1j * e, a))) / (2 * e)
+    assert np.abs(pg.green_z_derivative(dom, z, a) - fd).max() < 1e-8
+
+
+def test_rectangle_aspect_cap_raises_at_query_time():
+    for w, h in ((1.0, 61.0), (61.0, 1.0)):
+        dom = pg.DomainDescriptor.rectangle(w, h, 8)     # constructs
+        with pytest.raises(ParameterError, match="aspect ratio"):
+            pg.robin_data(dom, complex(w, h) / 2)
+    # the finite-difference solver still takes 1 x 100
+    assert pg.RectangleGreenSolver(pg.DomainDescriptor.rectangle(1.0, 100.0, 32)).ny == 3200
 
 
 def test_robin_sandwich_bounds():
@@ -406,13 +483,13 @@ def test_rectangle_factors_once_per_grid(monkeypatch):
     doms = _equal_rectangles(48)
     pg._rectangle_solver.cache_clear()
     robins = [pg.robin_data(d, 0.4 + 0.55j) for d in doms[:3]]
-    assert built[0] == 2                 # the coarse and the Richardson fine grid
-    assert robins[0] == robins[1] == robins[2]
-    pg._rectangle_solver.cache_clear()
-    built[0] = 0
     values = [pg.green(d, 0.3 + 0.6j, 0.5 + 0.5j) for d in doms]
-    assert built[0] == 1
+    assert built[0] == 0                 # the closed forms build no solver
+    assert robins[0] == robins[1] == robins[2]
     assert len(set(values)) == 1
+    grids = [pg.fd_dirichlet_green(d, 0.5 + 0.5j).values for d in doms]
+    assert built[0] == 1
+    assert all(np.array_equal(g, grids[0]) for g in grids)
     pg.RectangleGreenSolver(doms[0])     # the public constructor never caches
     assert built[0] == 2
 
@@ -423,7 +500,7 @@ def test_cached_rectangle_solve_is_bit_identical():
     fresh = pg.RectangleGreenSolver(dom).solve(a)
     for _ in range(2):                   # cold, then from the cache
         assert np.array_equal(pg.fd_dirichlet_green(dom, a).values, fresh.values)
-        assert pg.green(dom, z, a) == fresh.value(z)
+        assert pg.fd_dirichlet_green(dom, a).value(z) == fresh.value(z)
     fine = pg.RectangleGreenSolver(dom, 96).solve(a)
     assert np.array_equal(pg.fd_dirichlet_green(dom, a, grid=96).values, fine.values)
 
