@@ -308,14 +308,14 @@ def _rectangle_green(d: DomainDescriptor, z, a):
         elif out:
             z, a = mirror(z), mirror(a)
     ac = a.conjugate()
-    t = lambda s: elliptic.log_abs_theta1(s / (2 * width), L)  # noqa: E731
+    t = lambda s: elliptic.log_abs_theta1(s / (2 * width), L)
     return -((t(z - a) + t(z + a)) - (t(z - ac) + t(z + ac))) / (2 * math.pi)
 
 
 def _rectangle_dgdz(d: DomainDescriptor, z, a):
     flip, L, _, width, _, (z, a) = _rectangle_frame(d, z, a)
     ac, p = a.conjugate(), 2 * width
-    r = lambda s: elliptic.theta1_log_derivative(s / p, L)  # noqa: E731
+    r = lambda s: elliptic.theta1_log_derivative(s / p, L)
     val = -(r(z - a) + r(z + a) - r(z - ac) - r(z + ac)) / (4 * math.pi * p)
     return -1j * val.conjugate() if flip else val
 
