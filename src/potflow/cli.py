@@ -171,6 +171,7 @@ def _cmd_vortex(args) -> int:
     except (ParameterError, EvaluationError) as exc:   # t_end, tol, budget, NaN field
         raise SchemaError(str(exc)) from exc
     except CollisionError as exc:
+        print(f"simulation aborted: {exc}", file=sys.stderr)
         summary["aborted"] = "collision"
         summary["collision_time"] = exc.time
         _write_or_print(_json_dumps(summary),

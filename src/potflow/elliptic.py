@@ -6,6 +6,9 @@ the fundamental cell, so convergence is geometric for Im tau bounded away
 from zero.  The truncated series of a lattice are tabulated once per tau.
 Every function takes a scalar z, giving a Python complex (a float for
 ``log_abs_theta1``), or a numpy array, giving an array of its shape.
+``wp_grid`` evaluates wp on a tensor grid of a rectangular lattice from
+trig of the grid's two axes; it equals ``wp`` of the flattened grid bit for
+bit (see ``_sum`` for why the terms are not formed by power recurrences).
 
 Quasi-period convention: zeta(z+1) = zeta(z) + eta1 and
 zeta(z+tau) = zeta(z) + eta2, tied together by the Legendre identity
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, PoleError
+from .errors import ConditioningError, ParameterError, PoleError
 from .numkit import as_points, first_where
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "theta1_log_derivative",
     "log_abs_theta1",
     "wp",
+    "wp_grid",
     "wp_prime",
     "zeta_w",
     "sqrt_wp_minus_e2",
@@ -149,7 +153,15 @@ def _sum(name: str, z0, tau: complex, head=0j):
     """head plus the named series at z0.  The terms are added one by one,
     in order, with cmath for a scalar and numpy ufuncs for an array, so
     both round alike: on rectangular lattices (all c_k real) the sums of
-    an array equal its elements' scalar sums to the bit."""
+    an array equal its elements' scalar sums to the bit, and ``wp_grid``
+    reproduces them from 1-D factors.
+
+    Each term takes its own trig call on purpose.  Forming e^{2 pi i k z0}
+    by a power recurrence would save the calls but break that parity:
+    numpy's complex multiply (fused multiply-adds) disagrees with Python's
+    in the last bit for nearly half of all products, and the grid path
+    relies on ccos/csin being libm's real cos, sin, cosh and sinh
+    multiplied once."""
     trig_name, terms = _series(tau)[name]
     trig = getattr(_xp(z0), trig_name)
     for f, c in terms:
@@ -192,9 +204,13 @@ def _log_abs(w):
     bit (for a third and 0.1% of arguments), which finite differences of
     the Green functions magnify a millionfold."""
     if isinstance(w, np.ndarray):
-        r = np.hypot(w.real, w.imag)
-        return np.fromiter(map(math.log, r.flat), float, r.size).reshape(w.shape)
+        return _map(math.log, np.hypot(w.real, w.imag).ravel()).reshape(w.shape)
     return math.log(abs(w))
+
+
+def _map(f, v: np.ndarray) -> np.ndarray:
+    """The float function f of ``math`` on each element of the 1-D array v."""
+    return np.fromiter(map(f, v.tolist()), float, v.size)
 
 
 def theta1_prime(z, L: TorusLattice):
@@ -231,6 +247,47 @@ def wp(z, L: TorusLattice):
     z0 = _off_lattice(z, L.tau)[0]
     s = _xp(z0).sin(cmath.pi * z0)
     return _sum("wp", z0, L.tau, -L.eta1 + cmath.pi ** 2 / (s * s))
+
+
+def wp_grid(x, y, L: TorusLattice) -> np.ndarray:
+    """wp(x[:, None] + 1j y[None, :]) for 1-D float arrays x, y on a
+    rectangular lattice (Re tau = 0): bit for bit ``wp`` of the flattened
+    grid, with trig only on the two axes.
+
+    The cell reduction splits by axis (m depends on x only, n on y only),
+    and so does each term: cos(f(X+iY)) = cos fX cosh fY - i sin fX sinh fY,
+    and sin(pi z0) of the head alike.  Those are the very products the C
+    library's ccos and csin form from its real sin, cos, cosh and sinh, so
+    these are taken on the axes through ``math`` (numpy's float cosh and
+    sinh differ from it in the last bit for about an eighth of arguments);
+    the grid sees only the outer products, each scaled by its real c_k and
+    added in series order, real and imaginary parts apart, as ``_sum`` does.
+    """
+    if L.tau.real != 0:
+        raise ParameterError(f"wp_grid needs a rectangular lattice, got tau = {L.tau}")
+    T = L.tau.imag
+    x0 = x - np.rint(x)
+    y0 = y - np.rint(y / T) * T
+    # |z0| >= max(|x0|, |y0|): only rows and columns near 0 can hold a pole
+    bad = np.logical_and.outer(abs(x0) < _POLE_TOL, abs(y0) < _POLE_TOL)
+    if bad.any():
+        bad &= np.hypot.outer(x0, y0) < _POLE_TOL
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise PoleError(f"{complex(x[i], y[j])} is within {_POLE_TOL} of a lattice point")
+
+    def outer(fx, fy, f, g):
+        return np.multiply.outer(_map(f, fx), _map(g, fy))
+
+    px, py = cmath.pi * x0, cmath.pi * y0
+    s = np.empty((x.size, y.size), complex)
+    s.real, s.imag = outer(px, py, math.sin, math.cosh), outer(px, py, math.cos, math.sinh)
+    head = -L.eta1 + cmath.pi ** 2 / (s * s)
+    for f, c in _series(L.tau)["wp"][1]:
+        fx, fy = f * x0, f * y0
+        head.real += c.real * outer(fx, fy, math.cos, math.cosh)
+        head.imag -= c.real * outer(fx, fy, math.sin, math.sinh)
+    return head
 
 
 def wp_prime(z, L: TorusLattice):

@@ -473,7 +473,7 @@ def harmonic_measure(domain, a: complex, m: int = 256) -> WeightedMeasure:
 
     The disk uses the closed-form Poisson density on m equispaced nodes,
     the rectangle -dG/dn of its theta-function Green function on m
-    Gauss-Legendre nodes.
+    Gauss-Legendre nodes graded towards a.
     """
     a = complex(a)
     if not domain.contains(a):

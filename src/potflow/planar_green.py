@@ -335,14 +335,21 @@ def _rectangle_robin(d: DomainDescriptor, a: complex) -> tuple:
 
 def _rectangle_harmonic(d: DomainDescriptor, a: complex,
                         m: int) -> tuple[np.ndarray, np.ndarray]:
-    """-dG/dn times arclength on a Gauss-Legendre rule per side, the m nodes
-    shared in proportion to the side lengths.  The density is analytic on
-    each closed side (G extends across it by odd reflection), so the rules
-    converge geometrically; the mass is checked, not normalized."""
+    """-dG/dn times arclength on one Gauss-Legendre rule per side, the m
+    nodes shared in proportion to the side lengths.  The density is
+    analytic on each closed side (G extends across it by odd reflection);
+    its nearest singularities are at the mirror image of a, as far from the
+    side as a is, so each rule is graded geometrically towards the foot of
+    a (``numkit.sinh_rule``) and converges at a rate that a near side does
+    not spoil.  The mass is checked, not normalized."""
+    P = 2 * (d.w + d.h)
     edges = _rectangle_breaks(d) + (1.0,)
+    # per side: the arclength from 0 to the foot of a, and a's distance from it
+    feet = (a.real, d.w + a.imag, 2 * d.w + d.h - a.real, P - a.imag)
+    dists = (a.imag, d.w - a.real, d.h - a.imag, a.real)
     t, wt = (np.concatenate(part) for part in zip(*(
-        numkit.gauss_legendre_rule(ends, max(2, round(m * (ends[1] - ends[0]))))
-        for ends in zip(edges[:-1], edges[1:]))))
+        numkit.sinh_rule(lo, hi, foot / P, dist / P, max(2, round(m * (hi - lo))))
+        for lo, hi, foot, dist in zip(edges[:-1], edges[1:], feet, dists))))
     z, dz, _ = _rectangle_jet(d, t)
     # -dG/dn |dz| = -2 Re(dG/dz n) |dz| with the outward normal n = -i dz/|dz|
     weights = 2 * (1j * _rectangle_dgdz(d, z, a) * dz).real * wt

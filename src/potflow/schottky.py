@@ -69,6 +69,9 @@ class StripDouble:
         tau = complex(self.tau)
         if abs(tau.real) > 1e-14 or tau.imag <= 0:
             raise ParameterError("strip double needs purely imaginary tau")
+        # J(z) = -conj(z) is an involution of the rectangular torus only, so
+        # a real part within roundoff is dropped
+        tau = complex(0.0, tau.imag)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "lattice", elliptic.lattice_constants(tau))
 
@@ -124,10 +127,14 @@ def strip_bergman_kernels(z, a: complex, dbl: StripDouble):
     """(K_electro, K_hydro, K_double) at (z, a) on the strip double, for a
     scalar or an array of z.  wp raises the PoleError where z + conj(a)
     is on the lattice."""
-    L = dbl.lattice
     w = numkit.as_points(z) + complex(a).conjugate()
-    ke = (elliptic.wp(w, L) + L.eta1) / math.pi
-    return ke, ke - 2.0 / dbl.T, surface._constant_like(w, 1.0 / dbl.T + 0j)
+    return _kernels_of_wp(elliptic.wp(w, dbl.lattice), dbl)
+
+
+def _kernels_of_wp(wp, dbl: StripDouble):
+    """(K_electro, K_hydro, K_double) from wp(z + conj a)."""
+    ke = (wp + dbl.lattice.eta1) / math.pi
+    return ke, ke - 2.0 / dbl.T, surface._constant_like(wp, 1.0 / dbl.T + 0j)
 
 
 def kkl_combinations(z: complex, a: complex, dbl: StripDouble
@@ -245,11 +252,19 @@ def neumann_strip(z: complex, a: complex, dbl: StripDouble) -> float:
 # reproducing properties
 # ---------------------------------------------------------------------------
 
-def _strip_quadrature(func, dbl: StripDouble, resolution: int = 12) -> complex:
-    """Tensor composite Gauss-Legendre over Omega = (-1/2,0) x (0, Im tau)."""
-    return numkit.integrate(func, *numkit.product_rule(
-        numkit.gauss_legendre_rule(np.linspace(-0.5, 0.0, resolution + 1)),
-        numkit.gauss_legendre_rule(np.linspace(0.0, dbl.T, resolution + 1))))
+def _strip_quadrature(integrand, a: complex, dbl: StripDouble,
+                      resolution: int = 12) -> complex:
+    """Tensor composite Gauss-Legendre over Omega = (-1/2,0) x (0, Im tau) of
+    integrand(z, K_electro, K_hydro, K_double), the kernels at (z, a) on the
+    nodes z.  wp(z + conj a) comes from ``elliptic.wp_grid`` on the rule's
+    two axes, bit for bit what ``strip_bergman_kernels`` gives on the nodes."""
+    rule_x, rule_y = (numkit.gauss_legendre_rule(np.linspace(lo, hi, resolution + 1))
+                      for lo, hi in ((-0.5, 0.0), (0.0, dbl.T)))
+    ac = complex(a).conjugate()
+    kernels = _kernels_of_wp(elliptic.wp_grid(
+        rule_x[0] + ac.real, rule_y[0] + ac.imag, dbl.lattice).ravel(), dbl)
+    return numkit.integrate(lambda z: integrand(z, *kernels),
+                            *numkit.product_rule(rule_x, rule_y))
 
 
 def _beta_period_of(f, dbl: StripDouble, x0: float = -0.25, n: int = 256) -> complex:
@@ -276,12 +291,11 @@ def reproducing_check(kernel: str, f, a: complex, dbl: StripDouble,
                 f"integrand has nonzero strip period {abs(period):.2e}; "
                 "not admissible for the hydrodynamic kernel")
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        ke, kh, _ = strip_bergman_kernels(z, a, dbl)
+    def integrand(z, ke, kh, kd):
         k = ke if kernel == "electro" else kh
         return f(z) * k.conjugate()
 
-    return _strip_quadrature(integrand, dbl, resolution)
+    return _strip_quadrature(integrand, a, dbl, resolution)
 
 
 def orthogonality_integral(b: complex, dbl: StripDouble,
@@ -289,11 +303,8 @@ def orthogonality_integral(b: complex, dbl: StripDouble,
     """int_Omega K_double dz wedge conj(K_hydro(.,b) dz) (vanishes)."""
     b = complex(b)
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        _, kh, kd = strip_bergman_kernels(z, b, dbl)
-        return kd * kh.conjugate()
-
-    return _strip_quadrature(integrand, dbl, resolution)
+    return _strip_quadrature(lambda z, ke, kh, kd: kd * kh.conjugate(),
+                             b, dbl, resolution)
 
 
 def upsilon_third_kind(z, a: complex, b: complex, dbl: StripDouble):

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from potflow import cli, verify, vortex
 
@@ -240,6 +241,48 @@ def test_vortex_collision_exit_3(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "c" / "summary.json").read_text())
     assert summary["aborted"] == "collision"
     assert summary["collision_time"] == 0.37
+
+
+def _handled_errors():
+    """Per command, its core call and each PotflowError subclass that the
+    command's handler catches (verify's catches none), with the documented
+    exit code and the prefix of the one stderr line."""
+    from potflow import equilibrium, planar_green, surface
+    from potflow.errors import (CollisionError, ConditioningError, DomainError,
+                                EvaluationError, OptimizationQualityError,
+                                ParameterError, PoleError)
+    fekete = (["fekete", "--domain", '{"kind":"circle","R":1.0}', "--n-max", "8"],
+              equilibrium, "transfinite_diameter")
+    run_vortex = (["vortex", "--system", PAIR, "--t-end", "1"], vortex, "simulate")
+    torus = (["torus", "--tau", "0,2"], surface.TorusSpec, "from_tau")
+    green = (["green", "--domain", '{"kind":"disk","R":1.0}', "--a=0.3,0.1"],
+             planar_green, "robin_data")
+    bad_input = "input error:"
+    cases = [
+        (*fekete, ParameterError("pole on the carrier"), 65, bad_input),
+        (*fekete, OptimizationQualityError("ladder not monotone"), 65, bad_input),
+        (*run_vortex, ParameterError("step budget exhausted"), 65, bad_input),
+        (*run_vortex, EvaluationError("t=0", "non-finite field value"), 65, bad_input),
+        (*run_vortex, CollisionError(0.37, 1e-12), 3, "simulation aborted:"),
+        (*torus, ConditioningError("Im tau too small"), 65, bad_input),
+        *((*green, exc, 65, bad_input) for exc in (
+            DomainError("a outside"), ParameterError("bad parameter"),
+            ConditioningError("aspect ratio"), PoleError("on the lattice"))),
+    ]
+    return [pytest.param(*case, id=f"{case[0][0]}-{type(case[3]).__name__}")
+            for case in cases]
+
+
+@pytest.mark.parametrize("argv, owner, name, error, code, prefix", _handled_errors())
+def test_handled_errors_exit_with_the_documented_code_and_one_line(
+        argv, owner, name, error, code, prefix, monkeypatch, capsys):
+    def core(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(owner, name, core)
+    assert run(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix) and str(error) in err[0], err
 
 
 def test_vortex_nonfinite_field_exit_65(monkeypatch, capsys):

@@ -305,7 +305,10 @@ def test_harmonic_measure_rectangle_mass():
 
 @pytest.mark.parametrize("w, h, grid, a", [(1.0, 1.0, 128, 0.3 + 0.65j),
                                            (2.0, 1.0, 64, 0.55 + 0.3j),
-                                           (1.0, 3.0, 128, 0.7 + 1.1j)])
+                                           (1.0, 3.0, 128, 0.7 + 1.1j),
+                                           # 0.1 and 0.02 from a side
+                                           (1.0, 3.0, 128, 0.1 + 2.4j),
+                                           (1.0, 1.0, 128, 0.02 + 0.5j)])
 def test_harmonic_measure_rectangle_reproduces_harmonics(w, h, grid, a):
     dom = pg.DomainDescriptor.rectangle(w, h, grid)
     eta = eq.harmonic_measure(dom, a)

@@ -114,6 +114,22 @@ def test_gauss_legendre_rule_exact_to_degree_31_per_panel():
             assert abs(wp @ xp ** k - exact) < 1e-13 * max(1.0, abs(a), abs(b)) ** (k + 1)
 
 
+@pytest.mark.parametrize("dist", [1e-1, 1e-2, 1e-3])
+def test_sinh_rule_resolves_a_near_pole_pair(dist):
+    # int dist / ((t - c)^2 + dist^2) dt = atan((t - c) / dist); the plain
+    # rule with the same 96 nodes is off by more than 1 at dist = 1e-3
+    lo, hi, c = -0.3, 1.0, 0.2
+    t, w = numkit.sinh_rule(lo, hi, c, dist, 96)
+    assert np.all((lo < t) & (t < hi)) and np.all(w > 0)
+    f = lambda t: dist / ((t - c) ** 2 + dist ** 2)
+    exact = math.atan((hi - c) / dist) - math.atan((lo - c) / dist)
+    assert abs(w @ f(t) - exact) < 1e-13
+    assert abs(w.sum() - (hi - lo)) < 1e-13
+    if dist == 1e-3:
+        t, w = numkit.gauss_legendre_rule([lo, hi], 96)
+        assert abs(w @ f(t) - exact) > 1.0
+
+
 def test_trapezoid_rule_exact_for_low_fourier_modes():
     n = 16
     t, w = numkit.trapezoid_rule(n)

@@ -48,6 +48,10 @@ def test_involution_and_harmonic_measure(dbl):
 def test_strip_parameter_validation():
     with pytest.raises(ParameterError):
         sk.StripDouble(1 + 2j)
+    # a real part within roundoff is dropped: the quadratures need Re tau = 0
+    dbl = sk.StripDouble(1e-15 + 2j)
+    assert dbl.tau == dbl.lattice.tau == 2j
+    assert abs(sk.orthogonality_integral(B, dbl)) < 1e-8
 
 
 def test_kkh_identity_exact(dbl):
@@ -198,6 +202,41 @@ def test_reproducing_hydro_admissibility(dbl):
 
 def test_orthogonality(dbl):
     assert abs(sk.orthogonality_integral(B, dbl)) < 1e-8
+
+
+def _full_grid_quadrature(integrand, a, dbl, resolution=12):
+    """The reference strip quadrature: kernels from wp on every node."""
+    nodes, weights = numkit.product_rule(*(
+        numkit.gauss_legendre_rule(np.linspace(lo, hi, resolution + 1))
+        for lo, hi in ((-0.5, 0.0), (0.0, dbl.T))))
+    return numkit.integrate(
+        lambda z: integrand(z, *sk.strip_bergman_kernels(z, a, dbl)), nodes, weights)
+
+
+def test_strip_quadratures_equal_the_full_grid_formula_bit_for_bit(dbl):
+    tau = dbl.tau
+    fexp = lambda w: (2j * math.pi / tau) * np.exp(2j * math.pi * w / tau)
+    one = lambda w: 1.0 + 0j
+    assert sk.reproducing_check("electro", one, A, dbl) == _full_grid_quadrature(
+        lambda z, ke, kh, kd: one(z) * ke.conjugate(), A, dbl)
+    for pt in (A, -0.15 + 0.35j, -0.4 + 1.4j):
+        assert sk.reproducing_check("hydro", fexp, pt, dbl) == _full_grid_quadrature(
+            lambda z, ke, kh, kd: fexp(z) * kh.conjugate(), pt, dbl)
+    assert sk.orthogonality_integral(B, dbl) == _full_grid_quadrature(
+        lambda z, ke, kh, kd: kd * kh.conjugate(), B, dbl)
+
+
+def test_schottky_suite_never_evaluates_wp_on_a_full_grid(monkeypatch):
+    from potflow import verify
+    wp = elliptic.wp
+
+    def small_wp(z, L):
+        if np.size(z) > 1000:
+            raise AssertionError(f"wp called on {np.size(z)} points")
+        return wp(z, L)
+
+    monkeypatch.setattr(elliptic, "wp", small_wp)
+    assert all(check.passed for check in verify.run_suite("schottky"))
 
 
 def test_upsilon_residues_and_periods(dbl):
