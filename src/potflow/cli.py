@@ -5,8 +5,8 @@ Commands: ``verify`` (identity suites), ``fekete`` (capacity runs),
 and ``green`` (domain Green/Robin report).  Output is deterministic JSON
 (sorted keys, no timestamps) and CSV with 17 significant digits.
 
-Exit codes: 0 ok, 2 verification failure, 3 simulation abort,
-64 usage error, 65 input schema error.
+Exit codes: 0 ok, 2 verification failure (or a check that raised),
+3 simulation abort, 64 usage error, 65 input schema error.
 """
 
 from __future__ import annotations
@@ -113,7 +113,13 @@ def _json_dumps(obj) -> str:
 
 def _cmd_verify(args) -> int:
     from . import verify
-    checks = verify.run_suite(args.suite)
+    from .errors import PotflowError
+    try:
+        checks = verify.run_suite(args.suite)
+    # a check that cannot finish has not passed either
+    except PotflowError as exc:
+        print(f"verify aborted: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     table = [c.to_dict() for c in checks]
     doc = {"suite": args.suite,
            "checks": table,

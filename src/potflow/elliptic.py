@@ -69,6 +69,7 @@ class TorusLattice:
     e1: complex  # wp(1/2)
     e2: complex  # wp((1+tau)/2)
     e3: complex  # wp(tau/2)
+    theta1_prime0: complex  # theta1'(0)
 
     @property
     def qh(self) -> complex:
@@ -189,7 +190,23 @@ def theta1(z, L: TorusLattice):
 def log_abs_theta1(z, L: TorusLattice):
     """log|theta1(z)| evaluated overflow-free for any z."""
     z = as_points(z)
-    z0, m, n = reduce_to_cell(z, L.tau)
+    z0, _, n = reduce_to_cell(z, L.tau)
+    return _log_abs_theta1_reduced(z0, n, z, L)
+
+
+def _log_abs_theta1_cell(z0, L: TorusLattice):
+    """log_abs_theta1(z0), to the bit, for a z0 that reduce_to_cell returned.
+    Reducing such a z0 again leaves it unchanged unless rounding left |Im z0|
+    just above Im tau / 2 (far from the origin), so only there is the second
+    reduction made."""
+    if first_where(abs(z0.imag / L.tau.imag) > 0.5, z0) is not None:
+        return log_abs_theta1(z0, L)
+    return _log_abs_theta1_reduced(z0, 0, z0, L)
+
+
+def _log_abs_theta1_reduced(z0, n, z, L: TorusLattice):
+    """log|theta1(z)| from reduce_to_cell(z) = (z0, m, n); the PoleError
+    names the first z on the lattice."""
     base = 2 * _sum("theta", z0, L.tau)
     if (p := first_where(base == 0, z)) is not None:
         raise PoleError(f"theta1 vanishes at lattice point near {p}")
@@ -223,8 +240,22 @@ def theta1_prime(z, L: TorusLattice):
     return dbase
 
 
+def _theta1_pair(z, L: TorusLattice):
+    """(theta1(z), theta1'(z)) from one reduction and one shift factor, each
+    equal to its own function's value to the bit (the tests hold the two
+    functions as the reference)."""
+    z0, m, n = reduce_to_cell(z, L.tau)
+    base = 2 * _sum("theta", z0, L.tau)
+    dbase = 2 * cmath.pi * _sum("theta_prime", z0, L.tau)
+    if isinstance(z0, np.ndarray) or m or n:
+        shift = _shift_factor(z0, m, n, L)
+        return shift * base, shift * (dbase - 2j * cmath.pi * n * base)
+    return base, dbase
+
+
 def theta1_prime0(L: TorusLattice) -> complex:
-    return theta1_prime(0.0, L)
+    """theta1'(0), computed once per lattice by ``lattice_constants``."""
+    return L.theta1_prime0
 
 
 def theta1_log_derivative(z, L: TorusLattice):
@@ -309,7 +340,8 @@ def lattice_constants(tau: complex) -> TorusLattice:
     """Populate all derived constants for the lattice (1, tau).
 
     eta1 comes with the series table; eta2 from the Legendre identity
-    eta1*tau - eta2 = 2*pi*i, which is then re-checked.
+    eta1*tau - eta2 = 2*pi*i, which is then re-checked.  theta1'(0), which
+    every Green function normalization reads, is summed here once.
     """
     tau = complex(tau)
     _check_tau(tau)
@@ -318,12 +350,13 @@ def lattice_constants(tau: complex) -> TorusLattice:
     qh2 = cmath.exp(2j * cmath.pi * tau)
 
     L = TorusLattice(tau=tau, q=qh2, eta1=eta1, eta2=eta2,
-                     g2=0j, g3=0j, e1=0j, e2=0j, e3=0j)
+                     g2=0j, g3=0j, e1=0j, e2=0j, e3=0j, theta1_prime0=0j)
     e1, e2, e3 = (wp(h, L) for h in (0.5, 0.5 * (1 + tau), 0.5 * tau))
     g2 = 2 * (e1 * e1 + e2 * e2 + e3 * e3)
     g3 = 4 * e1 * e2 * e3
     L = TorusLattice(tau=tau, q=qh2, eta1=eta1, eta2=eta2,
-                     g2=g2, g3=g3, e1=e1, e2=e2, e3=e3)
+                     g2=g2, g3=g3, e1=e1, e2=e2, e3=e3,
+                     theta1_prime0=theta1_prime(0.0, L))
 
     legendre = abs(eta1 * tau - eta2 - 2j * cmath.pi)
     if legendre > 1e-12 or abs(e1 + e2 + e3) > 1e-9:
@@ -349,4 +382,4 @@ def sqrt_wp_minus_e2(w, L: TorusLattice):
     den = theta1(w, L)
     if (p := first_where(abs(den) < 1e-290, w)) is not None:
         raise PoleError(f"sqrt(wp - e2) has a pole at lattice point near {p}")
-    return _xp(w).exp(1j * cmath.pi * w) * theta1_prime0(L) * num / (den * theta1(w2, L))
+    return _xp(w).exp(1j * cmath.pi * w) * L.theta1_prime0 * num / (den * theta1(w2, L))

@@ -9,6 +9,7 @@ own ladder).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -229,12 +230,21 @@ def discrete_energy(points: Sequence[complex], strengths: Sequence[float]) -> fl
 _NEWTON_CAP = 100
 
 
+@functools.lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), read-only: a Fekete ladder asks for each rung's
+    n on every Newton step."""
+    iu = np.triu_indices(n, 1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
 def _log_objective(z: np.ndarray, pole: complex | None) -> float:
     """log of the Fekete product (pole factors included when finite)."""
     n = len(z)
     diff = np.abs(z[:, None] - z[None, :])
-    iu = np.triu_indices(n, 1)
-    total = float(np.sum(np.log(diff[iu])))
+    total = float(np.sum(np.log(diff[_pairs(n)])))
     if pole is not None:
         total -= (n - 1) * float(np.sum(np.log(np.abs(z - pole))))
     return total

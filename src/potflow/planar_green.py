@@ -273,25 +273,23 @@ def szego_disk(z, a: complex):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def _rectangle_double(ratio: float) -> tuple[elliptic.TorusLattice, float]:
+def _rectangle_double(ratio: float) -> elliptic.TorusLattice:
     """The lattice (1, i ratio) of the double of a rectangle of height /
-    width = ratio >= 1, and log theta1'(0) on it, built once per ratio."""
+    width = ratio >= 1, built once per ratio."""
     if ratio > elliptic._MAX_IM_TAU:
         raise ParameterError(f"rectangle aspect ratio {ratio:.6g} exceeds "
                              f"{elliptic._MAX_IM_TAU:g}, the theta series' limit")
-    L = elliptic.lattice_constants(1j * ratio)
-    return L, math.log(elliptic.theta1_prime0(L).real)
+    return elliptic.lattice_constants(1j * ratio)
 
 
 def _rectangle_frame(d: DomainDescriptor, *points):
-    """(flip, lattice, log theta1'(0), width, height, points) in the frame
-    where the rectangle is at least as tall as wide: a wide one is flipped
-    through z -> i conj(z), which keeps G and h0 and maps dG/dz and h1 to
+    """(flip, lattice, width, height, points) in the frame where the
+    rectangle is at least as tall as wide: a wide one is flipped through
+    z -> i conj(z), which keeps G and h0 and maps dG/dz and h1 to
     -i conj(.).  Below, th(s) = theta1(s / p) with the period p = 2 width."""
     flip = d.w > d.h
     width, height = (d.h, d.w) if flip else (d.w, d.h)
-    L, log_prime0 = _rectangle_double(height / width)
-    return (flip, L, log_prime0, width, height,
+    return (flip, _rectangle_double(height / width), width, height,
             [1j * z.conjugate() if flip else z for z in points])
 
 
@@ -300,7 +298,7 @@ def _rectangle_green(d: DomainDescriptor, z, a):
     images of a in the sides.  It is exactly 0 on x = 0 and y = 0, where the
     factors pair up as conjugates, so z is first moved into the lower-left
     quarter by the reflections in the midlines, which leave G unchanged."""
-    _, L, _, width, height, (z, a) = _rectangle_frame(d, z, a)
+    _, L, width, height, (z, a) = _rectangle_frame(d, z, a)
     for out, mirror in ((z.real > width / 2, lambda s: width - s.conjugate()),
                         (z.imag > height / 2, lambda s: s.conjugate() + 1j * height)):
         if isinstance(z, np.ndarray):
@@ -313,7 +311,7 @@ def _rectangle_green(d: DomainDescriptor, z, a):
 
 
 def _rectangle_dgdz(d: DomainDescriptor, z, a):
-    flip, L, _, width, _, (z, a) = _rectangle_frame(d, z, a)
+    flip, L, width, _, (z, a) = _rectangle_frame(d, z, a)
     ac, p = a.conjugate(), 2 * width
     r = lambda s: elliptic.theta1_log_derivative(s / p, L)
     val = -(r(z - a) + r(z + a) - r(z - ac) - r(z + ac)) / (4 * math.pi * p)
@@ -323,12 +321,13 @@ def _rectangle_dgdz(d: DomainDescriptor, z, a):
 def _rectangle_robin(d: DomainDescriptor, a: complex) -> tuple:
     """h0 = -log|th'(0)| - log|th(2a)| + log|th(2i Im a)| + log|th(2 Re a)|,
     the limit of 2 pi G + log|z - a| at z = a, and its a-derivative h1."""
-    flip, L, log_prime0, width, _, (a,) = _rectangle_frame(d, a)
+    flip, L, width, _, (a,) = _rectangle_frame(d, a)
     p = 2 * width
     u = [s / p for s in (2 * a, 2j * a.imag, 2 * a.real)]
     t = [elliptic.log_abs_theta1(s, L) for s in u]
     r = [elliptic.theta1_log_derivative(s, L) / p for s in u]
-    h0 = math.log(p) - log_prime0 - t[0] + t[1] + t[2]
+    # theta1'(0) is real and positive on the rectangular lattice
+    h0 = math.log(p) - math.log(L.theta1_prime0.real) - t[0] + t[1] + t[2]
     h1 = -r[0] + 1j * r[1].imag + r[2].real
     return h0, -1j * h1.conjugate() if flip else h1, -4.0
 
@@ -583,19 +582,20 @@ def _slit_robin(d: DomainDescriptor, a: complex) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _strip_double(tau: complex):
-    """The strip's torus double (lattice constants included), built once per tau."""
+    """(schottky module, the strip's torus double with its lattice
+    constants), built once per tau.  schottky imports this module, so it is
+    imported here, once, rather than on every query."""
     from . import schottky
-    return schottky.StripDouble(tau)
+    return schottky, schottky.StripDouble(tau)
 
 
 def _strip_green(d: DomainDescriptor, z: complex, a: complex) -> float:
-    from . import schottky
-    return schottky.g_electro_strip(z, a, _strip_double(d.tau))
+    schottky, dbl = _strip_double(d.tau)
+    return schottky.g_electro_strip(z, a, dbl)
 
 
 def _strip_robin(d: DomainDescriptor, a: complex) -> tuple:
-    from . import schottky
-    dbl = _strip_double(d.tau)
+    schottky, dbl = _strip_double(d.tau)
     h0 = schottky.gamma_electro(a, dbl)
     h1 = schottky.gamma_electro_gradient(a, dbl)
     kappa = -4 * math.pi * schottky.strip_bergman_kernels(a, a, dbl)[0].real \

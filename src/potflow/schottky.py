@@ -64,6 +64,7 @@ class StripDouble:
     tau: complex
     p: float = 0.0
     lattice: elliptic.TorusLattice = field(init=False, repr=False)
+    spec: surface.TorusSpec = field(init=False, repr=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -74,14 +75,11 @@ class StripDouble:
         tau = complex(0.0, tau.imag)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "lattice", elliptic.lattice_constants(tau))
+        object.__setattr__(self, "spec", surface.TorusSpec(self.lattice))
 
     @property
     def T(self) -> float:
         return self.tau.imag
-
-    @property
-    def spec(self) -> surface.TorusSpec:
-        return surface.TorusSpec(self.lattice)
 
     @staticmethod
     def involution(z: complex) -> complex:
@@ -176,14 +174,13 @@ def gamma_electro(a: complex, dbl: StripDouble) -> float:
         raise DomainError("point must lie in the open strip")
     L = dbl.lattice
     return (elliptic.log_abs_theta1(2 * a.real, L)
-            - math.log(abs(elliptic.theta1_prime0(L))))
+            - math.log(abs(L.theta1_prime0)))
 
 
 def gamma_electro_gradient(a: complex, dbl: StripDouble) -> complex:
     """h1 = d gamma_electro / da = (theta1'/theta1)(2 Re a) (real lattice)."""
-    w = 2 * complex(a).real
-    L = dbl.lattice
-    return elliptic.theta1_prime(w, L) / elliptic.theta1(w, L)
+    th, dth = elliptic._theta1_pair(2 * complex(a).real, dbl.lattice)
+    return dth / th
 
 
 def g_hydro_strip(z: complex, a: complex, dbl: StripDouble,

@@ -327,7 +327,7 @@ def torus_green_constant(tau: complex, resolution: int = 160) -> float:
     """
     L = elliptic.lattice_constants(tau)
     T = tau.imag
-    th0 = elliptic.theta1_prime0(L)
+    th0 = L.theta1_prime0
 
     def smooth(w: np.ndarray) -> np.ndarray:
         # the limit at w = 0 is 0; a node there (odd resolution) reads 0
@@ -368,8 +368,8 @@ def torus_monopole_green(z, a: complex, spec: TorusSpec):
     if numkit.first_where(abs(wr) < 1e-13, w) is not None:
         raise PoleError("torus Green function pole at z = a (mod lattice)")
     T = spec.volume
-    val = -(elliptic.log_abs_theta1(wr, L)
-            - math.log(abs(elliptic.theta1_prime0(L)))) / (2 * math.pi)
+    val = -(elliptic._log_abs_theta1_cell(wr, L)
+            - math.log(abs(L.theta1_prime0))) / (2 * math.pi)
     return val + wr.imag ** 2 / (2 * T) + torus_green_constant(L.tau)
 
 

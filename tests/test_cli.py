@@ -107,6 +107,47 @@ def test_green_report(tmp_path, capsys):
     assert abs(doc["robin"]["h0"] - math.log(0.75)) < 1e-12
 
 
+# recorded output of a strip query whose h1 has a -0.0 imaginary part: the
+# strip's theta1 values must keep their last bits and the signs of zeros
+STRIP_GREEN_REPORT = "\n".join([
+    '{',
+    '  "a": [',
+    '    -0.3802022359493315,',
+    '    0.8793302462090203',
+    '  ],',
+    '  "domain": {',
+    '    "kind": "periodic_strip",',
+    '    "tau": [',
+    '      0.0,',
+    '      1.0',
+    '    ]',
+    '  },',
+    '  "green": 0.019637834741409954,',
+    '  "robin": {',
+    '    "curvature": -4.026397049086566,',
+    '    "h0": -1.5215781927208016,',
+    '    "h1": [',
+    '      3.377453083693801,',
+    '      -0.0',
+    '    ]',
+    '  },',
+    '  "z": [',
+    '    -0.2,',
+    '    0.3',
+    '  ]',
+    '}',
+])
+
+
+def test_strip_green_report_is_byte_identical_to_the_recorded_one(tmp_path):
+    out = tmp_path / "green.json"
+    code = run(["green", "--domain", '{"kind":"periodic_strip","tau":[0,1]}',
+                "--a=-0.3802022359493315,0.8793302462090203", "--z=-0.2,0.3",
+                "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == STRIP_GREEN_REPORT
+
+
 def test_fekete_run_circle(tmp_path):
     out = tmp_path / "cap"
     code = run(["fekete", "--domain", '{"kind":"circle","R":1.0}',
@@ -245,8 +286,8 @@ def test_vortex_collision_exit_3(tmp_path, monkeypatch):
 
 def _handled_errors():
     """Per command, its core call and each PotflowError subclass that the
-    command's handler catches (verify's catches none), with the documented
-    exit code and the prefix of the one stderr line."""
+    command's handler catches (verify's catches them all), with the
+    documented exit code and the prefix of the one stderr line."""
     from potflow import equilibrium, planar_green, surface
     from potflow.errors import (CollisionError, ConditioningError, DomainError,
                                 EvaluationError, OptimizationQualityError,
@@ -268,6 +309,8 @@ def _handled_errors():
         *((*green, exc, 65, bad_input) for exc in (
             DomainError("a outside"), ParameterError("bad parameter"),
             ConditioningError("aspect ratio"), PoleError("on the lattice"))),
+        (["verify", "--suite", "schottky"], verify, "run_suite",
+         PoleError("on the lattice"), 2, "verify aborted:"),
     ]
     return [pytest.param(*case, id=f"{case[0][0]}-{type(case[3]).__name__}")
             for case in cases]

@@ -1,5 +1,7 @@
 import cmath
+import collections
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -237,6 +239,92 @@ def test_schottky_suite_never_evaluates_wp_on_a_full_grid(monkeypatch):
 
     monkeypatch.setattr(elliptic, "wp", small_wp)
     assert all(check.passed for check in verify.run_suite("schottky"))
+
+
+def _bits(*values) -> bytes:
+    """The values' IEEE bits, so that == also tells -0.0 from 0.0."""
+    return struct.pack(f"<{2 * len(values)}d", *(
+        part for v in values for part in (complex(v).real, complex(v).imag)))
+
+
+def _torus_green_reference(z, a, spec):
+    """torus_monopole_green from public primitives, each reducing its own
+    argument, with theta1'(0) summed afresh."""
+    L = spec.lattice
+    wr = elliptic.reduce_to_cell(z - a, L.tau)[0]
+    val = -(elliptic.log_abs_theta1(wr, L)
+            - math.log(abs(elliptic.theta1_prime(0.0, L)))) / (2 * math.pi)
+    return val + wr.imag ** 2 / (2 * spec.volume) + sf.torus_green_constant(L.tau)
+
+
+def _strip_robin_reference(a, dbl):
+    L, w = dbl.lattice, 2 * a.real
+    h0 = (elliptic.log_abs_theta1(w, L)
+          - math.log(abs(elliptic.theta1_prime(0.0, L))))
+    h1 = elliptic.theta1_prime(w, L) / elliptic.theta1(w, L)
+    kappa = (-4 * math.pi * sk.strip_bergman_kernels(a, a, dbl)[0].real
+             * math.exp(2 * h0))
+    return h0, h1, kappa
+
+
+@pytest.mark.parametrize("T", [1.0, 2.0])
+def test_strip_green_and_robin_equal_the_reference_bit_for_bit(T):
+    dom = pg.DomainDescriptor.periodic_strip(1j * T)
+    dbl = sk.StripDouble(1j * T)
+    rng = np.random.default_rng(int(T))
+    pts = rng.uniform(-0.499, -0.001, (500, 2)) + 1j * rng.uniform(-3 * T, 3 * T, (500, 2))
+    for z, a in pts:
+        want = (_torus_green_reference(z, a, dbl.spec)
+                - _torus_green_reference(z, sk.StripDouble.involution(a), dbl.spec))
+        assert _bits(pg.green(dom, z, a)) == _bits(want), (z, a)
+        r = pg.robin_data(dom, a)
+        assert _bits(r.h0, r.h1, r.curvature) == _bits(*_strip_robin_reference(a, dbl)), a
+
+
+@pytest.mark.parametrize("tau", [0.5j, 2j, 0.3 + 2j, 1.3j, 0.3 + 1.1j])
+def test_torus_green_equals_the_reference_bit_for_bit(tau):
+    spec = sf.TorusSpec.from_tau(tau)
+    a = 0.23 - 0.17j
+    # the half periods (lattice points excluded) over several cells
+    zs = [a + 0.5 * k + 0.5 * j * tau for k in range(-6, 7) for j in range(-6, 7)
+          if k % 2 or j % 2]
+    rng = np.random.default_rng(5)
+    zs += list(rng.uniform(-5, 5, 300) + 1j * tau.imag * rng.uniform(-5, 5, 300))
+    # within a few ulp of a horizontal cell edge far out, where the rounded
+    # reduction can leave |Im(z - a)| just above Im tau / 2 (when n Im tau
+    # rounds, so not for Im tau 0.5 or 2)
+    y = (rng.integers(-10 ** 6, 10 ** 6, 2000) + 0.5) * tau.imag
+    y += rng.integers(-4, 5, y.size) * np.spacing(y)
+    zs += list(a + rng.uniform(-0.5, 0.5, y.size) + 1j * y)
+    for z in zs:
+        assert _bits(sf.torus_monopole_green(z, a, spec)) == _bits(
+            _torus_green_reference(z, a, spec)), z
+    z = np.array(zs).reshape(-1, 4)
+    assert _bits(*sf.torus_monopole_green(z, a, spec).ravel()) == _bits(
+        *_torus_green_reference(z, a, spec).ravel())
+
+
+@pytest.mark.parametrize("tau", [0.05j, 0.5j, 1j, 2j, 0.3 + 2j, -0.45 + 0.9j, 60j])
+def test_cached_theta1_prime0_is_theta1_prime_at_zero(tau):
+    L = elliptic.lattice_constants(tau)
+    assert _bits(elliptic.theta1_prime0(L)) == _bits(elliptic.theta1_prime(0.0, L))
+
+
+def test_strip_green_sums_no_theta_prime_series_once_built(monkeypatch):
+    dom = pg.DomainDescriptor.periodic_strip(2j)
+    pg.green(dom, Z, A)
+    counts = collections.Counter()
+    summed = elliptic._sum
+
+    def counting_sum(name, *args):
+        counts[name] += 1
+        return summed(name, *args)
+
+    monkeypatch.setattr(elliptic, "_sum", counting_sum)
+    for k in range(100):
+        pg.green(dom, Z + 0.01j * k, A)
+    # one theta series per torus monopole term, two terms per strip green
+    assert counts == {"theta": 200}
 
 
 def test_upsilon_residues_and_periods(dbl):
