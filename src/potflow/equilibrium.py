@@ -346,9 +346,20 @@ def fekete_points(K: CompactSet, n: int, pole: complex | None = None,
     """
     if n < 2:
         raise ParameterError("need at least two points")
+    _check_pole(K, pole)
+    return _fekete_from_start(K, _leja_start(K, n, pole), pole, counters)
+
+
+def _check_pole(K: CompactSet, pole: complex | None) -> None:
     if pole is not None and _CARRIERS[K.kind].on_carrier(K, complex(pole), 1e-12):
         raise ParameterError("pole must lie off the carrier set")
-    ts, iterations, grad_norm = _newton_refine(K, _leja_start(K, n, pole), pole)
+
+
+def _fekete_from_start(K: CompactSet, start: np.ndarray, pole: complex | None,
+                       counters: dict | None) -> tuple[np.ndarray, float]:
+    """``fekete_points`` refined from the given Leja start parameters."""
+    n = len(start)
+    ts, iterations, grad_norm = _newton_refine(K, start, pole)
     if counters is not None:
         counters.setdefault("newton_iterations", []).append(iterations)
         counters.setdefault("grad_norm", []).append(grad_norm)
@@ -388,9 +399,14 @@ def transfinite_diameter(K: CompactSet, pole: complex | None = None,
     ns = [n for n in _DEFAULT_LADDER if n <= n_max]
     if ns[-1] != n_max:
         ns.append(n_max)
+    _check_pole(K, pole)
+    # Leja sequences are nested: the start of each rung is the first n
+    # points of the largest rung's, so the greedy choice runs once
+    start = _leja_start(K, ns[-1], pole)
+    start.flags.writeable = False
     deltas, deltas_sq, points, counters = [], [], {}, {}
     for n in ns:
-        zs, dn = fekete_points(K, n, pole, counters=counters)
+        zs, dn = _fekete_from_start(K, start[:n], pole, counters)
         points[n] = zs
         deltas.append(dn)
         # the 2/n^2 normalization, dn^((n-1)/n), ties the ladder to the discrete energy

@@ -33,6 +33,7 @@ __all__ = [
     "circle",
     "line_segment",
     "contour_integral",
+    "cross_stencil",
     "wirtinger_derivative",
     "mixed_second_derivative",
     "fd_laplacian",
@@ -256,6 +257,12 @@ def contour_integral(f: Callable[[np.ndarray], np.ndarray], curve: Curve,
 # finite differences in the Wirtinger calculus
 # ---------------------------------------------------------------------------
 
+def cross_stencil(z0: complex, h: float) -> tuple[complex, ...]:
+    """The points z0 + h, z0 - h, z0 + ih, z0 - ih, in the order in which
+    ``wirtinger_derivative`` evaluates them."""
+    return z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h
+
+
 def wirtinger_derivative(f: Callable[[complex], complex], z0: complex,
                          which: str = "dz", h: float | None = None) -> complex:
     """Central-difference Wirtinger derivative, error O(h^2).
@@ -270,12 +277,13 @@ def wirtinger_derivative(f: Callable[[complex], complex], z0: complex,
         raise ParameterError("step h must lie in [1e-8, 1e-2]")
     fe = lambda z: require_finite(f(z), z)
     if which in ("dz", "dzbar"):
-        dx = (fe(z0 + h) - fe(z0 - h)) / (2 * h)
-        dy = (fe(z0 + 1j * h) - fe(z0 - 1j * h)) / (2 * h)
+        e, w, n, s = (fe(p) for p in cross_stencil(z0, h))
+        dx = (e - w) / (2 * h)
+        dy = (n - s) / (2 * h)
         return 0.5 * (dx - 1j * dy) if which == "dz" else 0.5 * (dx + 1j * dy)
     if which == "dzdzbar":
-        lap = (fe(z0 + h) + fe(z0 - h) + fe(z0 + 1j * h) + fe(z0 - 1j * h)
-               - 4 * fe(z0)) / (h * h)
+        e, w, n, s = (fe(p) for p in cross_stencil(z0, h))
+        lap = (e + w + n + s - 4 * fe(z0)) / (h * h)
         return lap / 4.0
     raise ParameterError(f"unknown derivative kind {which!r}")
 

@@ -82,8 +82,9 @@ class StripDouble:
         return self.tau.imag
 
     @staticmethod
-    def involution(z: complex) -> complex:
-        return -complex(z).conjugate()
+    def involution(z):
+        """J(z) = -conj(z) (elementwise for an array of z)."""
+        return -numkit.as_points(z).conjugate()
 
     @staticmethod
     def u1(z):
@@ -91,8 +92,10 @@ class StripDouble:
         for an array of z)."""
         return -2.0 * numkit.as_points(z).real
 
-    def contains(self, z: complex) -> bool:
-        return -0.5 < complex(z).real < 0.0
+    def contains(self, z):
+        """Whether z lies in the open strip (elementwise for an array of z)."""
+        x = numkit.as_points(z).real
+        return (-0.5 < x) & (x < 0.0)
 
     def p11_quadrature(self, n: int = 64, h: float = 1e-6) -> float:
         """P11 = (1/2) int_Omega du1 wedge *du1 by fd gradient + midpoint rule."""
@@ -151,10 +154,11 @@ def kkl_combinations(z: complex, a: complex, dbl: StripDouble
     return abs(ke - (kd + ld)), abs(kh - (-kd + ld))
 
 
-def g_electro_strip(z: complex, a: complex, dbl: StripDouble) -> float:
-    """Electrostatic (Dirichlet) Green function of the periodic strip."""
-    z, a = complex(z), complex(a)
-    if not (dbl.contains(z) and dbl.contains(a)):
+def g_electro_strip(z, a, dbl: StripDouble):
+    """Electrostatic (Dirichlet) Green function of the periodic strip, for
+    scalars or arrays of z and a (broadcast together)."""
+    inside = dbl.contains(z) & dbl.contains(a)
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
         raise DomainError("points must lie in the open strip")
     spec = dbl.spec
     return (surface.torus_monopole_green(z, a, spec)
@@ -183,9 +187,9 @@ def gamma_electro_gradient(a: complex, dbl: StripDouble) -> complex:
     return dth / th
 
 
-def g_hydro_strip(z: complex, a: complex, dbl: StripDouble,
-                  p: float | None = None) -> float:
-    """Hydrodynamic Green function with prescribed circulation p.
+def g_hydro_strip(z, a, dbl: StripDouble, p: float | None = None):
+    """Hydrodynamic Green function with prescribed circulation p, for
+    scalars or arrays of z and a (broadcast together).
 
     G_hydro = G_electro + (1/(2 Im tau)) (u1(z)-p)(u1(a)-p); its boundary
     values are locally constant and -oint_beta *dG_hydro = p around the
@@ -233,13 +237,13 @@ def _g_hydro_extended(z, a: complex, dbl: StripDouble, p: float):
     return ge + (StripDouble.u1(z) - p) * (StripDouble.u1(a) - p) / (2 * dbl.T)
 
 
-def neumann_strip(z: complex, a: complex, dbl: StripDouble) -> float:
-    """Even combination N = G_double(z,a) + G_double(z,J(a)).
+def neumann_strip(z, a, dbl: StripDouble):
+    """Even combination N = G_double(z,a) + G_double(z,J(a)), for scalars
+    or arrays of z and a (broadcast together).
 
     Vanishing normal derivative on both walls; off the pole it satisfies
     -4 d^2 N/dz dzbar = -1/area(Omega) with area = Im tau / 2.
     """
-    z, a = complex(z), complex(a)
     spec = dbl.spec
     return (surface.torus_monopole_green(z, a, spec)
             + surface.torus_monopole_green(z, StripDouble.involution(a), spec))
@@ -428,8 +432,9 @@ def ahlfors_map_disk(z: complex, a: complex) -> complex:
 
 
 def _conjugate_green_disk(z: complex, a: complex, base: complex,
-                          n_panels: int = 24) -> float:
-    """Harmonic conjugate G*(z) = int_base^z *dG(., a) along a polyline.
+                          rule: tuple[np.ndarray, np.ndarray]) -> float:
+    """Harmonic conjugate G*(z) = int_base^z *dG(., a) along a polyline,
+    each leg by the (nodes, weights) rule on [0, 1].
 
     *dG = 2 Im(dG/dz dz); the path detours around the pole when the direct
     segment passes too close.
@@ -438,9 +443,8 @@ def _conjugate_green_disk(z: complex, a: complex, base: complex,
     dgdz = planar_green._KINDS["disk"].green_z_derivative
 
     def leg(z0: complex, z1: complex) -> float:
-        val = numkit.gauss_legendre_panel(
-            lambda t: dgdz(D, z0 + (z1 - z0) * t, a) * (z1 - z0), 0.0, 1.0,
-            panels=n_panels)
+        val = numkit.integrate(
+            lambda t: dgdz(D, z0 + (z1 - z0) * t, a) * (z1 - z0), *rule)
         return 2 * val.imag
 
     # detour via a midpoint offset if the segment passes near the pole
@@ -471,37 +475,45 @@ def _slit_base_point(a: complex) -> complex:
     return -0.5 * a / abs(a)
 
 
-def circular_slit_map(z: complex, a: complex,
+def circular_slit_map(z, a: complex,
                       domain: "planar_green.DomainDescriptor | None" = None,
-                      n_panels: int = 24) -> complex:
-    """Canonical map f = exp(gamma(a) - 2 pi G(.,a) - 2 pi i G*(.,a)).
+                      n_panels: int = 24):
+    """Canonical map f = exp(gamma(a) - 2 pi G(.,a) - 2 pi i G*(.,a)), for a
+    scalar or an array of z in the closed unit disk (f(a) = 0).
 
     On the unit disk this is the Mobius factor scaled to f'(a) = 1 (the
     c1-extremal normalization), with boundary modulus exp(gamma(a)).  The
     harmonic conjugate is built by contour integration of *dG from a base
-    point; the phase is fixed so that f'(a) is real positive.
+    point; the phase is fixed so that f'(a) is real positive.  gamma, the
+    base point, the leg rule and the phase depend on a alone and are
+    computed once per call.
     """
     if domain is None:
         domain = planar_green.DomainDescriptor.disk(1.0)
     if domain.kind != "disk" or domain.R != 1.0:
         raise ParameterError("slit map implemented on the unit disk")
-    z, a = complex(z), complex(a)
+    z, a = numkit.as_points(z), complex(a)
     if not domain.contains(a):
         raise DomainError("zero point must be interior")
+    outside = numkit.first_where(np.logical_not(abs(z) <= 1 + 1e-12), z)
+    if outside is not None:
+        raise DomainError(f"slit map implemented on the unit disk: {outside} "
+                          "lies outside")
     gamma = planar_green.robin_data(domain, a).h0
     base = _slit_base_point(a)
+    rule = numkit.gauss_legendre_rule(np.linspace(0.0, 1.0, n_panels + 1))
 
     r_safe = min(0.05, (1 - abs(a)) / 4)
 
     def conj_green(zz: complex) -> float:
         d = abs(zz - a)
         if d >= r_safe:
-            return _conjugate_green_disk(zz, a, base, n_panels)
+            return _conjugate_green_disk(zz, a, base, rule)
         # approach the pole along the ray: the singular 1/(z-a) part of *dG
         # has zero radial component, so only the regular term contributes
         direction = (zz - a) / d
         anchor = a + r_safe * direction
-        gs = _conjugate_green_disk(anchor, a, base, n_panels)
+        gs = _conjugate_green_disk(anchor, a, base, rule)
 
         def regular(t: np.ndarray) -> np.ndarray:
             zt = anchor + (zz - anchor) * t
@@ -523,6 +535,11 @@ def circular_slit_map(z: complex, a: complex,
         numkit.pointwise(lambda zz: raw(zz) / (zz - a) ** 2),
         numkit.circle(a, r), 16) / (2j * math.pi)
     phase = fprime / abs(fprime)
-    if z == a:
-        return 0j
-    return raw(z) / phase
+
+    def f(zz: complex) -> complex:
+        return 0j if zz == a else raw(zz) / phase
+
+    if isinstance(z, np.ndarray):
+        return np.array([f(zz) for zz in z.ravel().tolist()],
+                        dtype=complex).reshape(z.shape)
+    return f(z)

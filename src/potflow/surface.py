@@ -359,18 +359,22 @@ def _log_abs_rectangle_integral(a: float, b: float) -> float:
     return 4 * quadrant
 
 
-def torus_monopole_green(z, a: complex, spec: TorusSpec):
-    """Zero-mean monopole Green function of the flat torus, for a scalar or
-    an array of z."""
+def torus_monopole_green(z, a, spec: TorusSpec):
+    """Zero-mean monopole Green function of the flat torus, for scalars or
+    arrays of z and a (broadcast together).  Im(w)^2 is y * y on both
+    paths: Python's y ** 2 goes through the C library's pow, which is one
+    ulp off the correctly rounded square for about 0.1% of arguments, and
+    numpy's square is not."""
     L = spec.lattice
-    w = numkit.as_points(z) - complex(a)
+    w = numkit.as_points(z) - numkit.as_points(a)
     wr, _, _ = elliptic.reduce_to_cell(w, L.tau)
     if numkit.first_where(abs(wr) < 1e-13, w) is not None:
         raise PoleError("torus Green function pole at z = a (mod lattice)")
     T = spec.volume
     val = -(elliptic._log_abs_theta1_cell(wr, L)
             - math.log(abs(L.theta1_prime0))) / (2 * math.pi)
-    return val + wr.imag ** 2 / (2 * T) + torus_green_constant(L.tau)
+    y = wr.imag
+    return val + y * y / (2 * T) + torus_green_constant(L.tau)
 
 
 def wedge_integral_cell(form1: OneForm, form2: OneForm, spec: TorusSpec,

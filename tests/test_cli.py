@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,8 +91,9 @@ def test_fekete_degenerate_ladders_exit_65(monkeypatch, capsys):
     assert err.startswith("input error:") and err.count("\n") == 1
     assert "not finite and positive" in err
     # a ladder that grows with n fails the monotonicity check
-    monkeypatch.setattr(equilibrium, "fekete_points",
-                        lambda K, n, pole, counters: (np.zeros(n, complex), float(n)))
+    monkeypatch.setattr(equilibrium, "_fekete_from_start",
+                        lambda K, ts, pole, counters: (np.zeros(len(ts), complex),
+                                                       float(len(ts))))
     assert run(["fekete", "--domain", '{"kind":"circle","R":1.0}', "--n-max", "8"]) == 65
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
@@ -146,6 +149,47 @@ def test_strip_green_report_is_byte_identical_to_the_recorded_one(tmp_path):
                 "--out", str(out)])
     assert code == 0
     assert out.read_text() == STRIP_GREEN_REPORT
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_verify_all_report_is_byte_identical_to_the_recorded_one(tmp_path):
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--suite", "all", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "verify_all.json").read_bytes()
+
+
+_RECT = '{"kind":"domain_boundary","domain":{"kind":"rectangle","w":2.0,"h":1.0}}'
+
+
+# sha256 of capacity.json and fekete_points.csv at --n-max 64
+@pytest.mark.parametrize("domain, pole, capacity, points", [
+    ('{"kind":"circle","R":1.0}', None,
+     "f4ea97421f16a7f5e35af7e89a91956ebfdc5b57b8934dd511e4a66274b57742",
+     "d8603b8c54e8e85435193179b4f55257d5c8f2d1aae4345b5c6a0f2049424a75"),
+    ('{"kind":"segment","length":2.0}', None,
+     "dae85ad49fe030b8b71a6d70d3b055b2b92b1137ed1cc2a31b4646c72a214f22",
+     "66173021b99ccc01baa9b0a96b77852610f810a1fa0d526e6b72556e34c412e1"),
+    (_RECT, None,
+     "b6fa1512988187e6767bc14b8a5037cc1b421629878ad092ce9f7fee36f6908e",
+     "8b4f0660b3612a11067fbc97fb11f066676da8ebe855cf8f54dfb37064df4908"),
+    ('{"kind":"circle","R":1.0}', "2.5,0.5",
+     "81a1c3b538d9307cc6a9762c28bd6d7c0da7b52df15d3e076eedeb1c4541524e",
+     "a5b02b1469a8a5c8ea07fe4eb1f2812c8b44648be07310f079594fe78d138b00"),
+    ('{"kind":"segment","length":2.0}', "0.3,1.2",
+     "c5f32a7b6877984ee9dbae63973e832c9540a632223866d537b18a6ae1657440",
+     "91fb8025c8bcd0ff51b7a2c98510925093727bc731e44f604cf4a75fe518b4d0"),
+    (_RECT, "3,2",
+     "a1a4c5fa23a45d3cec93e1dfc22fe9b8d7c1533539afe920738af027240616a6",
+     "909c5422fff6784a594e902dd9d7c2650e0e1ec9a436a9050e041ec2822dc2fb"),
+])
+def test_fekete_outputs_are_byte_identical_to_the_recorded_ones(
+        tmp_path, domain, pole, capacity, points):
+    argv = ["fekete", "--domain", domain, "--n-max", "64", "--out", str(tmp_path)]
+    assert run(argv + ([f"--pole={pole}"] if pole else [])) == 0
+    assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("capacity.json", "fekete_points.csv")] == [capacity, points]
 
 
 def test_fekete_run_circle(tmp_path):

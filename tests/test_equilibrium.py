@@ -192,6 +192,52 @@ def test_fekete_pole_on_carrier_rejected():
             eq.fekete_points(K, 8, pole=pole)
 
 
+_RECTANGLE = eq.CompactSet.domain_boundary(pg.DomainDescriptor.rectangle(2.0, 1.0))
+
+
+@pytest.mark.parametrize("K, pole", [
+    (eq.CompactSet.circle(1.0), None), (eq.CompactSet.circle(1.0), 2.5 + 0.5j),
+    (eq.CompactSet.segment(2.0), None), (eq.CompactSet.segment(2.0), 0.3 + 1.2j),
+    (_RECTANGLE, None), (_RECTANGLE, 3.0 + 2.0j)])
+def test_leja_starts_are_nested(K, pole):
+    full = eq._leja_start(K, 64, pole)
+    for n in (2, 4, 7, 12, 33, 48, 64):
+        assert eq._leja_start(K, n, pole).tobytes() == full[:n].tobytes()
+
+
+def test_ladder_chooses_its_leja_start_once(monkeypatch):
+    calls, leja = [], eq._leja_start
+
+    def counted(K, n, pole):
+        calls.append(n)
+        return leja(K, n, pole)
+
+    monkeypatch.setattr(eq, "_leja_start", counted)
+    eq.transfinite_diameter(eq.CompactSet.circle(1.0), n_max=48)
+    assert calls == [48]
+
+
+def test_ladder_start_is_read_only(monkeypatch):
+    starts, refine = [], eq._newton_refine
+
+    def recording(K, ts, pole):
+        starts.append(ts)
+        return refine(K, ts, pole)
+
+    monkeypatch.setattr(eq, "_newton_refine", recording)
+    eq.transfinite_diameter(eq.CompactSet.segment(2.0), n_max=16)
+    assert [len(ts) for ts in starts] == [4, 6, 8, 12, 16]
+    for ts in starts:
+        with pytest.raises(ValueError):
+            ts[0] = 0.5
+
+
+def test_ladder_checks_the_pole_once_before_any_rung(monkeypatch):
+    monkeypatch.setattr(eq, "_leja_start", None)     # never reached
+    with pytest.raises(ParameterError, match="off the carrier"):
+        eq.transfinite_diameter(eq.CompactSet.circle(1.0), pole=1.0 + 0j, n_max=16)
+
+
 def test_ladder_monotone_and_capacity_circle():
     rep = eq.transfinite_diameter(eq.CompactSet.circle(1.0), n_max=64)
     logs = np.log(rep.delta_n)

@@ -254,7 +254,7 @@ def _torus_green_reference(z, a, spec):
     wr = elliptic.reduce_to_cell(z - a, L.tau)[0]
     val = -(elliptic.log_abs_theta1(wr, L)
             - math.log(abs(elliptic.theta1_prime(0.0, L)))) / (2 * math.pi)
-    return val + wr.imag ** 2 / (2 * spec.volume) + sf.torus_green_constant(L.tau)
+    return val + wr.imag * wr.imag / (2 * spec.volume) + sf.torus_green_constant(L.tau)
 
 
 def _strip_robin_reference(a, dbl):
@@ -302,6 +302,84 @@ def test_torus_green_equals_the_reference_bit_for_bit(tau):
     z = np.array(zs).reshape(-1, 4)
     assert _bits(*sf.torus_monopole_green(z, a, spec).ravel()) == _bits(
         *_torus_green_reference(z, a, spec).ravel())
+
+
+def _scalar_calls(fn, z, a, *args):
+    return [fn(zz, aa, *args) for zz, aa in zip(z.tolist(), a.tolist())]
+
+
+def test_torus_green_squares_im_w_alike_on_both_paths(dbl):
+    # Im(z - a) = y where Python's y ** 2 (the C library's pow) is one ulp
+    # off y * y, as it is for about 0.1% of arguments on glibc
+    y = np.random.default_rng(1).uniform(-0.99, 0.99, 200_000).tolist()
+    y = [v for v in y if v ** 2 != v * v] + y[:50]
+    z = 0.1 + 1j * np.array(y)
+    a = np.zeros(z.size, complex)
+    assert _bits(*sf.torus_monopole_green(z, 0j, dbl.spec)) == _bits(
+        *_scalar_calls(sf.torus_monopole_green, z, a, dbl.spec))
+
+
+def test_strip_green_arrays_equal_scalar_calls_bit_for_bit(dbl):
+    rng = np.random.default_rng(77)
+    z, a = (rng.uniform(-0.499, -0.001, 2000) + 1j * rng.uniform(-4, 4, 2000)
+            for _ in range(2))
+    for fn, args in ((sf.torus_monopole_green, (dbl.spec,)),
+                     (sk.g_electro_strip, (dbl,)), (sk.neumann_strip, (dbl,)),
+                     (sk.g_hydro_strip, (dbl, 0.7))):
+        got = fn(z.reshape(40, 50), a.reshape(40, 50), *args)
+        assert got.shape == (40, 50)
+        assert _bits(*got.ravel()) == _bits(*_scalar_calls(fn, z, a, *args)), fn
+        # a scalar a broadcasts against an array z, and the reverse
+        assert _bits(*fn(z[:50], A, *args)) == _bits(
+            *_scalar_calls(fn, z[:50], np.full(50, A), *args))
+        assert _bits(*fn(Z, a[:50], *args)) == _bits(
+            *_scalar_calls(fn, np.full(50, Z), a[:50], *args))
+    with pytest.raises(DomainError):
+        sk.g_electro_strip(np.array([Z, 0.1 + 0.2j]), A, dbl)
+    with pytest.raises(DomainError):
+        sk.g_hydro_strip(Z, np.array([A, -0.6 + 0.2j]), dbl)
+
+
+def test_ng_stencils_equal_scalar_calls_bit_for_bit(monkeypatch, dbl):
+    from potflow import verify
+    calls = []
+
+    def recording(fn):
+        def wrapped(z, a, *args):
+            if isinstance(z, np.ndarray):
+                calls.append((fn, z, a, args))
+            return fn(z, a, *args)
+        return wrapped
+
+    for name in ("neumann_strip", "g_hydro_strip"):
+        monkeypatch.setattr(sk, name, recording(getattr(sk, name)))
+    verify.schottky_checks()
+    # 10 (z, a) pairs, two steps each, 16 stencil points per step
+    assert len(calls) == 40 and all(z.shape == (16,) for _, z, _, _ in calls)
+    for fn, z, a, args in calls:
+        assert _bits(*fn(z, a, *args)) == _bits(*_scalar_calls(fn, z, a, *args))
+        for b in (a, sk.StripDouble.involution(a)):
+            assert _bits(*sf.torus_monopole_green(z, b, dbl.spec)) == _bits(
+                *_scalar_calls(sf.torus_monopole_green, z, b, dbl.spec))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.7])
+def test_tabulated_mixed_richardson_equals_the_scalar_one(dbl, p):
+    from potflow import verify
+
+    def scalar_richardson(f2, z, a, h=2e-4):
+        coarse = numkit.mixed_second_derivative(f2, z, a, h)
+        fine = numkit.mixed_second_derivative(f2, z, a, h / 2)
+        return (4 * fine - coarse) / 3
+
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        z, a = (complex(rng.uniform(-0.42, -0.08), rng.uniform(0.1, 1.9))
+                for _ in range(2))
+        for fn in (lambda u, v: sk.neumann_strip(u, v, dbl),
+                   lambda u, v: sk.g_hydro_strip(u, v, dbl, p)):
+            assert _bits(verify._mixed_richardson(fn, z, a)) == _bits(
+                scalar_richardson(fn, z, a))
 
 
 @pytest.mark.parametrize("tau", [0.05j, 0.5j, 1j, 2j, 0.3 + 2j, -0.45 + 0.9j, 60j])
@@ -431,6 +509,45 @@ def test_circular_slit_map():
     assert abs(deriv - 1.0) < 1e-8
     # a = 0: the map is a rotation-normalized identity
     assert abs(sk.circular_slit_map(0.3 + 0.2j, 0.0) - (0.3 + 0.2j)) < 1e-12
+
+
+@pytest.mark.parametrize("a", [0.3, 0.0, -0.2 + 0.45j])
+def test_circular_slit_map_of_an_array_equals_scalar_calls_bit_for_bit(a):
+    z = np.array([a, 0.5 - 0.1j, cmath.exp(1.3j), a + 0.01, -0.7j, 0.0]).reshape(2, 3)
+    f = sk.circular_slit_map(z, a)
+    assert f.shape == (2, 3) and f[0, 0] == 0
+    assert _bits(*f.ravel()) == _bits(
+        *(sk.circular_slit_map(w, a) for w in z.ravel().tolist()))
+
+
+def test_circular_slit_map_computes_its_phase_once_per_call(monkeypatch):
+    calls = collections.Counter()
+    conjugate_green = sk._conjugate_green_disk
+
+    def counted(*args):
+        calls["conjugate_green"] += 1
+        return conjugate_green(*args)
+
+    monkeypatch.setattr(sk, "_conjugate_green_disk", counted)
+    z = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 17))
+    sk.circular_slit_map(z, 0.3)
+    assert calls["conjugate_green"] <= 16 + 2 * z.size
+    calls.clear()
+    sk.circular_slit_map(0.5j, 0.3)
+    assert calls["conjugate_green"] <= 16 + 2
+
+
+def test_circular_slit_map_rejects_points_outside_the_disk():
+    with pytest.raises(DomainError, match=r"\(2\+0j\) lies outside"):
+        sk.circular_slit_map(2.0, 0.3)
+    z = np.array([0.1, 0.5j, 1.5, -3.0, np.nan])
+    with pytest.raises(DomainError, match=r"\(1\.5\+0j\) lies outside"):
+        sk.circular_slit_map(z, 0.3)
+    with pytest.raises(DomainError, match="nan"):
+        sk.circular_slit_map(z[[0, 4]], 0.3)
+    # the circle itself, up to roundoff, is in
+    f = sk.circular_slit_map(cmath.exp(0.4j) * (1 + 1e-13), 0.3)
+    assert abs(abs(f) - (1 - 0.3 ** 2)) < 1e-8
 
 
 def test_interior_requirements(dbl):
