@@ -12,8 +12,10 @@ Exit codes: 0 ok, 2 verification failure (or a check that raised),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +44,16 @@ class SchemaError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors raised, and values such as -0.25,0.3 (a
+    point left of the imaginary axis) read as values: argparse takes only
+    plain negative numbers for values and every other word that starts with
+    '-' for an option.  No potflow option starts with a digit, '.', inf or
+    nan, so these stay values; subparsers are built from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
+
     def error(self, message):          # argparse defaults to exit code 2
         raise UsageError(message)
 
@@ -338,10 +350,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of ``main``, built once per process (it holds no state
+    between parses, and building it costs ten parses)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

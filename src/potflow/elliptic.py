@@ -164,7 +164,7 @@ def _sum(name: str, z0, tau: complex, head=0j):
     relies on ccos/csin being libm's real cos, sin, cosh and sinh
     multiplied once."""
     trig_name, terms = _series(tau)[name]
-    trig = getattr(_xp(z0), trig_name)
+    trig = getattr(np if isinstance(z0, np.ndarray) else cmath, trig_name)
     for f, c in terms:
         head = head + c * trig(f * z0)
     return head
@@ -205,9 +205,15 @@ def _log_abs_theta1_cell(z0, L: TorusLattice):
 
 
 def _log_abs_theta1_reduced(z0, n, z, L: TorusLattice):
-    """log|theta1(z)| from reduce_to_cell(z) = (z0, m, n); the PoleError
-    names the first z on the lattice."""
-    base = 2 * _sum("theta", z0, L.tau)
+    """log|theta1(z)| from reduce_to_cell(z) = (z0, m, n)."""
+    return _log_abs_theta1_of(2 * _sum("theta", z0, L.tau), z0, n, z, L)
+
+
+def _log_abs_theta1_of(base, z0, n, z, L: TorusLattice):
+    """log|theta1(z)| from base = theta1(z0) and reduce_to_cell(z) = (z0, m, n):
+    the log of the unshifted base plus the shift factor's log modulus (the
+    log of the shifted value rounds differently).  The PoleError names the
+    first z on the lattice."""
     if (p := first_where(base == 0, z)) is not None:
         raise PoleError(f"theta1 vanishes at lattice point near {p}")
     # |qh^{-n^2}| = exp(pi Im(tau) n^2), |e^{-2 pi i n z0}| = exp(2 pi n Im z0)
@@ -241,16 +247,19 @@ def theta1_prime(z, L: TorusLattice):
 
 
 def _theta1_pair(z, L: TorusLattice):
-    """(theta1(z), theta1'(z)) from one reduction and one shift factor, each
-    equal to its own function's value to the bit (the tests hold the two
-    functions as the reference)."""
+    """(theta1(z), theta1'(z), log|theta1(z)|) from one reduction, one sum of
+    each series and one shift factor, each equal to its own function's value
+    to the bit (the tests hold theta1, theta1_prime and log_abs_theta1 as
+    the reference)."""
+    z = as_points(z)
     z0, m, n = reduce_to_cell(z, L.tau)
     base = 2 * _sum("theta", z0, L.tau)
     dbase = 2 * cmath.pi * _sum("theta_prime", z0, L.tau)
+    log_abs = _log_abs_theta1_of(base, z0, n, z, L)
     if isinstance(z0, np.ndarray) or m or n:
         shift = _shift_factor(z0, m, n, L)
-        return shift * base, shift * (dbase - 2j * cmath.pi * n * base)
-    return base, dbase
+        return shift * base, shift * (dbase - 2j * cmath.pi * n * base), log_abs
+    return base, dbase, log_abs
 
 
 def theta1_prime0(L: TorusLattice) -> complex:

@@ -19,6 +19,7 @@ from .errors import CollisionError, EvaluationError, ParameterError
 
 __all__ = [
     "as_points",
+    "is_scalar",
     "first_where",
     "integrate",
     "pointwise",
@@ -54,6 +55,11 @@ def as_points(z):
     0-d array) a Python complex."""
     array = isinstance(z, np.ndarray) and z.ndim
     return z.astype(complex, copy=False) if array else complex(z)
+
+
+def is_scalar(z) -> bool:
+    """Whether ``as_points`` makes z a Python complex (not an array)."""
+    return not (isinstance(z, np.ndarray) and z.ndim)
 
 
 def first_where(bad, z):

@@ -595,12 +595,17 @@ def _strip_green(d: DomainDescriptor, z: complex, a: complex) -> float:
 
 
 def _strip_robin(d: DomainDescriptor, a: complex) -> tuple:
-    schottky, dbl = _strip_double(d.tau)
-    h0 = schottky.gamma_electro(a, dbl)
-    h1 = schottky.gamma_electro_gradient(a, dbl)
-    kappa = -4 * math.pi * schottky.strip_bergman_kernels(a, a, dbl)[0].real \
-        * math.exp(2 * h0)
-    return h0, h1, kappa
+    """h0 = log|theta1(2 Re a) / theta1'(0)|, h1 = (theta1'/theta1)(2 Re a)
+    and the curvature -4 pi K_electro(a, a) e^{2 h0}, K_electro(a, a) =
+    (wp(2 Re a) + eta1) / pi: bit for bit schottky's gamma_electro,
+    gamma_electro_gradient and strip_bergman_kernels, from one reduction of
+    2 Re a and one sum of each theta series."""
+    _, dbl = _strip_double(d.tau)
+    L, x = dbl.lattice, 2 * a.real
+    th, dth, log_th = elliptic._theta1_pair(x, L)
+    h0 = log_th - dbl.spec.log_abs_theta1_prime0
+    ke = (elliptic.wp(x, L) + L.eta1) / math.pi
+    return h0, dth / th, -4 * math.pi * ke.real * math.exp(2 * h0)
 
 
 @dataclass(frozen=True)

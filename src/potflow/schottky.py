@@ -157,10 +157,17 @@ def kkl_combinations(z: complex, a: complex, dbl: StripDouble
 def g_electro_strip(z, a, dbl: StripDouble):
     """Electrostatic (Dirichlet) Green function of the periodic strip, for
     scalars or arrays of z and a (broadcast together)."""
-    inside = dbl.contains(z) & dbl.contains(a)
-    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
-        raise DomainError("points must lie in the open strip")
     spec = dbl.spec
+    if numkit.is_scalar(z) and numkit.is_scalar(a):
+        # contains and involution, written out for one point
+        z, a = complex(z), complex(a)
+        if not (-0.5 < z.real < 0.0 and -0.5 < a.real < 0.0):
+            raise DomainError("points must lie in the open strip")
+        return (surface.torus_monopole_green(z, a, spec)
+                - surface.torus_monopole_green(z, -a.conjugate(), spec))
+    inside = dbl.contains(z) & dbl.contains(a)
+    if not inside.all():
+        raise DomainError("points must lie in the open strip")
     return (surface.torus_monopole_green(z, a, spec)
             - surface.torus_monopole_green(z, StripDouble.involution(a), spec))
 
@@ -176,14 +183,12 @@ def gamma_electro(a: complex, dbl: StripDouble) -> float:
     a = complex(a)
     if not dbl.contains(a):
         raise DomainError("point must lie in the open strip")
-    L = dbl.lattice
-    return (elliptic.log_abs_theta1(2 * a.real, L)
-            - math.log(abs(L.theta1_prime0)))
+    return elliptic.log_abs_theta1(2 * a.real, dbl.lattice) - dbl.spec.log_abs_theta1_prime0
 
 
 def gamma_electro_gradient(a: complex, dbl: StripDouble) -> complex:
     """h1 = d gamma_electro / da = (theta1'/theta1)(2 Re a) (real lattice)."""
-    th, dth = elliptic._theta1_pair(2 * complex(a).real, dbl.lattice)
+    th, dth, _ = elliptic._theta1_pair(2 * complex(a).real, dbl.lattice)
     return dth / th
 
 

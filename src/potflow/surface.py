@@ -198,6 +198,19 @@ class TorusSpec:
     def volume(self) -> float:
         return self.lattice.tau.imag
 
+    # the constants every Green function evaluation reads, computed on first
+    # use: a spec that evaluates none never runs c(tau)'s quadrature
+
+    @functools.cached_property
+    def log_abs_theta1_prime0(self) -> float:
+        """log|theta1'(0)|."""
+        return math.log(abs(self.lattice.theta1_prime0))
+
+    @functools.cached_property
+    def green_constant(self) -> float:
+        """c(tau) of ``torus_green_constant``."""
+        return torus_green_constant(self.tau)
+
     def to_dict(self) -> dict:
         return {"tau": [self.tau.real, self.tau.imag]}
 
@@ -366,15 +379,36 @@ def torus_monopole_green(z, a, spec: TorusSpec):
     ulp off the correctly rounded square for about 0.1% of arguments, and
     numpy's square is not."""
     L = spec.lattice
+    T = L.tau.imag
+    if numkit.is_scalar(z) and numkit.is_scalar(a):
+        # the array body for one point, with reduce_to_cell and
+        # _log_abs_theta1_cell written out: the same operations in the same
+        # order, so the same bits, without the scalar/array dispatch
+        w = complex(z) - complex(a)
+        n = round(w.imag / T)
+        w = w - n * L.tau
+        wr = w - round(w.real)
+        if abs(wr) < 1e-13:
+            raise PoleError("torus Green function pole at z = a (mod lattice)")
+        y = wr.imag
+        if abs(y / T) > 0.5:
+            log_th = elliptic.log_abs_theta1(wr, L)
+        else:
+            base = 2 * elliptic._sum("theta", wr, L.tau)
+            if base == 0:
+                raise PoleError(f"theta1 vanishes at lattice point near {wr}")
+            # the shift terms of n = 0, as _log_abs_theta1_reduced adds them
+            log_th = math.log(abs(base)) + math.pi * T * 0 * 0 + 2 * math.pi * 0 * y
+        val = -(log_th - spec.log_abs_theta1_prime0) / (2 * math.pi)
+        return val + y * y / (2 * T) + spec.green_constant
     w = numkit.as_points(z) - numkit.as_points(a)
     wr, _, _ = elliptic.reduce_to_cell(w, L.tau)
     if numkit.first_where(abs(wr) < 1e-13, w) is not None:
         raise PoleError("torus Green function pole at z = a (mod lattice)")
-    T = spec.volume
     val = -(elliptic._log_abs_theta1_cell(wr, L)
-            - math.log(abs(L.theta1_prime0))) / (2 * math.pi)
+            - spec.log_abs_theta1_prime0) / (2 * math.pi)
     y = wr.imag
-    return val + y * y / (2 * T) + torus_green_constant(L.tau)
+    return val + y * y / (2 * T) + spec.green_constant
 
 
 def wedge_integral_cell(form1: OneForm, form2: OneForm, spec: TorusSpec,

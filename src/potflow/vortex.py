@@ -221,11 +221,15 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10,
     if domain is None:
         monitors["moment"] = lambda y: abs(np.sum(g * y))
         monitors["angular"] = lambda y: float(np.sum(g * np.abs(y) ** 2))
-    else:
-        for k in range(system.n):
-            monitors[f"radius_{k}"] = (lambda kk: lambda y: abs(y[kk]))(k)
 
     sep_guard = separation if system.n > 1 or domain is not None else None
-    return numkit.rk_integrate(field, system.positions, t_end, tol,
+    traj = numkit.rk_integrate(field, system.positions, t_end, tol,
                                monitors=monitors, separation=sep_guard,
                                collision_threshold=COLLISION_THRESHOLD)
+    if domain is not None:
+        # |z_k| of every state at once; np.hypot is the C library's hypot,
+        # which abs() of one point calls (np.abs of a complex array is not)
+        radii = np.hypot(traj.states.real, traj.states.imag)
+        for k in range(system.n):
+            traj.monitors[f"radius_{k}"] = radii[:, k]
+    return traj

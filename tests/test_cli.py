@@ -151,6 +151,38 @@ def test_strip_green_report_is_byte_identical_to_the_recorded_one(tmp_path):
     assert out.read_text() == STRIP_GREEN_REPORT
 
 
+def test_points_left_of_the_imaginary_axis_parse_in_the_space_form(tmp_path, capsys):
+    out = tmp_path / "green.json"
+    assert run(["green", "--domain", '{"kind":"periodic_strip","tau":[0,1]}',
+                "--a", "-0.3802022359493315,0.8793302462090203", "--z", "-0.2,0.3",
+                "--out", str(out)]) == 0
+    assert out.read_text() == STRIP_GREEN_REPORT
+    assert run(["fekete", "--domain", '{"kind":"segment","length":2.0}', "--n-max", "8",
+                "--pole", "-2,0.5", "--out", str(tmp_path / "fekete")]) == 0
+    disk = '{"kind":"disk","R":1.0}'
+    for value in ("-inf,0", "-nan,0", "-Infinity,1", "-.5,inf"):
+        assert run(["green", "--domain", disk, "--a", value]) == 65, value
+    # any other word that starts with '-' is still read as an option
+    assert run(["green", "--domain", disk, "--a", "-x"]) == 64
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (["verify", "--suite", "bogus"], ["fekete"], ["green", "--a=0,0"]):
+        assert run(argv) == 64
+    assert len(built) == 1
+    # a parse leaves nothing behind for the next one
+    parser = cli._parser()
+    assert parser.parse_args(["verify", "--out", "x", "--suite", "planar"]).out == "x"
+    args = parser.parse_args(["verify"])
+    assert (args.out, args.suite) == (None, "all")
+    capsys.readouterr()
+
+
 DATA = Path(__file__).parent / "data"
 
 

@@ -1,7 +1,9 @@
 import cmath
 import collections
+import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,12 +269,15 @@ def _strip_robin_reference(a, dbl):
     return h0, h1, kappa
 
 
-@pytest.mark.parametrize("T", [1.0, 2.0])
-def test_strip_green_and_robin_equal_the_reference_bit_for_bit(T):
+@pytest.mark.parametrize("T, cells, seed", [
+    pytest.param(1.0, 3, 1, id="1.0"), pytest.param(2.0, 3, 2, id="2.0"),
+    (1.0, 50, 3), (2.0, 50, 4), (0.3, 50, 5), (17.0, 50, 6)])
+def test_strip_green_and_robin_equal_the_reference_bit_for_bit(T, cells, seed):
     dom = pg.DomainDescriptor.periodic_strip(1j * T)
     dbl = sk.StripDouble(1j * T)
-    rng = np.random.default_rng(int(T))
-    pts = rng.uniform(-0.499, -0.001, (500, 2)) + 1j * rng.uniform(-3 * T, 3 * T, (500, 2))
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.499, -0.001, (500, 2)) + 1j * rng.uniform(
+        -cells * T, cells * T, (500, 2))
     for z, a in pts:
         want = (_torus_green_reference(z, a, dbl.spec)
                 - _torus_green_reference(z, sk.StripDouble.involution(a), dbl.spec))
@@ -555,3 +560,52 @@ def test_interior_requirements(dbl):
         sk.g_electro_strip(0.3 + 0.1j, A, dbl)
     with pytest.raises(DomainError):
         sk.capacity_functions(0.2 + 0.1j, dbl)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "strip_green_robin.json").read_text())
+
+
+@pytest.mark.parametrize("T", sorted(GOLDEN))
+def test_strip_green_and_robin_equal_the_recorded_values_bit_for_bit(T):
+    # recorded from the code before the scalar strip path, on pairs up to 50
+    # cells apart, z - a within a few ulp of a half-cell edge (the far-edge
+    # second reduction) and 2 Re a about -1/2; the reference tests above
+    # build their values from the same series sums, so only this one would
+    # see a change inside elliptic._sum
+    dom = pg.DomainDescriptor.periodic_strip(complex(0, float(T)))
+    for zr, zi, ar, ai, g in GOLDEN[T]["green"]:
+        z, a = complex(zr, zi), complex(ar, ai)
+        assert _bits(pg.green(dom, z, a)) == _bits(g), (z, a)
+    for ar, ai, h0, h1r, h1i, kappa in GOLDEN[T]["robin"]:
+        r = pg.robin_data(dom, complex(ar, ai))
+        assert _bits(r.h0, r.h1, r.curvature) == _bits(h0, complex(h1r, h1i), kappa), (ar, ai)
+
+
+def test_strip_robin_sums_each_series_once(monkeypatch):
+    dom = pg.DomainDescriptor.periodic_strip(2j)
+    pg.robin_data(dom, A)
+    counts = collections.Counter()
+    summed = elliptic._sum
+
+    def counting_sum(name, *args):
+        counts[name] += 1
+        return summed(name, *args)
+
+    monkeypatch.setattr(elliptic, "_sum", counting_sum)
+    pg.robin_data(dom, B)
+    assert counts == {"theta": 1, "theta_prime": 1, "wp": 1}
+
+
+def test_torus_spec_defers_the_green_constant_to_the_first_green_value():
+    tau = 0.77j
+    hits, misses = sf.torus_green_constant.cache_info()[:2]
+    spec = sf.TorusSpec.from_tau(tau)
+    sf.torus_kernels(0.1 + 0.2j, 0.3j, spec)
+    assert sf.torus_green_constant.cache_info()[:2] == (hits, misses)
+    for z in (0.1 + 0.2j, np.array([0.1 + 0.2j, 0.4j]), 0.3 + 0.1j):
+        sf.torus_monopole_green(z, 0.3j, spec)
+    # computed once, then read from the spec
+    assert sf.torus_green_constant.cache_info()[:2] == (hits, misses + 1)
+    assert _bits(spec.green_constant) == _bits(sf.torus_green_constant(tau))
+    assert _bits(spec.log_abs_theta1_prime0) == _bits(
+        math.log(abs(elliptic.theta1_prime(0.0, spec.lattice))))

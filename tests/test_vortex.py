@@ -208,8 +208,12 @@ def test_collision_abort_with_time():
 
 def test_separation_guard_pairs_and_wall(monkeypatch):
     guards = []
-    monkeypatch.setattr(vx.numkit, "rk_integrate",
-                        lambda *args, separation=None, **kwargs: guards.append(separation))
+
+    def record(field, state0, *args, separation=None, **kwargs):
+        guards.append(separation)
+        return vx.numkit.Trajectory(np.zeros(1), np.array([state0]))
+
+    monkeypatch.setattr(vx.numkit, "rk_integrate", record)
     vx.simulate(vx.VortexSystem([0.5, -0.5], [1.0, 1.0], DISK), 1.0)
     vx.simulate(vx.VortexSystem([0.5, -0.5], [1.0, 1.0]), 1.0)
     in_disk, in_plane = guards
