@@ -279,3 +279,20 @@ def test_wp_grid_pole_and_lattice_errors(L2i):
         elliptic.wp_grid(x[1:], y[1:], L2i)
     with pytest.raises(ParameterError, match="rectangular"):
         elliptic.wp_grid(x, y, elliptic.lattice_constants(0.3 + 1.1j))
+
+
+@pytest.mark.parametrize("tau", [0.3j, 1j, 2j, 0.3 + 1.1j, 17j])
+def test_theta1_pair_equals_the_three_functions_bit_for_bit(tau):
+    L = elliptic.lattice_constants(tau)
+    rng = np.random.default_rng(11)
+    # a few cells out in both directions, so m and n are both nonzero (the
+    # shift factor qh^{-n^2} overflows further out at Im tau = 17)
+    z = rng.uniform(-5, 5, 300) + 1j * tau.imag * rng.uniform(-2.5, 2.5, 300)
+    for zz in [*z.tolist(), 0.3, -0.7, 2.25]:
+        got = elliptic._theta1_pair(zz, L)
+        want = (elliptic.theta1(zz, L), elliptic.theta1_prime(zz, L),
+                elliptic.log_abs_theta1(zz, L))
+        assert np.array(got).tobytes() == np.array(want).tobytes(), zz
+    got = elliptic._theta1_pair(z, L)
+    want = (elliptic.theta1(z, L), elliptic.theta1_prime(z, L), elliptic.log_abs_theta1(z, L))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

@@ -335,3 +335,12 @@ def test_two_ring_disk_run_reproduces_recorded_steps_and_state():
     ])
     assert (len(traj.times), traj.steps_rejected, traj.field_evals) == (316, 0, 2206)
     assert np.max(np.abs(traj.final_state - recorded)) < 1e-12
+
+
+def test_disk_radius_monitors_are_abs_of_each_state_bit_for_bit():
+    system = vx.VortexSystem([0.5, -0.3 + 0.2j, 0.1 - 0.6j], [1.0, -0.7, 2.0], DISK)
+    traj = vx.simulate(system, 1.0)
+    assert len(traj.times) > 10
+    for k in range(system.n):
+        want = np.array([abs(y[k]) for y in traj.states])
+        assert traj.monitors[f"radius_{k}"].tobytes() == want.tobytes(), k
