@@ -9,7 +9,6 @@ own ladder).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -106,6 +105,9 @@ class _Carrier:
     on_carrier: Callable     # (K, z, tol) -> bool
     breaks: Callable = lambda K: ()  # parameters where z' jumps, end points
     closed: bool = True
+    # K -> True when t -> t + c maps K onto itself (circles): the rotation
+    # then leaves the Fekete product fixed, and -H has the null vector of ones
+    rotates: Callable = lambda K: False
 
 
 _DISK = planar_green._KINDS["disk"]
@@ -115,6 +117,7 @@ _ROUND = _Carrier(
     invalid=lambda K: planar_green.size_error("radius", K.R),
     jet=_DISK.boundary_jet,
     on_carrier=lambda K, z, tol: abs(abs(z) - K.R) < tol,
+    rotates=lambda K: True,
 )
 _CARRIERS: dict[str, _Carrier] = {
     "circle": _ROUND,
@@ -142,6 +145,7 @@ _CARRIERS: dict[str, _Carrier] = {
         # boundary_distance vanishes exactly on disk and rectangle boundaries
         on_carrier=lambda K, z, tol: abs(K.domain.boundary_distance(z)) < tol,
         breaks=lambda K: planar_green._KINDS[K.domain.kind].boundary_breaks(K.domain),
+        rotates=lambda K: K.domain.kind == "disk",
     ),
 }
 
@@ -230,21 +234,11 @@ def discrete_energy(points: Sequence[complex], strengths: Sequence[float]) -> fl
 _NEWTON_CAP = 100
 
 
-@functools.lru_cache(maxsize=16)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, 1), read-only: a Fekete ladder asks for each rung's
-    n on every Newton step."""
-    iu = np.triu_indices(n, 1)
-    for idx in iu:
-        idx.flags.writeable = False
-    return iu
-
-
 def _log_objective(z: np.ndarray, pole: complex | None) -> float:
     """log of the Fekete product (pole factors included when finite)."""
     n = len(z)
     diff = np.abs(z[:, None] - z[None, :])
-    total = float(np.sum(np.log(diff[_pairs(n)])))
+    total = float(np.sum(np.log(diff[numkit.pair_indices(n)])))
     if pole is not None:
         total -= (n - 1) * float(np.sum(np.log(np.abs(z - pole))))
     return total
@@ -267,17 +261,36 @@ def _leja_start(K: CompactSet, n: int, pole: complex | None,
     return ts[np.array(chosen)]
 
 
+def _newton_step(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Newton step A^-1 g for A = -H on the free parameters.
+
+    A Cholesky factorization that succeeds proves A positive definite, and
+    the step is then one solve (Nocedal & Wright, Numerical Optimization,
+    2nd ed., 2006, sec. 3.4).  Where either fails, -H is indefinite or
+    singular: the step floors |eigenvalues| of A at 1e-8 of the largest,
+    so it still ascends.
+    """
+    try:
+        np.linalg.cholesky(A)
+        return np.linalg.solve(A, g)
+    except np.linalg.LinAlgError:
+        lam, V = np.linalg.eigh(A)
+        lam = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
+        return V @ ((V.T @ g) / lam)
+
+
 def _newton_refine(K: CompactSet, ts: np.ndarray, pole: complex | None
                    ) -> tuple[np.ndarray, int, float]:
     """Projected Newton ascent (Bertsekas 1982) of the log Fekete product.
 
     The breakpoints cut [0, 1] into pieces; a point on one takes the side
     whose one-sided derivative ascends, or is held.  Steps are clipped to
-    each point's piece; |eigenvalues| of -H are floored, which absorbs the
-    rotation null-mode of closed carriers.  Returns the parameters, the
-    accepted steps and the free gradient's inf-norm at exit.
+    each point's piece.  Without a pole, the rotation null mode of a round
+    carrier is deflated before ``_newton_step``.  Returns the parameters,
+    the accepted steps and the free gradient's inf-norm at exit.
     """
     n, closed = len(ts), K.closed
+    rotates = pole is None and _CARRIERS[K.kind].rotates(K)
     breaks = tuple(_CARRIERS[K.kind].breaks(K))
     # pieces run between consecutive edges; a closed carrier wraps at 1
     edges = np.array(breaks + (1.0,) if closed and breaks
@@ -316,10 +329,11 @@ def _newton_refine(K: CompactSet, ts: np.ndarray, pole: complex | None
             break
         H = (dz[:, None] * dz[None, :] * inv2).real
         np.fill_diagonal(H, (ddz * w - dz * dz * q).real)
-        lam, V = np.linalg.eigh(-H[np.ix_(free, free)])
-        lam = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
+        A = -H[np.ix_(free, free)]
+        if rotates:                    # the mean diagonal times the projector on ones
+            A += np.trace(A) / (free.size * free.size)
         step = np.zeros(n)
-        step[free] = V @ ((V.T @ g) / lam)
+        step[free] = _newton_step(A, g)
         if g @ step[free] <= 1e-15 * abs(f):       # Newton decrement at roundoff
             break
         with np.errstate(divide="ignore"):          # coincident trial points

@@ -115,6 +115,15 @@ def midpoint_rule(n: int, length: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     return length * (np.arange(n) + 0.5) / n, np.full(n, length / n)
 
 
+@functools.lru_cache(maxsize=16)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the n(n-1)/2 pairs i < j, np.triu_indices(n, 1),
+    shared read-only: Fekete ladders and vortex runs ask for them per step."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 @functools.lru_cache(maxsize=None)
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""

@@ -51,6 +51,9 @@ __all__ = [
 SIZE_RANGE = (1e-100, 1e100)
 # rectangle grids have at most MAX_GRID cells along x
 MAX_GRID = 512
+# Strip points have |Im z| <= STRIP_IM_MAX Im tau: the reduction of Im z
+# modulo Im tau then keeps at least half the significand
+STRIP_IM_MAX = 2.0 ** 26
 
 
 def size_error(name: str, *sizes: float) -> str | None:
@@ -161,7 +164,8 @@ def _require_interior(domain: DomainDescriptor, *points: complex) -> "_Kind":
     spec = _KINDS[domain.kind]
     for p in points:
         if not spec.contains(domain, p):
-            raise DomainError(f"{p} is not interior to {domain.kind}")
+            where = f" ({spec.interior})" if spec.interior else ""
+            raise DomainError(f"{p} is not interior to {domain.kind}{where}")
     return spec
 
 
@@ -631,6 +635,7 @@ class _Kind:
     boundary_breaks: Callable = lambda d: ()
     area_rule: Callable | None = None    # (d, resolution) -> (nodes, weights)
     harmonic: Callable | None = None     # (d, a, m) -> (points, unit-mass weights)
+    interior: str = ""       # the bounds of contains, where errors should name them
 
 
 _KINDS: dict[str, _Kind] = {
@@ -697,7 +702,10 @@ _KINDS: dict[str, _Kind] = {
         to_dict=lambda d: {"kind": "periodic_strip", "tau": [d.tau.real, d.tau.imag]},
         invalid=lambda d: ("periodic strip needs purely imaginary tau, Im tau > 0"
                            if abs(d.tau.real) > 1e-14 or d.tau.imag <= 0 else None),
-        contains=lambda d, z: -0.5 < z.real < 0.0,
+        # one comparison bounds Im z and rejects inf and nan
+        contains=lambda d, z: (-0.5 < z.real < 0.0
+                               and abs(z.imag) <= STRIP_IM_MAX * d.tau.imag),
+        interior="-1/2 < Re z < 0, |Im z| <= 2^26 Im tau",
         boundary_distance=lambda d, z: min(-z.real, z.real + 0.5),
         green=_strip_green,
         robin=_strip_robin,

@@ -243,8 +243,8 @@ def surface_checks() -> list[Check]:
             continue
         count += 1
         lhs = elliptic.wp_prime(t, L) ** 2
-        rhs = 4 * (elliptic.wp(t, L) - L.e1) * (elliptic.wp(t, L) - L.e2) \
-            * (elliptic.wp(t, L) - L.e3)
+        p = elliptic.wp(t, L)
+        rhs = 4 * (p - L.e1) * (p - L.e2) * (p - L.e3)
         worst = max(worst, abs(lhs - rhs))
     out.append(Check("wp differential equation", "wpODE", worst, 1e-9))
 

@@ -13,7 +13,6 @@ which in the free plane reduces to the pairwise logarithmic energy.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,17 +39,9 @@ MAX_MODULUS = 1e100
 _DISK = planar_green._KINDS["disk"]
 
 
-@functools.lru_cache(maxsize=4)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of the n(n-1)/2 vortex pairs i < j, read-only."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
 def _min_pair_distance(z: np.ndarray) -> float:
     """min |z_i - z_j| over the pairs i < j (inf for fewer than two points)."""
-    i, j = _pairs(len(z))
+    i, j = numkit.pair_indices(len(z))
     return float(np.abs(z[i] - z[j]).min(initial=math.inf))
 
 
@@ -181,7 +172,7 @@ def _velocities(z: np.ndarray, g: np.ndarray, domain) -> np.ndarray:
 def _energy_of(g: np.ndarray, domain):
     """z -> sum_{j<k} G_j G_k G(z_j, z_k) + sum_k (G_k^2 / 4pi) h0(z_k), with
     the pair indices and the weights G_j G_k and G_k^2 computed once."""
-    i, j = _pairs(len(g))
+    i, j = numkit.pair_indices(len(g))
     pair_w, self_w = g[i] * g[j], g * g
 
     def energy(z: np.ndarray) -> float:

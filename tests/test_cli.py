@@ -66,7 +66,12 @@ def test_schema_error_exit_65(capsys):
                  ["fekete", "--domain", '{"kind":"circle","R":1}', "--pole=1e300,0",
                   "--n-max", "8"],
                  ["green", "--domain", '{"kind":"disk","R":1e300}', "--a=0,0",
-                  "--z=0.5,0"]):
+                  "--z=0.5,0"],
+                 # strip points beyond 2^26 Im tau keep too few bits modulo Im tau
+                 ["green", "--domain", '{"kind":"periodic_strip","tau":[0,2]}',
+                  "--a=-0.2,0.1", "--z=-0.3,1e300"],
+                 ["green", "--domain", '{"kind":"periodic_strip","tau":[0,2]}',
+                  "--a=-0.3,-1e300"]):
         assert run(argv) == 65
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
@@ -198,23 +203,23 @@ _RECT = '{"kind":"domain_boundary","domain":{"kind":"rectangle","w":2.0,"h":1.0}
 # sha256 of capacity.json and fekete_points.csv at --n-max 64
 @pytest.mark.parametrize("domain, pole, capacity, points", [
     ('{"kind":"circle","R":1.0}', None,
-     "f4ea97421f16a7f5e35af7e89a91956ebfdc5b57b8934dd511e4a66274b57742",
-     "d8603b8c54e8e85435193179b4f55257d5c8f2d1aae4345b5c6a0f2049424a75"),
+     "64b42b0349f0626d3a7cce91c96a4f5c8a74c3195e135f93f7b7463c8ca789ad",
+     "75ab11f87773ea30dbb80061c4173839de2c2899e7c78a8b2ea6a53b898aa493"),
     ('{"kind":"segment","length":2.0}', None,
-     "dae85ad49fe030b8b71a6d70d3b055b2b92b1137ed1cc2a31b4646c72a214f22",
-     "66173021b99ccc01baa9b0a96b77852610f810a1fa0d526e6b72556e34c412e1"),
+     "3d17c52cd9a4ed60acf09fcf927a07a87c19db3e4744fa8bf6d7f185d55140d3",
+     "df26cb780db39e40227c83adb419facaaaef76371ebd0e106bb7b14bcc901ad6"),
     (_RECT, None,
-     "b6fa1512988187e6767bc14b8a5037cc1b421629878ad092ce9f7fee36f6908e",
-     "8b4f0660b3612a11067fbc97fb11f066676da8ebe855cf8f54dfb37064df4908"),
+     "1185b0473212236276d68717873317fc972bc0742c6e193b4c216e8dfae59726",
+     "ac7b1e5b54e672113150dda7f88198739387b5a365570477caa62fa115b348aa"),
     ('{"kind":"circle","R":1.0}', "2.5,0.5",
-     "81a1c3b538d9307cc6a9762c28bd6d7c0da7b52df15d3e076eedeb1c4541524e",
-     "a5b02b1469a8a5c8ea07fe4eb1f2812c8b44648be07310f079594fe78d138b00"),
+     "94159dc108379562e6e9d1d6ed69054bac144ca58e3f4c7399c05a4fb42df406",
+     "b5db87f00e0f437d7d6dabd5097f9b17948fef24ebf8502352ec4ac3642ad1ca"),
     ('{"kind":"segment","length":2.0}', "0.3,1.2",
-     "c5f32a7b6877984ee9dbae63973e832c9540a632223866d537b18a6ae1657440",
-     "91fb8025c8bcd0ff51b7a2c98510925093727bc731e44f604cf4a75fe518b4d0"),
+     "59a121eeb7e68b02e091766f1ac62035cc24ae04f187052394f8d356d4e749e3",
+     "b3aa387d079bda260308179d4107bdf46ace9f30ba6c8130eb58ef315aad9e17"),
     (_RECT, "3,2",
-     "a1a4c5fa23a45d3cec93e1dfc22fe9b8d7c1533539afe920738af027240616a6",
-     "909c5422fff6784a594e902dd9d7c2650e0e1ec9a436a9050e041ec2822dc2fb"),
+     "bd65d1e6f38e4de5ab184789e1524ca337f069f98b3143c3f461e8f19bb1bbdc",
+     "54be3d1683d0af424688bbc4f89ae04998152c85447fb52f4af6ab1e9a6dd238"),
 ])
 def test_fekete_outputs_are_byte_identical_to_the_recorded_ones(
         tmp_path, domain, pole, capacity, points):
@@ -222,6 +227,22 @@ def test_fekete_outputs_are_byte_identical_to_the_recorded_ones(
     assert run(argv + ([f"--pole={pole}"] if pole else [])) == 0
     assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("capacity.json", "fekete_points.csv")] == [capacity, points]
+
+
+@pytest.mark.parametrize("domain, eigh_runs", [
+    ('{"kind":"circle","R":1.0}', False), ('{"kind":"segment","length":2.0}', False),
+    (_RECT, True)])
+def test_fekete_eigendecomposes_only_where_cholesky_fails(
+        monkeypatch, tmp_path, domain, eigh_runs):
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(A):
+        calls.append(len(A))
+        return eigh(A)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert run(["fekete", "--domain", domain, "--n-max", "64", "--out", str(tmp_path)]) == 0
+    assert bool(calls) == eigh_runs
 
 
 def test_fekete_run_circle(tmp_path):

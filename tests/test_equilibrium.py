@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +238,64 @@ def test_ladder_checks_the_pole_once_before_any_rung(monkeypatch):
     monkeypatch.setattr(eq, "_leja_start", None)     # never reached
     with pytest.raises(ParameterError, match="off the carrier"):
         eq.transfinite_diameter(eq.CompactSet.circle(1.0), pole=1.0 + 0j, n_max=16)
+
+
+# The ladders of the eigenvalue-floored Newton step that the Cholesky step
+# replaced, at n_max = 64 on the six carriers and poles whose CLI outputs
+# test_cli pins by sha256.
+_FLOORED_LADDERS = json.loads(
+    (Path(__file__).parent / "data" / "fekete_floored_step.json").read_text())
+
+
+@pytest.mark.parametrize("case", _FLOORED_LADDERS,
+                         ids=lambda c: f"{c['carrier']['kind']}-{c['pole']}")
+def test_ladder_reproduces_the_floored_step_ladder(case):
+    pole = None if case["pole"] is None else complex(*case["pole"])
+    rep = eq.transfinite_diameter(eq.CompactSet.from_dict(case["carrier"]), pole, 64)
+    assert rep.newton_iterations == case["newton_iterations"]
+    np.testing.assert_allclose(rep.delta_n, case["delta_n"], rtol=1e-13, atol=0)
+    assert rep.delta == pytest.approx(case["delta"], rel=1e-13, abs=0)
+    # 1e-12 is the roundoff floor of the gradient sum at n = 64: the circle's
+    # n = 64 rung starts at its optimum and reads 9.8e-13 in both solvers
+    assert all(new <= old + 1e-12 for new, old in zip(rep.grad_norm, case["grad_norm"]))
+
+
+def _floored_step(A, g):
+    """The Newton step with |eigenvalues| of A floored at 1e-8 of the largest."""
+    lam, V = np.linalg.eigh(A)
+    lam = np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam)))
+    return V @ ((V.T @ g) / lam)
+
+
+def test_cholesky_step_equals_the_floored_step_on_a_random_spd_matrix():
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((40, 40))
+    A, g = B @ B.T + 0.1 * np.eye(40), rng.standard_normal(40)
+    expected = _floored_step(A, g)
+    np.testing.assert_allclose(eq._newton_step(A, g), expected, rtol=0,
+                               atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_cholesky_step_equals_the_floored_step_on_deflated_circle_rungs(monkeypatch):
+    systems, step = [], eq._newton_step
+
+    def recording(A, g):
+        systems.append((A.copy(), g.copy()))
+        return step(A, g)
+
+    monkeypatch.setattr(eq, "_newton_step", recording)
+    eq.transfinite_diameter(eq.CompactSet.circle(1.0), n_max=16)
+    # the 3 + 3 accepted steps, and one per rung that stops on the decrement
+    assert len(systems) == 11
+    for A, g in systems:
+        ones = np.ones(len(g)) / math.sqrt(len(g))
+        # the rotation null mode, ones, is deflated to a positive eigenvalue
+        lam = ones @ A @ ones
+        assert lam > 0
+        np.testing.assert_allclose(A @ ones, lam * ones, rtol=0, atol=1e-12 * lam)
+        expected = _floored_step(A, g)
+        np.testing.assert_allclose(step(A, g), expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
 
 
 def test_ladder_monotone_and_capacity_circle():

@@ -458,6 +458,21 @@ def test_periodic_strip_delegates():
     assert rd.h0 >= math.log(d) - 1e-9
 
 
+@pytest.mark.parametrize("far", [-0.3 + 1e300j, complex(-0.3, math.inf),
+                                 complex(-0.3, -math.inf), complex(-0.3, math.nan),
+                                 complex(math.nan, 0.1), -0.3 + 4.1e8j])
+def test_strip_points_far_out_rejected(far):
+    dom = pg.DomainDescriptor.periodic_strip(2j)
+    with pytest.raises(DomainError, match=r"\|Im z\| <= 2\^26 Im tau"):
+        pg.green(dom, -0.2 + 0.1j, far)
+    with pytest.raises(DomainError, match=r"\|Im z\| <= 2\^26 Im tau"):
+        pg.green(dom, far, -0.2 + 0.1j)
+    with pytest.raises(DomainError, match=r"\|Im z\| <= 2\^26 Im tau"):
+        pg.robin_data(dom, far)
+    edge = -0.3 + pg.STRIP_IM_MAX * 2j      # the bound itself is inside
+    assert math.isfinite(pg.green(dom, -0.2 + 0.1j, edge))
+
+
 def _count_calls(monkeypatch, cls, name):
     """Patch cls.name to count its calls; returns the one-element counter."""
     count = [0]
