@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 
+# the bounds of StripDouble.contains (im_max), for errors to name
+_STRIP_INTERIOR = "-1/2 < Re z < 0, |Im z| <= 2^26 Im tau"
+
+
 @dataclass(frozen=True)
 class StripDouble:
     """Doubly connected periodic strip and its torus double."""
@@ -65,6 +69,9 @@ class StripDouble:
     p: float = 0.0
     lattice: elliptic.TorusLattice = field(init=False, repr=False)
     spec: surface.TorusSpec = field(init=False, repr=False)
+    # the largest |Im z| of a point, STRIP_IM_MAX Im tau as in planar_green's
+    # strip, so that the reduction modulo Im tau keeps half the significand
+    im_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -76,6 +83,7 @@ class StripDouble:
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "lattice", elliptic.lattice_constants(tau))
         object.__setattr__(self, "spec", surface.TorusSpec(self.lattice))
+        object.__setattr__(self, "im_max", planar_green.STRIP_IM_MAX * tau.imag)
 
     @property
     def T(self) -> float:
@@ -93,9 +101,17 @@ class StripDouble:
         return -2.0 * numkit.as_points(z).real
 
     def contains(self, z):
-        """Whether z lies in the open strip (elementwise for an array of z)."""
-        x = numkit.as_points(z).real
-        return (-0.5 < x) & (x < 0.0)
+        """Whether z lies in the open strip with |Im z| <= im_max
+        (elementwise for an array of z; false for inf and nan)."""
+        z = numkit.as_points(z)
+        return (-0.5 < z.real) & (z.real < 0.0) & (abs(z.imag) <= self.im_max)
+
+    def resolves(self, z):
+        """Whether z is a point of the double whose reduction to the cell
+        keeps half the significand: |Re z| <= STRIP_IM_MAX and |Im z| <=
+        im_max (elementwise for an array of z; false for inf and nan)."""
+        z = numkit.as_points(z)
+        return (abs(z.real) <= planar_green.STRIP_IM_MAX) & (abs(z.imag) <= self.im_max)
 
     def p11_quadrature(self, n: int = 64, h: float = 1e-6) -> float:
         """P11 = (1/2) int_Omega du1 wedge *du1 by fd gradient + midpoint rule."""
@@ -161,13 +177,15 @@ def g_electro_strip(z, a, dbl: StripDouble):
     if numkit.is_scalar(z) and numkit.is_scalar(a):
         # contains and involution, written out for one point
         z, a = complex(z), complex(a)
-        if not (-0.5 < z.real < 0.0 and -0.5 < a.real < 0.0):
-            raise DomainError("points must lie in the open strip")
+        bound = dbl.im_max
+        if not (-0.5 < z.real < 0.0 and -0.5 < a.real < 0.0
+                and abs(z.imag) <= bound and abs(a.imag) <= bound):
+            raise DomainError(f"points must lie in the open strip ({_STRIP_INTERIOR})")
         return (surface.torus_monopole_green(z, a, spec)
                 - surface.torus_monopole_green(z, -a.conjugate(), spec))
     inside = dbl.contains(z) & dbl.contains(a)
     if not inside.all():
-        raise DomainError("points must lie in the open strip")
+        raise DomainError(f"points must lie in the open strip ({_STRIP_INTERIOR})")
     return (surface.torus_monopole_green(z, a, spec)
             - surface.torus_monopole_green(z, StripDouble.involution(a), spec))
 
@@ -182,7 +200,7 @@ def gamma_electro(a: complex, dbl: StripDouble) -> float:
     """
     a = complex(a)
     if not dbl.contains(a):
-        raise DomainError("point must lie in the open strip")
+        raise DomainError(f"point must lie in the open strip ({_STRIP_INTERIOR})")
     return elliptic.log_abs_theta1(2 * a.real, dbl.lattice) - dbl.spec.log_abs_theta1_prime0
 
 
@@ -247,8 +265,13 @@ def neumann_strip(z, a, dbl: StripDouble):
     or arrays of z and a (broadcast together).
 
     Vanishing normal derivative on both walls; off the pole it satisfies
-    -4 d^2 N/dz dzbar = -1/area(Omega) with area = Im tau / 2.
+    -4 d^2 N/dz dzbar = -1/area(Omega) with area = Im tau / 2.  N is even
+    across both walls, so z and a may lie outside the strip, within the
+    bounds of ``StripDouble.resolves``.
     """
+    if not np.all(dbl.resolves(z) & dbl.resolves(a)):
+        raise DomainError("Neumann function points need "
+                          "|Re z| <= 2^26, |Im z| <= 2^26 Im tau")
     spec = dbl.spec
     return (surface.torus_monopole_green(z, a, spec)
             + surface.torus_monopole_green(z, StripDouble.involution(a), spec))
@@ -388,7 +411,7 @@ def capacity_functions(a: complex, dbl: StripDouble) -> CapacityFunctions:
     """
     a = complex(a)
     if not dbl.contains(a):
-        raise DomainError("point must be interior to the strip")
+        raise DomainError(f"point must lie in the open strip ({_STRIP_INTERIOR})")
     if min(-a.real, a.real + 0.5) < 1e-3:
         raise ParameterError("point too close to the boundary for capacities")
     ke, kh, _ = strip_bergman_kernels(a, a, dbl)

@@ -6,8 +6,10 @@ On the torus C/(Z + tau Z) it is realized through theta-1,
 
     G(z,a) = -(1/2pi) log|theta1(z-a)/theta1'(0)| + Im(z-a)^2/(2 Im tau) + c(tau),
 
-which is doubly periodic and symmetric; the constant c(tau) is fixed
-numerically by the zero-mean normalization.
+which is doubly periodic and symmetric.  The zero-mean normalization fixes
+c(tau) = -log(2 pi |eta(tau)|^2) / (2 pi), Kronecker's first limit formula
+(S. Lang, *Elliptic Functions*, 2nd ed., ch. 20), which theta1'(0) =
+2 pi eta^3 turns into -(log 2pi + 2 log|theta1'(0)|) / (6 pi).
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ class TorusSpec:
         return self.lattice.tau.imag
 
     # the constants every Green function evaluation reads, computed on first
-    # use: a spec that evaluates none never runs c(tau)'s quadrature
+    # use and then read from the spec
 
     @functools.cached_property
     def log_abs_theta1_prime0(self) -> float:
@@ -331,45 +333,17 @@ def beta_cycle(spec: TorusSpec, offset: complex = 0j) -> numkit.Curve:
 
 
 @functools.lru_cache(maxsize=32)
-def torus_green_constant(tau: complex, resolution: int = 160) -> float:
-    """Additive constant c(tau) from the zero-mean normalization.
+def torus_green_constant(tau: complex) -> np.float64:
+    """Additive constant c(tau) that gives G zero mean over the cell.
 
-    The cell integral splits into a smooth part (log|theta1(w)/(theta1'(0) w)|,
-    Gauss-Legendre over the centered rectangle cell), the closed-form
-    integral of log|w| over that rectangle, and the quadratic Im correction.
+    Kronecker's first limit formula (Lang, *Elliptic Functions*, ch. 20)
+    gives c = -log(2 pi |eta(tau)|^2) / (2 pi); with theta1'(0) = 2 pi eta^3
+    that is -(log 2pi + 2 log|theta1'(0)|) / (6 pi).  Returned as np.float64:
+    scalar Green values then stay numpy floats, whose products with complex
+    numbers round as the array path's do, so the two agree to the bit.
     """
-    L = elliptic.lattice_constants(tau)
-    T = tau.imag
-    th0 = L.theta1_prime0
-
-    def smooth(w: np.ndarray) -> np.ndarray:
-        # the limit at w = 0 is 0; a node there (odd resolution) reads 0
-        r = np.abs(w)
-        at_pole = r < 1e-12
-        w, r = np.where(at_pole, 0.25, w), np.where(at_pole, 0.25, r)
-        val = -(elliptic.log_abs_theta1(w, L) - math.log(abs(th0))
-                - np.log(r)) / (2 * math.pi)
-        return np.where(at_pole, 0.0, val)
-
-    def blocked(w: np.ndarray) -> np.ndarray:
-        # 4096 nodes at a time keep a cold call's temporaries near 1 MB; the
-        # values, and so their sum, equal those of one whole-array call
-        return np.concatenate([smooth(b) for b in np.array_split(w, w.size // 4096 + 1)])
-
-    A = numkit.integrate(blocked, *numkit.product_rule(
-        numkit.gauss_legendre_rule([-0.5, 0.5], resolution),
-        numkit.gauss_legendre_rule([-T / 2, T / 2], resolution)))
-
-    B = -_log_abs_rectangle_integral(0.5, T / 2) / (2 * math.pi)
-    C = T * T / 24.0
-    return -(A + B + C) / T
-
-
-def _log_abs_rectangle_integral(a: float, b: float) -> float:
-    """Closed form of int_{[-a,a]x[-b,b]} log|x+iy| dx dy."""
-    quadrant = 0.5 * (a * b * math.log(a * a + b * b) - 3 * a * b
-                      + a * a * math.atan(b / a) + b * b * math.atan(a / b))
-    return 4 * quadrant
+    th0 = elliptic.lattice_constants(tau).theta1_prime0
+    return np.float64(-(math.log(2 * math.pi) + 2 * math.log(abs(th0))) / (6 * math.pi))
 
 
 def torus_monopole_green(z, a, spec: TorusSpec):
@@ -471,8 +445,8 @@ def torus_green_mean(a: complex, spec: TorusSpec) -> float:
     """Independent quadrature of int_F G(., a) dx dy (should vanish).
 
     Integrates over the centered rectangle fundamental cell in polar
-    coordinates around the pole, a different route from the one fixing
-    the constant c(tau)."""
+    coordinates around the pole, so it tests the closed-form c(tau) of
+    ``torus_green_constant`` against a quadrature of G itself."""
     a = complex(a)
     val = _centered_rect_polar(
         lambda w: torus_monopole_green(a + w, a, spec),

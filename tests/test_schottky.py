@@ -562,6 +562,22 @@ def test_interior_requirements(dbl):
         sk.capacity_functions(0.2 + 0.1j, dbl)
 
 
+@pytest.mark.parametrize("far", [-0.3 + 1e300j, complex(-0.3, math.inf),
+                                 complex(-0.3, math.nan)])
+def test_strip_helpers_reject_points_far_out(dbl, far):
+    helpers = (sk.g_electro_strip, sk.g_hydro_strip, sk.neumann_strip)
+    for fn in helpers:
+        for z, a in ((far, A), (A, far), (np.array([Z, far]), A), (Z, np.array([A, far]))):
+            with pytest.raises(DomainError, match=r"\|Im z\| <= 2\^26 Im tau"):
+                fn(z, a, dbl)
+    assert not dbl.contains(far) and not dbl.resolves(far)
+    # the bound itself is inside
+    edge = -0.3 + pg.STRIP_IM_MAX * 2j
+    assert dbl.contains(edge) and dbl.resolves(edge)
+    for fn in helpers:
+        assert math.isfinite(fn(edge, A, dbl))
+
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "strip_green_robin.json").read_text())
 
 

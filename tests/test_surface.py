@@ -197,6 +197,36 @@ def test_torus_green_constant_eta_oracle():
         assert abs(sf.torus_green_constant(tau) - oracle) < 1e-10
 
 
+@pytest.mark.parametrize("tau", [0.05j, 0.08j, 0.2j, 0.77j, 1j, 2j, 0.3 + 1.2j,
+                                 -0.45 + 0.9j, 0.5 + 0.05j, 5j, 20j, 40j, 60j])
+def test_torus_green_constant_matches_mpmath_eta(tau):
+    # Kronecker's first limit formula, c = -log(2 pi |eta(tau)|^2) / (2 pi),
+    # with eta summed by mpmath at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        eta = mpmath.eta(mpmath.mpc(tau))
+        oracle = float(-mpmath.log(2 * mpmath.pi * abs(eta) ** 2) / (2 * mpmath.pi))
+    # past the cache, which other tests count the misses of
+    c = sf.torus_green_constant.__wrapped__(tau)
+    assert type(c) is np.float64
+    # at Im tau = 0.05 the theta1'(0) series sets the error
+    assert abs(c - oracle) < (1e-14 if tau.imag >= 0.08 else 2e-12)
+
+
+@pytest.mark.parametrize("tau", [1j, 2j, 0.3 + 1.2j, 5j, 0.4 + 8j])
+def test_torus_green_is_modular_invariant(tau):
+    # z -> z / tau maps C/(Z + tau Z) onto C/(Z - Z/tau) scaled by 1/|tau|,
+    # and tau + 1 spans the same lattice; the zero-mean G is invariant under
+    # both, whatever route computes its constant
+    spec, inverted, shifted = (sf.TorusSpec.from_tau(t) for t in (tau, -1 / tau, tau + 1))
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        z, a = (rng.uniform() + rng.uniform() * tau for _ in range(2))
+        g = sf.torus_monopole_green(z, a, spec)
+        assert abs(sf.torus_monopole_green(z / tau, a / tau, inverted) - g) < 1e-13
+        assert abs(sf.torus_monopole_green(z, a, shifted) - g) < 1e-13
+
+
 def test_torus_bergman_reproducing(spec):
     # (i/2) int dz wedge conj(K dz) = 1 for f(z) dz = dz
     val = sf.wedge_integral_cell(
