@@ -33,7 +33,6 @@ __all__ = [
     "reduce_to_cell",
     "theta1",
     "theta1_prime",
-    "theta1_prime0",
     "theta1_log_derivative",
     "log_abs_theta1",
     "wp",
@@ -260,11 +259,6 @@ def _theta1_pair(z, L: TorusLattice):
         shift = _shift_factor(z0, m, n, L)
         return shift * base, shift * (dbase - 2j * cmath.pi * n * base), log_abs
     return base, dbase, log_abs
-
-
-def theta1_prime0(L: TorusLattice) -> complex:
-    """theta1'(0), computed once per lattice by ``lattice_constants``."""
-    return L.theta1_prime0
 
 
 def theta1_log_derivative(z, L: TorusLattice):

@@ -281,19 +281,23 @@ def neumann_strip(z, a, dbl: StripDouble):
 # reproducing properties
 # ---------------------------------------------------------------------------
 
-def _strip_quadrature(integrand, a: complex, dbl: StripDouble,
-                      resolution: int = 12) -> complex:
-    """Tensor composite Gauss-Legendre over Omega = (-1/2,0) x (0, Im tau) of
-    integrand(z, K_electro, K_hydro, K_double), the kernels at (z, a) on the
-    nodes z.  wp(z + conj a) comes from ``elliptic.wp_grid`` on the rule's
-    two axes, bit for bit what ``strip_bergman_kernels`` gives on the nodes."""
-    rule_x, rule_y = (numkit.gauss_legendre_rule(np.linspace(lo, hi, resolution + 1))
-                      for lo, hi in ((-0.5, 0.0), (0.0, dbl.T)))
+def _strip_rule(dbl: StripDouble, resolution: int = 12):
+    """Tensor composite Gauss-Legendre rule over Omega = (-1/2,0) x (0, Im tau):
+    ``(axes, nodes, weights)`` with ``axes`` its two 1-D rules."""
+    axes = tuple(numkit.gauss_legendre_rule(np.linspace(lo, hi, resolution + 1))
+                 for lo, hi in ((-0.5, 0.0), (0.0, dbl.T)))
+    return (axes, *numkit.product_rule(*axes))
+
+
+def _strip_kernels(axes, a: complex, dbl: StripDouble):
+    """(K_electro, K_hydro, K_double) at (z, a) on the nodes z of
+    ``_strip_rule``.  wp(z + conj a) comes from ``elliptic.wp_grid`` on the
+    rule's two axes, bit for bit what ``strip_bergman_kernels`` gives on
+    the nodes."""
+    (x, _), (y, _) = axes
     ac = complex(a).conjugate()
-    kernels = _kernels_of_wp(elliptic.wp_grid(
-        rule_x[0] + ac.real, rule_y[0] + ac.imag, dbl.lattice).ravel(), dbl)
-    return numkit.integrate(lambda z: integrand(z, *kernels),
-                            *numkit.product_rule(rule_x, rule_y))
+    return _kernels_of_wp(elliptic.wp_grid(x + ac.real, y + ac.imag,
+                                           dbl.lattice).ravel(), dbl)
 
 
 def _beta_period_of(f, dbl: StripDouble, x0: float = -0.25, n: int = 256) -> complex:
@@ -302,15 +306,16 @@ def _beta_period_of(f, dbl: StripDouble, x0: float = -0.25, n: int = 256) -> com
     return numkit.integrate(f, x0 + 1j * ys, 1j * wy)
 
 
-def reproducing_check(kernel: str, f, a: complex, dbl: StripDouble,
-                      resolution: int = 12) -> complex:
-    """(i/2) int_Omega f dz wedge conj(K(.,a) dz) = int f conj(K) dx dy.
+def reproducing_check(kernel: str, f, a, dbl: StripDouble,
+                      resolution: int = 12):
+    """(i/2) int_Omega f dz wedge conj(K(.,a) dz) = int f conj(K) dx dy,
+    for one point a or an array of points (an array of values out).
 
     f receives numpy arrays of points (the quadrature nodes).  ``kernel``
     is "electro" or "hydro"; hydro requires f to be exact (vanishing period
-    around the strip), which is checked first.
+    around the strip), which is checked first.  The check, the rule and f
+    on its nodes are shared by all the points; each point costs one wp_grid.
     """
-    a = complex(a)
     if kernel not in ("electro", "hydro"):
         raise ParameterError("kernel must be 'electro' or 'hydro'")
     if kernel == "hydro":
@@ -319,21 +324,21 @@ def reproducing_check(kernel: str, f, a: complex, dbl: StripDouble,
             raise AdmissibilityError(
                 f"integrand has nonzero strip period {abs(period):.2e}; "
                 "not admissible for the hydrodynamic kernel")
-
-    def integrand(z, ke, kh, kd):
-        k = ke if kernel == "electro" else kh
-        return f(z) * k.conjugate()
-
-    return _strip_quadrature(integrand, a, dbl, resolution)
+    axes, nodes, weights = _strip_rule(dbl, resolution)
+    fz = f(nodes)
+    which = 0 if kernel == "electro" else 1
+    vals = [numkit.integrate(
+        lambda z: fz * _strip_kernels(axes, p, dbl)[which].conjugate(), nodes, weights)
+        for p in np.ravel(numkit.as_points(a))]
+    return vals[0] if numkit.is_scalar(a) else np.reshape(vals, np.shape(a))
 
 
 def orthogonality_integral(b: complex, dbl: StripDouble,
                            resolution: int = 12) -> complex:
     """int_Omega K_double dz wedge conj(K_hydro(.,b) dz) (vanishes)."""
-    b = complex(b)
-
-    return _strip_quadrature(lambda z, ke, kh, kd: kd * kh.conjugate(),
-                             b, dbl, resolution)
+    axes, nodes, weights = _strip_rule(dbl, resolution)
+    _, kh, kd = _strip_kernels(axes, b, dbl)
+    return numkit.integrate(lambda z: kd * kh.conjugate(), nodes, weights)
 
 
 def upsilon_third_kind(z, a: complex, b: complex, dbl: StripDouble):

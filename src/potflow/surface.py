@@ -15,6 +15,7 @@ c(tau) = -log(2 pi |eta(tau)|^2) / (2 pi), Kronecker's first limit formula
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -418,60 +419,95 @@ def bergman_expansion_check(spec: TorusSpec, samples: int = 5) -> float:
     return resid
 
 
-def _centered_rect_polar(f: Callable[[complex], complex], hw: float, hh: float,
-                         nr: int = 48, nt: int = 32, r_inner: float = 0.0,
-                         cluster: float = 0.0) -> complex:
-    """Integrate f dx dy over [-hw,hw]x[-hh,hh] in polar coordinates at 0.
+# nodes per Gauss panel in theta and per ray of the outer cell rule; theta
+# nodes and nodes per ray of the pole disk (band-clustered for G) and of the
+# annulus eps < |w| < rho (log-radial for L)
+_CELL_PANEL, _CELL_RAY = 24, 32
+_DISK_ANGLES, _DISK_RAY, _ANNULUS_RAY = 32, 64, 16
 
-    The angular range splits at the four corner angles so R(theta) is
-    smooth per panel (Gauss-Legendre in theta).  ``r_inner > 0`` excises
-    the disk |w| < r_inner exactly (log-radial nodes); ``cluster > 0``
-    instead adds a sqrt-clustered band [0, cluster] absorbing a log-type
-    singularity at the origin.
+
+def _pole_split_rule(hw: float, hh: float):
+    """The rectangle [-hw,hw]x[-hh,hh] minus the disk |w| < rho, rho =
+    min(hw, hh)/2, as a polar rule at its centre: ``(rho, nodes, weights)``.
+
+    The theta range splits at the four corner angles, and each side's range
+    again wherever R(theta) = d / cos(theta - c) doubles, at |theta - c| =
+    acos(2^-k) (c the side's normal angle, d its distance), so that every
+    Gauss panel sees R vary by at most a factor two however tall the cell.
+    Each ray carries log-radial Gauss nodes from rho to R(theta).  The disk
+    itself is left to ``_pole_disk_rule``, where the integrand is periodic
+    and analytic in theta and the trapezoid rule converges exponentially:
+    rho is at most a quarter of the distance to the nearest other lattice
+    point, so the theta modes of the integrand decay like 4^-k there.
     """
-    thc = math.atan2(hh, hw)
-    edges = [-thc, thc, math.pi - thc, math.pi + thc, 2 * math.pi - thc]
-    theta, w = numkit.gauss_legendre_rule(edges, nt)
-    # panels alternate between the vertical (hw) and horizontal (hh) sides
-    vertical = np.repeat([True, False, True, False], nt)
-    R = (np.where(vertical, hw, hh)
-         / np.abs(np.where(vertical, np.cos(theta), np.sin(theta))))
-    band = np.minimum(cluster, R / 2) if cluster > 0 else 0.0
-    return numkit.integrate(f, *numkit.polar_rule(0j, (theta, w), R, nr, band,
-                                                  r_inner))
+    rho = min(hw, hh) / 2
+    theta, weights, extent = [], [], []
+    for side in range(4):
+        d, half = (hw, math.atan2(hh, hw)) if side % 2 == 0 else (hh, math.atan2(hw, hh))
+        cuts = list(itertools.takewhile(
+            lambda c: c < half, (math.acos(0.5 ** k) for k in itertools.count(1))))
+        edges = np.array([-half, *(-c for c in reversed(cuts)), *cuts, half])
+        t, w = numkit.gauss_legendre_rule(edges, _CELL_PANEL)
+        theta.append(t + side * math.pi / 2)
+        weights.append(w)
+        extent.append(d / np.cos(t))
+    theta, weights, extent = map(np.concatenate, (theta, weights, extent))
+    return (rho, *numkit.polar_rule(0j, (theta, weights), extent, _CELL_RAY,
+                                    inner=rho))
+
+
+def _pole_disk_rule(rho: float, inner: float = 0.0):
+    """Trapezoid rule in theta on the disk |w| < rho, with its rays
+    sqrt-clustered towards the centre for a log-type singularity there, or,
+    for ``inner > 0``, on the annulus inner < |w| < rho with log-radial rays
+    for a 1/r^2-type one."""
+    angular = numkit.trapezoid_rule(_DISK_ANGLES, 2 * math.pi)
+    if inner > 0:
+        return numkit.polar_rule(0j, angular, rho, _ANNULUS_RAY, inner=inner)
+    return numkit.polar_rule(0j, angular, rho, _DISK_RAY, band=rho)
 
 
 def torus_green_mean(a: complex, spec: TorusSpec) -> float:
     """Independent quadrature of int_F G(., a) dx dy (should vanish).
 
-    Integrates over the centered rectangle fundamental cell in polar
-    coordinates around the pole, so it tests the closed-form c(tau) of
+    Integrates over the centred rectangle fundamental cell in polar
+    coordinates around the pole, split at the disk of ``_pole_split_rule``
+    (8,192 nodes at tau = 2i), so it tests the closed-form c(tau) of
     ``torus_green_constant`` against a quadrature of G itself."""
     a = complex(a)
-    val = _centered_rect_polar(
-        lambda w: torus_monopole_green(a + w, a, spec),
-        0.5, spec.volume / 2, nr=48, nt=32, cluster=0.2)
-    return float(val.real)
+    rho, *outer = _pole_split_rule(0.5, spec.volume / 2)
+
+    def f(w):
+        return torus_monopole_green(a + w, a, spec)
+
+    return float((numkit.integrate(f, *outer)
+                  + numkit.integrate(f, *_pole_disk_rule(rho))).real)
 
 
 def schiffer_mean_value(spec: TorusSpec, a: complex,
                         eps_ladder=(1e-2, 5e-3, 2.5e-3)) -> complex:
     """Principal value of int_F L(z,a) dz dzbar (should vanish).
 
-    Symmetric excision of a disk of radius eps around the pole (exact in
-    the polar rule) with Richardson extrapolation over the eps ladder;
-    the excision bias from the regular part is O(eps^2).
+    Symmetric excision of a disk of radius eps around the pole, with
+    Richardson extrapolation over the halving eps ladder: 1/(pi w^2) has no
+    mean over a circle, and the holomorphic rest of L has pi eps^2 times its
+    pole value on the excised disk, so the excision bias is O(eps^2).  The
+    cell outside the disk |w| < rho of ``_pole_split_rule`` is integrated
+    once; each eps re-spends only the annulus eps < |w| < rho (7,680 wp
+    values at tau = 2i).
     """
     a = complex(a)
+    rho, *outer = _pole_split_rule(0.5, spec.volume / 2)
+    if max(eps_ladder) >= rho:
+        raise ParameterError(f"excision radii must stay below {rho:.3g}")
 
-    def integral_excised(eps: float) -> complex:
-        val = _centered_rect_polar(
-            lambda w: torus_kernels(a + w, a, spec)[1],
-            0.5, spec.volume / 2, nr=64, nt=48, r_inner=eps)
-        # dz ^ dzbar = -2i dx dy
-        return val * (-2j)
+    def f(w):
+        return torus_kernels(a + w, a, spec)[1]
 
-    vals = [integral_excised(e) for e in eps_ladder]
+    cell = numkit.integrate(f, *outer)
+    # dz ^ dzbar = -2i dx dy
+    vals = [(cell + numkit.integrate(f, *_pole_disk_rule(rho, e))) * (-2j)
+            for e in eps_ladder]
     v01 = (4 * vals[1] - vals[0]) / 3
     v12 = (4 * vals[2] - vals[1]) / 3
     return (4 * v12 - v01) / 3

@@ -176,11 +176,18 @@ def test_polar_rule_annulus_by_excision():
     assert abs(weights.sum() - np.pi * (1.0 - 0.01)) < 1e-12
 
 
-@pytest.mark.parametrize("cluster, r_inner", [(0.0, 0.0), (0.2, 0.0), (0.0, 0.05)])
-def test_polar_rule_centred_rectangle_area(cluster, r_inner):
-    hw, hh = 0.5, 0.8
-    val = surface._centered_rect_polar(lambda w: 1.0, hw, hh, 48, 32, r_inner, cluster)
-    assert abs(val - (4 * hw * hh - np.pi * r_inner ** 2)) < 1e-12
+@pytest.mark.parametrize("hh", [0.8, 30.0])
+def test_pole_split_rules_cover_the_centred_rectangle(hh):
+    # the outer rule plus the pole disk (or an annulus) tile the 1 x 2hh cell
+    hw = 0.5
+    rho, nodes, outer = surface._pole_split_rule(hw, hh)
+    assert np.all(np.abs(nodes) > rho)
+    assert np.all((np.abs(nodes.real) < hw) & (np.abs(nodes.imag) < hh))
+    _, disk = surface._pole_disk_rule(rho)
+    assert abs(outer.sum() + disk.sum() - 4 * hw * hh) < 1e-12
+    for eps in (1e-2, 2.5e-3):
+        _, annulus = surface._pole_disk_rule(rho, eps)
+        assert abs(outer.sum() + annulus.sum() - (4 * hw * hh - np.pi * eps ** 2)) < 1e-12
 
 
 def test_integrate_nonfinite_value_names_node():

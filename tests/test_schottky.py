@@ -230,6 +230,17 @@ def test_strip_quadratures_equal_the_full_grid_formula_bit_for_bit(dbl):
         lambda z, ke, kh, kd: kd * kh.conjugate(), B, dbl)
 
 
+def test_reproducing_check_on_an_array_of_points_equals_the_scalar_calls(dbl):
+    tau = dbl.tau
+    fexp = lambda w: (2j * math.pi / tau) * np.exp(2j * math.pi * w / tau)
+    pts = np.array([A, -0.15 + 0.35j, -0.4 + 1.4j])
+    for kernel, f in (("hydro", fexp), ("electro", lambda w: 1.0 + 0j)):
+        vals = sk.reproducing_check(kernel, f, pts, dbl)
+        assert vals.shape == pts.shape
+        assert _bits(*vals) == _bits(*(sk.reproducing_check(kernel, f, complex(p), dbl)
+                                       for p in pts))
+
+
 def test_schottky_suite_never_evaluates_wp_on_a_full_grid(monkeypatch):
     from potflow import verify
     wp = elliptic.wp
@@ -390,7 +401,7 @@ def test_tabulated_mixed_richardson_equals_the_scalar_one(dbl, p):
 @pytest.mark.parametrize("tau", [0.05j, 0.5j, 1j, 2j, 0.3 + 2j, -0.45 + 0.9j, 60j])
 def test_cached_theta1_prime0_is_theta1_prime_at_zero(tau):
     L = elliptic.lattice_constants(tau)
-    assert _bits(elliptic.theta1_prime0(L)) == _bits(elliptic.theta1_prime(0.0, L))
+    assert _bits(L.theta1_prime0) == _bits(elliptic.theta1_prime(0.0, L))
 
 
 def test_strip_green_sums_no_theta_prime_series_once_built(monkeypatch):

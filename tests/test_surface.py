@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from potflow import numkit, surface as sf
-from potflow.errors import PoleError
+from potflow.errors import ParameterError, PoleError
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,38 @@ def test_torus_kernels(spec):
 
 def test_torus_schiffer_zero_mean(spec):
     assert abs(sf.schiffer_mean_value(spec, -0.12 + 0.4j)) < 1e-6
+
+
+CELL_MODULI = [0.3j, 1j, 2j, 0.3 + 1.2j, 5j, 20j, 60j]
+
+
+@pytest.mark.parametrize("tau", CELL_MODULI)
+def test_torus_cell_integrals_vanish(tau):
+    spec = sf.TorusSpec.from_tau(tau)
+    for a in (0.31 + 0.41j * tau.imag, -0.12 + 0.4j):
+        assert abs(sf.torus_green_mean(a, spec)) <= 1e-12
+        assert abs(sf.schiffer_mean_value(spec, a)) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [1.6j, 0.3 + 1.2j, 60j])
+def test_torus_cell_integrals_count_the_cell_once(tau, monkeypatch):
+    # a constant delta added to G (to L) moves the integral by delta times
+    # the cell area Im tau (times dz ^ dzbar = -2i dx dy): no part of the
+    # cell is missed or counted twice by the outer rule and the pole disk
+    spec, a, delta = sf.TorusSpec.from_tau(tau), -0.12 + 0.4j, 1e-6
+    mean, pv = sf.torus_green_mean(a, spec), sf.schiffer_mean_value(spec, a)
+    green, kernels = sf.torus_monopole_green, sf.torus_kernels
+    monkeypatch.setattr(sf, "torus_monopole_green",
+                        lambda z, a, spec: green(z, a, spec) + delta)
+    monkeypatch.setattr(sf, "torus_kernels", lambda z, a, spec: (
+        kernels(z, a, spec)[0], kernels(z, a, spec)[1] + delta))
+    assert abs(sf.torus_green_mean(a, spec) - mean - delta * tau.imag) <= 1e-12
+    assert abs(sf.schiffer_mean_value(spec, a) - pv + 2j * delta * tau.imag) <= 1e-12
+
+
+def test_schiffer_excision_stays_inside_the_pole_disk(spec):
+    with pytest.raises(ParameterError):
+        sf.schiffer_mean_value(spec, 0j, eps_ladder=(0.4, 0.2, 0.1))
 
 
 def test_torus_kernel_pole(spec):
