@@ -4,6 +4,8 @@ Evaluation goes through q-series (Fourier expansions in the nome
 qh = exp(i*pi*tau), DLMF 20.2 and 23.8) after folding the argument into
 the fundamental cell, so convergence is geometric for Im tau bounded away
 from zero.  The truncated series of a lattice are tabulated once per tau.
+theta1, theta1' and log|theta1| all come from ``_theta_jet``: one reduction
+of z, one sum of each theta series, and logs of the unshifted sums.
 Every function takes a scalar z, giving a Python complex (a float for
 ``log_abs_theta1``), or a numpy array, giving an array of its shape.
 ``wp_grid`` evaluates wp on a tensor grid of a rectangular lattice from
@@ -20,7 +22,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,9 +72,13 @@ class TorusLattice:
     e3: complex  # wp(tau/2)
     theta1_prime0: complex  # theta1'(0)
 
-    @property
+    @functools.cached_property
     def qh(self) -> complex:
         return cmath.exp(1j * cmath.pi * self.tau)
+
+    @functools.cached_property
+    def series(self) -> dict:   # _series(tau), looked up once per lattice
+        return _series(self.tau)
 
 
 def _check_tau(tau: complex) -> None:
@@ -149,9 +155,9 @@ def _series(tau: complex) -> dict:
             "theta_prime": ("cos", theta_prime)}
 
 
-def _sum(name: str, z0, tau: complex, head=0j):
-    """head plus the named series at z0.  The terms are added one by one,
-    in order, with cmath for a scalar and numpy ufuncs for an array, so
+def _sum(name: str, z0, L: TorusLattice, head=0j):
+    """head plus the named series of L at z0.  The terms are added one by
+    one, in order, with cmath for a scalar and numpy ufuncs for an array, so
     both round alike: on rectangular lattices (all c_k real) the sums of
     an array equal its elements' scalar sums to the bit, and ``wp_grid``
     reproduces them from 1-D factors.
@@ -162,16 +168,63 @@ def _sum(name: str, z0, tau: complex, head=0j):
     in the last bit for nearly half of all products, and the grid path
     relies on ccos/csin being libm's real cos, sin, cosh and sinh
     multiplied once."""
-    trig_name, terms = _series(tau)[name]
+    trig_name, terms = L.series[name]
     trig = getattr(np if isinstance(z0, np.ndarray) else cmath, trig_name)
     for f, c in terms:
         head = head + c * trig(f * z0)
     return head
 
 
-def _shift_factor(z0, m, n, L: TorusLattice):
-    """theta1(z0 + m + n tau) / theta1(z0)."""
-    return (-1) ** (m + n) * L.qh ** (-n * n) * _xp(z0).exp(-2j * cmath.pi * n * z0)
+def _theta_jet(z, L: TorusLattice, value=False, prime=False, log=None):
+    """(z0, n, theta1(z), theta1'(z), lg) from one reduction z = z0 + m + n tau
+    and one sum of each theta series; each of the last three is None unless
+    asked for.  theta1(z) and theta1'(z) are the sums at z0 times the shift
+    factor (-1)^(m+n) qh^{-n^2} e^{-2 pi i n z0}, which a scalar z = z0 goes
+    without.  log="z" asks for lg = log|theta1(z)|: the log of the unshifted
+    sum plus the factor's log modulus pi Im(tau) n^2 + 2 pi n Im z0, so a log
+    never forms the factor (qh^{-n^2} overflows far out) nor rounds as the
+    log of a shifted value would.  log="z0" asks for lg = log|theta1(z0)| as
+    log_abs_theta1(z0) gives it: only where rounding left |Im z0| just above
+    Im tau / 2 (far from the origin) is z0 reduced again.  Logs are the C
+    library's hypot and log, also for an array: numpy's complex abs and log
+    round differently in the last bit (for a third and 0.1% of arguments),
+    which finite differences of the Green functions magnify a millionfold.
+    A PoleError names the first z at which a log meets a zero of theta1."""
+    tau, T = L.tau, L.tau.imag
+    array = isinstance(z, np.ndarray) and z.ndim
+    if array:
+        z = z.astype(complex, copy=False)
+        z0, m, n = reduce_to_cell(z, tau)
+    else:   # reduce_to_cell for one point, without its dispatch
+        z = complex(z)
+        n = round(z.imag / T)
+        z0 = z - n * tau
+        m = round(z0.real)
+        z0 = z0 - m
+    shifted = array or m or n
+    lz, ln = z0, (n if log == "z" else None)
+    far = log == "z0" and abs(z0.imag / T) > 0.5
+    if np.any(far) if array else far:
+        lz, _, ln = reduce_to_cell(z0, tau)
+    base = (2 * _sum("theta", z0, L)
+            if value or prime and shifted or log and lz is z0 else None)
+    th, lg = base, None
+    dth = 2 * cmath.pi * _sum("theta_prime", z0, L) if prime else None
+    if shifted and (value or prime):
+        shift = (-1) ** (m + n) * L.qh ** (-n * n) * _xp(z0).exp(-2j * cmath.pi * n * z0)
+        th = shift * base
+        dth = shift * (dth - 2j * cmath.pi * n * base) if prime else None
+    if log:
+        if lz is not z0:
+            base = 2 * _sum("theta", lz, L)
+        zero = base == 0
+        if zero.any() if array else zero:
+            raise PoleError(f"theta1 vanishes at lattice point near {first_where(zero, z)}")
+        lg = (_map(math.log, np.hypot(base.real, base.imag).ravel()).reshape(base.shape)
+              if array else math.log(abs(base)))
+        if ln is not None:
+            lg = lg + cmath.pi * T * ln * ln + 2 * cmath.pi * ln * lz.imag
+    return z0, n, th if value else None, dth, lg
 
 
 def theta1(z, L: TorusLattice):
@@ -179,55 +232,17 @@ def theta1(z, L: TorusLattice):
 
     theta1(z+1) = -theta1(z), theta1(z+tau) = -qh^{-1} e^{-2 pi i z} theta1(z).
     """
-    z0, m, n = reduce_to_cell(z, L.tau)
-    base = 2 * _sum("theta", z0, L.tau)
-    if isinstance(z0, np.ndarray) or m or n:
-        base = _shift_factor(z0, m, n, L) * base
-    return base
+    return _theta_jet(z, L, value=True)[2]
+
+
+def theta1_prime(z, L: TorusLattice):
+    """d/dz theta1 at z (direct series on the reduced argument)."""
+    return _theta_jet(z, L, prime=True)[3]
 
 
 def log_abs_theta1(z, L: TorusLattice):
     """log|theta1(z)| evaluated overflow-free for any z."""
-    z = as_points(z)
-    z0, _, n = reduce_to_cell(z, L.tau)
-    return _log_abs_theta1_reduced(z0, n, z, L)
-
-
-def _log_abs_theta1_cell(z0, L: TorusLattice):
-    """log_abs_theta1(z0), to the bit, for a z0 that reduce_to_cell returned.
-    Reducing such a z0 again leaves it unchanged unless rounding left |Im z0|
-    just above Im tau / 2 (far from the origin), so only there is the second
-    reduction made."""
-    if first_where(abs(z0.imag / L.tau.imag) > 0.5, z0) is not None:
-        return log_abs_theta1(z0, L)
-    return _log_abs_theta1_reduced(z0, 0, z0, L)
-
-
-def _log_abs_theta1_reduced(z0, n, z, L: TorusLattice):
-    """log|theta1(z)| from reduce_to_cell(z) = (z0, m, n)."""
-    return _log_abs_theta1_of(2 * _sum("theta", z0, L.tau), z0, n, z, L)
-
-
-def _log_abs_theta1_of(base, z0, n, z, L: TorusLattice):
-    """log|theta1(z)| from base = theta1(z0) and reduce_to_cell(z) = (z0, m, n):
-    the log of the unshifted base plus the shift factor's log modulus (the
-    log of the shifted value rounds differently).  The PoleError names the
-    first z on the lattice."""
-    if (p := first_where(base == 0, z)) is not None:
-        raise PoleError(f"theta1 vanishes at lattice point near {p}")
-    # |qh^{-n^2}| = exp(pi Im(tau) n^2), |e^{-2 pi i n z0}| = exp(2 pi n Im z0)
-    return (_log_abs(base) + cmath.pi * L.tau.imag * n * n
-            + 2 * cmath.pi * n * z0.imag)
-
-
-def _log_abs(w):
-    """math.log(abs(w)), elementwise for an array.  numpy's complex abs and
-    log round differently from the C library's hypot and log in the last
-    bit (for a third and 0.1% of arguments), which finite differences of
-    the Green functions magnify a millionfold."""
-    if isinstance(w, np.ndarray):
-        return _map(math.log, np.hypot(w.real, w.imag).ravel()).reshape(w.shape)
-    return math.log(abs(w))
+    return _theta_jet(z, L, log="z")[4]
 
 
 def _map(f, v: np.ndarray) -> np.ndarray:
@@ -235,36 +250,10 @@ def _map(f, v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, v.tolist()), float, v.size)
 
 
-def theta1_prime(z, L: TorusLattice):
-    """d/dz theta1 at z (direct series on the reduced argument)."""
-    z0, m, n = reduce_to_cell(z, L.tau)
-    dbase = 2 * cmath.pi * _sum("theta_prime", z0, L.tau)
-    if isinstance(z0, np.ndarray) or m or n:
-        dbase = _shift_factor(z0, m, n, L) * (
-            dbase - 2j * cmath.pi * n * (2 * _sum("theta", z0, L.tau)))
-    return dbase
-
-
-def _theta1_pair(z, L: TorusLattice):
-    """(theta1(z), theta1'(z), log|theta1(z)|) from one reduction, one sum of
-    each series and one shift factor, each equal to its own function's value
-    to the bit (the tests hold theta1, theta1_prime and log_abs_theta1 as
-    the reference)."""
-    z = as_points(z)
-    z0, m, n = reduce_to_cell(z, L.tau)
-    base = 2 * _sum("theta", z0, L.tau)
-    dbase = 2 * cmath.pi * _sum("theta_prime", z0, L.tau)
-    log_abs = _log_abs_theta1_of(base, z0, n, z, L)
-    if isinstance(z0, np.ndarray) or m or n:
-        shift = _shift_factor(z0, m, n, L)
-        return shift * base, shift * (dbase - 2j * cmath.pi * n * base), log_abs
-    return base, dbase, log_abs
-
-
 def theta1_log_derivative(z, L: TorusLattice):
     """theta1'/theta1 at z, free of the quasi-periodic factors, which cancel."""
     z0, _, n = _off_lattice(z, L.tau)
-    return cmath.pi * _sum("theta_prime", z0, L.tau) / _sum("theta", z0, L.tau) - 2j * cmath.pi * n
+    return cmath.pi * _sum("theta_prime", z0, L) / _sum("theta", z0, L) - 2j * cmath.pi * n
 
 
 def _off_lattice(z, tau: complex):
@@ -280,7 +269,7 @@ def wp(z, L: TorusLattice):
     """Weierstrass wp, doubly periodic, wp(z) = 1/z^2 + O(z^2)."""
     z0 = _off_lattice(z, L.tau)[0]
     s = _xp(z0).sin(cmath.pi * z0)
-    return _sum("wp", z0, L.tau, -L.eta1 + cmath.pi ** 2 / (s * s))
+    return _sum("wp", z0, L, -L.eta1 + cmath.pi ** 2 / (s * s))
 
 
 def wp_grid(x, y, L: TorusLattice) -> np.ndarray:
@@ -317,7 +306,7 @@ def wp_grid(x, y, L: TorusLattice) -> np.ndarray:
     s = np.empty((x.size, y.size), complex)
     s.real, s.imag = outer(px, py, math.sin, math.cosh), outer(px, py, math.cos, math.sinh)
     head = -L.eta1 + cmath.pi ** 2 / (s * s)
-    for f, c in _series(L.tau)["wp"][1]:
+    for f, c in L.series["wp"][1]:
         fx, fy = f * x0, f * y0
         head.real += c.real * outer(fx, fy, math.cos, math.cosh)
         head.imag -= c.real * outer(fx, fy, math.sin, math.sinh)
@@ -329,14 +318,14 @@ def wp_prime(z, L: TorusLattice):
     xp = _xp(z0)
     s = xp.sin(cmath.pi * z0)
     head = -2 * cmath.pi ** 3 * xp.cos(cmath.pi * z0) / (s * s * s)
-    return _sum("wp_prime", z0, L.tau, head)
+    return _sum("wp_prime", z0, L, head)
 
 
 def zeta_w(z, L: TorusLattice):
     """Weierstrass zeta; quasi-periodic with increments eta1 and eta2."""
     z0, m, n = _off_lattice(z, L.tau)
     head = L.eta1 * z0 + cmath.pi / _xp(z0).tan(cmath.pi * z0)
-    return _sum("zeta", z0, L.tau, head) + m * L.eta1 + n * L.eta2
+    return _sum("zeta", z0, L, head) + m * L.eta1 + n * L.eta2
 
 
 def lattice_constants(tau: complex) -> TorusLattice:
@@ -355,11 +344,8 @@ def lattice_constants(tau: complex) -> TorusLattice:
     L = TorusLattice(tau=tau, q=qh2, eta1=eta1, eta2=eta2,
                      g2=0j, g3=0j, e1=0j, e2=0j, e3=0j, theta1_prime0=0j)
     e1, e2, e3 = (wp(h, L) for h in (0.5, 0.5 * (1 + tau), 0.5 * tau))
-    g2 = 2 * (e1 * e1 + e2 * e2 + e3 * e3)
-    g3 = 4 * e1 * e2 * e3
-    L = TorusLattice(tau=tau, q=qh2, eta1=eta1, eta2=eta2,
-                     g2=g2, g3=g3, e1=e1, e2=e2, e3=e3,
-                     theta1_prime0=theta1_prime(0.0, L))
+    L = replace(L, g2=2 * (e1 * e1 + e2 * e2 + e3 * e3), g3=4 * e1 * e2 * e3,
+                e1=e1, e2=e2, e3=e3, theta1_prime0=theta1_prime(0.0, L))
 
     legendre = abs(eta1 * tau - eta2 - 2j * cmath.pi)
     if legendre > 1e-12 or abs(e1 + e2 + e3) > 1e-9:

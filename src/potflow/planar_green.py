@@ -606,7 +606,7 @@ def _strip_robin(d: DomainDescriptor, a: complex) -> tuple:
     2 Re a and one sum of each theta series."""
     _, dbl = _strip_double(d.tau)
     L, x = dbl.lattice, 2 * a.real
-    th, dth, log_th = elliptic._theta1_pair(x, L)
+    _, _, th, dth, log_th = elliptic._theta_jet(x, L, value=True, prime=True, log="z")
     h0 = log_th - dbl.spec.log_abs_theta1_prime0
     ke = (elliptic.wp(x, L) + L.eta1) / math.pi
     return h0, dth / th, -4 * math.pi * ke.real * math.exp(2 * h0)

@@ -206,7 +206,10 @@ def gamma_electro(a: complex, dbl: StripDouble) -> float:
 
 def gamma_electro_gradient(a: complex, dbl: StripDouble) -> complex:
     """h1 = d gamma_electro / da = (theta1'/theta1)(2 Re a) (real lattice)."""
-    th, dth, _ = elliptic._theta1_pair(2 * complex(a).real, dbl.lattice)
+    x = 2 * complex(a).real
+    _, _, th, dth, _ = elliptic._theta_jet(x, dbl.lattice, value=True, prime=True)
+    if th == 0:
+        raise PoleError(f"theta1 vanishes at lattice point near {complex(x)}")
     return dth / th
 
 
@@ -246,7 +249,8 @@ def hydro_circulation(a: complex, dbl: StripDouble, p: float | None = None,
         return (_g_hydro_extended(z + h, a, dbl, p)
                 - _g_hydro_extended(z - h, a, dbl, p)) / (2 * h)
 
-    ys, wy = numkit.trapezoid_rule(n, dbl.T)
+    # the y trapezoid errs like exp(-2 pi d n / Im tau), d the poles' distance from the wall
+    ys, wy = numkit.trapezoid_rule(max(n, math.ceil(n * dbl.T / 2)), dbl.T)
     # *dG = G_x dy along the wall; orientation -y makes -oint = +T mean(G_x)
     return float(numkit.integrate(gx, -0.5 + 1j * ys, wy))
 

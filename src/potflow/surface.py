@@ -349,41 +349,20 @@ def torus_green_constant(tau: complex) -> np.float64:
 
 def torus_monopole_green(z, a, spec: TorusSpec):
     """Zero-mean monopole Green function of the flat torus, for scalars or
-    arrays of z and a (broadcast together).  Im(w)^2 is y * y on both
-    paths: Python's y ** 2 goes through the C library's pow, which is one
-    ulp off the correctly rounded square for about 0.1% of arguments, and
-    numpy's square is not."""
-    L = spec.lattice
-    T = L.tau.imag
-    if numkit.is_scalar(z) and numkit.is_scalar(a):
-        # the array body for one point, with reduce_to_cell and
-        # _log_abs_theta1_cell written out: the same operations in the same
-        # order, so the same bits, without the scalar/array dispatch
-        w = complex(z) - complex(a)
-        n = round(w.imag / T)
-        w = w - n * L.tau
-        wr = w - round(w.real)
-        if abs(wr) < 1e-13:
-            raise PoleError("torus Green function pole at z = a (mod lattice)")
-        y = wr.imag
-        if abs(y / T) > 0.5:
-            log_th = elliptic.log_abs_theta1(wr, L)
-        else:
-            base = 2 * elliptic._sum("theta", wr, L.tau)
-            if base == 0:
-                raise PoleError(f"theta1 vanishes at lattice point near {wr}")
-            # the shift terms of n = 0, as _log_abs_theta1_reduced adds them
-            log_th = math.log(abs(base)) + math.pi * T * 0 * 0 + 2 * math.pi * 0 * y
-        val = -(log_th - spec.log_abs_theta1_prime0) / (2 * math.pi)
-        return val + y * y / (2 * T) + spec.green_constant
-    w = numkit.as_points(z) - numkit.as_points(a)
-    wr, _, _ = elliptic.reduce_to_cell(w, L.tau)
-    if numkit.first_where(abs(wr) < 1e-13, w) is not None:
+    arrays of z and a (broadcast together), from one theta jet of z - a
+    (formed in the inputs' own precision).  Im(w)^2 is y * y, as numpy
+    squares: Python's y ** 2 (the C library's pow) is one ulp off for about
+    0.1% of arguments."""
+    w = z - a
+    try:
+        w0, _, _, _, log_th = elliptic._theta_jet(w, spec.lattice, log="z0")
+    except PoleError:   # theta1(w0) = 0, so w0 = 0
+        w0 = 0j
+    if numkit.first_where(abs(w0) < 1e-13, w) is not None:
         raise PoleError("torus Green function pole at z = a (mod lattice)")
-    val = -(elliptic._log_abs_theta1_cell(wr, L)
-            - spec.log_abs_theta1_prime0) / (2 * math.pi)
-    y = wr.imag
-    return val + y * y / (2 * T) + spec.green_constant
+    y = w0.imag
+    return (-(log_th - spec.log_abs_theta1_prime0) / (2 * math.pi)
+            + y * y / (2 * spec.lattice.tau.imag) + spec.green_constant)
 
 
 def wedge_integral_cell(form1: OneForm, form2: OneForm, spec: TorusSpec,

@@ -509,7 +509,8 @@ def schottky_checks() -> list[Check]:
 
 def _kernel_period_residual(dbl: schottky.StripDouble, a: complex, n: int = 192) -> float:
     t, w = numkit.trapezoid_rule(n)
-    ys, wy = numkit.trapezoid_rule(n, dbl.T)
+    # the y trapezoid errs like exp(-2 pi d n / Im tau), d = 0.25 the poles' distance
+    ys, wy = numkit.trapezoid_rule(max(n, math.ceil(n * dbl.T / 3)), dbl.T)
     (pa_e, pa_h), (pb_e, pb_h) = (
         numkit.integrate(lambda z: schottky.strip_bergman_kernels(z, a, dbl)[:2],
                          nodes, dz)

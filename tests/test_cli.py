@@ -491,6 +491,15 @@ def test_torus_report(tmp_path):
     assert kkh["residual"] == 0.0
 
 
+@pytest.mark.parametrize("tau", ["0,20", "0,60"])
+def test_torus_tall_strip_periods_pass(tmp_path, tau):
+    # the y trapezoids of kernels2 and ointdGp once had a fixed node count
+    # and failed beyond Im tau ~ 10
+    out = tmp_path / "torus.json"
+    assert run(["torus", "--tau", tau, "--out", str(out)]) == 0
+    assert all(row["pass"] for row in json.loads(out.read_text())["identities"])
+
+
 def test_torus_deterministic(tmp_path):
     texts = []
     for name in ("a.json", "b.json"):

@@ -1,11 +1,14 @@
 import cmath
+import collections
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potflow import elliptic
+from potflow import elliptic, surface
 from potflow.errors import ConditioningError, ParameterError, PoleError
 
 TAUS = (1.5j, 2j, 3j, 0.3 + 2j)
@@ -283,16 +286,87 @@ def test_wp_grid_pole_and_lattice_errors(L2i):
 
 @pytest.mark.parametrize("tau", [0.3j, 1j, 2j, 0.3 + 1.1j, 17j])
 def test_theta1_pair_equals_the_three_functions_bit_for_bit(tau):
+    # _theta_jet's pieces, asked for together, are theta1, theta1_prime,
+    # log_abs_theta1 and reduce_to_cell's (z0, n) to the bit, and its
+    # log="z0" piece is log_abs_theta1(z0)
     L = elliptic.lattice_constants(tau)
     rng = np.random.default_rng(11)
     # a few cells out in both directions, so m and n are both nonzero (the
     # shift factor qh^{-n^2} overflows further out at Im tau = 17)
     z = rng.uniform(-5, 5, 300) + 1j * tau.imag * rng.uniform(-2.5, 2.5, 300)
-    for zz in [*z.tolist(), 0.3, -0.7, 2.25]:
-        got = elliptic._theta1_pair(zz, L)
-        want = (elliptic.theta1(zz, L), elliptic.theta1_prime(zz, L),
+    for zz in [*z.tolist(), 0.3, -0.7, 2.25, z]:
+        z0, _, n = elliptic.reduce_to_cell(zz, tau)
+        got = elliptic._theta_jet(zz, L, value=True, prime=True, log="z")
+        want = (z0, n, elliptic.theta1(zz, L), elliptic.theta1_prime(zz, L),
                 elliptic.log_abs_theta1(zz, L))
-        assert np.array(got).tobytes() == np.array(want).tobytes(), zz
-    got = elliptic._theta1_pair(z, L)
-    want = (elliptic.theta1(z, L), elliptic.theta1_prime(z, L), elliptic.log_abs_theta1(z, L))
-    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert [type(g) for g in got] == [type(w) for w in want]
+        assert all(_bits(g) == _bits(w) for g, w in zip(got, want)), zz
+        lg0 = elliptic._theta_jet(zz, L, log="z0")[4]
+        assert _bits(lg0) == _bits(elliptic.log_abs_theta1(z0, L)), zz
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def test_log_abs_theta1_far_out_is_the_cell_log_plus_the_shift_modulus():
+    # 40-50 cells out at Im tau = 17, |qh^{-n^2}| = exp(17 pi n^2) overflows,
+    # so the log must be that of theta1(z0) plus the factor's log modulus
+    tau = 17j
+    L, T = elliptic.lattice_constants(tau), tau.imag
+    rng = np.random.default_rng(5)
+    cells = rng.integers(40, 51, 60) * rng.choice([-1, 1], 60)
+    z = rng.uniform(-50, 50, 60) + 1j * T * (cells + rng.uniform(-0.45, 0.45, 60))
+    want = []
+    for zz in z.tolist():
+        z0, _, n = elliptic.reduce_to_cell(zz, tau)
+        assert 40 <= abs(n) <= 50
+        want.append(math.log(abs(elliptic.theta1(z0, L)))
+                    + math.pi * T * n * n + 2 * math.pi * n * z0.imag)
+        assert _bits(elliptic.log_abs_theta1(zz, L)) == _bits(want[-1]), zz
+    assert _bits(elliptic.log_abs_theta1(z, L)) == _bits(np.array(want))
+
+
+_ZS = np.array([0.3 + 0.2j, 2.3 - 4.2j, -1.6 + 6.2j])
+
+
+@pytest.mark.parametrize("fn, z, want", [
+    ("theta1", 0.3 + 0.2j, {"theta": 1}),
+    ("theta1", 2.3 - 4.2j, {"theta": 1}),
+    ("theta1", _ZS, {"theta": 1}),
+    ("log_abs_theta1", 0.3 + 0.2j, {"theta": 1}),
+    ("log_abs_theta1", -1.6 + 40.2j, {"theta": 1}),
+    ("log_abs_theta1", _ZS, {"theta": 1}),
+    ("theta1_prime", 0.3 + 0.2j, {"theta_prime": 1}),
+    ("theta1_prime", 2.3 - 4.2j, {"theta": 1, "theta_prime": 1}),
+    # an array always takes the shift factor
+    ("theta1_prime", _ZS, {"theta": 1, "theta_prime": 1}),
+    ("torus_monopole_green", 0.3 + 0.2j, {"theta": 1}),
+    ("torus_monopole_green", _ZS, {"theta": 1}),
+], ids=lambda v: "array" if isinstance(v, np.ndarray) else None)
+def test_theta_functions_sum_each_series_once(monkeypatch, fn, z, want):
+    spec = surface.TorusSpec.from_tau(2j)
+    if fn == "torus_monopole_green":
+        call = lambda: surface.torus_monopole_green(z, 0.1 - 0.05j, spec)
+    else:
+        call = lambda: getattr(elliptic, fn)(z, spec.lattice)
+    call()   # the spec's constants, summed once, are not counted
+    counts = collections.Counter()
+    summed = elliptic._sum
+
+    def counting_sum(name, *args):
+        counts[name] += 1
+        return summed(name, *args)
+
+    monkeypatch.setattr(elliptic, "_sum", counting_sum)
+    call()
+    assert counts == want
+
+
+def test_only_elliptic_sums_the_q_series():
+    # an inlined copy of a theta or wp series elsewhere would drift from
+    # elliptic's own, which fixes the operation order of every sum
+    src = Path(elliptic.__file__).parent
+    pattern = re.compile(r"elliptic\._(sum|series)\b|import[^\n]*\b_(sum|series)\b")
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if p.name != "elliptic.py" and pattern.search(p.read_text())] == []
