@@ -80,7 +80,9 @@ def require_finite(value: complex, node) -> complex:
 # ---------------------------------------------------------------------------
 
 def integrate(f: Callable, nodes: np.ndarray, weights: np.ndarray):
-    """f(nodes) @ weights for an integrand called once on the node array.
+    """The weighted sum of f(nodes) for an integrand called once on the node
+    array, taken as numpy's pairwise sum over the node axis so that its last
+    bits do not depend on the BLAS thread count.
 
     f returns an array whose last axis is the node axis: (n,) for one
     integral, (m, n) (or a sequence of m arrays) for m.  A scalar return,
@@ -95,7 +97,7 @@ def integrate(f: Callable, nodes: np.ndarray, weights: np.ndarray):
     if not finite.all():
         bad = ~finite.reshape(-1, finite.shape[-1]).all(axis=0)
         raise EvaluationError(nodes[np.argmax(bad)].item())
-    return values @ weights
+    return (values * weights).sum(axis=-1)
 
 
 def pointwise(f: Callable) -> Callable:

@@ -17,7 +17,6 @@ The harmonic measure of the x = -1/2 boundary component is u1(z) = -2x.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -206,7 +205,10 @@ def gamma_electro(a: complex, dbl: StripDouble) -> float:
 
 def gamma_electro_gradient(a: complex, dbl: StripDouble) -> complex:
     """h1 = d gamma_electro / da = (theta1'/theta1)(2 Re a) (real lattice)."""
-    x = 2 * complex(a).real
+    a = complex(a)
+    if not dbl.contains(a):
+        raise DomainError(f"point must lie in the open strip ({_STRIP_INTERIOR})")
+    x = 2 * a.real
     _, _, th, dth, _ = elliptic._theta_jet(x, dbl.lattice, value=True, prime=True)
     if th == 0:
         raise PoleError(f"theta1 vanishes at lattice point near {complex(x)}")
@@ -331,8 +333,9 @@ def reproducing_check(kernel: str, f, a, dbl: StripDouble,
     axes, nodes, weights = _strip_rule(dbl, resolution)
     fz = f(nodes)
     which = 0 if kernel == "electro" else 1
+    # kernel first: numpy's complex product is not commutative in the last bit
     vals = [numkit.integrate(
-        lambda z: fz * _strip_kernels(axes, p, dbl)[which].conjugate(), nodes, weights)
+        lambda z: _strip_kernels(axes, p, dbl)[which].conjugate() * fz, nodes, weights)
         for p in np.ravel(numkit.as_points(a))]
     return vals[0] if numkit.is_scalar(a) else np.reshape(vals, np.shape(a))
 
@@ -468,115 +471,34 @@ def ahlfors_map_disk(z: complex, a: complex) -> complex:
     return (z - a) / (1 - a.conjugate() * z)
 
 
-def _conjugate_green_disk(z: complex, a: complex, base: complex,
-                          rule: tuple[np.ndarray, np.ndarray]) -> float:
-    """Harmonic conjugate G*(z) = int_base^z *dG(., a) along a polyline,
-    each leg by the (nodes, weights) rule on [0, 1].
+# Gauss nodes of the slit map's integral over [0, 1]; the rule is built at
+# call time, because the numpy.polynomial import it needs costs 1.3 MB of RSS
+_SLIT_NODES = 32
 
-    *dG = 2 Im(dG/dz dz); the path detours around the pole when the direct
-    segment passes too close.
+
+def circular_slit_map(z, a: complex):
+    """Canonical map f = exp(gamma(a) - 2 pi G(.,a) - 2 pi i G*(.,a)) of the
+    unit disk, for a scalar or an array of z in the closed disk (f(a) = 0).
+
+    G + i G* is analytic with derivative 2 dG/dz, and 4 pi dG/dz =
+    1/(a - z) + r(z) with r = ``planar_green._disk_image`` analytic on the
+    closed disk.  So f(z) = (z - a) exp(-(z - a) int_0^1 r(a + (z - a) t) dt):
+    the pole is integrated exactly, f'(a) = 1 (the c1-extremal
+    normalization) fixes gamma and the phase, and the segment [a, z] stays
+    in the disk.  The boundary modulus is exp(gamma(a)) = 1 - |a|^2.  A
+    scalar z takes the array path, so it rounds as an array entry does.
     """
-    D = planar_green.DomainDescriptor.disk(1.0)
-    dgdz = planar_green._KINDS["disk"].green_z_derivative
-
-    def leg(z0: complex, z1: complex) -> float:
-        val = numkit.integrate(
-            lambda t: dgdz(D, z0 + (z1 - z0) * t, a) * (z1 - z0), *rule)
-        return 2 * val.imag
-
-    # detour via a midpoint offset if the segment passes near the pole
-    seg = base, z
-    d = _segment_point_distance(base, z, a)
-    if d < 0.05:
-        mid = 0.5 * (base + z)
-        direction = (z - base) / abs(z - base) if z != base else 1.0
-        off = mid + 0.3j * direction * (1 if ((a - mid) / direction).imag < 0 else -1)
-        if abs(off) > 0.95:
-            off = mid - 0.3j * direction * (1 if ((a - mid) / direction).imag < 0 else -1)
-        return leg(base, off) + leg(off, z)
-    return leg(*seg)
-
-
-def _segment_point_distance(z0: complex, z1: complex, p: complex) -> float:
-    u = z1 - z0
-    if u == 0:
-        return abs(p - z0)
-    t = max(0.0, min(1.0, ((p - z0) / u).real))
-    return abs(p - (z0 + t * u))
-
-
-def _slit_base_point(a: complex) -> complex:
-    """Base point for the conjugate-Green integration, away from the pole."""
-    if a == 0:
-        return 0.5 + 0j
-    return -0.5 * a / abs(a)
-
-
-def circular_slit_map(z, a: complex,
-                      domain: "planar_green.DomainDescriptor | None" = None,
-                      n_panels: int = 24):
-    """Canonical map f = exp(gamma(a) - 2 pi G(.,a) - 2 pi i G*(.,a)), for a
-    scalar or an array of z in the closed unit disk (f(a) = 0).
-
-    On the unit disk this is the Mobius factor scaled to f'(a) = 1 (the
-    c1-extremal normalization), with boundary modulus exp(gamma(a)).  The
-    harmonic conjugate is built by contour integration of *dG from a base
-    point; the phase is fixed so that f'(a) is real positive.  gamma, the
-    base point, the leg rule and the phase depend on a alone and are
-    computed once per call.
-    """
-    if domain is None:
-        domain = planar_green.DomainDescriptor.disk(1.0)
-    if domain.kind != "disk" or domain.R != 1.0:
-        raise ParameterError("slit map implemented on the unit disk")
     z, a = numkit.as_points(z), complex(a)
-    if not domain.contains(a):
+    if not abs(a) < 1:
         raise DomainError("zero point must be interior")
     outside = numkit.first_where(np.logical_not(abs(z) <= 1 + 1e-12), z)
     if outside is not None:
         raise DomainError(f"slit map implemented on the unit disk: {outside} "
                           "lies outside")
-    gamma = planar_green.robin_data(domain, a).h0
-    base = _slit_base_point(a)
-    rule = numkit.gauss_legendre_rule(np.linspace(0.0, 1.0, n_panels + 1))
-
-    r_safe = min(0.05, (1 - abs(a)) / 4)
-
-    def conj_green(zz: complex) -> float:
-        d = abs(zz - a)
-        if d >= r_safe:
-            return _conjugate_green_disk(zz, a, base, rule)
-        # approach the pole along the ray: the singular 1/(z-a) part of *dG
-        # has zero radial component, so only the regular term contributes
-        direction = (zz - a) / d
-        anchor = a + r_safe * direction
-        gs = _conjugate_green_disk(anchor, a, base, rule)
-
-        def regular(t: np.ndarray) -> np.ndarray:
-            zt = anchor + (zz - anchor) * t
-            reg = planar_green._disk_image(domain, zt, a) / (4 * math.pi)
-            return reg * (zz - anchor)
-
-        return gs + 2 * numkit.gauss_legendre_panel(regular, 0.0, 1.0, 4).imag
-
-    def raw(zz: complex) -> complex:
-        # the record's closed-form Green function: no interior check, so it
-        # holds up to the boundary
-        g = planar_green._KINDS["disk"].green(domain, zz, a)
-        return cmath.exp(gamma - 2 * math.pi * (g + 1j * conj_green(zz)))
-
-    # leading coefficient by a circle average (all higher Taylor terms of the
-    # simple zero carry e^{ik phi} and drop out exactly)
-    r = min(0.1, (1 - abs(a)) / 3)
-    fprime = numkit.contour_integral(
-        numkit.pointwise(lambda zz: raw(zz) / (zz - a) ** 2),
-        numkit.circle(a, r), 16) / (2j * math.pi)
-    phase = fprime / abs(fprime)
-
-    def f(zz: complex) -> complex:
-        return 0j if zz == a else raw(zz) / phase
-
-    if isinstance(z, np.ndarray):
-        return np.array([f(zz) for zz in z.ravel().tolist()],
-                        dtype=complex).reshape(z.shape)
-    return f(z)
+    d = np.atleast_1d(z).ravel() - a
+    disk = planar_green.DomainDescriptor.disk(1.0)
+    mean = numkit.integrate(
+        lambda t: planar_green._disk_image(disk, a + d[:, None] * t, a),
+        *numkit.gauss_legendre_rule((0.0, 1.0), _SLIT_NODES))
+    f = d * np.exp(-d * mean)
+    return f.reshape(z.shape) if isinstance(z, np.ndarray) else complex(f[0])

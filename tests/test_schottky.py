@@ -225,7 +225,7 @@ def test_strip_quadratures_equal_the_full_grid_formula_bit_for_bit(dbl):
         lambda z, ke, kh, kd: one(z) * ke.conjugate(), A, dbl)
     for pt in (A, -0.15 + 0.35j, -0.4 + 1.4j):
         assert sk.reproducing_check("hydro", fexp, pt, dbl) == _full_grid_quadrature(
-            lambda z, ke, kh, kd: fexp(z) * kh.conjugate(), pt, dbl)
+            lambda z, ke, kh, kd: kh.conjugate() * fexp(z), pt, dbl)
     assert sk.orthogonality_integral(B, dbl) == _full_grid_quadrature(
         lambda z, ke, kh, kd: kd * kh.conjugate(), B, dbl)
 
@@ -495,6 +495,13 @@ def test_gamma_electro_gradient(dbl):
     assert abs(sk.gamma_electro_gradient(A, dbl) - fd) < 1e-8
 
 
+@pytest.mark.parametrize("a", [0.3 + 0.1j, 0.0, -0.5 + 0.2j, -0.2 + 1e9j, complex("nan")])
+def test_gamma_electro_gradient_rejects_points_outside_the_strip(dbl, a):
+    for robin in (sk.gamma_electro, sk.gamma_electro_gradient):
+        with pytest.raises(DomainError, match="point must lie in the open strip"):
+            robin(a, dbl)
+
+
 def test_gamma_hydro_matches_kernel_laplacian(dbl):
     lap = numkit.laplacian_at(lambda w: sk.gamma_hydro(w, dbl, 0.0), A, 1e-4)
     kh = sk.strip_bergman_kernels(A, A, dbl)[1].real
@@ -536,21 +543,16 @@ def test_circular_slit_map_of_an_array_equals_scalar_calls_bit_for_bit(a):
         *(sk.circular_slit_map(w, a) for w in z.ravel().tolist()))
 
 
-def test_circular_slit_map_computes_its_phase_once_per_call(monkeypatch):
-    calls = collections.Counter()
-    conjugate_green = sk._conjugate_green_disk
-
-    def counted(*args):
-        calls["conjugate_green"] += 1
-        return conjugate_green(*args)
-
-    monkeypatch.setattr(sk, "_conjugate_green_disk", counted)
-    z = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 17))
-    sk.circular_slit_map(z, 0.3)
-    assert calls["conjugate_green"] <= 16 + 2 * z.size
-    calls.clear()
-    sk.circular_slit_map(0.5j, 0.3)
-    assert calls["conjugate_green"] <= 16 + 2
+@pytest.mark.parametrize("a, bound", [
+    (0.0, 1e-13), (0.3, 1e-13), (0.6 + 0.3j, 1e-13), (0.9, 1e-13), (0.95, 1e-11)])
+def test_circular_slit_map_equals_the_mobius_form(a, bound):
+    rng = np.random.default_rng(2101)
+    z = np.concatenate([np.exp(2j * math.pi * rng.uniform(size=200)),
+                        np.sqrt(rng.uniform(size=200))
+                        * np.exp(2j * math.pi * rng.uniform(size=200))])
+    scale = 1 - abs(a) ** 2
+    mobius = scale * (z - a) / (1 - np.conj(a) * z)
+    assert np.max(np.abs(sk.circular_slit_map(z, a) - mobius)) / scale < bound
 
 
 def test_circular_slit_map_rejects_points_outside_the_disk():
