@@ -259,7 +259,7 @@ def _cmd_torus(args) -> int:
                  "residual": abs(surface.schiffer_mean_value(spec, at)),
                  "tolerance": 1e-6})
     if abs(tau.real) < 1e-14:
-        dbl = schottky.StripDouble(tau, p=args.p)
+        dbl = schottky.StripDouble(tau)
         a = complex(-0.25, 0.4 * tau.imag)
         z = complex(-0.2, 0.15 * tau.imag)
         ke, kh, kd = schottky.strip_bergman_kernels(z, a, dbl)

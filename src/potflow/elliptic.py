@@ -55,14 +55,10 @@ _SERIES_TOL = 1e-18
 
 @dataclass(frozen=True)
 class TorusLattice:
-    """Modulus tau and the derived constants used throughout.
-
-    ``q`` is exp(2*pi*i*tau); series evaluation internally uses the
-    half nome exp(i*pi*tau).
-    """
+    """Modulus tau and the derived constants used throughout; the series
+    are summed in the half nome ``qh`` = exp(i*pi*tau)."""
 
     tau: complex
-    q: complex
     eta1: complex
     eta2: complex
     g2: complex
@@ -339,9 +335,7 @@ def lattice_constants(tau: complex) -> TorusLattice:
     _check_tau(tau)
     eta1 = _series(tau)["eta1"]
     eta2 = eta1 * tau - 2j * cmath.pi
-    qh2 = cmath.exp(2j * cmath.pi * tau)
-
-    L = TorusLattice(tau=tau, q=qh2, eta1=eta1, eta2=eta2,
+    L = TorusLattice(tau=tau, eta1=eta1, eta2=eta2,
                      g2=0j, g3=0j, e1=0j, e2=0j, e3=0j, theta1_prime0=0j)
     e1, e2, e3 = (wp(h, L) for h in (0.5, 0.5 * (1 + tau), 0.5 * tau))
     L = replace(L, g2=2 * (e1 * e1 + e2 * e2 + e3 * e3), g3=4 * e1 * e2 * e3,

@@ -336,35 +336,12 @@ def laplacian_at(f: Callable[[complex], float], z0: complex,
 # ---------------------------------------------------------------------------
 
 def area_quadrature(f: Callable[[np.ndarray], np.ndarray], region,
-                    resolution: int = 64,
-                    singularities: Sequence[complex] = (),
-                    excision_radius: float = 1e-2,
-                    with_error: bool = False):
+                    resolution: int = 64):
     """Integrate f dx dy over a region that supplies its own rule
     ``region.area_rule(resolution) -> (nodes, weights)``; f receives the
-    array of nodes, as in ``integrate``.
-
-    Declared integrable singularities are excised by a disk of radius
-    ``excision_radius`` which is then covered by a sqrt-clustered polar
-    refinement.  Undeclared non-finite values raise EvaluationError.
-    """
-    nodes, weights = region.area_rule(resolution)
-
-    sing = np.array(singularities, dtype=complex)
-    keep = np.all(np.abs(nodes[:, None] - sing) > excision_radius, axis=1)
-    # cover each excised disk with a clustered polar patch
-    angular = midpoint_rule(max(32, resolution), 2 * math.pi)
-    rules = [(nodes[keep], weights[keep])] + [
-        polar_rule(s, angular, excision_radius, max(24, resolution // 2),
-                   band=excision_radius) for s in sing.tolist()]
-    total = integrate(f, np.concatenate([r[0] for r in rules]),
-                      np.concatenate([r[1] for r in rules]))
-
-    if with_error:
-        half = area_quadrature(f, region, max(resolution // 2, 16),
-                               singularities, excision_radius)
-        return total, abs(total - half)
-    return total
+    array of nodes, as in ``integrate``, and a non-finite value raises
+    EvaluationError."""
+    return integrate(f, *region.area_rule(resolution))
 
 
 # ---------------------------------------------------------------------------

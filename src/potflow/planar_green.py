@@ -54,6 +54,8 @@ MAX_GRID = 512
 # Strip points have |Im z| <= STRIP_IM_MAX Im tau: the reduction of Im z
 # modulo Im tau then keeps at least half the significand
 STRIP_IM_MAX = 2.0 ** 26
+# the bounds of a strip point, for errors to name
+STRIP_INTERIOR = "-1/2 < Re z < 0, |Im z| <= 2^26 Im tau"
 
 
 def size_error(name: str, *sizes: float) -> str | None:
@@ -593,23 +595,16 @@ def _strip_double(tau: complex):
     return schottky, schottky.StripDouble(tau)
 
 
+# _require_interior has checked the points with the kind's contains, so the
+# strip's green and robin call schottky's unchecked evaluators
 def _strip_green(d: DomainDescriptor, z: complex, a: complex) -> float:
     schottky, dbl = _strip_double(d.tau)
-    return schottky.g_electro_strip(z, a, dbl)
+    return schottky._g_electro(z, a, dbl)
 
 
 def _strip_robin(d: DomainDescriptor, a: complex) -> tuple:
-    """h0 = log|theta1(2 Re a) / theta1'(0)|, h1 = (theta1'/theta1)(2 Re a)
-    and the curvature -4 pi K_electro(a, a) e^{2 h0}, K_electro(a, a) =
-    (wp(2 Re a) + eta1) / pi: bit for bit schottky's gamma_electro,
-    gamma_electro_gradient and strip_bergman_kernels, from one reduction of
-    2 Re a and one sum of each theta series."""
-    _, dbl = _strip_double(d.tau)
-    L, x = dbl.lattice, 2 * a.real
-    _, _, th, dth, log_th = elliptic._theta_jet(x, L, value=True, prime=True, log="z")
-    h0 = log_th - dbl.spec.log_abs_theta1_prime0
-    ke = (elliptic.wp(x, L) + L.eta1) / math.pi
-    return h0, dth / th, -4 * math.pi * ke.real * math.exp(2 * h0)
+    schottky, dbl = _strip_double(d.tau)
+    return schottky._robin(a, dbl)
 
 
 @dataclass(frozen=True)
@@ -705,7 +700,7 @@ _KINDS: dict[str, _Kind] = {
         # one comparison bounds Im z and rejects inf and nan
         contains=lambda d, z: (-0.5 < z.real < 0.0
                                and abs(z.imag) <= STRIP_IM_MAX * d.tau.imag),
-        interior="-1/2 < Re z < 0, |Im z| <= 2^26 Im tau",
+        interior=STRIP_INTERIOR,
         boundary_distance=lambda d, z: min(-z.real, z.real + 0.5),
         green=_strip_green,
         robin=_strip_robin,

@@ -56,16 +56,11 @@ __all__ = [
 ]
 
 
-# the bounds of StripDouble.contains (im_max), for errors to name
-_STRIP_INTERIOR = "-1/2 < Re z < 0, |Im z| <= 2^26 Im tau"
-
-
 @dataclass(frozen=True)
 class StripDouble:
     """Doubly connected periodic strip and its torus double."""
 
     tau: complex
-    p: float = 0.0
     lattice: elliptic.TorusLattice = field(init=False, repr=False)
     spec: surface.TorusSpec = field(init=False, repr=False)
     # the largest |Im z| of a point, STRIP_IM_MAX Im tau as in planar_green's
@@ -123,8 +118,16 @@ class StripDouble:
                                    numkit.midpoint_rule(n, self.T), -0.5)
         return 0.5 * float(numkit.integrate(grad_sq, *cell))
 
-    def to_dict(self) -> dict:
-        return {"tau": [self.tau.real, self.tau.imag], "p": self.p}
+
+def _require_strip(dbl: StripDouble, *points) -> None:
+    """Raise DomainError unless every point (scalars or arrays) lies in the
+    open strip.  contains gives a scalar point a Python bool, which is read
+    as it is: np.all would take a few microseconds per point."""
+    for p in points:
+        inside = dbl.contains(p)
+        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+            raise DomainError("every point must lie in the open strip "
+                              f"({planar_green.STRIP_INTERIOR})")
 
 
 def schwarz_circle(z: complex, R: float = 1.0) -> complex:
@@ -172,21 +175,37 @@ def kkl_combinations(z: complex, a: complex, dbl: StripDouble
 def g_electro_strip(z, a, dbl: StripDouble):
     """Electrostatic (Dirichlet) Green function of the periodic strip, for
     scalars or arrays of z and a (broadcast together)."""
+    _require_strip(dbl, z, a)
+    return _g_electro(z, a, dbl)
+
+
+def _g_electro(z, a, dbl: StripDouble):
+    """G_double(z, a) - G_double(z, J(a)): g_electro_strip without the point
+    check, and continued smoothly a little across the walls."""
     spec = dbl.spec
-    if numkit.is_scalar(z) and numkit.is_scalar(a):
-        # contains and involution, written out for one point
-        z, a = complex(z), complex(a)
-        bound = dbl.im_max
-        if not (-0.5 < z.real < 0.0 and -0.5 < a.real < 0.0
-                and abs(z.imag) <= bound and abs(a.imag) <= bound):
-            raise DomainError(f"points must lie in the open strip ({_STRIP_INTERIOR})")
-        return (surface.torus_monopole_green(z, a, spec)
-                - surface.torus_monopole_green(z, -a.conjugate(), spec))
-    inside = dbl.contains(z) & dbl.contains(a)
-    if not inside.all():
-        raise DomainError(f"points must lie in the open strip ({_STRIP_INTERIOR})")
     return (surface.torus_monopole_green(z, a, spec)
             - surface.torus_monopole_green(z, StripDouble.involution(a), spec))
+
+
+def _gamma_jet(a: complex, dbl: StripDouble) -> tuple:
+    """(gamma_electro, gamma_electro_gradient) at a, unchecked: h0 =
+    log|theta1(2 Re a) / theta1'(0)| and h1 = (theta1'/theta1)(2 Re a), from
+    one reduction of 2 Re a and one sum of each theta series.  The log
+    raises PoleError where theta1(2 Re a) underflows to 0."""
+    _, _, th, dth, log_th = elliptic._theta_jet(2 * a.real, dbl.lattice,
+                                                value=True, prime=True, log="z")
+    return log_th - dbl.spec.log_abs_theta1_prime0, dth / th
+
+
+def _robin(a: complex, dbl: StripDouble) -> tuple:
+    """(h0, h1, curvature) of G_electro at a, unchecked: the curvature is
+    -4 pi K_electro(a, a) e^{2 h0}, K_electro(a, a) = (wp(2 Re a) + eta1) / pi.
+    The wp is kept out of gamma_electro, which it would fail within 1e-12 of
+    a wall."""
+    L = dbl.lattice
+    h0, h1 = _gamma_jet(a, dbl)
+    ke = (elliptic.wp(2 * a.real, L) + L.eta1) / math.pi
+    return h0, h1, -4 * math.pi * ke.real * math.exp(2 * h0)
 
 
 def gamma_electro(a: complex, dbl: StripDouble) -> float:
@@ -198,24 +217,18 @@ def gamma_electro(a: complex, dbl: StripDouble) -> float:
     minus the same constant, which therefore cancels.
     """
     a = complex(a)
-    if not dbl.contains(a):
-        raise DomainError(f"point must lie in the open strip ({_STRIP_INTERIOR})")
-    return elliptic.log_abs_theta1(2 * a.real, dbl.lattice) - dbl.spec.log_abs_theta1_prime0
+    _require_strip(dbl, a)
+    return _gamma_jet(a, dbl)[0]
 
 
 def gamma_electro_gradient(a: complex, dbl: StripDouble) -> complex:
     """h1 = d gamma_electro / da = (theta1'/theta1)(2 Re a) (real lattice)."""
     a = complex(a)
-    if not dbl.contains(a):
-        raise DomainError(f"point must lie in the open strip ({_STRIP_INTERIOR})")
-    x = 2 * a.real
-    _, _, th, dth, _ = elliptic._theta_jet(x, dbl.lattice, value=True, prime=True)
-    if th == 0:
-        raise PoleError(f"theta1 vanishes at lattice point near {complex(x)}")
-    return dth / th
+    _require_strip(dbl, a)
+    return _gamma_jet(a, dbl)[1]
 
 
-def g_hydro_strip(z, a, dbl: StripDouble, p: float | None = None):
+def g_hydro_strip(z, a, dbl: StripDouble, p: float = 0.0):
     """Hydrodynamic Green function with prescribed circulation p, for
     scalars or arrays of z and a (broadcast together).
 
@@ -223,47 +236,42 @@ def g_hydro_strip(z, a, dbl: StripDouble, p: float | None = None):
     values are locally constant and -oint_beta *dG_hydro = p around the
     u1 = 1 boundary component (with the boundary orientation of Omega).
     """
-    if p is None:
-        p = dbl.p
-    ge = g_electro_strip(z, a, dbl)
-    return ge + (StripDouble.u1(z) - p) * (StripDouble.u1(a) - p) / (2 * dbl.T)
+    _require_strip(dbl, z, a)
+    return _g_hydro_extended(z, a, dbl, p)
 
 
-def gamma_hydro(a: complex, dbl: StripDouble, p: float | None = None) -> float:
+def gamma_hydro(a: complex, dbl: StripDouble, p: float = 0.0) -> float:
     """Robin function of G_hydro: gamma_electro + (pi/Im tau)(u1(a)-p)^2."""
-    if p is None:
-        p = dbl.p
     return gamma_electro(a, dbl) + math.pi / dbl.T * (StripDouble.u1(a) - p) ** 2
 
 
-def hydro_circulation(a: complex, dbl: StripDouble, p: float | None = None,
-                      n: int = 128, h: float = 1e-6) -> float:
+def hydro_circulation(a: complex, dbl: StripDouble, p: float = 0.0,
+                      n: int = 128) -> float:
     """-oint_beta *dG_hydro around the inner (u1 = 1) boundary component.
 
     The cycle is the line x = -1/2 carrying the boundary orientation of
     Omega (negative y direction); fd x-derivative plus trapezoid in y.
     """
-    if p is None:
-        p = dbl.p
-
-    def gx(z: np.ndarray) -> np.ndarray:
-        # G extends smoothly across the wall on the double
-        return (_g_hydro_extended(z + h, a, dbl, p)
-                - _g_hydro_extended(z - h, a, dbl, p)) / (2 * h)
-
     # the y trapezoid errs like exp(-2 pi d n / Im tau), d the poles' distance from the wall
     ys, wy = numkit.trapezoid_rule(max(n, math.ceil(n * dbl.T / 2)), dbl.T)
     # *dG = G_x dy along the wall; orientation -y makes -oint = +T mean(G_x)
-    return float(numkit.integrate(gx, -0.5 + 1j * ys, wy))
+    return float(numkit.integrate(lambda z: _g_hydro_dx(z, a, dbl, p),
+                                  -0.5 + 1j * ys, wy))
 
 
-def _g_hydro_extended(z, a: complex, dbl: StripDouble, p: float):
+def _g_hydro_extended(z, a, dbl: StripDouble, p: float):
     """g_hydro continued smoothly a little across the strip walls (a scalar
-    or an array of z)."""
-    spec = dbl.spec
-    ge = (surface.torus_monopole_green(z, a, spec)
-          - surface.torus_monopole_green(z, StripDouble.involution(a), spec))
-    return ge + (StripDouble.u1(z) - p) * (StripDouble.u1(a) - p) / (2 * dbl.T)
+    or an array of z), unchecked."""
+    return (_g_electro(z, a, dbl)
+            + (StripDouble.u1(z) - p) * (StripDouble.u1(a) - p) / (2 * dbl.T))
+
+
+def _g_hydro_dx(z, a, dbl: StripDouble, p: float):
+    """d/dx of ``_g_hydro_extended`` by a central difference of step 1e-6;
+    G extends smoothly across the walls on the double, so z may lie on one."""
+    h = 1e-6
+    return (_g_hydro_extended(z + h, a, dbl, p)
+            - _g_hydro_extended(z - h, a, dbl, p)) / (2 * h)
 
 
 def neumann_strip(z, a, dbl: StripDouble):
@@ -422,17 +430,17 @@ def capacity_functions(a: complex, dbl: StripDouble) -> CapacityFunctions:
     on the diagonal; c_beta = exp(-gamma_electro), c1 = exp(-gamma_hydro).
     """
     a = complex(a)
-    if not dbl.contains(a):
-        raise DomainError(f"point must lie in the open strip ({_STRIP_INTERIOR})")
+    _require_strip(dbl, a)
     if min(-a.real, a.real + 0.5) < 1e-3:
         raise ParameterError("point too close to the boundary for capacities")
+    h0 = _gamma_jet(a, dbl)[0]
     ke, kh, _ = strip_bergman_kernels(a, a, dbl)
     ksz = szego_kernel(a, a, dbl).real
     return CapacityFunctions(
-        c1=math.exp(-gamma_hydro(a, dbl, p=0.0)),
+        c1=math.exp(-(h0 + math.pi / dbl.T * StripDouble.u1(a) ** 2)),  # gamma_hydro, p = 0
         cD=math.sqrt(math.pi * kh.real),
         cB=2 * math.pi * ksz,
-        c_beta=math.exp(-gamma_electro(a, dbl)),
+        c_beta=math.exp(-h0),
         sqrt_M=math.sqrt(math.pi * ke.real),
     )
 

@@ -518,12 +518,8 @@ def _kernel_period_residual(dbl: schottky.StripDouble, a: complex, n: int = 192)
     return max(abs(pa_e), abs(pb_e - 2j), abs(pa_h + 2 / dbl.T), abs(pb_h))
 
 
-def _strip_flux(a: complex, dbl: schottky.StripDouble, n: int = 96,
-                h: float = 1e-6) -> float:
-    def gx(z: np.ndarray) -> np.ndarray:
-        return (schottky._g_hydro_extended(z + h, a, dbl, 0.0)
-                - schottky._g_hydro_extended(z - h, a, dbl, 0.0)) / (2 * h)
-
+def _strip_flux(a: complex, dbl: schottky.StripDouble, n: int = 96) -> float:
+    gx = lambda z: schottky._g_hydro_dx(z, a, dbl, 0.0)
     ys, wy = numkit.trapezoid_rule(n, dbl.T)
     return float(numkit.integrate(gx, -0.5 + 1j * ys, wy)
                  - numkit.integrate(gx, 1j * ys, wy))
@@ -536,12 +532,9 @@ def _wall_tangential(dbl: schottky.StripDouble, a: complex, x0: float,
 
 
 def _hydrohydro(dbl: schottky.StripDouble, a: complex, b: complex,
-                p: float, n: int = 128, h: float = 1e-6) -> float:
-    def integrand(z: np.ndarray) -> np.ndarray:
-        dgb = (schottky._g_hydro_extended(z + h, b, dbl, p)
-               - schottky._g_hydro_extended(z - h, b, dbl, p)) / (2 * h)
-        return schottky._g_hydro_extended(z, a, dbl, p) * dgb
-
+                p: float, n: int = 128) -> float:
+    integrand = lambda z: (schottky._g_hydro_extended(z, a, dbl, p)
+                           * schottky._g_hydro_dx(z, b, dbl, p))
     # the wall x = 0 carries orientation +1, the wall x = -1/2 orientation -1
     ys, wy = numkit.trapezoid_rule(n, dbl.T)
     return float(numkit.integrate(integrand, 1j * ys, wy)

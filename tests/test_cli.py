@@ -201,16 +201,34 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                  "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def test_verify_all_report_is_byte_identical_to_the_recorded_one(tmp_path):
-    out = tmp_path / "verify.json"
+def _cli_output_at_each_thread_count(argv, out):
+    """Run the CLI in a fresh process at 1 and then 2 BLAS threads, writing
+    to ``out``; yields (threads, the bytes written) after each run."""
     package_root = Path(potflow.__file__).parent.parent
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(package_root),
                    **dict.fromkeys(_BLAS_THREADS, threads))
-        done = subprocess.run([sys.executable, "-m", "potflow.cli", "verify", "--suite",
-                               "all", "--out", str(out)], env=env, capture_output=True)
+        done = subprocess.run([sys.executable, "-m", "potflow.cli", *argv,
+                               "--out", str(out)], env=env, capture_output=True)
         assert done.returncode == 0, (threads, done.stderr)
-        assert out.read_bytes() == (DATA / "verify_all.json").read_bytes(), threads
+        yield threads, out.read_bytes()
+
+
+def test_verify_all_report_is_byte_identical_to_the_recorded_one(tmp_path):
+    for threads, report in _cli_output_at_each_thread_count(
+            ["verify", "--suite", "all"], tmp_path / "verify.json"):
+        assert report == (DATA / "verify_all.json").read_bytes(), threads
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["--tau", "0,2"], "torus_0_2.json"),
+    (["--tau", "0,1.5", "--p", "0.3"], "torus_0_1.5_p_0.3.json"),
+    (["--tau", "0.3,2"], "torus_0.3_2.json"),
+])
+def test_torus_report_is_byte_identical_to_the_recorded_one(tmp_path, argv, recorded):
+    for threads, report in _cli_output_at_each_thread_count(
+            ["torus", *argv], tmp_path / "torus.json"):
+        assert report == (DATA / recorded).read_bytes(), threads
 
 
 _RECT = '{"kind":"domain_boundary","domain":{"kind":"rectangle","w":2.0,"h":1.0}}'

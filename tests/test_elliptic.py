@@ -370,3 +370,12 @@ def test_only_elliptic_sums_the_q_series():
     pattern = re.compile(r"elliptic\._(sum|series)\b|import[^\n]*\b_(sum|series)\b")
     assert [p.name for p in sorted(src.glob("*.py"))
             if p.name != "elliptic.py" and pattern.search(p.read_text())] == []
+
+
+def test_only_the_torus_and_strip_evaluators_call_the_theta_jet():
+    # the torus Green function (surface) and the strip's Robin data
+    # (schottky) each read one jet; a second caller would be a second copy
+    # of one of them
+    src = Path(elliptic.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if "_theta_jet" in p.read_text()] == ["elliptic.py", "schottky.py", "surface.py"]

@@ -341,23 +341,6 @@ def test_area_quadrature_reproducing_constant():
     assert abs(val - 1.0) < 1e-10
 
 
-def test_area_quadrature_declared_singularity():
-    # int_{|z|<1} log|z - a| dx dy = pi (|a|^2 - 1)/2 for |a| < 1
-    disk = planar_green.DomainDescriptor.disk(1.0)
-    a = 0.3
-    val = numkit.area_quadrature(lambda z: np.log(abs(z - a)), disk, 96,
-                                 singularities=[a])
-    assert abs(val - math.pi * (a * a - 1) / 2) < 2e-4
-
-
-def test_area_quadrature_error_estimate():
-    disk = planar_green.DomainDescriptor.disk(1.0)
-    val, err = numkit.area_quadrature(lambda z: abs(z) ** 4, disk, 48,
-                                      with_error=True)
-    assert abs(val - math.pi / 3) < 1e-12
-    assert err >= 0
-
-
 def test_area_quadrature_undeclared_nan_raises():
     disk = planar_green.DomainDescriptor.disk(1.0)
     with pytest.raises(EvaluationError):

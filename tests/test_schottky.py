@@ -502,6 +502,26 @@ def test_gamma_electro_gradient_rejects_points_outside_the_strip(dbl, a):
             robin(a, dbl)
 
 
+@pytest.mark.parametrize("x", [-1e-13, -0.5 + 1e-13])
+def test_gamma_electro_holds_within_1e_12_of_a_wall(dbl, x):
+    # Robin data's curvature reads wp(2 Re a), which rejects points this near
+    # the lattice; gamma_electro and its gradient need no wp
+    a, w = complex(x, 0.1), 2 * x - round(2 * x)
+    assert math.isfinite(sk.gamma_electro(a, dbl))
+    assert abs(sk.gamma_electro_gradient(a, dbl) * w - 1) < 1e-6
+
+
+@pytest.mark.parametrize("T, seed", [(0.3, 1), (2.0, 2), (17.0, 3)])
+def test_strip_robin_data_is_gamma_electro_and_its_gradient_bit_for_bit(T, seed):
+    dom = pg.DomainDescriptor.periodic_strip(1j * T)
+    dbl = sk.StripDouble(1j * T)
+    rng = np.random.default_rng(seed)
+    for a in rng.uniform(-0.499, -0.001, 200) + 1j * rng.uniform(-3 * T, 3 * T, 200):
+        r = pg.robin_data(dom, a)
+        assert _bits(r.h0, r.h1) == _bits(sk.gamma_electro(a, dbl),
+                                          sk.gamma_electro_gradient(a, dbl)), a
+
+
 def test_gamma_hydro_matches_kernel_laplacian(dbl):
     lap = numkit.laplacian_at(lambda w: sk.gamma_hydro(w, dbl, 0.0), A, 1e-4)
     kh = sk.strip_bergman_kernels(A, A, dbl)[1].real
