@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,26 +55,26 @@ _SERIES_TOL = 1e-18
 
 @dataclass(frozen=True)
 class TorusLattice:
-    """Modulus tau and the derived constants used throughout; the series
-    are summed in the half nome ``qh`` = exp(i*pi*tau)."""
+    """Modulus tau and every constant derived from it, computed once by
+    ``lattice_constants``; the series are summed in the half nome ``qh`` =
+    exp(i*pi*tau), from the truncated series table ``series``."""
 
     tau: complex
+    qh: complex
     eta1: complex
     eta2: complex
-    g2: complex
-    g3: complex
     e1: complex  # wp(1/2)
     e2: complex  # wp((1+tau)/2)
     e3: complex  # wp(tau/2)
     theta1_prime0: complex  # theta1'(0)
+    log_abs_theta1_prime0: float
+    green_constant: np.float64  # c(tau) of the torus Green function
+    series: dict = field(compare=False, repr=False)
 
-    @functools.cached_property
-    def qh(self) -> complex:
-        return cmath.exp(1j * cmath.pi * self.tau)
-
-    @functools.cached_property
-    def series(self) -> dict:   # _series(tau), looked up once per lattice
-        return _series(self.tau)
+    @property
+    def volume(self) -> float:
+        """Area Im tau of the flat torus C/(Z + tau Z)."""
+        return self.tau.imag
 
 
 def _check_tau(tau: complex) -> None:
@@ -107,7 +107,6 @@ def reduce_to_cell(z, tau: complex):
 # the per-lattice series table, and theta1 and the Weierstrass functions on it
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
 def _series(tau: complex) -> dict:
     """eta1 and, per series, (trig, [(f_k, c_k)]) for sum_k c_k trig(f_k z0);
     "theta" sums theta1 / 2 and "theta_prime" theta1' / (2 pi).
@@ -324,22 +323,34 @@ def zeta_w(z, L: TorusLattice):
     return _sum("zeta", z0, L, head) + m * L.eta1 + n * L.eta2
 
 
+@functools.lru_cache(maxsize=64)
 def lattice_constants(tau: complex) -> TorusLattice:
-    """Populate all derived constants for the lattice (1, tau).
+    """The lattice (1, tau) with all its derived constants, built once per
+    tau and shared by every consumer of the modulus.
 
     eta1 comes with the series table; eta2 from the Legendre identity
     eta1*tau - eta2 = 2*pi*i, which is then re-checked.  theta1'(0), which
-    every Green function normalization reads, is summed here once.
+    every Green function normalization reads, is summed here once.  The
+    torus Green constant c(tau), which gives G zero mean over the cell, is
+    Kronecker's first limit formula (Lang, *Elliptic Functions*, ch. 20):
+    c = -log(2 pi |eta(tau)|^2) / (2 pi), and with theta1'(0) = 2 pi eta^3
+    that is -(log 2pi + 2 log|theta1'(0)|) / (6 pi).  It is an np.float64:
+    scalar Green values then stay numpy floats, whose products with complex
+    numbers round as the array path's do, so the two agree to the bit.
     """
-    tau = complex(tau)
+    tau = complex(tau) + 0.0   # a -0.0 real part to +0.0: the cache equates them
     _check_tau(tau)
-    eta1 = _series(tau)["eta1"]
+    series = _series(tau)
+    eta1 = series["eta1"]
     eta2 = eta1 * tau - 2j * cmath.pi
-    L = TorusLattice(tau=tau, eta1=eta1, eta2=eta2,
-                     g2=0j, g3=0j, e1=0j, e2=0j, e3=0j, theta1_prime0=0j)
+    # e1..e3 and theta1'(0) are summed on the lattice before they are set
+    L = TorusLattice(tau, cmath.exp(1j * cmath.pi * tau), eta1, eta2,
+                     0j, 0j, 0j, 0j, 0.0, np.float64(0.0), series)
     e1, e2, e3 = (wp(h, L) for h in (0.5, 0.5 * (1 + tau), 0.5 * tau))
-    L = replace(L, g2=2 * (e1 * e1 + e2 * e2 + e3 * e3), g3=4 * e1 * e2 * e3,
-                e1=e1, e2=e2, e3=e3, theta1_prime0=theta1_prime(0.0, L))
+    th0 = theta1_prime(0.0, L)
+    lg = math.log(abs(th0))
+    L = replace(L, e1=e1, e2=e2, e3=e3, theta1_prime0=th0, log_abs_theta1_prime0=lg,
+                green_constant=np.float64(-(math.log(2 * math.pi) + 2 * lg) / (6 * math.pi)))
 
     legendre = abs(eta1 * tau - eta2 - 2j * cmath.pi)
     if legendre > 1e-12 or abs(e1 + e2 + e3) > 1e-9:

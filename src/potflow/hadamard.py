@@ -10,6 +10,7 @@ isolates the first-order Hadamard term without grid error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,6 +50,20 @@ class BoundaryVariation:
         if abs(self.epsilon) * peak > self.base.R / 10:
             raise DomainError("perturbation too large: domain may lose star shape")
 
+    @functools.cached_property
+    def _model_coefficients(self) -> tuple[np.ndarray, ...]:
+        """Power-series coefficients of A, B, A' and B' of ``_PerturbedDisk``;
+        they depend on delta_n alone, so every eps shares them."""
+        theta = 2 * math.pi * np.arange(_FOURIER_N) / _FOURIER_N
+        dn = np.array([self.delta_n(t) for t in theta]) / self.base.R
+        ak = np.fft.rfft(dn) / _FOURIER_N
+        # analytic completion: Re(A) = dn on |w| = 1 with A analytic in w
+        a_coef = np.concatenate([[ak[0].real], 2 * ak[1:]])
+        A = np.polynomial.polynomial.polyval(np.exp(1j * theta), a_coef)
+        bk = np.fft.rfft(-0.5 * (A.imag ** 2)) / _FOURIER_N
+        b_coef = np.concatenate([[bk[0].real], 2 * bk[1:]])
+        return (a_coef, b_coef, *(np.arange(1, len(c)) * c[1:] for c in (a_coef, b_coef)))
+
 
 class _PerturbedDisk:
     """Conformal model of the perturbed disk, exact Green function.
@@ -60,18 +75,7 @@ class _PerturbedDisk:
 
     def __init__(self, var: BoundaryVariation, eps: float):
         self.base, self.R, self.eps = var.base, var.base.R, eps
-        theta = 2 * math.pi * np.arange(_FOURIER_N) / _FOURIER_N
-        dn = np.array([var.delta_n(t) for t in theta]) / self.R
-        ak = np.fft.rfft(dn) / _FOURIER_N
-        # analytic completion: Re(A) = dn on |w| = 1 with A analytic in w
-        self._a_coef = np.concatenate([[ak[0].real], 2 * ak[1:]])
-        A = np.polynomial.polynomial.polyval(np.exp(1j * theta), self._a_coef)
-        resid = -0.5 * (A.imag ** 2)
-        bk = np.fft.rfft(resid) / _FOURIER_N
-        self._b_coef = np.concatenate([[bk[0].real], 2 * bk[1:]])
-        # coefficients of A' and B'
-        self._a_prime, self._b_prime = (np.arange(1, len(c)) * c[1:]
-                                        for c in (self._a_coef, self._b_coef))
+        self._a_coef, self._b_coef, self._a_prime, self._b_prime = var._model_coefficients
 
     @staticmethod
     def _poly(coef: np.ndarray, w: complex) -> complex:

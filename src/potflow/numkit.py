@@ -218,7 +218,6 @@ class Curve:
 
     point: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]   # may return a constant
-    sample_count: int = 256
     closed: bool = True
 
     def rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,21 +232,19 @@ class Curve:
                 w * np.asarray(self.derivative(t), dtype=complex))
 
 
-def circle(center: complex = 0j, radius: float = 1.0, orientation: int = +1,
-           sample_count: int = 256) -> Curve:
+def circle(center: complex = 0j, radius: float = 1.0, orientation: int = +1) -> Curve:
     """Positively (or negatively) oriented circle."""
     if radius <= 0:
         raise ParameterError("radius must be positive")
     w = 2j * np.pi * orientation
     return Curve(lambda t: center + radius * np.exp(w * t),
-                 lambda t: w * radius * np.exp(w * t), sample_count, closed=True)
+                 lambda t: w * radius * np.exp(w * t), closed=True)
 
 
-def line_segment(z0: complex, z1: complex, sample_count: int = 64) -> Curve:
+def line_segment(z0: complex, z1: complex) -> Curve:
     """Open straight segment from z0 to z1."""
     return Curve(lambda t: z0 + (z1 - z0) * t,
-                 lambda t: z1 - z0,
-                 sample_count, closed=False)
+                 lambda t: z1 - z0, closed=False)
 
 
 def gauss_legendre_panel(f, a: float, b: float, panels: int = 8) -> complex:
@@ -257,14 +254,12 @@ def gauss_legendre_panel(f, a: float, b: float, panels: int = 8) -> complex:
 
 
 def contour_integral(f: Callable[[np.ndarray], np.ndarray], curve: Curve,
-                     n: int | None = None) -> complex:
+                     n: int) -> complex:
     """Integrate f along the curve; f receives the array of nodes.
 
     Closed analytic curves use the trapezoid rule (spectrally accurate for
     analytic integrands); open curves use composite Gauss-Legendre.
     """
-    if n is None:
-        n = curve.sample_count
     if n < 16:
         raise ParameterError("need at least 16 sample nodes")
     return integrate(f, *curve.rule(n))

@@ -278,10 +278,9 @@ def szego_disk(z, a: complex):
 # rectangle: closed forms on the torus double
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
 def _rectangle_double(ratio: float) -> elliptic.TorusLattice:
     """The lattice (1, i ratio) of the double of a rectangle of height /
-    width = ratio >= 1, built once per ratio."""
+    width = ratio >= 1, from the cache of ``elliptic.lattice_constants``."""
     if ratio > elliptic._MAX_IM_TAU:
         raise ParameterError(f"rectangle aspect ratio {ratio:.6g} exceeds "
                              f"{elliptic._MAX_IM_TAU:g}, the theta series' limit")
@@ -662,8 +661,7 @@ _KINDS: dict[str, _Kind] = {
         green_z_derivative=lambda d, z, a: (
             -(1.0 / (z - a) - 1.0 / (z - a.conjugate())) / (4 * math.pi)),
         # truncated real axis, positive orientation (domain on the left)
-        boundary_curve=lambda d, truncation: numkit.line_segment(
-            -truncation, truncation, sample_count=512),
+        boundary_curve=lambda d, truncation: numkit.line_segment(-truncation, truncation),
     ),
     "slit_plane": _Kind(
         parse=lambda data: DomainDescriptor.slit_plane(),

@@ -62,7 +62,6 @@ class StripDouble:
 
     tau: complex
     lattice: elliptic.TorusLattice = field(init=False, repr=False)
-    spec: surface.TorusSpec = field(init=False, repr=False)
     # the largest |Im z| of a point, STRIP_IM_MAX Im tau as in planar_green's
     # strip, so that the reduction modulo Im tau keeps half the significand
     im_max: float = field(init=False, repr=False)
@@ -76,7 +75,6 @@ class StripDouble:
         tau = complex(0.0, tau.imag)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "lattice", elliptic.lattice_constants(tau))
-        object.__setattr__(self, "spec", surface.TorusSpec(self.lattice))
         object.__setattr__(self, "im_max", planar_green.STRIP_IM_MAX * tau.imag)
 
     @property
@@ -168,7 +166,7 @@ def kkl_combinations(z: complex, a: complex, dbl: StripDouble
     z, a = complex(z), complex(a)
     ja = StripDouble.involution(a)
     ke, kh, kd = strip_bergman_kernels(z, a, dbl)
-    _, ld = surface.torus_kernels(z, ja, dbl.spec)
+    _, ld = surface.torus_kernels(z, ja, dbl.lattice)
     return abs(ke - (kd + ld)), abs(kh - (-kd + ld))
 
 
@@ -182,9 +180,9 @@ def g_electro_strip(z, a, dbl: StripDouble):
 def _g_electro(z, a, dbl: StripDouble):
     """G_double(z, a) - G_double(z, J(a)): g_electro_strip without the point
     check, and continued smoothly a little across the walls."""
-    spec = dbl.spec
-    return (surface.torus_monopole_green(z, a, spec)
-            - surface.torus_monopole_green(z, StripDouble.involution(a), spec))
+    L = dbl.lattice
+    return (surface.torus_monopole_green(z, a, L)
+            - surface.torus_monopole_green(z, StripDouble.involution(a), L))
 
 
 def _gamma_jet(a: complex, dbl: StripDouble) -> tuple:
@@ -194,7 +192,7 @@ def _gamma_jet(a: complex, dbl: StripDouble) -> tuple:
     raises PoleError where theta1(2 Re a) underflows to 0."""
     _, _, th, dth, log_th = elliptic._theta_jet(2 * a.real, dbl.lattice,
                                                 value=True, prime=True, log="z")
-    return log_th - dbl.spec.log_abs_theta1_prime0, dth / th
+    return log_th - dbl.lattice.log_abs_theta1_prime0, dth / th
 
 
 def _robin(a: complex, dbl: StripDouble) -> tuple:
@@ -286,9 +284,9 @@ def neumann_strip(z, a, dbl: StripDouble):
     if not np.all(dbl.resolves(z) & dbl.resolves(a)):
         raise DomainError("Neumann function points need "
                           "|Re z| <= 2^26, |Im z| <= 2^26 Im tau")
-    spec = dbl.spec
-    return (surface.torus_monopole_green(z, a, spec)
-            + surface.torus_monopole_green(z, StripDouble.involution(a), spec))
+    L = dbl.lattice
+    return (surface.torus_monopole_green(z, a, L)
+            + surface.torus_monopole_green(z, StripDouble.involution(a), L))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "sphere_green_mean",
     "sphere_mutual_energy",
     "SurfaceExpansion",
-    "TorusSpec",
     "PeriodMatrices",
     "OneForm",
     "torus_kernels",
@@ -184,41 +183,6 @@ def sphere_mutual_energy(a: complex, b: complex, resolution: int = 64) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TorusSpec:
-    """Flat torus C/(Z + tau Z) with the Euclidean metric; volume Im tau."""
-
-    lattice: elliptic.TorusLattice
-
-    @staticmethod
-    def from_tau(tau: complex) -> "TorusSpec":
-        return TorusSpec(elliptic.lattice_constants(complex(tau)))
-
-    @property
-    def tau(self) -> complex:
-        return self.lattice.tau
-
-    @property
-    def volume(self) -> float:
-        return self.lattice.tau.imag
-
-    # the constants every Green function evaluation reads, computed on first
-    # use and then read from the spec
-
-    @functools.cached_property
-    def log_abs_theta1_prime0(self) -> float:
-        """log|theta1'(0)|."""
-        return math.log(abs(self.lattice.theta1_prime0))
-
-    @functools.cached_property
-    def green_constant(self) -> float:
-        """c(tau) of ``torus_green_constant``."""
-        return torus_green_constant(self.tau)
-
-    def to_dict(self) -> dict:
-        return {"tau": [self.tau.real, self.tau.imag]}
-
-
-@dataclass(frozen=True)
 class PeriodMatrices:
     """Conjugate-period matrices P, Q, R of the harmonic one-form basis."""
 
@@ -269,17 +233,16 @@ def form_period(form: OneForm, cycle: numkit.Curve, n: int = 128) -> complex:
             + numkit.integrate(form.g, nodes, dz.conjugate()))
 
 
-def torus_kernels(z, a: complex, spec: TorusSpec):
+def torus_kernels(z, a: complex, lattice: elliptic.TorusLattice):
     """Bergman and Schiffer kernels of the flat torus, for a scalar or an
     array of z.
 
     K(z,a) = 1/Im tau (constant); L(z,a) = (wp(z-a) + eta1)/pi - 1/Im tau
     with the double pole 1/(pi (z-a)^2) and zero principal-value mean.
     """
-    L = spec.lattice
     w = numkit.as_points(z) - complex(a)
-    Lk = (elliptic.wp(w, L) + L.eta1) / math.pi - 1.0 / spec.volume
-    return _constant_like(w, 1.0 / spec.volume + 0j), Lk
+    Lk = (elliptic.wp(w, lattice) + lattice.eta1) / math.pi - 1.0 / lattice.volume
+    return _constant_like(w, 1.0 / lattice.volume + 0j), Lk
 
 
 def _constant_like(z, value: complex):
@@ -287,14 +250,14 @@ def _constant_like(z, value: complex):
     return np.full(z.shape, value) if isinstance(z, np.ndarray) else value
 
 
-def torus_harmonic_basis(spec: TorusSpec):
+def torus_harmonic_basis(lattice: elliptic.TorusLattice):
     """Closed-form harmonic/holomorphic one-form bases and period matrices.
 
     eta_alpha = dy/Im tau, eta_beta = -dx + (Re tau/Im tau) dy;
     omega_alpha = -i dz/Im tau, omega_beta = -i conj(tau) dz/Im tau;
     P = |tau|^2/Im tau, Q = 1/Im tau, R = -Re tau/Im tau (genus one).
     """
-    tau = spec.tau
+    tau = lattice.tau
     T = tau.imag
     re = tau.real
 
@@ -322,32 +285,25 @@ def torus_harmonic_basis(spec: TorusSpec):
     }
 
 
-def alpha_cycle(spec: TorusSpec, offset: complex = 0j) -> numkit.Curve:
+def alpha_cycle(lattice: elliptic.TorusLattice, offset: complex = 0j) -> numkit.Curve:
     """The segment [0,1] (optionally offset) traversed once."""
-    return numkit.Curve(lambda t: offset + t, lambda t: 1.0 + 0j, 128)
+    return numkit.Curve(lambda t: offset + t, lambda t: 1.0 + 0j)
 
 
-def beta_cycle(spec: TorusSpec, offset: complex = 0j) -> numkit.Curve:
+def beta_cycle(lattice: elliptic.TorusLattice, offset: complex = 0j) -> numkit.Curve:
     """The segment [0,tau] (optionally offset) traversed once."""
-    tau = spec.tau
-    return numkit.Curve(lambda t: offset + t * tau, lambda t: tau, 128)
+    tau = lattice.tau
+    return numkit.Curve(lambda t: offset + t * tau, lambda t: tau)
 
 
 @functools.lru_cache(maxsize=32)
 def torus_green_constant(tau: complex) -> np.float64:
-    """Additive constant c(tau) that gives G zero mean over the cell.
-
-    Kronecker's first limit formula (Lang, *Elliptic Functions*, ch. 20)
-    gives c = -log(2 pi |eta(tau)|^2) / (2 pi); with theta1'(0) = 2 pi eta^3
-    that is -(log 2pi + 2 log|theta1'(0)|) / (6 pi).  Returned as np.float64:
-    scalar Green values then stay numpy floats, whose products with complex
-    numbers round as the array path's do, so the two agree to the bit.
-    """
-    th0 = elliptic.lattice_constants(tau).theta1_prime0
-    return np.float64(-(math.log(2 * math.pi) + 2 * math.log(abs(th0))) / (6 * math.pi))
+    """Additive constant c(tau) that gives G zero mean over the cell, the
+    lattice's ``green_constant``."""
+    return elliptic.lattice_constants(tau).green_constant
 
 
-def torus_monopole_green(z, a, spec: TorusSpec):
+def torus_monopole_green(z, a, lattice: elliptic.TorusLattice):
     """Zero-mean monopole Green function of the flat torus, for scalars or
     arrays of z and a (broadcast together), from one theta jet of z - a
     (formed in the inputs' own precision).  Im(w)^2 is y * y, as numpy
@@ -355,17 +311,17 @@ def torus_monopole_green(z, a, spec: TorusSpec):
     0.1% of arguments."""
     w = z - a
     try:
-        w0, _, _, _, log_th = elliptic._theta_jet(w, spec.lattice, log="z0")
+        w0, _, _, _, log_th = elliptic._theta_jet(w, lattice, log="z0")
     except PoleError:   # theta1(w0) = 0, so w0 = 0
         w0 = 0j
     if numkit.first_where(abs(w0) < 1e-13, w) is not None:
         raise PoleError("torus Green function pole at z = a (mod lattice)")
     y = w0.imag
-    return (-(log_th - spec.log_abs_theta1_prime0) / (2 * math.pi)
-            + y * y / (2 * spec.lattice.tau.imag) + spec.green_constant)
+    return (-(log_th - lattice.log_abs_theta1_prime0) / (2 * math.pi)
+            + y * y / (2 * lattice.tau.imag) + lattice.green_constant)
 
 
-def wedge_integral_cell(form1: OneForm, form2: OneForm, spec: TorusSpec,
+def wedge_integral_cell(form1: OneForm, form2: OneForm, lattice: elliptic.TorusLattice,
                         n: int = 48) -> complex:
     """int_F omega1 wedge omega2 over the fundamental cell (midpoint rule)."""
     def coefficient(z: complex) -> complex:
@@ -373,21 +329,21 @@ def wedge_integral_cell(form1: OneForm, form2: OneForm, spec: TorusSpec,
         return form1.f(z) * form2.g(z) - form1.g(z) * form2.f(z)
 
     cell = numkit.product_rule(numkit.midpoint_rule(n), numkit.midpoint_rule(n),
-                               0j, 1.0, spec.tau)
+                               0j, 1.0, lattice.tau)
     # dz ^ dzbar = -2i dx dy
     return numkit.integrate(coefficient, *cell) * (-2j)
 
 
-def bergman_expansion_check(spec: TorusSpec, samples: int = 5) -> float:
+def bergman_expansion_check(lattice: elliptic.TorusLattice, samples: int = 5) -> float:
     """Residual of K = P^{-1} omega_beta conj(omega_beta) (and the Q variant)."""
-    basis = torus_harmonic_basis(spec)
+    basis = torus_harmonic_basis(lattice)
     per = basis["periods"]
     rng = np.random.default_rng(7)
     resid = 0.0
     for _ in range(samples):
-        z = complex(rng.uniform(0, 1), rng.uniform(0, spec.volume))
-        a = complex(rng.uniform(0, 1), rng.uniform(0, spec.volume))
-        K, _ = torus_kernels(z, a, spec)
+        z = complex(rng.uniform(0, 1), rng.uniform(0, lattice.volume))
+        a = complex(rng.uniform(0, 1), rng.uniform(0, lattice.volume))
+        K, _ = torus_kernels(z, a, lattice)
         wb_z = basis["omega_beta"].f(z)
         wb_a = basis["omega_beta"].f(a)
         wa_z = basis["omega_alpha"].f(z)
@@ -446,7 +402,7 @@ def _pole_disk_rule(rho: float, inner: float = 0.0):
     return numkit.polar_rule(0j, angular, rho, _DISK_RAY, band=rho)
 
 
-def torus_green_mean(a: complex, spec: TorusSpec) -> float:
+def torus_green_mean(a: complex, lattice: elliptic.TorusLattice) -> float:
     """Independent quadrature of int_F G(., a) dx dy (should vanish).
 
     Integrates over the centred rectangle fundamental cell in polar
@@ -454,16 +410,16 @@ def torus_green_mean(a: complex, spec: TorusSpec) -> float:
     (8,192 nodes at tau = 2i), so it tests the closed-form c(tau) of
     ``torus_green_constant`` against a quadrature of G itself."""
     a = complex(a)
-    rho, *outer = _pole_split_rule(0.5, spec.volume / 2)
+    rho, *outer = _pole_split_rule(0.5, lattice.volume / 2)
 
     def f(w):
-        return torus_monopole_green(a + w, a, spec)
+        return torus_monopole_green(a + w, a, lattice)
 
     return float((numkit.integrate(f, *outer)
                   + numkit.integrate(f, *_pole_disk_rule(rho))).real)
 
 
-def schiffer_mean_value(spec: TorusSpec, a: complex,
+def schiffer_mean_value(lattice: elliptic.TorusLattice, a: complex,
                         eps_ladder=(1e-2, 5e-3, 2.5e-3)) -> complex:
     """Principal value of int_F L(z,a) dz dzbar (should vanish).
 
@@ -476,12 +432,12 @@ def schiffer_mean_value(spec: TorusSpec, a: complex,
     values at tau = 2i).
     """
     a = complex(a)
-    rho, *outer = _pole_split_rule(0.5, spec.volume / 2)
+    rho, *outer = _pole_split_rule(0.5, lattice.volume / 2)
     if max(eps_ladder) >= rho:
         raise ParameterError(f"excision radii must stay below {rho:.3g}")
 
     def f(w):
-        return torus_kernels(a + w, a, spec)[1]
+        return torus_kernels(a + w, a, lattice)[1]
 
     cell = numkit.integrate(f, *outer)
     # dz ^ dzbar = -2i dx dy

@@ -272,34 +272,32 @@ def surface_checks() -> list[Check]:
     out.append(Check("sphere Bergman kernel vanishes", "sphere-kernels",
                      abs(k_fd), 1e-6))
 
-    spec = surface.TorusSpec.from_tau(2j)
-
-    # torus monopole Green function: PDE, symmetry, zero mean
+    # torus monopole Green function at tau = 2i (L): PDE, symmetry, zero mean
     zt, at = 0.31 + 0.77j, -0.12 + 0.4j
     dzz = numkit.wirtinger_derivative(
-        lambda w: surface.torus_monopole_green(w, at, spec), zt, "dzdzbar", 1e-4)
+        lambda w: surface.torus_monopole_green(w, at, L), zt, "dzdzbar", 1e-4)
     out.append(Check("torus Green off-pole PDE", "Gtorus",
-                     abs(dzz - 1.0 / (4 * spec.volume)), 1e-5))
+                     abs(dzz - 1.0 / (4 * L.volume)), 1e-5))
     out.append(Check("torus Green symmetric", "Gtorus-symmetry",
-                     abs(surface.torus_monopole_green(zt, at, spec)
-                         - surface.torus_monopole_green(at, zt, spec)), 1e-10))
+                     abs(surface.torus_monopole_green(zt, at, L)
+                         - surface.torus_monopole_green(at, zt, L)), 1e-10))
     out.append(Check("torus Green zero mean", "normalization-torus",
-                     abs(surface.torus_green_mean(at, spec)), 1e-6))
+                     abs(surface.torus_green_mean(at, L)), 1e-6))
 
     # torus kernels
-    K, Lk = surface.torus_kernels(zt, at, spec)
+    K, Lk = surface.torus_kernels(zt, at, L)
     out.append(Check("torus Bergman kernel is 1/Im tau", "Lwp",
                      abs(K - 0.5), 1e-14))
     r = 1e-4
-    _, Ln = surface.torus_kernels(at + r, at, spec)
+    _, Ln = surface.torus_kernels(at + r, at, L)
     out.append(Check("Schiffer kernel double pole", "singularityL",
                      abs(r * r * Ln - 1 / math.pi), 1e-6))
     out.append(Check("Schiffer kernel zero principal value", "C",
-                     abs(surface.schiffer_mean_value(spec, at)), 1e-6))
+                     abs(surface.schiffer_mean_value(L, at)), 1e-6))
 
     # harmonic basis, periods, period matrices
-    basis = surface.torus_harmonic_basis(spec)
-    al, be = surface.alpha_cycle(spec), surface.beta_cycle(spec)
+    basis = surface.torus_harmonic_basis(L)
+    al, be = surface.alpha_cycle(L), surface.beta_cycle(L)
     res = basis["periods"].residuals()
     out.append(Check("period matrices satisfy PQ = I + R^2", "PQR",
                      res["PQ_I_R2"], 1e-10))
@@ -316,18 +314,18 @@ def surface_checks() -> list[Check]:
     pb = abs(surface.form_period(basis["omega_alpha"], be) - (1j * per.R[0, 0] + 1))
     out.append(Check("holomorphic period table", "GUU-periods", max(pa, pb), 1e-10))
     out.append(Check("Bergman expansion in either basis", "KPQ",
-                     surface.bergman_expansion_check(spec), 1e-12))
+                     surface.bergman_expansion_check(L), 1e-12))
     out.append(Check("Bergman expansion, generic modulus", "KPQ-generic",
                      surface.bergman_expansion_check(
-                         surface.TorusSpec.from_tau(0.3 + 2j)), 1e-10))
-    wedge = surface.wedge_integral_cell(basis["eta_alpha"], basis["eta_beta"], spec)
+                         elliptic.lattice_constants(0.3 + 2j)), 1e-10))
+    wedge = surface.wedge_integral_cell(basis["eta_alpha"], basis["eta_beta"], L)
     out.append(Check("intersection pairing alpha x beta", "gammacrosssigma1",
                      abs(wedge - 1.0), 1e-8))
 
     # reproducing property of K_double for f(z) dz = dz
     val = surface.wedge_integral_cell(
         surface.OneForm(lambda w: 1.0 + 0j, lambda w: 0j),
-        surface.OneForm(lambda w: 0j, lambda w: (1.0 / spec.volume)), spec)
+        surface.OneForm(lambda w: 0j, lambda w: (1.0 / L.volume)), L)
     out.append(Check("torus Bergman reproducing for dz", "Kreproducing",
                      abs(0.5j * val - 1.0), 1e-8))
     return out
@@ -373,7 +371,7 @@ def schottky_checks() -> list[Check]:
     out.append(Check("strip kernel periods across moduli", "kernels2", worst, 1e-8))
 
     r1, r2 = schottky.kkl_combinations(z, a, dbl)
-    _, ld = surface.torus_kernels(z, schottky.StripDouble.involution(a), dbl.spec)
+    _, ld = surface.torus_kernels(z, schottky.StripDouble.involution(a), dbl.lattice)
     r3 = abs(ld - 0.5 * (ke + kh))
     r4 = abs(kd - 0.5 * (ke - kh))
     out.append(Check("planar kernels from the double (KKL)", "KKL",

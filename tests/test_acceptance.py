@@ -155,7 +155,7 @@ def test_ac08_strip_kernel_periods():
 
 
 def test_ac09_torus_monopole():
-    spec = sf.TorusSpec.from_tau(2j)
+    spec = elliptic.lattice_constants(2j)
     z, a = 0.31 + 0.77j, -0.12 + 0.4j
     pde = abs(numkit.wirtinger_derivative(
         lambda w: sf.torus_monopole_green(w, a, spec), z, "dzdzbar", 1e-4)

@@ -419,14 +419,14 @@ def _handled_errors():
     """Per command, its core call and each PotflowError subclass that the
     command's handler catches (verify's catches them all), with the
     documented exit code and the prefix of the one stderr line."""
-    from potflow import equilibrium, planar_green, surface
+    from potflow import elliptic, equilibrium, planar_green
     from potflow.errors import (CollisionError, ConditioningError, DomainError,
                                 EvaluationError, OptimizationQualityError,
                                 ParameterError, PoleError)
     fekete = (["fekete", "--domain", '{"kind":"circle","R":1.0}', "--n-max", "8"],
               equilibrium, "transfinite_diameter")
     run_vortex = (["vortex", "--system", PAIR, "--t-end", "1"], vortex, "simulate")
-    torus = (["torus", "--tau", "0,2"], surface.TorusSpec, "from_tau")
+    torus = (["torus", "--tau", "0,2"], elliptic, "lattice_constants")
     green = (["green", "--domain", '{"kind":"disk","R":1.0}', "--a=0.3,0.1"],
              planar_green, "robin_data")
     bad_input = "input error:"

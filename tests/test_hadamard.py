@@ -42,6 +42,23 @@ def test_delta_h0_dilation():
     assert abs(lhs5 - 5 / 3) < 1e-7
 
 
+def test_one_conformal_model_serves_both_formulas_and_both_signs():
+    samples = []
+
+    def delta_n(t):
+        samples.append(t)
+        return math.cos(2 * t)
+
+    var = hd.BoundaryVariation(DISK, delta_n, 1e-4)
+    samples.clear()   # the size guard's samples
+    n = 64
+    hd.hadamard_delta_green(var, 0.1, 0.5j, n=n)
+    hd.hadamard_delta_h0(var, 0.3 - 0.2j, n=n)
+    # each right-hand side samples delta_n at its n nodes; the model of the
+    # perturbed disk takes its 256 samples once, for +eps and -eps alike
+    assert len(samples) == hd._FOURIER_N + 2 * n
+
+
 def test_delta_h0_odd_mode_vanishes():
     # tangential/odd normal speed: the quadrature integrand is odd
     var = hd.BoundaryVariation(DISK, math.cos, 1e-5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potflow import numkit, planar_green, surface
+from potflow import elliptic, numkit, planar_green, surface
 from potflow.errors import (
     CollisionError,
     EvaluationError,
@@ -84,14 +84,14 @@ def _counted(fn, calls):
 @pytest.mark.parametrize("curve", [
     numkit.circle(0.5j, 2.0), numkit.circle(orientation=-1),
     numkit.line_segment(-1.0, 2.0 + 1j), numkit.line_segment(-3.0, 3.0),
-    surface.alpha_cycle(surface.TorusSpec.from_tau(0.2 + 1.5j), 0.1j),
-    surface.beta_cycle(surface.TorusSpec.from_tau(0.2 + 1.5j), 0.25)])
+    surface.alpha_cycle(elliptic.lattice_constants(0.2 + 1.5j), 0.1j),
+    surface.beta_cycle(elliptic.lattice_constants(0.2 + 1.5j), 0.25)])
 def test_curve_rule_calls_each_callable_once_on_the_node_array(curve):
     for n in (16, 64):
         calls = []
         counted = numkit.Curve(_counted(curve.point, calls),
                                _counted(curve.derivative, calls),
-                               curve.sample_count, curve.closed)
+                               curve.closed)
         z, dz = counted.rule(n)
         assert len(calls) == 2 and calls[0] == calls[1] == z.shape
         # the same nodes and weights as one scalar call per parameter

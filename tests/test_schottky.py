@@ -94,7 +94,7 @@ def test_kkl_combinations(dbl):
     r1, r2 = sk.kkl_combinations(Z, A, dbl)
     assert r1 < 1e-12 and r2 < 1e-12
     ke, kh, kd = sk.strip_bergman_kernels(Z, A, dbl)
-    _, ld = sf.torus_kernels(Z, sk.StripDouble.involution(A), dbl.spec)
+    _, ld = sf.torus_kernels(Z, sk.StripDouble.involution(A), dbl.lattice)
     assert abs(ld - 0.5 * (ke + kh)) < 1e-12       # sum form
     assert abs(kd - 0.5 * (ke - kh)) < 1e-15       # difference form, exact
 
@@ -263,7 +263,7 @@ def _bits(*values) -> bytes:
 def _torus_green_reference(z, a, spec):
     """torus_monopole_green from public primitives, each reducing its own
     argument, with theta1'(0) summed afresh."""
-    L = spec.lattice
+    L = spec
     wr = elliptic.reduce_to_cell(z - a, L.tau)[0]
     val = -(elliptic.log_abs_theta1(wr, L)
             - math.log(abs(elliptic.theta1_prime(0.0, L)))) / (2 * math.pi)
@@ -290,8 +290,8 @@ def test_strip_green_and_robin_equal_the_reference_bit_for_bit(T, cells, seed):
     pts = rng.uniform(-0.499, -0.001, (500, 2)) + 1j * rng.uniform(
         -cells * T, cells * T, (500, 2))
     for z, a in pts:
-        want = (_torus_green_reference(z, a, dbl.spec)
-                - _torus_green_reference(z, sk.StripDouble.involution(a), dbl.spec))
+        want = (_torus_green_reference(z, a, dbl.lattice)
+                - _torus_green_reference(z, sk.StripDouble.involution(a), dbl.lattice))
         assert _bits(pg.green(dom, z, a)) == _bits(want), (z, a)
         r = pg.robin_data(dom, a)
         assert _bits(r.h0, r.h1, r.curvature) == _bits(*_strip_robin_reference(a, dbl)), a
@@ -299,7 +299,7 @@ def test_strip_green_and_robin_equal_the_reference_bit_for_bit(T, cells, seed):
 
 @pytest.mark.parametrize("tau", [0.5j, 2j, 0.3 + 2j, 1.3j, 0.3 + 1.1j])
 def test_torus_green_equals_the_reference_bit_for_bit(tau):
-    spec = sf.TorusSpec.from_tau(tau)
+    spec = elliptic.lattice_constants(tau)
     a = 0.23 - 0.17j
     # the half periods (lattice points excluded) over several cells
     zs = [a + 0.5 * k + 0.5 * j * tau for k in range(-6, 7) for j in range(-6, 7)
@@ -331,15 +331,15 @@ def test_torus_green_squares_im_w_alike_on_both_paths(dbl):
     y = [v for v in y if v ** 2 != v * v] + y[:50]
     z = 0.1 + 1j * np.array(y)
     a = np.zeros(z.size, complex)
-    assert _bits(*sf.torus_monopole_green(z, 0j, dbl.spec)) == _bits(
-        *_scalar_calls(sf.torus_monopole_green, z, a, dbl.spec))
+    assert _bits(*sf.torus_monopole_green(z, 0j, dbl.lattice)) == _bits(
+        *_scalar_calls(sf.torus_monopole_green, z, a, dbl.lattice))
 
 
 def test_strip_green_arrays_equal_scalar_calls_bit_for_bit(dbl):
     rng = np.random.default_rng(77)
     z, a = (rng.uniform(-0.499, -0.001, 2000) + 1j * rng.uniform(-4, 4, 2000)
             for _ in range(2))
-    for fn, args in ((sf.torus_monopole_green, (dbl.spec,)),
+    for fn, args in ((sf.torus_monopole_green, (dbl.lattice,)),
                      (sk.g_electro_strip, (dbl,)), (sk.neumann_strip, (dbl,)),
                      (sk.g_hydro_strip, (dbl, 0.7))):
         got = fn(z.reshape(40, 50), a.reshape(40, 50), *args)
@@ -375,8 +375,8 @@ def test_ng_stencils_equal_scalar_calls_bit_for_bit(monkeypatch, dbl):
     for fn, z, a, args in calls:
         assert _bits(*fn(z, a, *args)) == _bits(*_scalar_calls(fn, z, a, *args))
         for b in (a, sk.StripDouble.involution(a)):
-            assert _bits(*sf.torus_monopole_green(z, b, dbl.spec)) == _bits(
-                *_scalar_calls(sf.torus_monopole_green, z, b, dbl.spec))
+            assert _bits(*sf.torus_monopole_green(z, b, dbl.lattice)) == _bits(
+                *_scalar_calls(sf.torus_monopole_green, z, b, dbl.lattice))
 
 
 @pytest.mark.parametrize("p", [0.0, 0.7])
@@ -645,16 +645,24 @@ def test_strip_robin_sums_each_series_once(monkeypatch):
     assert counts == {"theta": 1, "theta_prime": 1, "wp": 1}
 
 
-def test_torus_spec_defers_the_green_constant_to_the_first_green_value():
-    tau = 0.77j
-    hits, misses = sf.torus_green_constant.cache_info()[:2]
-    spec = sf.TorusSpec.from_tau(tau)
-    sf.torus_kernels(0.1 + 0.2j, 0.3j, spec)
-    assert sf.torus_green_constant.cache_info()[:2] == (hits, misses)
-    for z in (0.1 + 0.2j, np.array([0.1 + 0.2j, 0.4j]), 0.3 + 0.1j):
-        sf.torus_monopole_green(z, 0.3j, spec)
-    # computed once, then read from the spec
-    assert sf.torus_green_constant.cache_info()[:2] == (hits, misses + 1)
-    assert _bits(spec.green_constant) == _bits(sf.torus_green_constant(tau))
-    assert _bits(spec.log_abs_theta1_prime0) == _bits(
-        math.log(abs(elliptic.theta1_prime(0.0, spec.lattice))))
+def test_one_lattice_serves_every_consumer_of_a_modulus():
+    T = 1.7731   # a tau no other test builds, so its first lattice is a miss
+    tau = 1j * T
+    info = elliptic.lattice_constants.cache_info
+    misses = info().misses
+    L = elliptic.lattice_constants(tau)
+    assert L is elliptic.lattice_constants(tau)
+    assert sk.StripDouble(tau).lattice is L
+    assert pg._rectangle_frame(pg.DomainDescriptor.rectangle(1.0, T))[1] is L
+    dom = pg.DomainDescriptor.periodic_strip(tau)
+    sf.torus_monopole_green(0.1 + 0.2j, 0.3j, L)
+    pg.green(dom, -0.2 + 0.3j, -0.3 + 0.5j)
+    pg.robin_data(dom, -0.3 + 0.5j)
+    c = sf.torus_green_constant(tau)
+    assert info().misses == misses + 1
+    # c(tau) and log|theta1'(0)| to the bit from their formulas
+    th0 = elliptic.theta1_prime(0.0, L)
+    assert type(c) is type(L.green_constant) is np.float64
+    assert _bits(c) == _bits(L.green_constant) == _bits(np.float64(
+        -(math.log(2 * math.pi) + 2 * math.log(abs(th0))) / (6 * math.pi)))
+    assert _bits(L.log_abs_theta1_prime0) == _bits(math.log(abs(th0)))

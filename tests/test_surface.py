@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from potflow import numkit, surface as sf
+from potflow import elliptic, numkit, surface as sf
 from potflow.errors import ParameterError, PoleError
 
 
 @pytest.fixture(scope="module")
 def spec():
-    return sf.TorusSpec.from_tau(2j)
+    return elliptic.lattice_constants(2j)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ CELL_MODULI = [0.3j, 1j, 2j, 0.3 + 1.2j, 5j, 20j, 60j]
 
 @pytest.mark.parametrize("tau", CELL_MODULI)
 def test_torus_cell_integrals_vanish(tau):
-    spec = sf.TorusSpec.from_tau(tau)
+    spec = elliptic.lattice_constants(tau)
     for a in (0.31 + 0.41j * tau.imag, -0.12 + 0.4j):
         assert abs(sf.torus_green_mean(a, spec)) <= 1e-12
         assert abs(sf.schiffer_mean_value(spec, a)) <= 1e-12
@@ -132,7 +132,7 @@ def test_torus_cell_integrals_count_the_cell_once(tau, monkeypatch):
     # a constant delta added to G (to L) moves the integral by delta times
     # the cell area Im tau (times dz ^ dzbar = -2i dx dy): no part of the
     # cell is missed or counted twice by the outer rule and the pole disk
-    spec, a, delta = sf.TorusSpec.from_tau(tau), -0.12 + 0.4j, 1e-6
+    spec, a, delta = elliptic.lattice_constants(tau), -0.12 + 0.4j, 1e-6
     mean, pv = sf.torus_green_mean(a, spec), sf.schiffer_mean_value(spec, a)
     green, kernels = sf.torus_monopole_green, sf.torus_kernels
     monkeypatch.setattr(sf, "torus_monopole_green",
@@ -168,7 +168,7 @@ def test_period_matrices(spec):
     res = per.residuals()
     assert res["PQ_I_R2"] < 1e-10
     assert res["P_posdef"] > 0 and res["Q_posdef"] > 0
-    gen = sf.torus_harmonic_basis(sf.TorusSpec.from_tau(0.3 + 2j))["periods"]
+    gen = sf.torus_harmonic_basis(elliptic.lattice_constants(0.3 + 2j))["periods"]
     resg = gen.residuals()
     assert resg["PQ_I_R2"] < 1e-12 and resg["RP_sym"] < 1e-12
 
@@ -200,7 +200,7 @@ def test_wedge_intersection_number(spec):
 
 def test_bergman_expansion(spec):
     assert sf.bergman_expansion_check(spec) < 1e-12
-    assert sf.bergman_expansion_check(sf.TorusSpec.from_tau(0.3 + 2j)) < 1e-10
+    assert sf.bergman_expansion_check(elliptic.lattice_constants(0.3 + 2j)) < 1e-10
 
 
 def test_torus_green_properties(spec):
@@ -250,7 +250,7 @@ def test_torus_green_is_modular_invariant(tau):
     # z -> z / tau maps C/(Z + tau Z) onto C/(Z - Z/tau) scaled by 1/|tau|,
     # and tau + 1 spans the same lattice; the zero-mean G is invariant under
     # both, whatever route computes its constant
-    spec, inverted, shifted = (sf.TorusSpec.from_tau(t) for t in (tau, -1 / tau, tau + 1))
+    spec, inverted, shifted = (elliptic.lattice_constants(t) for t in (tau, -1 / tau, tau + 1))
     rng = np.random.default_rng(41)
     for _ in range(20):
         z, a = (rng.uniform() + rng.uniform() * tau for _ in range(2))
@@ -269,7 +269,7 @@ def test_torus_bergman_reproducing(spec):
 
 @pytest.mark.parametrize("tau", [2j, 0.3 + 2j])
 def test_torus_green_and_kernels_on_arrays_match_scalar_calls(tau):
-    spec = sf.TorusSpec.from_tau(tau)
+    spec = elliptic.lattice_constants(tau)
     rng = np.random.default_rng(23)
     a = -0.12 + 0.4j
     z = (rng.uniform(-1, 1, 10) + 1j * rng.uniform(-2, 2, 10)).reshape(2, 5)
