@@ -377,7 +377,9 @@ class Trajectory:
 
 
 # Dormand-Prince coefficients (5th order propagated, 4th order embedded):
-# stage i is y + h * (_DP_A[i, :i] @ k[:i]), the error estimate h * (_DP_E @ k).
+# stage i is y + h * (_DP_ROWS[i] @ k[:i]), the error estimate h * (_DP_E @ k).
+# They are complex, like the stages k: a float row would be cast to complex
+# again in every product, to the same values.
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -386,10 +388,12 @@ _DP_A = np.array([
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+], dtype=complex)
+_DP_ROWS = tuple(row[:i] for i, row in enumerate(_DP_A))
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+                  dtype=complex)
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+                   -92097 / 339200, 187 / 2100, 1 / 40], dtype=complex)
 _DP_E = _DP_B5 - _DP_B4
 
 
@@ -437,7 +441,7 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
         h = min(h, t_end - t)
         k[0] = field(y)
         for i in range(1, 7):
-            k[i] = field(y + h * (_DP_A[i, :i] @ k[:i]))
+            k[i] = field(y + h * (_DP_ROWS[i] @ k[:i]))
         y5 = y + h * (_DP_B5 @ k)
         sc = tol * (1.0 + np.abs(y))
         err = float(np.max(np.abs(h * (_DP_E @ k)) / sc)) + 1e-300

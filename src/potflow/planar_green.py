@@ -538,7 +538,7 @@ def _rectangle_area_rule(d: DomainDescriptor, n: int) -> tuple[np.ndarray, np.nd
 # the domain-kind table
 # ---------------------------------------------------------------------------
 
-# The disk's closed forms: these three and its record below, each written once.
+# The disk's closed forms: these four and its record below, each written once.
 
 def _disk_h0(d: DomainDescriptor, a):
     """Robin h0(a) = log((R^2 - |a|^2) / R) of the disk |z| < R."""
@@ -553,9 +553,22 @@ def _disk_poisson(R: float, a, z):
 
 def _disk_image(d: DomainDescriptor, z, a):
     """4 pi dG/dz + 1/(z - a) = -conj(a)/(R^2 - z conj(a)), the regular part
-    of 4 pi dG/dz (the image charge at R^2/conj(a)); at z = a it is h1(a)."""
+    of 4 pi dG/dz (the image charge at R^2/conj(a)); at z = a it is h1(a).
+    Its conjugate is -1/(zeta - conj(z)) with zeta = R^2/a, the reflection
+    `_disk_reflection` computes for the vortex field."""
     ac = a.conjugate()
     return -ac / (d.R * d.R - z * ac)
+
+
+def _disk_reflection(d: DomainDescriptor, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = R^2/a, the conjugate of the image point R^2/conj(a) in the
+    circle |z| = R, and inf + 0j where |a| <= 1e-150 R, so that 1/(out - w)
+    is 0 there for every finite w.  That covers a = 0, whose image is at
+    infinity, and the subnormal a, for which numpy's R^2/a is inf + nan j;
+    an image beyond 1e150 R is dropped, less than 1e-150 of a vortex's own
+    terms."""
+    out.fill(math.inf)
+    return np.divide(d.R * d.R, a, out=out, where=abs(a) > 1e-150 * d.R)
 
 
 def _disk_harmonic(d: DomainDescriptor, a: complex,
@@ -585,11 +598,22 @@ def _slit_robin(d: DomainDescriptor, a: complex) -> tuple:
             1.0 / (4 * a) + 1.0 / (4j * w * w.imag), -4.0)
 
 
-@functools.lru_cache(maxsize=16)
 def _strip_double(tau: complex):
-    """(schottky module, the strip's torus double with its lattice
-    constants), built once per tau.  schottky imports this module, so it is
-    imported here, once, rather than on every query."""
+    """(schottky module, the strip's torus double), whose lattice is
+    lattice_constants(tau) itself: a cached double whose lattice the lattice
+    cache has since dropped is built again."""
+    entry = _strip_double_of(tau)
+    dbl = entry[1]
+    if dbl.lattice is not elliptic.lattice_constants(dbl.tau):
+        _strip_double_of.cache_clear()
+        entry = _strip_double_of(tau)
+    return entry
+
+
+@functools.lru_cache(maxsize=16)
+def _strip_double_of(tau: complex):
+    """schottky imports this module, so it is imported here, once, rather
+    than on every query."""
     from . import schottky
     return schottky, schottky.StripDouble(tau)
 

@@ -9,6 +9,11 @@ the domain Robin term plus the regular influence of the other vortices
     W = sum_{j<k} G_j G_k G(z_j, z_k) + sum_k (G_k^2 / 4pi) h0(z_k),
 
 which in the free plane reduces to the pairwise logarithmic energy.
+
+The field is evaluated in the conjugate variables c = conj(z), where the
+poles and the disk's image charges are one difference matrix against the
+vortices and the conjugates of their image points (`_field_of`): one
+reciprocal and one matrix-vector product give every velocity.
 """
 
 from __future__ import annotations
@@ -154,19 +159,45 @@ def _green(domain, z, a):
 
 
 def _velocities(z: np.ndarray, g: np.ndarray, domain) -> np.ndarray:
-    """dz_k/dt = conj(Gamma_k h1^(k)) / 2pi i for every vortex at once.
+    """dz_k/dt = conj(Gamma_k h1^(k)) / 2pi i for every vortex at once: the
+    field `_field_of(g, domain)` builds, evaluated once at z."""
+    return _field_of(g, domain)(z)
+
+
+def _field_of(g: np.ndarray, domain):
+    """z -> dz_k/dt = conj(Gamma_k h1^(k)) / 2pi i for every vortex, with the
+    weights and the buffers built once.
 
     Gamma_k h1^(k) = sum_j Gamma_j m_kj with m = 4pi dG/dz(z_k, z_j) off the
     diagonal and the Robin h1(z_k) on it: the pole -1/(z_k - z_j), j != k,
-    plus, in the disk, the regular part of 4pi dG/dz, which is h1 at j = k.
-    It is never divided by Gamma_k, so a zero-strength vortex is a tracer.
+    plus, in the disk, the image part -conj(z_j)/(R^2 - z_k conj(z_j)),
+    which is h1 at j = k.  Conjugated, with c = conj(z) and zeta_j = R^2/z_j
+    (`planar_green._disk_reflection`), these are 1/(c_j - c_k) and
+    -1/(zeta_j - c_k), so dz_k/dt = sum_j W_j / D[k, j] with the difference
+    matrix D[k, j] = S_j - c_k, S = [c, zeta] and W = [gamma, -gamma],
+    gamma = Gamma / 2pi i; the plane keeps the first block.  D[k, k] is set
+    to inf, so the pole block's k = k term is exactly 0, and a vortex at
+    the centre has zeta = inf, so its image adds 0.  Each call fills D in place,
+    takes its reciprocal in place and returns the fresh product D @ W.  It
+    never divides by Gamma_k, so a zero-strength vortex is a tracer.
     """
-    m = z - z[:, None]
-    m.flat[:: len(z) + 1] = np.inf      # so the k = k pole term 1/m is exactly 0
-    np.divide(1.0, m, out=m)
-    if domain is not None:
-        m += planar_green._disk_image(domain, z[:, None], z)
-    return (m @ g).conj() / (2j * math.pi)
+    n = len(g)
+    gamma = g / (2j * math.pi)
+    w = gamma if domain is None else np.r_[gamma, -gamma]
+    s = np.empty(len(w), dtype=complex)          # S = [c, zeta]
+    c, zeta = s[:n], s[n:]
+    d = np.empty((n, len(w)), dtype=complex)     # D[k, j] = S_j - c_k
+    pole_diagonal = d.reshape(-1)[:: len(w) + 1]  # the n entries D[k, k]
+
+    def field(z: np.ndarray) -> np.ndarray:
+        np.conjugate(z, out=c)
+        if domain is not None:
+            planar_green._disk_reflection(domain, z, zeta)
+        np.subtract(s, c[:, None], out=d)
+        pole_diagonal.fill(math.inf)
+        np.reciprocal(d, out=d)
+        return d @ w
+    return field
 
 
 def _energy_of(g: np.ndarray, domain):
@@ -198,11 +229,8 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10,
     vortices (or a vortex and the wall) come within the threshold.
     """
     g = system.strengths * (-1.0 if backward else 1.0)
-    gc = g.astype(complex)               # what m @ g would promote per call
     domain = system.domain
-
-    def field(y: np.ndarray) -> np.ndarray:
-        return _velocities(y, gc, domain)
+    field = _field_of(g, domain)
 
     def separation(y: np.ndarray) -> float:
         sep = _min_pair_distance(y)

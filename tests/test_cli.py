@@ -460,8 +460,8 @@ def test_handled_errors_exit_with_the_documented_code_and_one_line(
 
 
 def test_vortex_nonfinite_field_exit_65(monkeypatch, capsys):
-    monkeypatch.setattr(vortex, "_velocities",
-                        lambda z, g, domain: np.full(len(z), complex("nan")))
+    monkeypatch.setattr(vortex, "_field_of",
+                        lambda g, domain: lambda z: np.full(len(z), complex("nan")))
     assert run(["vortex", "--system", PAIR, "--t-end", "1.0"]) == 65
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "non-finite field value at node t=0" in err[0]

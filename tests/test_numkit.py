@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -372,6 +373,17 @@ def test_rk_step_and_field_counts():
     accepted = len(traj.times) - 1
     assert traj.steps_rejected > 0
     assert traj.field_evals == len(calls) == 1 + 7 * (accepted + traj.steps_rejected)
+
+
+def test_rk_states_are_bit_identical_to_the_recorded_ones():
+    # a nonlinear field with no vortex code: the sha256 of every state and
+    # time, recorded from the integrator that cast the float tableau rows
+    # to complex in each stage product, pins the rounding of those products
+    traj = numkit.rk_integrate(lambda y: 1j * y * (1 + 0.1 * y * y.conjugate()),
+                               [1.0 + 0.5j, -0.3 + 1.2j], 3.0, 1e-10)
+    digest = hashlib.sha256(traj.states.tobytes() + traj.times.tobytes()).hexdigest()
+    assert (len(traj.times), traj.steps_rejected, traj.field_evals) == (123, 0, 855)
+    assert digest == "53fa6def55b4805d1d28e8ed2efe1a22a053d871e1e866499148a9a5b360068f"
 
 
 def test_rk_nonfinite_field_raises_within_one_step():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import potflow
-from potflow import equilibrium, hadamard, numkit, planar_green as pg, schottky
+from potflow import elliptic, equilibrium, hadamard, numkit, planar_green as pg, schottky
 from potflow.errors import ConditioningError, DomainError, ParameterError, PoleError
 
 DISK = pg.DomainDescriptor.disk(1.0)
@@ -550,7 +550,7 @@ def test_rectangle_queries_import_no_scipy():
 
 def test_strip_queries_share_one_double_per_tau(monkeypatch):
     built = _count_calls(monkeypatch, schottky.StripDouble, "__post_init__")
-    pg._strip_double.cache_clear()
+    pg._strip_double_of.cache_clear()
     for tau in (2j, 3j):
         dom = pg.DomainDescriptor.periodic_strip(tau)
         again = pg.DomainDescriptor.from_dict(json.loads(dom.to_json()))
@@ -558,3 +558,14 @@ def test_strip_queries_share_one_double_per_tau(monkeypatch):
             pg.green(d, -0.2 + 0.3j, -0.25 + 0.5j)
             pg.robin_data(d, -0.3 + 0.1j)
     assert built[0] == 2
+
+
+def test_a_cached_strip_double_holds_the_cached_lattice():
+    # a strip query, then more other moduli than the lattice cache holds:
+    # the next query's double must hold the lattice that lattice_constants
+    # now returns for its tau, not the one the lattice cache dropped
+    tau = 1.3j
+    pg.green(pg.DomainDescriptor.periodic_strip(tau), -0.2 + 0.3j, -0.25 + 0.5j)
+    for k in range(64):
+        elliptic.lattice_constants(1j * (2.0 + 0.01 * k))
+    assert pg._strip_double(tau)[1].lattice is elliptic.lattice_constants(tau)
