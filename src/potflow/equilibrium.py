@@ -350,18 +350,17 @@ def _newton_refine(K: CompactSet, ts: np.ndarray, pole: complex | None
     return np.mod(t, 1.0) if closed else t, steps, grad_norm
 
 
-def fekete_points(K: CompactSet, n: int, pole: complex | None = None,
-                  counters: dict | None = None) -> tuple[np.ndarray, float]:
+def fekete_points(K: CompactSet, n: int,
+                  pole: complex | None = None) -> tuple[np.ndarray, float]:
     """Near-maximizers of the Fekete product on K and the value delta_n.
 
     delta_n uses the exponent 2/(n(n-1)); a finite pole divides each pair
-    term by |z_j - a||z_k - a|.  A ``counters`` dict gets the solver's
-    ``newton_iterations`` and ``grad_norm`` appended to lists of those names.
+    term by |z_j - a||z_k - a|.
     """
     if n < 2:
         raise ParameterError("need at least two points")
     _check_pole(K, pole)
-    return _fekete_from_start(K, _leja_start(K, n, pole), pole, counters)
+    return _fekete_from_start(K, _leja_start(K, n, pole), pole, None)
 
 
 def _check_pole(K: CompactSet, pole: complex | None) -> None:
@@ -513,14 +512,19 @@ def harmonic_measure(domain, a: complex, m: int = 256) -> WeightedMeasure:
 
     The disk uses the closed-form Poisson density on m equispaced nodes,
     the rectangle -dG/dn of its theta-function Green function on m
-    Gauss-Legendre nodes graded towards a.
+    Gauss-Legendre nodes graded towards a.  The weights are not normalized:
+    a mass more than 1e-12 from 1 means m is too small (ConditioningError).
     """
     a = complex(a)
     if not domain.contains(a):
         raise DomainError(f"{a} is not interior to {domain.kind}")
     rule = planar_green._kind_function(domain.kind, "harmonic",
                                        "harmonic measure unsupported for {!r}")
-    return WeightedMeasure(*rule(domain, a, m))
+    points, weights = rule(domain, a, m)
+    mass = weights.sum()
+    if abs(mass - 1.0) > 1e-12:
+        raise ConditioningError(f"harmonic-measure mass {mass:.15f}: raise m")
+    return WeightedMeasure(points, weights)
 
 
 def condenser_capacity(r: float, R: float, n_dim: int = 2) -> float:

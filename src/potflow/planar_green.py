@@ -345,7 +345,7 @@ def _rectangle_harmonic(d: DomainDescriptor, a: complex,
     its nearest singularities are at the mirror image of a, as far from the
     side as a is, so each rule is graded geometrically towards the foot of
     a (``numkit.sinh_rule``) and converges at a rate that a near side does
-    not spoil.  The mass is checked, not normalized."""
+    not spoil."""
     P = 2 * (d.w + d.h)
     edges = _rectangle_breaks(d) + (1.0,)
     # per side: the arclength from 0 to the foot of a, and a's distance from it
@@ -356,10 +356,7 @@ def _rectangle_harmonic(d: DomainDescriptor, a: complex,
         for lo, hi, foot, dist in zip(edges[:-1], edges[1:], feet, dists))))
     z, dz, _ = _rectangle_jet(d, t)
     # -dG/dn |dz| = -2 Re(dG/dz n) |dz| with the outward normal n = -i dz/|dz|
-    weights = 2 * (1j * _rectangle_dgdz(d, z, a) * dz).real * wt
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ConditioningError(f"harmonic-measure mass {weights.sum():.15f}: raise m")
-    return z, weights
+    return z, 2 * (1j * _rectangle_dgdz(d, z, a) * dz).real * wt
 
 
 # ---------------------------------------------------------------------------
@@ -562,23 +559,21 @@ def _disk_image(d: DomainDescriptor, z, a):
 
 def _disk_reflection(d: DomainDescriptor, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = R^2/a, the conjugate of the image point R^2/conj(a) in the
-    circle |z| = R, and inf + 0j where |a| <= 1e-150 R, so that 1/(out - w)
-    is 0 there for every finite w.  That covers a = 0, whose image is at
-    infinity, and the subnormal a, for which numpy's R^2/a is inf + nan j;
-    an image beyond 1e150 R is dropped, less than 1e-150 of a vortex's own
-    terms."""
+    circle |z| = R, and inf + 0j where |a| <= 1e-300 R^2, so that 1/(out - w)
+    is 0 there for every finite w: at a = 0, whose image is at infinity, and
+    where numpy's R^2/a may overflow (inf + nan j for a subnormal a at R = 1).
+    A dropped image adds less than 1e-300 Gamma to a velocity."""
     out.fill(math.inf)
-    return np.divide(d.R * d.R, a, out=out, where=abs(a) > 1e-150 * d.R)
+    return np.divide(d.R * d.R, a, out=out, where=abs(a) > 1e-300 * d.R * d.R)
 
 
 def _disk_harmonic(d: DomainDescriptor, a: complex,
                    m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Poisson density on m equispaced boundary nodes."""
+    """Poisson density times arclength on m equispaced nodes, not normalized."""
     R = d.R
     t, w = numkit.trapezoid_rule(m)
     zs = R * np.exp(2j * math.pi * t)
-    weights = _disk_poisson(R, a, zs) * (2 * math.pi * R * w)
-    return zs, weights / weights.sum()
+    return zs, _disk_poisson(R, a, zs) * (2 * math.pi * R * w)
 
 
 def _slit_green(d: DomainDescriptor, z: complex, a: complex) -> float:
@@ -598,36 +593,37 @@ def _slit_robin(d: DomainDescriptor, a: complex) -> tuple:
             1.0 / (4 * a) + 1.0 / (4j * w * w.imag), -4.0)
 
 
-def _strip_double(tau: complex):
-    """(schottky module, the strip's torus double), whose lattice is
-    lattice_constants(tau) itself: a cached double whose lattice the lattice
-    cache has since dropped is built again."""
-    entry = _strip_double_of(tau)
-    dbl = entry[1]
-    if dbl.lattice is not elliptic.lattice_constants(dbl.tau):
-        _strip_double_of.cache_clear()
-        entry = _strip_double_of(tau)
-    return entry
+def _strip_tau_error(tau: complex) -> str | None:
+    """The complaint about a strip modulus that is not purely imaginary with
+    Im tau > 0, or None.  A real part within roundoff, |Re tau| <= 1e-14,
+    passes; ``_strip_lattice`` drops it."""
+    return ("periodic strip needs purely imaginary tau, Im tau > 0"
+            if abs(tau.real) > 1e-14 or tau.imag <= 0 else None)
 
 
-@functools.lru_cache(maxsize=16)
-def _strip_double_of(tau: complex):
-    """schottky imports this module, so it is imported here, once, rather
-    than on every query."""
-    from . import schottky
-    return schottky, schottky.StripDouble(tau)
+def _strip_lattice(tau: complex) -> elliptic.TorusLattice:
+    """The lattice of the double C/(Z + tau Z) of a strip whose tau has
+    passed ``_strip_tau_error``, read from the cache of
+    ``elliptic.lattice_constants`` at i Im tau: J(z) = -conj(z) is an
+    involution of the rectangular torus only, so the real part is dropped."""
+    return elliptic.lattice_constants(1j * tau.imag)
+
+
+def _strip_contains(tau: complex, z):
+    """Whether z lies in the open strip -1/2 < Re z < 0 with |Im z| <=
+    STRIP_IM_MAX Im tau (elementwise for an array of z; false for inf and
+    nan): the bound on Im z also rejects them."""
+    return (-0.5 < z.real) & (z.real < 0.0) & (abs(z.imag) <= STRIP_IM_MAX * tau.imag)
 
 
 # _require_interior has checked the points with the kind's contains, so the
 # strip's green and robin call schottky's unchecked evaluators
 def _strip_green(d: DomainDescriptor, z: complex, a: complex) -> float:
-    schottky, dbl = _strip_double(d.tau)
-    return schottky._g_electro(z, a, dbl)
+    return schottky._g_electro(z, a, _strip_lattice(d.tau))
 
 
 def _strip_robin(d: DomainDescriptor, a: complex) -> tuple:
-    schottky, dbl = _strip_double(d.tau)
-    return schottky._robin(a, dbl)
+    return schottky._robin(a, _strip_lattice(d.tau))
 
 
 @dataclass(frozen=True)
@@ -652,7 +648,7 @@ class _Kind:
     boundary_jet: Callable | None = None
     boundary_breaks: Callable = lambda d: ()
     area_rule: Callable | None = None    # (d, resolution) -> (nodes, weights)
-    harmonic: Callable | None = None     # (d, a, m) -> (points, unit-mass weights)
+    harmonic: Callable | None = None     # (d, a, m) -> (points, raw -dG/dn ds weights)
     interior: str = ""       # the bounds of contains, where errors should name them
 
 
@@ -717,14 +713,16 @@ _KINDS: dict[str, _Kind] = {
         parse=lambda data: DomainDescriptor.periodic_strip(
             complex(data["tau"][0], data["tau"][1])),
         to_dict=lambda d: {"kind": "periodic_strip", "tau": [d.tau.real, d.tau.imag]},
-        invalid=lambda d: ("periodic strip needs purely imaginary tau, Im tau > 0"
-                           if abs(d.tau.real) > 1e-14 or d.tau.imag <= 0 else None),
-        # one comparison bounds Im z and rejects inf and nan
-        contains=lambda d, z: (-0.5 < z.real < 0.0
-                               and abs(z.imag) <= STRIP_IM_MAX * d.tau.imag),
+        invalid=lambda d: _strip_tau_error(d.tau),
+        contains=lambda d, z: _strip_contains(d.tau, z),
         interior=STRIP_INTERIOR,
         boundary_distance=lambda d, z: min(-z.real, z.real + 0.5),
         green=_strip_green,
         robin=_strip_robin,
     ),
 }
+
+
+# schottky imports this module at its top, so this module imports schottky
+# at its end, when everything here is defined, whichever is imported first
+from . import schottky  # noqa: E402

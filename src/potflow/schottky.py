@@ -58,24 +58,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StripDouble:
-    """Doubly connected periodic strip and its torus double."""
+    """Doubly connected periodic strip and its torus double; tau = i Im tau
+    and the lattice follow planar_green's strip modulus rule, so a strip
+    query of the same modulus reads the same lattice."""
 
     tau: complex
     lattice: elliptic.TorusLattice = field(init=False, repr=False)
-    # the largest |Im z| of a point, STRIP_IM_MAX Im tau as in planar_green's
-    # strip, so that the reduction modulo Im tau keeps half the significand
-    im_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
-        if abs(tau.real) > 1e-14 or tau.imag <= 0:
-            raise ParameterError("strip double needs purely imaginary tau")
-        # J(z) = -conj(z) is an involution of the rectangular torus only, so
-        # a real part within roundoff is dropped
-        tau = complex(0.0, tau.imag)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "lattice", elliptic.lattice_constants(tau))
-        object.__setattr__(self, "im_max", planar_green.STRIP_IM_MAX * tau.imag)
+        message = planar_green._strip_tau_error(tau)
+        if message:
+            raise ParameterError(message)
+        lattice = planar_green._strip_lattice(tau)
+        object.__setattr__(self, "tau", lattice.tau)
+        object.__setattr__(self, "lattice", lattice)
 
     @property
     def T(self) -> float:
@@ -93,17 +90,17 @@ class StripDouble:
         return -2.0 * numkit.as_points(z).real
 
     def contains(self, z):
-        """Whether z lies in the open strip with |Im z| <= im_max
-        (elementwise for an array of z; false for inf and nan)."""
-        z = numkit.as_points(z)
-        return (-0.5 < z.real) & (z.real < 0.0) & (abs(z.imag) <= self.im_max)
+        """Whether z lies in the open strip, by the strip's one interior
+        rule ``planar_green._strip_contains`` (elementwise for an array of
+        z; false for inf and nan)."""
+        return planar_green._strip_contains(self.tau, numkit.as_points(z))
 
     def resolves(self, z):
         """Whether z is a point of the double whose reduction to the cell
-        keeps half the significand: |Re z| <= STRIP_IM_MAX and |Im z| <=
-        im_max (elementwise for an array of z; false for inf and nan)."""
-        z = numkit.as_points(z)
-        return (abs(z.real) <= planar_green.STRIP_IM_MAX) & (abs(z.imag) <= self.im_max)
+        keeps half the significand: |Re z| and |Im z| / Im tau at most
+        STRIP_IM_MAX (elementwise for an array of z; false for inf and nan)."""
+        z, bound = numkit.as_points(z), planar_green.STRIP_IM_MAX
+        return (abs(z.real) <= bound) & (abs(z.imag) <= bound * self.T)
 
     def p11_quadrature(self, n: int = 64, h: float = 1e-6) -> float:
         """P11 = (1/2) int_Omega du1 wedge *du1 by fd gradient + midpoint rule."""
@@ -174,34 +171,34 @@ def g_electro_strip(z, a, dbl: StripDouble):
     """Electrostatic (Dirichlet) Green function of the periodic strip, for
     scalars or arrays of z and a (broadcast together)."""
     _require_strip(dbl, z, a)
-    return _g_electro(z, a, dbl)
+    return _g_electro(z, a, dbl.lattice)
 
 
-def _g_electro(z, a, dbl: StripDouble):
-    """G_double(z, a) - G_double(z, J(a)): g_electro_strip without the point
-    check, and continued smoothly a little across the walls."""
-    L = dbl.lattice
+def _g_electro(z, a, L: elliptic.TorusLattice):
+    """G_double(z, a) - G_double(z, J(a)) on the strip's double with lattice
+    L: g_electro_strip without the point check, and continued smoothly a
+    little across the walls."""
     return (surface.torus_monopole_green(z, a, L)
             - surface.torus_monopole_green(z, StripDouble.involution(a), L))
 
 
-def _gamma_jet(a: complex, dbl: StripDouble) -> tuple:
-    """(gamma_electro, gamma_electro_gradient) at a, unchecked: h0 =
-    log|theta1(2 Re a) / theta1'(0)| and h1 = (theta1'/theta1)(2 Re a), from
-    one reduction of 2 Re a and one sum of each theta series.  The log
-    raises PoleError where theta1(2 Re a) underflows to 0."""
-    _, _, th, dth, log_th = elliptic._theta_jet(2 * a.real, dbl.lattice,
+def _gamma_jet(a: complex, L: elliptic.TorusLattice) -> tuple:
+    """(gamma_electro, gamma_electro_gradient) at a on the double with
+    lattice L, unchecked: h0 = log|theta1(2 Re a) / theta1'(0)| and h1 =
+    (theta1'/theta1)(2 Re a), from one reduction of 2 Re a and one sum of
+    each theta series.  The log raises PoleError where theta1(2 Re a)
+    underflows to 0."""
+    _, _, th, dth, log_th = elliptic._theta_jet(2 * a.real, L,
                                                 value=True, prime=True, log="z")
-    return log_th - dbl.lattice.log_abs_theta1_prime0, dth / th
+    return log_th - L.log_abs_theta1_prime0, dth / th
 
 
-def _robin(a: complex, dbl: StripDouble) -> tuple:
-    """(h0, h1, curvature) of G_electro at a, unchecked: the curvature is
-    -4 pi K_electro(a, a) e^{2 h0}, K_electro(a, a) = (wp(2 Re a) + eta1) / pi.
-    The wp is kept out of gamma_electro, which it would fail within 1e-12 of
-    a wall."""
-    L = dbl.lattice
-    h0, h1 = _gamma_jet(a, dbl)
+def _robin(a: complex, L: elliptic.TorusLattice) -> tuple:
+    """(h0, h1, curvature) of G_electro at a on the double with lattice L,
+    unchecked: the curvature is -4 pi K_electro(a, a) e^{2 h0},
+    K_electro(a, a) = (wp(2 Re a) + eta1) / pi.  The wp is kept out of
+    gamma_electro, which it would fail within 1e-12 of a wall."""
+    h0, h1 = _gamma_jet(a, L)
     ke = (elliptic.wp(2 * a.real, L) + L.eta1) / math.pi
     return h0, h1, -4 * math.pi * ke.real * math.exp(2 * h0)
 
@@ -216,14 +213,14 @@ def gamma_electro(a: complex, dbl: StripDouble) -> float:
     """
     a = complex(a)
     _require_strip(dbl, a)
-    return _gamma_jet(a, dbl)[0]
+    return _gamma_jet(a, dbl.lattice)[0]
 
 
 def gamma_electro_gradient(a: complex, dbl: StripDouble) -> complex:
     """h1 = d gamma_electro / da = (theta1'/theta1)(2 Re a) (real lattice)."""
     a = complex(a)
     _require_strip(dbl, a)
-    return _gamma_jet(a, dbl)[1]
+    return _gamma_jet(a, dbl.lattice)[1]
 
 
 def g_hydro_strip(z, a, dbl: StripDouble, p: float = 0.0):
@@ -260,7 +257,7 @@ def hydro_circulation(a: complex, dbl: StripDouble, p: float = 0.0,
 def _g_hydro_extended(z, a, dbl: StripDouble, p: float):
     """g_hydro continued smoothly a little across the strip walls (a scalar
     or an array of z), unchecked."""
-    return (_g_electro(z, a, dbl)
+    return (_g_electro(z, a, dbl.lattice)
             + (StripDouble.u1(z) - p) * (StripDouble.u1(a) - p) / (2 * dbl.T))
 
 
@@ -431,7 +428,7 @@ def capacity_functions(a: complex, dbl: StripDouble) -> CapacityFunctions:
     _require_strip(dbl, a)
     if min(-a.real, a.real + 0.5) < 1e-3:
         raise ParameterError("point too close to the boundary for capacities")
-    h0 = _gamma_jet(a, dbl)[0]
+    h0 = _gamma_jet(a, dbl.lattice)[0]
     ke, kh, _ = strip_bergman_kernels(a, a, dbl)
     ksz = szego_kernel(a, a, dbl).real
     return CapacityFunctions(

@@ -449,7 +449,8 @@ def schottky_checks() -> list[Check]:
     out.append(Check("upsilon periods purely imaginary", "exupsilonab",
                      max(abs(pa.real), abs(pb.real)), 1e-8))
     ups_j = schottky.upsilon_third_kind(z, a, schottky.StripDouble.involution(a), dbl)
-    dge = _complex_gradient(lambda w: schottky.g_electro_strip(w, a, dbl), z)
+    dge = 2 * numkit.wirtinger_derivative(
+        lambda w: schottky.g_electro_strip(w, a, dbl), z, "dz", 1e-6)
     out.append(Check("upsilon matches the electro differential", "dGdGnu",
                      abs(ups_j + 2 * math.pi * dge), 1e-8))
 
@@ -546,12 +547,6 @@ def _contour_residue(f, c: complex, radius: float = 0.01, n: int = 64) -> comple
 def _cycle_integral(f, z0: complex, dz: complex, n: int = 256) -> complex:
     t, w = numkit.trapezoid_rule(n)
     return numkit.integrate(f, z0 + dz * t, dz * w)
-
-
-def _complex_gradient(f, z: complex, h: float = 1e-6) -> complex:
-    """2 d/dz of a real field: (d/dx - i d/dy)."""
-    return ((f(z + h) - f(z - h)) / (2 * h)
-            - 1j * (f(z + 1j * h) - f(z - 1j * h)) / (2 * h))
 
 
 SUITES = {

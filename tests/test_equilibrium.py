@@ -431,6 +431,14 @@ def test_harmonic_measure_rectangle_refuses_an_unresolved_rule():
         eq.harmonic_measure(dom, 0.02 + 0.5j, 64)
 
 
+def test_harmonic_measure_disk_refuses_an_unresolved_rule():
+    # 256 nodes do not resolve the Poisson density 0.01 from the circle: its
+    # raw mass is 1.165, which was normalized away
+    from potflow.errors import ConditioningError
+    with pytest.raises(ConditioningError, match="mass"):
+        eq.harmonic_measure(pg.DomainDescriptor.disk(1.0), 0.99, 256)
+
+
 def test_condenser_capacity():
     assert abs(eq.condenser_capacity(1.0, math.e, 2) - 2 * math.pi) < 1e-14
     assert abs(eq.condenser_capacity(1.0, 1e9, 3) - 4 * math.pi) < 1e-7

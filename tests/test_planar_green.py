@@ -153,8 +153,7 @@ def test_one_disk_poisson_density():
     assert np.array_equal(density, pg._disk_poisson(R, a, R * np.exp(1j * theta)))
     zs, weights = pg._disk_harmonic(pg.DomainDescriptor.disk(R), a, 64)
     _, w = numkit.trapezoid_rule(64)
-    shared = pg._disk_poisson(R, a, zs) * (2 * math.pi * R * w)
-    assert np.array_equal(weights, shared / shared.sum())
+    assert np.array_equal(weights, pg._disk_poisson(R, a, zs) * (2 * math.pi * R * w))
 
 
 def test_poisson_domain_error():
@@ -548,24 +547,23 @@ def test_rectangle_queries_import_no_scipy():
     assert done.returncode == 0, done.stderr
 
 
-def test_strip_queries_share_one_double_per_tau(monkeypatch):
+def test_strip_queries_build_no_double_and_one_lattice_per_tau(monkeypatch):
     built = _count_calls(monkeypatch, schottky.StripDouble, "__post_init__")
-    pg._strip_double_of.cache_clear()
-    for tau in (2j, 3j):
+    misses = elliptic.lattice_constants.cache_info().misses
+    for tau in (2.0417j, 3.0417j):   # moduli no other test builds
         dom = pg.DomainDescriptor.periodic_strip(tau)
         again = pg.DomainDescriptor.from_dict(json.loads(dom.to_json()))
         for d in (dom, again):
             pg.green(d, -0.2 + 0.3j, -0.25 + 0.5j)
             pg.robin_data(d, -0.3 + 0.1j)
-    assert built[0] == 2
+    assert built[0] == 0
+    assert elliptic.lattice_constants.cache_info().misses == misses + 2
 
 
-def test_a_cached_strip_double_holds_the_cached_lattice():
-    # a strip query, then more other moduli than the lattice cache holds:
-    # the next query's double must hold the lattice that lattice_constants
-    # now returns for its tau, not the one the lattice cache dropped
-    tau = 1.3j
-    pg.green(pg.DomainDescriptor.periodic_strip(tau), -0.2 + 0.3j, -0.25 + 0.5j)
-    for k in range(64):
-        elliptic.lattice_constants(1j * (2.0 + 0.01 * k))
-    assert pg._strip_double(tau)[1].lattice is elliptic.lattice_constants(tau)
+def test_planar_green_and_schottky_keep_no_cache():
+    # every per-modulus constant lives in elliptic.lattice_constants; the
+    # finite-difference rectangle solver's own cache goes with that solver
+    cached = [f"{module.__name__}.{name}" for module in (pg, schottky)
+              for name, obj in vars(module).items()
+              if callable(obj) and hasattr(obj, "cache_info")]
+    assert cached == ["potflow.planar_green._rectangle_solver"]

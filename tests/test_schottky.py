@@ -522,6 +522,29 @@ def test_strip_robin_data_is_gamma_electro_and_its_gradient_bit_for_bit(T, seed)
                                           sk.gamma_electro_gradient(a, dbl)), a
 
 
+@pytest.mark.parametrize("tau", [2j, 1e-15 + 1.3j, -1e-15 + 0.7j])
+def test_strip_queries_equal_the_double_evaluators_bit_for_bit(tau):
+    # green and robin_data read the lattice cache at i Im tau; a StripDouble
+    # of the same tau holds that lattice, before and after the lattice cache
+    # has dropped it
+    dom = pg.DomainDescriptor.periodic_strip(tau)
+    z, a = -0.2 + 0.3j, -0.35 + 0.9j
+
+    def queries_equal_the_double():
+        dbl = sk.StripDouble(tau)
+        assert dbl.lattice is elliptic.lattice_constants(1j * tau.imag)
+        r = pg.robin_data(dom, a)
+        assert _bits(pg.green(dom, z, a), r.h0, r.h1) == _bits(
+            sk.g_electro_strip(z, a, dbl), sk.gamma_electro(a, dbl),
+            sk.gamma_electro_gradient(a, dbl))
+        return dbl.lattice
+
+    first = queries_equal_the_double()
+    for k in range(64):   # as many other moduli as the lattice cache holds
+        elliptic.lattice_constants(1j * (4.0 + 0.01 * k))
+    assert queries_equal_the_double() is not first
+
+
 def test_gamma_hydro_matches_kernel_laplacian(dbl):
     lap = numkit.laplacian_at(lambda w: sk.gamma_hydro(w, dbl, 0.0), A, 1e-4)
     kh = sk.strip_bergman_kernels(A, A, dbl)[1].real

@@ -184,6 +184,13 @@ def test_disk_multivortex_energy_conserved():
     assert drift < 1e-7
 
 
+@pytest.mark.parametrize("domain", [DISK, None])
+def test_hamiltonian_is_the_first_energy_monitor_bit_for_bit(domain):
+    system = vx.VortexSystem([0.4, -0.3 + 0.2j, 0.1 - 0.5j], [1.0, -0.7, 0.4], domain)
+    energy = vx.simulate(system, 0.1, 1e-10).monitors["energy"][0]
+    assert np.float64(vx.hamiltonian(system)).tobytes() == np.float64(energy).tobytes()
+
+
 def test_time_reversal():
     tol = 1e-10
     system = vx.VortexSystem([0.5, -0.5], [1.0, 1.0])
@@ -264,6 +271,9 @@ def _config(z, g, R=None):
 # lone vortex at and off the centre
 @example(_config([0, 0.5, -0.3 + 0.4j], [1.0, -0.7, 0.4], 1.0))
 @example(_config([1e-310j, 0.5, -0.3 + 0.4j], [1.0, -0.7, 0.4], 1.0))
+# a vortex 1e-154 from the centre beside a tracer: its own image term is its
+# whole velocity, about 1e-154
+@example(_config([1.0537e-154, 0.999], [1.0, 0.0], 1.0))
 @example(_config([0, 0.5, -0.3 + 0.4j], [1.0, -0.7, 0.4]))
 @example(_config([0.5, -0.2 + 0.3j, 0.1 - 0.6j], [1.0, 0.0, -0.5], 1.0))
 @example(_config([0.2, -0.1 + 0.3j, 0.05 - 0.4j, 0], [0.6, -1.2, 0.9, 0.3], 0.5))
