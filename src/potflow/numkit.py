@@ -349,7 +349,8 @@ class Trajectory:
 
     ``len(times) - 1`` steps were accepted; ``steps_rejected`` were tried
     and repeated with a smaller h, and ``field_evals`` counts the calls of
-    the field (one initial call plus seven per attempted step).
+    the field (one initial call plus six per attempted step: the last
+    stage of an accepted step is the next step's first).
     ``h_min`` and ``h_max`` are the smallest and largest accepted step
     (NaN for a trajectory without steps).
     """
@@ -379,7 +380,10 @@ class Trajectory:
 # Dormand-Prince coefficients (5th order propagated, 4th order embedded):
 # stage i is y + h * (_DP_ROWS[i] @ k[:i]), the error estimate h * (_DP_E @ k).
 # They are complex, like the stages k: a float row would be cast to complex
-# again in every product, to the same values.
+# again in every product, to the same values.  The last row holds the
+# 5th-order weights, so the last stage is taken at the propagated solution
+# and, once the step is accepted, is the next step's first ("first same as
+# last", Dormand & Prince 1980).
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -390,11 +394,9 @@ _DP_A = np.array([
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ], dtype=complex)
 _DP_ROWS = tuple(row[:i] for i, row in enumerate(_DP_A))
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-                  dtype=complex)
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40], dtype=complex)
-_DP_E = _DP_B5 - _DP_B4
+_DP_E = _DP_A[6] - _DP_B4
 
 
 def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
@@ -410,7 +412,9 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
     ``separation``, when given, returns the minimal pairwise distance of
     the state; falling below ``collision_threshold`` aborts with a
     CollisionError carrying the time stamp.  A non-finite field value
-    raises EvaluationError naming the t the step started from.
+    raises EvaluationError naming the t the step started from.  At most
+    ``max_steps`` steps are attempted, accepted and rejected together;
+    a run that needs more raises ParameterError.
     """
     if not (1e-12 <= tol <= 1e-3):
         raise ParameterError("tol must lie in [1e-12, 1e-3]")
@@ -434,15 +438,17 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
 
     err_prev = 1.0
     k = np.zeros((7, y.size), dtype=complex)
+    k[0] = f0
+    evals = 1
     steps = 0
     while t < t_end:
-        if steps > max_steps:
+        if steps >= max_steps:
             raise ParameterError(f"step budget exhausted at t={t:.6g}")
         h = min(h, t_end - t)
-        k[0] = field(y)
         for i in range(1, 7):
-            k[i] = field(y + h * (_DP_ROWS[i] @ k[:i]))
-        y5 = y + h * (_DP_B5 @ k)
+            stage = y + h * (_DP_ROWS[i] @ k[:i])
+            k[i] = field(stage)
+            evals += 1
         sc = tol * (1.0 + np.abs(y))
         err = float(np.max(np.abs(h * (_DP_E @ k)) / sc)) + 1e-300
         # rejecting a non-finite step would shrink h until the step budget
@@ -451,7 +457,7 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
 
         if err <= 1.0:
             t += h
-            y = y5
+            y = stage                        # the 5th-order solution
             if separation is not None:
                 sep = separation(y)
                 if sep < collision_threshold:
@@ -459,12 +465,13 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
             if not np.all(np.isfinite(y.view(float))):
                 raise EvaluationError(y, "non-finite state")
             times.append(t)
-            states.append(y)                 # y5 is a fresh array
+            states.append(y)                 # stage is a fresh array
             for name, fn in (monitors or {}).items():
                 mon[name].append(fn(y))
             # PI controller (Gustafsson): combine current and previous error
             fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
             err_prev = err
+            k[0] = k[6]
         else:
             fac = max(0.2, 0.9 * err ** (-0.2))
         h *= min(5.0, max(0.2, fac))
@@ -473,4 +480,4 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
     return Trajectory(np.asarray(times), np.asarray(states),
                       {name: np.asarray(v) for name, v in mon.items()},
                       steps_rejected=steps - (len(times) - 1),
-                      field_evals=1 + 7 * steps)
+                      field_evals=evals)

@@ -356,10 +356,21 @@ def test_vortex_pair_csv(tmp_path):
     assert lines[0].startswith("t,re_z1,im_z1,re_z2,im_z2,energy")
     assert summary["max_drift_energy"] < 1e-8
     assert summary["steps"] == len(lines) - 1
-    assert summary["field_evals"] == 1 + 7 * (summary["steps"] - 1
+    assert summary["field_evals"] == 1 + 6 * (summary["steps"] - 1
                                               + summary["steps_rejected"])
     steps = np.diff([float(line.split(",")[0]) for line in lines[1:]])
     assert (summary["h_min"], summary["h_max"]) == (steps.min(), steps.max())
+
+
+def test_vortex_step_budget_exit_65(monkeypatch, capsys):
+    # the pair needs 7 attempted steps to t = 10; a budget of 6 refuses it
+    rk = vortex.numkit.rk_integrate
+    monkeypatch.setattr(vortex.numkit, "rk_integrate",
+                        lambda *a, **kw: rk(*a, **kw, max_steps=6))
+    assert run(["vortex", "--system", PAIR, "--t-end", "10"]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "step budget exhausted" in err
+    assert err.count("\n") == 1
 
 
 def test_vortex_csv_rows_are_17_digit_values(tmp_path):

@@ -394,7 +394,7 @@ def test_two_ring_disk_run_reproduces_recorded_steps_and_state():
         -0.1093137072593997 + 0.5929885000232819j,
         -0.42423356777612353 + 0.41708813415877427j,
     ])
-    assert (len(traj.times), traj.steps_rejected, traj.field_evals) == (316, 0, 2206)
+    assert (len(traj.times), traj.steps_rejected, traj.field_evals) == (316, 0, 1891)
     assert np.max(np.abs(traj.final_state - recorded)) < 1e-12
 
 
