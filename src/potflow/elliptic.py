@@ -184,42 +184,58 @@ def _theta_jet(z, L: TorusLattice, value=False, prime=False, log=None):
     library's hypot and log, also for an array: numpy's complex abs and log
     round differently in the last bit (for a third and 0.1% of arguments),
     which finite differences of the Green functions magnify a millionfold.
-    A PoleError names the first z at which a log meets a zero of theta1."""
+    A PoleError names the first z at which a log meets a zero of theta1.
+    One point runs straight-line code in Python complex arithmetic; an
+    array is reduced by reduce_to_cell and always takes the shift factor."""
     tau, T = L.tau, L.tau.imag
-    array = isinstance(z, np.ndarray) and z.ndim
-    if array:
-        z = z.astype(complex, copy=False)
-        z0, m, n = reduce_to_cell(z, tau)
-    else:   # reduce_to_cell for one point, without its dispatch
+    if not isinstance(z, np.ndarray) or not z.ndim:
+        # one point, in straight-line code: reduce_to_cell without its dispatch
         z = complex(z)
         n = round(z.imag / T)
         z0 = z - n * tau
         m = round(z0.real)
         z0 = z0 - m
-    shifted = array or m or n
+        lz, ln = z0, (n if log == "z" else None)
+        if log == "z0" and abs(z0.imag / T) > 0.5:
+            lz, _, ln = reduce_to_cell(z0, tau)
+        th = dth = lg = None
+        if value or prime and (m or n) or log and lz is z0:
+            th = base = 2 * _sum("theta", z0, L)
+        if prime:
+            dth = 2 * cmath.pi * _sum("theta_prime", z0, L)
+        if (m or n) and (value or prime):   # z = z0 goes without the shift
+            shift = (-1) ** (m + n) * L.qh ** (-n * n) * cmath.exp(-2j * cmath.pi * n * z0)
+            dth = shift * (dth - 2j * cmath.pi * n * base) if prime else None
+            th = shift * base
+        if log:
+            base = base if lz is z0 else 2 * _sum("theta", lz, L)
+            if base == 0:
+                raise PoleError(f"theta1 vanishes at lattice point near {z}")
+            lg = math.log(abs(base))
+            if ln is not None:
+                lg = lg + cmath.pi * T * ln * ln + 2 * cmath.pi * ln * lz.imag
+        return z0, n, th if value else None, dth, lg
+    z = z.astype(complex, copy=False)
+    z0, m, n = reduce_to_cell(z, tau)
     lz, ln = z0, (n if log == "z" else None)
-    far = log == "z0" and abs(z0.imag / T) > 0.5
-    if np.any(far) if array else far:
+    if log == "z0" and np.any(abs(z0.imag / T) > 0.5):
         lz, _, ln = reduce_to_cell(z0, tau)
-    base = (2 * _sum("theta", z0, L)
-            if value or prime and shifted or log and lz is z0 else None)
-    th, lg = base, None
+    base = 2 * _sum("theta", z0, L) if value or prime or log and lz is z0 else None
     dth = 2 * cmath.pi * _sum("theta_prime", z0, L) if prime else None
-    if shifted and (value or prime):
-        shift = (-1) ** (m + n) * L.qh ** (-n * n) * _xp(z0).exp(-2j * cmath.pi * n * z0)
-        th = shift * base
+    th = lg = None
+    if value or prime:   # every point takes the shift factor
+        shift = (-1) ** (m + n) * L.qh ** (-n * n) * np.exp(-2j * cmath.pi * n * z0)
+        th = shift * base if value else None
         dth = shift * (dth - 2j * cmath.pi * n * base) if prime else None
     if log:
         if lz is not z0:
             base = 2 * _sum("theta", lz, L)
-        zero = base == 0
-        if zero.any() if array else zero:
+        if (zero := base == 0).any():
             raise PoleError(f"theta1 vanishes at lattice point near {first_where(zero, z)}")
-        lg = (_map(math.log, np.hypot(base.real, base.imag).ravel()).reshape(base.shape)
-              if array else math.log(abs(base)))
+        lg = _map(math.log, np.hypot(base.real, base.imag).ravel()).reshape(base.shape)
         if ln is not None:
             lg = lg + cmath.pi * T * ln * ln + 2 * cmath.pi * ln * lz.imag
-    return z0, n, th if value else None, dth, lg
+    return z0, n, th, dth, lg
 
 
 def theta1(z, L: TorusLattice):
@@ -262,7 +278,11 @@ def _off_lattice(z, tau: complex):
 
 def wp(z, L: TorusLattice):
     """Weierstrass wp, doubly periodic, wp(z) = 1/z^2 + O(z^2)."""
-    z0 = _off_lattice(z, L.tau)[0]
+    return _wp_reduced(_off_lattice(z, L.tau)[0], L)
+
+
+def _wp_reduced(z0, L: TorusLattice):
+    """wp at a z0 already reduced to the cell and off the lattice, unchecked."""
     s = _xp(z0).sin(cmath.pi * z0)
     return _sum("wp", z0, L, -L.eta1 + cmath.pi ** 2 / (s * s))
 

@@ -161,14 +161,13 @@ def _slit_root(z):
     return s if s.imag > 0 else -s
 
 
-def _require_interior(domain: DomainDescriptor, *points: complex) -> "_Kind":
-    """The domain's kind record, once every (complex) point is checked interior."""
+def _require_interior(domain: DomainDescriptor, *points: complex) -> None:
+    """Raise DomainError naming the first (complex) point not interior to the domain."""
     spec = _KINDS[domain.kind]
     for p in points:
         if not spec.contains(domain, p):
             where = f" ({spec.interior})" if spec.interior else ""
             raise DomainError(f"{p} is not interior to {domain.kind}{where}")
-    return spec
 
 
 def _kind_function(kind, name: str, missing: str = "unknown domain kind {!r}") -> Callable:
@@ -183,7 +182,9 @@ def _kind_function(kind, name: str, missing: str = "unknown domain kind {!r}") -
 def green(domain: DomainDescriptor, z: complex, a: complex) -> float:
     """Dirichlet Green function of the domain, positive inside, 0 on the boundary."""
     z, a = complex(z), complex(a)
-    spec = _require_interior(domain, z, a)
+    spec = _KINDS[domain.kind]
+    if not (spec.contains(domain, z) and spec.contains(domain, a)):
+        _require_interior(domain, z, a)   # raises, naming the first point outside
     if abs(z - a) < 1e-14:
         raise PoleError("Green function pole at z = a")
     return float(spec.green(domain, z, a))
@@ -207,7 +208,9 @@ def robin_data(domain: DomainDescriptor, a: complex) -> GreenExpansion:
     case; the periodic strip's comes from its Bergman kernel.
     """
     a = complex(a)
-    spec = _require_interior(domain, a)
+    spec = _KINDS[domain.kind]
+    if not spec.contains(domain, a):
+        _require_interior(domain, a)   # raises
     if spec.boundary_distance(domain, a) < 1e-9:
         raise ConditioningError("point too close to the boundary for Robin data")
     h0, h1, curvature = spec.robin(domain, a)
@@ -609,15 +612,15 @@ def _strip_lattice(tau: complex) -> elliptic.TorusLattice:
     return elliptic.lattice_constants(1j * tau.imag)
 
 
-def _strip_contains(tau: complex, z):
-    """Whether z lies in the open strip -1/2 < Re z < 0 with |Im z| <=
-    STRIP_IM_MAX Im tau (elementwise for an array of z; false for inf and
-    nan): the bound on Im z also rejects them."""
-    return (-0.5 < z.real) & (z.real < 0.0) & (abs(z.imag) <= STRIP_IM_MAX * tau.imag)
+def _strip_contains(d, z):
+    """Whether z lies in the open strip -1/2 < Re z < 0, |Im z| <= STRIP_IM_MAX
+    Im d.tau of d, a strip's descriptor or StripDouble (elementwise for an
+    array of z; false for inf and nan, which the bound on Im z rejects)."""
+    return (-0.5 < z.real) & (z.real < 0.0) & (abs(z.imag) <= STRIP_IM_MAX * d.tau.imag)
 
 
-# _require_interior has checked the points with the kind's contains, so the
-# strip's green and robin call schottky's unchecked evaluators
+# green and robin_data have checked the points with the kind's contains, so
+# the strip's green and robin call schottky's unchecked evaluators
 def _strip_green(d: DomainDescriptor, z: complex, a: complex) -> float:
     return schottky._g_electro(z, a, _strip_lattice(d.tau))
 
@@ -714,7 +717,7 @@ _KINDS: dict[str, _Kind] = {
             complex(data["tau"][0], data["tau"][1])),
         to_dict=lambda d: {"kind": "periodic_strip", "tau": [d.tau.real, d.tau.imag]},
         invalid=lambda d: _strip_tau_error(d.tau),
-        contains=lambda d, z: _strip_contains(d.tau, z),
+        contains=_strip_contains,
         interior=STRIP_INTERIOR,
         boundary_distance=lambda d, z: min(-z.real, z.real + 0.5),
         green=_strip_green,

@@ -93,7 +93,7 @@ class StripDouble:
         """Whether z lies in the open strip, by the strip's one interior
         rule ``planar_green._strip_contains`` (elementwise for an array of
         z; false for inf and nan)."""
-        return planar_green._strip_contains(self.tau, numkit.as_points(z))
+        return planar_green._strip_contains(self, numkit.as_points(z))
 
     def resolves(self, z):
         """Whether z is a point of the double whose reduction to the cell
@@ -115,11 +115,11 @@ class StripDouble:
 
 
 def _require_strip(dbl: StripDouble, *points) -> None:
-    """Raise DomainError unless every point (scalars or arrays) lies in the
-    open strip.  contains gives a scalar point a Python bool, which is read
-    as it is: np.all would take a few microseconds per point."""
+    """Raise DomainError unless every point (a Python complex or a complex
+    array) lies in the open strip.  A scalar point's Python bool is read as
+    it is: np.all would take a few microseconds per point."""
     for p in points:
-        inside = dbl.contains(p)
+        inside = planar_green._strip_contains(dbl, p)
         if not (inside.all() if isinstance(inside, np.ndarray) else inside):
             raise DomainError("every point must lie in the open strip "
                               f"({planar_green.STRIP_INTERIOR})")
@@ -170,36 +170,37 @@ def kkl_combinations(z: complex, a: complex, dbl: StripDouble
 def g_electro_strip(z, a, dbl: StripDouble):
     """Electrostatic (Dirichlet) Green function of the periodic strip, for
     scalars or arrays of z and a (broadcast together)."""
+    z, a = numkit.as_points(z), numkit.as_points(a)
     _require_strip(dbl, z, a)
     return _g_electro(z, a, dbl.lattice)
 
 
 def _g_electro(z, a, L: elliptic.TorusLattice):
     """G_double(z, a) - G_double(z, J(a)) on the strip's double with lattice
-    L: g_electro_strip without the point check, and continued smoothly a
-    little across the walls."""
+    L, for a Python complex or a complex array a: g_electro_strip without
+    the point check, and continued smoothly a little across the walls."""
     return (surface.torus_monopole_green(z, a, L)
-            - surface.torus_monopole_green(z, StripDouble.involution(a), L))
+            - surface.torus_monopole_green(z, -a.conjugate(), L))
 
 
 def _gamma_jet(a: complex, L: elliptic.TorusLattice) -> tuple:
-    """(gamma_electro, gamma_electro_gradient) at a on the double with
+    """(gamma_electro, gamma_electro_gradient, z0) at a on the double with
     lattice L, unchecked: h0 = log|theta1(2 Re a) / theta1'(0)| and h1 =
-    (theta1'/theta1)(2 Re a), from one reduction of 2 Re a and one sum of
-    each theta series.  The log raises PoleError where theta1(2 Re a)
-    underflows to 0."""
-    _, _, th, dth, log_th = elliptic._theta_jet(2 * a.real, L,
-                                                value=True, prime=True, log="z")
-    return log_th - L.log_abs_theta1_prime0, dth / th
+    (theta1'/theta1)(2 Re a), from one reduction 2 Re a = z0 + m + n tau and
+    one sum of each theta series.  The log raises PoleError where
+    theta1(2 Re a) underflows to 0."""
+    z0, _, th, dth, log_th = elliptic._theta_jet(2 * a.real, L,
+                                                 value=True, prime=True, log="z")
+    return log_th - L.log_abs_theta1_prime0, dth / th, z0
 
 
 def _robin(a: complex, L: elliptic.TorusLattice) -> tuple:
     """(h0, h1, curvature) of G_electro at a on the double with lattice L,
     unchecked: the curvature is -4 pi K_electro(a, a) e^{2 h0},
-    K_electro(a, a) = (wp(2 Re a) + eta1) / pi.  The wp is kept out of
-    gamma_electro, which it would fail within 1e-12 of a wall."""
-    h0, h1 = _gamma_jet(a, L)
-    ke = (elliptic.wp(2 * a.real, L) + L.eta1) / math.pi
+    K_electro(a, a) = (wp(2 Re a) + eta1) / pi, wp summed at the jet's z0.
+    The wp is kept out of gamma_electro: it has a pole on each wall."""
+    h0, h1, z0 = _gamma_jet(a, L)
+    ke = (elliptic._wp_reduced(z0, L) + L.eta1) / math.pi
     return h0, h1, -4 * math.pi * ke.real * math.exp(2 * h0)
 
 
@@ -231,6 +232,7 @@ def g_hydro_strip(z, a, dbl: StripDouble, p: float = 0.0):
     values are locally constant and -oint_beta *dG_hydro = p around the
     u1 = 1 boundary component (with the boundary orientation of Omega).
     """
+    z, a = numkit.as_points(z), numkit.as_points(a)
     _require_strip(dbl, z, a)
     return _g_hydro_extended(z, a, dbl, p)
 
@@ -247,6 +249,7 @@ def hydro_circulation(a: complex, dbl: StripDouble, p: float = 0.0,
     The cycle is the line x = -1/2 carrying the boundary orientation of
     Omega (negative y direction); fd x-derivative plus trapezoid in y.
     """
+    a = complex(a)
     # the y trapezoid errs like exp(-2 pi d n / Im tau), d the poles' distance from the wall
     ys, wy = numkit.trapezoid_rule(max(n, math.ceil(n * dbl.T / 2)), dbl.T)
     # *dG = G_x dy along the wall; orientation -y makes -oint = +T mean(G_x)

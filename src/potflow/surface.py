@@ -314,7 +314,8 @@ def torus_monopole_green(z, a, lattice: elliptic.TorusLattice):
         w0, _, _, _, log_th = elliptic._theta_jet(w, lattice, log="z0")
     except PoleError:   # theta1(w0) = 0, so w0 = 0
         w0 = 0j
-    if numkit.first_where(abs(w0) < 1e-13, w) is not None:
+    near = abs(w0) < 1e-13
+    if near.any() if isinstance(near, np.ndarray) else near:
         raise PoleError("torus Green function pole at z = a (mod lattice)")
     y = w0.imag
     return (-(log_th - lattice.log_abs_theta1_prime0) / (2 * math.pi)

@@ -1,5 +1,6 @@
 import cmath
 import collections
+import json
 import math
 import re
 from pathlib import Path
@@ -307,6 +308,35 @@ def test_theta1_pair_equals_the_three_functions_bit_for_bit(tau):
 
 def _bits(x) -> bytes:
     return np.asarray(x).tobytes()
+
+
+JET_GOLDEN = json.loads((Path(__file__).parent / "data" / "theta_jet_scalar.json").read_text())
+JET_TAUS = {"0.3i": 0.3j, "0.3+1.1i": 0.3 + 1.1j, "1.7i": 1.7j}
+
+
+@pytest.mark.parametrize("key", sorted(JET_GOLDEN))
+def test_scalar_theta_jet_equals_the_recorded_values_bit_for_bit(key):
+    # recorded from the scalar jet before its straight-line branch, on two
+    # rectangular lattices and one oblique one: points in the cell,
+    # points with m and n both nonzero, and points within 4 ulp of a
+    # half-period row Im z = (k + 1/2) Im tau, where rounding can leave
+    # |Im z0| above Im tau / 2 and the torus Green function reduces z0 again
+    # (each such point comes with a neighbour 3 ulp away that does not).
+    # "far" rows are 50-290 cells out, where only the logs stay finite.
+    L = elliptic.lattice_constants(JET_TAUS[key])
+    for zr, zi, th_r, th_i, dth_r, dth_i, lg, ar, ai, g0, g1 in JET_GOLDEN[key]["jet"]:
+        z, a = complex(zr, zi), complex(ar, ai)
+        got = (elliptic.theta1(z, L), elliptic.theta1_prime(z, L),
+               elliptic.log_abs_theta1(z, L), surface.torus_monopole_green(z, 0j, L),
+               surface.torus_monopole_green(z + a, a, L))
+        assert [type(v) for v in got] == [complex, complex, float, np.float64, np.float64]
+        assert [_bits(v) for v in got] == [_bits(v) for v in (
+            complex(th_r, th_i), complex(dth_r, dth_i), lg, g0, g1)], z
+    for zr, zi, lg, ar, ai, g0, g1 in JET_GOLDEN[key]["far"]:
+        z, a = complex(zr, zi), complex(ar, ai)
+        got = (elliptic.log_abs_theta1(z, L), surface.torus_monopole_green(z, 0j, L),
+               surface.torus_monopole_green(z + a, a, L))
+        assert [_bits(v) for v in got] == [_bits(v) for v in (lg, g0, g1)], z
 
 
 def test_log_abs_theta1_far_out_is_the_cell_log_plus_the_shift_modulus():

@@ -567,3 +567,74 @@ def test_planar_green_and_schottky_keep_no_cache():
               for name, obj in vars(module).items()
               if callable(obj) and hasattr(obj, "cache_info")]
     assert cached == ["potflow.planar_green._rectangle_solver"]
+
+
+def _python_calls(query) -> list[str]:
+    """The Python functions one warm call of query() enters, by name, from
+    the profiler's "call" events (query's own frame not counted)."""
+    query()
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        query()
+    finally:
+        sys.setprofile(None)
+    return names[1:]
+
+
+@pytest.mark.parametrize("what, budget", [("strip green", 12), ("strip robin", 14),
+                                          ("rectangle green", 24)])
+def test_scalar_point_query_call_budget(what, budget):
+    # a scalar query runs straight-line code: the kind's interior rule, one
+    # reduction and one sum per series, no array helpers on the way; each
+    # extra Python call costs about as much as a series term
+    strip = pg.DomainDescriptor.periodic_strip(2j)
+    rect = pg.DomainDescriptor.rectangle(2.0, 1.0, 64)
+    query = {"strip green": lambda: pg.green(strip, -0.2 + 0.3j, -0.35 + 1.7j),
+             "strip robin": lambda: pg.robin_data(strip, -0.3 + 0.4j),
+             "rectangle green": lambda: pg.green(rect, 0.7 + 0.3j, 1.0 + 0.5j)}[what]
+    calls = _python_calls(query)
+    assert len(calls) <= budget, calls
+    assert not {"first_where", "as_points", "reduce_to_cell", "_off_lattice",
+                "_require_interior"} & set(calls), calls
+
+
+_STRIP_BOUNDS = " (-1/2 < Re z < 0, |Im z| <= 2^26 Im tau)"
+_OUTSIDE = {   # domain, an interior point, two points outside with their messages
+    "disk": (pg.DomainDescriptor.disk(2.0), 0.5 + 0.5j,
+             (2.5 + 0j, "(2.5+0j) is not interior to disk"),
+             (-3j, "(-0-3j) is not interior to disk")),
+    "half_plane": (pg.DomainDescriptor.half_plane(), 1 + 1j,
+                   (2 - 0.5j, "(2-0.5j) is not interior to half_plane"),
+                   (3 + 0j, "(3+0j) is not interior to half_plane")),
+    "slit_plane": (pg.DomainDescriptor.slit_plane(), -1 + 1j,
+                   (2 + 0j, "(2+0j) is not interior to slit_plane"),
+                   (0j, "0j is not interior to slit_plane")),
+    "rectangle": (pg.DomainDescriptor.rectangle(2.0, 1.0), 0.5 + 0.5j,
+                  (2 + 0.5j, "(2+0.5j) is not interior to rectangle"),
+                  (-0.1 + 0.5j, "(-0.1+0.5j) is not interior to rectangle")),
+    "periodic_strip": (pg.DomainDescriptor.periodic_strip(2j), -0.25 + 0.5j,
+                       (0.1 + 0.5j, "(0.1+0.5j) is not interior to periodic_strip"
+                        + _STRIP_BOUNDS),
+                       (-0.5 + 0j, "(-0.5+0j) is not interior to periodic_strip"
+                        + _STRIP_BOUNDS)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OUTSIDE))
+def test_queries_name_the_first_point_outside(kind):
+    # green checks z before a; the messages are the queries' recorded ones,
+    # byte for byte
+    dom, inside, (out1, said1), (out2, said2) = _OUTSIDE[kind]
+    for call, said in ((lambda: pg.green(dom, out1, out2), said1),
+                       (lambda: pg.green(dom, inside, out2), said2),
+                       (lambda: pg.green(dom, out1, inside), said1),
+                       (lambda: pg.robin_data(dom, out2), said2)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == said
