@@ -169,7 +169,7 @@ class WeightedMeasure:
         self.weights = np.asarray(self.weights, dtype=float)
         if np.any(self.weights < -1e-14):
             raise ParameterError("weights must be nonnegative")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:   # nan weights fail too
             raise ParameterError("weights must sum to one")
 
     def potential(self, z: complex) -> float:
@@ -244,10 +244,8 @@ def _log_objective(z: np.ndarray, pole: complex | None) -> float:
     return total
 
 
-def _leja_start(K: CompactSet, n: int, pole: complex | None,
-                candidates: int = 2048) -> np.ndarray:
-    ts = (np.arange(candidates) / candidates if K.closed
-          else np.linspace(0.0, 1.0, candidates))
+def _leja_start(K: CompactSet, n: int, pole: complex | None) -> np.ndarray:
+    ts = np.arange(2048) / 2048 if K.closed else np.linspace(0.0, 1.0, 2048)
     zs = K.jet(ts)[0]
     polepen = 0.0 if pole is None else np.log(np.abs(zs - pole) + 1e-300)
     # start from the candidate farthest from the centroid, then grow greedily

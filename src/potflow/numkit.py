@@ -232,11 +232,11 @@ class Curve:
                 w * np.asarray(self.derivative(t), dtype=complex))
 
 
-def circle(center: complex = 0j, radius: float = 1.0, orientation: int = +1) -> Curve:
-    """Positively (or negatively) oriented circle."""
+def circle(center: complex = 0j, radius: float = 1.0) -> Curve:
+    """Positively oriented circle."""
     if radius <= 0:
         raise ParameterError("radius must be positive")
-    w = 2j * np.pi * orientation
+    w = 2j * np.pi
     return Curve(lambda t: center + radius * np.exp(w * t),
                  lambda t: w * radius * np.exp(w * t), closed=True)
 

@@ -14,7 +14,6 @@ series and 5-point finite-difference Green function remain as oracles.
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ __all__ = [
     "curvature_of_metric",
     "bergman_disk",
     "szego_disk",
-    "fd_dirichlet_green",
     "rectangle_green_series",
 ]
 
@@ -73,8 +71,8 @@ class DomainDescriptor:
     """Canonical planar domain.
 
     kinds: disk(R), half_plane (Im z > 0), slit_plane (complement of the
-    ray [0, inf)), rectangle(w, h, grid) = (0,w) x (0,h) (grid: the mesh
-    of ``fd_dirichlet_green`` only), and
+    ray [0, inf)), rectangle(w, h, grid) = (0,w) x (0,h) (grid: only the
+    default mesh of the ``RectangleGreenSolver`` oracle), and
     periodic_strip(tau) = {-1/2 < Re z < 0} with Im z mod Im tau.
     Everything that depends on the kind, validation included, lives in
     the ``_KINDS`` table at the end of this module.
@@ -122,9 +120,9 @@ class DomainDescriptor:
     def boundary_distance(self, z: complex) -> float:
         return _KINDS[self.kind].boundary_distance(self, complex(z))
 
-    def boundary_curve(self, truncation: float = 40.0) -> numkit.Curve:
+    def boundary_curve(self) -> numkit.Curve:
         return _kind_function(self.kind, "boundary_curve",
-                              "no boundary curve for kind {!r}")(self, truncation)
+                              "no boundary curve for kind {!r}")(self)
 
     def area_rule(self, resolution: int) -> tuple[np.ndarray, np.ndarray]:
         """Area quadrature nodes and weights: a polar tensor rule on disks,
@@ -236,7 +234,7 @@ def poisson_value(boundary_data: Callable[[np.ndarray], np.ndarray], a: complex,
     """Harmonic extension at a from boundary values on |z| = R (trapezoid
     rule); boundary_data receives the array of boundary nodes."""
     a = complex(a)
-    if abs(a) >= R:
+    if not abs(a) < R:   # nan fails too
         raise DomainError("evaluation point must satisfy |a| < R")
     theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
     z = R * np.exp(1j * theta)
@@ -460,23 +458,6 @@ class RectangleGreenSolver:
         return RectangleGreenGrid(self.domain, complex(a), full)
 
 
-@functools.lru_cache(maxsize=4)
-def _rectangle_solver(w: float, h: float, n: int) -> RectangleGreenSolver:
-    """The (0,w) x (0,h) rectangle's solver on an n grid, at most four per
-    process; the public ``RectangleGreenSolver`` never caches."""
-    return RectangleGreenSolver(DomainDescriptor.rectangle(w, h, n))
-
-
-def fd_dirichlet_green(domain: DomainDescriptor, a: complex,
-                       grid: int | None = None) -> RectangleGreenGrid:
-    """Numeric Dirichlet Green function on a rectangle (unit point source,
-    zero boundary); second-order convergent in the grid spacing."""
-    if domain.kind != "rectangle":
-        raise ParameterError("solver requires a rectangle domain")
-    n = grid if grid is not None else domain.grid
-    return _rectangle_solver(domain.w, domain.h, n).solve(a)
-
-
 def rectangle_green_series(domain: DomainDescriptor, z: complex, a: complex) -> float:
     """Eigenfunction-series oracle for the rectangle Green function: modes
     sin(n pi y / h) times 1D two-point kernels in x, summed until their
@@ -644,7 +625,7 @@ class _Kind:
     robin: Callable          # (d, a) -> (h0, h1, curvature)
     invalid: Callable = lambda d: None   # d -> error message, or None when valid
     green_z_derivative: Callable | None = None   # (d, z, a) -> complex
-    boundary_curve: Callable | None = None       # (d, truncation) -> Curve
+    boundary_curve: Callable | None = None       # d -> Curve
     # constant-speed positively oriented parametrisation of the boundary:
     # (d, t ndarray in [0, 1], side) -> (z, dz/dt, d2z/dt2), one-sided at the
     # corner parameters of boundary_breaks
@@ -667,7 +648,7 @@ _KINDS: dict[str, _Kind] = {
         robin=lambda d, a: (_disk_h0(d, a), _disk_image(d, a, a), -4.0),
         green_z_derivative=lambda d, z, a: (
             1 / (a - z) + _disk_image(d, z, a)) / (4 * math.pi),
-        boundary_curve=lambda d, truncation: numkit.circle(0j, d.R),
+        boundary_curve=lambda d: numkit.circle(0j, d.R),
         # reads only d.R, so equilibrium's circle carriers share it
         boundary_jet=lambda d, t, side=1: _circle_jet(d.R, t),
         area_rule=lambda d, n: numkit.polar_rule(
@@ -677,19 +658,21 @@ _KINDS: dict[str, _Kind] = {
     "half_plane": _Kind(
         parse=lambda data: DomainDescriptor.half_plane(),
         to_dict=lambda d: {"kind": "half_plane"},
-        contains=lambda d, z: z.imag > 0,
+        # abs(z) < inf rejects the inf and nan parts that z.imag > 0 lets pass
+        contains=lambda d, z: z.imag > 0 and abs(z) < math.inf,
         boundary_distance=lambda d, z: z.imag,
         green=lambda d, z, a: -math.log(abs((z - a) / (z - a.conjugate()))) / (2 * math.pi),
         robin=lambda d, a: (math.log(2 * a.imag), -0.5j / a.imag, -4.0),
         green_z_derivative=lambda d, z, a: (
             -(1.0 / (z - a) - 1.0 / (z - a.conjugate())) / (4 * math.pi)),
-        # truncated real axis, positive orientation (domain on the left)
-        boundary_curve=lambda d, truncation: numkit.line_segment(-truncation, truncation),
+        # the real axis truncated to [-40, 40], positive orientation (domain
+        # on the left)
+        boundary_curve=lambda d: numkit.line_segment(-40.0, 40.0),
     ),
     "slit_plane": _Kind(
         parse=lambda data: DomainDescriptor.slit_plane(),
         to_dict=lambda d: {"kind": "slit_plane"},
-        contains=lambda d, z: not (z.imag == 0 and z.real >= 0),
+        contains=lambda d, z: abs(z) < math.inf and not (z.imag == 0 and z.real >= 0),
         boundary_distance=lambda d, z: abs(z) if z.real <= 0 else abs(z.imag),
         green=_slit_green,
         robin=_slit_robin,

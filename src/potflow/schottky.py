@@ -472,7 +472,7 @@ def ahlfors_map_disk(z: complex, a: complex) -> complex:
     f'(a) = 1/(1-|a|^2) = 2 pi K_Szego(a,a).
     """
     z, a = complex(z), complex(a)
-    if abs(z) > 1 + 1e-12 or abs(a) >= 1:
+    if not (abs(z) <= 1 + 1e-12 and abs(a) < 1):   # nan fails too
         raise DomainError("Ahlfors map implemented on the unit disk")
     return (z - a) / (1 - a.conjugate() * z)
 

@@ -285,15 +285,15 @@ def torus_harmonic_basis(lattice: elliptic.TorusLattice):
     }
 
 
-def alpha_cycle(lattice: elliptic.TorusLattice, offset: complex = 0j) -> numkit.Curve:
-    """The segment [0,1] (optionally offset) traversed once."""
-    return numkit.Curve(lambda t: offset + t, lambda t: 1.0 + 0j)
+def alpha_cycle(lattice: elliptic.TorusLattice) -> numkit.Curve:
+    """The segment [0,1] traversed once."""
+    return numkit.Curve(lambda t: t, lambda t: 1.0 + 0j)
 
 
-def beta_cycle(lattice: elliptic.TorusLattice, offset: complex = 0j) -> numkit.Curve:
-    """The segment [0,tau] (optionally offset) traversed once."""
+def beta_cycle(lattice: elliptic.TorusLattice) -> numkit.Curve:
+    """The segment [0,tau] traversed once."""
     tau = lattice.tau
-    return numkit.Curve(lambda t: offset + t * tau, lambda t: tau)
+    return numkit.Curve(lambda t: t * tau, lambda t: tau)
 
 
 @functools.lru_cache(maxsize=32)
@@ -335,13 +335,13 @@ def wedge_integral_cell(form1: OneForm, form2: OneForm, lattice: elliptic.TorusL
     return numkit.integrate(coefficient, *cell) * (-2j)
 
 
-def bergman_expansion_check(lattice: elliptic.TorusLattice, samples: int = 5) -> float:
+def bergman_expansion_check(lattice: elliptic.TorusLattice) -> float:
     """Residual of K = P^{-1} omega_beta conj(omega_beta) (and the Q variant)."""
     basis = torus_harmonic_basis(lattice)
     per = basis["periods"]
     rng = np.random.default_rng(7)
     resid = 0.0
-    for _ in range(samples):
+    for _ in range(5):
         z = complex(rng.uniform(0, 1), rng.uniform(0, lattice.volume))
         a = complex(rng.uniform(0, 1), rng.uniform(0, lattice.volume))
         K, _ = torus_kernels(z, a, lattice)
@@ -420,8 +420,7 @@ def torus_green_mean(a: complex, lattice: elliptic.TorusLattice) -> float:
                   + numkit.integrate(f, *_pole_disk_rule(rho))).real)
 
 
-def schiffer_mean_value(lattice: elliptic.TorusLattice, a: complex,
-                        eps_ladder=(1e-2, 5e-3, 2.5e-3)) -> complex:
+def schiffer_mean_value(lattice: elliptic.TorusLattice, a: complex) -> complex:
     """Principal value of int_F L(z,a) dz dzbar (should vanish).
 
     Symmetric excision of a disk of radius eps around the pole, with
@@ -433,9 +432,9 @@ def schiffer_mean_value(lattice: elliptic.TorusLattice, a: complex,
     values at tau = 2i).
     """
     a = complex(a)
+    # the radii stay inside the pole disk: Im tau >= elliptic._MIN_IM_TAU =
+    # 0.05 gives rho >= 0.0125 > 1e-2
     rho, *outer = _pole_split_rule(0.5, lattice.volume / 2)
-    if max(eps_ladder) >= rho:
-        raise ParameterError(f"excision radii must stay below {rho:.3g}")
 
     def f(w):
         return torus_kernels(a + w, a, lattice)[1]
@@ -443,7 +442,7 @@ def schiffer_mean_value(lattice: elliptic.TorusLattice, a: complex,
     cell = numkit.integrate(f, *outer)
     # dz ^ dzbar = -2i dx dy
     vals = [(cell + numkit.integrate(f, *_pole_disk_rule(rho, e))) * (-2j)
-            for e in eps_ladder]
+            for e in (1e-2, 5e-3, 2.5e-3)]
     v01 = (4 * vals[1] - vals[0]) / 3
     v12 = (4 * vals[2] - vals[1]) / 3
     return (4 * v12 - v01) / 3

@@ -126,7 +126,7 @@ def free_vortex_velocity(system: VortexSystem, k: int) -> complex:
     """da_k/dt = (Gamma_k / 2pi i) conj(h1^(k)); zero for a lone plane vortex."""
     if not 0 <= k < system.n:
         raise ParameterError("vortex index out of range")
-    return complex(_velocities(system.positions, system.strengths, system.domain)[k])
+    return complex(_field_of(system.strengths, system.domain)(system.positions)[k])
 
 
 def forced_vortex_velocity(h1: complex, gamma: float, f_ext: complex) -> complex:
@@ -149,19 +149,13 @@ def stream_function(system: VortexSystem, z: complex) -> float:
 
 def hamiltonian(system: VortexSystem) -> float:
     """Kirchhoff-Routh energy (interaction Green terms plus Robin terms)."""
-    return _energy(system.positions, system.strengths, system.domain)
+    return _energy_of(system.strengths, system.domain)(system.positions)
 
 
 def _green(domain, z, a):
     """G(z, a) elementwise: -log|z - a| / 2pi in the plane, else the disk's."""
     return (-np.log(np.abs(z - a)) / (2 * math.pi) if domain is None
             else _DISK.green(domain, z, a))
-
-
-def _velocities(z: np.ndarray, g: np.ndarray, domain) -> np.ndarray:
-    """dz_k/dt = conj(Gamma_k h1^(k)) / 2pi i for every vortex at once: the
-    field `_field_of(g, domain)` builds, evaluated once at z."""
-    return _field_of(g, domain)(z)
 
 
 def _field_of(g: np.ndarray, domain):
@@ -214,13 +208,7 @@ def _energy_of(g: np.ndarray, domain):
     return energy
 
 
-def _energy(z: np.ndarray, g: np.ndarray, domain) -> float:
-    """The Kirchhoff-Routh energy of positions z and strengths g."""
-    return _energy_of(g, domain)(z)
-
-
-def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10,
-             backward: bool = False) -> numkit.Trajectory:
+def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.Trajectory:
     """Integrate the vortex motion; monitors energy and vorticity moments.
 
     Monitors: ``energy`` (Kirchhoff-Routh), and in the plane the moments
@@ -228,7 +216,7 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10,
     disk ``radius_k`` for each vortex.  Aborts with CollisionError when two
     vortices (or a vortex and the wall) come within the threshold.
     """
-    g = system.strengths * (-1.0 if backward else 1.0)
+    g = system.strengths
     domain = system.domain
     field = _field_of(g, domain)
 

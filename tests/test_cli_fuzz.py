@@ -41,8 +41,8 @@ def documents(draw, depth=1):
             doc[key] = draw(values)
     if draw(st.booleans()):
         doc["tau"] = draw(st.one_of(values, st.lists(numbers, max_size=3)))
-    # the grid is only the mesh of fd_dirichlet_green, which no command
-    # builds, so any size is cheap; above 512 it is an input error
+    # the grid is only the default mesh of RectangleGreenSolver, which no
+    # command builds, so any size is cheap; above 512 it is an input error
     doc["grid"] = draw(st.sampled_from([-4, 0, 8, 33, 64, 300, 513, "x", None]))
     if depth > 0 and draw(st.booleans()):
         doc["domain"] = draw(documents(depth=0))

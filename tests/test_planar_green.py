@@ -1,4 +1,5 @@
 import cmath
+import gc
 import json
 import math
 import os
@@ -223,7 +224,7 @@ def test_bergman_reproduces_monomial():
 
 def test_fd_green_matches_series_oracle():
     dom = pg.DomainDescriptor.rectangle(1.0, 1.0, 128)
-    grid = pg.fd_dirichlet_green(dom, 0.5 + 0.5j)
+    grid = pg.RectangleGreenSolver(dom).solve(0.5 + 0.5j)
     oracle = pg.rectangle_green_series(dom, 0.25 + 0.5j, 0.5 + 0.5j)
     assert abs(grid.value(0.25 + 0.5j) - oracle) < 2e-4
 
@@ -278,7 +279,7 @@ def test_sine_basis_solver_matches_dense_solve(w, h, grid):
 def test_fd_green_requires_grid_node():
     dom = pg.DomainDescriptor.rectangle(1.0, 1.0, 64)
     with pytest.raises(DomainError):
-        pg.fd_dirichlet_green(dom, 0.5 + 0.5001j)
+        pg.RectangleGreenSolver(dom).solve(0.5 + 0.5001j)
 
 
 def test_tall_rectangle_solves_the_five_point_system():
@@ -495,39 +496,11 @@ def _equal_rectangles(grid):
 def test_rectangle_factors_once_per_grid(monkeypatch):
     built = _count_calls(monkeypatch, pg.RectangleGreenSolver, "__init__")
     doms = _equal_rectangles(48)
-    pg._rectangle_solver.cache_clear()
     robins = [pg.robin_data(d, 0.4 + 0.55j) for d in doms[:3]]
     values = [pg.green(d, 0.3 + 0.6j, 0.5 + 0.5j) for d in doms]
     assert built[0] == 0                 # the closed forms build no solver
     assert robins[0] == robins[1] == robins[2]
     assert len(set(values)) == 1
-    grids = [pg.fd_dirichlet_green(d, 0.5 + 0.5j).values for d in doms]
-    assert built[0] == 1
-    assert all(np.array_equal(g, grids[0]) for g in grids)
-    pg.RectangleGreenSolver(doms[0])     # the public constructor never caches
-    assert built[0] == 2
-
-
-def test_cached_rectangle_solve_is_bit_identical():
-    dom = pg.DomainDescriptor.rectangle(2.0, 1.0, 64)
-    a, z = 1.0 + 0.5j, 0.7 + 0.3j
-    fresh = pg.RectangleGreenSolver(dom).solve(a)
-    for _ in range(2):                   # cold, then from the cache
-        assert np.array_equal(pg.fd_dirichlet_green(dom, a).values, fresh.values)
-        assert pg.fd_dirichlet_green(dom, a).value(z) == fresh.value(z)
-    fine = pg.RectangleGreenSolver(dom, 96).solve(a)
-    assert np.array_equal(pg.fd_dirichlet_green(dom, a, grid=96).values, fine.values)
-
-
-def test_rectangle_cache_evicts_beyond_four_grids():
-    pg._rectangle_solver.cache_clear()
-    grids = (32, 34, 36, 38, 40)
-    for n in grids:
-        pg.fd_dirichlet_green(pg.DomainDescriptor.rectangle(1.0, 1.0, n), 0.5 + 0.5j)
-    info = pg._rectangle_solver.cache_info()
-    assert info.currsize <= 4 and info.misses == len(grids)
-    pg.fd_dirichlet_green(pg.DomainDescriptor.rectangle(1.0, 1.0, 32), 0.5 + 0.5j)
-    assert pg._rectangle_solver.cache_info().misses == len(grids) + 1   # 32 was evicted
 
 
 def test_rectangle_queries_import_no_scipy():
@@ -561,17 +534,18 @@ def test_strip_queries_build_no_double_and_one_lattice_per_tau(monkeypatch):
 
 
 def test_planar_green_and_schottky_keep_no_cache():
-    # every per-modulus constant lives in elliptic.lattice_constants; the
-    # finite-difference rectangle solver's own cache goes with that solver
+    # every per-modulus constant lives in elliptic.lattice_constants
     cached = [f"{module.__name__}.{name}" for module in (pg, schottky)
               for name, obj in vars(module).items()
               if callable(obj) and hasattr(obj, "cache_info")]
-    assert cached == ["potflow.planar_green._rectangle_solver"]
+    assert cached == []
 
 
 def _python_calls(query) -> list[str]:
     """The Python functions one warm call of query() enters, by name, from
-    the profiler's "call" events (query's own frame not counted)."""
+    the profiler's "call" events (query's own frame not counted).  The
+    garbage collector is off meanwhile: a collection would run the
+    finalizers of other tests' objects inside the profiled call."""
     query()
     names = []
 
@@ -579,11 +553,14 @@ def _python_calls(query) -> list[str]:
         if event == "call":
             names.append(frame.f_code.co_name)
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         query()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return names[1:]
 
 
@@ -638,3 +615,30 @@ def test_queries_name_the_first_point_outside(kind):
         with pytest.raises(DomainError) as err:
             call()
         assert str(err.value) == said
+
+
+_NON_FINITE = [complex(math.nan, 1.0), complex(math.nan, 0.0), complex(0.0, math.inf),
+               complex(math.inf, 1.0)]
+
+
+@pytest.mark.parametrize("point", _NON_FINITE, ids=str)
+@pytest.mark.parametrize("kind", sorted(_OUTSIDE))
+def test_queries_reject_non_finite_points(kind, point):
+    dom, inside, _, _ = _OUTSIDE[kind]
+    for call in (lambda: pg.green(dom, point, inside), lambda: pg.green(dom, inside, point),
+                 lambda: pg.robin_data(dom, point)):
+        with pytest.raises(DomainError, match=f"is not interior to {kind}"):
+            call()
+
+
+@pytest.mark.parametrize("point", _NON_FINITE, ids=str)
+def test_disk_functions_and_measures_reject_non_finite_input(point):
+    for call, error in ((lambda: pg.poisson_value(np.real, point), DomainError),
+                        (lambda: hadamard.triple_green(0.1, point, 0.2j), DomainError),
+                        (lambda: schottky.ahlfors_map_disk(0.5, point), DomainError),
+                        (lambda: schottky.ahlfors_map_disk(point, 0.5), DomainError),
+                        # a weight of nan or inf
+                        (lambda: equilibrium.WeightedMeasure([1, -1], [abs(point), 0.0]),
+                         ParameterError)):
+        with pytest.raises(error):
+            call()

@@ -1,0 +1,178 @@
+"""Every function in potflow is reached by a command, or is declared here.
+
+The guard runs the commands of ``_commands`` in one fresh interpreter under
+``sys.setprofile`` (a warm one would hide the first-call work behind
+caches, the lattice builds among it) and lists each ``def`` in
+``src/potflow`` whose code never ran.  A code object is matched to its
+``def`` by file, first line and name; the first line of a decorated
+function is its first decorator's, as on the ``lru_cache`` functions.
+Lambdas and comprehensions are not counted.
+
+That list must equal ``ALLOWED``, so new dead code fails here, and so does
+an entry whose function is now reached or gone.  To keep a function that
+no command runs, add ``"module.Qualified.name": REASON`` to ``ALLOWED``
+with one of the reasons below, or a new one-line reason that says why
+the function stays.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import potflow
+
+SRC = Path(potflow.__file__).resolve().parent
+
+ERROR_PATH = "error path: runs only when a command fails"
+FD_ORACLE = ("finite-difference rectangle oracle of the tests; perfbench traces "
+             "the solver by name")
+TRACED = "perfbench/tracing.py wraps it by name (tests/test_trace_names.py)"
+ITEM_5 = "awaits vortex dynamics beyond the disk (ROADMAP item 5)"
+ITEM_6 = "awaits the capacity solve with exact panel integrals (ROADMAP item 6)"
+PAPER = "paper quantity reached only by tests; awaits a verify oracle"
+NO_COMMAND_KIND = "closed form of a kind that no command integrates over"
+PUBLIC = "public constructor or serializer of a command's input type"
+
+ALLOWED = {
+    "cli._Parser.error": ERROR_PATH,
+    "errors.EvaluationError.__init__": ERROR_PATH,
+    "errors.CollisionError.__init__": ERROR_PATH,
+    "planar_green.RectangleGreenGrid.__init__": FD_ORACLE,
+    "planar_green.RectangleGreenGrid.value": FD_ORACLE,
+    "planar_green._sine_basis": FD_ORACLE,
+    "planar_green.RectangleGreenSolver.__init__": FD_ORACLE,
+    "planar_green.RectangleGreenSolver.node_index": FD_ORACLE,
+    "planar_green.RectangleGreenSolver._transverse": FD_ORACLE,
+    "planar_green.RectangleGreenSolver.solve": FD_ORACLE,
+    "planar_green.rectangle_green_series": (
+        "independent rectangle oracle of the tests and of perfbench/workloads.py"),
+    "equilibrium.CompactSet.boundary_point": TRACED,
+    "equilibrium.fekete_points": TRACED,
+    "equilibrium.equilibrium_measure": TRACED,
+    "numkit.gauss_legendre_panel": TRACED,
+    "surface.torus_green_constant": TRACED,
+    "equilibrium._carrier_nodes": ITEM_6,
+    "equilibrium._log_kernel": ITEM_6,
+    "equilibrium.equilibrium_energy": ITEM_6,
+    "schottky.gamma_electro_gradient": ITEM_5,
+    "schottky.gamma_hydro": ITEM_5,
+    "vortex.pair_force": PAPER,
+    "vortex.bound_vortex_force": PAPER,
+    "vortex.free_vortex_velocity": PAPER,
+    "vortex.forced_vortex_velocity": PAPER,
+    "vortex.stream_function": PAPER,
+    "vortex.hamiltonian": PAPER,
+    "equilibrium.discrete_energy": PAPER,
+    "equilibrium.condenser_capacity": PAPER,
+    "equilibrium.WeightedMeasure.potential": PAPER,
+    "equilibrium.WeightedMeasure.integrate": PAPER,
+    "schottky.StripDouble.p11_quadrature": PAPER,
+    "schottky.StripDouble.p11_quadrature.grad_sq": PAPER,
+    "planar_green._rectangle_area_rule": NO_COMMAND_KIND,
+    "planar_green._rectangle_dgdz": NO_COMMAND_KIND,
+    "planar_green._rectangle_harmonic": NO_COMMAND_KIND,
+    "planar_green._slit_dgdz": NO_COMMAND_KIND,
+    "numkit.sinh_rule": NO_COMMAND_KIND,
+    "numkit.line_segment": NO_COMMAND_KIND,
+    "equilibrium.CompactSet.disk": PUBLIC,
+    "equilibrium.CompactSet.to_dict": PUBLIC,
+    "planar_green.DomainDescriptor.to_json": PUBLIC,
+    "vortex.VortexSystem.to_dict": PUBLIC,
+    "vortex.VortexSystem.to_json": PUBLIC,
+    "schottky.StripDouble.contains": (
+        "public predicate of the strip double; queries test points through "
+        "planar_green._strip_contains"),
+}
+
+_CHILD = r"""
+import contextlib, io, json, os, sys
+
+seen = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+
+sys.setprofile(profile)
+from potflow import cli
+
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+sys.setprofile(None)
+root = os.path.dirname(cli.__file__)
+print(json.dumps({"codes": codes, "reached": sorted(
+    (c.co_filename, c.co_firstlineno, c.co_name)
+    for c in seen if c.co_filename.startswith(root))}))
+"""
+
+
+def _commands(out: Path) -> list[list[str]]:
+    """Every command, on each domain kind it takes; fekete writes under out."""
+    rect = '{"kind":"rectangle","w":2.0,"h":1.0}'
+    fekete = [('{"kind":"circle","R":1.0}', None),
+              ('{"kind":"segment","length":2.0}', None),
+              (f'{{"kind":"domain_boundary","domain":{rect}}}', None),
+              ('{"kind":"circle","R":1.0}', "2,0")]
+    pair = '[{"z":[0.3,0],"gamma":1},{"z":[-0.2,0.1],"gamma":-0.5}]'
+    green = [('{"kind":"disk","R":1.0}', "0.3,0.2", "0.1,0.5"),
+             ('{"kind":"half_plane"}', "0.3,0.2", "0.1,0.5"),
+             ('{"kind":"slit_plane"}', "-0.3,0.2", "0.1,0.5"),
+             (rect, "0.6,0.4", "0.1,0.5"),
+             ('{"kind":"periodic_strip","tau":[0,2]}', "-0.25,0.3", "-0.1,0.5")]
+    return [
+        ["verify", "--suite", "all"],
+        *(["fekete", "--domain", doc, "--n-max", "16", "--out", str(out / f"fekete{k}"),
+           *(["--pole", pole] if pole else [])]
+          for k, (doc, pole) in enumerate(fekete)),
+        *(["vortex", "--system", f'{{"vortices":{pair},"domain":{dom}}}',
+           "--t-end", "0.1"]
+          for dom in ('{"kind":"disk","R":1.0}', '{"kind":"plane"}')),
+        ["torus", "--tau", "0,2"],
+        ["torus", "--tau", "0.3,2"],
+        ["torus", "--tau", "0,1.5", "--p", "0.3"],
+        *(["green", "--domain", dom, "--a", a, "--z", z] for dom, a, z in green),
+    ]
+
+
+def _defs() -> dict[tuple[str, int, str], str]:
+    """(file, first line, name) -> "module.Qualified.name" for every def."""
+    found = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                found[(path, line, child.name)] = f"{prefix}.{child.name}"
+                walk(child, path, f"{prefix}.{child.name}")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}.{child.name}")
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text()), str(path), path.stem)
+    return found
+
+
+def test_every_def_is_reached_or_allowed(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(_commands(tmp_path))],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(result["codes"])
+    defs = _defs()
+    reached = {(str(Path(f).resolve()), line, name) for f, line, name in result["reached"]}
+    unreached = {name for key, name in defs.items() if key not in reached}
+    new = sorted(unreached - ALLOWED.keys())
+    stale = sorted(ALLOWED.keys() - unreached)
+    assert not new and not stale, (
+        f"unreached by any command and not in ALLOWED: {new}; "
+        f"in ALLOWED but reached or gone: {stale}")
