@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _FOURIER_N = 256
+# trapezoid nodes of every boundary integral on the circle
+_BOUNDARY_N = 512
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,13 @@ class BoundaryVariation:
     def __post_init__(self):
         if self.base.kind != "disk":
             raise ParameterError("boundary variations are implemented on disks")
-        peak = max(abs(self.delta_n(t))
-                   for t in np.linspace(0, 2 * math.pi, 64, endpoint=False))
+        if not (math.isfinite(self.epsilon) and self.epsilon != 0):
+            raise ParameterError("epsilon must be finite and nonzero")
+        # at the model's angles; np.max, unlike max(), returns nan if any value is nan
+        peak = np.max([abs(self.delta_n(t))
+                       for t in 2 * math.pi * np.arange(_FOURIER_N) / _FOURIER_N])
+        if not math.isfinite(peak):
+            raise ParameterError("delta_n must be finite on the boundary")
         if abs(self.epsilon) * peak > self.base.R / 10:
             raise DomainError("perturbation too large: domain may lose star shape")
 
@@ -114,23 +121,23 @@ class _PerturbedDisk:
         return planar_green.robin_data(self.base, w).h0 + math.log(abs(self._push_prime(w)))
 
 
-def _densities(R: float, n: int, *points: complex) -> tuple[np.ndarray, np.ndarray, list]:
-    """n trapezoid angles theta on |z| = R, their arc-length weights, and
+def _densities(R: float, *points: complex) -> tuple[np.ndarray, np.ndarray, list]:
+    """_BOUNDARY_N trapezoid angles theta on |z| = R, their arc-length weights, and
     -dG/dn(R e^{i theta}, p), the disk's Poisson density, for each point p."""
-    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
+    theta, w = numkit.trapezoid_rule(_BOUNDARY_N, 2 * math.pi)
     z = R * np.exp(1j * theta)
     return theta, R * w, [planar_green._disk_poisson(R, complex(p), z) for p in points]
 
 
-def _assert_unit_flux(R: float, n: int) -> None:
-    _, ds, (density,) = _densities(R, n, 0j)
+def _assert_unit_flux(R: float) -> None:
+    _, ds, (density,) = _densities(R, 0j)
     flux = ds @ density
     if abs(flux - 1.0) > 1e-10:
         raise NormalizationError(f"outward-normal convention broken: flux {flux}")
 
 
-def hadamard_delta_green(var: BoundaryVariation, a: complex, b: complex,
-                         n: int = 512) -> tuple[float, float]:
+def hadamard_delta_green(var: BoundaryVariation, a: complex,
+                         b: complex) -> tuple[float, float]:
     """Both sides of the Hadamard formula for delta G(a,b).
 
     lhs: central difference of the perturbed Green functions in epsilon;
@@ -141,46 +148,44 @@ def hadamard_delta_green(var: BoundaryVariation, a: complex, b: complex,
         raise DomainError("evaluation points must be interior")
     if abs(a - b) < 1e-12:
         raise PoleError("a and b must be distinct")
-    _assert_unit_flux(var.base.R, n)
+    _assert_unit_flux(var.base.R)
     eps = var.epsilon
     plus = _PerturbedDisk(var, +eps).green(a, b)
     minus = _PerturbedDisk(var, -eps).green(a, b)
     lhs = (plus - minus) / (2 * eps)
 
-    theta, ds, (pa, pb) = _densities(var.base.R, n, a, b)
+    theta, ds, (pa, pb) = _densities(var.base.R, a, b)
     # delta_n is a function of one angle
     return lhs, float(numkit.integrate(numkit.pointwise(var.delta_n), theta,
                                        ds * pa * pb))
 
 
-def hadamard_delta_h0(var: BoundaryVariation, a: complex,
-                      n: int = 512) -> tuple[float, float]:
+def hadamard_delta_h0(var: BoundaryVariation, a: complex) -> tuple[float, float]:
     """Both sides of delta h0(a) = 2 pi oint (dG/dn(.,a))^2 delta_n ds."""
     a = complex(a)
     if not var.base.contains(a):
         raise DomainError("evaluation point must be interior")
-    _assert_unit_flux(var.base.R, n)
+    _assert_unit_flux(var.base.R)
     eps = var.epsilon
     plus = _PerturbedDisk(var, +eps).robin_h0(a)
     minus = _PerturbedDisk(var, -eps).robin_h0(a)
     lhs = (plus - minus) / (2 * eps)
 
-    theta, ds, (pa,) = _densities(var.base.R, n, a)
+    theta, ds, (pa,) = _densities(var.base.R, a)
     return lhs, 2 * math.pi * float(numkit.integrate(
         numkit.pointwise(var.delta_n), theta, ds * pa ** 2))
 
 
-def triple_green(a: complex, b: complex, c: complex, n: int = 512,
-                 R: float = 1.0) -> float:
-    """oint dG/dn(.,a) dG/dn(.,b) dG/dn(.,c) ds on the disk of radius R.
+def triple_green(a: complex, b: complex, c: complex) -> float:
+    """oint dG/dn(.,a) dG/dn(.,b) dG/dn(.,c) ds on the unit disk.
 
     Completely symmetric in a, b, c; equal arguments are allowed.  This is
     the infinitesimal generator of Laplacian growth: the Hadamard variation
     with delta_n = -dG/dn(.,c) changes G(a,b) by -triple_green(a,b,c) per
     unit time.
     """
-    if not all(abs(complex(p)) < R for p in (a, b, c)):   # nan fails too
+    if not all(abs(complex(p)) < 1 for p in (a, b, c)):   # nan fails too
         raise DomainError("arguments must be interior to the disk")
-    _assert_unit_flux(R, n)
-    _, ds, (pa, pb, pc) = _densities(R, n, a, b, c)
+    _assert_unit_flux(1.0)
+    _, ds, (pa, pb, pc) = _densities(1.0, a, b, c)
     return -float(ds @ (pa * pb * pc))

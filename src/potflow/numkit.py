@@ -44,12 +44,6 @@ __all__ = [
     "rk_integrate",
 ]
 
-# Finite-difference steps balancing truncation against double-precision
-# roundoff (first / mixed second derivatives).
-DEFAULT_H1 = 1e-5
-DEFAULT_H2 = 1e-4
-
-
 def as_points(z):
     """An array of dimension >= 1 as a complex ndarray, else (a number or a
     0-d array) a Python complex."""
@@ -154,15 +148,15 @@ def sinh_rule(lo: float, hi: float, center: float, dist: float,
     return center + dist * np.sinh(u), dist * np.cosh(u) * wu
 
 
-def product_rule(rule_a, rule_b, origin: complex = 0j, da: complex = 1.0,
+def product_rule(rule_a, rule_b, origin: complex = 0j,
                  db: complex = 1j) -> tuple[np.ndarray, np.ndarray]:
-    """Area rule from two 1-D rules: nodes origin + s da + t db.
+    """Area rule from two 1-D rules: nodes origin + s + t db.
 
-    The weights carry the Jacobian |Im(conj(da) db)| of the affine map.
+    The weights carry the Jacobian |Im db| of the affine map.
     """
     (s, ws), (t, wt) = rule_a, rule_b
-    nodes = origin + s[:, None] * da + t[None, :] * db
-    jac = abs((complex(da).conjugate() * db).imag)
+    nodes = origin + s[:, None] + t[None, :] * db
+    jac = abs(complex(db).imag)
     return nodes.ravel(), (np.outer(ws, wt) * jac).ravel()
 
 
@@ -234,8 +228,8 @@ class Curve:
 
 def circle(center: complex = 0j, radius: float = 1.0) -> Curve:
     """Positively oriented circle."""
-    if radius <= 0:
-        raise ParameterError("radius must be positive")
+    if not (abs(center) < math.inf and 0 < radius < math.inf):   # nan fails too
+        raise ParameterError("circle needs a finite center and a positive, finite radius")
     w = 2j * np.pi
     return Curve(lambda t: center + radius * np.exp(w * t),
                  lambda t: w * radius * np.exp(w * t), closed=True)
@@ -275,18 +269,21 @@ def cross_stencil(z0: complex, h: float) -> tuple[complex, ...]:
     return z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h
 
 
+def _check_step(h: float) -> None:
+    """Refuse a finite-difference step outside [1e-8, 1e-2] (nan included)."""
+    if not (1e-8 <= h <= 1e-2):
+        raise ParameterError("step h must lie in [1e-8, 1e-2]")
+
+
 def wirtinger_derivative(f: Callable[[complex], complex], z0: complex,
-                         which: str = "dz", h: float | None = None) -> complex:
-    """Central-difference Wirtinger derivative, error O(h^2).
+                         which: str, h: float) -> complex:
+    """Central-difference Wirtinger derivative of step h, error O(h^2).
 
     ``which`` is one of ``"dz"``, ``"dzbar"``, ``"dzdzbar"``.
     d/dz = (d/dx - i d/dy)/2 and d/dzbar = (d/dx + i d/dy)/2; the mixed
     second derivative is Laplacian/4 on the 5-point stencil.
     """
-    if h is None:
-        h = DEFAULT_H1 if which in ("dz", "dzbar") else DEFAULT_H2
-    if not (1e-8 <= h <= 1e-2):
-        raise ParameterError("step h must lie in [1e-8, 1e-2]")
+    _check_step(h)
     fe = lambda z: require_finite(f(z), z)
     if which in ("dz", "dzbar"):
         e, w, n, s = (fe(p) for p in cross_stencil(z0, h))
@@ -301,8 +298,7 @@ def wirtinger_derivative(f: Callable[[complex], complex], z0: complex,
 
 
 def mixed_second_derivative(f2: Callable[[complex, complex], complex],
-                            z0: complex, a0: complex,
-                            h: float = DEFAULT_H2) -> complex:
+                            z0: complex, a0: complex, h: float) -> complex:
     """d^2/dz dabar of a two-point function f2(z, a), error O(h^2)."""
     return wirtinger_derivative(
         lambda z: wirtinger_derivative(lambda a: f2(z, a), a0, "dzbar", h), z0, "dz", h)
@@ -320,8 +316,8 @@ def fd_laplacian(samples: Sequence[complex], h: float) -> float:
     return float(((e + w + n + s - 4 * c) / (h * h)).real)
 
 
-def laplacian_at(f: Callable[[complex], float], z0: complex,
-                 h: float = DEFAULT_H2) -> float:
+def laplacian_at(f: Callable[[complex], float], z0: complex, h: float) -> float:
+    _check_step(h)
     samples = [f(z0), f(z0 + h), f(z0 - h), f(z0 + 1j * h), f(z0 - 1j * h)]
     return fd_laplacian(samples, h)
 

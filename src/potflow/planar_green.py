@@ -183,7 +183,7 @@ def green(domain: DomainDescriptor, z: complex, a: complex) -> float:
     spec = _KINDS[domain.kind]
     if not (spec.contains(domain, z) and spec.contains(domain, a)):
         _require_interior(domain, z, a)   # raises, naming the first point outside
-    if abs(z - a) < 1e-14:
+    if abs(z - a) < 1e-14 * (spec.size(domain) if spec.size else 1.0):
         raise PoleError("Green function pole at z = a")
     return float(spec.green(domain, z, a))
 
@@ -209,7 +209,7 @@ def robin_data(domain: DomainDescriptor, a: complex) -> GreenExpansion:
     spec = _KINDS[domain.kind]
     if not spec.contains(domain, a):
         _require_interior(domain, a)   # raises
-    if spec.boundary_distance(domain, a) < 1e-9:
+    if spec.boundary_distance(domain, a) < 1e-9 * (spec.size(domain) if spec.size else 1.0):
         raise ConditioningError("point too close to the boundary for Robin data")
     h0, h1, curvature = spec.robin(domain, a)
     return GreenExpansion(float(h0), complex(h1), curvature)
@@ -230,15 +230,15 @@ def h1_contour(domain: DomainDescriptor, a: complex, n: int = 256) -> complex:
 
 
 def poisson_value(boundary_data: Callable[[np.ndarray], np.ndarray], a: complex,
-                  R: float = 1.0, n: int = 256) -> float:
-    """Harmonic extension at a from boundary values on |z| = R (trapezoid
+                  n: int = 256) -> float:
+    """Harmonic extension at a from boundary values on |z| = 1 (trapezoid
     rule); boundary_data receives the array of boundary nodes."""
     a = complex(a)
-    if not abs(a) < R:   # nan fails too
-        raise DomainError("evaluation point must satisfy |a| < R")
+    if not abs(a) < 1:   # nan fails too
+        raise DomainError("evaluation point must satisfy |a| < 1")
     theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
-    z = R * np.exp(1j * theta)
-    return float(numkit.integrate(boundary_data, z, R * w * _disk_poisson(R, a, z)))
+    z = np.exp(1j * theta)
+    return float(numkit.integrate(boundary_data, z, w * _disk_poisson(1.0, a, z)))
 
 
 def conformal_transport(src: GreenExpansion, fprime: complex,
@@ -255,10 +255,9 @@ def conformal_transport(src: GreenExpansion, fprime: complex,
     return GreenExpansion(h0, h1, src.curvature)
 
 
-def curvature_of_metric(gamma: Callable[[complex], float], z: complex,
-                        h: float = 1e-4) -> float:
+def curvature_of_metric(gamma: Callable[[complex], float], z: complex) -> float:
     """Gaussian curvature of ds = exp(-gamma)|dz|: kappa = exp(2 gamma) Lap gamma."""
-    lap = numkit.laplacian_at(gamma, complex(z), h)
+    lap = numkit.laplacian_at(gamma, complex(z), 1e-4)
     return math.exp(2 * gamma(complex(z))) * lap
 
 
@@ -634,6 +633,8 @@ class _Kind:
     area_rule: Callable | None = None    # (d, resolution) -> (nodes, weights)
     harmonic: Callable | None = None     # (d, a, m) -> (points, raw -dG/dn ds weights)
     interior: str = ""       # the bounds of contains, where errors should name them
+    # d -> the length green's and robin_data's bounds scale with; None: absolute
+    size: Callable | None = None
 
 
 _KINDS: dict[str, _Kind] = {
@@ -643,6 +644,7 @@ _KINDS: dict[str, _Kind] = {
         invalid=lambda d: "disk radius must be positive" if d.R <= 0 else None,
         contains=lambda d, z: abs(z) < d.R,
         boundary_distance=lambda d, z: d.R - abs(z),
+        size=lambda d: d.R,
         green=lambda d, z, a: -np.log(
             abs(d.R * (z - a) / (d.R * d.R - z * a.conjugate()))) / (2 * math.pi),
         robin=lambda d, a: (_disk_h0(d, a), _disk_image(d, a, a), -4.0),
@@ -687,6 +689,7 @@ _KINDS: dict[str, _Kind] = {
                            else None),
         contains=lambda d, z: 0 < z.real < d.w and 0 < z.imag < d.h,
         boundary_distance=lambda d, z: min(z.real, d.w - z.real, z.imag, d.h - z.imag),
+        size=lambda d: min(d.w, d.h),
         green=_rectangle_green,
         robin=_rectangle_robin,
         green_z_derivative=_rectangle_dgdz,

@@ -102,15 +102,16 @@ class StripDouble:
         z, bound = numkit.as_points(z), planar_green.STRIP_IM_MAX
         return (abs(z.real) <= bound) & (abs(z.imag) <= bound * self.T)
 
-    def p11_quadrature(self, n: int = 64, h: float = 1e-6) -> float:
+    def p11_quadrature(self) -> float:
         """P11 = (1/2) int_Omega du1 wedge *du1 by fd gradient + midpoint rule."""
         def grad_sq(z: np.ndarray) -> np.ndarray:
+            h = 1e-6
             ux = (self.u1(z + h) - self.u1(z - h)) / (2 * h)
             uy = (self.u1(z + 1j * h) - self.u1(z - 1j * h)) / (2 * h)
             return ux * ux + uy * uy
 
-        cell = numkit.product_rule(numkit.midpoint_rule(n, 0.5),
-                                   numkit.midpoint_rule(n, self.T), -0.5)
+        cell = numkit.product_rule(numkit.midpoint_rule(64, 0.5),
+                                   numkit.midpoint_rule(64, self.T), -0.5)
         return 0.5 * float(numkit.integrate(grad_sq, *cell))
 
 
@@ -125,8 +126,8 @@ def _require_strip(dbl: StripDouble, *points) -> None:
                               f"({planar_green.STRIP_INTERIOR})")
 
 
-def schwarz_circle(z: complex, R: float = 1.0) -> complex:
-    """Schwarz function of the circle |z| = R: S(z) = R^2/z.
+def schwarz_circle(z: complex) -> complex:
+    """Schwarz function of the unit circle: S(z) = 1/z.
 
     conj(S(z)) is the anti-conformal reflection across the circle and
     S'(z) = T(z)^{-2} with T the positively oriented unit tangent.
@@ -134,7 +135,7 @@ def schwarz_circle(z: complex, R: float = 1.0) -> complex:
     z = complex(z)
     if z == 0:
         raise PoleError("Schwarz function of the circle has a pole at 0")
-    return R * R / z
+    return 1.0 / z
 
 
 def strip_bergman_kernels(z, a: complex, dbl: StripDouble):
@@ -242,14 +243,13 @@ def gamma_hydro(a: complex, dbl: StripDouble, p: float = 0.0) -> float:
     return gamma_electro(a, dbl) + math.pi / dbl.T * (StripDouble.u1(a) - p) ** 2
 
 
-def hydro_circulation(a: complex, dbl: StripDouble, p: float = 0.0,
-                      n: int = 128) -> float:
+def hydro_circulation(a: complex, dbl: StripDouble, p: float = 0.0) -> float:
     """-oint_beta *dG_hydro around the inner (u1 = 1) boundary component.
 
     The cycle is the line x = -1/2 carrying the boundary orientation of
     Omega (negative y direction); fd x-derivative plus trapezoid in y.
     """
-    a = complex(a)
+    a, n = complex(a), 128
     # the y trapezoid errs like exp(-2 pi d n / Im tau), d the poles' distance from the wall
     ys, wy = numkit.trapezoid_rule(max(n, math.ceil(n * dbl.T / 2)), dbl.T)
     # *dG = G_x dy along the wall; orientation -y makes -oint = +T mean(G_x)
@@ -293,10 +293,10 @@ def neumann_strip(z, a, dbl: StripDouble):
 # reproducing properties
 # ---------------------------------------------------------------------------
 
-def _strip_rule(dbl: StripDouble, resolution: int = 12):
-    """Tensor composite Gauss-Legendre rule over Omega = (-1/2,0) x (0, Im tau):
-    ``(axes, nodes, weights)`` with ``axes`` its two 1-D rules."""
-    axes = tuple(numkit.gauss_legendre_rule(np.linspace(lo, hi, resolution + 1))
+def _strip_rule(dbl: StripDouble):
+    """Tensor composite Gauss-Legendre rule of 12 panels a side over Omega =
+    (-1/2,0) x (0, Im tau): ``(axes, nodes, weights)``, ``axes`` its 1-D rules."""
+    axes = tuple(numkit.gauss_legendre_rule(np.linspace(lo, hi, 13))
                  for lo, hi in ((-0.5, 0.0), (0.0, dbl.T)))
     return (axes, *numkit.product_rule(*axes))
 
@@ -312,14 +312,13 @@ def _strip_kernels(axes, a: complex, dbl: StripDouble):
                                            dbl.lattice).ravel(), dbl)
 
 
-def _beta_period_of(f, dbl: StripDouble, x0: float = -0.25, n: int = 256) -> complex:
-    """oint f dz over the vertical cycle Re z = x0 (period tau)."""
-    ys, wy = numkit.trapezoid_rule(n, dbl.T)
-    return numkit.integrate(f, x0 + 1j * ys, 1j * wy)
+def _beta_period_of(f, dbl: StripDouble) -> complex:
+    """oint f dz over the vertical cycle Re z = -1/4 (period tau)."""
+    ys, wy = numkit.trapezoid_rule(256, dbl.T)
+    return numkit.integrate(f, -0.25 + 1j * ys, 1j * wy)
 
 
-def reproducing_check(kernel: str, f, a, dbl: StripDouble,
-                      resolution: int = 12):
+def reproducing_check(kernel: str, f, a, dbl: StripDouble):
     """(i/2) int_Omega f dz wedge conj(K(.,a) dz) = int f conj(K) dx dy,
     for one point a or an array of points (an array of values out).
 
@@ -336,7 +335,7 @@ def reproducing_check(kernel: str, f, a, dbl: StripDouble,
             raise AdmissibilityError(
                 f"integrand has nonzero strip period {abs(period):.2e}; "
                 "not admissible for the hydrodynamic kernel")
-    axes, nodes, weights = _strip_rule(dbl, resolution)
+    axes, nodes, weights = _strip_rule(dbl)
     fz = f(nodes)
     which = 0 if kernel == "electro" else 1
     # kernel first: numpy's complex product is not commutative in the last bit
@@ -346,10 +345,9 @@ def reproducing_check(kernel: str, f, a, dbl: StripDouble,
     return vals[0] if numkit.is_scalar(a) else np.reshape(vals, np.shape(a))
 
 
-def orthogonality_integral(b: complex, dbl: StripDouble,
-                           resolution: int = 12) -> complex:
+def orthogonality_integral(b: complex, dbl: StripDouble) -> complex:
     """int_Omega K_double dz wedge conj(K_hydro(.,b) dz) (vanishes)."""
-    axes, nodes, weights = _strip_rule(dbl, resolution)
+    axes, nodes, weights = _strip_rule(dbl)
     _, kh, kd = _strip_kernels(axes, b, dbl)
     return numkit.integrate(lambda z: kd * kh.conjugate(), nodes, weights)
 
@@ -443,15 +441,13 @@ def capacity_functions(a: complex, dbl: StripDouble) -> CapacityFunctions:
     )
 
 
-def disk_capacity_functions(a: complex, R: float = 1.0) -> CapacityFunctions:
-    """Degenerate (simply connected) control case on a disk: each quantity
-    from its own closed form; all five coincide."""
+def disk_capacity_functions(a: complex) -> CapacityFunctions:
+    """Degenerate (simply connected) control case on the unit disk: each
+    quantity from its own closed form; all five coincide."""
     a = complex(a)
-    if abs(a) >= R:
-        raise DomainError("point must be interior to the disk")
-    rd = planar_green.robin_data(planar_green.DomainDescriptor.disk(R), a)
-    ke = planar_green.bergman_disk(a / R, a / R).real / (R * R)
-    ksz = planar_green.szego_disk(a / R, a / R).real / R
+    rd = planar_green.robin_data(planar_green.DomainDescriptor.disk(1.0), a)   # checks a
+    ke = planar_green.bergman_disk(a, a).real
+    ksz = planar_green.szego_disk(a, a).real
     return CapacityFunctions(
         c1=math.exp(-rd.h0),
         cD=math.sqrt(math.pi * ke),

@@ -98,8 +98,7 @@ def sphere_expansion(a: complex) -> SurfaceExpansion:
     )
 
 
-def _unit_disk_rule(center: complex = 0j, nr: int = 64, nt: int = 128,
-                    cluster_radius: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+def _unit_disk_rule(center: complex) -> tuple[np.ndarray, np.ndarray]:
     """Area rule on {|z| <= 1} in polar coordinates around ``center``.
 
     The radial extent R(theta) to the unit circle is smooth in theta, so
@@ -109,14 +108,13 @@ def _unit_disk_rule(center: complex = 0j, nr: int = 64, nt: int = 128,
     c = complex(center)
     if abs(c) >= 1.0:
         raise ParameterError("polar center must lie in the open disk")
-    theta, w = numkit.trapezoid_rule(nt, 2 * math.pi)
+    theta, w = numkit.trapezoid_rule(128, 2 * math.pi)
     proj = (c.conjugate() * np.exp(1j * theta)).real
     R = -proj + np.sqrt(np.maximum(1.0 - abs(c) ** 2 + proj * proj, 0.0))
-    return numkit.polar_rule(c, (theta, w), R, nr,
-                             band=min(cluster_radius, (1 - abs(c)) / 2))
+    return numkit.polar_rule(c, (theta, w), R, 64, band=min(0.1, (1 - abs(c)) / 2))
 
 
-def sphere_green_mean(a: complex, resolution: int = 64) -> float:
+def sphere_green_mean(a: complex) -> float:
     """Quadrature of int_M G(., a) vol (should vanish by normalization).
 
     The sphere splits as {|z| <= 1} plus the inverted chart; the patch
@@ -136,8 +134,8 @@ def sphere_green_mean(a: complex, resolution: int = 64) -> float:
 
     ainv = 1.0 / a.conjugate() if a != 0 else None
     center_inv = ainv if (ainv is not None and abs(ainv) < 1) else 0j
-    plane = _unit_disk_rule(a if abs(a) < 1 else 0j, resolution, 2 * resolution)
-    inverted = _unit_disk_rule(center_inv, resolution, 2 * resolution)
+    plane = _unit_disk_rule(a if abs(a) < 1 else 0j)
+    inverted = _unit_disk_rule(center_inv)
     return float(numkit.integrate(f_plane, *plane) + numkit.integrate(f_inv, *inverted))
 
 
@@ -147,7 +145,7 @@ def _sphere_green_grad(z: complex, a: complex) -> complex:
     return -(1.0 / (z - a) - z.conjugate() / (1 + abs(z) ** 2)) / (4 * math.pi) * 2
 
 
-def sphere_mutual_energy(a: complex, b: complex, resolution: int = 64) -> float:
+def sphere_mutual_energy(a: complex, b: complex) -> float:
     """int_M dG(.,a) wedge *dG(.,b), the mutual energy identity oracle.
 
     In chart coordinates the integrand is grad G_a . grad G_b dx dy with no
@@ -172,8 +170,8 @@ def sphere_mutual_energy(a: complex, b: complex, resolution: int = 64) -> float:
     ainv = 1.0 / a.conjugate() if a != 0 else 0j
     binv = 1.0 / b.conjugate() if b != 0 else 0j
     center_inv = ainv if abs(ainv) < 1 else (binv if abs(binv) < 1 else 0j)
-    plane = _unit_disk_rule(center_plane, resolution, 2 * resolution)
-    inverted = _unit_disk_rule(center_inv, resolution, 2 * resolution)
+    plane = _unit_disk_rule(center_plane)
+    inverted = _unit_disk_rule(center_inv)
     return float(numkit.integrate(lambda z: integrand(z, False), *plane)
                  + numkit.integrate(lambda z: integrand(z, True), *inverted))
 
@@ -226,9 +224,9 @@ class OneForm:
         return OneForm(lambda z: -1j * self.f(z), lambda z: 1j * self.g(z))
 
 
-def form_period(form: OneForm, cycle: numkit.Curve, n: int = 128) -> complex:
+def form_period(form: OneForm, cycle: numkit.Curve) -> complex:
     """Line integral of the one-form over a parametrized cycle."""
-    nodes, dz = cycle.rule(n)
+    nodes, dz = cycle.rule(128)
     return (numkit.integrate(form.f, nodes, dz)
             + numkit.integrate(form.g, nodes, dz.conjugate()))
 
@@ -322,15 +320,15 @@ def torus_monopole_green(z, a, lattice: elliptic.TorusLattice):
             + y * y / (2 * lattice.tau.imag) + lattice.green_constant)
 
 
-def wedge_integral_cell(form1: OneForm, form2: OneForm, lattice: elliptic.TorusLattice,
-                        n: int = 48) -> complex:
+def wedge_integral_cell(form1: OneForm, form2: OneForm,
+                        lattice: elliptic.TorusLattice) -> complex:
     """int_F omega1 wedge omega2 over the fundamental cell (midpoint rule)."""
     def coefficient(z: complex) -> complex:
         # (f1 dz + g1 dzbar) ^ (f2 dz + g2 dzbar) = (f1 g2 - g1 f2) dz^dzbar
         return form1.f(z) * form2.g(z) - form1.g(z) * form2.f(z)
 
-    cell = numkit.product_rule(numkit.midpoint_rule(n), numkit.midpoint_rule(n),
-                               0j, 1.0, lattice.tau)
+    cell = numkit.product_rule(numkit.midpoint_rule(48), numkit.midpoint_rule(48),
+                               0j, lattice.tau)
     # dz ^ dzbar = -2i dx dy
     return numkit.integrate(coefficient, *cell) * (-2j)
 

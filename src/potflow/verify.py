@@ -47,14 +47,14 @@ class Check:
         }
 
 
-def _laplacian_richardson(f, z: complex, h: float = 1e-3) -> float:
-    coarse = numkit.laplacian_at(f, z, h)
-    fine = numkit.laplacian_at(f, z, h / 2)
+def _laplacian_richardson(f, z: complex) -> float:
+    coarse = numkit.laplacian_at(f, z, 1e-3)
+    fine = numkit.laplacian_at(f, z, 5e-4)
     return (4 * fine - coarse) / 3
 
 
-def _mixed_richardson(f2, z: complex, a: complex, h: float = 2e-4) -> complex:
-    """Richardson extrapolation of d^2 f2 / dz dabar from steps h and h/2.
+def _mixed_richardson(f2, z: complex, a: complex) -> complex:
+    """Richardson extrapolation of d^2 f2 / dz dabar from steps 2e-4 and 1e-4.
 
     f2 takes arrays of z and a and is called once per step, on the 16
     (z, a) pairs of the stencil; ``numkit.mixed_second_derivative`` then
@@ -68,8 +68,8 @@ def _mixed_richardson(f2, z: complex, a: complex, h: float = 2e-4) -> complex:
         table = dict(zip(pairs, f2(np.array(us), np.array(vs))))
         return numkit.mixed_second_derivative(lambda u, v: table[u, v], z, a, hh)
 
-    coarse = at_step(h)
-    fine = at_step(h / 2)
+    coarse = at_step(2e-4)
+    fine = at_step(1e-4)
     return (4 * fine - coarse) / 3
 
 
@@ -105,7 +105,7 @@ def planar_checks() -> list[Check]:
 
     # Liouville equation: curvature of exp(-h0)|dz| is -4
     kappa = planar_green.curvature_of_metric(
-        lambda w: planar_green.robin_data(disk, w).h0, 0.5, 1e-4)
+        lambda w: planar_green.robin_data(disk, w).h0, 0.5)
     out.append(Check("disk metric curvature is -4", "Liouville",
                      abs(kappa + 4.0), 1e-5))
 
@@ -129,7 +129,7 @@ def planar_checks() -> list[Check]:
     worst = 0.0
     for _ in range(10):
         p = 0.8 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
-        val = planar_green.poisson_value(lambda w: (w ** 3).real, p, 1.0, 512)
+        val = planar_green.poisson_value(lambda w: (w ** 3).real, p, 512)
         worst = max(worst, abs(val - (p ** 3).real))
     out.append(Check("Poisson kernel reproduces Re z^3", "Poisson", worst, 1e-10))
 
@@ -180,7 +180,7 @@ def planar_checks() -> list[Check]:
 
     # triple Green symmetry
     pts = (0.31, 0.12j, -0.25 + 0.2j)
-    vals = [hadamard.triple_green(*perm, n=512) for perm in
+    vals = [hadamard.triple_green(*perm) for perm in
             ((pts[0], pts[1], pts[2]), (pts[2], pts[0], pts[1]),
              (pts[1], pts[2], pts[0]), (pts[0], pts[2], pts[1]))]
     out.append(Check("triple-Green permutation symmetry", "integrability",
@@ -395,13 +395,13 @@ def schottky_checks() -> list[Check]:
                      abs(_strip_flux(a, dbl) - 1.0), 1e-6))
 
     # hydro Green: locally constant boundary, prescribed circulation
-    worst_t = max(abs(_wall_tangential(dbl, a, x0, 0.7)) for x0 in (0.0, -0.5))
+    worst_t = max(abs(_wall_tangential(dbl, a, x0)) for x0 in (0.0, -0.5))
     out.append(Check("hydro Green boundary-locally-constant", "dGhydro",
                      worst_t, 1e-8))
     worst_p = max(abs(schottky.hydro_circulation(a, dbl, p) - p) for p in (0.0, 0.7))
     out.append(Check("hydro circulation equals p", "ointdGp", worst_p, 1e-8))
     out.append(Check("hydro boundary pairing vanishes", "hydrohydro",
-                     abs(_hydrohydro(dbl, a, b, 0.7)), 1e-8))
+                     abs(_hydrohydro(dbl, a, b)), 1e-8))
 
     # Neumann function
     h = 1e-6
@@ -482,7 +482,7 @@ def schottky_checks() -> list[Check]:
     worst = 0.0
     for p in (-0.25 + 0.5j, -0.1 + 0.3j, -0.37 + 1.7j, -0.3 + 1.0j, -0.15 + 0.9j):
         kappa = planar_green.curvature_of_metric(
-            lambda w: schottky.gamma_electro(w, dbl), p, 1e-4)
+            lambda w: schottky.gamma_electro(w, dbl), p)
         worst = max(worst, max(kappa + 4.0, 0.0))
     out.append(Check("electro metric curvature at most -4", "estimateskappa",
                      worst, 1e-3))
@@ -517,25 +517,24 @@ def _kernel_period_residual(dbl: schottky.StripDouble, a: complex, n: int = 192)
     return max(abs(pa_e), abs(pb_e - 2j), abs(pa_h + 2 / dbl.T), abs(pb_h))
 
 
-def _strip_flux(a: complex, dbl: schottky.StripDouble, n: int = 96) -> float:
+def _strip_flux(a: complex, dbl: schottky.StripDouble) -> float:
     gx = lambda z: schottky._g_hydro_dx(z, a, dbl, 0.0)
-    ys, wy = numkit.trapezoid_rule(n, dbl.T)
+    ys, wy = numkit.trapezoid_rule(96, dbl.T)
     return float(numkit.integrate(gx, -0.5 + 1j * ys, wy)
                  - numkit.integrate(gx, 1j * ys, wy))
 
 
-def _wall_tangential(dbl: schottky.StripDouble, a: complex, x0: float,
-                     p: float, h: float = 1e-5) -> float:
-    return (schottky._g_hydro_extended(complex(x0, 0.4 + h), a, dbl, p)
-            - schottky._g_hydro_extended(complex(x0, 0.4 - h), a, dbl, p)) / (2 * h)
+def _wall_tangential(dbl: schottky.StripDouble, a: complex, x0: float) -> float:
+    h = 1e-5
+    return (schottky._g_hydro_extended(complex(x0, 0.4 + h), a, dbl, 0.7)
+            - schottky._g_hydro_extended(complex(x0, 0.4 - h), a, dbl, 0.7)) / (2 * h)
 
 
-def _hydrohydro(dbl: schottky.StripDouble, a: complex, b: complex,
-                p: float, n: int = 128) -> float:
-    integrand = lambda z: (schottky._g_hydro_extended(z, a, dbl, p)
-                           * schottky._g_hydro_dx(z, b, dbl, p))
+def _hydrohydro(dbl: schottky.StripDouble, a: complex, b: complex) -> float:
+    integrand = lambda z: (schottky._g_hydro_extended(z, a, dbl, 0.7)
+                           * schottky._g_hydro_dx(z, b, dbl, 0.7))
     # the wall x = 0 carries orientation +1, the wall x = -1/2 orientation -1
-    ys, wy = numkit.trapezoid_rule(n, dbl.T)
+    ys, wy = numkit.trapezoid_rule(128, dbl.T)
     return float(numkit.integrate(integrand, 1j * ys, wy)
                  - numkit.integrate(integrand, -0.5 + 1j * ys, wy))
 
@@ -544,8 +543,8 @@ def _contour_residue(f, c: complex, radius: float = 0.01, n: int = 64) -> comple
     return numkit.contour_integral(f, numkit.circle(c, radius), n) / (2j * math.pi)
 
 
-def _cycle_integral(f, z0: complex, dz: complex, n: int = 256) -> complex:
-    t, w = numkit.trapezoid_rule(n)
+def _cycle_integral(f, z0: complex, dz: complex) -> complex:
+    t, w = numkit.trapezoid_rule(256)
     return numkit.integrate(f, z0 + dz * t, dz * w)
 
 

@@ -74,7 +74,8 @@ class VortexSystem:
                                  f"{MAX_MODULUS:g} in modulus")
         if self.domain is not None and self.domain.kind != "disk":
             raise ParameterError("vortex domains are the plane or a disk")
-        if _min_pair_distance(self.positions) < COLLISION_THRESHOLD:
+        size = 1.0 if self.domain is None else _DISK.size(self.domain)
+        if _min_pair_distance(self.positions) < COLLISION_THRESHOLD * size:
             raise SingularConfigurationError("coincident vortex positions")
         if self.domain is not None:
             outside = self.positions[
@@ -200,10 +201,11 @@ def _energy_of(g: np.ndarray, domain):
     i, j = numkit.pair_indices(len(g))
     pair_w, self_w = g[i] * g[j], g * g
 
+    # .sum(), unlike a BLAS dot, adds in one order at any BLAS thread count
     def energy(z: np.ndarray) -> float:
-        total = pair_w @ _green(domain, z[i], z[j])
+        total = (pair_w * _green(domain, z[i], z[j])).sum()
         if domain is not None:
-            total += self_w @ planar_green._disk_h0(domain, z) / (4 * math.pi)
+            total += (self_w * planar_green._disk_h0(domain, z)).sum() / (4 * math.pi)
         return float(total)
     return energy
 
@@ -214,7 +216,7 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.T
     Monitors: ``energy`` (Kirchhoff-Routh), and in the plane the moments
     ``moment`` = |sum G_k z_k| and ``angular`` = sum G_k |z_k|^2; in the
     disk ``radius_k`` for each vortex.  Aborts with CollisionError when two
-    vortices (or a vortex and the wall) come within the threshold.
+    vortices (or a vortex and the wall) come within COLLISION_THRESHOLD R.
     """
     g = system.strengths
     domain = system.domain
@@ -230,9 +232,10 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.T
         monitors["angular"] = lambda y: float(np.sum(g * np.abs(y) ** 2))
 
     sep_guard = separation if system.n > 1 or domain is not None else None
+    size = 1.0 if domain is None else _DISK.size(domain)
     traj = numkit.rk_integrate(field, system.positions, t_end, tol,
                                monitors=monitors, separation=sep_guard,
-                               collision_threshold=COLLISION_THRESHOLD)
+                               collision_threshold=COLLISION_THRESHOLD * size)
     if domain is not None:
         # |z_k| of every state at once; np.hypot is the C library's hypot,
         # which abs() of one point calls (np.abs of a complex array is not)

@@ -203,7 +203,8 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 def _cli_output_at_each_thread_count(argv, out):
     """Run the CLI in a fresh process at 1 and then 2 BLAS threads, writing
-    to ``out``; yields (threads, the bytes written) after each run."""
+    to ``out``; yields (threads, the bytes written) after each run, a list
+    of each file's bytes, by name, when ``out`` is a directory."""
     package_root = Path(potflow.__file__).parent.parent
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(package_root),
@@ -211,7 +212,8 @@ def _cli_output_at_each_thread_count(argv, out):
         done = subprocess.run([sys.executable, "-m", "potflow.cli", *argv,
                                "--out", str(out)], env=env, capture_output=True)
         assert done.returncode == 0, (threads, done.stderr)
-        yield threads, out.read_bytes()
+        yield threads, (out.read_bytes() if out.is_file()
+                        else [p.read_bytes() for p in sorted(out.iterdir())])
 
 
 def test_verify_all_report_is_byte_identical_to_the_recorded_one(tmp_path):
@@ -229,6 +231,31 @@ def test_torus_report_is_byte_identical_to_the_recorded_one(tmp_path, argv, reco
     for threads, report in _cli_output_at_each_thread_count(
             ["torus", *argv], tmp_path / "torus.json"):
         assert report == (DATA / recorded).read_bytes(), threads
+
+
+def test_vortex_run_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    # 150 vortices make 11,175 pair terms in the energy: OpenBLAS splits a dot
+    # product that long across threads, and numpy's pairwise sum does not
+    rng = np.random.default_rng(150)
+    g = np.arange(-6, 7) * 0.1
+    z = ((g[:, None] + 1j * g[None, :]).ravel()[:150]
+         + 0.02 * (rng.uniform(-1, 1, 150) + 1j * rng.uniform(-1, 1, 150)))
+    system = json.dumps({"domain": {"kind": "disk", "R": 1.0}, "vortices": [
+        {"z": [p.real, p.imag], "gamma": s}
+        for p, s in zip(z.tolist(), rng.choice([-1.0, 1.0], 150).tolist())]})
+    runs = [files for _, files in _cli_output_at_each_thread_count(
+        ["vortex", "--system", system, "--t-end", "0.05", "--tol", "1e-8"], tmp_path)]
+    assert len(runs[0]) == 2 and runs[0] == runs[1]
+
+
+def test_tiny_disk_centre_has_robin_data_and_holds_a_still_vortex(tmp_path, capsys):
+    disk = '{"kind":"disk","R":1e-20}'
+    assert run(["green", "--domain", disk, "--a", "0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["robin"]["h0"] == pytest.approx(
+        math.log(1e-20), rel=1e-15)
+    system = f'{{"vortices":[{{"z":[0,0],"gamma":1}}],"domain":{disk}}}'
+    assert run(["vortex", "--system", system, "--t-end", "0.1", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["final_state"] == [[0.0, 0.0]]
 
 
 _RECT = '{"kind":"domain_boundary","domain":{"kind":"rectangle","w":2.0,"h":1.0}}'

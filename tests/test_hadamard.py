@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from potflow import hadamard as hd, planar_green as pg
-from potflow.errors import DomainError, PoleError
+from potflow.errors import DomainError, ParameterError, PoleError
 
 DISK = pg.DomainDescriptor.disk(1.0)
 
@@ -25,7 +25,7 @@ def test_zero_variation():
 
 def test_translation_mode_matches():
     var = hd.BoundaryVariation(DISK, math.cos, 1e-4)
-    lhs, rhs = hd.hadamard_delta_green(var, 0.0, 0.5, n=512)
+    lhs, rhs = hd.hadamard_delta_green(var, 0.0, 0.5)
     assert abs(lhs - rhs) < 1e-5
     # independent oracle: the translated disk has a closed-form Green function
     eps = 1e-4
@@ -51,12 +51,11 @@ def test_one_conformal_model_serves_both_formulas_and_both_signs():
 
     var = hd.BoundaryVariation(DISK, delta_n, 1e-4)
     samples.clear()   # the size guard's samples
-    n = 64
-    hd.hadamard_delta_green(var, 0.1, 0.5j, n=n)
-    hd.hadamard_delta_h0(var, 0.3 - 0.2j, n=n)
-    # each right-hand side samples delta_n at its n nodes; the model of the
-    # perturbed disk takes its 256 samples once, for +eps and -eps alike
-    assert len(samples) == hd._FOURIER_N + 2 * n
+    hd.hadamard_delta_green(var, 0.1, 0.5j)
+    hd.hadamard_delta_h0(var, 0.3 - 0.2j)
+    # each right-hand side samples delta_n at its _BOUNDARY_N nodes; the model
+    # of the perturbed disk takes its 256 samples once, for +eps and -eps alike
+    assert len(samples) == hd._FOURIER_N + 2 * hd._BOUNDARY_N
 
 
 def test_delta_h0_odd_mode_vanishes():
@@ -90,7 +89,7 @@ def test_triple_green_origin_value():
 def test_triple_green_full_symmetry():
     import itertools
     pts = (0.31, 0.12j, -0.25 + 0.2j)
-    vals = [hd.triple_green(*perm, n=512) for perm in itertools.permutations(pts)]
+    vals = [hd.triple_green(*perm) for perm in itertools.permutations(pts)]
     assert max(vals) - min(vals) < 1e-10
 
 
@@ -115,3 +114,20 @@ def test_interior_requirements():
         hd.hadamard_delta_green(var, 1.5, 0.2)
     with pytest.raises(PoleError):
         hd.hadamard_delta_green(var, 0.2, 0.2)
+
+
+@pytest.mark.parametrize("delta_n, epsilon, message", [
+    (math.cos, math.nan, "epsilon must be finite and nonzero"),
+    (math.cos, math.inf, "epsilon must be finite and nonzero"),
+    (math.cos, 0.0, "epsilon must be finite and nonzero"),
+    (lambda t: math.nan if t > 3 else math.cos(t), 1e-4,
+     "delta_n must be finite on the boundary"),
+    (lambda t: math.inf, 1e-4, "delta_n must be finite on the boundary"),
+    # nan at one angle of the conformal model's 256 only
+    (lambda t: math.nan if abs(t - 2 * math.pi / 256) < 1e-12 else math.cos(t), 1e-4,
+     "delta_n must be finite on the boundary"),
+], ids=["nan-epsilon", "inf-epsilon", "zero-epsilon", "late-nan-delta_n", "inf-delta_n",
+        "one-nan-delta_n"])
+def test_variation_refuses_non_finite_and_zero_input(delta_n, epsilon, message):
+    with pytest.raises(ParameterError, match=message):
+        hd.BoundaryVariation(DISK, delta_n, epsilon)

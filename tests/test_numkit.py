@@ -145,8 +145,8 @@ def test_midpoint_and_product_rules_exact_on_a_rectangle():
     w_, h_, origin = 1.5, 0.75, 0.25 - 0.5j
     f = lambda z: 2.0 + 3.0 * (z - origin).real * (z - origin).imag
     exact = 2.0 * w_ * h_ + 3.0 * (w_ ** 2 / 2) * (h_ ** 2 / 2)
-    nodes, weights = numkit.product_rule(numkit.midpoint_rule(7), numkit.midpoint_rule(5),
-                                         origin, w_, 1j * h_)
+    nodes, weights = numkit.product_rule(numkit.midpoint_rule(7, w_),
+                                         numkit.midpoint_rule(5, h_), origin)
     assert abs(numkit.integrate(f, nodes, weights) - exact) < 1e-14
     nodes, weights = numkit.product_rule(numkit.gauss_legendre_rule([0.0, w_]),
                                          numkit.gauss_legendre_rule([0.0, h_]))
@@ -155,7 +155,7 @@ def test_midpoint_and_product_rules_exact_on_a_rectangle():
     # a parallelogram cell along 1 and tau has area Im tau
     tau = 0.3 + 1.7j
     _, weights = numkit.product_rule(numkit.midpoint_rule(4), numkit.midpoint_rule(4),
-                                     0j, 1.0, tau)
+                                     0j, tau)
     assert abs(weights.sum() - tau.imag) < 1e-15
 
 
@@ -275,12 +275,12 @@ def test_pointwise_adapter_feeds_python_numbers():
 
 
 def test_wirtinger_conjugate():
-    val = numkit.wirtinger_derivative(lambda z: z.conjugate(), 0.3 + 0.7j, "dzbar")
+    val = numkit.wirtinger_derivative(lambda z: z.conjugate(), 0.3 + 0.7j, "dzbar", 1e-5)
     assert abs(val - 1.0) < 1e-9
 
 
 def test_wirtinger_modulus_squared_mixed():
-    val = numkit.wirtinger_derivative(lambda z: abs(z) ** 2, 0.2 - 0.4j, "dzdzbar")
+    val = numkit.wirtinger_derivative(lambda z: abs(z) ** 2, 0.2 - 0.4j, "dzdzbar", 1e-4)
     assert abs(val - 1.0) < 1e-7
 
 
@@ -548,3 +548,18 @@ def test_trajectory_step_size_range():
     assert (traj.h_min, traj.h_max) == (0.25, 0.5)
     lone = numkit.Trajectory(np.array([0.0]), np.zeros((1, 1), dtype=complex))
     assert math.isnan(lone.h_min) and math.isnan(lone.h_max)
+
+
+@pytest.mark.parametrize("center, radius", [
+    (0j, math.nan), (0j, math.inf), (0j, 0.0), (0j, -1.0),
+    (complex(math.nan, 0), 1.0), (complex(0, math.inf), 1.0),
+])
+def test_circle_refuses_non_finite_and_non_positive_input(center, radius):
+    with pytest.raises(ParameterError, match="finite center and a positive, finite radius"):
+        numkit.circle(center, radius)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf, 1.0, 1e-9])
+def test_laplacian_refuses_steps_outside_the_range(h):
+    with pytest.raises(ParameterError, match=r"step h must lie in \[1e-8, 1e-2\]"):
+        numkit.laplacian_at(lambda z: abs(z) ** 2, 0.3 + 0.1j, h)

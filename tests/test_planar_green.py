@@ -102,9 +102,9 @@ def test_h1_contour_half_plane_truncated():
 
 
 def test_poisson_values():
-    assert abs(pg.poisson_value(lambda z: 1.0, 0.4 + 0.1j, 1.0, 128) - 1) < 1e-13
-    assert abs(pg.poisson_value(lambda z: z.real, 0.3, 1.0, 128) - 0.3) < 1e-13
-    val = pg.poisson_value(lambda z: (z * z).real, 0.3 + 0.2j, 1.0, 256)
+    assert abs(pg.poisson_value(lambda z: 1.0, 0.4 + 0.1j, 128) - 1) < 1e-13
+    assert abs(pg.poisson_value(lambda z: z.real, 0.3, 128) - 0.3) < 1e-13
+    val = pg.poisson_value(lambda z: (z * z).real, 0.3 + 0.2j, 256)
     assert abs(val - 0.05) < 1e-13
 
 
@@ -150,7 +150,7 @@ def test_one_disk_poisson_density():
     # hadamard's boundary densities and the disk's harmonic measure are the
     # shared density array itself, not a copy of its formula
     R, a = 1.3, 0.4 - 0.7j
-    theta, ds, (density,) = hadamard._densities(R, 64, a)
+    theta, ds, (density,) = hadamard._densities(R, a)
     assert np.array_equal(density, pg._disk_poisson(R, a, R * np.exp(1j * theta)))
     zs, weights = pg._disk_harmonic(pg.DomainDescriptor.disk(R), a, 64)
     _, w = numkit.trapezoid_rule(64)
@@ -159,7 +159,7 @@ def test_one_disk_poisson_density():
 
 def test_poisson_domain_error():
     with pytest.raises(DomainError):
-        pg.poisson_value(lambda z: 1.0, 1.2, 1.0)
+        pg.poisson_value(lambda z: 1.0, 1.2)
 
 
 def test_conformal_transport_identity():
@@ -197,13 +197,13 @@ def test_conformal_transport_singular_map():
 
 def test_curvature_liouville():
     kappa = pg.curvature_of_metric(
-        lambda w: pg.robin_data(DISK, w).h0, 0.5, 1e-4)
+        lambda w: pg.robin_data(DISK, w).h0, 0.5)
     assert abs(kappa + 4.0) < 1e-5
 
 
 def test_curvature_sphere_metric():
     gamma = lambda z: -0.5 * math.log(4 / (1 + abs(z) ** 2) ** 2)
-    assert abs(pg.curvature_of_metric(gamma, 0.2, 1e-4) - 1.0) < 1e-6
+    assert abs(pg.curvature_of_metric(gamma, 0.2) - 1.0) < 1e-6
 
 
 def test_curvature_flat():
@@ -642,3 +642,27 @@ def test_disk_functions_and_measures_reject_non_finite_input(point):
                          ParameterError)):
         with pytest.raises(error):
             call()
+
+
+@pytest.mark.parametrize("R", [1e-20, 1e20])
+def test_disk_pole_and_wall_bounds_are_relative_to_the_radius(R):
+    disk = pg.DomainDescriptor.disk(R)
+    z, a = 0.1 + 0.5j, 0.3 + 0.2j
+    assert abs(pg.robin_data(disk, 0j).h0 - math.log(R)) <= 1e-15 * abs(math.log(R))
+    assert abs(pg.robin_data(disk, R * a).h1 * R - pg.robin_data(DISK, a).h1) < 1e-15
+    assert abs(pg.green(disk, R * z, R * a) - pg.green(DISK, z, a)) < 1e-15
+    with pytest.raises(ConditioningError, match="too close to the boundary"):
+        pg.robin_data(disk, R * (1 - 1e-12))
+    with pytest.raises(PoleError):
+        pg.green(disk, R * a, R * (a + 1e-15))
+
+
+def test_rectangle_wall_bound_is_relative_to_the_shorter_side():
+    s, unit = 1e-12, pg.DomainDescriptor.rectangle(1.0, 1.0)
+    square = pg.DomainDescriptor.rectangle(s, s)
+    c, a = 0.5 + 0.5j, 0.2 + 0.3j
+    assert abs(pg.robin_data(square, s * c).h0 - math.log(s)
+               - pg.robin_data(unit, c).h0) < 1e-13
+    assert abs(pg.green(square, s * c, s * a) - pg.green(unit, c, a)) < 1e-13
+    with pytest.raises(ConditioningError, match="too close to the boundary"):
+        pg.robin_data(square, s * (0.5 + 1e-10j))

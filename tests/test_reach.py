@@ -1,4 +1,5 @@
-"""Every function in potflow is reached by a command, or is declared here.
+"""Every function in potflow is reached by a command, and every option is
+set by a caller, or is declared here.
 
 The guard runs the commands of ``_commands`` in one fresh interpreter under
 ``sys.setprofile`` (a warm one would hide the first-call work behind
@@ -13,6 +14,15 @@ an entry whose function is now reached or gone.  To keep a function that
 no command runs, add ``"module.Qualified.name": REASON`` to ``ALLOWED``
 with one of the reasons below, or a new one-line reason that says why
 the function stays.
+
+The option guard is static: a parameter with a default, of a ``def`` in
+``src/potflow``, is set when some call in ``src/potflow`` or
+``perfbench`` passes it, by position or keyword, anything but a literal
+equal to its default.  Calls are matched by the function's name (the
+class's for ``__init__``), so a shared name can hide an unset option but
+never invent one.  The unset options must equal ``ALLOWED_OPTIONS``: make
+an option that no caller sets a constant, or add
+``"module.Qualified.name(parameter)": REASON`` with a one-line reason.
 """
 
 import ast
@@ -25,6 +35,7 @@ from pathlib import Path
 import potflow
 
 SRC = Path(potflow.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ERROR_PATH = "error path: runs only when a command fails"
 FD_ORACLE = ("finite-difference rectangle oracle of the tests; perfbench traces "
@@ -87,6 +98,20 @@ ALLOWED = {
         "planar_green._strip_contains"),
 }
 
+ALLOWED_OPTIONS = {
+    "equilibrium.fekete_points(pole)": TRACED,
+    "numkit.gauss_legendre_panel(panels)": TRACED,
+    "planar_green.RectangleGreenSolver.__init__(grid)": FD_ORACLE,
+    "equilibrium.equilibrium_measure(m)": ITEM_6,
+    "schottky.gamma_hydro(p)": ITEM_5,
+    "equilibrium.harmonic_measure(m)": (
+        "node count that the tests vary near the wall; ROADMAP item 3 grades the rule"),
+    "equilibrium.condenser_capacity(n_dim)": "paper parameter: the dimension of space",
+    "numkit.rk_integrate(max_steps)": "the tests lower the step budget to exhaust it",
+    "planar_green._rectangle_jet(side)": (
+        "called as the rectangle record's boundary_jet, a name the scan cannot follow"),
+}
+
 _CHILD = r"""
 import contextlib, io, json, os, sys
 
@@ -141,24 +166,27 @@ def _commands(out: Path) -> list[list[str]]:
     ]
 
 
-def _defs() -> dict[tuple[str, int, str], str]:
-    """(file, first line, name) -> "module.Qualified.name" for every def."""
-    found = {}
-
-    def walk(node, path, prefix):
+def _walk_defs():
+    """(file, "module.Qualified.name", the def's node, the name of the class
+    whose body holds it or None) for every def in src/potflow."""
+    def walk(node, path, prefix, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                line = min([child.lineno, *(d.lineno for d in child.decorator_list)])
-                found[(path, line, child.name)] = f"{prefix}.{child.name}"
-                walk(child, path, f"{prefix}.{child.name}")
+                yield path, f"{prefix}.{child.name}", child, cls
+                yield from walk(child, path, f"{prefix}.{child.name}", None)
             elif isinstance(child, ast.ClassDef):
-                walk(child, path, f"{prefix}.{child.name}")
+                yield from walk(child, path, f"{prefix}.{child.name}", child.name)
             else:
-                walk(child, path, prefix)
+                yield from walk(child, path, prefix, cls)
 
     for path in sorted(SRC.glob("*.py")):
-        walk(ast.parse(path.read_text()), str(path), path.stem)
-    return found
+        yield from walk(ast.parse(path.read_text()), str(path), path.stem, None)
+
+
+def _defs() -> dict[tuple[str, int, str], str]:
+    """(file, first line, name) -> "module.Qualified.name" for every def."""
+    return {(path, min([node.lineno, *(d.lineno for d in node.decorator_list)]),
+             node.name): qual for path, qual, node, _ in _walk_defs()}
 
 
 def test_every_def_is_reached_or_allowed(tmp_path):
@@ -176,3 +204,69 @@ def test_every_def_is_reached_or_allowed(tmp_path):
     assert not new and not stale, (
         f"unreached by any command and not in ALLOWED: {new}; "
         f"in ALLOWED but reached or gone: {stale}")
+
+
+def _options() -> dict[str, tuple[str, str, int | None, ast.expr]]:
+    """Map "module.Qualified.name(parameter)" to (the name calls use, the
+    parameter, the position a call passes it at, None if keyword-only, and
+    its default) for every parameter with a default of a def in potflow."""
+    found = {}
+    for _, qual, node, cls in _walk_defs():
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        skip = int(cls is not None and not static)   # self or cls is not passed
+        first = len(positional) - len(args.defaults)
+        named = [(p, k - skip, d) for k, (p, d) in enumerate(
+            zip(positional[first:], args.defaults), start=first)]
+        named += [(p, None, d) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+        call_name = cls if node.name == "__init__" else node.name
+        for p, position, default in named:
+            found[f"{qual}({p.arg})"] = (call_name, p.arg, position, default)
+    return found
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in src/potflow and perfbench, by the name it calls."""
+    calls = {}
+    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _literal(node: ast.expr):
+    try:
+        return True, ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return False, None
+
+
+def _sets(call: ast.Call, param: str, position: int | None, default: ast.expr) -> bool:
+    """Whether the call may pass the parameter something other than a
+    literal equal to its default; *args and **kwargs count as passing it."""
+    if any(k.arg is None for k in call.keywords):
+        return True
+    values = [k.value for k in call.keywords if k.arg == param]
+    if position is not None:
+        starred = [k for k, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+        if starred and starred[0] <= position:
+            return True
+        values += call.args[position:position + 1]
+    literal_default = _literal(default)
+    return any(not literal_default[0] or _literal(v) != literal_default for v in values)
+
+
+def test_every_option_is_set_by_a_caller():
+    assert PERFBENCH.is_dir()
+    calls = _calls()
+    unset = {key for key, (name, param, position, default) in _options().items()
+             if not any(_sets(c, param, position, default) for c in calls.get(name, ()))}
+    new = sorted(unset - ALLOWED_OPTIONS.keys())
+    stale = sorted(ALLOWED_OPTIONS.keys() - unset)
+    assert not new and not stale, (
+        f"options that no caller sets and not in ALLOWED_OPTIONS: {new}; "
+        f"in ALLOWED_OPTIONS but set or gone: {stale}")

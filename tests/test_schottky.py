@@ -483,7 +483,7 @@ def test_capacity_disk_degenerate():
 def test_capacity_curvature_bound(dbl):
     for p in (-0.25 + 0.5j, -0.3 + 1.0j):
         kappa = pg.curvature_of_metric(
-            lambda w: sk.gamma_electro(w, dbl), p, 1e-4)
+            lambda w: sk.gamma_electro(w, dbl), p)
         assert kappa <= -4 + 1e-3
 
 

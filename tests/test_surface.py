@@ -29,10 +29,10 @@ def test_sphere_green_zero_mean():
 
 
 def test_sphere_area_is_4pi():
-    total = numkit.integrate(sf.sphere_lambda_sq, *sf._unit_disk_rule(0j, 48, 96))
+    total = numkit.integrate(sf.sphere_lambda_sq, *sf._unit_disk_rule(0j))
     # the polar rule has no node at w = 0
     total += numkit.integrate(lambda w: sf.sphere_lambda_sq(1 / w) / abs(w) ** 4,
-                              *sf._unit_disk_rule(0j, 48, 96))
+                              *sf._unit_disk_rule(0j))
     assert abs(total - 4 * math.pi) < 1e-6
 
 
@@ -288,5 +288,5 @@ def test_form_period_avoids_poles(spec):
         numkit.pointwise(lambda z: -2j * numkit.wirtinger_derivative(
             lambda w: sf.torus_monopole_green(w, a, spec), z, "dz", 1e-5)),
         lambda z: 0j)
-    val = sf.form_period(form, sf.alpha_cycle(spec), n=64)
+    val = sf.form_period(form, sf.alpha_cycle(spec))
     assert np.isfinite(val.real) and np.isfinite(val.imag)

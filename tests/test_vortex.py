@@ -406,3 +406,16 @@ def test_disk_radius_monitors_are_abs_of_each_state_bit_for_bit():
     for k in range(system.n):
         want = np.array([abs(y[k]) for y in traj.states])
         assert traj.monitors[f"radius_{k}"].tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("R", [1e-20, 1e20])
+def test_disk_collision_bounds_are_relative_to_the_radius(R):
+    disk = pg.DomainDescriptor.disk(R)
+    # a lone vortex at the centre stays there
+    traj = vx.simulate(vx.VortexSystem([0j], [1.0], disk), 0.1)
+    assert traj.final_state[0] == 0
+    assert abs(traj.monitors["energy"][-1] - math.log(R) / (4 * math.pi)) < 1e-13
+    with pytest.raises(SingularConfigurationError):
+        vx.VortexSystem(np.array([0.3, 0.3 + 1e-11]) * R, [1.0, -0.5], disk)
+    with pytest.raises(CollisionError):
+        vx.simulate(vx.VortexSystem([R * (1 - 1e-11)], [1.0], disk), 0.1)
