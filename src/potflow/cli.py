@@ -6,7 +6,8 @@ and ``green`` (domain Green/Robin report).  Output is deterministic JSON
 (sorted keys, no timestamps) and CSV with 17 significant digits.
 
 Exit codes: 0 ok, 2 verification failure (or a check that raised),
-3 simulation abort, 64 usage error, 65 input schema error.
+3 simulation abort, 64 usage error, 65 input error (a malformed input or
+any potflow error that a command raises).
 """
 
 from __future__ import annotations
@@ -21,16 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import CollisionError, ParameterError, PotflowError
+
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
 EXIT_SIMULATION_ABORT = 3
 EXIT_USAGE = 64
 EXIT_SCHEMA = 65
 
-# Largest accepted counts: --n sets the node count of each torus period
-# integral, --n-max the size of the n x n Fekete energy matrices, and the
-# vortex count the size of the n x n pairwise arrays of a vortex run.
-MAX_TORUS_N = 65536
+# Largest accepted counts: --n-max sets the size of the n x n Fekete energy
+# matrices, and the vortex count the size of the n x n pairwise arrays of a
+# vortex run.
 MAX_FEKETE_N = 256
 MAX_VORTICES = 2000
 
@@ -125,7 +127,6 @@ def _json_dumps(obj) -> str:
 
 def _cmd_verify(args) -> int:
     from . import verify
-    from .errors import PotflowError
     try:
         checks = verify.run_suite(args.suite)
     # a check that cannot finish has not passed either
@@ -148,16 +149,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fekete(args) -> int:
     from . import equilibrium
-    from .errors import OptimizationQualityError, ParameterError
     K = _parse_document(args.domain, equilibrium.CompactSet.from_dict, "compact-set")
     pole = None if args.pole is None else _parse_point("--pole", args.pole)
     if args.n_max > MAX_FEKETE_N:
         raise SchemaError(f"--n-max must be at most {MAX_FEKETE_N}")
-    try:
-        report = equilibrium.transfinite_diameter(K, pole=pole, n_max=args.n_max)
-    # pole on or too close to the carrier, n_max too small, a non-monotone ladder
-    except (ParameterError, OptimizationQualityError) as exc:
-        raise SchemaError(str(exc)) from exc
+    report = equilibrium.transfinite_diameter(K, pole=pole, n_max=args.n_max)
 
     outdir = Path(args.out) if args.out else None
     if outdir:
@@ -175,7 +171,6 @@ def _cmd_fekete(args) -> int:
 
 def _cmd_vortex(args) -> int:
     from . import vortex
-    from .errors import CollisionError, EvaluationError, ParameterError
 
     def parse(data: dict) -> vortex.VortexSystem:
         if len(data["vortices"]) > MAX_VORTICES:
@@ -186,8 +181,6 @@ def _cmd_vortex(args) -> int:
     summary: dict = {"t_end": args.t_end, "tol": args.tol}
     try:
         traj = vortex.simulate(system, args.t_end, args.tol)
-    except (ParameterError, EvaluationError) as exc:   # t_end, tol, budget, NaN field
-        raise SchemaError(str(exc)) from exc
     except CollisionError as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         summary["aborted"] = "collision"
@@ -228,55 +221,13 @@ def _cmd_vortex(args) -> int:
 
 
 def _cmd_torus(args) -> int:
-    """Kernel report for a torus modulus (plus the strip double when the
-    modulus is purely imaginary)."""
-    from . import elliptic, schottky, surface, verify
-    from .errors import ConditioningError
+    """Genus-one report for a torus modulus (plus the strip double's kernels
+    when the modulus is purely imaginary)."""
+    from . import verify
     tau = _parse_point("--tau", args.tau)
-    if tau.imag <= 0:
-        raise SchemaError("tau must have positive imaginary part")
-    if not 16 <= args.n <= MAX_TORUS_N:
-        raise SchemaError(f"--n must lie in [16, {MAX_TORUS_N}]")
-    try:
-        L = elliptic.lattice_constants(tau)
-    except ConditioningError as exc:   # Im tau too small for the q-series
-        raise SchemaError(str(exc)) from exc
-
-    rows = []
-    rows.append({"anchor": "Legendre",
-                 "residual": abs(L.eta1 * tau - L.eta2 - 2j * math.pi),
-                 "tolerance": 1e-12})
-    basis = surface.torus_harmonic_basis(L)
-    rows.append({"anchor": "PQR",
-                 "residual": basis["periods"].residuals()["PQ_I_R2"],
-                 "tolerance": 1e-10})
-    rows.append({"anchor": "KPQ",
-                 "residual": surface.bergman_expansion_check(L),
-                 "tolerance": 1e-10})
-    at = 0.31 + 0.41j * tau.imag
-    rows.append({"anchor": "C",
-                 "residual": abs(surface.schiffer_mean_value(L, at)),
-                 "tolerance": 1e-6})
-    if abs(tau.real) < 1e-14:
-        dbl = schottky.StripDouble(tau)
-        a = complex(-0.25, 0.4 * tau.imag)
-        z = complex(-0.2, 0.15 * tau.imag)
-        ke, kh, kd = schottky.strip_bergman_kernels(z, a, dbl)
-        rows.append({"anchor": "KKH", "residual": abs(ke - kh - 2 * kd),
-                     "tolerance": 0.0})
-        rows.append({"anchor": "kernels2",
-                     "residual": verify._kernel_period_residual(dbl, a, n=args.n),
-                     "tolerance": 1e-8})
-        rows.append({"anchor": "KKL",
-                     "residual": max(schottky.kkl_combinations(z, a, dbl)),
-                     "tolerance": 1e-10})
-        rows.append({"anchor": "ointdGp",
-                     "residual": abs(schottky.hydro_circulation(a, dbl, args.p)
-                                     - args.p),
-                     "tolerance": 1e-8})
+    rows = [c.to_dict() for c in verify.torus_checks(tau, args.p)]
     for row in rows:
-        row["residual"] = float(row["residual"])
-        row["pass"] = bool(row["residual"] <= row["tolerance"])
+        del row["name"]
     doc = {"tau": [tau.real, tau.imag], "identities": rows,
            "passed": all(r["pass"] for r in rows)}
     _write_or_print(_json_dumps(doc), args.out)
@@ -285,21 +236,17 @@ def _cmd_torus(args) -> int:
 
 def _cmd_green(args) -> int:
     from . import planar_green
-    from .errors import ConditioningError, DomainError, ParameterError, PoleError
     domain = _parse_document(args.domain, planar_green.DomainDescriptor.from_dict,
                              "domain")
     a = _parse_point("--a", args.a)
     z = _parse_point("--z", args.z) if args.z else None
     doc: dict = {"domain": domain.to_dict(), "a": [a.real, a.imag]}
-    try:
-        exp = planar_green.robin_data(domain, a)
-        doc["robin"] = {"h0": exp.h0, "h1": [exp.h1.real, exp.h1.imag],
-                        "curvature": exp.curvature}
-        if z is not None:
-            doc["z"] = [z.real, z.imag]
-            doc["green"] = planar_green.green(domain, z, a)
-    except (DomainError, ParameterError, ConditioningError, PoleError) as exc:
-        raise SchemaError(str(exc)) from exc
+    exp = planar_green.robin_data(domain, a)
+    doc["robin"] = {"h0": exp.h0, "h1": [exp.h1.real, exp.h1.imag],
+                    "curvature": exp.curvature}
+    if z is not None:
+        doc["z"] = [z.real, z.imag]
+        doc["green"] = planar_green.green(domain, z, a)
     _write_or_print(_json_dumps(doc), args.out)
     return EXIT_OK
 
@@ -336,7 +283,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("torus", help="torus / strip-double kernel report")
     p.add_argument("--tau", required=True, help="modulus 're,im'")
     p.add_argument("--p", type=_finite_float, default=0.0, help="hydro circulation")
-    p.add_argument("--n", type=int, default=192, help="period quadrature nodes")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_torus)
 
@@ -363,7 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SchemaError as exc:
+    # a malformed input, or an input that the computation refuses
+    except (SchemaError, PotflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

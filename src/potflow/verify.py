@@ -22,8 +22,9 @@ from . import (
     schottky,
     surface,
 )
+from .errors import ParameterError
 
-__all__ = ["Check", "run_suite", "SUITES"]
+__all__ = ["Check", "run_suite", "torus_checks", "SUITES"]
 
 
 @dataclass(frozen=True)
@@ -227,8 +228,7 @@ def surface_checks() -> list[Check]:
     # Legendre identity and wp ODE across moduli
     worst_leg = 0.0
     for tau in (1.5j, 2j, 3j, 0.3 + 2j):
-        L = elliptic.lattice_constants(tau)
-        worst_leg = max(worst_leg, abs(L.eta1 * tau - L.eta2 - 2j * math.pi))
+        worst_leg = max(worst_leg, _legendre_residual(elliptic.lattice_constants(tau)))
     out.append(Check("Legendre identity across moduli", "Legendre", worst_leg, 1e-12))
 
     # the cubic grows like |t|^-6 at the lattice, so an absolute 1e-9
@@ -352,11 +352,11 @@ def schottky_checks() -> list[Check]:
     s_res = max(s_res, abs(-cmath.exp(-2j * th) * tangent ** 2 - 1))
     out.append(Check("Schwarz function reflection identities", "SSz", s_res, 1e-12))
 
-    ke, kh, kd = schottky.strip_bergman_kernels(z, a, dbl)
     out.append(Check("fundamental kernel identity Ke - Kh = 2Kd", "KKH",
-                     abs(ke - kh - 2 * kd), 0.0))
+                     _kkh_residual(z, a, dbl), 0.0))
 
     # Hermitean symmetry across the three kernels
+    ke, kh, kd = schottky.strip_bergman_kernels(z, a, dbl)
     ke2, kh2, kd2 = schottky.strip_bergman_kernels(a, z, dbl)
     herm = max(abs(ke2 - ke.conjugate()), abs(kh2 - kh.conjugate()),
                abs(kd2 - kd.conjugate()))
@@ -398,7 +398,7 @@ def schottky_checks() -> list[Check]:
     worst_t = max(abs(_wall_tangential(dbl, a, x0)) for x0 in (0.0, -0.5))
     out.append(Check("hydro Green boundary-locally-constant", "dGhydro",
                      worst_t, 1e-8))
-    worst_p = max(abs(schottky.hydro_circulation(a, dbl, p) - p) for p in (0.0, 0.7))
+    worst_p = max(_circulation_residual(a, dbl, p) for p in (0.0, 0.7))
     out.append(Check("hydro circulation equals p", "ointdGp", worst_p, 1e-8))
     out.append(Check("hydro boundary pairing vanishes", "hydrohydro",
                      abs(_hydrohydro(dbl, a, b)), 1e-8))
@@ -506,10 +506,62 @@ def schottky_checks() -> list[Check]:
     return out
 
 
-def _kernel_period_residual(dbl: schottky.StripDouble, a: complex, n: int = 192) -> float:
-    t, w = numkit.trapezoid_rule(n)
-    # the y trapezoid errs like exp(-2 pi d n / Im tau), d = 0.25 the poles' distance
-    ys, wy = numkit.trapezoid_rule(max(n, math.ceil(n * dbl.T / 3)), dbl.T)
+# ---------------------------------------------------------------------------
+# torus report: the genus-one identities at one modulus
+# ---------------------------------------------------------------------------
+
+def torus_checks(tau: complex, p: float) -> list[Check]:
+    """The lattice identities at the modulus tau and, for a purely imaginary
+    tau, the kernel identities of the strip double with hydro circulation
+    p (|p| at most SIZE_RANGE's upper end).  The points scale with Im tau."""
+    if not abs(p) <= planar_green.SIZE_RANGE[1]:
+        raise ParameterError(
+            f"p must be at most {planar_green.SIZE_RANGE[1]:g} in modulus")
+    L = elliptic.lattice_constants(tau)
+    at = 0.31 + 0.41j * tau.imag
+    out = [
+        Check("Legendre identity", "Legendre", _legendre_residual(L), 1e-12),
+        Check("period matrices satisfy PQ = I + R^2", "PQR",
+              surface.torus_harmonic_basis(L)["periods"].residuals()["PQ_I_R2"], 1e-10),
+        Check("Bergman expansion in either basis", "KPQ",
+              surface.bergman_expansion_check(L), 1e-10),
+        Check("Schiffer kernel zero principal value", "C",
+              abs(surface.schiffer_mean_value(L, at)), 1e-6),
+    ]
+    if abs(tau.real) < 1e-14:
+        dbl = schottky.StripDouble(tau)
+        a = complex(-0.25, 0.4 * tau.imag)
+        z = complex(-0.2, 0.15 * tau.imag)
+        out += [
+            Check("fundamental kernel identity Ke - Kh = 2Kd", "KKH",
+                  _kkh_residual(z, a, dbl), 0.0),
+            Check("strip kernel periods", "kernels2", _kernel_period_residual(dbl, a), 1e-8),
+            Check("planar kernels from the double (KKL)", "KKL",
+                  max(schottky.kkl_combinations(z, a, dbl)), 1e-10),
+            Check("hydro circulation equals p", "ointdGp",
+                  _circulation_residual(a, dbl, p), 1e-8),
+        ]
+    return out
+
+
+def _legendre_residual(L: elliptic.TorusLattice) -> float:
+    return abs(L.eta1 * L.tau - L.eta2 - 2j * math.pi)
+
+
+def _kkh_residual(z: complex, a: complex, dbl: schottky.StripDouble) -> float:
+    ke, kh, kd = schottky.strip_bergman_kernels(z, a, dbl)
+    return abs(ke - kh - 2 * kd)
+
+
+def _circulation_residual(a: complex, dbl: schottky.StripDouble, p: float) -> float:
+    return abs(schottky.hydro_circulation(a, dbl, p) - p)
+
+
+def _kernel_period_residual(dbl: schottky.StripDouble, a: complex) -> float:
+    # each trapezoid errs like exp(-2 pi d n / period), d the poles' distance
+    # from its path; at a = -1/4 + 0.4i Im tau, d = 1/4 for y, 0.4 Im tau for x
+    t, w = numkit.trapezoid_rule(max(192, math.ceil(24 / dbl.T)))
+    ys, wy = numkit.trapezoid_rule(max(192, math.ceil(64 * dbl.T)), dbl.T)
     (pa_e, pa_h), (pb_e, pb_h) = (
         numkit.integrate(lambda z: schottky.strip_bergman_kernels(z, a, dbl)[:2],
                          nodes, dz)

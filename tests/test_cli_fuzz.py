@@ -2,7 +2,7 @@
 ends with a documented exit code and, on failure, one stderr line.
 
 Sizes stay small so the whole module runs in a few seconds: ``--n-max`` at
-most 16, ``--t-end`` at most 0.1, at most 8 vortices and ``--n`` at most 64.
+most 16, ``--t-end`` at most 0.1 and at most 8 vortices.
 """
 
 import contextlib
@@ -109,9 +109,6 @@ def test_fuzz_vortex(system, extra):
 @settings(FUZZ, max_examples=10)
 @given(st.sampled_from(["0,1.5", "0.25,1", "0,0", "0,-1", "0,0.01", "0,100",
                         "nan,2", "0,inf", "x", "1"]),
-       options(("--n", st.sampled_from(["16", "64", "15", "-1", "x"])),
-               ("--p", st.sampled_from(["0", "0.5", "nan", "-inf", "x"]))))
+       options(("--p", st.sampled_from(["0", "0.5", "1e300", "nan", "-inf", "x"]))))
 def test_fuzz_torus(tau, extra):
-    if "--n" not in extra:
-        extra += ["--n", "16"]
     run_cli(["torus", "--tau", tau] + extra)

@@ -270,3 +270,24 @@ def test_every_option_is_set_by_a_caller():
     assert not new and not stale, (
         f"options that no caller sets and not in ALLOWED_OPTIONS: {new}; "
         f"in ALLOWED_OPTIONS but set or gone: {stale}")
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # cli parses arguments and writes reports; what it reports comes from
+    # the public names of the modules that compute it
+    modules, private = set(), set()
+    tree = ast.parse((SRC / "cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "potflow"):
+            package = node.module in (None, "potflow")
+            for alias in node.names:
+                if package:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    private.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.add(f"{node.value.id}.{node.attr}")
+    assert not private, f"cli reads private names: {sorted(private)}"
