@@ -2,7 +2,7 @@
 
 Quadrature rules as (nodes, weights) arrays with one ``integrate``, contour
 and area quadrature built on them, complex calculus by central differences,
-and an embedded Runge-Kutta 4(5) integrator with PI step control.  Everything
+and the embedded Runge-Kutta 8(5,3) pair DOP853 with PI step control.  Everything
 here is pure and reentrant; all state lives in the arguments.
 """
 
@@ -336,7 +336,7 @@ def area_quadrature(f: Callable[[np.ndarray], np.ndarray], region,
 
 
 # ---------------------------------------------------------------------------
-# adaptive Runge-Kutta (Dormand-Prince 5(4), PI step control)
+# adaptive Runge-Kutta (Dormand-Prince 8(5,3), PI step control)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -345,7 +345,7 @@ class Trajectory:
 
     ``len(times) - 1`` steps were accepted; ``steps_rejected`` were tried
     and repeated with a smaller h, and ``field_evals`` counts the calls of
-    the field (one initial call plus six per attempted step: the last
+    the field (one initial call plus twelve per attempted step: the last
     stage of an accepted step is the next step's first).
     ``h_min`` and ``h_max`` are the smallest and largest accepted step
     (NaN for a trajectory without steps).
@@ -373,26 +373,53 @@ class Trajectory:
         return self.states[-1]
 
 
-# Dormand-Prince coefficients (5th order propagated, 4th order embedded):
-# stage i is y + h * (_DP_ROWS[i] @ k[:i]), the error estimate h * (_DP_E @ k).
-# They are complex, like the stages k: a float row would be cast to complex
-# again in every product, to the same values.  The last row holds the
-# 5th-order weights, so the last stage is taken at the propagated solution
-# and, once the step is accepted, is the next step's first ("first same as
-# last", Dormand & Prince 1980).
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+# DOP853, the 8(5,3) pair of Hairer, Norsett & Wanner (Solving Ordinary
+# Differential Equations I, 2nd ed., Springer 1993, II.10): stage i is
+# y + h * sum_j A[i, j] k_j, the 8th-order solution is stage 12, so its field
+# value is the next step's first once the step is accepted ("first same as
+# last"), and _RK_E5, _RK_E3 weigh k_0..k_11 into the 5th- and 3rd-order
+# error estimates.  The tables are complex, like the stages k, so that no
+# product casts them.
+_RK_A = np.array([
+    [0.0] * 12,
+    [0.05260015195876773] + [0.0] * 11,
+    [0.0197250569845379, 0.0591751709536137] + [0.0] * 10,
+    [0.02958758547680685, 0.0, 0.08876275643042054] + [0.0] * 9,
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792] + [0.0] * 8,
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242]
+    + [0.0] * 7,
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125] + [0.0] * 6,
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023] + [0.0] * 5,
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996] + [0.0] * 4,
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627] + [0.0] * 3,
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196] + [0.0] * 2,
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636, 0.0],
+    [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
 ], dtype=complex)
-_DP_ROWS = tuple(row[:i] for i, row in enumerate(_DP_A))
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40], dtype=complex)
-_DP_E = _DP_A[6] - _DP_B4
+_RK_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+], dtype=complex)[:, None]
+# the 8th-order weights less the 3rd-order ones, which differ at k_0, k_8, k_11
+_RK_E3 = (_RK_A[12] - np.array([0.2440944881889764] + [0.0] * 7 + [0.7338466882816118]
+                               + [0.0] * 2 + [0.022058823529411766]))[:, None]
+# Row i as a column against k[:i]: each sum np.add.reduce(row * k[:i])
+# (that is, .sum(0)) adds the terms one stage after the other, elementwise,
+# where a BLAS product row @ k[:i] splits long states across threads and
+# rounds by their count.
+_RK_ROWS = tuple(row[:i, None] for i, row in enumerate(_RK_A))
 
 
 def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
@@ -407,10 +434,11 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
 
     ``separation``, when given, returns the minimal pairwise distance of
     the state; falling below ``collision_threshold`` aborts with a
-    CollisionError carrying the time stamp.  A non-finite field value
-    raises EvaluationError naming the t the step started from.  At most
-    ``max_steps`` steps are attempted, accepted and rejected together;
-    a run that needs more raises ParameterError.
+    CollisionError carrying the time stamp, and no step is longer than
+    the last accepted state's separation over its largest speed.  A
+    non-finite field value raises EvaluationError naming the t the step
+    started from.  At most ``max_steps`` steps are attempted, accepted and
+    rejected together; a run that needs more raises ParameterError.
     """
     if not (1e-12 <= tol <= 1e-3):
         raise ParameterError("tol must lie in [1e-12, 1e-3]")
@@ -425,15 +453,18 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
     times = [0.0]
     states = [y.copy()]
     mon = {name: [fn(y)] for name, fn in (monitors or {}).items()}
+    sep = None if separation is None else separation(y)
 
-    # initial step from the field magnitude
+    # initial step: tol^(1/8) of the time the start speed takes to cross
+    # the error scale 1 + |y|, which scales with the field's time unit
     f0 = np.asarray(field(y), dtype=complex)
-    scale = tol * (1.0 + np.max(np.abs(y)))
-    h = min(abs(t_end) / 10.0, (scale / (np.max(np.abs(f0)) + 1e-30)) ** 0.2)
-    h = max(h, 1e-12)
+    speed = float(np.max(np.abs(f0)))
+    h = t_end / 10.0
+    if speed > 0:
+        h = min(h, tol ** 0.125 * (1.0 + float(np.max(np.abs(y)))) / speed)
 
     err_prev = 1.0
-    k = np.zeros((7, y.size), dtype=complex)
+    k = np.zeros((13, y.size), dtype=complex)
     k[0] = f0
     evals = 1
     steps = 0
@@ -441,19 +472,29 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
         if steps >= max_steps:
             raise ParameterError(f"step budget exhausted at t={t:.6g}")
         h = min(h, t_end - t)
-        for i in range(1, 7):
-            stage = y + h * (_DP_ROWS[i] @ k[:i])
+        if separation is not None:
+            # no point crosses the last accepted state's smallest gap in
+            # one step at its speed there
+            speed = float(np.max(np.abs(k[0])))
+            if speed > 0:
+                h = min(h, sep / speed)
+        for i in range(1, 13):
+            stage = y + h * np.add.reduce(_RK_ROWS[i] * k[:i])
             k[i] = field(stage)
             evals += 1
         sc = tol * (1.0 + np.abs(y))
-        err = float(np.max(np.abs(h * (_DP_E @ k)) / sc)) + 1e-300
+        err5 = float(np.max(np.abs(h * np.add.reduce(_RK_E5 * k[:12])) / sc))
+        err3 = float(np.max(np.abs(h * np.add.reduce(_RK_E3 * k[:12])) / sc))
+        # Hairer's estimate err5^2 / sqrt(err5^2 + 0.01 err3^2), overflow-free
+        den = math.hypot(err5, 0.1 * err3)
+        err = (err5 * (err5 / den) if den else 0.0) + 1e-300
         # rejecting a non-finite step would shrink h until the step budget
         if not (math.isfinite(err) and np.isfinite(k).all()):
             raise EvaluationError(f"t={t:.6g}", "non-finite field value")
 
         if err <= 1.0:
             t += h
-            y = stage                        # the 5th-order solution
+            y = stage                        # the 8th-order solution
             if separation is not None:
                 sep = separation(y)
                 if sep < collision_threshold:
@@ -465,11 +506,11 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
             for name, fn in (monitors or {}).items():
                 mon[name].append(fn(y))
             # PI controller (Gustafsson): combine current and previous error
-            fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
+            fac = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0)
             err_prev = err
-            k[0] = k[6]
+            k[0] = k[12]
         else:
-            fac = max(0.2, 0.9 * err ** (-0.2))
+            fac = max(0.2, 0.9 * err ** (-0.125))
         h *= min(5.0, max(0.2, fac))
         steps += 1
 

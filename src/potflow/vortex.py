@@ -42,6 +42,7 @@ COLLISION_THRESHOLD = 1e-10
 MAX_MODULUS = 1e100
 # the disk record (G, Robin data, wall distance), evaluated on arrays
 _DISK = planar_green._KINDS["disk"]
+_UNIT_DISK = planar_green.DomainDescriptor.disk(1.0)
 
 
 def _min_pair_distance(z: np.ndarray) -> float:
@@ -210,6 +211,15 @@ def _energy_of(g: np.ndarray, domain):
     return energy
 
 
+def _scaled(z: np.ndarray, factor: float) -> np.ndarray:
+    """z * factor, part by part: a complex product would turn some -0.0
+    parts into 0.0, so a factor of 1 would not return z's bits."""
+    out = np.empty_like(z)
+    out.real = z.real * factor
+    out.imag = z.imag * factor
+    return out
+
+
 def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.Trajectory:
     """Integrate the vortex motion; monitors energy and vorticity moments.
 
@@ -217,25 +227,33 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.T
     ``moment`` = |sum G_k z_k| and ``angular`` = sum G_k |z_k|^2; in the
     disk ``radius_k`` for each vortex.  Aborts with CollisionError when two
     vortices (or a vortex and the wall) come within COLLISION_THRESHOLD R.
+
+    A disk run integrates w = z / R in the unit disk, whose field is the
+    disk's with the weights Gamma / R^2, so the step control's error test
+    tol (1 + |w|) reads the same at every R, and a run to t_end R^2 takes
+    the same steps.  The states and monitors are those of z.
     """
     g = system.strengths
     domain = system.domain
-    field = _field_of(g, domain)
+    size = 1.0 if domain is None else _DISK.size(domain)
+    unit = None if domain is None else _UNIT_DISK
+    field = _field_of(g / (size * size), unit)
 
-    def separation(y: np.ndarray) -> float:
-        sep = _min_pair_distance(y)
-        return sep if domain is None else min(sep, _DISK.boundary_distance(domain, y).min())
+    def separation(w: np.ndarray) -> float:
+        sep = _min_pair_distance(w)
+        return sep if unit is None else min(sep, _DISK.boundary_distance(unit, w).min())
 
-    monitors = {"energy": _energy_of(g, domain)}
+    energy = _energy_of(g, domain)
+    monitors = {"energy": energy if size == 1 else lambda w: energy(_scaled(w, size))}
     if domain is None:
         monitors["moment"] = lambda y: abs(np.sum(g * y))
         monitors["angular"] = lambda y: float(np.sum(g * np.abs(y) ** 2))
 
     sep_guard = separation if system.n > 1 or domain is not None else None
-    size = 1.0 if domain is None else _DISK.size(domain)
-    traj = numkit.rk_integrate(field, system.positions, t_end, tol,
+    traj = numkit.rk_integrate(field, _scaled(system.positions, 1.0 / size), t_end, tol,
                                monitors=monitors, separation=sep_guard,
-                               collision_threshold=COLLISION_THRESHOLD * size)
+                               collision_threshold=COLLISION_THRESHOLD)
+    traj.states = _scaled(traj.states, size)
     if domain is not None:
         # |z_k| of every state at once; np.hypot is the C library's hypot,
         # which abs() of one point calls (np.abs of a complex array is not)

@@ -1,12 +1,17 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from potflow import elliptic, numkit, planar_green, surface
+from rk_oracles import thirteen_call_dop853
 from potflow.errors import (
     CollisionError,
     EvaluationError,
@@ -360,53 +365,6 @@ def test_rk_linear_field_matches_exponential():
     assert abs(traj.final_state[0] - (2.0 + 1j) * math.exp(-2.1)) < 10 * tol
 
 
-# A plain Dormand-Prince 5(4) loop that evaluates the field at the start of
-# every attempt: seven calls per attempted step.  It repeats the integrator's
-# arithmetic operation for operation, with its own tableau (Dormand & Prince,
-# J. Comput. Appl. Math. 6, 1980) and step control, so its trajectory is the
-# one the integrator must reproduce bit for bit with six calls per attempt.
-_A = [[], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
-      [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-      [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]]
-_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
-_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-       187 / 2100, 1 / 40]
-
-
-def _seven_call_dormand_prince(field, y, t_end, tol):
-    """(times, states, attempts): attempts lists (start, accepted) per step."""
-    rows = [np.array(r, dtype=complex) for r in _A + [_B5[:6]]]
-    b5 = np.array(_B5, dtype=complex)
-    e = b5 - np.array(_B4, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    f0 = np.asarray(field(y), dtype=complex)
-    h = min(t_end / 10.0, (tol * (1.0 + np.max(np.abs(y)))
-                           / (np.max(np.abs(f0)) + 1e-30)) ** 0.2)
-    h = max(h, 1e-12)
-    t, times, states, attempts = 0.0, [0.0], [y.copy()], []
-    k = np.zeros((7, y.size), dtype=complex)
-    err_prev = 1.0
-    while t < t_end:
-        h = min(h, t_end - t)
-        k[0] = field(y)
-        for i in range(1, 7):
-            k[i] = field(y + h * (rows[i] @ k[:i]))
-        y5 = y + h * (b5 @ k)
-        err = float(np.max(np.abs(h * (e @ k)) / (tol * (1.0 + np.abs(y))))) + 1e-300
-        attempts.append((y, err <= 1.0))
-        if err <= 1.0:
-            t += h
-            y = y5
-            times.append(t)
-            states.append(y)
-            fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
-            err_prev = err
-        else:
-            fac = max(0.2, 0.9 * err ** (-0.2))
-        h *= min(5.0, max(0.2, fac))
-    return np.asarray(times), np.asarray(states), attempts
-
-
 def _pulse_field(y):
     # y = (x, t): x' is a narrow pulse at t = 1.5 that the step size, grown
     # on the flat part, first steps over and has to reject
@@ -431,26 +389,54 @@ def test_rk_step_and_field_counts():
     traj = numkit.rk_integrate(field, [0j, 0j], 3.0, 1e-10)
     accepted = len(traj.times) - 1
     assert traj.steps_rejected > 0
-    assert traj.field_evals == len(calls) == 1 + 6 * (accepted + traj.steps_rejected)
+    assert traj.field_evals == len(calls) == 1 + 12 * (accepted + traj.steps_rejected)
 
 
 def test_rk_states_are_bit_identical_to_the_recorded_ones():
     # a nonlinear field with no vortex code: the sha256 of every state and
-    # time, recorded from the integrator that cast the float tableau rows
-    # to complex in each stage product, pins the rounding of those products
+    # time, recorded from the DOP853 integrator, pins the rounding of its
+    # stage sums, added one stage after the other
     traj = numkit.rk_integrate(_nonlinear_field, [1.0 + 0.5j, -0.3 + 1.2j], 3.0, 1e-10)
     digest = hashlib.sha256(traj.states.tobytes() + traj.times.tobytes()).hexdigest()
-    assert (len(traj.times), traj.steps_rejected, traj.field_evals) == (123, 0, 733)
-    assert digest == "53fa6def55b4805d1d28e8ed2efe1a22a053d871e1e866499148a9a5b360068f"
+    assert (len(traj.times), traj.steps_rejected, traj.field_evals) == (17, 0, 193)
+    assert digest == "9b17a4091df0a078823a1053281ff5c861052ab74bb01db2471db1a963b88436"
+
+
+# Run in a fresh interpreter, since OpenBLAS reads its thread count at import.
+_LONG_STATE_RUN = """
+import hashlib, numpy as np
+from potflow import numkit
+rng = np.random.default_rng(700)
+y0 = rng.uniform(-1, 1, 700) + 1j * rng.uniform(-1, 1, 700)
+w = rng.uniform(0.5, 2.0, 700)
+traj = numkit.rk_integrate(lambda y: 1j * w * y * (1 + 0.1 * (y * y.conjugate()).real),
+                           y0, 1.0, 1e-8)
+print(hashlib.sha256(traj.states.tobytes() + traj.times.tobytes()).hexdigest())
+"""
+
+
+def test_rk_states_do_not_depend_on_the_blas_thread_count():
+    # a BLAS product row @ k[:i] over 700 entries splits across threads and
+    # rounds by their count; the elementwise stage sums do not
+    package_root = Path(numkit.__file__).parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(package_root), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _LONG_STATE_RUN], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("field, y0", [
     (_pulse_field, [0j, 0j]),
     (_nonlinear_field, [1.0 + 0.5j, -0.3 + 1.2j]),
 ], ids=["rejecting-pulse", "nonlinear"])
-def test_rk_reuses_the_last_stage_and_matches_the_seven_call_loop(field, y0):
+def test_rk_reuses_the_last_stage_and_matches_the_thirteen_call_loop(field, y0):
     oracle_field, oracle_points = _recorded(field)
-    times, states, attempts = _seven_call_dormand_prince(oracle_field, y0, 3.0, 1e-10)
+    times, states, attempts = thirteen_call_dop853(oracle_field, y0, 3.0, 1e-10)
     fsal_field, points = _recorded(field)
     # a budget of the oracle's attempts ends a diverging run at once
     traj = numkit.rk_integrate(fsal_field, y0, 3.0, 1e-10, max_steps=len(attempts))
@@ -460,18 +446,26 @@ def test_rk_reuses_the_last_stage_and_matches_the_seven_call_loop(field, y0):
     accepted = len(traj.times) - 1
     assert (accepted, traj.steps_rejected) == (
         sum(ok for _, ok in attempts), sum(not ok for _, ok in attempts))
-    assert traj.field_evals == len(points) == 1 + 6 * len(attempts)
-    assert len(oracle_points) == 1 + 7 * len(attempts)
+    assert traj.field_evals == len(points) == 1 + 12 * len(attempts)
+    assert len(oracle_points) == 1 + 13 * len(attempts)
     # the same points, less the first stage of every attempt, in order
     assert points == oracle_points[:1] + [
         p for j in range(len(attempts))
-        for p in oracle_points[2 + 7 * j:8 + 7 * j]]
+        for p in oracle_points[2 + 13 * j:14 + 13 * j]]
     # after a rejection the next attempt does not evaluate its start again
     for j, (start, ok) in enumerate(attempts[:-1]):
         if not ok:
-            assert start.tobytes() not in points[1 + 6 * (j + 1):7 + 6 * (j + 1)]
+            assert start.tobytes() not in points[1 + 12 * (j + 1):13 + 12 * (j + 1)]
     if field is _pulse_field:
         assert traj.steps_rejected > 0
+
+
+def test_rk_tableau_is_dop853():
+    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert numkit._RK_A.tobytes() == dop853.A[:13, :12].astype(complex).tobytes()
+    assert numkit._RK_E5.tobytes() == dop853.E5[:12, None].astype(complex).tobytes()
+    assert numkit._RK_E3.tobytes() == dop853.E3[:12, None].astype(complex).tobytes()
+    assert not dop853.E5[12] and not dop853.E3[12]     # no weight on the last stage
 
 
 def test_rk_step_budget_counts_attempted_steps():
@@ -529,6 +523,15 @@ def test_rk_collision_guard_timestamps():
         numkit.rk_integrate(field, [-1.0 + 0j, 1.0 + 0j], 5.0, 1e-8,
                             separation=separation, collision_threshold=1e-3)
     assert 0 < err.value.time < 5.0
+
+
+def test_rk_step_is_capped_by_the_separation_over_the_speed():
+    # y0 runs at unit speed to within 1e-12 of the still y1 at t = 1; an
+    # uncapped step grown on the exact field would pass that point unseen
+    with pytest.raises(CollisionError) as err:
+        numkit.rk_integrate(lambda y: np.array([1 + 0j, 0j]), [0j, 1 + 1e-12j], 3.0, 1e-10,
+                            separation=lambda y: abs(y[0] - y[1]), collision_threshold=1e-10)
+    assert abs(err.value.time - 1.0) < 1e-10
 
 
 def test_trajectory_monitor_recording():

@@ -1,11 +1,14 @@
 import cmath
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from potflow import planar_green as pg, vortex as vx
+from rk_oracles import seven_call_dormand_prince
 from potflow.errors import (
     CollisionError,
     DomainError,
@@ -373,35 +376,35 @@ def test_zero_strength_disk_vortex_is_a_tracer():
 
 def test_two_ring_disk_run_reproduces_recorded_steps_and_state():
     # 6 unit vortices on r = 0.3 and 10 on r = 0.6: counts and final state
-    # recorded from the per-stage reference integrator (t = 2, tol = 1e-10)
+    # recorded from the 13-call DOP853 loop of rk_oracles (t = 2, tol = 1e-10)
     z0 = np.r_[0.3 * np.exp(2j * np.pi * np.arange(6) / 6),
                0.6 * np.exp(2j * np.pi * np.arange(10) / 10)]
     traj = vx.simulate(vx.VortexSystem(z0, np.ones(16), DISK), 2.0, 1e-10)
     recorded = np.array([
-        -0.24267366008367214 + 0.15863575596419516j,
-        -0.2819137527829033 - 0.1381116628638571j,
-        -0.019651636619709253 - 0.2953839300363859j,
-        0.24267366008367655 - 0.1586357559641983j,
-        0.28191375278289904 + 0.1381116628638529j,
-        0.019651636619707858 + 0.2953839300363899j,
-        -0.5926480784065675 + 0.08223803802213012j,
-        -0.5391188120488528 - 0.28357939846361296j,
-        -0.2561420418566446 - 0.5362506037000238j,
-        0.10931370725939986 - 0.5929885000232806j,
-        0.42423356777612586 - 0.41708813415877477j,
-        0.5926480784065683 - 0.08223803802212598j,
-        0.5391188120488496 + 0.28357939846361335j,
-        0.2561420418566457 + 0.5362506037000229j,
-        -0.1093137072593997 + 0.5929885000232819j,
-        -0.42423356777612353 + 0.41708813415877427j,
+        -0.2426736601484885 + 0.1586357558395353j,
+        -0.2819137527000971 - 0.1381116629854332j,
+        -0.01965163647374836 - 0.2953839300385553j,
+        0.242673660148466 - 0.1586357558395249j,
+        0.28191375270011315 + 0.13811166298544558j,
+        0.019651636473752884 + 0.2953839300385329j,
+        -0.5926480784307762 + 0.0822380376090218j,
+        -0.539118811807107 - 0.28357939882551786j,
+        -0.2561420414742893 - 0.5362506038498978j,
+        0.10931370766157941 - 0.5929884999061646j,
+        0.42423356804721085 - 0.417088133837244j,
+        0.5926480784307732 - 0.08223803760902995j,
+        0.5391188118071131 + 0.28357939882552113j,
+        0.25614204147428343 + 0.5362506038498956j,
+        -0.10931370766157035 + 0.592988499906161j,
+        -0.42423356804721385 + 0.4170881338372524j,
     ])
-    assert (len(traj.times), traj.steps_rejected, traj.field_evals) == (316, 0, 1891)
+    assert (len(traj.times), traj.steps_rejected, traj.field_evals) == (42, 0, 493)
     assert np.max(np.abs(traj.final_state - recorded)) < 1e-12
 
 
 def test_disk_radius_monitors_are_abs_of_each_state_bit_for_bit():
     system = vx.VortexSystem([0.5, -0.3 + 0.2j, 0.1 - 0.6j], [1.0, -0.7, 2.0], DISK)
-    traj = vx.simulate(system, 1.0)
+    traj = vx.simulate(system, 2.0)
     assert len(traj.times) > 10
     for k in range(system.n):
         want = np.array([abs(y[k]) for y in traj.states])
@@ -419,3 +422,36 @@ def test_disk_collision_bounds_are_relative_to_the_radius(R):
         vx.VortexSystem(np.array([0.3, 0.3 + 1e-11]) * R, [1.0, -0.5], disk)
     with pytest.raises(CollisionError):
         vx.simulate(vx.VortexSystem([R * (1 - 1e-11)], [1.0], disk), 0.1)
+
+
+@pytest.mark.parametrize("R", [1e-20, 1e-3, 1e3])
+def test_disk_run_is_the_unit_run_scaled(R):
+    # z -> R z with t -> R^2 t maps the motion onto itself; the run
+    # integrates z / R, so it also takes the same steps at every R
+    z0, g = np.array([0.3, -0.2 + 0.1j]), [1.0, -0.5]
+    unit = vx.simulate(vx.VortexSystem(z0, g, DISK), 0.1)
+    traj = vx.simulate(vx.VortexSystem(R * z0, g, pg.DomainDescriptor.disk(R)), 0.1 * R * R)
+    assert len(traj.times) == len(unit.times)
+    assert np.max(np.abs(traj.states - R * unit.states)) < 1e-12 * R
+    assert np.max(np.abs(traj.times - R * R * unit.times)) < 1e-12 * R * R
+
+
+def _seed_1_vortex_disk_system():
+    """The 16-vortex system of perfbench's vortex-disk workload, seed 1."""
+    workloads = runpy.run_path(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    return vx.VortexSystem.from_dict(workloads["vortex_system"](1))
+
+
+def test_dop853_is_as_accurate_as_the_5_4_method_at_equal_tol():
+    system = _seed_1_vortex_disk_system()
+    field = vx._field_of(system.strengths, system.domain)
+    energy = vx._energy_of(system.strengths, system.domain)
+    # the 5(4) loop at a tol 100 times below the tightest one tested
+    ref = seven_call_dormand_prince(field, system.positions, 2.0, 1e-14)[1][-1]
+    for tol in (1e-12, 1e-10, 1e-8):
+        old = seven_call_dormand_prince(field, system.positions, 2.0, tol)[1]
+        new = vx.simulate(system, 2.0, tol)
+        assert np.max(np.abs(new.final_state - ref)) <= 1.1 * np.max(np.abs(old[-1] - ref)), tol
+        old_energy = np.array([energy(z) for z in old])
+        assert (np.max(np.abs(new.monitors["energy"] - new.monitors["energy"][0]))
+                <= np.max(np.abs(old_energy - old_energy[0]))), tol
