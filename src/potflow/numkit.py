@@ -435,7 +435,8 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
     ``separation``, when given, returns the minimal pairwise distance of
     the state; falling below ``collision_threshold`` aborts with a
     CollisionError carrying the time stamp, and no step is longer than
-    the last accepted state's separation over its largest speed.  A
+    the last accepted separation over the rate at which the last accepted
+    step closed it (a gap that did not shrink caps nothing).  A
     non-finite field value raises EvaluationError naming the t the step
     started from.  At most ``max_steps`` steps are attempted, accepted and
     rejected together; a run that needs more raises ParameterError.
@@ -454,6 +455,7 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
     states = [y.copy()]
     mon = {name: [fn(y)] for name, fn in (monitors or {}).items()}
     sep = None if separation is None else separation(y)
+    closing = 0.0                            # how fast the last accepted step shrank sep
 
     # initial step: tol^(1/8) of the time the start speed takes to cross
     # the error scale 1 + |y|, which scales with the field's time unit
@@ -472,12 +474,9 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
         if steps >= max_steps:
             raise ParameterError(f"step budget exhausted at t={t:.6g}")
         h = min(h, t_end - t)
-        if separation is not None:
-            # no point crosses the last accepted state's smallest gap in
-            # one step at its speed there
-            speed = float(np.max(np.abs(k[0])))
-            if speed > 0:
-                h = min(h, sep / speed)
+        if closing > 0:
+            # the gap, closing as fast as over the last step, lasts sep / closing
+            h = min(h, sep / closing)
         for i in range(1, 13):
             stage = y + h * np.add.reduce(_RK_ROWS[i] * k[:i])
             k[i] = field(stage)
@@ -496,9 +495,10 @@ def rk_integrate(field: Callable[[np.ndarray], np.ndarray],
             t += h
             y = stage                        # the 8th-order solution
             if separation is not None:
-                sep = separation(y)
+                sep_prev, sep = sep, separation(y)
                 if sep < collision_threshold:
                     raise CollisionError(t, sep)
+                closing = (sep_prev - sep) / h
             if not np.all(np.isfinite(y.view(float))):
                 raise EvaluationError(y, "non-finite state")
             times.append(t)

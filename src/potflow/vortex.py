@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit, planar_green
-from .errors import DomainError, ParameterError, SingularConfigurationError
+from .errors import (CollisionError, DomainError, ParameterError,
+                     SingularConfigurationError)
 
 __all__ = [
     "VortexSystem",
@@ -211,15 +212,6 @@ def _energy_of(g: np.ndarray, domain):
     return energy
 
 
-def _scaled(z: np.ndarray, factor: float) -> np.ndarray:
-    """z * factor, part by part: a complex product would turn some -0.0
-    parts into 0.0, so a factor of 1 would not return z's bits."""
-    out = np.empty_like(z)
-    out.real = z.real * factor
-    out.imag = z.imag * factor
-    return out
-
-
 def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.Trajectory:
     """Integrate the vortex motion; monitors energy and vorticity moments.
 
@@ -231,7 +223,8 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.T
     A disk run integrates w = z / R in the unit disk, whose field is the
     disk's with the weights Gamma / R^2, so the step control's error test
     tol (1 + |w|) reads the same at every R, and a run to t_end R^2 takes
-    the same steps.  The states and monitors are those of z.
+    the same steps.  The states, the monitors and a CollisionError's
+    separation are those of z.
     """
     g = system.strengths
     domain = system.domain
@@ -244,16 +237,21 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.T
         return sep if unit is None else min(sep, _DISK.boundary_distance(unit, w).min())
 
     energy = _energy_of(g, domain)
-    monitors = {"energy": energy if size == 1 else lambda w: energy(_scaled(w, size))}
+    monitors = {"energy": energy if size == 1 else lambda w: energy(w * size)}
     if domain is None:
         monitors["moment"] = lambda y: abs(np.sum(g * y))
         monitors["angular"] = lambda y: float(np.sum(g * np.abs(y) ** 2))
 
     sep_guard = separation if system.n > 1 or domain is not None else None
-    traj = numkit.rk_integrate(field, _scaled(system.positions, 1.0 / size), t_end, tol,
-                               monitors=monitors, separation=sep_guard,
-                               collision_threshold=COLLISION_THRESHOLD)
-    traj.states = _scaled(traj.states, size)
+    w0 = system.positions if size == 1 else system.positions / size
+    try:
+        traj = numkit.rk_integrate(field, w0, t_end, tol,
+                                   monitors=monitors, separation=sep_guard,
+                                   collision_threshold=COLLISION_THRESHOLD)
+    except CollisionError as err:
+        raise CollisionError(err.time, err.separation * size) from None
+    if size != 1:
+        traj.states = traj.states * size
     if domain is not None:
         # |z_k| of every state at once; np.hypot is the C library's hypot,
         # which abs() of one point calls (np.abs of a complex array is not)

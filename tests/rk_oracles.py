@@ -2,9 +2,10 @@
 attempted step, as references for ``numkit.rk_integrate``.
 
 ``thirteen_call_dop853`` repeats the integrator's arithmetic operation for
-operation, with the tableau of scipy's DOP853 and the same step control,
-so its trajectory is the one the integrator must reproduce bit for bit
-with twelve calls per attempt.  ``seven_call_dormand_prince`` is the
+operation, with the integrator's DOP853 tableau (checked against scipy's in
+``test_rk_tableau_is_dop853``) and the same step control, so its trajectory
+is the one the integrator must reproduce bit for bit with twelve calls per
+attempt.  ``seven_call_dormand_prince`` is the
 Dormand-Prince 5(4) method that the integrator ran before, with its own
 tableau (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) and step
 control, kept as the accuracy baseline of the 8th-order method.
@@ -16,7 +17,8 @@ per attempted step.
 import math
 
 import numpy as np
-import pytest
+
+from potflow import numkit
 
 _A = [[], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
       [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
@@ -60,10 +62,7 @@ def seven_call_dormand_prince(field, y, t_end, tol):
 
 
 def thirteen_call_dop853(field, y, t_end, tol):
-    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-    a = dop853.A[:13, :12].astype(complex)
-    e5 = dop853.E5[:12].astype(complex)
-    e3 = dop853.E3[:12].astype(complex)
+    a, e5, e3 = numkit._RK_A, numkit._RK_E5[:, 0], numkit._RK_E3[:, 0]
     y = np.asarray(y, dtype=complex)
     f0 = np.asarray(field(y), dtype=complex)
     speed = float(np.max(np.abs(f0)))

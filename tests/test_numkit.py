@@ -525,7 +525,7 @@ def test_rk_collision_guard_timestamps():
     assert 0 < err.value.time < 5.0
 
 
-def test_rk_step_is_capped_by_the_separation_over_the_speed():
+def test_rk_step_is_capped_by_the_separation_over_its_closing_rate():
     # y0 runs at unit speed to within 1e-12 of the still y1 at t = 1; an
     # uncapped step grown on the exact field would pass that point unseen
     with pytest.raises(CollisionError) as err:

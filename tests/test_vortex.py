@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from potflow import planar_green as pg, vortex as vx
+from potflow import numkit, planar_green as pg, vortex as vx
 from rk_oracles import seven_call_dormand_prince
 from potflow.errors import (
     CollisionError,
@@ -420,8 +420,25 @@ def test_disk_collision_bounds_are_relative_to_the_radius(R):
     assert abs(traj.monitors["energy"][-1] - math.log(R) / (4 * math.pi)) < 1e-13
     with pytest.raises(SingularConfigurationError):
         vx.VortexSystem(np.array([0.3, 0.3 + 1e-11]) * R, [1.0, -0.5], disk)
-    with pytest.raises(CollisionError):
+    with pytest.raises(CollisionError) as err:
         vx.simulate(vx.VortexSystem([R * (1 - 1e-11)], [1.0], disk), 0.1)
+    # the reported gap is that of z, not of the integrated z / R
+    assert 0 <= err.value.separation < vx.COLLISION_THRESHOLD * R
+    assert f"(separation {err.value.separation:.3e})" in str(err.value)
+
+
+def test_gaps_that_do_not_close_cap_no_step():
+    # a plane dipole translates at speed 1 / (2pi d) with the gap d fixed:
+    # a cap of d over the speed would take 2pi d^2 steps per unit of time
+    dipole = vx.simulate(vx.VortexSystem([0j, 1e-2j], [1.0, -1.0]), 10.0)
+    assert len(dipole.times) - 1 <= 30
+    # a disk vortex near the wall circles at a fixed distance from it
+    system = vx.VortexSystem([0.99], [1.0], DISK)
+    free = numkit.rk_integrate(vx._field_of(system.strengths, DISK), system.positions,
+                               0.2, 1e-10)
+    guarded = vx.simulate(system, 0.2)
+    assert guarded.times.tobytes() == free.times.tobytes()
+    assert guarded.states.tobytes() == free.states.tobytes()
 
 
 @pytest.mark.parametrize("R", [1e-20, 1e-3, 1e3])
