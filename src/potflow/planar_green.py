@@ -183,19 +183,16 @@ def green(domain: DomainDescriptor, z: complex, a: complex) -> float:
     spec = _KINDS[domain.kind]
     if not (spec.contains(domain, z) and spec.contains(domain, a)):
         _require_interior(domain, z, a)   # raises, naming the first point outside
-    if abs(z - a) < 1e-14 * (spec.size(domain) if spec.size else 1.0):
+    if abs(z - a) < 1e-14 * (spec.size(domain, a) if spec.size else 1.0):
         raise PoleError("Green function pole at z = a")
     return float(spec.green(domain, z, a))
 
 
 def green_z_derivative(domain: DomainDescriptor, z, a: complex):
-    """dG/dz for the closed-form kinds (used by contour formulas), for a
-    scalar or an array of z."""
-    dgdz = _kind_function(domain.kind, "green_z_derivative",
-                          "no closed-form derivative for kind {!r}")
-    z = numkit.as_points(z)
-    val = dgdz(domain, z, complex(a))
-    return val if isinstance(z, np.ndarray) else complex(val)
+    """dG/dz in closed form (used by contour formulas), for a scalar or an
+    array of z."""
+    val = _KINDS[domain.kind].green_z_derivative(domain, numkit.as_points(z), complex(a))
+    return val if isinstance(val, np.ndarray) else complex(val)
 
 
 def robin_data(domain: DomainDescriptor, a: complex) -> GreenExpansion:
@@ -209,7 +206,7 @@ def robin_data(domain: DomainDescriptor, a: complex) -> GreenExpansion:
     spec = _KINDS[domain.kind]
     if not spec.contains(domain, a):
         _require_interior(domain, a)   # raises
-    if spec.boundary_distance(domain, a) < 1e-9 * (spec.size(domain) if spec.size else 1.0):
+    if spec.boundary_distance(domain, a) < 1e-9 * (spec.size(domain, a) if spec.size else 1.0):
         raise ConditioningError("point too close to the boundary for Robin data")
     h0, h1, curvature = spec.robin(domain, a)
     return GreenExpansion(float(h0), complex(h1), curvature)
@@ -614,7 +611,7 @@ class _Kind:
     """One domain kind as plain functions of its descriptor d.  The
     optional operations are None where the kind has no closed form.  The
     disk's operations also take numpy arrays of z and a, element by element,
-    and the rectangle's green and green_z_derivative arrays of z."""
+    the rectangle's green and every kind's green_z_derivative arrays of z."""
 
     parse: Callable          # document dict -> DomainDescriptor
     to_dict: Callable        # d -> document dict
@@ -622,8 +619,8 @@ class _Kind:
     boundary_distance: Callable  # (d, z) -> float, > 0 exactly inside
     green: Callable          # (d, z, a) -> float
     robin: Callable          # (d, a) -> (h0, h1, curvature)
+    green_z_derivative: Callable  # (d, z, a) -> complex
     invalid: Callable = lambda d: None   # d -> error message, or None when valid
-    green_z_derivative: Callable | None = None   # (d, z, a) -> complex
     boundary_curve: Callable | None = None       # d -> Curve
     # constant-speed positively oriented parametrisation of the boundary:
     # (d, t ndarray in [0, 1], side) -> (z, dz/dt, d2z/dt2), one-sided at the
@@ -633,7 +630,10 @@ class _Kind:
     area_rule: Callable | None = None    # (d, resolution) -> (nodes, weights)
     harmonic: Callable | None = None     # (d, a, m) -> (points, raw -dG/dn ds weights)
     interior: str = ""       # the bounds of contains, where errors should name them
-    # d -> the length green's and robin_data's bounds scale with; None: absolute
+    # (d, a) -> the length green's and robin_data's bounds scale with at the
+    # point a: the disk's radius, the rectangle's shorter side, and on the
+    # scale-free kinds |a| plus the least disk radius (h1 would overflow as
+    # the bound fell to 0 with |a|); None: absolute
     size: Callable | None = None
 
 
@@ -644,7 +644,7 @@ _KINDS: dict[str, _Kind] = {
         invalid=lambda d: "disk radius must be positive" if d.R <= 0 else None,
         contains=lambda d, z: abs(z) < d.R,
         boundary_distance=lambda d, z: d.R - abs(z),
-        size=lambda d: d.R,
+        size=lambda d, a: d.R,
         green=lambda d, z, a: -np.log(
             abs(d.R * (z - a) / (d.R * d.R - z * a.conjugate()))) / (2 * math.pi),
         robin=lambda d, a: (_disk_h0(d, a), _disk_image(d, a, a), -4.0),
@@ -663,6 +663,7 @@ _KINDS: dict[str, _Kind] = {
         # abs(z) < inf rejects the inf and nan parts that z.imag > 0 lets pass
         contains=lambda d, z: z.imag > 0 and abs(z) < math.inf,
         boundary_distance=lambda d, z: z.imag,
+        size=lambda d, a: abs(a) + SIZE_RANGE[0],
         green=lambda d, z, a: -math.log(abs((z - a) / (z - a.conjugate()))) / (2 * math.pi),
         robin=lambda d, a: (math.log(2 * a.imag), -0.5j / a.imag, -4.0),
         green_z_derivative=lambda d, z, a: (
@@ -676,6 +677,7 @@ _KINDS: dict[str, _Kind] = {
         to_dict=lambda d: {"kind": "slit_plane"},
         contains=lambda d, z: abs(z) < math.inf and not (z.imag == 0 and z.real >= 0),
         boundary_distance=lambda d, z: abs(z) if z.real <= 0 else abs(z.imag),
+        size=lambda d, a: abs(a) + SIZE_RANGE[0],
         green=_slit_green,
         robin=_slit_robin,
         green_z_derivative=_slit_dgdz,
@@ -689,7 +691,7 @@ _KINDS: dict[str, _Kind] = {
                            else None),
         contains=lambda d, z: 0 < z.real < d.w and 0 < z.imag < d.h,
         boundary_distance=lambda d, z: min(z.real, d.w - z.real, z.imag, d.h - z.imag),
-        size=lambda d: min(d.w, d.h),
+        size=lambda d, a: min(d.w, d.h),
         green=_rectangle_green,
         robin=_rectangle_robin,
         green_z_derivative=_rectangle_dgdz,
@@ -708,6 +710,7 @@ _KINDS: dict[str, _Kind] = {
         boundary_distance=lambda d, z: min(-z.real, z.real + 0.5),
         green=_strip_green,
         robin=_strip_robin,
+        green_z_derivative=lambda d, z, a: schottky._g_electro_dz(z, a, _strip_lattice(d.tau)),
     ),
 }
 

@@ -103,16 +103,10 @@ class StripDouble:
         return (abs(z.real) <= bound) & (abs(z.imag) <= bound * self.T)
 
     def p11_quadrature(self) -> float:
-        """P11 = (1/2) int_Omega du1 wedge *du1 by fd gradient + midpoint rule."""
-        def grad_sq(z: np.ndarray) -> np.ndarray:
-            h = 1e-6
-            ux = (self.u1(z + h) - self.u1(z - h)) / (2 * h)
-            uy = (self.u1(z + 1j * h) - self.u1(z - 1j * h)) / (2 * h)
-            return ux * ux + uy * uy
-
+        """P11 = (1/2) int_Omega du1 wedge *du1 by the midpoint rule; |grad u1|^2 = 4."""
         cell = numkit.product_rule(numkit.midpoint_rule(64, 0.5),
                                    numkit.midpoint_rule(64, self.T), -0.5)
-        return 0.5 * float(numkit.integrate(grad_sq, *cell))
+        return 0.5 * float(numkit.integrate(lambda z: 4.0, *cell))
 
 
 def _require_strip(dbl: StripDouble, *points) -> None:
@@ -184,6 +178,16 @@ def _g_electro(z, a, L: elliptic.TorusLattice):
             - surface.torus_monopole_green(z, -a.conjugate(), L))
 
 
+def _g_electro_dz(z, a, L: elliptic.TorusLattice):
+    """dG_electro/dz = -(r(z - a) - r(z + conj a)) / 4 pi, r = theta1'/theta1,
+    unchecked (PoleError at z = a mod lattice): the monopoles' Im^2 terms
+    cancel, as Im(z - a) = Im(z + conj a).  A scalar z takes the array path,
+    as numpy's complex division rounds unlike Python's."""
+    w, r = np.atleast_1d(z), lambda s: elliptic.theta1_log_derivative(s, L)
+    val = -(r(w - a) - r(w + a.conjugate())) / (4 * math.pi)
+    return complex(val[0]) if numkit.is_scalar(z) else val
+
+
 def _gamma_jet(a: complex, L: elliptic.TorusLattice) -> tuple:
     """(gamma_electro, gamma_electro_gradient, z0) at a on the double with
     lattice L, unchecked: h0 = log|theta1(2 Re a) / theta1'(0)| and h1 =
@@ -247,7 +251,7 @@ def hydro_circulation(a: complex, dbl: StripDouble, p: float = 0.0) -> float:
     """-oint_beta *dG_hydro around the inner (u1 = 1) boundary component.
 
     The cycle is the line x = -1/2 carrying the boundary orientation of
-    Omega (negative y direction); fd x-derivative plus trapezoid in y.
+    Omega (negative y direction); closed-form x-derivative plus trapezoid in y.
     """
     a, n = complex(a), 128
     # the y trapezoid errs like exp(-2 pi d n / Im tau), d the poles' distance from the wall
@@ -265,11 +269,10 @@ def _g_hydro_extended(z, a, dbl: StripDouble, p: float):
 
 
 def _g_hydro_dx(z, a, dbl: StripDouble, p: float):
-    """d/dx of ``_g_hydro_extended`` by a central difference of step 1e-6;
-    G extends smoothly across the walls on the double, so z may lie on one."""
-    h = 1e-6
-    return (_g_hydro_extended(z + h, a, dbl, p)
-            - _g_hydro_extended(z - h, a, dbl, p)) / (2 * h)
+    """d/dx of ``_g_hydro_extended`` (du1/dx = -2); G extends smoothly across
+    the walls on the double, so z may lie on one."""
+    return (2 * _g_electro_dz(z, a, dbl.lattice).real
+            - (StripDouble.u1(a) - p) / dbl.T)
 
 
 def neumann_strip(z, a, dbl: StripDouble):

@@ -392,16 +392,16 @@ def schottky_checks() -> list[Check]:
             neg = min(neg, schottky.g_electro_strip(p, a, dbl))
     out.append(Check("electro Green positive inside", "GGG-positive", -neg, 0.0))
     out.append(Check("electro Green unit flux", "GGG-flux",
-                     abs(_strip_flux(a, dbl) - 1.0), 1e-6))
+                     abs(_strip_flux(a, dbl) - 1.0), 1e-12))
 
     # hydro Green: locally constant boundary, prescribed circulation
     worst_t = max(abs(_wall_tangential(dbl, a, x0)) for x0 in (0.0, -0.5))
     out.append(Check("hydro Green boundary-locally-constant", "dGhydro",
                      worst_t, 1e-8))
     worst_p = max(_circulation_residual(a, dbl, p) for p in (0.0, 0.7))
-    out.append(Check("hydro circulation equals p", "ointdGp", worst_p, 1e-8))
+    out.append(Check("hydro circulation equals p", "ointdGp", worst_p, 1e-12))
     out.append(Check("hydro boundary pairing vanishes", "hydrohydro",
-                     abs(_hydrohydro(dbl, a, b)), 1e-8))
+                     abs(_hydrohydro(dbl, a, b)), 1e-12))
 
     # Neumann function
     h = 1e-6
@@ -449,10 +449,9 @@ def schottky_checks() -> list[Check]:
     out.append(Check("upsilon periods purely imaginary", "exupsilonab",
                      max(abs(pa.real), abs(pb.real)), 1e-8))
     ups_j = schottky.upsilon_third_kind(z, a, schottky.StripDouble.involution(a), dbl)
-    dge = 2 * numkit.wirtinger_derivative(
-        lambda w: schottky.g_electro_strip(w, a, dbl), z, "dz", 1e-6)
+    dge = 2 * schottky._g_electro_dz(z, a, dbl.lattice)
     out.append(Check("upsilon matches the electro differential", "dGdGnu",
-                     abs(ups_j + 2 * math.pi * dge), 1e-8))
+                     abs(ups_j + 2 * math.pi * dge), 1e-12))
 
     # Szego/Garabedian kernels
     rr = 1e-5
@@ -510,13 +509,17 @@ def schottky_checks() -> list[Check]:
 # torus report: the genus-one identities at one modulus
 # ---------------------------------------------------------------------------
 
+# ointdGp's tolerance is an absolute 1e-8 and its roundoff a few ulp of p
+# (3.7e-9 at |p| <= 1e7, failing from about 3e7), so larger p are refused
+MAX_CIRCULATION = 1e7
+
+
 def torus_checks(tau: complex, p: float) -> list[Check]:
     """The lattice identities at the modulus tau and, for a purely imaginary
     tau, the kernel identities of the strip double with hydro circulation
-    p (|p| at most SIZE_RANGE's upper end).  The points scale with Im tau."""
-    if not abs(p) <= planar_green.SIZE_RANGE[1]:
-        raise ParameterError(
-            f"p must be at most {planar_green.SIZE_RANGE[1]:g} in modulus")
+    p (|p| at most MAX_CIRCULATION).  The points scale with Im tau."""
+    if not abs(p) <= MAX_CIRCULATION:
+        raise ParameterError(f"p must be at most {MAX_CIRCULATION:g} in modulus")
     L = elliptic.lattice_constants(tau)
     at = 0.31 + 0.41j * tau.imag
     out = [

@@ -76,7 +76,7 @@ class VortexSystem:
                                  f"{MAX_MODULUS:g} in modulus")
         if self.domain is not None and self.domain.kind != "disk":
             raise ParameterError("vortex domains are the plane or a disk")
-        size = 1.0 if self.domain is None else _DISK.size(self.domain)
+        size = 1.0 if self.domain is None else _DISK.size(self.domain, self.positions)
         if _min_pair_distance(self.positions) < COLLISION_THRESHOLD * size:
             raise SingularConfigurationError("coincident vortex positions")
         if self.domain is not None:
@@ -228,7 +228,7 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.T
     """
     g = system.strengths
     domain = system.domain
-    size = 1.0 if domain is None else _DISK.size(domain)
+    size = 1.0 if domain is None else _DISK.size(domain, system.positions)
     unit = None if domain is None else _UNIT_DISK
     field = _field_of(g / (size * size), unit)
 

@@ -40,7 +40,8 @@ def test_schema_error_exit_65(capsys):
                  ["green", "--domain", disk, "--a=2,0"],
                  ["green", "--domain", strip, "--a=-0.25,0.005"],
                  ["torus", "--tau", "0,0.01"],
-                 # |p| beyond 1e100, the package's size limit
+                 # |p| beyond 1e7, the circulation ointdGp resolves
+                 ["torus", "--tau", "0,2", "--p", "1.1e7"],
                  ["torus", "--tau", "0,2", "--p", "1e300"],
                  ["torus", "--tau", "0,2", "--p", "-1e300"],
                  ["vortex", "--system", system, "--t-end", "-1"],
@@ -553,6 +554,15 @@ def test_torus_report(tmp_path):
     assert "KKH" in anchors and "Legendre" in anchors
     kkh = next(r for r in doc["identities"] if r["anchor"] == "KKH")
     assert kkh["residual"] == 0.0
+
+
+@pytest.mark.parametrize("p", ["100", "1e3", "1e6", "1e7", "-1e7"])
+def test_torus_circulation_passes_up_to_its_bound(tmp_path, p):
+    # ointdGp's roundoff grows like eps |p| against an absolute 1e-8, so
+    # the bound on --p is where every row still passes
+    out = tmp_path / "torus.json"
+    assert run(["torus", "--tau", "0,2", "--p", p, "--out", str(out)]) == 0
+    assert all(row["pass"] for row in json.loads(out.read_text())["identities"])
 
 
 @pytest.mark.parametrize("tau", ["0,0.05", "0,20", "0,60"])

@@ -657,6 +657,36 @@ def test_disk_pole_and_wall_bounds_are_relative_to_the_radius(R):
         pg.green(disk, R * a, R * (a + 1e-15))
 
 
+@pytest.mark.parametrize("s", [1e-20, 1e20, 1e-90])
+def test_scale_free_kinds_bound_poles_and_walls_relative_to_the_point(s):
+    # the half-plane and the slit plane have no length of their own, so
+    # their bounds scale with |a|, as the disk's scale with R
+    for dom, z, a in ((pg.DomainDescriptor.half_plane(), 0.1 + 0.5j, 0.3 + 0.2j),
+                      (pg.DomainDescriptor.slit_plane(), -0.4 + 0.5j, -1.0 + 0.3j)):
+        unit, rd = pg.robin_data(dom, a), pg.robin_data(dom, s * a)
+        assert abs(rd.h0 - math.log(s) - unit.h0) <= 1e-15 * abs(math.log(s))
+        assert abs(rd.h1 * s - unit.h1) <= 1e-15 * abs(unit.h1)
+        assert abs(pg.green(dom, s * z, s * a) - pg.green(dom, z, a)) < 1e-15
+        with pytest.raises(ConditioningError, match="too close to the boundary"):
+            pg.robin_data(dom, s * (1 + 1e-12j))
+        with pytest.raises(PoleError):
+            pg.green(dom, s * a, s * (a + 1e-15))
+
+
+def test_scale_free_kinds_answer_at_small_points_in_closed_form():
+    half, slit = pg.DomainDescriptor.half_plane(), pg.DomainDescriptor.slit_plane()
+    rd = pg.robin_data(half, 1e-20j)
+    assert rd.h0 == math.log(2e-20) and rd.h1 == -0.5j / 1e-20
+    assert pg.robin_data(slit, -1e-12).h0 == math.log(4e-12)
+    assert pg.green(half, 1e-20j, 3e-20j) == math.log(2) / (2 * math.pi)
+    with pytest.raises(ConditioningError, match="too close to the boundary"):
+        pg.robin_data(half, 1 + 1e-12j)
+    # below the least disk radius the bounds stop shrinking: h1 = -i / (2 Im a)
+    # would overflow from Im a ~ 3e-309 on
+    with pytest.raises(ConditioningError, match="too close to the boundary"):
+        pg.robin_data(half, 1e-320j)
+
+
 def test_rectangle_wall_bound_is_relative_to_the_shorter_side():
     s, unit = 1e-12, pg.DomainDescriptor.rectangle(1.0, 1.0)
     square = pg.DomainDescriptor.rectangle(s, s)

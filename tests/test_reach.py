@@ -81,7 +81,6 @@ ALLOWED = {
     "equilibrium.WeightedMeasure.potential": PAPER,
     "equilibrium.WeightedMeasure.integrate": PAPER,
     "schottky.StripDouble.p11_quadrature": PAPER,
-    "schottky.StripDouble.p11_quadrature.grad_sq": PAPER,
     "planar_green._rectangle_area_rule": NO_COMMAND_KIND,
     "planar_green._rectangle_dgdz": NO_COMMAND_KIND,
     "planar_green._rectangle_harmonic": NO_COMMAND_KIND,
@@ -291,3 +290,39 @@ def test_cli_reads_no_private_name_of_another_module():
                 and node.value.id in modules and node.attr.startswith("_")):
             private.add(f"{node.value.id}.{node.attr}")
     assert not private, f"cli reads private names: {sorted(private)}"
+
+
+# numkit's finite-difference helpers, and the defs that may call them: verify's
+# checks, the metric curvature, and the helpers composing one another
+FD_HELPERS = {"cross_stencil", "wirtinger_derivative", "mixed_second_derivative",
+              "laplacian_at", "fd_laplacian"}
+FD_CALLERS = {"planar_green.curvature_of_metric", *(f"numkit.{h}" for h in FD_HELPERS)}
+
+
+def _fd_callers() -> set[str]:
+    """"module.Qualified.name" of each def in src/potflow that calls a
+    helper of FD_HELPERS (the module's name for a call outside any def)."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+            ) in FD_HELPERS:
+                yield where
+            yield from walk(child, where)
+
+    return {where for path in SRC.glob("*.py")
+            for where in walk(ast.parse(path.read_text()), path.stem)}
+
+
+def test_finite_differences_are_oracles_not_library_paths():
+    # a library value taken by a difference carries the step's error (and
+    # roundoff over the step) into everything built on it; differences stay
+    # oracles, against which closed forms are checked
+    callers = _fd_callers()
+    outside = sorted(c for c in callers
+                     if c.split(".")[0] != "verify" and c not in FD_CALLERS)
+    assert not outside, f"finite differences called outside verify: {outside}"
+    assert "planar_green.curvature_of_metric" in callers

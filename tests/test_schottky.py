@@ -133,6 +133,62 @@ def test_g_hydro_boundary_and_circulation(dbl):
         assert abs(sk.hydro_circulation(A, dbl, p) - p) < 1e-8
 
 
+def _richardson_dz(f, z: complex, h: float) -> complex:
+    """d/dz of f at z from central differences of steps h and h/2, with one
+    Richardson step (error O(h^4))."""
+    def central(k):
+        dx = (f(z + k) - f(z - k)) / (2 * k)
+        dy = (f(z + 1j * k) - f(z - 1j * k)) / (2 * k)
+        return 0.5 * (dx - 1j * dy)
+    return (4 * central(h / 2) - central(h)) / 3
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0])
+def test_strip_green_z_derivative_matches_richardson_differences(T):
+    dom = pg.DomainDescriptor.periodic_strip(1j * T)
+    rng = np.random.default_rng(32)
+    pairs = [(complex(rng.uniform(-0.45, -0.05), rng.uniform(0, T)),
+              complex(rng.uniform(-0.45, -0.05), rng.uniform(0, T))) for _ in range(6)]
+    # z - a = -0.011 + (T + 0.01)i lies 0.015 from the pole's image at a + tau;
+    # there a plain central difference of step 5e-5 is off by 3.8e-6 relative
+    pairs.append((complex(-0.261, T + 0.11), -0.25 + 0.1j))
+    for z, a in pairs:
+        want = _richardson_dz(lambda w: pg.green(dom, w, a), z, 1e-4)
+        got = pg.green_z_derivative(dom, z, a)
+        assert type(got) is complex and abs(got - want) <= 1e-9 * abs(want), (z, a)
+
+
+def test_strip_green_z_derivative_of_an_array_equals_scalar_calls_bit_for_bit():
+    dom = pg.DomainDescriptor.periodic_strip(2j)
+    rng = np.random.default_rng(78)
+    z = rng.uniform(-0.499, -0.001, 2000) + 1j * rng.uniform(-4, 4, 2000)
+    got = pg.green_z_derivative(dom, z.reshape(40, 50), A)
+    assert got.shape == (40, 50)
+    assert _bits(*got.ravel()) == _bits(*(pg.green_z_derivative(dom, complex(w), A)
+                                         for w in z))
+
+
+@pytest.mark.parametrize("z", [A, A + 2j, A - 6j, np.array([Z, A + 2j])], ids=str)
+def test_strip_green_z_derivative_raises_at_the_pole_and_its_images(z):
+    with pytest.raises(PoleError):
+        pg.green_z_derivative(pg.DomainDescriptor.periodic_strip(2j), z, A)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.7])
+def test_closed_form_hydro_dx_matches_a_central_difference(dbl, p):
+    # an oracle independent of theta1'/theta1: a step-1e-6 central
+    # difference of G_hydro, good to its roundoff at these p
+    ys = dbl.T * np.arange(96) / 96
+    rng = np.random.default_rng(5)
+    z = np.concatenate([1j * ys, -0.5 + 1j * ys,
+                        rng.uniform(-0.45, -0.05, 50) + 1j * rng.uniform(0, dbl.T, 50)])
+    h = 1e-6
+    for a in (A, B):
+        fd = (sk._g_hydro_extended(z + h, a, dbl, p)
+              - sk._g_hydro_extended(z - h, a, dbl, p)) / (2 * h)
+        assert np.abs(sk._g_hydro_dx(z, a, dbl, p) - fd).max() < 1e-9
+
+
 def test_hydrohydro_pairing(dbl):
     n, h, p = 128, 1e-6, 0.7
     total = 0.0
