@@ -18,7 +18,6 @@ import numpy as np
 from . import numkit, planar_green
 from .errors import (
     ConditioningError,
-    DomainError,
     OptimizationQualityError,
     ParameterError,
     SingularConfigurationError,
@@ -514,8 +513,7 @@ def harmonic_measure(domain, a: complex, m: int = 256) -> WeightedMeasure:
     a mass more than 1e-12 from 1 means m is too small (ConditioningError).
     """
     a = complex(a)
-    if not domain.contains(a):
-        raise DomainError(f"{a} is not interior to {domain.kind}")
+    planar_green._require_interior(domain, a)
     rule = planar_green._kind_function(domain.kind, "harmonic",
                                        "harmonic measure unsupported for {!r}")
     points, weights = rule(domain, a, m)

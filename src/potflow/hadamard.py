@@ -144,8 +144,7 @@ def hadamard_delta_green(var: BoundaryVariation, a: complex,
     rhs: oint dG/dn(.,a) dG/dn(.,b) delta_n ds over the base circle.
     """
     a, b = complex(a), complex(b)
-    if not (var.base.contains(a) and var.base.contains(b)):
-        raise DomainError("evaluation points must be interior")
+    planar_green._require_interior(var.base, a, b)
     if abs(a - b) < 1e-12:
         raise PoleError("a and b must be distinct")
     _assert_unit_flux(var.base.R)
@@ -163,8 +162,7 @@ def hadamard_delta_green(var: BoundaryVariation, a: complex,
 def hadamard_delta_h0(var: BoundaryVariation, a: complex) -> tuple[float, float]:
     """Both sides of delta h0(a) = 2 pi oint (dG/dn(.,a))^2 delta_n ds."""
     a = complex(a)
-    if not var.base.contains(a):
-        raise DomainError("evaluation point must be interior")
+    planar_green._require_interior(var.base, a)
     _assert_unit_flux(var.base.R)
     eps = var.epsilon
     plus = _PerturbedDisk(var, +eps).robin_h0(a)
@@ -184,8 +182,7 @@ def triple_green(a: complex, b: complex, c: complex) -> float:
     with delta_n = -dG/dn(.,c) changes G(a,b) by -triple_green(a,b,c) per
     unit time.
     """
-    if not all(abs(complex(p)) < 1 for p in (a, b, c)):   # nan fails too
-        raise DomainError("arguments must be interior to the disk")
+    planar_green._require_interior(planar_green.UNIT_DISK, *map(complex, (a, b, c)))
     _assert_unit_flux(1.0)
     _, ds, (pa, pb, pc) = _densities(1.0, a, b, c)
     return -float(ds @ (pa * pb * pc))

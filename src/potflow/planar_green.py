@@ -52,8 +52,6 @@ MAX_GRID = 512
 # Strip points have |Im z| <= STRIP_IM_MAX Im tau: the reduction of Im z
 # modulo Im tau then keeps at least half the significand
 STRIP_IM_MAX = 2.0 ** 26
-# the bounds of a strip point, for errors to name
-STRIP_INTERIOR = "-1/2 < Re z < 0, |Im z| <= 2^26 Im tau"
 
 
 def size_error(name: str, *sizes: float) -> str | None:
@@ -159,13 +157,17 @@ def _slit_root(z):
     return s if s.imag > 0 else -s
 
 
-def _require_interior(domain: DomainDescriptor, *points: complex) -> None:
-    """Raise DomainError naming the first (complex) point not interior to the domain."""
+def _require_interior(domain, *points) -> None:
+    """Raise DomainError naming the first point (Python complex, or the first
+    element of an array on the disk and the strip) that the kind's contains
+    refuses; domain may be a StripDouble.  A scalar's bool is read as it is."""
     spec = _KINDS[domain.kind]
     for p in points:
-        if not spec.contains(domain, p):
+        inside = spec.contains(domain, p)
+        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
             where = f" ({spec.interior})" if spec.interior else ""
-            raise DomainError(f"{p} is not interior to {domain.kind}{where}")
+            raise DomainError(f"{numkit.first_where(np.logical_not(inside), p)} "
+                              f"is not interior to {domain.kind}{where}")
 
 
 def _kind_function(kind, name: str, missing: str = "unknown domain kind {!r}") -> Callable:
@@ -190,8 +192,17 @@ def green(domain: DomainDescriptor, z: complex, a: complex) -> float:
 
 def green_z_derivative(domain: DomainDescriptor, z, a: complex):
     """dG/dz in closed form (used by contour formulas), for a scalar or an
-    array of z."""
-    val = _KINDS[domain.kind].green_z_derivative(domain, numkit.as_points(z), complex(a))
+    array of z.  A PoleError names the first z whose own evaluation raises."""
+    spec, z, a = _KINDS[domain.kind], numkit.as_points(z), complex(a)
+    try:
+        val = spec.green_z_derivative(domain, z, a)
+    except PoleError:
+        for p in np.ravel(z).tolist():
+            try:
+                spec.green_z_derivative(domain, p, a)
+            except PoleError:
+                raise PoleError(f"dG/dz pole at z = {p}, on a or an image of a") from None
+        raise
     return val if isinstance(val, np.ndarray) else complex(val)
 
 
@@ -231,8 +242,7 @@ def poisson_value(boundary_data: Callable[[np.ndarray], np.ndarray], a: complex,
     """Harmonic extension at a from boundary values on |z| = 1 (trapezoid
     rule); boundary_data receives the array of boundary nodes."""
     a = complex(a)
-    if not abs(a) < 1:   # nan fails too
-        raise DomainError("evaluation point must satisfy |a| < 1")
+    _require_interior(UNIT_DISK, a)
     theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
     z = np.exp(1j * theta)
     return float(numkit.integrate(boundary_data, z, w * _disk_poisson(1.0, a, z)))
@@ -660,8 +670,9 @@ _KINDS: dict[str, _Kind] = {
     "half_plane": _Kind(
         parse=lambda data: DomainDescriptor.half_plane(),
         to_dict=lambda d: {"kind": "half_plane"},
-        # abs(z) < inf rejects the inf and nan parts that z.imag > 0 lets pass
-        contains=lambda d, z: z.imag > 0 and abs(z) < math.inf,
+        # the bound on |z| also rejects the inf and nan parts that z.imag > 0 lets pass
+        contains=lambda d, z: z.imag > 0 and abs(z) < SIZE_RANGE[1],
+        interior=f"Im z > 0, |z| < {SIZE_RANGE[1]:g}",
         boundary_distance=lambda d, z: z.imag,
         size=lambda d, a: abs(a) + SIZE_RANGE[0],
         green=lambda d, z, a: -math.log(abs((z - a) / (z - a.conjugate()))) / (2 * math.pi),
@@ -675,7 +686,8 @@ _KINDS: dict[str, _Kind] = {
     "slit_plane": _Kind(
         parse=lambda data: DomainDescriptor.slit_plane(),
         to_dict=lambda d: {"kind": "slit_plane"},
-        contains=lambda d, z: abs(z) < math.inf and not (z.imag == 0 and z.real >= 0),
+        contains=lambda d, z: abs(z) < SIZE_RANGE[1] and not (z.imag == 0 and z.real >= 0),
+        interior=f"z off [0, inf), |z| < {SIZE_RANGE[1]:g}",
         boundary_distance=lambda d, z: abs(z) if z.real <= 0 else abs(z.imag),
         size=lambda d, a: abs(a) + SIZE_RANGE[0],
         green=_slit_green,
@@ -706,13 +718,16 @@ _KINDS: dict[str, _Kind] = {
         to_dict=lambda d: {"kind": "periodic_strip", "tau": [d.tau.real, d.tau.imag]},
         invalid=lambda d: _strip_tau_error(d.tau),
         contains=_strip_contains,
-        interior=STRIP_INTERIOR,
+        interior="-1/2 < Re z < 0, |Im z| <= 2^26 Im tau",
         boundary_distance=lambda d, z: min(-z.real, z.real + 0.5),
         green=_strip_green,
         robin=_strip_robin,
         green_z_derivative=lambda d, z, a: schottky._g_electro_dz(z, a, _strip_lattice(d.tau)),
     ),
 }
+
+# the unit disk, for the functions defined on it alone
+UNIT_DISK = DomainDescriptor.disk(1.0)
 
 
 # schottky imports this module at its top, so this module imports schottky

@@ -64,6 +64,7 @@ class StripDouble:
 
     tau: complex
     lattice: elliptic.TorusLattice = field(init=False, repr=False)
+    kind = "periodic_strip"   # its _KINDS record, so planar_green checks a StripDouble
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -107,17 +108,6 @@ class StripDouble:
         cell = numkit.product_rule(numkit.midpoint_rule(64, 0.5),
                                    numkit.midpoint_rule(64, self.T), -0.5)
         return 0.5 * float(numkit.integrate(lambda z: 4.0, *cell))
-
-
-def _require_strip(dbl: StripDouble, *points) -> None:
-    """Raise DomainError unless every point (a Python complex or a complex
-    array) lies in the open strip.  A scalar point's Python bool is read as
-    it is: np.all would take a few microseconds per point."""
-    for p in points:
-        inside = planar_green._strip_contains(dbl, p)
-        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
-            raise DomainError("every point must lie in the open strip "
-                              f"({planar_green.STRIP_INTERIOR})")
 
 
 def schwarz_circle(z: complex) -> complex:
@@ -166,7 +156,7 @@ def g_electro_strip(z, a, dbl: StripDouble):
     """Electrostatic (Dirichlet) Green function of the periodic strip, for
     scalars or arrays of z and a (broadcast together)."""
     z, a = numkit.as_points(z), numkit.as_points(a)
-    _require_strip(dbl, z, a)
+    planar_green._require_interior(dbl, z, a)
     return _g_electro(z, a, dbl.lattice)
 
 
@@ -218,14 +208,14 @@ def gamma_electro(a: complex, dbl: StripDouble) -> float:
     minus the same constant, which therefore cancels.
     """
     a = complex(a)
-    _require_strip(dbl, a)
+    planar_green._require_interior(dbl, a)
     return _gamma_jet(a, dbl.lattice)[0]
 
 
 def gamma_electro_gradient(a: complex, dbl: StripDouble) -> complex:
     """h1 = d gamma_electro / da = (theta1'/theta1)(2 Re a) (real lattice)."""
     a = complex(a)
-    _require_strip(dbl, a)
+    planar_green._require_interior(dbl, a)
     return _gamma_jet(a, dbl.lattice)[1]
 
 
@@ -238,7 +228,7 @@ def g_hydro_strip(z, a, dbl: StripDouble, p: float = 0.0):
     u1 = 1 boundary component (with the boundary orientation of Omega).
     """
     z, a = numkit.as_points(z), numkit.as_points(a)
-    _require_strip(dbl, z, a)
+    planar_green._require_interior(dbl, z, a)
     return _g_hydro_extended(z, a, dbl, p)
 
 
@@ -429,7 +419,7 @@ def capacity_functions(a: complex, dbl: StripDouble) -> CapacityFunctions:
     on the diagonal; c_beta = exp(-gamma_electro), c1 = exp(-gamma_hydro).
     """
     a = complex(a)
-    _require_strip(dbl, a)
+    planar_green._require_interior(dbl, a)
     if min(-a.real, a.real + 0.5) < 1e-3:
         raise ParameterError("point too close to the boundary for capacities")
     h0 = _gamma_jet(a, dbl.lattice)[0]
@@ -448,7 +438,7 @@ def disk_capacity_functions(a: complex) -> CapacityFunctions:
     """Degenerate (simply connected) control case on the unit disk: each
     quantity from its own closed form; all five coincide."""
     a = complex(a)
-    rd = planar_green.robin_data(planar_green.DomainDescriptor.disk(1.0), a)   # checks a
+    rd = planar_green.robin_data(planar_green.UNIT_DISK, a)   # checks a
     ke = planar_green.bergman_disk(a, a).real
     ksz = planar_green.szego_disk(a, a).real
     return CapacityFunctions(
@@ -471,8 +461,9 @@ def ahlfors_map_disk(z: complex, a: complex) -> complex:
     f'(a) = 1/(1-|a|^2) = 2 pi K_Szego(a,a).
     """
     z, a = complex(z), complex(a)
-    if not (abs(z) <= 1 + 1e-12 and abs(a) < 1):   # nan fails too
-        raise DomainError("Ahlfors map implemented on the unit disk")
+    planar_green._require_interior(planar_green.UNIT_DISK, a)
+    if not abs(z) <= 1 + 1e-12:   # nan fails too
+        raise DomainError(f"Ahlfors map implemented on the unit disk: {z} lies outside")
     return (z - a) / (1 - a.conjugate() * z)
 
 
@@ -494,16 +485,14 @@ def circular_slit_map(z, a: complex):
     scalar z takes the array path, so it rounds as an array entry does.
     """
     z, a = numkit.as_points(z), complex(a)
-    if not abs(a) < 1:
-        raise DomainError("zero point must be interior")
+    planar_green._require_interior(planar_green.UNIT_DISK, a)
     outside = numkit.first_where(np.logical_not(abs(z) <= 1 + 1e-12), z)
     if outside is not None:
         raise DomainError(f"slit map implemented on the unit disk: {outside} "
                           "lies outside")
     d = np.atleast_1d(z).ravel() - a
-    disk = planar_green.DomainDescriptor.disk(1.0)
     mean = numkit.integrate(
-        lambda t: planar_green._disk_image(disk, a + d[:, None] * t, a),
+        lambda t: planar_green._disk_image(planar_green.UNIT_DISK, a + d[:, None] * t, a),
         *numkit.gauss_legendre_rule((0.0, 1.0), _SLIT_NODES))
     f = d * np.exp(-d * mean)
     return f.reshape(z.shape) if isinstance(z, np.ndarray) else complex(f[0])

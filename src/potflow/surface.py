@@ -310,11 +310,13 @@ def torus_monopole_green(z, a, lattice: elliptic.TorusLattice):
     w = z - a
     try:
         w0, _, _, _, log_th = elliptic._theta_jet(w, lattice, log="z0")
-    except PoleError:   # theta1(w0) = 0, so w0 = 0
-        w0 = 0j
+    except PoleError:   # theta1(w0) = 0 where w0 = 0
+        w0 = elliptic.reduce_to_cell(w, lattice.tau)[0]
     near = abs(w0) < 1e-13
     if near.any() if isinstance(near, np.ndarray) else near:
-        raise PoleError("torus Green function pole at z = a (mod lattice)")
+        zs = np.broadcast_to(z, near.shape) if isinstance(near, np.ndarray) else z
+        raise PoleError(f"torus Green function pole at z = {numkit.first_where(near, zs)}, "
+                        "on a or an image of a")
     y = w0.imag
     return (-(log_th - lattice.log_abs_theta1_prime0) / (2 * math.pi)
             + y * y / (2 * lattice.tau.imag) + lattice.green_constant)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit, planar_green
-from .errors import (CollisionError, DomainError, ParameterError,
+from .errors import (CollisionError, ParameterError,
                      SingularConfigurationError)
 
 __all__ = [
@@ -43,7 +43,6 @@ COLLISION_THRESHOLD = 1e-10
 MAX_MODULUS = 1e100
 # the disk record (G, Robin data, wall distance), evaluated on arrays
 _DISK = planar_green._KINDS["disk"]
-_UNIT_DISK = planar_green.DomainDescriptor.disk(1.0)
 
 
 def _min_pair_distance(z: np.ndarray) -> float:
@@ -80,10 +79,7 @@ class VortexSystem:
         if _min_pair_distance(self.positions) < COLLISION_THRESHOLD * size:
             raise SingularConfigurationError("coincident vortex positions")
         if self.domain is not None:
-            outside = self.positions[
-                _DISK.boundary_distance(self.domain, self.positions) <= 0]
-            if outside.size:
-                raise DomainError(f"vortex at {outside[0]} outside the disk")
+            planar_green._require_interior(self.domain, self.positions)
 
     @property
     def n(self) -> int:
@@ -229,7 +225,7 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.T
     g = system.strengths
     domain = system.domain
     size = 1.0 if domain is None else _DISK.size(domain, system.positions)
-    unit = None if domain is None else _UNIT_DISK
+    unit = None if domain is None else planar_green.UNIT_DISK
     field = _field_of(g / (size * size), unit)
 
     def separation(w: np.ndarray) -> float:

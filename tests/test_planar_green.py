@@ -582,16 +582,18 @@ def test_scalar_point_query_call_budget(what, budget):
 
 
 _STRIP_BOUNDS = " (-1/2 < Re z < 0, |Im z| <= 2^26 Im tau)"
+_HALF_BOUNDS = " (Im z > 0, |z| < 1e+100)"
+_SLIT_BOUNDS = " (z off [0, inf), |z| < 1e+100)"
 _OUTSIDE = {   # domain, an interior point, two points outside with their messages
     "disk": (pg.DomainDescriptor.disk(2.0), 0.5 + 0.5j,
              (2.5 + 0j, "(2.5+0j) is not interior to disk"),
              (-3j, "(-0-3j) is not interior to disk")),
     "half_plane": (pg.DomainDescriptor.half_plane(), 1 + 1j,
-                   (2 - 0.5j, "(2-0.5j) is not interior to half_plane"),
-                   (3 + 0j, "(3+0j) is not interior to half_plane")),
+                   (2 - 0.5j, "(2-0.5j) is not interior to half_plane" + _HALF_BOUNDS),
+                   (3 + 0j, "(3+0j) is not interior to half_plane" + _HALF_BOUNDS)),
     "slit_plane": (pg.DomainDescriptor.slit_plane(), -1 + 1j,
-                   (2 + 0j, "(2+0j) is not interior to slit_plane"),
-                   (0j, "0j is not interior to slit_plane")),
+                   (2 + 0j, "(2+0j) is not interior to slit_plane" + _SLIT_BOUNDS),
+                   (0j, "0j is not interior to slit_plane" + _SLIT_BOUNDS)),
     "rectangle": (pg.DomainDescriptor.rectangle(2.0, 1.0), 0.5 + 0.5j,
                   (2 + 0.5j, "(2+0.5j) is not interior to rectangle"),
                   (-0.1 + 0.5j, "(-0.1+0.5j) is not interior to rectangle")),

@@ -299,22 +299,30 @@ FD_HELPERS = {"cross_stencil", "wirtinger_derivative", "mixed_second_derivative"
 FD_CALLERS = {"planar_green.curvature_of_metric", *(f"numkit.{h}" for h in FD_HELPERS)}
 
 
-def _fd_callers() -> set[str]:
-    """"module.Qualified.name" of each def in src/potflow that calls a
-    helper of FD_HELPERS (the module's name for a call outside any def)."""
+def _defs_where(matches) -> set[str]:
+    """"module.Qualified.name" of each def in src/potflow that holds a node
+    for which ``matches`` is true (the module's name outside any def)."""
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from walk(child, f"{where}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and (
-                    getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-            ) in FD_HELPERS:
+            if matches(child):
                 yield where
             yield from walk(child, where)
 
     return {where for path in SRC.glob("*.py")
             for where in walk(ast.parse(path.read_text()), path.stem)}
+
+
+def _name(node) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _fd_callers() -> set[str]:
+    """The defs that call a helper of FD_HELPERS."""
+    return _defs_where(lambda node: isinstance(node, ast.Call)
+                       and _name(node.func) in FD_HELPERS)
 
 
 def test_finite_differences_are_oracles_not_library_paths():
@@ -326,3 +334,25 @@ def test_finite_differences_are_oracles_not_library_paths():
                      if c.split(".")[0] != "verify" and c not in FD_CALLERS)
     assert not outside, f"finite differences called outside verify: {outside}"
     assert "planar_green.curvature_of_metric" in callers
+
+
+# the defs that may raise DomainError: the one interior check, and the checks
+# of other things than a point's place in its domain
+DOMAIN_ERROR_RAISERS = {
+    "planar_green._require_interior",
+    "hadamard.BoundaryVariation.__post_init__",        # the perturbation's size
+    "schottky.neumann_strip",                          # the double's resolved range
+    "schottky.ahlfors_map_disk",                       # z in the closed disk
+    "schottky.circular_slit_map",                      # z in the closed disk
+    "planar_green.RectangleGreenSolver.node_index",    # a grid node
+}
+
+
+def test_points_outside_their_domain_are_refused_by_one_check():
+    # a hand-rolled interior check words its refusal its own way; every point
+    # outside its domain is refused by _require_interior, in one message
+    raisers = _defs_where(lambda node: isinstance(node, ast.Raise) and _name(
+        node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "DomainError")
+    outside = sorted(raisers - DOMAIN_ERROR_RAISERS)
+    assert not outside, f"DomainError raised outside _require_interior: {outside}"
+    assert "planar_green._require_interior" in raisers
