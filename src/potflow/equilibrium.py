@@ -59,7 +59,7 @@ class CompactSet:
             raise ParameterError(message)
 
     @staticmethod
-    def circle(R: float = 1.0) -> "CompactSet":
+    def circle(R: float) -> "CompactSet":
         return CompactSet("circle", R=R)
 
     @staticmethod

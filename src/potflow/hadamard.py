@@ -51,7 +51,7 @@ class BoundaryVariation:
             raise ParameterError("epsilon must be finite and nonzero")
         # at the model's angles; np.max, unlike max(), returns nan if any value is nan
         peak = np.max([abs(self.delta_n(t))
-                       for t in 2 * math.pi * np.arange(_FOURIER_N) / _FOURIER_N])
+                       for t in planar_green._disk_rule(1.0, _FOURIER_N)[0]])
         if not math.isfinite(peak):
             raise ParameterError("delta_n must be finite on the boundary")
         if abs(self.epsilon) * peak > self.base.R / 10:
@@ -61,12 +61,12 @@ class BoundaryVariation:
     def _model_coefficients(self) -> tuple[np.ndarray, ...]:
         """Power-series coefficients of A, B, A' and B' of ``_PerturbedDisk``;
         they depend on delta_n alone, so every eps shares them."""
-        theta = 2 * math.pi * np.arange(_FOURIER_N) / _FOURIER_N
+        theta, w, _ = planar_green._disk_rule(1.0, _FOURIER_N)
         dn = np.array([self.delta_n(t) for t in theta]) / self.base.R
         ak = np.fft.rfft(dn) / _FOURIER_N
         # analytic completion: Re(A) = dn on |w| = 1 with A analytic in w
         a_coef = np.concatenate([[ak[0].real], 2 * ak[1:]])
-        A = np.polynomial.polynomial.polyval(np.exp(1j * theta), a_coef)
+        A = np.polynomial.polynomial.polyval(w, a_coef)
         bk = np.fft.rfft(-0.5 * (A.imag ** 2)) / _FOURIER_N
         b_coef = np.concatenate([[bk[0].real], 2 * bk[1:]])
         return (a_coef, b_coef, *(np.arange(1, len(c)) * c[1:] for c in (a_coef, b_coef)))
@@ -121,17 +121,9 @@ class _PerturbedDisk:
         return planar_green.robin_data(self.base, w).h0 + math.log(abs(self._push_prime(w)))
 
 
-def _densities(R: float, *points: complex) -> tuple[np.ndarray, np.ndarray, list]:
-    """_BOUNDARY_N trapezoid angles theta on |z| = R, their arc-length weights, and
-    -dG/dn(R e^{i theta}, p), the disk's Poisson density, for each point p."""
-    theta, w = numkit.trapezoid_rule(_BOUNDARY_N, 2 * math.pi)
-    z = R * np.exp(1j * theta)
-    return theta, R * w, [planar_green._disk_poisson(R, complex(p), z) for p in points]
-
-
 def _assert_unit_flux(R: float) -> None:
-    _, ds, (density,) = _densities(R, 0j)
-    flux = ds @ density
+    _, z, ds = planar_green._disk_rule(R, _BOUNDARY_N)
+    flux = ds @ planar_green._disk_poisson(R, 0j, z)
     if abs(flux - 1.0) > 1e-10:
         raise NormalizationError(f"outward-normal convention broken: flux {flux}")
 
@@ -153,7 +145,9 @@ def hadamard_delta_green(var: BoundaryVariation, a: complex,
     minus = _PerturbedDisk(var, -eps).green(a, b)
     lhs = (plus - minus) / (2 * eps)
 
-    theta, ds, (pa, pb) = _densities(var.base.R, a, b)
+    R = var.base.R
+    theta, z, ds = planar_green._disk_rule(R, _BOUNDARY_N)
+    pa, pb = (planar_green._disk_poisson(R, p, z) for p in (a, b))
     # delta_n is a function of one angle
     return lhs, float(numkit.integrate(numkit.pointwise(var.delta_n), theta,
                                        ds * pa * pb))
@@ -169,7 +163,9 @@ def hadamard_delta_h0(var: BoundaryVariation, a: complex) -> tuple[float, float]
     minus = _PerturbedDisk(var, -eps).robin_h0(a)
     lhs = (plus - minus) / (2 * eps)
 
-    theta, ds, (pa,) = _densities(var.base.R, a)
+    R = var.base.R
+    theta, z, ds = planar_green._disk_rule(R, _BOUNDARY_N)
+    pa = planar_green._disk_poisson(R, a, z)
     return lhs, 2 * math.pi * float(numkit.integrate(
         numkit.pointwise(var.delta_n), theta, ds * pa ** 2))
 
@@ -182,7 +178,9 @@ def triple_green(a: complex, b: complex, c: complex) -> float:
     with delta_n = -dG/dn(.,c) changes G(a,b) by -triple_green(a,b,c) per
     unit time.
     """
-    planar_green._require_interior(planar_green.UNIT_DISK, *map(complex, (a, b, c)))
+    points = tuple(map(complex, (a, b, c)))
+    planar_green._require_interior(planar_green.UNIT_DISK, *points)
     _assert_unit_flux(1.0)
-    _, ds, (pa, pb, pc) = _densities(1.0, a, b, c)
+    _, z, ds = planar_green._disk_rule(1.0, _BOUNDARY_N)
+    pa, pb, pc = (planar_green._disk_poisson(1.0, p, z) for p in points)
     return -float(ds @ (pa * pb * pc))

@@ -29,10 +29,10 @@ __all__ = [
     "sinh_rule",
     "product_rule",
     "polar_rule",
-    "Curve",
+    "circle_rule",
+    "segment_rule",
+    "cycle_rule",
     "Trajectory",
-    "circle",
-    "line_segment",
     "contour_integral",
     "cross_stencil",
     "wirtinger_derivative",
@@ -197,48 +197,34 @@ def polar_rule(center: complex, angular, extent, n: int, band=0.0,
 
 
 # ---------------------------------------------------------------------------
-# curves and contour quadrature
+# boundary and cycle rules: nodes on a curve and their dz-weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Curve:
-    """Parametrized curve t in [0,1) -> C.
-
-    ``point`` and ``derivative`` must be smooth; for ``closed`` curves both
-    are 1-periodic, which makes the trapezoid rule spectrally accurate.
-    Both receive the array of parameters; wrap a function of one Python
-    float in ``pointwise``.
-    """
-
-    point: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]   # may return a constant
-    closed: bool = True
-
-    def rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes on the curve and their dz-weights: the trapezoid rule in t
-        on closed curves, composite Gauss-Legendre on open ones.  ``point``
-        and ``derivative`` are called once, on the array of parameters."""
-        if self.closed:
-            t, w = trapezoid_rule(n)
-        else:
-            t, w = gauss_legendre_rule(np.linspace(0.0, 1.0, max(4, n // 16) + 1))
-        return (np.asarray(self.point(t), dtype=complex),
-                w * np.asarray(self.derivative(t), dtype=complex))
-
-
-def circle(center: complex = 0j, radius: float = 1.0) -> Curve:
-    """Positively oriented circle."""
+def circle_rule(center: complex, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The periodic trapezoid rule on the positively oriented circle
+    center + radius e^{2 pi i t}: n nodes and their dz-weights (spectrally
+    accurate for analytic integrands)."""
     if not (abs(center) < math.inf and 0 < radius < math.inf):   # nan fails too
         raise ParameterError("circle needs a finite center and a positive, finite radius")
-    w = 2j * np.pi
-    return Curve(lambda t: center + radius * np.exp(w * t),
-                 lambda t: w * radius * np.exp(w * t), closed=True)
+    t, w = trapezoid_rule(n)
+    e = np.exp(2j * np.pi * t)
+    return center + radius * e, w * (2j * np.pi * radius * e)
 
 
-def line_segment(z0: complex, z1: complex) -> Curve:
-    """Open straight segment from z0 to z1."""
-    return Curve(lambda t: z0 + (z1 - z0) * t,
-                 lambda t: z1 - z0, closed=False)
+def segment_rule(z0: complex, z1: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre on max(4, n // 16) panels of the open
+    segment from z0 to z1: nodes and their dz-weights."""
+    t, w = gauss_legendre_rule(np.linspace(0.0, 1.0, max(4, n // 16) + 1))
+    dz = complex(z1 - z0)
+    return z0 + dz * t, w * dz
+
+
+def cycle_rule(z0: complex, dz: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The periodic trapezoid rule along the cycle z0 + dz t, t in [0, 1):
+    nodes and their dz-weights."""
+    t, w = trapezoid_rule(n)
+    dz = complex(dz)
+    return z0 + dz * t, dz * w
 
 
 def gauss_legendre_panel(f, a: float, b: float, panels: int = 8) -> complex:
@@ -247,16 +233,13 @@ def gauss_legendre_panel(f, a: float, b: float, panels: int = 8) -> complex:
     return integrate(f, *gauss_legendre_rule(np.linspace(a, b, panels + 1)))
 
 
-def contour_integral(f: Callable[[np.ndarray], np.ndarray], curve: Curve,
-                     n: int) -> complex:
-    """Integrate f along the curve; f receives the array of nodes.
-
-    Closed analytic curves use the trapezoid rule (spectrally accurate for
-    analytic integrands); open curves use composite Gauss-Legendre.
-    """
-    if n < 16:
+def contour_integral(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray,
+                     dz: np.ndarray) -> complex:
+    """Integrate f dz on the rule of a curve (``circle_rule``,
+    ``segment_rule``, ``cycle_rule``); f receives the array of nodes."""
+    if len(nodes) < 16:
         raise ParameterError("need at least 16 sample nodes")
-    return integrate(f, *curve.rule(n))
+    return integrate(f, nodes, dz)
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,10 @@ class DomainDescriptor:
     def boundary_distance(self, z: complex) -> float:
         return _KINDS[self.kind].boundary_distance(self, complex(z))
 
-    def boundary_curve(self) -> numkit.Curve:
-        return _kind_function(self.kind, "boundary_curve",
-                              "no boundary curve for kind {!r}")(self)
+    def boundary_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n nodes on the positively oriented boundary and their dz-weights."""
+        return _kind_function(self.kind, "boundary_rule",
+                              "no boundary curve for kind {!r}")(self, n)
 
     def area_rule(self, resolution: int) -> tuple[np.ndarray, np.ndarray]:
         """Area quadrature nodes and weights: a polar tensor rule on disks,
@@ -192,13 +193,19 @@ def green(domain: DomainDescriptor, z: complex, a: complex) -> float:
 
 def green_z_derivative(domain: DomainDescriptor, z, a: complex):
     """dG/dz in closed form (used by contour formulas), for a scalar or an
-    array of z.  A PoleError names the first z whose own evaluation raises."""
+    array of z.  A PoleError names the first z within green's pole bound of
+    a, or whose own evaluation raises (at an image of a)."""
     spec, z, a = _KINDS[domain.kind], numkit.as_points(z), complex(a)
+    pole = 1e-14 * (spec.size(domain, a) if spec.size else 1.0)
     try:
+        if np.any(abs(z - a) < pole):
+            raise PoleError
         val = spec.green_z_derivative(domain, z, a)
     except PoleError:
         for p in np.ravel(z).tolist():
             try:
+                if abs(p - a) < pole:
+                    raise PoleError
                 spec.green_z_derivative(domain, p, a)
             except PoleError:
                 raise PoleError(f"dG/dz pole at z = {p}, on a or an image of a") from None
@@ -231,21 +238,18 @@ def h1_contour(domain: DomainDescriptor, a: complex, n: int = 256) -> complex:
     """
     a = complex(a)
     _require_interior(domain, a)
-    curve = domain.boundary_curve()
     val = numkit.contour_integral(lambda z: green_z_derivative(domain, z, a) ** 2,
-                                  curve, n=n)
+                                  *domain.boundary_rule(n))
     return 4j * math.pi * val
 
 
 def poisson_value(boundary_data: Callable[[np.ndarray], np.ndarray], a: complex,
                   n: int = 256) -> float:
-    """Harmonic extension at a from boundary values on |z| = 1 (trapezoid
-    rule); boundary_data receives the array of boundary nodes."""
+    """Harmonic extension at a from boundary values on |z| = 1 (the disk's
+    Poisson rule); boundary_data receives the array of boundary nodes."""
     a = complex(a)
     _require_interior(UNIT_DISK, a)
-    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
-    z = np.exp(1j * theta)
-    return float(numkit.integrate(boundary_data, z, w * _disk_poisson(1.0, a, z)))
+    return float(numkit.integrate(boundary_data, *_disk_harmonic(UNIT_DISK, a, n)))
 
 
 def conformal_transport(src: GreenExpansion, fprime: complex,
@@ -557,13 +561,19 @@ def _disk_reflection(d: DomainDescriptor, a: np.ndarray, out: np.ndarray) -> np.
     return np.divide(d.R * d.R, a, out=out, where=abs(a) > 1e-300 * d.R * d.R)
 
 
+def _disk_rule(R: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trapezoid rule on the circle |z| = R: m equispaced angles theta =
+    2 pi t, the nodes R e^{i theta} and their arc-length weights."""
+    t, w = numkit.trapezoid_rule(m)
+    theta = 2 * math.pi * t
+    return theta, R * np.exp(1j * theta), 2 * math.pi * R * w
+
+
 def _disk_harmonic(d: DomainDescriptor, a: complex,
                    m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson density times arclength on m equispaced nodes, not normalized."""
-    R = d.R
-    t, w = numkit.trapezoid_rule(m)
-    zs = R * np.exp(2j * math.pi * t)
-    return zs, _disk_poisson(R, a, zs) * (2 * math.pi * R * w)
+    """Poisson density times arclength on the m nodes of ``_disk_rule``."""
+    _, zs, ds = _disk_rule(d.R, m)
+    return zs, _disk_poisson(d.R, a, zs) * ds
 
 
 def _slit_green(d: DomainDescriptor, z: complex, a: complex) -> float:
@@ -631,7 +641,7 @@ class _Kind:
     robin: Callable          # (d, a) -> (h0, h1, curvature)
     green_z_derivative: Callable  # (d, z, a) -> complex
     invalid: Callable = lambda d: None   # d -> error message, or None when valid
-    boundary_curve: Callable | None = None       # d -> Curve
+    boundary_rule: Callable | None = None        # (d, n) -> (nodes, dz-weights)
     # constant-speed positively oriented parametrisation of the boundary:
     # (d, t ndarray in [0, 1], side) -> (z, dz/dt, d2z/dt2), one-sided at the
     # corner parameters of boundary_breaks
@@ -660,7 +670,7 @@ _KINDS: dict[str, _Kind] = {
         robin=lambda d, a: (_disk_h0(d, a), _disk_image(d, a, a), -4.0),
         green_z_derivative=lambda d, z, a: (
             1 / (a - z) + _disk_image(d, z, a)) / (4 * math.pi),
-        boundary_curve=lambda d: numkit.circle(0j, d.R),
+        boundary_rule=lambda d, n: numkit.circle_rule(0j, d.R, n),
         # reads only d.R, so equilibrium's circle carriers share it
         boundary_jet=lambda d, t, side=1: _circle_jet(d.R, t),
         area_rule=lambda d, n: numkit.polar_rule(
@@ -681,7 +691,7 @@ _KINDS: dict[str, _Kind] = {
             -(1.0 / (z - a) - 1.0 / (z - a.conjugate())) / (4 * math.pi)),
         # the real axis truncated to [-40, 40], positive orientation (domain
         # on the left)
-        boundary_curve=lambda d: numkit.line_segment(-40.0, 40.0),
+        boundary_rule=lambda d, n: numkit.segment_rule(-40.0, 40.0, n),
     ),
     "slit_plane": _Kind(
         parse=lambda data: DomainDescriptor.slit_plane(),

@@ -103,6 +103,13 @@ class StripDouble:
         z, bound = numkit.as_points(z), planar_green.STRIP_IM_MAX
         return (abs(z.real) <= bound) & (abs(z.imag) <= bound * self.T)
 
+    def wall_rule(self, x0: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The n-point trapezoid rule in y over one period of the vertical
+        line Re z = x0 (a wall at x0 = 0 or -1/2): nodes x0 + i y and their
+        dy-weights, i times which are the dz-weights upwards."""
+        ys, wy = numkit.trapezoid_rule(n, self.T)
+        return x0 + 1j * ys, wy
+
     def p11_quadrature(self) -> float:
         """P11 = (1/2) int_Omega du1 wedge *du1 by the midpoint rule; |grad u1|^2 = 4."""
         cell = numkit.product_rule(numkit.midpoint_rule(64, 0.5),
@@ -244,11 +251,10 @@ def hydro_circulation(a: complex, dbl: StripDouble, p: float = 0.0) -> float:
     Omega (negative y direction); closed-form x-derivative plus trapezoid in y.
     """
     a, n = complex(a), 128
-    # the y trapezoid errs like exp(-2 pi d n / Im tau), d the poles' distance from the wall
-    ys, wy = numkit.trapezoid_rule(max(n, math.ceil(n * dbl.T / 2)), dbl.T)
-    # *dG = G_x dy along the wall; orientation -y makes -oint = +T mean(G_x)
+    # the y trapezoid errs like exp(-2 pi d n / Im tau), d the poles' distance
+    # from the wall; *dG = G_x dy along it, and orientation -y makes -oint = +T mean(G_x)
     return float(numkit.integrate(lambda z: _g_hydro_dx(z, a, dbl, p),
-                                  -0.5 + 1j * ys, wy))
+                                  *dbl.wall_rule(-0.5, max(n, math.ceil(n * dbl.T / 2)))))
 
 
 def _g_hydro_extended(z, a, dbl: StripDouble, p: float):
@@ -307,8 +313,8 @@ def _strip_kernels(axes, a: complex, dbl: StripDouble):
 
 def _beta_period_of(f, dbl: StripDouble) -> complex:
     """oint f dz over the vertical cycle Re z = -1/4 (period tau)."""
-    ys, wy = numkit.trapezoid_rule(256, dbl.T)
-    return numkit.integrate(f, -0.25 + 1j * ys, 1j * wy)
+    nodes, wy = dbl.wall_rule(-0.25, 256)
+    return numkit.integrate(f, nodes, 1j * wy)
 
 
 def reproducing_check(kernel: str, f, a, dbl: StripDouble):

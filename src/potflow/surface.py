@@ -224,9 +224,10 @@ class OneForm:
         return OneForm(lambda z: -1j * self.f(z), lambda z: 1j * self.g(z))
 
 
-def form_period(form: OneForm, cycle: numkit.Curve) -> complex:
-    """Line integral of the one-form over a parametrized cycle."""
-    nodes, dz = cycle.rule(128)
+def form_period(form: OneForm, rule: tuple[np.ndarray, np.ndarray]) -> complex:
+    """Line integral of the one-form over a cycle, given as its rule
+    ``(nodes, dz-weights)``."""
+    nodes, dz = rule
     return (numkit.integrate(form.f, nodes, dz)
             + numkit.integrate(form.g, nodes, dz.conjugate()))
 
@@ -283,15 +284,14 @@ def torus_harmonic_basis(lattice: elliptic.TorusLattice):
     }
 
 
-def alpha_cycle(lattice: elliptic.TorusLattice) -> numkit.Curve:
-    """The segment [0,1] traversed once."""
-    return numkit.Curve(lambda t: t, lambda t: 1.0 + 0j)
+def alpha_cycle(lattice: elliptic.TorusLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of the segment [0,1] traversed once."""
+    return numkit.cycle_rule(0, 1, 128)
 
 
-def beta_cycle(lattice: elliptic.TorusLattice) -> numkit.Curve:
-    """The segment [0,tau] traversed once."""
-    tau = lattice.tau
-    return numkit.Curve(lambda t: t * tau, lambda t: tau)
+def beta_cycle(lattice: elliptic.TorusLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of the segment [0,tau] traversed once."""
+    return numkit.cycle_rule(0, lattice.tau, 128)
 
 
 @functools.lru_cache(maxsize=32)

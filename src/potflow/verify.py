@@ -563,20 +563,19 @@ def _circulation_residual(a: complex, dbl: schottky.StripDouble, p: float) -> fl
 def _kernel_period_residual(dbl: schottky.StripDouble, a: complex) -> float:
     # each trapezoid errs like exp(-2 pi d n / period), d the poles' distance
     # from its path; at a = -1/4 + 0.4i Im tau, d = 1/4 for y, 0.4 Im tau for x
-    t, w = numkit.trapezoid_rule(max(192, math.ceil(24 / dbl.T)))
-    ys, wy = numkit.trapezoid_rule(max(192, math.ceil(64 * dbl.T)), dbl.T)
+    wall, wy = dbl.wall_rule(0.0, max(192, math.ceil(64 * dbl.T)))
     (pa_e, pa_h), (pb_e, pb_h) = (
         numkit.integrate(lambda z: schottky.strip_bergman_kernels(z, a, dbl)[:2],
                          nodes, dz)
-        for nodes, dz in ((-0.5 + t + 0j, w), (1j * ys, 1j * wy)))
+        for nodes, dz in (numkit.cycle_rule(-0.5, 1.0, max(192, math.ceil(24 / dbl.T))),
+                          (wall, 1j * wy)))
     return max(abs(pa_e), abs(pb_e - 2j), abs(pa_h + 2 / dbl.T), abs(pb_h))
 
 
 def _strip_flux(a: complex, dbl: schottky.StripDouble) -> float:
     gx = lambda z: schottky._g_hydro_dx(z, a, dbl, 0.0)
-    ys, wy = numkit.trapezoid_rule(96, dbl.T)
-    return float(numkit.integrate(gx, -0.5 + 1j * ys, wy)
-                 - numkit.integrate(gx, 1j * ys, wy))
+    return float(numkit.integrate(gx, *dbl.wall_rule(-0.5, 96))
+                 - numkit.integrate(gx, *dbl.wall_rule(0.0, 96)))
 
 
 def _wall_tangential(dbl: schottky.StripDouble, a: complex, x0: float) -> float:
@@ -589,18 +588,16 @@ def _hydrohydro(dbl: schottky.StripDouble, a: complex, b: complex) -> float:
     integrand = lambda z: (schottky._g_hydro_extended(z, a, dbl, 0.7)
                            * schottky._g_hydro_dx(z, b, dbl, 0.7))
     # the wall x = 0 carries orientation +1, the wall x = -1/2 orientation -1
-    ys, wy = numkit.trapezoid_rule(128, dbl.T)
-    return float(numkit.integrate(integrand, 1j * ys, wy)
-                 - numkit.integrate(integrand, -0.5 + 1j * ys, wy))
+    return float(numkit.integrate(integrand, *dbl.wall_rule(0.0, 128))
+                 - numkit.integrate(integrand, *dbl.wall_rule(-0.5, 128)))
 
 
 def _contour_residue(f, c: complex, radius: float = 0.01, n: int = 64) -> complex:
-    return numkit.contour_integral(f, numkit.circle(c, radius), n) / (2j * math.pi)
+    return numkit.contour_integral(f, *numkit.circle_rule(c, radius, n)) / (2j * math.pi)
 
 
 def _cycle_integral(f, z0: complex, dz: complex) -> complex:
-    t, w = numkit.trapezoid_rule(256)
-    return numkit.integrate(f, z0 + dz * t, dz * w)
+    return numkit.integrate(f, *numkit.cycle_rule(z0, dz, 256))
 
 
 SUITES = {

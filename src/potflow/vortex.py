@@ -66,6 +66,10 @@ class VortexSystem:
             raise ParameterError("positions and strengths must match")
         if len(self.positions) == 0:
             raise ParameterError("a vortex system needs at least one vortex")
+        if self.domain is not None:
+            if self.domain.kind != "disk":
+                raise ParameterError("vortex domains are the plane or a disk")
+            planar_green._require_interior(self.domain, self.positions)
         if not (np.isfinite(self.positions).all() and np.isfinite(self.strengths).all()):
             raise ParameterError("vortex positions and strengths must be finite")
         # keeps Gamma |z|^2 and Gamma_j Gamma_k log|z_j - z_k| (the monitors
@@ -73,13 +77,9 @@ class VortexSystem:
         if np.abs(np.r_[self.positions, self.strengths]).max() > MAX_MODULUS:
             raise ParameterError("vortex positions and strengths must be at most "
                                  f"{MAX_MODULUS:g} in modulus")
-        if self.domain is not None and self.domain.kind != "disk":
-            raise ParameterError("vortex domains are the plane or a disk")
         size = 1.0 if self.domain is None else _DISK.size(self.domain, self.positions)
         if _min_pair_distance(self.positions) < COLLISION_THRESHOLD * size:
             raise SingularConfigurationError("coincident vortex positions")
-        if self.domain is not None:
-            planar_green._require_interior(self.domain, self.positions)
 
     @property
     def n(self) -> int:
@@ -233,21 +233,19 @@ def simulate(system: VortexSystem, t_end: float, tol: float = 1e-10) -> numkit.T
         return sep if unit is None else min(sep, _DISK.boundary_distance(unit, w).min())
 
     energy = _energy_of(g, domain)
-    monitors = {"energy": energy if size == 1 else lambda w: energy(w * size)}
+    monitors = {"energy": lambda w: energy(w * size)}
     if domain is None:
         monitors["moment"] = lambda y: abs(np.sum(g * y))
         monitors["angular"] = lambda y: float(np.sum(g * np.abs(y) ** 2))
 
     sep_guard = separation if system.n > 1 or domain is not None else None
-    w0 = system.positions if size == 1 else system.positions / size
     try:
-        traj = numkit.rk_integrate(field, w0, t_end, tol,
+        traj = numkit.rk_integrate(field, system.positions / size, t_end, tol,
                                    monitors=monitors, separation=sep_guard,
                                    collision_threshold=COLLISION_THRESHOLD)
     except CollisionError as err:
         raise CollisionError(err.time, err.separation * size) from None
-    if size != 1:
-        traj.states = traj.states * size
+    traj.states = traj.states * size
     if domain is not None:
         # |z_k| of every state at once; np.hypot is the C library's hypot,
         # which abs() of one point calls (np.abs of a complex array is not)

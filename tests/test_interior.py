@@ -3,8 +3,8 @@ it with one message, ``<point> is not interior to <kind>[ (<bounds>)]``,
 from ``planar_green._require_interior``; an array names its first bad
 element.  Interior points keep their recorded values bit for bit."""
 
-import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,11 +88,6 @@ def test_every_point_check_refuses_with_one_message(name):
     kind, bounds, inside, outside, boundary = KINDS[where]
     assert call(inside) == value
     for point in (outside, boundary, NAN, INF):
-        if name == "VortexSystem" and not cmath.isfinite(point):
-            # positions are checked finite before they are placed
-            with pytest.raises(ParameterError, match="must be finite"):
-                call(point)
-            continue
         with pytest.raises(DomainError) as err:
             call(point)
         assert str(err.value) == f"{point} is not interior to {kind}{bounds}"
@@ -115,6 +110,10 @@ def test_vortex_positions_name_the_first_outside_the_disk():
     with pytest.raises(DomainError) as err:
         vortex.VortexSystem([0.3, 1.9j, 2 + 0j, 3j], [1.0] * 4, DISK2)
     assert str(err.value) == "(2+0j) is not interior to disk"
+    # the plane has no domain to refuse them: a position is checked finite
+    for point in (NAN, INF):
+        with pytest.raises(ParameterError, match="must be finite"):
+            vortex.VortexSystem([0.3, point], [1.0, -0.5])
 
 
 def test_scale_free_kinds_refuse_points_beyond_the_size_bound():
@@ -140,6 +139,25 @@ def test_poles_of_dg_dz_name_z(dom, z, a):
         pg.green_z_derivative(dom, z, a)
     bad = z if np.ndim(z) == 0 else z[1]
     assert str(err.value) == f"dG/dz pole at z = {bad}, on a or an image of a"
+
+
+@pytest.mark.parametrize("dom, a", [
+    (DISK2, 0.6 + 0.4j), (HALF, 0.5 + 0.7j), (SLIT, -1 + 0.5j), (RECT, 1.2 + 0.3j),
+    (pg.DomainDescriptor.periodic_strip(2j), -0.2 + 0.3j)],
+    ids=["disk", "half_plane", "slit_plane", "rectangle", "periodic_strip"])
+def test_dg_dz_at_a_raises_a_pole_error_on_every_kind(dom, a):
+    # where green refuses z, within 1e-14 times the kind's size of a, dG/dz
+    # names z, as a scalar and as an array's element, and warns of nothing
+    near = a + 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (a, np.array([a]), near, np.array([a + 0.1, near])):
+            with pytest.raises(PoleError) as err:
+                pg.green_z_derivative(dom, z, a)
+            bad = z if np.ndim(z) == 0 else z[-1]
+            assert str(err.value) == f"dG/dz pole at z = {bad}, on a or an image of a"
+            with pytest.raises(PoleError):
+                pg.green(dom, complex(bad), a)
 
 
 def test_strip_green_at_a_periodic_image_names_z():

@@ -20,12 +20,12 @@ from potflow.errors import (
 
 
 def test_contour_residue_theorem():
-    val = numkit.contour_integral(lambda z: 1 / z, numkit.circle(), n=64)
+    val = numkit.contour_integral(lambda z: 1 / z, *numkit.circle_rule(0j, 1.0, 64))
     assert abs(val - 2j * math.pi) < 1e-12
 
 
 def test_contour_analytic_integrand_vanishes():
-    val = numkit.contour_integral(lambda z: z, numkit.circle(), n=64)
+    val = numkit.contour_integral(lambda z: z, *numkit.circle_rule(0j, 1.0, 64))
     assert abs(val) < 1e-13
 
 
@@ -34,14 +34,14 @@ def test_contour_green_derivative_squared_matches_h1():
     disk = planar_green.DomainDescriptor.disk(1.0)
     val = numkit.contour_integral(
         lambda z: planar_green.green_z_derivative(disk, z, 0.5) ** 2,
-        numkit.circle(), n=256)
+        *numkit.circle_rule(0j, 1.0, 256))
     expected = (-2.0 / 3.0) / (4j * math.pi)
     assert abs(val - expected) < 1e-12
 
 
 def test_contour_requires_min_nodes():
     with pytest.raises(ParameterError):
-        numkit.contour_integral(lambda z: z, numkit.circle(), n=8)
+        numkit.contour_integral(lambda z: z, *numkit.circle_rule(0j, 1.0, 8))
 
 
 def test_contour_nonfinite_sample_names_node():
@@ -51,13 +51,13 @@ def test_contour_nonfinite_sample_names_node():
         return np.where(abs(z - node) < 1e-12, np.nan, 1.0)
 
     with pytest.raises(EvaluationError) as err:
-        numkit.contour_integral(bad, numkit.circle(), n=64)
+        numkit.contour_integral(bad, *numkit.circle_rule(0j, 1.0, 64))
     assert err.value.node is not None
 
 
 def test_exact_differential_integrates_to_zero():
     # df for f = exp(z): integrand f'(gamma) gamma'
-    val = numkit.contour_integral(lambda z: np.exp(z), numkit.circle(), n=64)
+    val = numkit.contour_integral(lambda z: np.exp(z), *numkit.circle_rule(0j, 1.0, 64))
     assert abs(val) < 1e-10
 
 
@@ -65,8 +65,8 @@ def test_doubling_n_reduces_error_quadratically():
     # smooth but non-analytic integrand (C^2 kinks off the sample grid,
     # parity broken by the factor z); doubling n must reduce the error 4x
     f = lambda z: z * abs((z * np.exp(-0.37j)).imag) ** 3
-    exact = numkit.contour_integral(f, numkit.circle(), n=8192)
-    errs = [abs(numkit.contour_integral(f, numkit.circle(), n=n) - exact)
+    exact = numkit.contour_integral(f, *numkit.circle_rule(0j, 1.0, 8192))
+    errs = [abs(numkit.contour_integral(f, *numkit.circle_rule(0j, 1.0, n)) - exact)
             for n in (16, 32, 64)]
     assert errs[1] < errs[0] / 4
     assert errs[2] < errs[1] / 4
@@ -75,38 +75,46 @@ def test_doubling_n_reduces_error_quadratically():
 def test_spectral_convergence_for_analytic():
     f = lambda z: 1 / (z - 1.5)
     exact = 0.0
-    e1 = abs(numkit.contour_integral(f, numkit.circle(), n=32) - exact)
-    e2 = abs(numkit.contour_integral(f, numkit.circle(), n=64) - exact)
+    e1 = abs(numkit.contour_integral(f, *numkit.circle_rule(0j, 1.0, 32)) - exact)
+    e2 = abs(numkit.contour_integral(f, *numkit.circle_rule(0j, 1.0, 64)) - exact)
     assert e2 < max(e1 / 100, 1e-15)
 
 
-def _counted(fn, calls):
-    def wrapped(t):
-        calls.append(np.shape(t))
-        return fn(t)
-    return wrapped
+def _same_bits(got, want):
+    """Whether two rules' arrays agree in dtype and in every bit."""
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("curve", [
-    numkit.circle(0.5j, 2.0),
-    numkit.line_segment(-1.0, 2.0 + 1j), numkit.line_segment(-3.0, 3.0),
-    surface.alpha_cycle(elliptic.lattice_constants(0.2 + 1.5j)),
-    surface.beta_cycle(elliptic.lattice_constants(0.2 + 1.5j))])
-def test_curve_rule_calls_each_callable_once_on_the_node_array(curve):
-    for n in (16, 64):
-        calls = []
-        counted = numkit.Curve(_counted(curve.point, calls),
-                               _counted(curve.derivative, calls),
-                               curve.closed)
-        z, dz = counted.rule(n)
-        assert len(calls) == 2 and calls[0] == calls[1] == z.shape
-        # the same nodes and weights as one scalar call per parameter
-        t, w = (numkit.trapezoid_rule(n) if curve.closed else numkit.gauss_legendre_rule(
-            np.linspace(0.0, 1.0, max(4, n // 16) + 1)))
-        assert z.dtype == dz.dtype == complex
-        assert np.allclose(z, [complex(curve.point(s)) for s in t], rtol=0, atol=1e-14)
-        assert np.allclose(dz, w * np.array([complex(curve.derivative(s)) for s in t]),
-                           rtol=0, atol=1e-14)
+@pytest.mark.parametrize("center, radius", [(0j, 1.0), (0.5j, 2.0), (0.3 - 0.2j, 0.01)])
+@pytest.mark.parametrize("n", [16, 64, 512, 100])
+def test_circle_rule_is_the_parametrized_circle_bit_for_bit(center, radius, n):
+    # the oracle: the curve center + radius e^{w t}, w = 2 pi i, and its
+    # derivative, sampled at the trapezoid parameters, dz = w_t z'(t)
+    c = 2j * np.pi
+    t, w = numkit.trapezoid_rule(n)
+    want = (np.asarray(center + radius * np.exp(c * t), dtype=complex),
+            w * np.asarray(c * radius * np.exp(c * t), dtype=complex))
+    assert _same_bits(numkit.circle_rule(center, radius, n), want)
+
+
+@pytest.mark.parametrize("z0, z1", [(-1.0, 2.0 + 1j), (-3.0, 3.0), (-40.0, 40.0)])
+@pytest.mark.parametrize("n", [16, 64, 256, 8])
+def test_segment_rule_is_the_parametrized_segment_bit_for_bit(z0, z1, n):
+    t, w = numkit.gauss_legendre_rule(np.linspace(0.0, 1.0, max(4, n // 16) + 1))
+    want = (np.asarray(z0 + (z1 - z0) * t, dtype=complex),
+            w * np.asarray(z1 - z0, dtype=complex))
+    assert _same_bits(numkit.segment_rule(z0, z1, n), want)
+
+
+@pytest.mark.parametrize("tau", [2j, 0.3 + 2j, 0.2 + 1.5j])
+def test_torus_cycles_are_their_parametrized_segments_bit_for_bit(tau):
+    lattice = elliptic.lattice_constants(tau)
+    t, w = numkit.trapezoid_rule(128)
+    alpha = (np.asarray(t, dtype=complex), w * np.asarray(1.0 + 0j, dtype=complex))
+    beta = (np.asarray(t * lattice.tau, dtype=complex),
+            w * np.asarray(lattice.tau, dtype=complex))
+    assert _same_bits(surface.alpha_cycle(lattice), alpha)
+    assert _same_bits(surface.beta_cycle(lattice), beta)
 
 
 def test_gauss_legendre_rule_exact_to_degree_31_per_panel():
@@ -559,7 +567,7 @@ def test_trajectory_step_size_range():
 ])
 def test_circle_refuses_non_finite_and_non_positive_input(center, radius):
     with pytest.raises(ParameterError, match="finite center and a positive, finite radius"):
-        numkit.circle(center, radius)
+        numkit.circle_rule(center, radius, 16)
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf, 1.0, 1e-9])

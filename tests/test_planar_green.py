@@ -147,14 +147,58 @@ def test_disk_record_broadcasts_like_the_scalar_functions(R):
 
 
 def test_one_disk_poisson_density():
-    # hadamard's boundary densities and the disk's harmonic measure are the
-    # shared density array itself, not a copy of its formula
+    # hadamard's boundary integrals and the disk's harmonic measure read the
+    # one disk rule and the one density function, not copies of their formulas
+    R, a, b, c = 1.3, 0.4 - 0.7j, 0.2j, -0.5 + 0.1j
+    theta, zs, ds = pg._disk_rule(R, 64)
+    assert np.array_equal(pg._disk_harmonic(pg.DomainDescriptor.disk(R), a, 64)[1],
+                          pg._disk_poisson(R, a, zs) * ds)
+    theta, zs, ds = pg._disk_rule(R, hadamard._BOUNDARY_N)
+    var = hadamard.BoundaryVariation(pg.DomainDescriptor.disk(R), math.cos, 1e-4)
+    pa, pb = (pg._disk_poisson(R, p, zs) for p in (a, b))
+    assert hadamard.hadamard_delta_green(var, a, b)[1] == float(
+        numkit.integrate(numkit.pointwise(math.cos), theta, ds * pa * pb))
+    _, zs, ds = pg._disk_rule(1.0, hadamard._BOUNDARY_N)
+    pa, pb, pc = (pg._disk_poisson(1.0, p, zs) for p in (a, b, c))
+    assert hadamard.triple_green(a, b, c) == -float(ds @ (pa * pb * pc))
+
+
+def _same_bits(got, want):
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("R", [1.0, 2.0, 1.3])
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_disk_rule_is_the_angle_rule_bit_for_bit(R, n):
+    # the oracle: the angle form poisson_value and hadamard built by hand,
+    # theta = 2 pi k / n, nodes R e^{i theta}, arc length R 2 pi / n; at a
+    # power of two n, 2 pi (k / n) rounds as (2 pi k) / n does
+    a = 0.4 - 0.7j
+    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
+    z, ds = R * np.exp(1j * theta), R * w
+    assert _same_bits(pg._disk_rule(R, n), (theta, z, ds))
+    assert _same_bits(pg._disk_harmonic(pg.DomainDescriptor.disk(R), a, n),
+                      (z, ds * pg._disk_poisson(R, a, z)))
+
+
+@pytest.mark.parametrize("n", [100, 128, 257])
+def test_disk_harmonic_is_its_parameter_form_at_any_n(n):
     R, a = 1.3, 0.4 - 0.7j
-    theta, ds, (density,) = hadamard._densities(R, a)
-    assert np.array_equal(density, pg._disk_poisson(R, a, R * np.exp(1j * theta)))
-    zs, weights = pg._disk_harmonic(pg.DomainDescriptor.disk(R), a, 64)
-    _, w = numkit.trapezoid_rule(64)
-    assert np.array_equal(weights, pg._disk_poisson(R, a, zs) * (2 * math.pi * R * w))
+    t, w = numkit.trapezoid_rule(n)
+    zs = R * np.exp(2j * math.pi * t)
+    assert _same_bits(pg._disk_harmonic(pg.DomainDescriptor.disk(R), a, n),
+                      (zs, pg._disk_poisson(R, a, zs) * (2 * math.pi * R * w)))
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_poisson_value_integrates_over_the_disk_rule(n):
+    f = lambda z: (z ** 3).real + np.exp(z.real)
+    a = 0.3 - 0.5j
+    theta, w = numkit.trapezoid_rule(n, 2 * math.pi)
+    z = np.exp(1j * theta)
+    angle_form = float(numkit.integrate(f, z, w * pg._disk_poisson(1.0, a, z)))
+    shared = float(numkit.integrate(f, *pg._disk_harmonic(pg.UNIT_DISK, a, n)))
+    assert pg.poisson_value(f, a, n) == shared == angle_form
 
 
 def test_poisson_domain_error():

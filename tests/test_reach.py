@@ -86,7 +86,7 @@ ALLOWED = {
     "planar_green._rectangle_harmonic": NO_COMMAND_KIND,
     "planar_green._slit_dgdz": NO_COMMAND_KIND,
     "numkit.sinh_rule": NO_COMMAND_KIND,
-    "numkit.line_segment": NO_COMMAND_KIND,
+    "numkit.segment_rule": NO_COMMAND_KIND,
     "equilibrium.CompactSet.disk": PUBLIC,
     "equilibrium.CompactSet.to_dict": PUBLIC,
     "planar_green.DomainDescriptor.to_json": PUBLIC,
@@ -356,3 +356,54 @@ def test_points_outside_their_domain_are_refused_by_one_check():
     outside = sorted(raisers - DOMAIN_ERROR_RAISERS)
     assert not outside, f"DomainError raised outside _require_interior: {outside}"
     assert "planar_green._require_interior" in raisers
+
+
+# the rule builders: the defs that may call numkit's 1-D trapezoid and
+# Gauss-Legendre rules or place nodes at np.exp(1j ...) or np.exp(2j ...);
+# every boundary or cycle integral takes its (nodes, weights) from one of them
+CURVE_RULE = "the rule of one kind of curve, returning (nodes, dz-weights)"
+AREA_RULE = "an area rule: angular and radial or tensor nodes over a region"
+RULE_BUILDERS = {
+    "numkit.circle_rule": CURVE_RULE,
+    "numkit.segment_rule": CURVE_RULE,
+    "numkit.cycle_rule": CURVE_RULE,
+    "planar_green._disk_rule": "the disk's boundary rule: angles, nodes and arc length",
+    "schottky.StripDouble.wall_rule": "the strip's vertical lines: nodes x0 + i y, dy-weights",
+    "numkit.sinh_rule": "numkit's graded rule, built on the Gauss-Legendre rule",
+    "numkit.gauss_legendre_panel": "numkit's composite rule on [a, b]",
+    "numkit.polar_rule": AREA_RULE,
+    "schottky._strip_rule": AREA_RULE,
+    "surface._unit_disk_rule": AREA_RULE,
+    "surface._pole_disk_rule": AREA_RULE,
+    "surface._pole_split_rule": AREA_RULE,
+    "equilibrium._carrier_nodes": "the parameter rule on a compact set's carrier",
+    "schottky.circular_slit_map": "one rule in t for the segments a + (z - a) t of many z",
+    "verify.schottky_checks": "np.exp(2j pi w / tau) is an integrand, not nodes",
+}
+
+
+def _builds_nodes(node) -> bool:
+    """Whether the node names numkit's trapezoid or Gauss-Legendre rule, or
+    calls np.exp on a product that starts with 1j or 2j."""
+    if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in (
+            "trapezoid_rule", "gauss_legendre_rule"):
+        return True
+    func = getattr(node, "func", None)
+    if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+            and func.attr == "exp" and _name(func.value) == "np" and node.args):
+        return False
+    arg = node.args[0]
+    while isinstance(arg, ast.BinOp):
+        arg = arg.left
+    return isinstance(arg, ast.Constant) and arg.value in (1j, 2j)
+
+
+def test_boundary_nodes_come_from_one_rule_builder_per_curve():
+    # a circle, cycle or wall written out by hand is a second copy of its
+    # rule, which an edit of the first one misses
+    builders = _defs_where(_builds_nodes)
+    new = sorted(builders - RULE_BUILDERS.keys())
+    stale = sorted(RULE_BUILDERS.keys() - builders)
+    assert not new and not stale, (
+        f"nodes built outside the rule builders: {new}; "
+        f"in RULE_BUILDERS but building none: {stale}")
