@@ -10,15 +10,14 @@ isolates the first-order Hadamard term without grid error.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import numkit, planar_green
-from .errors import DomainError, NormalizationError, ParameterError, PoleError
+from . import planar_green
+from .errors import DomainError, ParameterError, PoleError
 
 __all__ = [
     "BoundaryVariation",
@@ -38,38 +37,46 @@ class BoundaryVariation:
 
     delta_n maps the boundary angle theta to the outward normal speed; the
     perturbed boundary is r = R + epsilon*delta_n(theta) + O(epsilon^2).
+    delta_n, a function of one angle, is called once per boundary node at
+    construction; the guard, the conformal model and both formulas read them.
     """
 
     base: planar_green.DomainDescriptor
     delta_n: Callable[[float], float]
     epsilon: float
+    rule: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    samples: np.ndarray = field(init=False, repr=False, compare=False)
+    # power-series coefficients of A, B, A' and B' of ``_PerturbedDisk``;
+    # they depend on delta_n alone, so every eps shares them
+    model: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base.kind != "disk":
             raise ParameterError("boundary variations are implemented on disks")
         if not (math.isfinite(self.epsilon) and self.epsilon != 0):
             raise ParameterError("epsilon must be finite and nonzero")
-        # at the model's angles; np.max, unlike max(), returns nan if any value is nan
-        peak = np.max([abs(self.delta_n(t))
-                       for t in planar_green._disk_rule(1.0, _FOURIER_N)[0]])
+        R = self.base.R
+        rule = planar_green._disk_rule(R, _BOUNDARY_N)
+        samples = np.array([self.delta_n(t) for t in rule[0].tolist()])
+        # np.max, unlike max(), returns nan if any value is nan
+        peak = np.max(np.abs(samples))
         if not math.isfinite(peak):
             raise ParameterError("delta_n must be finite on the boundary")
-        if abs(self.epsilon) * peak > self.base.R / 10:
+        if abs(self.epsilon) * peak > R / 10:
             raise DomainError("perturbation too large: domain may lose star shape")
-
-    @functools.cached_property
-    def _model_coefficients(self) -> tuple[np.ndarray, ...]:
-        """Power-series coefficients of A, B, A' and B' of ``_PerturbedDisk``;
-        they depend on delta_n alone, so every eps shares them."""
-        theta, w, _ = planar_green._disk_rule(1.0, _FOURIER_N)
-        dn = np.array([self.delta_n(t) for t in theta]) / self.base.R
-        ak = np.fft.rfft(dn) / _FOURIER_N
-        # analytic completion: Re(A) = dn on |w| = 1 with A analytic in w
+        # the model's _FOURIER_N angles are every other node: 2 pi (2k / 512)
+        # equals 2 pi (k / 256) exactly
+        ak = np.fft.rfft(samples[::2] / R) / _FOURIER_N
+        # analytic completion: Re(A) = delta_n / R on |w| = 1 with A analytic in w
         a_coef = np.concatenate([[ak[0].real], 2 * ak[1:]])
-        A = np.polynomial.polynomial.polyval(w, a_coef)
+        unit_circle = planar_green._disk_rule(1.0, _FOURIER_N)[1]
+        A = np.polynomial.polynomial.polyval(unit_circle, a_coef)
         bk = np.fft.rfft(-0.5 * (A.imag ** 2)) / _FOURIER_N
         b_coef = np.concatenate([[bk[0].real], 2 * bk[1:]])
-        return (a_coef, b_coef, *(np.arange(1, len(c)) * c[1:] for c in (a_coef, b_coef)))
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "model", (a_coef, b_coef, *(
+            np.arange(1, len(c)) * c[1:] for c in (a_coef, b_coef))))
 
 
 class _PerturbedDisk:
@@ -82,7 +89,7 @@ class _PerturbedDisk:
 
     def __init__(self, var: BoundaryVariation, eps: float):
         self.base, self.R, self.eps = var.base, var.base.R, eps
-        self._a_coef, self._b_coef, self._a_prime, self._b_prime = var._model_coefficients
+        self._a_coef, self._b_coef, self._a_prime, self._b_prime = var.model
 
     @staticmethod
     def _poly(coef: np.ndarray, w: complex) -> complex:
@@ -91,25 +98,22 @@ class _PerturbedDisk:
             out = out * w + c
         return out
 
-    def push(self, w: complex) -> complex:
-        u = w / self.R
-        return w * (1 + self.eps * self._poly(self._a_coef, u)
-                    + self.eps ** 2 * self._poly(self._b_coef, u))
-
-    def _push_prime(self, w: complex) -> complex:
-        # d/dw [w (1 + eps A(w/R) + eps^2 B(w/R))], A and B polynomial
+    def _jet(self, w: complex) -> tuple[complex, complex]:
+        """f(w) and f'(w) for f(w) = w (1 + eps A(w/R) + eps^2 B(w/R)), A and
+        B polynomial."""
         u = w / self.R
         val = (1 + self.eps * self._poly(self._a_coef, u)
                + self.eps ** 2 * self._poly(self._b_coef, u))
-        return val + u * (self.eps * self._poly(self._a_prime, u)
-                          + self.eps ** 2 * self._poly(self._b_prime, u))
+        return w * val, val + u * (self.eps * self._poly(self._a_prime, u)
+                                   + self.eps ** 2 * self._poly(self._b_prime, u))
 
     def pull(self, z: complex) -> complex:
         w = z
         for _ in range(60):
-            step = (self.push(w) - z) / self._push_prime(w)
+            f, f_prime = self._jet(w)
+            step = (f - z) / f_prime
             w -= step
-            if abs(step) < 1e-15 * (1 + abs(w)):
+            if abs(step) < 1e-15 * (self.R + abs(w)):
                 return w
         raise ParameterError("conformal inversion did not converge")
 
@@ -118,14 +122,7 @@ class _PerturbedDisk:
 
     def robin_h0(self, a: complex) -> float:
         w = self.pull(a)
-        return planar_green.robin_data(self.base, w).h0 + math.log(abs(self._push_prime(w)))
-
-
-def _assert_unit_flux(R: float) -> None:
-    _, z, ds = planar_green._disk_rule(R, _BOUNDARY_N)
-    flux = ds @ planar_green._disk_poisson(R, 0j, z)
-    if abs(flux - 1.0) > 1e-10:
-        raise NormalizationError(f"outward-normal convention broken: flux {flux}")
+        return planar_green.robin_data(self.base, w).h0 + math.log(abs(self._jet(w)[1]))
 
 
 def hadamard_delta_green(var: BoundaryVariation, a: complex,
@@ -137,37 +134,31 @@ def hadamard_delta_green(var: BoundaryVariation, a: complex,
     """
     a, b = complex(a), complex(b)
     planar_green._require_interior(var.base, a, b)
-    if abs(a - b) < 1e-12:
+    if abs(a - b) < 1e-12 * var.base.R:
         raise PoleError("a and b must be distinct")
-    _assert_unit_flux(var.base.R)
     eps = var.epsilon
     plus = _PerturbedDisk(var, +eps).green(a, b)
     minus = _PerturbedDisk(var, -eps).green(a, b)
     lhs = (plus - minus) / (2 * eps)
 
     R = var.base.R
-    theta, z, ds = planar_green._disk_rule(R, _BOUNDARY_N)
+    _, z, ds = var.rule
     pa, pb = (planar_green._disk_poisson(R, p, z) for p in (a, b))
-    # delta_n is a function of one angle
-    return lhs, float(numkit.integrate(numkit.pointwise(var.delta_n), theta,
-                                       ds * pa * pb))
+    return lhs, float((var.samples * (ds * pa * pb)).sum())
 
 
 def hadamard_delta_h0(var: BoundaryVariation, a: complex) -> tuple[float, float]:
     """Both sides of delta h0(a) = 2 pi oint (dG/dn(.,a))^2 delta_n ds."""
     a = complex(a)
     planar_green._require_interior(var.base, a)
-    _assert_unit_flux(var.base.R)
     eps = var.epsilon
     plus = _PerturbedDisk(var, +eps).robin_h0(a)
     minus = _PerturbedDisk(var, -eps).robin_h0(a)
     lhs = (plus - minus) / (2 * eps)
 
-    R = var.base.R
-    theta, z, ds = planar_green._disk_rule(R, _BOUNDARY_N)
-    pa = planar_green._disk_poisson(R, a, z)
-    return lhs, 2 * math.pi * float(numkit.integrate(
-        numkit.pointwise(var.delta_n), theta, ds * pa ** 2))
+    _, z, ds = var.rule
+    pa = planar_green._disk_poisson(var.base.R, a, z)
+    return lhs, 2 * math.pi * float((var.samples * (ds * pa ** 2)).sum())
 
 
 def triple_green(a: complex, b: complex, c: complex) -> float:
@@ -180,7 +171,6 @@ def triple_green(a: complex, b: complex, c: complex) -> float:
     """
     points = tuple(map(complex, (a, b, c)))
     planar_green._require_interior(planar_green.UNIT_DISK, *points)
-    _assert_unit_flux(1.0)
     _, z, ds = planar_green._disk_rule(1.0, _BOUNDARY_N)
     pa, pb, pc = (planar_green._disk_poisson(1.0, p, z) for p in points)
     return -float(ds @ (pa * pb * pc))

@@ -22,7 +22,6 @@ __all__ = [
     "is_scalar",
     "first_where",
     "integrate",
-    "pointwise",
     "trapezoid_rule",
     "midpoint_rule",
     "gauss_legendre_rule",
@@ -82,7 +81,7 @@ def integrate(f: Callable, nodes: np.ndarray, weights: np.ndarray):
     integral, (m, n) (or a sequence of m arrays) for m.  A scalar return,
     e.g. ``lambda z: 1.0``, stands for that value at every node.  A
     non-finite value raises EvaluationError naming the first node that
-    has one.  Wrap an integrand of one Python number in ``pointwise``.
+    has one.
     """
     values = np.asarray(f(nodes))
     if values.ndim == 0:
@@ -92,12 +91,6 @@ def integrate(f: Callable, nodes: np.ndarray, weights: np.ndarray):
         bad = ~finite.reshape(-1, finite.shape[-1]).all(axis=0)
         raise EvaluationError(nodes[np.argmax(bad)].item())
     return (values * weights).sum(axis=-1)
-
-
-def pointwise(f: Callable) -> Callable:
-    """The array form of an integrand of one Python number: f is called on
-    each node in turn and its components are stacked ahead of the node axis."""
-    return lambda nodes: np.array([f(z) for z in nodes.tolist()]).T
 
 
 def trapezoid_rule(n: int, period: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -50,12 +50,69 @@ def test_one_conformal_model_serves_both_formulas_and_both_signs():
         return math.cos(2 * t)
 
     var = hd.BoundaryVariation(DISK, delta_n, 1e-4)
-    samples.clear()   # the size guard's samples
+    # delta_n is sampled once, at the boundary rule's angles, as Python floats
+    assert len(samples) == hd._BOUNDARY_N and {type(t) for t in samples} == {float}
+    assert samples == var.rule[0].tolist()
+    samples.clear()
+    # both formulas, each at +eps and -eps, read the samples taken at construction
     hd.hadamard_delta_green(var, 0.1, 0.5j)
     hd.hadamard_delta_h0(var, 0.3 - 0.2j)
-    # each right-hand side samples delta_n at its _BOUNDARY_N nodes; the model
-    # of the perturbed disk takes its 256 samples once, for +eps and -eps alike
-    assert len(samples) == hd._FOURIER_N + 2 * hd._BOUNDARY_N
+    assert samples == []
+
+
+# recorded when the conformal model sampled delta_n at its own 256 angles and
+# each formula at its own 512 nodes; the one sample of 512 gives the same bits
+PINNED = {
+    (1.0, "cos"): ((-0.017058249315651808, -0.017058249323386072),
+                   (0.4210526339648579, 0.4210526315789473),
+                   0.10940746628456331, 0.10941087793442644),
+    (1.0, "cos2"): ((-0.002493845919840365, -0.002493845898105638),
+                    (0.09315789540709912, 0.09315789473684205),
+                    0.10940892282937935, 0.10940942159856332),
+    (1.3, "cos"): ((-0.009847029124598894, -0.009847029116273246),
+                   (0.24390243980002002, 0.2439024390243901),
+                   0.14864899469521298, 0.1486509641010379),
+    (1.3, "cos2"): ((-0.0014613921538175756, -0.0014613921479645943),
+                    (0.0417975733717213, 0.04179757318738404),
+                    0.14864983328335862, 0.1486501255617894),
+}
+MODES = {"cos": math.cos, "cos2": lambda t: math.cos(2 * t)}
+
+
+@pytest.mark.parametrize("R, mode", sorted(PINNED))
+def test_hadamard_values_are_pinned(R, mode):
+    a, b = 0.2 + 0.1j, -0.3 + 0.25j
+    var = hd.BoundaryVariation(pg.DomainDescriptor.disk(R), MODES[mode], 1e-4)
+    assert (hd.hadamard_delta_green(var, a, b), hd.hadamard_delta_h0(var, a),
+            hd._PerturbedDisk(var, 1e-4).green(a, b),
+            hd._PerturbedDisk(var, -1e-4).green(a, b)) == PINNED[R, mode]
+
+
+@pytest.mark.parametrize("R", [1e-20, 1e20])
+def test_hadamard_formulas_scale_with_the_disk(R):
+    # bounds relative to R: R lhs and R rhs do not depend on the disk's size
+    a, b = 0.2 + 0.1j, -0.3 + 0.25j
+    mode = lambda t: math.cos(2 * t) + 0.5 * math.sin(t)
+
+    def scaled(R):
+        var = hd.BoundaryVariation(pg.DomainDescriptor.disk(R), mode, 1e-4 * R)
+        return ([R * v for v in hd.hadamard_delta_green(var, a * R, b * R)],
+                [R * v for v in hd.hadamard_delta_h0(var, a * R)])
+
+    (g_lhs, g_rhs), (h_lhs, h_rhs) = scaled(R)
+    (g_lhs1, g_rhs1), (h_lhs1, h_rhs1) = scaled(1.0)
+    assert abs(g_lhs - g_lhs1) <= 1e-9 * abs(g_lhs1)
+    assert abs(g_rhs - g_rhs1) <= 1e-9 * abs(g_rhs1)
+    assert abs(h_rhs - h_rhs1) <= 1e-12 * abs(h_rhs1)
+    # lhs differences h0 ~ log R
+    assert abs(h_lhs - h_lhs1) <= 1e-8 * abs(h_lhs1)
+
+
+@pytest.mark.parametrize("R", [1e-100, 1.0, 1.3, 1e100])
+def test_disk_poisson_density_has_unit_flux(R):
+    # the outward-normal convention of every boundary integral here
+    _, z, ds = pg._disk_rule(R, hd._BOUNDARY_N)
+    assert abs(ds @ pg._disk_poisson(R, 0j, z) - 1.0) <= 1e-13
 
 
 def test_delta_h0_odd_mode_vanishes():
@@ -126,8 +183,19 @@ def test_interior_requirements():
     # nan at one angle of the conformal model's 256 only
     (lambda t: math.nan if abs(t - 2 * math.pi / 256) < 1e-12 else math.cos(t), 1e-4,
      "delta_n must be finite on the boundary"),
+    # nan at one odd angle, which only the formulas' 512 nodes see
+    (lambda t: math.nan if abs(t - 2 * math.pi / 512) < 1e-12 else math.cos(t), 1e-4,
+     "delta_n must be finite on the boundary"),
 ], ids=["nan-epsilon", "inf-epsilon", "zero-epsilon", "late-nan-delta_n", "inf-delta_n",
-        "one-nan-delta_n"])
+        "one-nan-delta_n", "odd-nan-delta_n"])
 def test_variation_refuses_non_finite_and_zero_input(delta_n, epsilon, message):
     with pytest.raises(ParameterError, match=message):
         hd.BoundaryVariation(DISK, delta_n, epsilon)
+
+
+def test_variation_size_guard_reads_every_boundary_sample():
+    # a spike at an odd angle: the model's 256 angles miss it, the formulas'
+    # 512 nodes do not, so the guard reads all 512
+    spike = lambda t: 1e4 if abs(t - 2 * math.pi * 3 / 512) < 1e-12 else 0.0
+    with pytest.raises(DomainError, match="perturbation too large"):
+        hd.BoundaryVariation(DISK, spike, 1e-4)

@@ -274,19 +274,6 @@ def test_integrate_names_the_first_bad_node(bad):
     assert err.value.node == nodes[bad]
 
 
-def test_pointwise_adapter_feeds_python_numbers():
-    nodes, weights = numkit.gauss_legendre_rule([0.0, 1.0], 16)
-    seen = []
-    f = numkit.pointwise(lambda t: seen.append(type(t)) or (math.sin(t), 1.0))
-    val = numkit.integrate(f, nodes, weights)
-    assert set(seen) == {float} and len(seen) == 16
-    assert abs(val[0] - (1 - math.cos(1.0))) < 1e-15 and abs(val[1] - 1.0) < 1e-15
-    with pytest.raises(EvaluationError) as err:
-        numkit.integrate(numkit.pointwise(lambda t: math.nan if t > 0.5 else t),
-                         nodes, weights)
-    assert err.value.node == nodes[nodes > 0.5][0]
-
-
 def test_wirtinger_conjugate():
     val = numkit.wirtinger_derivative(lambda z: z.conjugate(), 0.3 + 0.7j, "dzbar", 1e-5)
     assert abs(val - 1.0) < 1e-9

@@ -285,8 +285,9 @@ def test_form_period_avoids_poles(spec):
     # here just exercise the quadrature on the alpha cycle
     a = -0.12 + 0.4j
     form = sf.OneForm(
-        numkit.pointwise(lambda z: -2j * numkit.wirtinger_derivative(
-            lambda w: sf.torus_monopole_green(w, a, spec), z, "dz", 1e-5)),
+        lambda zs: np.array([-2j * numkit.wirtinger_derivative(
+            lambda w: sf.torus_monopole_green(w, a, spec), z, "dz", 1e-5)
+            for z in zs.tolist()]),
         lambda z: 0j)
     val = sf.form_period(form, sf.alpha_cycle(spec))
     assert np.isfinite(val.real) and np.isfinite(val.imag)
