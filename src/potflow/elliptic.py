@@ -8,9 +8,6 @@ theta1, theta1' and log|theta1| all come from ``_theta_jet``: one reduction
 of z, one sum of each theta series, and logs of the unshifted sums.
 Every function takes a scalar z, giving a Python complex (a float for
 ``log_abs_theta1``), or a numpy array, giving an array of its shape.
-``wp_grid`` evaluates wp on a tensor grid of a rectangular lattice from
-trig of the grid's two axes; it equals ``wp`` of the flattened grid bit for
-bit (see ``_sum`` for why the terms are not formed by power recurrences).
 
 Quasi-period convention: zeta(z+1) = zeta(z) + eta1 and
 zeta(z+tau) = zeta(z) + eta2, tied together by the Legendre identity
@@ -26,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConditioningError, ParameterError, PoleError
+from .errors import ConditioningError, PoleError
 from .numkit import as_points, first_where
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "theta1_log_derivative",
     "log_abs_theta1",
     "wp",
-    "wp_grid",
     "wp_prime",
     "zeta_w",
     "sqrt_wp_minus_e2",
@@ -154,15 +150,12 @@ def _sum(name: str, z0, L: TorusLattice, head=0j):
     """head plus the named series of L at z0.  The terms are added one by
     one, in order, with cmath for a scalar and numpy ufuncs for an array, so
     both round alike: on rectangular lattices (all c_k real) the sums of
-    an array equal its elements' scalar sums to the bit, and ``wp_grid``
-    reproduces them from 1-D factors.
+    an array equal its elements' scalar sums to the bit.
 
     Each term takes its own trig call on purpose.  Forming e^{2 pi i k z0}
     by a power recurrence would save the calls but break that parity:
     numpy's complex multiply (fused multiply-adds) disagrees with Python's
-    in the last bit for nearly half of all products, and the grid path
-    relies on ccos/csin being libm's real cos, sin, cosh and sinh
-    multiplied once."""
+    in the last bit for nearly half of all products."""
     trig_name, terms = L.series[name]
     trig = getattr(np if isinstance(z0, np.ndarray) else cmath, trig_name)
     for f, c in terms:
@@ -285,47 +278,6 @@ def _wp_reduced(z0, L: TorusLattice):
     """wp at a z0 already reduced to the cell and off the lattice, unchecked."""
     s = _xp(z0).sin(cmath.pi * z0)
     return _sum("wp", z0, L, -L.eta1 + cmath.pi ** 2 / (s * s))
-
-
-def wp_grid(x, y, L: TorusLattice) -> np.ndarray:
-    """wp(x[:, None] + 1j y[None, :]) for 1-D float arrays x, y on a
-    rectangular lattice (Re tau = 0): bit for bit ``wp`` of the flattened
-    grid, with trig only on the two axes.
-
-    The cell reduction splits by axis (m depends on x only, n on y only),
-    and so does each term: cos(f(X+iY)) = cos fX cosh fY - i sin fX sinh fY,
-    and sin(pi z0) of the head alike.  Those are the very products the C
-    library's ccos and csin form from its real sin, cos, cosh and sinh, so
-    these are taken on the axes through ``math`` (numpy's float cosh and
-    sinh differ from it in the last bit for about an eighth of arguments);
-    the grid sees only the outer products, each scaled by its real c_k and
-    added in series order, real and imaginary parts apart, as ``_sum`` does.
-    """
-    if L.tau.real != 0:
-        raise ParameterError(f"wp_grid needs a rectangular lattice, got tau = {L.tau}")
-    T = L.tau.imag
-    x0 = x - np.rint(x)
-    y0 = y - np.rint(y / T) * T
-    # |z0| >= max(|x0|, |y0|): only rows and columns near 0 can hold a pole
-    bad = np.logical_and.outer(abs(x0) < _POLE_TOL, abs(y0) < _POLE_TOL)
-    if bad.any():
-        bad &= np.hypot.outer(x0, y0) < _POLE_TOL
-    if bad.any():
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise PoleError(f"{complex(x[i], y[j])} is within {_POLE_TOL} of a lattice point")
-
-    def outer(fx, fy, f, g):
-        return np.multiply.outer(_map(f, fx), _map(g, fy))
-
-    px, py = cmath.pi * x0, cmath.pi * y0
-    s = np.empty((x.size, y.size), complex)
-    s.real, s.imag = outer(px, py, math.sin, math.cosh), outer(px, py, math.cos, math.sinh)
-    head = -L.eta1 + cmath.pi ** 2 / (s * s)
-    for f, c in L.series["wp"][1]:
-        fx, fy = f * x0, f * y0
-        head.real += c.real * outer(fx, fy, math.cos, math.cosh)
-        head.imag -= c.real * outer(fx, fy, math.sin, math.sinh)
-    return head
 
 
 def wp_prime(z, L: TorusLattice):

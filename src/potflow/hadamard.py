@@ -29,6 +29,9 @@ __all__ = [
 _FOURIER_N = 256
 # trapezoid nodes of every boundary integral on the circle
 _BOUNDARY_N = 512
+# triple_green's rule on the unit circle, built once: nodes and arc length
+_, _UNIT_NODES, _UNIT_DS = planar_green._disk_rule(1.0, _BOUNDARY_N)
+_UNIT_NODES.flags.writeable = _UNIT_DS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -171,6 +174,5 @@ def triple_green(a: complex, b: complex, c: complex) -> float:
     """
     points = tuple(map(complex, (a, b, c)))
     planar_green._require_interior(planar_green.UNIT_DISK, *points)
-    _, z, ds = planar_green._disk_rule(1.0, _BOUNDARY_N)
-    pa, pb, pc = (planar_green._disk_poisson(1.0, p, z) for p in points)
-    return -float(ds @ (pa * pb * pc))
+    pa, pb, pc = (planar_green._disk_poisson(1.0, p, _UNIT_NODES) for p in points)
+    return -float(_UNIT_DS @ (pa * pb * pc))

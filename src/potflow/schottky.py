@@ -133,12 +133,7 @@ def strip_bergman_kernels(z, a: complex, dbl: StripDouble):
     """(K_electro, K_hydro, K_double) at (z, a) on the strip double, for a
     scalar or an array of z.  wp raises the PoleError where z + conj(a)
     is on the lattice."""
-    w = numkit.as_points(z) + complex(a).conjugate()
-    return _kernels_of_wp(elliptic.wp(w, dbl.lattice), dbl)
-
-
-def _kernels_of_wp(wp, dbl: StripDouble):
-    """(K_electro, K_hydro, K_double) from wp(z + conj a)."""
+    wp = elliptic.wp(numkit.as_points(z) + complex(a).conjugate(), dbl.lattice)
     ke = (wp + dbl.lattice.eta1) / math.pi
     return ke, ke - 2.0 / dbl.T, surface._constant_like(wp, 1.0 / dbl.T + 0j)
 
@@ -292,63 +287,64 @@ def neumann_strip(z, a, dbl: StripDouble):
 # reproducing properties
 # ---------------------------------------------------------------------------
 
-def _strip_rule(dbl: StripDouble):
-    """Tensor composite Gauss-Legendre rule of 12 panels a side over Omega =
-    (-1/2,0) x (0, Im tau): ``(axes, nodes, weights)``, ``axes`` its 1-D rules."""
-    axes = tuple(numkit.gauss_legendre_rule(np.linspace(lo, hi, 13))
-                 for lo, hi in ((-0.5, 0.0), (0.0, dbl.T)))
-    return (axes, *numkit.product_rule(*axes))
-
-
-def _strip_kernels(axes, a: complex, dbl: StripDouble):
-    """(K_electro, K_hydro, K_double) at (z, a) on the nodes z of
-    ``_strip_rule``.  wp(z + conj a) comes from ``elliptic.wp_grid`` on the
-    rule's two axes, bit for bit what ``strip_bergman_kernels`` gives on
-    the nodes."""
-    (x, _), (y, _) = axes
-    ac = complex(a).conjugate()
-    return _kernels_of_wp(elliptic.wp_grid(x + ac.real, y + ac.imag,
-                                           dbl.lattice).ravel(), dbl)
-
-
 def _beta_period_of(f, dbl: StripDouble) -> complex:
     """oint f dz over the vertical cycle Re z = -1/4 (period tau)."""
     nodes, wy = dbl.wall_rule(-0.25, 256)
     return numkit.integrate(f, nodes, 1j * wy)
 
 
-def reproducing_check(kernel: str, f, a, dbl: StripDouble):
+def _cell_integrals(F, which: int, a, dbl: StripDouble):
+    """int_Omega F' conj(K(., p)) dx dy for each point p of ``a`` (a list of
+    values out), K the kernel ``which`` of ``strip_bergman_kernels``.
+
+    F is holomorphic and K(., p) is holomorphic on the closure of Omega, so
+    by Stokes, d(F conj(K) dzbar) = F' conj(K) dz wedge dzbar, the integral
+    is (i/2) oint F conj(K dz) over Omega's four sides, counter-clockwise.
+    Each side is a Gauss-Legendre ``segment_rule`` of 256 nodes, the walls
+    256 max(1, Im tau / 2), as ``hydro_circulation`` scales its wall rule;
+    F on the nodes is shared by the points, and wp is evaluated once a side.
+    """
+    corners = (-0.5 + 0j, 0j, dbl.tau, dbl.tau - 0.5)
+    n, wall = 256, max(256, math.ceil(256 * dbl.T / 2))
+    sides = [numkit.segment_rule(z0, z1, m) for z0, z1, m in
+             zip(corners, corners[1:] + corners[:1], (n, wall, n, wall))]
+    sides = [(nodes, dz.conjugate(), F(nodes)) for nodes, dz in sides]
+    # kernel first: numpy's complex product is not commutative in the last bit
+    return [0.5j * sum(numkit.integrate(
+        lambda z: strip_bergman_kernels(z, p, dbl)[which].conjugate() * Fz, z, dzbar)
+        for z, dzbar, Fz in sides) for p in a]
+
+
+def reproducing_check(kernel: str, f, F, a, dbl: StripDouble):
     """(i/2) int_Omega f dz wedge conj(K(.,a) dz) = int f conj(K) dx dy,
     for one point a or an array of points (an array of values out).
 
-    f receives numpy arrays of points (the quadrature nodes).  ``kernel``
-    is "electro" or "hydro"; hydro requires f to be exact (vanishing period
-    around the strip), which is checked first.  The check, the rule and f
-    on its nodes are shared by all the points; each point costs one wp_grid.
+    F is a primitive of f, holomorphic on the closure of Omega; the integral
+    is taken on Omega's boundary (see ``_cell_integrals``).  f and F receive
+    numpy arrays of points (the quadrature nodes).  ``kernel`` is "electro"
+    or "hydro"; hydro requires f to be exact (vanishing period around the
+    strip), which is checked first.
     """
     if kernel not in ("electro", "hydro"):
         raise ParameterError("kernel must be 'electro' or 'hydro'")
+    points = numkit.as_points(a)
+    planar_green._require_interior(dbl, points)
     if kernel == "hydro":
         period = _beta_period_of(f, dbl)
         if abs(period) > 1e-8:
             raise AdmissibilityError(
                 f"integrand has nonzero strip period {abs(period):.2e}; "
                 "not admissible for the hydrodynamic kernel")
-    axes, nodes, weights = _strip_rule(dbl)
-    fz = f(nodes)
-    which = 0 if kernel == "electro" else 1
-    # kernel first: numpy's complex product is not commutative in the last bit
-    vals = [numkit.integrate(
-        lambda z: _strip_kernels(axes, p, dbl)[which].conjugate() * fz, nodes, weights)
-        for p in np.ravel(numkit.as_points(a))]
+    vals = _cell_integrals(F, 0 if kernel == "electro" else 1, np.ravel(points), dbl)
     return vals[0] if numkit.is_scalar(a) else np.reshape(vals, np.shape(a))
 
 
 def orthogonality_integral(b: complex, dbl: StripDouble) -> complex:
-    """int_Omega K_double dz wedge conj(K_hydro(.,b) dz) (vanishes)."""
-    axes, nodes, weights = _strip_rule(dbl)
-    _, kh, kd = _strip_kernels(axes, b, dbl)
-    return numkit.integrate(lambda z: kd * kh.conjugate(), nodes, weights)
+    """int_Omega K_double dz wedge conj(K_hydro(.,b) dz) (vanishes), with
+    K_double = 1 / Im tau the derivative of F = z / Im tau."""
+    b = complex(b)
+    planar_green._require_interior(dbl, b)
+    return _cell_integrals(lambda z: z / dbl.T, 1, [b], dbl)[0]
 
 
 def upsilon_third_kind(z, a: complex, b: complex, dbl: StripDouble):

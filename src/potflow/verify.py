@@ -425,13 +425,14 @@ def schottky_checks() -> list[Check]:
     out.append(Check("Neumann relation to hydro Green", "NG", worst, 1e-6))
 
     # reproducing properties
-    r_e = schottky.reproducing_check("electro", lambda w: 1.0 + 0j, a, dbl)
+    r_e = schottky.reproducing_check("electro", lambda w: 1.0 + 0j, lambda w: w, a, dbl)
     out.append(Check("electro kernel reproduces constants",
                      "Kelectroreproducing", abs(r_e - 1.0), 1e-6))
     tau = dbl.tau
-    fexp = lambda w: (2j * math.pi / tau) * np.exp(2j * math.pi * w / tau)
+    Fexp = lambda w: np.exp(2j * math.pi * w / tau)
+    fexp = lambda w: (2j * math.pi / tau) * Fexp(w)
     pts = np.array([a, -0.15 + 0.35j, -0.4 + 1.4j])
-    r_h = schottky.reproducing_check("hydro", fexp, pts, dbl)
+    r_h = schottky.reproducing_check("hydro", fexp, Fexp, pts, dbl)
     out.append(Check("hydro kernel reproduces exact differentials",
                      "Khydroreproducing", float(np.max(np.abs(r_h - fexp(pts)))), 1e-6))
     out.append(Check("double/hydro kernel orthogonality", "orthogonal",

@@ -171,10 +171,11 @@ def test_ac09_torus_monopole():
 def test_ac10_reproducing():
     dbl = sk.StripDouble(2j)
     tau = dbl.tau
-    f = lambda w: (2j * math.pi / tau) * np.exp(2j * math.pi * w / tau)
-    worst_h = max(abs(sk.reproducing_check("hydro", f, pt, dbl) - f(pt))
+    F = lambda w: np.exp(2j * math.pi * w / tau)
+    f = lambda w: (2j * math.pi / tau) * F(w)
+    worst_h = max(abs(sk.reproducing_check("hydro", f, F, pt, dbl) - f(pt))
                   for pt in (-0.25 + 0.5j, -0.15 + 0.35j, -0.4 + 1.4j))
-    err_e = abs(sk.reproducing_check("electro", lambda w: 1.0 + 0j,
+    err_e = abs(sk.reproducing_check("electro", lambda w: 1.0 + 0j, lambda w: w,
                                      -0.25 + 0.5j, dbl) - 1.0)
     orth = abs(sk.orthogonality_integral(-0.35 + 1.1j, dbl))
     _report("AC10 reproducing: hydro<1e-6, electro<1e-6, orthogonality<1e-8",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from potflow import elliptic, surface
-from potflow.errors import ConditioningError, ParameterError, PoleError
+from potflow.errors import ConditioningError, PoleError
 
 TAUS = (1.5j, 2j, 3j, 0.3 + 2j)
 
@@ -260,29 +260,6 @@ def test_array_pole_errors_name_the_first_point(L2i):
     with pytest.raises(PoleError, match=r"\(1\+2j\)"):
         elliptic.log_abs_theta1(z, L2i)
     assert np.isfinite(elliptic.wp(z[[0, 3]], L2i)).all()
-
-
-@pytest.mark.parametrize("tau", (0.5j, 1.5j, 2j, 3j))
-def test_wp_grid_equals_wp_on_the_flattened_grid(tau):
-    L = elliptic.lattice_constants(tau)
-    T = tau.imag
-    # unevenly spaced axes over several cells in both directions, both signs
-    x = np.sort(np.random.default_rng(3).uniform(-2.6, 3.3, 83))
-    y = np.sort(np.random.default_rng(4).uniform(-2.4 * T, 3.1 * T, 71))
-    grid = elliptic.wp_grid(x, y, L)
-    assert grid.shape == (x.size, y.size)
-    assert np.array_equal(grid.ravel(), elliptic.wp((x[:, None] + 1j * y).ravel(), L))
-
-
-def test_wp_grid_pole_and_lattice_errors(L2i):
-    # the error names the first lattice point in row-major (x, y) order
-    x, y = np.array([0.3, 1.0, 2.0]), np.array([0.0, 0.7, 2.0])
-    with pytest.raises(PoleError, match=r"\(1\+0j\)"):
-        elliptic.wp_grid(x, y, L2i)
-    with pytest.raises(PoleError, match=r"\(1\+2j\)"):
-        elliptic.wp_grid(x[1:], y[1:], L2i)
-    with pytest.raises(ParameterError, match="rectangular"):
-        elliptic.wp_grid(x, y, elliptic.lattice_constants(0.3 + 1.1j))
 
 
 @pytest.mark.parametrize("tau", [0.3j, 1j, 2j, 0.3 + 1.1j, 17j])

@@ -150,6 +150,17 @@ def test_triple_green_full_symmetry():
     assert max(vals) - min(vals) < 1e-10
 
 
+def test_triple_green_reads_one_unit_disk_rule(monkeypatch):
+    # the rule is built once, at import, and shared read-only: a triple_green
+    # call (verify's integrability row makes one per permutation) builds none
+    calls, rule = [], pg._disk_rule
+    monkeypatch.setattr(pg, "_disk_rule", lambda *args: calls.append(args) or rule(*args))
+    for _ in range(3):
+        hd.triple_green(0.31, 0.12j, -0.25 + 0.2j)
+    assert calls == []
+    assert not (hd._UNIT_NODES.flags.writeable or hd._UNIT_DS.flags.writeable)
+
+
 def test_triple_green_generates_hele_shaw():
     a, b, c = 0.3, 0.1j, -0.25 + 0.2j
     eps = 1e-4

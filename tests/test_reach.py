@@ -86,7 +86,6 @@ ALLOWED = {
     "planar_green._rectangle_harmonic": NO_COMMAND_KIND,
     "planar_green._slit_dgdz": NO_COMMAND_KIND,
     "numkit.sinh_rule": NO_COMMAND_KIND,
-    "numkit.segment_rule": NO_COMMAND_KIND,
     "equilibrium.CompactSet.disk": PUBLIC,
     "equilibrium.CompactSet.to_dict": PUBLIC,
     "planar_green.DomainDescriptor.to_json": PUBLIC,
@@ -372,7 +371,6 @@ RULE_BUILDERS = {
     "numkit.sinh_rule": "numkit's graded rule, built on the Gauss-Legendre rule",
     "numkit.gauss_legendre_panel": "numkit's composite rule on [a, b]",
     "numkit.polar_rule": AREA_RULE,
-    "schottky._strip_rule": AREA_RULE,
     "surface._unit_disk_rule": AREA_RULE,
     "surface._pole_disk_rule": AREA_RULE,
     "surface._pole_split_rule": AREA_RULE,

@@ -240,15 +240,16 @@ def test_kernels_and_green_on_arrays_match_scalar_calls(dbl):
 
 
 def test_reproducing_electro_constant(dbl):
-    val = sk.reproducing_check("electro", lambda w: 1.0 + 0j, A, dbl)
+    val = sk.reproducing_check("electro", lambda w: 1.0 + 0j, lambda w: w, A, dbl)
     assert abs(val - 1.0) < 1e-6
 
 
 def test_reproducing_hydro_exponential(dbl):
     tau = dbl.tau
-    f = lambda w: (2j * math.pi / tau) * np.exp(2j * math.pi * w / tau)
+    F = lambda w: np.exp(2j * math.pi * w / tau)
+    f = lambda w: (2j * math.pi / tau) * F(w)
     for pt in (A, -0.15 + 0.35j, -0.4 + 1.4j):
-        val = sk.reproducing_check("hydro", f, pt, dbl)
+        val = sk.reproducing_check("hydro", f, F, pt, dbl)
         assert abs(val - f(pt)) < 1e-6
 
 
@@ -256,8 +257,10 @@ def test_reproducing_hydro_admissibility(dbl):
     # K_electro(., a0) has the full strip period 2i: not an exact differential
     a0 = -0.3 + 0.7j
     f = lambda w: sk.strip_bergman_kernels(w, a0, dbl)[0]
+    L = dbl.lattice
+    F = lambda w: (L.eta1 * w - elliptic.zeta_w(w + a0.conjugate(), L)) / math.pi
     with pytest.raises(AdmissibilityError):
-        sk.reproducing_check("hydro", f, A, dbl)
+        sk.reproducing_check("hydro", f, F, A, dbl)
 
 
 def test_orthogonality(dbl):
@@ -265,35 +268,55 @@ def test_orthogonality(dbl):
 
 
 def _full_grid_quadrature(integrand, a, dbl, resolution=12):
-    """The reference strip quadrature: kernels from wp on every node."""
+    """The area form of a strip quadrature: a tensor Gauss-Legendre rule of
+    ``resolution`` panels across Omega and resolution max(1, Im tau / 2)
+    panels along it, with the kernels from wp on every node."""
+    panels = (resolution, math.ceil(resolution * max(1.0, dbl.T / 2)))
     nodes, weights = numkit.product_rule(*(
-        numkit.gauss_legendre_rule(np.linspace(lo, hi, resolution + 1))
-        for lo, hi in ((-0.5, 0.0), (0.0, dbl.T))))
+        numkit.gauss_legendre_rule(np.linspace(lo, hi, n + 1))
+        for (lo, hi), n in zip(((-0.5, 0.0), (0.0, dbl.T)), panels)))
     return numkit.integrate(
         lambda z: integrand(z, *sk.strip_bergman_kernels(z, a, dbl)), nodes, weights)
 
 
-def test_strip_quadratures_equal_the_full_grid_formula_bit_for_bit(dbl):
+@pytest.mark.parametrize("T, tol", [(2.0, 1e-14), (0.5, 1e-13), (5.0, 1e-13)])
+def test_strip_quadratures_on_the_boundary_equal_the_area_rule(T, tol):
+    # Stokes: the boundary integrals of F conj(K dz) are the area integrals of
+    # F' conj(K); the points sit where verify's sit on the 2i strip
+    dbl = sk.StripDouble(1j * T)
     tau = dbl.tau
-    fexp = lambda w: (2j * math.pi / tau) * np.exp(2j * math.pi * w / tau)
+    Fexp = lambda w: np.exp(2j * math.pi * w / tau)
+    fexp = lambda w: (2j * math.pi / tau) * Fexp(w)
     one = lambda w: 1.0 + 0j
-    assert sk.reproducing_check("electro", one, A, dbl) == _full_grid_quadrature(
-        lambda z, ke, kh, kd: one(z) * ke.conjugate(), A, dbl)
-    for pt in (A, -0.15 + 0.35j, -0.4 + 1.4j):
-        assert sk.reproducing_check("hydro", fexp, pt, dbl) == _full_grid_quadrature(
-            lambda z, ke, kh, kd: kh.conjugate() * fexp(z), pt, dbl)
-    assert sk.orthogonality_integral(B, dbl) == _full_grid_quadrature(
-        lambda z, ke, kh, kd: kd * kh.conjugate(), B, dbl)
+    a, b = complex(-0.25, T / 4), complex(-0.35, 0.55 * T)
+    boundary = sk.reproducing_check("electro", one, lambda w: w, a, dbl)
+    area = _full_grid_quadrature(lambda z, ke, kh, kd: ke.conjugate(), a, dbl)
+    assert abs(boundary - area) < tol
+    for pt in (a, complex(-0.15, 0.175 * T), complex(-0.4, 0.7 * T)):
+        boundary = sk.reproducing_check("hydro", fexp, Fexp, pt, dbl)
+        area = _full_grid_quadrature(lambda z, ke, kh, kd: kh.conjugate() * fexp(z), pt, dbl)
+        assert abs(boundary - area) < tol
+    area = _full_grid_quadrature(lambda z, ke, kh, kd: kd * kh.conjugate(), b, dbl)
+    assert abs(sk.orthogonality_integral(b, dbl) - area) < tol
+
+
+def test_strip_quadratures_refuse_points_outside_the_strip(dbl):
+    with pytest.raises(DomainError):
+        sk.reproducing_check("electro", lambda w: 1.0 + 0j, lambda w: w,
+                             np.array([A, 0.1 + 0.5j]), dbl)
+    with pytest.raises(DomainError):
+        sk.orthogonality_integral(-0.5 + 1j, dbl)
 
 
 def test_reproducing_check_on_an_array_of_points_equals_the_scalar_calls(dbl):
     tau = dbl.tau
-    fexp = lambda w: (2j * math.pi / tau) * np.exp(2j * math.pi * w / tau)
+    Fexp = lambda w: np.exp(2j * math.pi * w / tau)
+    fexp = lambda w: (2j * math.pi / tau) * Fexp(w)
     pts = np.array([A, -0.15 + 0.35j, -0.4 + 1.4j])
-    for kernel, f in (("hydro", fexp), ("electro", lambda w: 1.0 + 0j)):
-        vals = sk.reproducing_check(kernel, f, pts, dbl)
+    for kernel, f, F in (("hydro", fexp, Fexp), ("electro", lambda w: 1.0 + 0j, lambda w: w)):
+        vals = sk.reproducing_check(kernel, f, F, pts, dbl)
         assert vals.shape == pts.shape
-        assert _bits(*vals) == _bits(*(sk.reproducing_check(kernel, f, complex(p), dbl)
+        assert _bits(*vals) == _bits(*(sk.reproducing_check(kernel, f, F, complex(p), dbl)
                                        for p in pts))
 
 
@@ -308,6 +331,33 @@ def test_schottky_suite_never_evaluates_wp_on_a_full_grid(monkeypatch):
 
     monkeypatch.setattr(elliptic, "wp", small_wp)
     assert all(check.passed for check in verify.run_suite("schottky"))
+
+
+def test_strip_quadrature_rows_evaluate_wp_on_few_points(monkeypatch):
+    # verify's reproducing and orthogonality rows took wp on 5 x 36,864 area
+    # nodes; on the cell's boundary they take it on 5 x 4 x 256
+    from potflow import verify
+    wp, inside, points = elliptic.wp, [False], []
+
+    def counting_wp(z, L):
+        if inside[0]:
+            points.append(np.size(z))
+        return wp(z, L)
+
+    def counting(fn):
+        def wrapped(*args):
+            inside[0] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = False
+        return wrapped
+
+    monkeypatch.setattr(elliptic, "wp", counting_wp)
+    for name in ("reproducing_check", "orthogonality_integral"):
+        monkeypatch.setattr(sk, name, counting(getattr(sk, name)))
+    assert all(check.passed for check in verify.run_suite("schottky"))
+    assert 0 < sum(points) <= 8192
 
 
 def _bits(*values) -> bytes:
