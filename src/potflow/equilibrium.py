@@ -247,15 +247,17 @@ def _log_objective(z: np.ndarray, pole: complex | None) -> float:
 def _leja_start(K: CompactSet, n: int, pole: complex | None) -> np.ndarray:
     ts = np.arange(2048) / 2048 if K.closed else np.linspace(0.0, 1.0, 2048)
     zs = K.jet(ts)[0]
-    polepen = 0.0 if pole is None else np.log(np.abs(zs - pole) + 1e-300)
-    # start from the candidate farthest from the centroid, then grow greedily
+    polepen = None if pole is None else np.log(np.abs(zs - pole) + 1e-300)
+    # start from the candidate farthest from the centroid, then grow greedily;
+    # a chosen candidate's score is -inf
     chosen = [int(np.argmax(np.abs(zs - zs.mean())))]
     scores = np.log(np.abs(zs - zs[chosen[0]]) + 1e-300)
+    scores[chosen[0]] = -np.inf
     for _ in range(1, n):
-        pen = scores - len(chosen) * polepen
-        pen[chosen] = -np.inf
+        pen = scores if polepen is None else scores - len(chosen) * polepen
         chosen.append(int(np.argmax(pen)))
         scores += np.log(np.abs(zs - zs[chosen[-1]]) + 1e-300)
+        scores[chosen[-1]] = -np.inf
     return ts[np.array(chosen)]
 
 
@@ -297,8 +299,7 @@ def _newton_refine(K: CompactSet, ts: np.ndarray, pole: complex | None
     t, order = ts, np.argsort(ts)
     f = _log_objective(K.jet(t)[0], pole)
     for steps in range(_NEWTON_CAP + 1):
-        z, dz_right = K.jet(t, 1)[:2]
-        dz_left = K.jet(t, -1)[1]
+        z, dz, ddz = K.jet(t, 1)
         inv = 1.0 / (z[:, None] - z[None, :] + eye) - eye
         inv2 = inv * inv
         # the gradient is Re(z_i' w_i); q_i = -dw_i/dz_i enters the Hessian
@@ -310,15 +311,17 @@ def _newton_refine(K: CompactSet, ts: np.ndarray, pole: complex | None
         # the piece after each point; points on a breakpoint pick a side
         k = np.searchsorted(edges, t, side="right") - 1
         at_break = t == edges[k]
-        g_right, g_left = (dz_right * w).real, (dz_left * w).real
+        dz_left = K.jet(t, -1)[1] if at_break.any() else dz
+        g_right, g_left = (dz * w).real, (dz_left * w).real
         up_right = (k < last) & (g_right > 0)
         left = (at_break & ((k > 0) | closed) & (g_left < 0)
                 & ~(up_right & (g_right >= -g_left)))
         held = at_break & ~up_right & ~left
         k = np.where(left, np.where(k > 0, k, last) - 1, k)
         lo, hi = edges[k], edges[np.minimum(k + 1, last)]
-        t = np.where(left, hi, t)          # t = 0 on a closed carrier becomes 1
-        dz, ddz = K.jet(t, np.where(left, -1, 1))[1:]
+        if left.any():
+            t = np.where(left, hi, t)      # t = 0 on a closed carrier becomes 1
+            dz, ddz = K.jet(t, np.where(left, -1, 1))[1:]
 
         free = np.flatnonzero(~held)
         g = (dz * w).real[free]

@@ -362,9 +362,11 @@ _CELL_PANEL, _CELL_RAY = 24, 32
 _DISK_ANGLES, _DISK_RAY, _ANNULUS_RAY = 32, 64, 16
 
 
+@functools.lru_cache(maxsize=4)
 def _pole_split_rule(hw: float, hh: float):
     """The rectangle [-hw,hw]x[-hh,hh] minus the disk |w| < rho, rho =
-    min(hw, hh)/2, as a polar rule at its centre: ``(rho, nodes, weights)``.
+    min(hw, hh)/2, as a polar rule at its centre: ``(rho, nodes, weights)``,
+    built once per cell and shared read-only.
 
     The theta range splits at the four corner angles, and each side's range
     again wherever R(theta) = d / cos(theta - c) doubles, at |theta - c| =
@@ -388,19 +390,22 @@ def _pole_split_rule(hw: float, hh: float):
         weights.append(w)
         extent.append(d / np.cos(t))
     theta, weights, extent = map(np.concatenate, (theta, weights, extent))
-    return (rho, *numkit.polar_rule(0j, (theta, weights), extent, _CELL_RAY,
-                                    inner=rho))
+    nodes, weights = numkit.polar_rule(0j, (theta, weights), extent, _CELL_RAY, inner=rho)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return rho, nodes, weights
 
 
+@functools.lru_cache(maxsize=16)
 def _pole_disk_rule(rho: float, inner: float = 0.0):
     """Trapezoid rule in theta on the disk |w| < rho, with its rays
     sqrt-clustered towards the centre for a log-type singularity there, or,
     for ``inner > 0``, on the annulus inner < |w| < rho with log-radial rays
-    for a 1/r^2-type one."""
+    for a 1/r^2-type one; shared read-only."""
     angular = numkit.trapezoid_rule(_DISK_ANGLES, 2 * math.pi)
-    if inner > 0:
-        return numkit.polar_rule(0j, angular, rho, _ANNULUS_RAY, inner=inner)
-    return numkit.polar_rule(0j, angular, rho, _DISK_RAY, band=rho)
+    ray = _ANNULUS_RAY if inner > 0 else _DISK_RAY   # band is read only where inner = 0
+    nodes, weights = numkit.polar_rule(0j, angular, rho, ray, band=rho, inner=inner)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def torus_green_mean(a: complex, lattice: elliptic.TorusLattice) -> float:

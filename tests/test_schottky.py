@@ -476,13 +476,35 @@ def test_ng_stencils_equal_scalar_calls_bit_for_bit(monkeypatch, dbl):
     for name in ("neumann_strip", "g_hydro_strip"):
         monkeypatch.setattr(sk, name, recording(getattr(sk, name)))
     verify.schottky_checks()
-    # 10 (z, a) pairs, two steps each, 16 stencil points per step
-    assert len(calls) == 40 and all(z.shape == (16,) for _, z, _, _ in calls)
+    # one table of 10 (z, a) pairs for N, and one of 5 pairs per p for
+    # G_hydro; two steps each, 16 stencil points per step
+    assert [(fn.__name__, z.shape) for fn, z, _, _ in calls] == [
+        ("neumann_strip", (320,)), ("g_hydro_strip", (160,)), ("g_hydro_strip", (160,))]
     for fn, z, a, args in calls:
         assert _bits(*fn(z, a, *args)) == _bits(*_scalar_calls(fn, z, a, *args))
         for b in (a, sk.StripDouble.involution(a)):
             assert _bits(*sf.torus_monopole_green(z, b, dbl.lattice)) == _bits(
                 *_scalar_calls(sf.torus_monopole_green, z, b, dbl.lattice))
+
+
+def test_schottky_rows_evaluate_their_pairs_in_one_array_call(monkeypatch):
+    # NG: one stencil table for N and one per p for G_hydro; GGG-positive:
+    # one call on all its candidates, not a call per pair
+    from potflow import verify
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(z, a, *args):
+            if isinstance(z, np.ndarray):
+                calls[name] += 1
+            return fn(z, a, *args)
+        return wrapped
+
+    for name in ("neumann_strip", "g_hydro_strip", "g_electro_strip"):
+        monkeypatch.setattr(sk, name, counting(name, getattr(sk, name)))
+    verify.schottky_checks()
+    assert calls["neumann_strip"] + calls["g_hydro_strip"] == 3
+    assert calls["g_electro_strip"] == 1
 
 
 @pytest.mark.parametrize("p", [0.0, 0.7])
@@ -495,13 +517,13 @@ def test_tabulated_mixed_richardson_equals_the_scalar_one(dbl, p):
         return (4 * fine - coarse) / 3
 
     rng = np.random.default_rng(3)
-    for _ in range(4):
-        z, a = (complex(rng.uniform(-0.42, -0.08), rng.uniform(0.1, 1.9))
-                for _ in range(2))
-        for fn in (lambda u, v: sk.neumann_strip(u, v, dbl),
-                   lambda u, v: sk.g_hydro_strip(u, v, dbl, p)):
-            assert _bits(verify._mixed_richardson(fn, z, a)) == _bits(
-                scalar_richardson(fn, z, a))
+    z, a = (rng.uniform(-0.42, -0.08, 6) + 1j * rng.uniform(0.1, 1.9, 6) for _ in range(2))
+    for fn in (lambda u, v: sk.neumann_strip(u, v, dbl),
+               lambda u, v: sk.g_hydro_strip(u, v, dbl, p)):
+        batched = verify._mixed_richardsons(fn, z, a)
+        assert batched.shape == (6,)
+        assert _bits(*batched) == _bits(*(
+            scalar_richardson(fn, zz, aa) for zz, aa in zip(z.tolist(), a.tolist())))
 
 
 @pytest.mark.parametrize("tau", [0.05j, 0.5j, 1j, 2j, 0.3 + 2j, -0.45 + 0.9j, 60j])

@@ -143,6 +143,41 @@ def test_torus_cell_integrals_count_the_cell_once(tau, monkeypatch):
     assert abs(sf.schiffer_mean_value(spec, a) - pv + 2j * delta * tau.imag) <= 1e-12
 
 
+def test_cached_cell_rules_are_read_only(spec):
+    rho, nodes, weights = sf._pole_split_rule(0.5, spec.volume / 2)
+    assert sf._pole_split_rule(0.5, spec.volume / 2)[1] is nodes
+    for array in (nodes, weights, *sf._pole_disk_rule(rho), *sf._pole_disk_rule(rho, 1e-2)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("tau", [2j, 0.3 + 2j])
+def test_cell_integrals_are_the_same_bits_on_a_cold_and_a_warm_rule_cache(tau):
+    spec, a = elliptic.lattice_constants(tau), -0.12 + 0.4j
+
+    def values():
+        return np.array([sf.torus_green_mean(a, spec),
+                         sf.schiffer_mean_value(spec, a)]).tobytes()
+
+    sf._pole_split_rule.cache_clear()
+    sf._pole_disk_rule.cache_clear()
+    cold = values()
+    assert sf._pole_split_rule.cache_info().currsize == 1
+    assert values() == cold
+
+
+def test_a_surface_and_a_torus_pass_build_the_cell_rules_once():
+    from potflow import verify
+    sf._pole_split_rule.cache_clear()
+    sf._pole_disk_rule.cache_clear()
+    verify.surface_checks()
+    verify.torus_checks(2j, 0.0)
+    # the outer rule of tau = 2i, and its pole disk and three annuli
+    assert sf._pole_split_rule.cache_info().misses == 1
+    assert sf._pole_disk_rule.cache_info().misses == 4
+
+
 def test_torus_kernel_pole(spec):
     with pytest.raises(PoleError):
         sf.torus_kernels(0.3 + 0.5j, 0.3 + 0.5j, spec)
