@@ -1,11 +1,13 @@
 """Hadamard variational formulas and the triple-Green symmetry on the disk.
 
-The perturbed domain r < R(1 + eps*delta_n(theta)/R ...) is realized as the
-image of the disk under an analytic map f(w) = w(1 + eps*A(w) + eps^2*B(w))
-whose boundary modulus matches the prescribed normal speed through second
-order in eps.  Green functions of the perturbed domain are then exact
-(G_eps = G_disk(f^{-1}(.), f^{-1}(.))), so the finite difference in eps
-isolates the first-order Hadamard term without grid error.
+The perturbed domain r < R + eps*delta_n(theta) + O(eps^2) is realized as
+the image of the disk under the analytic map f(w) = w(1 + eps*A(w/R)),
+whose boundary modulus matches the prescribed normal speed to first order
+in eps.  Green functions of the model domain are exact (G_eps =
+G_disk(f^{-1}(.), f^{-1}(.))), and the formulas take the symmetric
+difference (G_eps - G_-eps) / 2 eps, in which every even order in eps
+cancels: an O(eps^2) boundary correction would not change the first-order
+Hadamard term, which is isolated without grid error.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ class BoundaryVariation:
     epsilon: float
     rule: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     samples: np.ndarray = field(init=False, repr=False, compare=False)
-    # power-series coefficients of A, B, A' and B' of ``_PerturbedDisk``;
-    # they depend on delta_n alone, so every eps shares them
-    model: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # power-series coefficients of A of ``_PerturbedDisk``; they depend on
+    # delta_n alone, so every eps shares them
+    model: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base.kind != "disk":
@@ -72,43 +74,32 @@ class BoundaryVariation:
         ak = np.fft.rfft(samples[::2] / R) / _FOURIER_N
         # analytic completion: Re(A) = delta_n / R on |w| = 1 with A analytic in w
         a_coef = np.concatenate([[ak[0].real], 2 * ak[1:]])
-        unit_circle = planar_green._disk_rule(1.0, _FOURIER_N)[1]
-        A = np.polynomial.polynomial.polyval(unit_circle, a_coef)
-        bk = np.fft.rfft(-0.5 * (A.imag ** 2)) / _FOURIER_N
-        b_coef = np.concatenate([[bk[0].real], 2 * bk[1:]])
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "model", (a_coef, b_coef, *(
-            np.arange(1, len(c)) * c[1:] for c in (a_coef, b_coef))))
+        object.__setattr__(self, "model", a_coef)
 
 
 class _PerturbedDisk:
     """Conformal model of the perturbed disk, exact Green function.
 
-    f(w) = w (1 + eps A(w) + eps^2 B(w)) with A the analytic completion of
-    delta_n/R on the unit circle and B correcting the O(eps^2) boundary
-    modulus, leaving a radius error O(eps^3).
+    f(w) = w (1 + eps A(w/R)) with A the analytic completion of delta_n/R on
+    the unit circle: the boundary radius is R + eps delta_n + O(eps^2), and
+    the O(eps^2) error cancels in the formulas' symmetric difference.
     """
 
     def __init__(self, var: BoundaryVariation, eps: float):
         self.base, self.R, self.eps = var.base, var.base.R, eps
-        self._a_coef, self._b_coef, self._a_prime, self._b_prime = var.model
-
-    @staticmethod
-    def _poly(coef: np.ndarray, w: complex) -> complex:
-        out = 0j
-        for c in coef[::-1]:
-            out = out * w + c
-        return out
+        self._a_coef = var.model[::-1]
 
     def _jet(self, w: complex) -> tuple[complex, complex]:
-        """f(w) and f'(w) for f(w) = w (1 + eps A(w/R) + eps^2 B(w/R)), A and
-        B polynomial."""
+        """f(w) and f'(w), with A(u) and A'(u), u = w/R, from one Horner pass."""
         u = w / self.R
-        val = (1 + self.eps * self._poly(self._a_coef, u)
-               + self.eps ** 2 * self._poly(self._b_coef, u))
-        return w * val, val + u * (self.eps * self._poly(self._a_prime, u)
-                                   + self.eps ** 2 * self._poly(self._b_prime, u))
+        A = dA = 0j
+        for c in self._a_coef:
+            dA = dA * u + A
+            A = A * u + c
+        val = 1 + self.eps * A
+        return w * val, val + u * (self.eps * dA)
 
     def pull(self, z: complex) -> complex:
         w = z

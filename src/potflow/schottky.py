@@ -424,14 +424,13 @@ def capacity_functions(a: complex, dbl: StripDouble) -> CapacityFunctions:
     planar_green._require_interior(dbl, a)
     if min(-a.real, a.real + 0.5) < 1e-3:
         raise ParameterError("point too close to the boundary for capacities")
-    h0 = _gamma_jet(a, dbl.lattice)[0]
     ke, kh, _ = strip_bergman_kernels(a, a, dbl)
     ksz = szego_kernel(a, a, dbl).real
     return CapacityFunctions(
-        c1=math.exp(-(h0 + math.pi / dbl.T * StripDouble.u1(a) ** 2)),  # gamma_hydro, p = 0
+        c1=math.exp(-gamma_hydro(a, dbl)),
         cD=math.sqrt(math.pi * kh.real),
         cB=2 * math.pi * ksz,
-        c_beta=math.exp(-h0),
+        c_beta=math.exp(-gamma_electro(a, dbl)),
         sqrt_M=math.sqrt(math.pi * ke.real),
     )
 

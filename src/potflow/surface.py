@@ -114,14 +114,25 @@ def _unit_disk_rule(center: complex) -> tuple[np.ndarray, np.ndarray]:
     return numkit.polar_rule(c, (theta, w), R, 64, band=min(0.1, (1 - abs(c)) / 2))
 
 
+def _sphere_integral(f_plane: Callable, f_inv: Callable, poles: tuple) -> float:
+    """int_M f over the sphere as the unit disks of the plane chart z and of
+    the inverted chart w = 1/z, integrands ``f_plane(z)`` and ``f_inv(w)``.
+
+    Each chart is integrated in polar coordinates around the first pole it
+    holds (a pole p with |p| > 1 sits at w = 1/p), or else around 0.  The
+    polar rules have no node at their centre, so none at w = 0 either.
+    """
+    plane = next((p for p in poles if abs(p) < 1), 0j)
+    inverted = next((1 / p for p in poles if abs(p) > 1), 0j)
+    return float(numkit.integrate(f_plane, *_unit_disk_rule(plane))
+                 + numkit.integrate(f_inv, *_unit_disk_rule(inverted)))
+
+
 def sphere_green_mean(a: complex) -> float:
     """Quadrature of int_M G(., a) vol (should vanish by normalization).
 
-    The sphere splits as {|z| <= 1} plus the inverted chart; the patch
-    containing the pole is integrated in polar coordinates around it.  The
-    polar rules have no node at their centre, so the far pole w = 0 of the
-    inverted chart (where the integrand decays like |w|^2 log|w|) is never
-    evaluated.
+    In the inverted chart the integrand decays like |w|^2 log|w| at the far
+    pole w = 0, where ``_sphere_integral`` places no node.
     """
     a = complex(a)
 
@@ -132,11 +143,7 @@ def sphere_green_mean(a: complex) -> float:
         zz = 1.0 / w
         return sphere_green(zz, a) * sphere_lambda_sq(zz) / abs(w) ** 4
 
-    ainv = 1.0 / a.conjugate() if a != 0 else None
-    center_inv = ainv if (ainv is not None and abs(ainv) < 1) else 0j
-    plane = _unit_disk_rule(a if abs(a) < 1 else 0j)
-    inverted = _unit_disk_rule(center_inv)
-    return float(numkit.integrate(f_plane, *plane) + numkit.integrate(f_inv, *inverted))
+    return _sphere_integral(f_plane, f_inv, (a,))
 
 
 def _sphere_green_grad(z: complex, a: complex) -> complex:
@@ -150,30 +157,20 @@ def sphere_mutual_energy(a: complex, b: complex) -> float:
 
     In chart coordinates the integrand is grad G_a . grad G_b dx dy with no
     metric factor (conformal invariance); with p = 2 dG/dz this equals
-    Re(p_a conj(p_b)).  The 1/r pole singularities are integrable; each
-    chart is integrated in polar coordinates around the pole it contains
-    (no node at the centre, so none at w = 0 in the inverted chart).
+    Re(p_a conj(p_b)).  The 1/r pole singularities are integrable.
     """
     a, b = complex(a), complex(b)
 
-    def integrand(z: np.ndarray, inverted: bool) -> np.ndarray:
-        if inverted:
-            zz = 1.0 / z
-            ga = _sphere_green_grad(zz, a) * (-1.0 / (z * z))
-            gb = _sphere_green_grad(zz, b) * (-1.0 / (z * z))
-        else:
-            ga = _sphere_green_grad(z, a)
-            gb = _sphere_green_grad(z, b)
+    def f_plane(z: np.ndarray) -> np.ndarray:
+        return (_sphere_green_grad(z, a) * _sphere_green_grad(z, b).conjugate()).real
+
+    def f_inv(w: np.ndarray) -> np.ndarray:
+        zz, dz = 1.0 / w, -1.0 / (w * w)
+        ga = _sphere_green_grad(zz, a) * dz
+        gb = _sphere_green_grad(zz, b) * dz
         return (ga * gb.conjugate()).real
 
-    center_plane = a if abs(a) < 1 else (b if abs(b) < 1 else 0j)
-    ainv = 1.0 / a.conjugate() if a != 0 else 0j
-    binv = 1.0 / b.conjugate() if b != 0 else 0j
-    center_inv = ainv if abs(ainv) < 1 else (binv if abs(binv) < 1 else 0j)
-    plane = _unit_disk_rule(center_plane)
-    inverted = _unit_disk_rule(center_inv)
-    return float(numkit.integrate(lambda z: integrand(z, False), *plane)
-                 + numkit.integrate(lambda z: integrand(z, True), *inverted))
+    return _sphere_integral(f_plane, f_inv, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +215,6 @@ class OneForm:
 
     f: Callable[[complex], complex]
     g: Callable[[complex], complex]
-
-    def star(self) -> "OneForm":
-        # *dz = -i dz, *dzbar = +i dzbar
-        return OneForm(lambda z: -1j * self.f(z), lambda z: 1j * self.g(z))
 
 
 def form_period(form: OneForm, rule: tuple[np.ndarray, np.ndarray]) -> complex:
@@ -276,8 +269,6 @@ def torus_harmonic_basis(lattice: elliptic.TorusLattice):
     return {
         "eta_alpha": eta_alpha,
         "eta_beta": eta_beta,
-        "star_eta_alpha": eta_alpha.star(),
-        "star_eta_beta": eta_beta.star(),
         "omega_alpha": omega_alpha,
         "omega_beta": omega_beta,
         "periods": periods,

@@ -60,21 +60,22 @@ def test_one_conformal_model_serves_both_formulas_and_both_signs():
     assert samples == []
 
 
-# recorded when the conformal model sampled delta_n at its own 256 angles and
-# each formula at its own 512 nodes; the one sample of 512 gives the same bits
+# re-recorded when the conformal model lost its eps^2 term: every rhs kept its
+# bits, and the lhs and the two model Green values moved by at most 7.8e-9
+# relative (the symmetric difference cancels even orders in eps)
 PINNED = {
-    (1.0, "cos"): ((-0.017058249315651808, -0.017058249323386072),
-                   (0.4210526339648579, 0.4210526315789473),
-                   0.10940746628456331, 0.10941087793442644),
-    (1.0, "cos2"): ((-0.002493845919840365, -0.002493845898105638),
-                    (0.09315789540709912, 0.09315789473684205),
-                    0.10940892282937935, 0.10940942159856332),
-    (1.3, "cos"): ((-0.009847029124598894, -0.009847029116273246),
-                   (0.24390243980002002, 0.2439024390243901),
-                   0.14864899469521298, 0.1486509641010379),
-    (1.3, "cos2"): ((-0.0014613921538175756, -0.0014613921479645943),
-                    (0.0417975733717213, 0.04179757318738404),
-                    0.14864983328335862, 0.1486501255617894),
+    (1.0, "cos"): ((-0.01705824918263321, -0.017058249323386072),
+                   (0.42105263182740105, 0.4210526315789473),
+                   0.10940746665722205, 0.10941087830705858),
+    (1.0, "cos2"): ((-0.0024938459114443035, -0.002493845898105638),
+                    (0.09315789467941732, 0.09315789473684205),
+                    0.10940892320240704, 0.10940942197158933),
+    (1.3, "cos"): ((-0.009847029084769643, -0.009847029116273246),
+                   (0.24390243907171372, 0.2439024390243901),
+                   0.1486489949229196, 0.14865096432873656),
+    (1.3, "cos2"): ((-0.0014613921490991277, -0.0014613921479645943),
+                    (0.041797573182150716, 0.04179757318738404),
+                    0.1486498335096792, 0.14865012578810902),
 }
 MODES = {"cos": math.cos, "cos2": lambda t: math.cos(2 * t)}
 
@@ -86,6 +87,23 @@ def test_hadamard_values_are_pinned(R, mode):
     assert (hd.hadamard_delta_green(var, a, b), hd.hadamard_delta_h0(var, a),
             hd._PerturbedDisk(var, 1e-4).green(a, b),
             hd._PerturbedDisk(var, -1e-4).green(a, b)) == PINNED[R, mode]
+
+
+def test_hadamard_sides_agree_on_the_pinned_modes():
+    # both formulas, not only delta G: the eps^2 term of the model once left
+    # delta h0 2.4e-9 off at (1, cos); the first-order model reads 2.5e-10
+    a, b = 0.2 + 0.1j, -0.3 + 0.25j
+    for R, mode in PINNED:
+        var = hd.BoundaryVariation(pg.DomainDescriptor.disk(R), MODES[mode], 1e-4)
+        for lhs, rhs in (hd.hadamard_delta_green(var, a, b), hd.hadamard_delta_h0(var, a)):
+            assert abs(lhs - rhs) <= 1e-9, (R, mode)
+
+
+def test_conformal_model_is_first_order():
+    # A's coefficients alone; with A = 1 (dilation) f(w) = w (1 + eps) exactly
+    var = hd.BoundaryVariation(DISK, lambda t: 1.0, 1e-4)
+    assert var.model.tolist() == [1] + [0] * (len(var.model) - 1)
+    assert hd._PerturbedDisk(var, 1e-4)._jet(0.3 + 0.2j) == ((0.3 + 0.2j) * (1 + 1e-4), 1 + 1e-4)
 
 
 @pytest.mark.parametrize("R", [1e-20, 1e20])

@@ -69,7 +69,6 @@ ALLOWED = {
     "equilibrium._log_kernel": ITEM_6,
     "equilibrium.equilibrium_energy": ITEM_6,
     "schottky.gamma_electro_gradient": ITEM_5,
-    "schottky.gamma_hydro": ITEM_5,
     "vortex.pair_force": PAPER,
     "vortex.bound_vortex_force": PAPER,
     "vortex.free_vortex_velocity": PAPER,

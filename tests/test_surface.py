@@ -28,6 +28,17 @@ def test_sphere_green_zero_mean():
     assert abs(sf.sphere_green_mean(0j)) < 1e-6
 
 
+@pytest.mark.parametrize("a", [2 + 1j, -1.5 + 0.7j, 1.2j])
+def test_sphere_green_mean_resolves_a_complex_pole_outside_the_unit_disk(a):
+    # the inverted chart holds the pole at w = 1/a (not 1/conj(a))
+    assert abs(sf.sphere_green_mean(a)) <= 1e-13
+
+
+@pytest.mark.parametrize("a, b", [(2 + 1j, 0.3), (0, 2j), (-1.5 + 0.7j, 0.2j)])
+def test_sphere_mutual_energy_with_one_pole_in_each_chart(a, b):
+    assert abs(sf.sphere_mutual_energy(a, b) - sf.sphere_green(a, b)) <= 1e-13
+
+
 def test_sphere_area_is_4pi():
     total = numkit.integrate(sf.sphere_lambda_sq, *sf._unit_disk_rule(0j))
     # the polar rule has no node at w = 0
