@@ -153,8 +153,8 @@ def product_rule(rule_a, rule_b, origin: complex = 0j,
     return nodes.ravel(), (np.outer(ws, wt) * jac).ravel()
 
 
-def polar_rule(center: complex, angular, extent, n: int, band=0.0,
-               inner: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def polar_rule(center: complex, angular, extent, n: int,
+               band=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Area rule in polar coordinates around ``center``.
 
     The angular rule ``(theta, weights)`` times, on each ray, an n-point
@@ -163,27 +163,21 @@ def polar_rule(center: complex, angular, extent, n: int, band=0.0,
     or one value per angle, at most the extent) puts the nodes of [0, band]
     at r = u^2, clustering them toward the centre to absorb a log-type
     singularity there, and a plain rule on [band, extent] where band <
-    extent.  ``inner > 0`` excises the disk r < inner instead and places
-    log-radial nodes on [inner, extent] for 1/r-type integrands.
+    extent.
     """
     theta, wtheta = angular
     x, w = _legendre(n)
     R = np.broadcast_to(np.asarray(extent, dtype=float), theta.shape)[:, None]
+    rho = np.broadcast_to(np.asarray(band, dtype=float), theta.shape)[:, None]
     parts = []
-    if inner > 0:
-        s0, s1 = math.log(inner), np.log(R)
-        r = np.exp(0.5 * (s1 - s0) * x + 0.5 * (s1 + s0))
-        parts.append((r, 0.5 * (s1 - s0) * w * r * r))
-    else:
-        rho = np.broadcast_to(np.asarray(band, dtype=float), theta.shape)[:, None]
-        if np.any(rho > 0):
-            u1 = np.sqrt(rho)
-            u = 0.5 * u1 * (x + 1.0)
-            r = u * u
-            parts.append((r, 0.5 * u1 * w * r * 2 * u))
-        if np.any(rho < R):
-            r = rho + 0.5 * (R - rho) * (x + 1.0)
-            parts.append((r, 0.5 * (R - rho) * w * r))
+    if np.any(rho > 0):
+        u1 = np.sqrt(rho)
+        u = 0.5 * u1 * (x + 1.0)
+        r = u * u
+        parts.append((r, 0.5 * u1 * w * r * 2 * u))
+    if np.any(rho < R):
+        r = rho + 0.5 * (R - rho) * (x + 1.0)
+        parts.append((r, 0.5 * (R - rho) * w * r))
     r, wr = (np.hstack(p) for p in zip(*parts))
     nodes = center + r * np.exp(1j * theta)[:, None]
     return nodes.ravel(), (wtheta[:, None] * wr).ravel()

@@ -15,7 +15,6 @@ c(tau) = -log(2 pi |eta(tau)|^2) / (2 pi), Kronecker's first limit formula
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -346,99 +345,45 @@ def bergman_expansion_check(lattice: elliptic.TorusLattice) -> float:
     return resid
 
 
-# nodes per Gauss panel in theta and per ray of the outer cell rule; theta
-# nodes and nodes per ray of the pole disk (band-clustered for G) and of the
-# annulus eps < |w| < rho (log-radial for L)
-_CELL_PANEL, _CELL_RAY = 24, 32
-_DISK_ANGLES, _DISK_RAY, _ANNULUS_RAY = 32, 64, 16
-
-
-@functools.lru_cache(maxsize=4)
-def _pole_split_rule(hw: float, hh: float):
-    """The rectangle [-hw,hw]x[-hh,hh] minus the disk |w| < rho, rho =
-    min(hw, hh)/2, as a polar rule at its centre: ``(rho, nodes, weights)``,
-    built once per cell and shared read-only.
-
-    The theta range splits at the four corner angles, and each side's range
-    again wherever R(theta) = d / cos(theta - c) doubles, at |theta - c| =
-    acos(2^-k) (c the side's normal angle, d its distance), so that every
-    Gauss panel sees R vary by at most a factor two however tall the cell.
-    Each ray carries log-radial Gauss nodes from rho to R(theta).  The disk
-    itself is left to ``_pole_disk_rule``, where the integrand is periodic
-    and analytic in theta and the trapezoid rule converges exponentially:
-    rho is at most a quarter of the distance to the nearest other lattice
-    point, so the theta modes of the integrand decay like 4^-k there.
-    """
-    rho = min(hw, hh) / 2
-    theta, weights, extent = [], [], []
-    for side in range(4):
-        d, half = (hw, math.atan2(hh, hw)) if side % 2 == 0 else (hh, math.atan2(hw, hh))
-        cuts = list(itertools.takewhile(
-            lambda c: c < half, (math.acos(0.5 ** k) for k in itertools.count(1))))
-        edges = np.array([-half, *(-c for c in reversed(cuts)), *cuts, half])
-        t, w = numkit.gauss_legendre_rule(edges, _CELL_PANEL)
-        theta.append(t + side * math.pi / 2)
-        weights.append(w)
-        extent.append(d / np.cos(t))
-    theta, weights, extent = map(np.concatenate, (theta, weights, extent))
-    nodes, weights = numkit.polar_rule(0j, (theta, weights), extent, _CELL_RAY, inner=rho)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return rho, nodes, weights
-
-
-@functools.lru_cache(maxsize=16)
-def _pole_disk_rule(rho: float, inner: float = 0.0):
-    """Trapezoid rule in theta on the disk |w| < rho, with its rays
-    sqrt-clustered towards the centre for a log-type singularity there, or,
-    for ``inner > 0``, on the annulus inner < |w| < rho with log-radial rays
-    for a 1/r^2-type one; shared read-only."""
-    angular = numkit.trapezoid_rule(_DISK_ANGLES, 2 * math.pi)
-    ray = _ANNULUS_RAY if inner > 0 else _DISK_RAY   # band is read only where inner = 0
-    nodes, weights = numkit.polar_rule(0j, angular, rho, ray, band=rho, inner=inner)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def _cell_rule(tau: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The centred cell [-1/2, 1/2] x [-Im tau/2, Im tau/2], counter-clockwise:
+    nodes and dz-weights of one ``segment_rule`` per side, of 16 ceil(l / d)
+    nodes for a side of length l at distance d from the centre, so that no
+    Gauss panel is longer than the distance from the pole w = 0 to its side."""
+    hw, hh = 0.5, tau.imag / 2
+    corners = (complex(-hw, -hh), complex(hw, -hh), complex(hw, hh), complex(-hw, hh))
+    sides = [numkit.segment_rule(z0, z1, 16 * math.ceil(abs(z1 - z0) / d))
+             for z0, z1, d in zip(corners, corners[1:] + corners[:1], (hh, hw, hh, hw))]
+    return tuple(map(np.concatenate, zip(*sides)))
 
 
 def torus_green_mean(a: complex, lattice: elliptic.TorusLattice) -> float:
     """Independent quadrature of int_F G(., a) dx dy (should vanish).
 
-    Integrates over the centred rectangle fundamental cell in polar
-    coordinates around the pole, split at the disk of ``_pole_split_rule``
-    (8,192 nodes at tau = 2i), so it tests the closed-form c(tau) of
-    ``torus_green_constant`` against a quadrature of G itself."""
-    a = complex(a)
-    rho, *outer = _pole_split_rule(0.5, lattice.volume / 2)
+    With w = z - a and Q = |w|^2/4 (Laplacian 1), Green's identity on the
+    centred cell F turns the integral into (1 + Im tau^2)/48, the cell's
+    int Q Delta G, plus Im oint (G conj(w) - |w|^2 dG/dw) dw / 2 over the
+    cell's boundary (``_cell_rule``, 256 nodes at tau = 2i), where dG/dw =
+    -theta1'/theta1(w)/(4 pi) - i Im(w)/(2 Im tau).  So it tests the
+    closed-form c(tau) of ``torus_green_constant`` against G itself."""
+    a, T = complex(a), lattice.volume
 
     def f(w):
-        return torus_monopole_green(a + w, a, lattice)
+        dg = -elliptic.theta1_log_derivative(w, lattice) / (4 * math.pi) - 0.5j * w.imag / T
+        return torus_monopole_green(a + w, a, lattice) * w.conjugate() - abs(w) ** 2 * dg
 
-    return float((numkit.integrate(f, *outer)
-                  + numkit.integrate(f, *_pole_disk_rule(rho))).real)
+    return float((1 + T * T) / 48 + numkit.integrate(f, *_cell_rule(lattice.tau)).imag / 2)
 
 
 def schiffer_mean_value(lattice: elliptic.TorusLattice, a: complex) -> complex:
     """Principal value of int_F L(z,a) dz dzbar (should vanish).
 
-    Symmetric excision of a disk of radius eps around the pole, with
-    Richardson extrapolation over the halving eps ladder: 1/(pi w^2) has no
-    mean over a circle, and the holomorphic rest of L has pi eps^2 times its
-    pole value on the excised disk, so the excision bias is O(eps^2).  The
-    cell outside the disk |w| < rho of ``_pole_split_rule`` is integrated
-    once; each eps re-spends only the annulus eps < |w| < rho (7,680 wp
-    values at tau = 2i).
+    L is holomorphic off the pole, so with w = z - a, d(conj(w) L dw) =
+    -L dw dwbar, and by Stokes the integral is -oint conj(w) L(a + w, a) dw
+    over the centred cell's boundary (``_cell_rule``), less the same
+    integral over a circle |w| = eps: there conj(w) = eps^2 / w, and the
+    double pole 1/(pi w^2) leaves no residue, so the circle adds O(eps^2).
     """
     a = complex(a)
-    # the radii stay inside the pole disk: Im tau >= elliptic._MIN_IM_TAU =
-    # 0.05 gives rho >= 0.0125 > 1e-2
-    rho, *outer = _pole_split_rule(0.5, lattice.volume / 2)
-
-    def f(w):
-        return torus_kernels(a + w, a, lattice)[1]
-
-    cell = numkit.integrate(f, *outer)
-    # dz ^ dzbar = -2i dx dy
-    vals = [(cell + numkit.integrate(f, *_pole_disk_rule(rho, e))) * (-2j)
-            for e in (1e-2, 5e-3, 2.5e-3)]
-    v01 = (4 * vals[1] - vals[0]) / 3
-    v12 = (4 * vals[2] - vals[1]) / 3
-    return (4 * v12 - v01) / 3
+    return -numkit.integrate(lambda w: w.conjugate() * torus_kernels(a + w, a, lattice)[1],
+                             *_cell_rule(lattice.tau))

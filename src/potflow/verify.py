@@ -287,7 +287,7 @@ def surface_checks() -> list[Check]:
                      abs(surface.torus_monopole_green(zt, at, L)
                          - surface.torus_monopole_green(at, zt, L)), 1e-10))
     out.append(Check("torus Green zero mean", "normalization-torus",
-                     abs(surface.torus_green_mean(at, L)), 1e-6))
+                     abs(surface.torus_green_mean(at, L)), 1e-11))
 
     # torus kernels
     K, Lk = surface.torus_kernels(zt, at, L)
@@ -298,7 +298,7 @@ def surface_checks() -> list[Check]:
     out.append(Check("Schiffer kernel double pole", "singularityL",
                      abs(r * r * Ln - 1 / math.pi), 1e-6))
     out.append(Check("Schiffer kernel zero principal value", "C",
-                     abs(surface.schiffer_mean_value(L, at)), 1e-6))
+                     abs(surface.schiffer_mean_value(L, at)), 1e-11))
 
     # harmonic basis, periods, period matrices
     basis = surface.torus_harmonic_basis(L)
@@ -532,7 +532,7 @@ def torus_checks(tau: complex, p: float) -> list[Check]:
         Check("Bergman expansion in either basis", "KPQ",
               surface.bergman_expansion_check(L), 1e-10),
         Check("Schiffer kernel zero principal value", "C",
-              abs(surface.schiffer_mean_value(L, at)), 1e-6),
+              abs(surface.schiffer_mean_value(L, at)), 1e-11),
     ]
     if abs(tau.real) < 1e-14:
         dbl = schottky.StripDouble(tau)

@@ -565,11 +565,13 @@ def test_torus_circulation_passes_up_to_its_bound(tmp_path, p):
     assert all(row["pass"] for row in json.loads(out.read_text())["identities"])
 
 
-@pytest.mark.parametrize("tau", ["0,0.05", "0,20", "0,60"])
+@pytest.mark.parametrize("tau", ["0,0.05", "0,20", "0,60", "0.3,0.1", "0.5,0.05"])
 def test_torus_tall_strip_periods_pass(tmp_path, tau):
     # the y trapezoids of kernels2 and ointdGp once had a fixed node count
     # and failed beyond Im tau ~ 10; the x trapezoid of kernels2 too, and
-    # failed on short strips (8.0e-8 at Im tau = 0.05)
+    # failed on short strips (8.0e-8 at Im tau = 0.05); C once failed on
+    # sheared cells, whose image poles sit next to the cell's corners
+    # (1.8e-5 at tau = 0.3+0.1i)
     out = tmp_path / "torus.json"
     assert run(["torus", "--tau", tau, "--out", str(out)]) == 0
     assert all(row["pass"] for row in json.loads(out.read_text())["identities"])

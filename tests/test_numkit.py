@@ -183,41 +183,6 @@ def test_polar_rule_disk_area(band):
     assert abs(val - np.pi * R ** 4 / 2) < 1e-12
 
 
-def test_polar_rule_annulus_by_excision():
-    angular = numkit.trapezoid_rule(16, 2 * np.pi)
-    nodes, weights = numkit.polar_rule(0j, angular, 1.0, 48, inner=0.1)
-    assert np.all(np.abs(nodes) > 0.1)
-    assert abs(weights.sum() - np.pi * (1.0 - 0.01)) < 1e-12
-
-
-@pytest.mark.parametrize("cluster, r_inner", [(0.0, 0.0), (0.2, 0.0), (0.0, 0.05)])
-def test_polar_rule_centred_rectangle_area(cluster, r_inner):
-    # the pole-split outer rule plus a polar rule on the pole disk (rays
-    # clustered on [0, cluster], or the disk r < r_inner excised) tile the cell
-    hw, hh = 0.5, 0.8
-    rho, outer_nodes, outer = surface._pole_split_rule(hw, hh)
-    angular = numkit.trapezoid_rule(32, 2 * np.pi)
-    disk_nodes, disk = numkit.polar_rule(0j, angular, rho, 16, band=cluster, inner=r_inner)
-    nodes, weights = np.concatenate([outer_nodes, disk_nodes]), np.concatenate([outer, disk])
-    assert abs(weights.sum() - (4 * hw * hh - np.pi * r_inner ** 2)) < 1e-12
-    moment = 4 * (hw ** 3 * hh + hw * hh ** 3) / 3 - np.pi * r_inner ** 4 / 2
-    assert abs(numkit.integrate(lambda w: abs(w) ** 2, nodes, weights) - moment) < 1e-12
-
-
-@pytest.mark.parametrize("hh", [0.8, 30.0])
-def test_pole_split_rules_cover_the_centred_rectangle(hh):
-    # the outer rule plus the pole disk (or an annulus) tile the 1 x 2hh cell
-    hw = 0.5
-    rho, nodes, outer = surface._pole_split_rule(hw, hh)
-    assert np.all(np.abs(nodes) > rho)
-    assert np.all((np.abs(nodes.real) < hw) & (np.abs(nodes.imag) < hh))
-    _, disk = surface._pole_disk_rule(rho)
-    assert abs(outer.sum() + disk.sum() - 4 * hw * hh) < 1e-12
-    for eps in (1e-2, 2.5e-3):
-        _, annulus = surface._pole_disk_rule(rho, eps)
-        assert abs(outer.sum() + annulus.sum() - (4 * hw * hh - np.pi * eps ** 2)) < 1e-12
-
-
 def test_integrate_nonfinite_value_names_node():
     nodes, weights = numkit.trapezoid_rule(16)
     bad = nodes[5]

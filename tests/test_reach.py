@@ -371,8 +371,6 @@ RULE_BUILDERS = {
     "numkit.gauss_legendre_panel": "numkit's composite rule on [a, b]",
     "numkit.polar_rule": AREA_RULE,
     "surface._unit_disk_rule": AREA_RULE,
-    "surface._pole_disk_rule": AREA_RULE,
-    "surface._pole_split_rule": AREA_RULE,
     "equilibrium._carrier_nodes": "the parameter rule on a compact set's carrier",
     "schottky.circular_slit_map": "one rule in t for the segments a + (z - a) t of many z",
     "verify.schottky_checks": "np.exp(2j pi w / tau) is an integrand, not nodes",

@@ -127,7 +127,10 @@ def test_torus_schiffer_zero_mean(spec):
     assert abs(sf.schiffer_mean_value(spec, -0.12 + 0.4j)) < 1e-6
 
 
-CELL_MODULI = [0.3j, 1j, 2j, 0.3 + 1.2j, 5j, 20j, 60j]
+# 0.3+0.1i, 0.5+0.1i and 0.5+0.05i put image poles of a next to the cell's
+# corners
+CELL_MODULI = [0.05j, 0.3j, 1j, 2j, 0.3 + 1.2j, 5j, 20j, 60j, 0.3 + 0.1j, 0.5 + 0.1j,
+               0.5 + 0.05j]
 
 
 @pytest.mark.parametrize("tau", CELL_MODULI)
@@ -141,8 +144,8 @@ def test_torus_cell_integrals_vanish(tau):
 @pytest.mark.parametrize("tau", [1.6j, 0.3 + 1.2j, 60j])
 def test_torus_cell_integrals_count_the_cell_once(tau, monkeypatch):
     # a constant delta added to G (to L) moves the integral by delta times
-    # the cell area Im tau (times dz ^ dzbar = -2i dx dy): no part of the
-    # cell is missed or counted twice by the outer rule and the pole disk
+    # the cell area Im tau (times dz ^ dzbar = -2i dx dy): the four sides of
+    # the boundary rule close the cell
     spec, a, delta = elliptic.lattice_constants(tau), -0.12 + 0.4j, 1e-6
     mean, pv = sf.torus_green_mean(a, spec), sf.schiffer_mean_value(spec, a)
     green, kernels = sf.torus_monopole_green, sf.torus_kernels
@@ -152,41 +155,6 @@ def test_torus_cell_integrals_count_the_cell_once(tau, monkeypatch):
         kernels(z, a, spec)[0], kernels(z, a, spec)[1] + delta))
     assert abs(sf.torus_green_mean(a, spec) - mean - delta * tau.imag) <= 1e-12
     assert abs(sf.schiffer_mean_value(spec, a) - pv + 2j * delta * tau.imag) <= 1e-12
-
-
-def test_cached_cell_rules_are_read_only(spec):
-    rho, nodes, weights = sf._pole_split_rule(0.5, spec.volume / 2)
-    assert sf._pole_split_rule(0.5, spec.volume / 2)[1] is nodes
-    for array in (nodes, weights, *sf._pole_disk_rule(rho), *sf._pole_disk_rule(rho, 1e-2)):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0
-
-
-@pytest.mark.parametrize("tau", [2j, 0.3 + 2j])
-def test_cell_integrals_are_the_same_bits_on_a_cold_and_a_warm_rule_cache(tau):
-    spec, a = elliptic.lattice_constants(tau), -0.12 + 0.4j
-
-    def values():
-        return np.array([sf.torus_green_mean(a, spec),
-                         sf.schiffer_mean_value(spec, a)]).tobytes()
-
-    sf._pole_split_rule.cache_clear()
-    sf._pole_disk_rule.cache_clear()
-    cold = values()
-    assert sf._pole_split_rule.cache_info().currsize == 1
-    assert values() == cold
-
-
-def test_a_surface_and_a_torus_pass_build_the_cell_rules_once():
-    from potflow import verify
-    sf._pole_split_rule.cache_clear()
-    sf._pole_disk_rule.cache_clear()
-    verify.surface_checks()
-    verify.torus_checks(2j, 0.0)
-    # the outer rule of tau = 2i, and its pole disk and three annuli
-    assert sf._pole_split_rule.cache_info().misses == 1
-    assert sf._pole_disk_rule.cache_info().misses == 4
 
 
 def test_torus_kernel_pole(spec):
