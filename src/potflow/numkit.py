@@ -27,7 +27,6 @@ __all__ = [
     "gauss_legendre_rule",
     "sinh_rule",
     "product_rule",
-    "polar_rule",
     "circle_rule",
     "segment_rule",
     "cycle_rule",
@@ -153,36 +152,6 @@ def product_rule(rule_a, rule_b, origin: complex = 0j,
     return nodes.ravel(), (np.outer(ws, wt) * jac).ravel()
 
 
-def polar_rule(center: complex, angular, extent, n: int,
-               band=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Area rule in polar coordinates around ``center``.
-
-    The angular rule ``(theta, weights)`` times, on each ray, an n-point
-    Gauss-Legendre rule in r out to ``extent`` (a scalar or R(theta) per
-    angle), with the Jacobian r in the weights.  ``band > 0`` (a scalar
-    or one value per angle, at most the extent) puts the nodes of [0, band]
-    at r = u^2, clustering them toward the centre to absorb a log-type
-    singularity there, and a plain rule on [band, extent] where band <
-    extent.
-    """
-    theta, wtheta = angular
-    x, w = _legendre(n)
-    R = np.broadcast_to(np.asarray(extent, dtype=float), theta.shape)[:, None]
-    rho = np.broadcast_to(np.asarray(band, dtype=float), theta.shape)[:, None]
-    parts = []
-    if np.any(rho > 0):
-        u1 = np.sqrt(rho)
-        u = 0.5 * u1 * (x + 1.0)
-        r = u * u
-        parts.append((r, 0.5 * u1 * w * r * 2 * u))
-    if np.any(rho < R):
-        r = rho + 0.5 * (R - rho) * (x + 1.0)
-        parts.append((r, 0.5 * (R - rho) * w * r))
-    r, wr = (np.hstack(p) for p in zip(*parts))
-    nodes = center + r * np.exp(1j * theta)[:, None]
-    return nodes.ravel(), (wtheta[:, None] * wr).ravel()
-
-
 # ---------------------------------------------------------------------------
 # boundary and cycle rules: nodes on a curve and their dz-weights
 # ---------------------------------------------------------------------------
@@ -296,8 +265,7 @@ def laplacian_at(f: Callable[[complex], float], z0: complex, h: float) -> float:
 # area quadrature
 # ---------------------------------------------------------------------------
 
-def area_quadrature(f: Callable[[np.ndarray], np.ndarray], region,
-                    resolution: int = 64):
+def area_quadrature(f: Callable[[np.ndarray], np.ndarray], region, resolution: int):
     """Integrate f dx dy over a region that supplies its own rule
     ``region.area_rule(resolution) -> (nodes, weights)``; f receives the
     array of nodes, as in ``integrate``, and a non-finite value raises

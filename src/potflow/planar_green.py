@@ -124,8 +124,8 @@ class DomainDescriptor:
                               "no boundary curve for kind {!r}")(self, n)
 
     def area_rule(self, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-        """Area quadrature nodes and weights: a polar tensor rule on disks,
-        a tensor midpoint rule on rectangles."""
+        """Area quadrature nodes and weights: a tensor midpoint rule on
+        rectangles, the one kind with an area rule."""
         return _kind_function(self.kind, "area_rule",
                               "unsupported region kind {!r}")(self, resolution)
 
@@ -673,8 +673,6 @@ _KINDS: dict[str, _Kind] = {
         boundary_rule=lambda d, n: numkit.circle_rule(0j, d.R, n),
         # reads only d.R, so equilibrium's circle carriers share it
         boundary_jet=lambda d, t, side=1: _circle_jet(d.R, t),
-        area_rule=lambda d, n: numkit.polar_rule(
-            0j, numkit.midpoint_rule(2 * n, 2 * math.pi), d.R, n),
         harmonic=_disk_harmonic,
     ),
     "half_plane": _Kind(

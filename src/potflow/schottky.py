@@ -299,16 +299,20 @@ def _cell_integrals(F, which: int, a, dbl: StripDouble):
 
     F is holomorphic and K(., p) is holomorphic on the closure of Omega, so
     by Stokes, d(F conj(K) dzbar) = F' conj(K) dz wedge dzbar, the integral
-    is (i/2) oint F conj(K dz) over Omega's four sides, counter-clockwise.
-    Each side is a Gauss-Legendre ``segment_rule`` of 256 nodes, the walls
-    256 max(1, Im tau / 2), as ``hydro_circulation`` scales its wall rule;
-    F on the nodes is shared by the points, and wp is evaluated once a side.
+    is (i/2) oint F conj(K dz) over Omega's sides, counter-clockwise.  The
+    top side is the bottom one shifted by tau and run backwards, and
+    K(z + tau, p) = K(z, p), so the two merge into F(z) - F(z + tau) on the
+    bottom side.  Each side is a Gauss-Legendre ``segment_rule`` of 256
+    nodes, the walls 256 max(1, Im tau / 2), as ``hydro_circulation`` scales
+    its wall rule; F on the nodes is shared by the points, and each point's
+    kernel is one array call on each of the three sides.
     """
-    corners = (-0.5 + 0j, 0j, dbl.tau, dbl.tau - 0.5)
-    n, wall = 256, max(256, math.ceil(256 * dbl.T / 2))
-    sides = [numkit.segment_rule(z0, z1, m) for z0, z1, m in
-             zip(corners, corners[1:] + corners[:1], (n, wall, n, wall))]
-    sides = [(nodes, dz.conjugate(), F(nodes)) for nodes, dz in sides]
+    tau, wall = dbl.tau, max(256, math.ceil(256 * dbl.T / 2))
+    bottom, dz = numkit.segment_rule(-0.5 + 0j, 0j, 256)
+    sides = [(bottom, dz.conjugate(), F(bottom) - F(bottom + tau))]
+    for z0, z1 in ((0j, tau), (tau - 0.5, -0.5 + 0j)):
+        nodes, dz = numkit.segment_rule(z0, z1, wall)
+        sides.append((nodes, dz.conjugate(), F(nodes)))
     # kernel first: numpy's complex product is not commutative in the last bit
     return [0.5j * sum(numkit.integrate(
         lambda z: strip_bergman_kernels(z, p, dbl)[which].conjugate() * Fz, z, dzbar)

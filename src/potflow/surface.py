@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import elliptic, numkit
-from .errors import ParameterError, PoleError
+from .errors import PoleError
 
 __all__ = [
     "SPHERE_VOLUME",
@@ -97,52 +97,46 @@ def sphere_expansion(a: complex) -> SurfaceExpansion:
     )
 
 
-def _unit_disk_rule(center: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Area rule on {|z| <= 1} in polar coordinates around ``center``.
+def _sphere_rule(a: complex, b: complex | None) -> tuple[np.ndarray, np.ndarray]:
+    """Plane-chart nodes z = phi(zeta) and area weights of a rule over the
+    whole sphere, for an integrand with poles at a and b (None: the
+    antipode of a).
 
-    The radial extent R(theta) to the unit circle is smooth in theta, so
-    the angular trapezoid rule is spectral; an inner sqrt-clustered band
-    around the center absorbs an integrable (log-type) singularity there.
+    phi is the Moebius map that sends zeta = 0 to a and zeta = inf to b:
+    sphere isometries move a and b to w = -m and w = m about their geodesic
+    midpoint w = 0, and w = m (zeta - 1)/(zeta + 1).  The rest of the sphere
+    is then a blob of size about m around zeta = -1.  With zeta =
+    exp(s + i theta), both axes are ``numkit.sinh_rule``s graded towards it
+    (P. R. Johnston and D. Elliott, Int. J. Numer. Meth. Engng 62, 2005): s
+    on [-19, 19] about 0 and theta on [0, 2 pi] about pi, with dist d =
+    min(1, 2m) and 8 ceil(1.75 asinh(L / d)) nodes for the half-length L.
     """
-    c = complex(center)
-    if abs(c) >= 1.0:
-        raise ParameterError("polar center must lie in the open disk")
-    theta, w = numkit.trapezoid_rule(128, 2 * math.pi)
-    proj = (c.conjugate() * np.exp(1j * theta)).real
-    R = -proj + np.sqrt(np.maximum(1.0 - abs(c) ** 2 + proj * proj, 0.0))
-    return numkit.polar_rule(c, (theta, w), R, 64, band=min(0.1, (1 - abs(c)) / 2))
-
-
-def _sphere_integral(f_plane: Callable, f_inv: Callable, poles: tuple) -> float:
-    """int_M f over the sphere as the unit disks of the plane chart z and of
-    the inverted chart w = 1/z, integrands ``f_plane(z)`` and ``f_inv(w)``.
-
-    Each chart is integrated in polar coordinates around the first pole it
-    holds (a pole p with |p| > 1 sits at w = 1/p), or else around 0.  The
-    polar rules have no node at their centre, so none at w = 0 either.
-    """
-    plane = next((p for p in poles if abs(p) < 1), 0j)
-    inverted = next((1 / p for p in poles if abs(p) > 1), 0j)
-    return float(numkit.integrate(f_plane, *_unit_disk_rule(plane))
-                 + numkit.integrate(f_inv, *_unit_disk_rule(inverted)))
+    a = complex(a)
+    # t = 1 / T_a(b) for the isometry T_a(z) = (z - a)/(1 + conj(a) z)
+    t = 0j if b is None else (1 + a.conjugate() * b) / (b - a)
+    r = math.sqrt(1 + abs(t) ** 2)
+    m = 1 / (abs(t) + r)
+    d = min(1.0, 2 * m)
+    count = lambda L: 8 * math.ceil(1.75 * math.asinh(L / d))
+    s, ws = numkit.sinh_rule(-19.0, 19.0, 0.0, d, count(19.0))
+    psi, wpsi = numkit.sinh_rule(-math.pi, math.pi, 0.0, d, count(math.pi))
+    # phi as a Moebius map of eta = zeta + 1 = 1 - exp(s + i psi), psi =
+    # theta - pi, which expm1 keeps exact on the blob; in zeta its
+    # coefficients, of size |t| ~ 1/m, would cancel there
+    eta = -np.expm1(s[:, None] + 1j * psi)
+    mu = m * (t / abs(t) if t else 1.0)
+    den = (t - a.conjugate()) * eta + a.conjugate() + mu
+    z = ((1 + a * t) * eta - 1 + a * mu) / den
+    jac = (np.exp(s)[:, None] * r * (1 + abs(a) ** 2) / abs(den) ** 2) ** 2
+    return z.ravel(), (np.outer(ws, wpsi) * jac).ravel()
 
 
 def sphere_green_mean(a: complex) -> float:
-    """Quadrature of int_M G(., a) vol (should vanish by normalization).
-
-    In the inverted chart the integrand decays like |w|^2 log|w| at the far
-    pole w = 0, where ``_sphere_integral`` places no node.
-    """
+    """Quadrature of int_M G(., a) vol (should vanish by normalization), on
+    the ``_sphere_rule`` of a and its antipode."""
     a = complex(a)
-
-    def f_plane(z: np.ndarray) -> np.ndarray:
-        return sphere_green(z, a) * sphere_lambda_sq(z)
-
-    def f_inv(w: np.ndarray) -> np.ndarray:
-        zz = 1.0 / w
-        return sphere_green(zz, a) * sphere_lambda_sq(zz) / abs(w) ** 4
-
-    return _sphere_integral(f_plane, f_inv, (a,))
+    return float(numkit.integrate(
+        lambda z: sphere_green(z, a) * sphere_lambda_sq(z), *_sphere_rule(a, None)))
 
 
 def _sphere_green_grad(z: complex, a: complex) -> complex:
@@ -156,20 +150,12 @@ def sphere_mutual_energy(a: complex, b: complex) -> float:
 
     In chart coordinates the integrand is grad G_a . grad G_b dx dy with no
     metric factor (conformal invariance); with p = 2 dG/dz this equals
-    Re(p_a conj(p_b)).  The 1/r pole singularities are integrable.
+    Re(p_a conj(p_b)), integrated on the ``_sphere_rule`` of a and b.
     """
     a, b = complex(a), complex(b)
-
-    def f_plane(z: np.ndarray) -> np.ndarray:
-        return (_sphere_green_grad(z, a) * _sphere_green_grad(z, b).conjugate()).real
-
-    def f_inv(w: np.ndarray) -> np.ndarray:
-        zz, dz = 1.0 / w, -1.0 / (w * w)
-        ga = _sphere_green_grad(zz, a) * dz
-        gb = _sphere_green_grad(zz, b) * dz
-        return (ga * gb.conjugate()).real
-
-    return _sphere_integral(f_plane, f_inv, (a, b))
+    return float(numkit.integrate(
+        lambda z: (_sphere_green_grad(z, a) * _sphere_green_grad(z, b).conjugate()).real,
+        *_sphere_rule(a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -139,12 +139,14 @@ def planar_checks() -> list[Check]:
         worst = max(worst, abs(val - (p ** 3).real))
     out.append(Check("Poisson kernel reproduces Re z^3", "Poisson", worst, 1e-10))
 
-    # Bergman reproducing property on the disk
-    val = numkit.area_quadrature(
-        lambda w: w * w * planar_green.bergman_disk(w, 0.4).conjugate(),
-        disk, resolution=96)
+    # Bergman reproducing property on the disk, by Stokes with F = z^3/3:
+    # int_D z^2 conj(K) dA = (i/2) oint F conj(K dz)
+    z, dz = numkit.circle_rule(0j, 1.0, 64)
+    val = 0.5j * numkit.integrate(
+        lambda w: planar_green.bergman_disk(w, 0.4).conjugate() * w ** 3 / 3,
+        z, dz.conjugate())
     out.append(Check("Bergman kernel reproduces z^2 at 0.4", "Kreproducing0",
-                     abs(val - 0.16), 1e-8))
+                     abs(val - 0.16), 1e-14))
 
     # Robin-function bounds: log d <= h0 <= log 2d (convex), log 4d (slit)
     worst = 0.0
@@ -263,11 +265,11 @@ def surface_checks() -> list[Check]:
                      "Deltagammadouble", worst, 1e-6))
 
     out.append(Check("sphere Green zero mean", "normalization",
-                     abs(surface.sphere_green_mean(0.5)), 1e-6))
+                     abs(surface.sphere_green_mean(0.5)), 1e-13))
 
     me = surface.sphere_mutual_energy(0.3, -0.4 + 0.5j)
     out.append(Check("sphere mutual-energy identity", "mutual energyG",
-                     abs(me - surface.sphere_green(0.3, -0.4 + 0.5j)), 1e-3))
+                     abs(me - surface.sphere_green(0.3, -0.4 + 0.5j)), 1e-12))
 
     # sphere kernels: K = 0 (separable regular part), L = 1/(pi (z-a)^2)
     z, a = 0.4 + 0.2j, -0.3 + 0.6j

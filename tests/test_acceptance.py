@@ -205,8 +205,8 @@ def test_ac12_sphere_suite():
     mean = abs(sf.sphere_green_mean(0.5))
     me = abs(sf.sphere_mutual_energy(0.3, -0.4 + 0.5j)
              - sf.sphere_green(0.3, -0.4 + 0.5j))
-    _report("AC12 sphere: Delta h0=lambda^2<1e-6, mean<1e-6, energy<1e-3",
-            worst < 1e-6 and mean < 1e-6 and me < 1e-3,
+    _report("AC12 sphere: Delta h0=lambda^2<1e-6, mean<1e-13, energy<1e-12",
+            worst < 1e-6 and mean < 1e-13 and me < 1e-12,
             f"lap={worst:.1e}, mean={mean:.1e}, mutual={me:.1e}")
 
 

@@ -168,7 +168,7 @@ def test_triple_green_full_symmetry():
     assert max(vals) - min(vals) < 1e-10
 
 
-def test_triple_green_reads_one_unit_disk_rule(monkeypatch):
+def test_triple_green_shares_one_disk_rule(monkeypatch):
     # the rule is built once, at import, and shared read-only: a triple_green
     # call (verify's integrability row makes one per permutation) builds none
     calls, rule = [], pg._disk_rule

@@ -261,9 +261,13 @@ def test_bergman_disk_values():
 
 
 def test_bergman_reproduces_monomial():
-    val = numkit.area_quadrature(
-        lambda w: w * w * pg.bergman_disk(w, 0.4).conjugate(), DISK, 96)
-    assert abs(val - 0.16) < 1e-10
+    # int_D f conj(K(., a)) dA = f(a), by Stokes (i/2) oint F conj(K dz)
+    # on the unit circle, for F' = f: f = z^2 at 0.4, and f = 1 at 0
+    z, dz = numkit.circle_rule(0j, 1.0, 64)
+    for F, a, fa in ((lambda w: w ** 3 / 3, 0.4, 0.16), (lambda w: w, 0j, 1.0)):
+        val = 0.5j * numkit.integrate(
+            lambda w: pg.bergman_disk(w, a).conjugate() * F(w), z, dz.conjugate())
+        assert abs(val - fa) < 1e-10
 
 
 def test_fd_green_matches_series_oracle():

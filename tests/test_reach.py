@@ -64,6 +64,8 @@ ALLOWED = {
     "equilibrium.fekete_points": TRACED,
     "equilibrium.equilibrium_measure": TRACED,
     "numkit.gauss_legendre_panel": TRACED,
+    "numkit.area_quadrature": TRACED,
+    "planar_green.DomainDescriptor.area_rule": TRACED,
     "surface.torus_green_constant": TRACED,
     "equilibrium._carrier_nodes": ITEM_6,
     "equilibrium._log_kernel": ITEM_6,
@@ -84,7 +86,6 @@ ALLOWED = {
     "planar_green._rectangle_dgdz": NO_COMMAND_KIND,
     "planar_green._rectangle_harmonic": NO_COMMAND_KIND,
     "planar_green._slit_dgdz": NO_COMMAND_KIND,
-    "numkit.sinh_rule": NO_COMMAND_KIND,
     "equilibrium.CompactSet.disk": PUBLIC,
     "equilibrium.CompactSet.to_dict": PUBLIC,
     "planar_green.DomainDescriptor.to_json": PUBLIC,
@@ -360,7 +361,6 @@ def test_points_outside_their_domain_are_refused_by_one_check():
 # Gauss-Legendre rules or place nodes at np.exp(1j ...) or np.exp(2j ...);
 # every boundary or cycle integral takes its (nodes, weights) from one of them
 CURVE_RULE = "the rule of one kind of curve, returning (nodes, dz-weights)"
-AREA_RULE = "an area rule: angular and radial or tensor nodes over a region"
 RULE_BUILDERS = {
     "numkit.circle_rule": CURVE_RULE,
     "numkit.segment_rule": CURVE_RULE,
@@ -369,8 +369,6 @@ RULE_BUILDERS = {
     "schottky.StripDouble.wall_rule": "the strip's vertical lines: nodes x0 + i y, dy-weights",
     "numkit.sinh_rule": "numkit's graded rule, built on the Gauss-Legendre rule",
     "numkit.gauss_legendre_panel": "numkit's composite rule on [a, b]",
-    "numkit.polar_rule": AREA_RULE,
-    "surface._unit_disk_rule": AREA_RULE,
     "equilibrium._carrier_nodes": "the parameter rule on a compact set's carrier",
     "schottky.circular_slit_map": "one rule in t for the segments a + (z - a) t of many z",
     "verify.schottky_checks": "np.exp(2j pi w / tau) is an integrand, not nodes",

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -24,27 +25,35 @@ def test_sphere_green_symmetry_and_isometry():
 
 
 def test_sphere_green_zero_mean():
-    assert abs(sf.sphere_green_mean(0.5)) < 1e-6
-    assert abs(sf.sphere_green_mean(0j)) < 1e-6
+    assert abs(sf.sphere_green_mean(0.5)) < 1e-13
+    assert abs(sf.sphere_green_mean(0j)) < 1e-13
 
 
-@pytest.mark.parametrize("a", [2 + 1j, -1.5 + 0.7j, 1.2j])
+# poles off the unit disk, on the seam |a| = 1 and next to it, and near 0
+# and infinity
+@pytest.mark.parametrize("a", [2 + 1j, -1.5 + 0.7j, 1.2j, 1, 1j, -1, cmath.exp(0.7j),
+                               0.999, 1e-8, 1e8j])
 def test_sphere_green_mean_resolves_a_complex_pole_outside_the_unit_disk(a):
-    # the inverted chart holds the pole at w = 1/a (not 1/conj(a))
     assert abs(sf.sphere_green_mean(a)) <= 1e-13
 
 
-@pytest.mark.parametrize("a, b", [(2 + 1j, 0.3), (0, 2j), (-1.5 + 0.7j, 0.2j)])
+# one pole each side of the unit circle, and (3i, -2+i) both outside it
+@pytest.mark.parametrize("a, b", [(2 + 1j, 0.3), (0, 2j), (-1.5 + 0.7j, 0.2j), (3j, -2 + 1j)])
 def test_sphere_mutual_energy_with_one_pole_in_each_chart(a, b):
     assert abs(sf.sphere_mutual_energy(a, b) - sf.sphere_green(a, b)) <= 1e-13
 
 
+def test_sphere_mutual_energy_of_a_close_pair():
+    # chordal distance 2|a - b| / ((1 + |a|^2)^(1/2) (1 + |b|^2)^(1/2)) = 9.2e-4
+    a, b = 0.3, 0.3 + 5e-4j
+    assert abs(sf.sphere_mutual_energy(a, b) - sf.sphere_green(a, b)) <= 1e-12
+
+
 def test_sphere_area_is_4pi():
-    total = numkit.integrate(sf.sphere_lambda_sq, *sf._unit_disk_rule(0j))
-    # the polar rule has no node at w = 0
-    total += numkit.integrate(lambda w: sf.sphere_lambda_sq(1 / w) / abs(w) ** 4,
-                              *sf._unit_disk_rule(0j))
-    assert abs(total - 4 * math.pi) < 1e-6
+    # the antipodal frame of 0, and two-pole frames far apart and close
+    for a, b in ((0j, None), (0.3, -0.4 + 0.5j), (3j, -2 + 1j), (0.3, 0.3 + 5e-4j)):
+        total = numkit.integrate(sf.sphere_lambda_sq, *sf._sphere_rule(a, b))
+        assert abs(total - 4 * math.pi) < 1e-12, (a, b)
 
 
 def test_sphere_green_mixed_derivative_off_pole():
@@ -85,7 +94,7 @@ def test_sphere_robin_laplacian_identity():
 
 def test_sphere_mutual_energy():
     a, b = 0.3, -0.4 + 0.5j
-    assert abs(sf.sphere_mutual_energy(a, b) - sf.sphere_green(a, b)) < 1e-3
+    assert abs(sf.sphere_mutual_energy(a, b) - sf.sphere_green(a, b)) < 1e-12
 
 
 def test_sphere_kernels():
