@@ -6,8 +6,9 @@ and ``green`` (domain Green/Robin report).  Output is deterministic JSON
 (sorted keys, no timestamps) and CSV with 17 significant digits.
 
 Exit codes: 0 ok, 2 verification failure (or a check that raised),
-3 simulation abort, 64 usage error, 65 input error (a malformed input or
-any potflow error that a command raises).
+3 simulation abort, 64 usage error, 65 input error (a malformed or
+unreadable input, an unwritable --out path, or any potflow error that a
+command raises).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -65,11 +67,15 @@ def _fmt(x: float) -> str:
 
 
 def _load_json_arg(arg: str) -> dict:
-    """Parse an inline JSON document or the contents of a file path."""
+    """Parse an inline JSON document or the contents of a file path.  An
+    argument too long to be a path is parsed (os.path.exists is False where
+    the system refuses the name)."""
     text = arg
-    path = Path(arg)
-    if not arg.lstrip().startswith("{") and path.exists():
-        text = path.read_text()
+    if not arg.lstrip().startswith("{") and os.path.exists(arg):
+        try:
+            text = Path(arg).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"cannot read {arg}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -309,8 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # a malformed input, or an input that the computation refuses
-    except (SchemaError, PotflowError) as exc:
+    # a malformed input, an input that the computation refuses, or a
+    # document or --out path that cannot be read or written (OSError names it)
+    except (SchemaError, PotflowError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

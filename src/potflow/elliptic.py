@@ -5,9 +5,10 @@ qh = exp(i*pi*tau), DLMF 20.2 and 23.8) after folding the argument into
 the fundamental cell, so convergence is geometric for Im tau bounded away
 from zero.  The truncated series of a lattice are tabulated once per tau.
 theta1, theta1' and log|theta1| all come from ``_theta_jet``: one reduction
-of z, one sum of each theta series, and logs of the unshifted sums.
-Every function takes a scalar z, giving a Python complex (a float for
-``log_abs_theta1``), or a numpy array, giving an array of its shape.
+of z, one sum of each theta series, and logs of the unshifted sums, on one
+code path for a point and an array.  Every function takes a scalar z,
+giving a Python complex (a float for ``log_abs_theta1``), or a numpy array,
+giving an array of its shape.
 
 Quasi-period convention: zeta(z+1) = zeta(z) + eta1 and
 zeta(z+tau) = zeta(z) + eta2, tied together by the Legendre identity
@@ -167,68 +168,56 @@ def _theta_jet(z, L: TorusLattice, value=False, prime=False, log=None):
     """(z0, n, theta1(z), theta1'(z), lg) from one reduction z = z0 + m + n tau
     and one sum of each theta series; each of the last three is None unless
     asked for.  theta1(z) and theta1'(z) are the sums at z0 times the shift
-    factor (-1)^(m+n) qh^{-n^2} e^{-2 pi i n z0}, which a scalar z = z0 goes
-    without.  log="z" asks for lg = log|theta1(z)|: the log of the unshifted
-    sum plus the factor's log modulus pi Im(tau) n^2 + 2 pi n Im z0, so a log
-    never forms the factor (qh^{-n^2} overflows far out) nor rounds as the
-    log of a shifted value would.  log="z0" asks for lg = log|theta1(z0)| as
-    log_abs_theta1(z0) gives it: only where rounding left |Im z0| just above
-    Im tau / 2 (far from the origin) is z0 reduced again.  Logs are the C
-    library's hypot and log, also for an array: numpy's complex abs and log
-    round differently in the last bit (for a third and 0.1% of arguments),
-    which finite differences of the Green functions magnify a millionfold.
-    A PoleError names the first z at which a log meets a zero of theta1.
-    One point runs straight-line code in Python complex arithmetic; an
-    array is reduced by reduce_to_cell and always takes the shift factor."""
+    factor (-1)^(m+n) qh^{-n^2} e^{-2 pi i n z0}.  log="z" asks for lg =
+    log|theta1(z)|: the log of the unshifted sum plus the factor's log
+    modulus pi Im(tau) n^2 + 2 pi n Im z0, so a log never forms the factor
+    (qh^{-n^2} overflows far out) nor rounds as the log of a shifted value
+    would.  log="z0" asks for lg = log|theta1(z0)| as log_abs_theta1(z0)
+    gives it: only where rounding left |Im z0| just above Im tau / 2 (far
+    from the origin) is z0 reduced again.  Logs are the C library's hypot
+    and log, also for an array: numpy's complex abs and log round
+    differently in the last bit (for a third and 0.1% of arguments), which
+    finite differences of the Green functions magnify a millionfold.  A
+    PoleError names the first z at which a log meets a zero of theta1.
+
+    A point (a number or a 0-d array) and an array take one path, with
+    reduce_to_cell's arithmetic inline: only the rounding, exp and log
+    follow the type, so a point calls no array helper.  A point z = z0 goes
+    without the shift factor, which an array always takes.
+    """
     tau, T = L.tau, L.tau.imag
-    if not isinstance(z, np.ndarray) or not z.ndim:
-        # one point, in straight-line code: reduce_to_cell without its dispatch
-        z = complex(z)
-        n = round(z.imag / T)
-        z0 = z - n * tau
-        m = round(z0.real)
-        z0 = z0 - m
-        lz, ln = z0, (n if log == "z" else None)
-        if log == "z0" and abs(z0.imag / T) > 0.5:
-            lz, _, ln = reduce_to_cell(z0, tau)
-        th = dth = lg = None
-        if value or prime and (m or n) or log and lz is z0:
-            th = base = 2 * _sum("theta", z0, L)
-        if prime:
-            dth = 2 * cmath.pi * _sum("theta_prime", z0, L)
-        if (m or n) and (value or prime):   # z = z0 goes without the shift
-            shift = (-1) ** (m + n) * L.qh ** (-n * n) * cmath.exp(-2j * cmath.pi * n * z0)
-            dth = shift * (dth - 2j * cmath.pi * n * base) if prime else None
-            th = shift * base
-        if log:
-            base = base if lz is z0 else 2 * _sum("theta", lz, L)
-            if base == 0:
-                raise PoleError(f"theta1 vanishes at lattice point near {z}")
-            lg = math.log(abs(base))
-            if ln is not None:
-                lg = lg + cmath.pi * T * ln * ln + 2 * cmath.pi * ln * lz.imag
-        return z0, n, th if value else None, dth, lg
-    z = z.astype(complex, copy=False)
-    z0, m, n = reduce_to_cell(z, tau)
+    point = not isinstance(z, np.ndarray) or not z.ndim
+    z = complex(z) if point else z.astype(complex, copy=False)
+    rnd = round if point else np.rint
+    n = rnd(z.imag / T)
+    z0 = z - n * tau
+    m = rnd(z0.real)
+    z0 = z0 - m
     lz, ln = z0, (n if log == "z" else None)
-    if log == "z0" and np.any(abs(z0.imag / T) > 0.5):
+    if log == "z0" and (abs(z0.imag / T) > 0.5 if point
+                        else (abs(z0.imag / T) > 0.5).any()):
         lz, _, ln = reduce_to_cell(z0, tau)
-    base = 2 * _sum("theta", z0, L) if value or prime or log and lz is z0 else None
-    dth = 2 * cmath.pi * _sum("theta_prime", z0, L) if prime else None
-    th = lg = None
-    if value or prime:   # every point takes the shift factor
-        shift = (-1) ** (m + n) * L.qh ** (-n * n) * np.exp(-2j * cmath.pi * n * z0)
-        th = shift * base if value else None
+    th = dth = lg = None
+    # the shift of theta1' reads the theta sum; a point z = z0 takes no shift
+    if value or prime and (not point or m or n) or log and lz is z0:
+        th = base = 2 * _sum("theta", z0, L)
+    if prime:
+        dth = 2 * cmath.pi * _sum("theta_prime", z0, L)
+    if (value or prime) and (not point or m or n):
+        exp = cmath.exp if point else np.exp
+        shift = (-1) ** (m + n) * L.qh ** (-n * n) * exp(-2j * cmath.pi * n * z0)
         dth = shift * (dth - 2j * cmath.pi * n * base) if prime else None
+        th = shift * base if value else None
     if log:
         if lz is not z0:
             base = 2 * _sum("theta", lz, L)
-        if (zero := base == 0).any():
-            raise PoleError(f"theta1 vanishes at lattice point near {first_where(zero, z)}")
-        lg = _map(math.log, np.hypot(base.real, base.imag).ravel()).reshape(base.shape)
+        if base == 0 if point else (base == 0).any():
+            raise PoleError(f"theta1 vanishes at lattice point near {first_where(base == 0, z)}")
+        lg = (math.log(abs(base)) if point else
+              _map(math.log, np.hypot(base.real, base.imag).ravel()).reshape(base.shape))
         if ln is not None:
             lg = lg + cmath.pi * T * ln * ln + 2 * cmath.pi * ln * lz.imag
-    return z0, n, th, dth, lg
+    return z0, n, th if value else None, dth, lg
 
 
 def theta1(z, L: TorusLattice):

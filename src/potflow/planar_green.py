@@ -616,16 +616,6 @@ def _strip_contains(d, z):
     return (-0.5 < z.real) & (z.real < 0.0) & (abs(z.imag) <= STRIP_IM_MAX * d.tau.imag)
 
 
-# green and robin_data have checked the points with the kind's contains, so
-# the strip's green and robin call schottky's unchecked evaluators
-def _strip_green(d: DomainDescriptor, z: complex, a: complex) -> float:
-    return schottky._g_electro(z, a, _strip_lattice(d.tau))
-
-
-def _strip_robin(d: DomainDescriptor, a: complex) -> tuple:
-    return schottky._robin(a, _strip_lattice(d.tau))
-
-
 @dataclass(frozen=True)
 class _Kind:
     """One domain kind as plain functions of its descriptor d.  The
@@ -728,8 +718,10 @@ _KINDS: dict[str, _Kind] = {
         contains=_strip_contains,
         interior="-1/2 < Re z < 0, |Im z| <= 2^26 Im tau",
         boundary_distance=lambda d, z: min(-z.real, z.real + 0.5),
-        green=_strip_green,
-        robin=_strip_robin,
+        # green and robin_data have checked the points with contains, so the
+        # strip calls schottky's unchecked evaluators
+        green=lambda d, z, a: schottky._g_electro(z, a, _strip_lattice(d.tau)),
+        robin=lambda d, a: schottky._robin(a, _strip_lattice(d.tau)),
         green_z_derivative=lambda d, z, a: schottky._g_electro_dz(z, a, _strip_lattice(d.tau)),
     ),
 }

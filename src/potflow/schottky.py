@@ -287,12 +287,6 @@ def neumann_strip(z, a, dbl: StripDouble):
 # reproducing properties
 # ---------------------------------------------------------------------------
 
-def _beta_period_of(f, dbl: StripDouble) -> complex:
-    """oint f dz over the vertical cycle Re z = -1/4 (period tau)."""
-    nodes, wy = dbl.wall_rule(-0.25, 256)
-    return numkit.integrate(f, nodes, 1j * wy)
-
-
 def _cell_integrals(F, which: int, a, dbl: StripDouble):
     """int_Omega F' conj(K(., p)) dx dy for each point p of ``a`` (a list of
     values out), K the kernel ``which`` of ``strip_bergman_kernels``.
@@ -334,7 +328,9 @@ def reproducing_check(kernel: str, f, F, a, dbl: StripDouble):
     points = numkit.as_points(a)
     planar_green._require_interior(dbl, points)
     if kernel == "hydro":
-        period = _beta_period_of(f, dbl)
+        # oint f dz over the vertical cycle Re z = -1/4 (period tau)
+        nodes, wy = dbl.wall_rule(-0.25, 256)
+        period = numkit.integrate(f, nodes, 1j * wy)
         if abs(period) > 1e-8:
             raise AdmissibilityError(
                 f"integrand has nonzero strip period {abs(period):.2e}; "

@@ -260,16 +260,6 @@ def torus_harmonic_basis(lattice: elliptic.TorusLattice):
     }
 
 
-def alpha_cycle(lattice: elliptic.TorusLattice) -> tuple[np.ndarray, np.ndarray]:
-    """The rule of the segment [0,1] traversed once."""
-    return numkit.cycle_rule(0, 1, 128)
-
-
-def beta_cycle(lattice: elliptic.TorusLattice) -> tuple[np.ndarray, np.ndarray]:
-    """The rule of the segment [0,tau] traversed once."""
-    return numkit.cycle_rule(0, lattice.tau, 128)
-
-
 @functools.lru_cache(maxsize=32)
 def torus_green_constant(tau: complex) -> np.float64:
     """Additive constant c(tau) that gives G zero mean over the cell, the

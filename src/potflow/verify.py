@@ -304,7 +304,7 @@ def surface_checks() -> list[Check]:
 
     # harmonic basis, periods, period matrices
     basis = surface.torus_harmonic_basis(L)
-    al, be = surface.alpha_cycle(L), surface.beta_cycle(L)
+    al, be = numkit.cycle_rule(0, 1, 128), numkit.cycle_rule(0, L.tau, 128)
     res = basis["periods"].residuals()
     out.append(Check("period matrices satisfy PQ = I + R^2", "PQR",
                      res["PQ_I_R2"], 1e-10))
@@ -443,14 +443,12 @@ def schottky_checks() -> list[Check]:
                      abs(schottky.orthogonality_integral(b, dbl)), 1e-8))
 
     # Abelian differential of the third kind
-    res_a = _contour_residue(lambda w: schottky.upsilon_third_kind(w, a, b, dbl), a)
-    res_b = _contour_residue(lambda w: schottky.upsilon_third_kind(w, a, b, dbl), b)
+    ups = lambda w: schottky.upsilon_third_kind(w, a, b, dbl)
+    res_a, res_b = _contour_residue(ups, a), _contour_residue(ups, b)
     out.append(Check("upsilon residues +1/-1", "upsilon",
                      max(abs(res_a - 1), abs(res_b + 1)), 1e-8))
-    pa = _cycle_integral(lambda w: schottky.upsilon_third_kind(w, a, b, dbl),
-                         complex(-0.49, 0.25), 1.0)
-    pb = _cycle_integral(lambda w: schottky.upsilon_third_kind(w, a, b, dbl),
-                         complex(0.1, 0.0), dbl.tau)
+    pa = numkit.integrate(ups, *numkit.cycle_rule(complex(-0.49, 0.25), 1.0, 256))
+    pb = numkit.integrate(ups, *numkit.cycle_rule(complex(0.1, 0.0), dbl.tau, 256))
     out.append(Check("upsilon periods purely imaginary", "exupsilonab",
                      max(abs(pa.real), abs(pb.real)), 1e-8))
     ups_j = schottky.upsilon_third_kind(z, a, schottky.StripDouble.involution(a), dbl)
@@ -599,10 +597,6 @@ def _hydrohydro(dbl: schottky.StripDouble, a: complex, b: complex) -> float:
 
 def _contour_residue(f, c: complex, radius: float = 0.01, n: int = 64) -> complex:
     return numkit.contour_integral(f, *numkit.circle_rule(c, radius, n)) / (2j * math.pi)
-
-
-def _cycle_integral(f, z0: complex, dz: complex) -> complex:
-    return numkit.integrate(f, *numkit.cycle_rule(z0, dz, 256))
 
 
 SUITES = {

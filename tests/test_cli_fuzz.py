@@ -112,3 +112,52 @@ def test_fuzz_vortex(system, extra):
        options(("--p", st.sampled_from(["0", "0.5", "1e300", "nan", "-inf", "x"]))))
 def test_fuzz_torus(tau, extra):
     run_cli(["torus", "--tau", tau] + extra)
+
+
+def _input_error(argv, path):
+    """argv exits 65 with one ``input error:`` line that names path."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = err.getvalue()
+    assert code == 65, (argv, text)
+    assert text.count("\n") == 1 and text.startswith("input error:"), text
+    assert str(path) in text, text
+
+
+def test_domain_that_is_a_directory_is_an_input_error(tmp_path):
+    _input_error(["green", "--domain", str(tmp_path), "--a", "0.1,0.1"], tmp_path)
+
+
+def test_domain_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "domain.json"
+    path.write_bytes(b'{"kind": "disk", "R": \xff}')
+    _input_error(["green", "--domain", str(path), "--a", "0.1,0.1"], path)
+
+
+def test_domain_too_long_for_a_path_is_parsed_as_json():
+    # the system refuses the name (ENAMETOOLONG), so it is read as a document
+    arg = "x" * 5000
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["green", "--domain", arg, "--a", "0.1,0.1"]) == 65
+    assert err.getvalue().startswith("input error: malformed JSON at line 1 column 1")
+    assert err.getvalue().count("\n") == 1
+
+
+def test_verify_out_that_is_a_directory_is_an_input_error(tmp_path):
+    _input_error(["verify", "--suite", "planar", "--out", str(tmp_path)], tmp_path)
+
+
+def test_fekete_out_that_is_a_file_is_an_input_error(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    _input_error(["fekete", "--domain", '{"kind": "circle", "R": 1.0}', "--n-max", "8",
+                  "--out", str(path)], path)
+
+
+def test_green_out_under_a_file_is_an_input_error(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    _input_error(["green", "--domain", '{"kind": "disk", "R": 1.0}', "--a", "0.1,0.1",
+                  "--out", str(path / "x.json")], path)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potflow import elliptic, numkit, planar_green, surface
+from potflow import elliptic, numkit, planar_green
 from rk_oracles import thirteen_call_dop853
 from potflow.errors import (
     CollisionError,
@@ -113,8 +113,8 @@ def test_torus_cycles_are_their_parametrized_segments_bit_for_bit(tau):
     alpha = (np.asarray(t, dtype=complex), w * np.asarray(1.0 + 0j, dtype=complex))
     beta = (np.asarray(t * lattice.tau, dtype=complex),
             w * np.asarray(lattice.tau, dtype=complex))
-    assert _same_bits(surface.alpha_cycle(lattice), alpha)
-    assert _same_bits(surface.beta_cycle(lattice), beta)
+    assert _same_bits(numkit.cycle_rule(0, 1, 128), alpha)
+    assert _same_bits(numkit.cycle_rule(0, lattice.tau, 128), beta)
 
 
 def test_gauss_legendre_rule_exact_to_degree_31_per_panel():
