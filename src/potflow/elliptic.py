@@ -140,11 +140,13 @@ def _series(tau: complex) -> dict:
         f, c = (2 * j + 1) * cmath.pi, qh ** ((j + 0.5) ** 2)
         theta.append((f, (-1) ** j * c))
         theta_prime.append((f, (-1) ** j * (2 * j + 1) * c))
+    # each trig as (cmath's, numpy's): _sum indexes it by the array flag
+    cos, sin = (cmath.cos, np.cos), (cmath.sin, np.sin)
     # eta1 from the no-linear-term condition of zeta at 0 (Eisenstein E2)
     return {"eta1": cmath.pi ** 2 / 3 - 8 * cmath.pi ** 2 * acc,
-            "wp": ("cos", wp[:n_wp]), "wp_prime": ("sin", wpp[:n_wpp]),
-            "zeta": ("sin", zeta[:n_zeta]), "theta": ("sin", theta),
-            "theta_prime": ("cos", theta_prime)}
+            "wp": (cos, wp[:n_wp]), "wp_prime": (sin, wpp[:n_wpp]),
+            "zeta": (sin, zeta[:n_zeta]), "theta": (sin, theta),
+            "theta_prime": (cos, theta_prime)}
 
 
 def _sum(name: str, z0, L: TorusLattice, head=0j):
@@ -157,8 +159,8 @@ def _sum(name: str, z0, L: TorusLattice, head=0j):
     by a power recurrence would save the calls but break that parity:
     numpy's complex multiply (fused multiply-adds) disagrees with Python's
     in the last bit for nearly half of all products."""
-    trig_name, terms = L.series[name]
-    trig = getattr(np if isinstance(z0, np.ndarray) else cmath, trig_name)
+    trigs, terms = L.series[name]
+    trig = trigs[isinstance(z0, np.ndarray)]
     for f, c in terms:
         head = head + c * trig(f * z0)
     return head

@@ -1,13 +1,15 @@
 """Hadamard variational formulas and the triple-Green symmetry on the disk.
 
-The perturbed domain r < R + eps*delta_n(theta) + O(eps^2) is realized as
-the image of the disk under the analytic map f(w) = w(1 + eps*A(w/R)),
-whose boundary modulus matches the prescribed normal speed to first order
-in eps.  Green functions of the model domain are exact (G_eps =
-G_disk(f^{-1}(.), f^{-1}(.))), and the formulas take the symmetric
-difference (G_eps - G_-eps) / 2 eps, in which every even order in eps
-cancels: an O(eps^2) boundary correction would not change the first-order
-Hadamard term, which is isolated without grid error.
+A normal speed delta_n(theta) on the circle |z| = R moves the boundary to
+r = R + t delta_n(theta) + O(t^2).  The maps f_t(w) = w (1 + t A(w/R)),
+with A analytic in the unit disk and Re A = delta_n / R on its boundary,
+carry the disk onto such domains, whose Green functions and Robin functions
+are G_t(z, a) = G(f_t^{-1}(z), f_t^{-1}(a)) and h0_t(a) = h0(w) +
+log|f_t'(w)|, w = f_t^{-1}(a).  The formulas' left sides are their
+derivatives at t = 0, in closed form: a point p moves at v_p = -p A(p/R),
+so delta G(a, b) = 2 Re(dG/dz(a, b) v_a + dG/dz(b, a) v_b) and
+delta h0(a) = 2 Re(h1(a) v_a) + Re(A(u) + u A'(u)), u = a/R.  The O(t^2)
+part of the model's boundary does not enter a first variation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import planar_green
-from .errors import DomainError, ParameterError, PoleError
+from .errors import ParameterError, PoleError
 
 __all__ = [
     "BoundaryVariation",
@@ -41,34 +43,26 @@ class BoundaryVariation:
     """Normal-speed boundary perturbation of a disk.
 
     delta_n maps the boundary angle theta to the outward normal speed; the
-    perturbed boundary is r = R + epsilon*delta_n(theta) + O(epsilon^2).
-    delta_n, a function of one angle, is called once per boundary node at
-    construction; the guard, the conformal model and both formulas read them.
+    perturbed boundary is r = R + t*delta_n(theta) + O(t^2).  delta_n, a
+    function of one angle, is called once per boundary node at
+    construction; the conformal model and both formulas read them.
     """
 
     base: planar_green.DomainDescriptor
     delta_n: Callable[[float], float]
-    epsilon: float
     rule: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     samples: np.ndarray = field(init=False, repr=False, compare=False)
-    # power-series coefficients of A of ``_PerturbedDisk``; they depend on
-    # delta_n alone, so every eps shares them
+    # power-series coefficients of the conformal model's A, lowest first
     model: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base.kind != "disk":
             raise ParameterError("boundary variations are implemented on disks")
-        if not (math.isfinite(self.epsilon) and self.epsilon != 0):
-            raise ParameterError("epsilon must be finite and nonzero")
         R = self.base.R
         rule = planar_green._disk_rule(R, _BOUNDARY_N)
         samples = np.array([self.delta_n(t) for t in rule[0].tolist()])
-        # np.max, unlike max(), returns nan if any value is nan
-        peak = np.max(np.abs(samples))
-        if not math.isfinite(peak):
+        if not np.isfinite(samples).all():
             raise ParameterError("delta_n must be finite on the boundary")
-        if abs(self.epsilon) * peak > R / 10:
-            raise DomainError("perturbation too large: domain may lose star shape")
         # the model's _FOURIER_N angles are every other node: 2 pi (2k / 512)
         # equals 2 pi (k / 256) exactly
         ak = np.fft.rfft(samples[::2] / R) / _FOURIER_N
@@ -79,65 +73,34 @@ class BoundaryVariation:
         object.__setattr__(self, "model", a_coef)
 
 
-class _PerturbedDisk:
-    """Conformal model of the perturbed disk, exact Green function.
-
-    f(w) = w (1 + eps A(w/R)) with A the analytic completion of delta_n/R on
-    the unit circle: the boundary radius is R + eps delta_n + O(eps^2), and
-    the O(eps^2) error cancels in the formulas' symmetric difference.
-    """
-
-    def __init__(self, var: BoundaryVariation, eps: float):
-        self.base, self.R, self.eps = var.base, var.base.R, eps
-        self._a_coef = var.model[::-1]
-
-    def _jet(self, w: complex) -> tuple[complex, complex]:
-        """f(w) and f'(w), with A(u) and A'(u), u = w/R, from one Horner pass."""
-        u = w / self.R
-        A = dA = 0j
-        for c in self._a_coef:
-            dA = dA * u + A
-            A = A * u + c
-        val = 1 + self.eps * A
-        return w * val, val + u * (self.eps * dA)
-
-    def pull(self, z: complex) -> complex:
-        w = z
-        for _ in range(60):
-            f, f_prime = self._jet(w)
-            step = (f - z) / f_prime
-            w -= step
-            if abs(step) < 1e-15 * (self.R + abs(w)):
-                return w
-        raise ParameterError("conformal inversion did not converge")
-
-    def green(self, z: complex, a: complex) -> float:
-        return planar_green.green(self.base, self.pull(z), self.pull(a))
-
-    def robin_h0(self, a: complex) -> float:
-        w = self.pull(a)
-        return planar_green.robin_data(self.base, w).h0 + math.log(abs(self._jet(w)[1]))
+def _model_jet(var: BoundaryVariation, p: complex) -> tuple[complex, complex]:
+    """A(u) and u A'(u) at u = p/R, from one Horner pass over var.model."""
+    u = p / var.base.R
+    A = dA = 0j
+    for c in var.model[::-1].tolist():
+        dA = dA * u + A
+        A = A * u + c
+    return A, u * dA
 
 
 def hadamard_delta_green(var: BoundaryVariation, a: complex,
                          b: complex) -> tuple[float, float]:
     """Both sides of the Hadamard formula for delta G(a,b).
 
-    lhs: central difference of the perturbed Green functions in epsilon;
+    lhs: the first variation of G(a, b) as a and b move at v_a and v_b;
     rhs: oint dG/dn(.,a) dG/dn(.,b) delta_n ds over the base circle.
     """
     a, b = complex(a), complex(b)
     planar_green._require_interior(var.base, a, b)
     if abs(a - b) < 1e-12 * var.base.R:
         raise PoleError("a and b must be distinct")
-    eps = var.epsilon
-    plus = _PerturbedDisk(var, +eps).green(a, b)
-    minus = _PerturbedDisk(var, -eps).green(a, b)
-    lhs = (plus - minus) / (2 * eps)
+    va, vb = (-p * _model_jet(var, p)[0] for p in (a, b))
+    # G is symmetric, so its derivative in the second point is dG/dz(b, a)
+    dgdz = planar_green.green_z_derivative
+    lhs = 2 * (dgdz(var.base, a, b) * va + dgdz(var.base, b, a) * vb).real
 
-    R = var.base.R
     _, z, ds = var.rule
-    pa, pb = (planar_green._disk_poisson(R, p, z) for p in (a, b))
+    pa, pb = (planar_green._disk_poisson(var.base.R, p, z) for p in (a, b))
     return lhs, float((var.samples * (ds * pa * pb)).sum())
 
 
@@ -145,10 +108,9 @@ def hadamard_delta_h0(var: BoundaryVariation, a: complex) -> tuple[float, float]
     """Both sides of delta h0(a) = 2 pi oint (dG/dn(.,a))^2 delta_n ds."""
     a = complex(a)
     planar_green._require_interior(var.base, a)
-    eps = var.epsilon
-    plus = _PerturbedDisk(var, +eps).robin_h0(a)
-    minus = _PerturbedDisk(var, -eps).robin_h0(a)
-    lhs = (plus - minus) / (2 * eps)
+    A, uA = _model_jet(var, a)
+    # h0 moves with a, and log|f'| gains Re(A + u A') at first order
+    lhs = 2 * (planar_green.robin_data(var.base, a).h1 * -a * A).real + (A + uA).real
 
     _, z, ds = var.rule
     pa = planar_green._disk_poisson(var.base.R, a, z)

@@ -177,14 +177,14 @@ def planar_checks() -> list[Check]:
                      0.0 if gap > 0 else -gap, 0.0))
 
     # Hadamard variation: dilation of the unit disk
-    var = hadamard.BoundaryVariation(disk, lambda t: 1.0, 1e-5)
+    var = hadamard.BoundaryVariation(disk, lambda t: 1.0)
     lhs, rhs = hadamard.hadamard_delta_green(var, 0.0, 0.5)
     resid = max(abs(lhs - 1 / (2 * math.pi)), abs(rhs - 1 / (2 * math.pi)))
-    out.append(Check("Hadamard formula under dilation", "Hadamard", resid, 1e-6))
+    out.append(Check("Hadamard formula under dilation", "Hadamard", resid, 1e-13))
 
     lh, rh = hadamard.hadamard_delta_h0(var, 0.5)
     out.append(Check("Robin variation under dilation", "Hadamardh",
-                     max(abs(lh - 5 / 3), abs(rh - 5 / 3)), 1e-6))
+                     max(abs(lh - 5 / 3), abs(rh - 5 / 3)), 1e-13))
 
     # triple Green symmetry
     pts = (0.31, 0.12j, -0.25 + 0.2j)

@@ -97,7 +97,7 @@ def test_ac05_h1_contour():
 
 def test_ac06_hadamard():
     disk = pg.DomainDescriptor.disk(1.0)
-    var = hd.BoundaryVariation(disk, lambda t: 1.0, 1e-5)
+    var = hd.BoundaryVariation(disk, lambda t: 1.0)
     lhs, rhs = hd.hadamard_delta_green(var, 0.0, 0.5)
     target = 1 / (2 * math.pi)
     worst = max(abs(lhs - target), abs(rhs - target))

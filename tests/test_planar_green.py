@@ -154,7 +154,7 @@ def test_one_disk_poisson_density():
     assert np.array_equal(pg._disk_harmonic(pg.DomainDescriptor.disk(R), a, 64)[1],
                           pg._disk_poisson(R, a, zs) * ds)
     theta, zs, ds = pg._disk_rule(R, hadamard._BOUNDARY_N)
-    var = hadamard.BoundaryVariation(pg.DomainDescriptor.disk(R), math.cos, 1e-4)
+    var = hadamard.BoundaryVariation(pg.DomainDescriptor.disk(R), math.cos)
     pa, pb = (pg._disk_poisson(R, p, zs) for p in (a, b))
     dn = np.array([math.cos(t) for t in theta.tolist()])
     assert hadamard.hadamard_delta_green(var, a, b)[1] == float((dn * (ds * pa * pb)).sum())

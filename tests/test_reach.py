@@ -339,7 +339,6 @@ def test_finite_differences_are_oracles_not_library_paths():
 # of other things than a point's place in its domain
 DOMAIN_ERROR_RAISERS = {
     "planar_green._require_interior",
-    "hadamard.BoundaryVariation.__post_init__",        # the perturbation's size
     "schottky.neumann_strip",                          # the double's resolved range
     "schottky.ahlfors_map_disk",                       # z in the closed disk
     "schottky.circular_slit_map",                      # z in the closed disk
@@ -353,8 +352,10 @@ def test_points_outside_their_domain_are_refused_by_one_check():
     raisers = _defs_where(lambda node: isinstance(node, ast.Raise) and _name(
         node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "DomainError")
     outside = sorted(raisers - DOMAIN_ERROR_RAISERS)
-    assert not outside, f"DomainError raised outside _require_interior: {outside}"
-    assert "planar_green._require_interior" in raisers
+    stale = sorted(DOMAIN_ERROR_RAISERS - raisers)
+    assert not outside and not stale, (
+        f"DomainError raised outside _require_interior: {outside}; "
+        f"in DOMAIN_ERROR_RAISERS but raising none: {stale}")
 
 
 # the rule builders: the defs that may call numkit's 1-D trapezoid and
