@@ -112,11 +112,11 @@ class DomainDescriptor:
     def periodic_strip(tau: complex) -> "DomainDescriptor":
         return DomainDescriptor("periodic_strip", tau=complex(tau))
 
-    def contains(self, z: complex) -> bool:
-        return _KINDS[self.kind].contains(self, complex(z))
+    def contains(self, z):
+        return _KINDS[self.kind].contains(self, numkit.as_points(z))
 
-    def boundary_distance(self, z: complex) -> float:
-        return _KINDS[self.kind].boundary_distance(self, complex(z))
+    def boundary_distance(self, z):
+        return _KINDS[self.kind].boundary_distance(self, numkit.as_points(z))
 
     def boundary_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n nodes on the positively oriented boundary and their dz-weights."""
@@ -159,9 +159,9 @@ def _slit_root(z):
 
 
 def _require_interior(domain, *points) -> None:
-    """Raise DomainError naming the first point (Python complex, or the first
-    element of an array on the disk and the strip) that the kind's contains
-    refuses; domain may be a StripDouble.  A scalar's bool is read as it is."""
+    """Raise DomainError naming the first point (a Python complex, or the
+    first element of an array) that the kind's contains refuses; domain may
+    be a StripDouble.  A scalar's bool is read as it is."""
     spec = _KINDS[domain.kind]
     for p in points:
         inside = spec.contains(domain, p)
@@ -180,10 +180,19 @@ def _kind_function(kind, name: str, missing: str = "unknown domain kind {!r}") -
     return fn
 
 
-def green(domain: DomainDescriptor, z: complex, a: complex) -> float:
-    """Dirichlet Green function of the domain, positive inside, 0 on the boundary."""
-    z, a = complex(z), complex(a)
+def green(domain: DomainDescriptor, z, a):
+    """Dirichlet Green function of the domain, positive inside, 0 on the
+    boundary: a float at points (numbers or 0-d arrays), else an array of z
+    and a broadcast, whose errors name the first point that fails."""
     spec = _KINDS[domain.kind]
+    if (type(z) is not complex or type(a) is not complex) and (np.ndim(z) or np.ndim(a)):
+        z, a = (p.astype(complex) for p in np.broadcast_arrays(z, a))
+        _require_interior(domain, z, a)
+        pole = abs(z - a) < 1e-14 * (spec.size(domain, a) if spec.size else 1.0)
+        if pole.any():
+            raise PoleError(f"Green function pole at z = a = {numkit.first_where(pole, z)}")
+        return spec.green(domain, z, a)
+    z, a = complex(z), complex(a)
     if not (spec.contains(domain, z) and spec.contains(domain, a)):
         _require_interior(domain, z, a)   # raises, naming the first point outside
     if abs(z - a) < 1e-14 * (spec.size(domain, a) if spec.size else 1.0):
@@ -191,37 +200,48 @@ def green(domain: DomainDescriptor, z: complex, a: complex) -> float:
     return float(spec.green(domain, z, a))
 
 
-def green_z_derivative(domain: DomainDescriptor, z, a: complex):
-    """dG/dz in closed form (used by contour formulas), for a scalar or an
-    array of z.  A PoleError names the first z within green's pole bound of
-    a, or whose own evaluation raises (at an image of a)."""
-    spec, z, a = _KINDS[domain.kind], numkit.as_points(z), complex(a)
-    pole = 1e-14 * (spec.size(domain, a) if spec.size else 1.0)
+def green_z_derivative(domain: DomainDescriptor, z, a):
+    """dG/dz in closed form (used by contour formulas), for points or arrays
+    of z and a, broadcast.  A PoleError names the first z within green's
+    pole bound of its a, or whose evaluation raises (at an image of a)."""
+    spec, z, a = _KINDS[domain.kind], numkit.as_points(z), numkit.as_points(a)
     try:
-        if np.any(abs(z - a) < pole):
+        if np.any(abs(z - a) < 1e-14 * (spec.size(domain, a) if spec.size else 1.0)):
             raise PoleError
         val = spec.green_z_derivative(domain, z, a)
     except PoleError:
-        for p in np.ravel(z).tolist():
+        for p, q in zip(*(np.broadcast_to(v, np.broadcast(z, a).shape).ravel().tolist()
+                          for v in (z, a))):
             try:
-                if abs(p - a) < pole:
+                if abs(p - q) < 1e-14 * (spec.size(domain, q) if spec.size else 1.0):
                     raise PoleError
-                spec.green_z_derivative(domain, p, a)
+                spec.green_z_derivative(domain, p, q)
             except PoleError:
                 raise PoleError(f"dG/dz pole at z = {p}, on a or an image of a") from None
         raise
     return val if isinstance(val, np.ndarray) else complex(val)
 
 
-def robin_data(domain: DomainDescriptor, a: complex) -> GreenExpansion:
+def robin_data(domain: DomainDescriptor, a) -> GreenExpansion:
     """Robin function h0(a), coefficient h1(a) = dh0/da, and curvature.
 
     Closed forms on every kind: the simply connected ones (disk,
     half-plane, slit plane, rectangle) have curvature -4, the Liouville
-    case; the periodic strip's comes from its Bergman kernel.
+    case; the periodic strip's comes from its Bergman kernel.  An array a
+    gives three arrays of its shape, as green does.
     """
-    a = complex(a)
     spec = _KINDS[domain.kind]
+    if type(a) is not complex and np.ndim(a):
+        a = np.asarray(a, dtype=complex)
+        _require_interior(domain, a)
+        near = spec.boundary_distance(domain, a) < 1e-9 * (
+            spec.size(domain, a) if spec.size else 1.0)
+        if near.any():
+            raise ConditioningError(f"point too close to the boundary for Robin data: "
+                                    f"{numkit.first_where(near, a)}")
+        h0, h1, curvature = spec.robin(domain, a)
+        return GreenExpansion(h0, h1, np.full(a.shape, curvature))
+    a = complex(a)
     if not spec.contains(domain, a):
         _require_interior(domain, a)   # raises
     if spec.boundary_distance(domain, a) < 1e-9 * (spec.size(domain, a) if spec.size else 1.0):
@@ -230,15 +250,17 @@ def robin_data(domain: DomainDescriptor, a: complex) -> GreenExpansion:
     return GreenExpansion(float(h0), complex(h1), curvature)
 
 
-def h1_contour(domain: DomainDescriptor, a: complex, n: int = 256) -> complex:
-    """h1 from the contour formula 4*pi*i * oint (dG/dz)^2 dz.
+def h1_contour(domain: DomainDescriptor, a, n: int = 256):
+    """h1 from the contour formula 4*pi*i * oint (dG/dz)^2 dz at a point, or
+    at an array a from one table of integrands of shape a.shape + (n,).
 
     For the half-plane the contour is a truncated segment of the real
     axis; the truncation tail decays like the cube of the cutoff.
     """
-    a = complex(a)
+    a = numkit.as_points(a)
     _require_interior(domain, a)
-    val = numkit.contour_integral(lambda z: green_z_derivative(domain, z, a) ** 2,
+    column = a[..., None] if isinstance(a, np.ndarray) else a
+    val = numkit.contour_integral(lambda z: green_z_derivative(domain, z, column) ** 2,
                                   *domain.boundary_rule(n))
     return 4j * math.pi * val
 
@@ -576,9 +598,10 @@ def _disk_harmonic(d: DomainDescriptor, a: complex,
     return zs, _disk_poisson(d.R, a, zs) * ds
 
 
-def _slit_green(d: DomainDescriptor, z: complex, a: complex) -> float:
+def _slit_green(d: DomainDescriptor, z, a):
     w, wa = _slit_root(z), _slit_root(a)
-    return -math.log(abs((w - wa) / (w - wa.conjugate()))) / (2 * math.pi)
+    log = math.log if type(w) is complex else np.log
+    return -log(abs((w - wa) / (w - wa.conjugate()))) / (2 * math.pi)
 
 
 def _slit_dgdz(d: DomainDescriptor, z: complex, a: complex) -> complex:
@@ -587,10 +610,24 @@ def _slit_dgdz(d: DomainDescriptor, z: complex, a: complex) -> complex:
     return -(1.0 / (w - wa) - 1.0 / (w - wa.conjugate())) * dwdz / (4 * math.pi)
 
 
-def _slit_robin(d: DomainDescriptor, a: complex) -> tuple:
+def _slit_robin(d: DomainDescriptor, a) -> tuple:
     w = _slit_root(a)
-    return (math.log(4 * abs(w) * w.imag),
+    return ((math.log if type(w) is complex else np.log)(4 * abs(w) * w.imag),
             1.0 / (4 * a) + 1.0 / (4j * w * w.imag), -4.0)
+
+
+def _slit_contains(d, z):
+    """z off the ray [0, inf), |z| < SIZE_RANGE[1]."""
+    if type(z) is complex:
+        return abs(z) < SIZE_RANGE[1] and not (z.imag == 0 and z.real >= 0)
+    return (abs(z) < SIZE_RANGE[1]) & ((z.imag != 0) | (z.real < 0))
+
+
+def _slit_distance(d, z):
+    """The distance from z to the ray [0, inf)."""
+    if type(z) is complex:
+        return abs(z) if z.real <= 0 else abs(z.imag)
+    return np.where(z.real <= 0, abs(z), abs(z.imag))
 
 
 def _strip_tau_error(tau: complex) -> str | None:
@@ -619,13 +656,15 @@ def _strip_contains(d, z):
 @dataclass(frozen=True)
 class _Kind:
     """One domain kind as plain functions of its descriptor d.  The
-    optional operations are None where the kind has no closed form.  The
-    disk's operations also take numpy arrays of z and a, element by element,
-    the rectangle's green and every kind's green_z_derivative arrays of z."""
+    optional operations are None where the kind has no closed form.
+    contains, boundary_distance, green, robin and green_z_derivative take
+    Python complex points, giving Python numbers, or numpy arrays of z and
+    a, broadcast together and answered element by element.  A point keeps to
+    math and the builtins, except in the disk's closed forms, written once."""
 
     parse: Callable          # document dict -> DomainDescriptor
     to_dict: Callable        # d -> document dict
-    contains: Callable       # (d, z) -> bool
+    contains: Callable       # (d, z) -> bool, or a bool array
     boundary_distance: Callable  # (d, z) -> float, > 0 exactly inside
     green: Callable          # (d, z, a) -> float
     robin: Callable          # (d, a) -> (h0, h1, curvature)
@@ -669,12 +708,14 @@ _KINDS: dict[str, _Kind] = {
         parse=lambda data: DomainDescriptor.half_plane(),
         to_dict=lambda d: {"kind": "half_plane"},
         # the bound on |z| also rejects the inf and nan parts that z.imag > 0 lets pass
-        contains=lambda d, z: z.imag > 0 and abs(z) < SIZE_RANGE[1],
+        contains=lambda d, z: (z.imag > 0) & (abs(z) < SIZE_RANGE[1]),
         interior=f"Im z > 0, |z| < {SIZE_RANGE[1]:g}",
         boundary_distance=lambda d, z: z.imag,
         size=lambda d, a: abs(a) + SIZE_RANGE[0],
-        green=lambda d, z, a: -math.log(abs((z - a) / (z - a.conjugate()))) / (2 * math.pi),
-        robin=lambda d, a: (math.log(2 * a.imag), -0.5j / a.imag, -4.0),
+        green=lambda d, z, a: -(math.log if type(z) is complex else np.log)(
+            abs((z - a) / (z - a.conjugate()))) / (2 * math.pi),
+        robin=lambda d, a: ((math.log if type(a) is complex else np.log)(2 * a.imag),
+                            -0.5j / a.imag, -4.0),
         green_z_derivative=lambda d, z, a: (
             -(1.0 / (z - a) - 1.0 / (z - a.conjugate())) / (4 * math.pi)),
         # the real axis truncated to [-40, 40], positive orientation (domain
@@ -684,9 +725,9 @@ _KINDS: dict[str, _Kind] = {
     "slit_plane": _Kind(
         parse=lambda data: DomainDescriptor.slit_plane(),
         to_dict=lambda d: {"kind": "slit_plane"},
-        contains=lambda d, z: abs(z) < SIZE_RANGE[1] and not (z.imag == 0 and z.real >= 0),
+        contains=_slit_contains,
         interior=f"z off [0, inf), |z| < {SIZE_RANGE[1]:g}",
-        boundary_distance=lambda d, z: abs(z) if z.real <= 0 else abs(z.imag),
+        boundary_distance=_slit_distance,
         size=lambda d, a: abs(a) + SIZE_RANGE[0],
         green=_slit_green,
         robin=_slit_robin,
@@ -699,8 +740,9 @@ _KINDS: dict[str, _Kind] = {
         invalid=lambda d: ("rectangle sides must be positive" if d.w <= 0 or d.h <= 0
                            else f"grids are capped at {MAX_GRID}^2" if d.grid > MAX_GRID
                            else None),
-        contains=lambda d, z: 0 < z.real < d.w and 0 < z.imag < d.h,
-        boundary_distance=lambda d, z: min(z.real, d.w - z.real, z.imag, d.h - z.imag),
+        contains=lambda d, z: (0 < z.real) & (z.real < d.w) & (0 < z.imag) & (z.imag < d.h),
+        boundary_distance=lambda d, z: (min if type(z) is complex else np.minimum.reduce)(
+            (z.real, d.w - z.real, z.imag, d.h - z.imag)),
         size=lambda d, a: min(d.w, d.h),
         green=_rectangle_green,
         robin=_rectangle_robin,
@@ -717,7 +759,8 @@ _KINDS: dict[str, _Kind] = {
         invalid=lambda d: _strip_tau_error(d.tau),
         contains=_strip_contains,
         interior="-1/2 < Re z < 0, |Im z| <= 2^26 Im tau",
-        boundary_distance=lambda d, z: min(-z.real, z.real + 0.5),
+        boundary_distance=lambda d, z: (min if type(z) is complex else np.minimum)(
+            -z.real, z.real + 0.5),
         # green and robin_data have checked the points with contains, so the
         # strip calls schottky's unchecked evaluators
         green=lambda d, z, a: schottky._g_electro(z, a, _strip_lattice(d.tau)),

@@ -191,14 +191,15 @@ def _gamma_jet(a: complex, L: elliptic.TorusLattice) -> tuple:
     return log_th - L.log_abs_theta1_prime0, dth / th, z0
 
 
-def _robin(a: complex, L: elliptic.TorusLattice) -> tuple:
-    """(h0, h1, curvature) of G_electro at a on the double with lattice L,
-    unchecked: the curvature is -4 pi K_electro(a, a) e^{2 h0},
+def _robin(a, L: elliptic.TorusLattice) -> tuple:
+    """(h0, h1, curvature) of G_electro at a point or array a on the double
+    with lattice L, unchecked: the curvature is -4 pi K_electro(a, a) e^{2 h0},
     K_electro(a, a) = (wp(2 Re a) + eta1) / pi, wp summed at the jet's z0.
     The wp is kept out of gamma_electro: it has a pole on each wall."""
     h0, h1, z0 = _gamma_jet(a, L)
     ke = (elliptic._wp_reduced(z0, L) + L.eta1) / math.pi
-    return h0, h1, -4 * math.pi * ke.real * math.exp(2 * h0)
+    exp = math.exp if type(a) is complex else np.exp
+    return h0, h1, -4 * math.pi * ke.real * exp(2 * h0)
 
 
 def gamma_electro(a: complex, dbl: StripDouble) -> float:

@@ -746,3 +746,95 @@ def test_rectangle_wall_bound_is_relative_to_the_shorter_side():
     assert abs(pg.green(square, s * c, s * a) - pg.green(unit, c, a)) < 1e-13
     with pytest.raises(ConditioningError, match="too close to the boundary"):
         pg.robin_data(square, s * (0.5 + 1e-10j))
+
+
+def _polar(rng, r, shape):
+    return r * np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
+
+
+def _box(rng, x, y, shape):
+    return rng.uniform(*x, shape) + 1j * rng.uniform(*y, shape)
+
+
+# domain, interior points of a shape (a tenth of the domain's size from
+# its boundary), a point within 1e-9 of the size from the wall, and the
+# tolerance of array values against point values (0.0: the same path)
+_ARRAYS = {
+    "disk": (pg.DomainDescriptor.disk(2.0), lambda rng, s: _polar(rng, 1.8, s),
+             2 - 1e-12 + 0j, 1e-12),
+    "half_plane": (pg.DomainDescriptor.half_plane(),
+                   lambda rng, s: _box(rng, (-3, 3), (0.1, 3), s), 1 + 1e-12j, 1e-12),
+    "slit_plane": (pg.DomainDescriptor.slit_plane(),
+                   lambda rng, s: 0.2 + _polar(rng, 2.5, s) * (0.95 + 0.2j) - 1.5j,
+                   2 - 1e-12j, 1e-12),
+    "rectangle": (pg.DomainDescriptor.rectangle(2.0, 1.0),
+                  lambda rng, s: _box(rng, (0.1, 1.9), (0.1, 0.9), s), 0.5 + 1e-12j, 1e-12),
+    "periodic_strip": (pg.DomainDescriptor.periodic_strip(2j),
+                       lambda rng, s: _box(rng, (-0.45, -0.05), (-3, 3), s),
+                       -1e-12 + 0.5j, 1e-12),
+}
+
+
+def _close(array, points, tol):
+    points = np.array(points).reshape(array.shape)
+    if tol == 0.0:
+        return array.tobytes() == points.tobytes()
+    return bool(np.all(abs(array - points) <= tol * np.maximum(1.0, abs(points))))
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 4), ()], ids=str)
+@pytest.mark.parametrize("kind", sorted(_ARRAYS))
+def test_array_queries_match_point_queries(kind, shape):
+    dom, draw, _, tol = _ARRAYS[kind]
+    rng = np.random.default_rng(len(kind) + len(shape))
+    z, a = draw(rng, shape), draw(rng, shape)
+    assert np.all(dom.contains(z)) and np.all(dom.contains(a))
+    pairs = list(zip(np.ravel(z).tolist(), np.ravel(a).tolist()))
+    g, rd = pg.green(dom, z, a), pg.robin_data(dom, a)
+    point_g = [pg.green(dom, p, q) for p, q in pairs]
+    point_rd = [pg.robin_data(dom, q) for _, q in pairs]
+    if not shape:
+        # a 0-d array is a point: the point call's types and bits
+        assert type(g) is float and g == point_g[0]
+        assert (type(rd.h0), type(rd.h1), type(rd.curvature)) == (float, complex, float)
+        assert rd == point_rd[0]
+        return
+    assert g.shape == rd.h0.shape == rd.h1.shape == rd.curvature.shape == shape
+    assert (g.dtype, rd.h0.dtype, rd.h1.dtype, rd.curvature.dtype) == (
+        np.float64, np.float64, np.complex128, np.float64)
+    assert _close(g, point_g, tol)
+    # the rectangle's h0 sums the same theta series for a point and an array
+    assert _close(rd.h0, [r.h0 for r in point_rd], 0.0 if kind == "rectangle" else tol)
+    assert _close(rd.h1, [r.h1 for r in point_rd], tol)
+    assert _close(rd.curvature, [r.curvature for r in point_rd], tol)
+    # one point against an array broadcasts
+    assert _close(pg.green(dom, z, complex(a.flat[0])),
+                  [pg.green(dom, p, complex(a.flat[0])) for p, _ in pairs], tol)
+    if kind in ("disk", "half_plane"):
+        # one (..., n) table, summed along its last axis as each point's row
+        h1 = pg.h1_contour(dom, a, 128)
+        assert h1.shape == shape and h1.dtype == np.complex128
+        assert _close(h1, [pg.h1_contour(dom, q, 128) for _, q in pairs], 0.0)
+    else:
+        with pytest.raises(ParameterError, match="no boundary curve"):
+            pg.h1_contour(dom, a, 128)
+
+
+@pytest.mark.parametrize("kind", sorted(_ARRAYS))
+def test_array_queries_name_the_first_bad_point(kind):
+    dom, draw, near, _ = _ARRAYS[kind]
+    _, inside, (out1, said1), (out2, said2) = _OUTSIDE[kind]
+    other = complex(draw(np.random.default_rng(3), ()))
+    for call, said in ((lambda: pg.green(dom, np.array([inside, out2, out1]), other), said2),
+                       (lambda: pg.green(dom, other, np.array([inside, out1])), said1),
+                       (lambda: pg.robin_data(dom, np.array([[inside, out2], [out1, out1]])),
+                        said2)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == said
+    with pytest.raises(ConditioningError, match="too close to the boundary") as err:
+        pg.robin_data(dom, np.array([inside, near, near / 2]))
+    assert str(err.value).endswith(str(near))
+    with pytest.raises(PoleError) as err:
+        pg.green(dom, np.array([inside, other]), np.array([other, other]))
+    assert str(err.value).endswith(str(other))
