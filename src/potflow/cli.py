@@ -62,10 +62,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _load_json_arg(arg: str) -> dict:
     """Parse an inline JSON document or the contents of a file path.  An
     argument too long to be a path is parsed (os.path.exists is False where
@@ -165,10 +161,10 @@ def _cmd_fekete(args) -> int:
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "capacity.json").write_text(_json_dumps(report.to_dict()))
-        lines = ["n,index,re,im"]
-        for n in report.n_values:
-            for k, zk in enumerate(report.points[n]):
-                lines.append(f"{n},{k},{_fmt(zk.real)},{_fmt(zk.imag)}")
+        # "%.17g" % x is format(x, ".17g"), as in _cmd_vortex's rows
+        lines = ["n,index,re,im", *(
+            "%d,%d,%.17g,%.17g" % (n, k, zk.real, zk.imag)
+            for n in report.n_values for k, zk in enumerate(report.points[n].tolist()))]
         (outdir / "fekete_points.csv").write_text("\n".join(lines) + "\n")
     else:
         sys.stdout.write(_json_dumps(report.to_dict()) + "\n")

@@ -232,13 +232,14 @@ def discrete_energy(points: Sequence[complex], strengths: Sequence[float]) -> fl
 # ---------------------------------------------------------------------------
 
 _NEWTON_CAP = 100
+_ALPHAS = 0.5 ** np.arange(40)       # the line search's step fractions
 
 
-def _log_objective(z: np.ndarray, pole: complex | None) -> float:
-    """log of the Fekete product (pole factors included when finite)."""
+def _log_objective(z: np.ndarray, D: np.ndarray, pole: complex | None) -> float:
+    """log of the Fekete product of z, whose differences are
+    D = z[:, None] - z[None, :] (pole factors included when finite)."""
     n = len(z)
-    diff = np.abs(z[:, None] - z[None, :])
-    total = float(np.sum(np.log(diff[numkit.pair_indices(n)])))
+    total = float(np.sum(np.log(np.abs(D[numkit.pair_indices(n)]))))
     if pole is not None:
         total -= (n - 1) * float(np.sum(np.log(np.abs(z - pole))))
     return total
@@ -279,70 +280,97 @@ def _newton_step(A: np.ndarray, g: np.ndarray) -> np.ndarray:
         return V @ ((V.T @ g) / lam)
 
 
+def _project(K: CompactSet, edges: np.ndarray, t, dz, ddz, w):
+    """The piece k of each point, edges[k] <= t < edges[k + 1], and the list
+    of points held.  A point on a breakpoint, t == edges[k], takes the side
+    whose one-sided derivative ascends (the right when both do and g_right
+    >= -g_left) or is held; taking the left, it moves to the piece before
+    (t = 0 on a closed carrier to 1) in copies of t, dz and ddz."""
+    last = len(edges) - 1
+    k = np.searchsorted(edges, t, side="right") - 1
+    on = np.flatnonzero(t == edges[k])
+    held, moved = [], []
+    if on.size:                # gradients by numpy's arithmetic, sides on their floats
+        for i, ki, g_right, g_left in zip(
+                on.tolist(), k[on].tolist(), (dz[on] * w[on]).real.tolist(),
+                (K.jet(t[on], -1)[1] * w[on]).real.tolist()):
+            up_right = ki < last and g_right > 0
+            if ((ki > 0 or K.closed) and g_left < 0
+                    and not (up_right and g_right >= -g_left)):
+                k[i] = (ki if ki > 0 else last) - 1
+                moved.append(i)
+            elif not up_right:
+                held.append(i)
+    if moved:
+        t, dz, ddz = t.copy(), dz.copy(), ddz.copy()
+        t[moved] = edges[k[moved] + 1]
+        dz[moved], ddz[moved] = K.jet(t[moved], -1)[1:]
+    return t, dz, ddz, k, held
+
+
 def _newton_refine(K: CompactSet, ts: np.ndarray, pole: complex | None
                    ) -> tuple[np.ndarray, int, float]:
     """Projected Newton ascent (Bertsekas 1982) of the log Fekete product.
 
-    The breakpoints cut [0, 1] into pieces; a point on one takes the side
-    whose one-sided derivative ascends, or is held.  Steps are clipped to
-    each point's piece.  Without a pole, the rotation null mode of a round
-    carrier is deflated before ``_newton_step``.  Returns the parameters,
-    the accepted steps and the free gradient's inf-norm at exit.
+    The breakpoints cut [0, 1] into pieces; ``_project`` gives the points
+    on a breakpoint, and only those, a side.  Steps are clipped to each
+    point's piece.  Each accepted iterate is evaluated once: the line search
+    hands its jet and differences on.  Without a pole, the rotation null
+    mode of a round carrier is deflated before ``_newton_step``.  Returns
+    the parameters, the accepted steps and the free gradient's inf-norm at
+    exit.
     """
     n, closed = len(ts), K.closed
     rotates = pole is None and _CARRIERS[K.kind].rotates(K)
     breaks = tuple(_CARRIERS[K.kind].breaks(K))
     # pieces run between consecutive edges; a closed carrier wraps at 1
-    edges = np.array(breaks + (1.0,) if closed and breaks
-                     else breaks or (-np.inf, np.inf))
+    edges = np.array(breaks + (1.0,) if closed else breaks)
     last, eye = len(edges) - 1, np.eye(n)
     t, order = ts, np.argsort(ts)
-    f = _log_objective(K.jet(t)[0], pole)
+    lo, hi, held = -np.inf, np.inf, []      # without breakpoints: one piece
+    z, dz, ddz = K.jet(t)
+    D = z[:, None] - z[None, :]
+    f = _log_objective(z, D, pole)
     for steps in range(_NEWTON_CAP + 1):
-        z, dz, ddz = K.jet(t, 1)
-        inv = 1.0 / (z[:, None] - z[None, :] + eye) - eye
+        inv = 1.0 / (D + eye) - eye
         inv2 = inv * inv
         # the gradient is Re(z_i' w_i); q_i = -dw_i/dz_i enters the Hessian
         w, q = inv.sum(axis=1), inv2.sum(axis=1)
         if pole is not None:
             ip = 1.0 / (z - pole)
             w, q = w - (n - 1) * ip, q - (n - 1) * ip * ip
-
-        # the piece after each point; points on a breakpoint pick a side
-        k = np.searchsorted(edges, t, side="right") - 1
-        at_break = t == edges[k]
-        dz_left = K.jet(t, -1)[1] if at_break.any() else dz
-        g_right, g_left = (dz * w).real, (dz_left * w).real
-        up_right = (k < last) & (g_right > 0)
-        left = (at_break & ((k > 0) | closed) & (g_left < 0)
-                & ~(up_right & (g_right >= -g_left)))
-        held = at_break & ~up_right & ~left
-        k = np.where(left, np.where(k > 0, k, last) - 1, k)
-        lo, hi = edges[k], edges[np.minimum(k + 1, last)]
-        if left.any():
-            t = np.where(left, hi, t)      # t = 0 on a closed carrier becomes 1
-            dz, ddz = K.jet(t, np.where(left, -1, 1))[1:]
-
-        free = np.flatnonzero(~held)
-        g = (dz * w).real[free]
+        if breaks:
+            t, dz, ddz, k, held = _project(K, edges, t, dz, ddz, w)
+            lo, hi = edges[k], edges[np.minimum(k + 1, last)]
+        if held:
+            free = np.delete(np.arange(n), held)
+        # contiguous: np.linalg.solve rounds a strided right side differently
+        g = (dz * w).real[free] if held else (dz * w).real.copy()
         grad_norm = float(np.max(np.abs(g), initial=0.0))
-        if steps == _NEWTON_CAP or free.size == 0:
+        if steps == _NEWTON_CAP or g.size == 0:
             break
         H = (dz[:, None] * dz[None, :] * inv2).real
         np.fill_diagonal(H, (ddz * w - dz * dz * q).real)
-        A = -H[np.ix_(free, free)]
+        A = -H[free][:, free] if held else -H
         if rotates:                    # the mean diagonal times the projector on ones
-            A += np.trace(A) / (free.size * free.size)
-        step = np.zeros(n)
-        step[free] = _newton_step(A, g)
-        if g @ step[free] <= 1e-15 * abs(f):       # Newton decrement at roundoff
+            A += np.trace(A) / (g.size * g.size)
+        step = _newton_step(A, g)
+        if g @ step <= 1e-15 * abs(f):             # Newton decrement at roundoff
             break
+        if held:                                   # held points stay
+            step, free_step = np.zeros(n), step
+            step[free] = free_step
         with np.errstate(divide="ignore"):          # coincident trial points
-            for alpha in 0.5 ** np.arange(40):
-                trial = np.clip(t + alpha * step, lo, hi)   # held points stay
-                trial = np.mod(trial, 1.0) if closed else trial
-                ordered = closed or np.all(np.diff(trial[order]) > 0)
-                f_trial = _log_objective(K.jet(trial)[0], pole) if ordered else -np.inf
+            for alpha in _ALPHAS:
+                trial = np.clip(t + alpha * step, lo, hi)
+                if closed:
+                    trial = np.mod(trial, 1.0)
+                elif not (trial[order][1:] > trial[order][:-1]).all():
+                    continue                         # points out of order
+                # the accepted trial's jet and differences are the next iterate's
+                z, dz, ddz = K.jet(trial)
+                D = z[:, None] - z[None, :]
+                f_trial = _log_objective(z, D, pole)
                 if f_trial > f:
                     break
             else:
@@ -378,7 +406,7 @@ def _fekete_from_start(K: CompactSet, start: np.ndarray, pole: complex | None,
         counters.setdefault("newton_iterations", []).append(iterations)
         counters.setdefault("grad_norm", []).append(grad_norm)
     zs = K.jet(ts)[0]
-    log_delta = 2.0 * _log_objective(zs, pole) / (n * (n - 1))
+    log_delta = 2.0 * _log_objective(zs, zs[:, None] - zs[None, :], pole) / (n * (n - 1))
     if not -700.0 < log_delta < 700.0:
         raise ParameterError("pole too far from or too near the carrier: "
                              "delta_n leaves the floating-point range")

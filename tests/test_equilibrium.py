@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -296,6 +297,89 @@ def test_cholesky_step_equals_the_floored_step_on_deflated_circle_rungs(monkeypa
         expected = _floored_step(A, g)
         np.testing.assert_allclose(step(A, g), expected, rtol=0,
                                    atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_ladder_evaluates_each_iterate_once(monkeypatch):
+    # the line search hands the accepted trial's jet and differences to the
+    # next iteration.  The jets left are the Leja start's, one at each rung's
+    # start and end, one per trial and, on the segment, one left-sided jet
+    # per iteration at its two end points
+    calls = {"jet": 0, "objective": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(eq, "_log_objective", counted("objective", eq._log_objective))
+    for kind in ("circle", "segment"):
+        monkeypatch.setitem(eq._CARRIERS, kind, dataclasses.replace(
+            eq._CARRIERS[kind], jet=counted("jet", eq._CARRIERS[kind].jet)))
+    for K, expected in ((eq.CompactSet.circle(1.0), (31, 30, 12)),
+                        (eq.CompactSet.segment(2.0), (108, 58, 40))):
+        calls.update(jet=0, objective=0)
+        rep = eq.transfinite_diameter(K, n_max=64)
+        assert (calls["jet"], calls["objective"], sum(rep.newton_iterations)) == expected
+
+
+def _side_masks(K, edges, t, dz, w):
+    """The side choice over all points that ``_project`` replaced: the piece
+    k after the move, and the masks of the points moved left and held."""
+    last = len(edges) - 1
+    k = np.searchsorted(edges, t, side="right") - 1
+    at_break = t == edges[k]
+    g_right, g_left = (dz * w).real, (K.jet(t, -1)[1] * w).real
+    up_right = (k < last) & (g_right > 0)
+    left = (at_break & ((k > 0) | K.closed) & (g_left < 0)
+            & ~(up_right & (g_right >= -g_left)))
+    held = at_break & ~up_right & ~left
+    return np.where(left, np.where(k > 0, k, last) - 1, k), left, held
+
+
+@pytest.mark.parametrize("K, edges, inner", [
+    (eq.CompactSet.segment(2.0), (0.0, 1.0), (0.25, 0.7)),
+    (_RECTANGLE, (0.0, 1 / 3, 0.5, 5 / 6, 1.0), (0.1, 0.4, 0.9))],
+    ids=["segment", "rectangle"])
+def test_breakpoint_projection_matches_the_side_masks(K, edges, inner):
+    edges = np.array(edges)
+    breaks = edges[:-1] if K.closed else edges
+    assert tuple(eq._CARRIERS[K.kind].breaks(K)) == tuple(breaks)
+    t = np.array(sorted(set(breaks) | set(inner)))
+    z, dz, ddz = K.jet(t)
+    # a Leja start is read only, and the iterate's arrays are never written
+    t.flags.writeable = dz.flags.writeable = ddz.flags.writeable = False
+    seen = set()
+    rng = np.random.default_rng(45)
+    for draw in range(400):
+        # on the integer lattice the one-sided gradients tie and vanish exactly
+        w = np.array([1, 1j]) @ (rng.standard_normal((2, len(t))) if draw % 2
+                                 else rng.integers(-2, 3, (2, len(t))))
+        t_new, dz_new, ddz_new, k, held = eq._project(K, edges, t, dz, ddz, w)
+        k_old, left, held_old = _side_masks(K, edges, t, dz, w)
+        assert k.tolist() == k_old.tolist()
+        assert held == np.flatnonzero(held_old).tolist()
+        hi = edges[np.minimum(k_old + 1, len(edges) - 1)]
+        np.testing.assert_array_equal(t_new, np.where(left, hi, t))
+        _, dz_old, ddz_old = K.jet(t_new, np.where(left, -1, 1))
+        np.testing.assert_array_equal(dz_new, dz_old)
+        np.testing.assert_array_equal(ddz_new, ddz_old)
+        g_right, g_left = (dz * w).real, (K.jet(t, -1)[1] * w).real
+        both = (g_right > 0) & (g_left < 0)
+        on = np.isin(t, breaks)
+        seen |= {("held", bool(x)) for x in held_old[on]}
+        seen |= {("left", bool(x)) for x in left[on]}
+        seen |= {("both ascend, left", bool(x)) for x in left[both]}
+        seen |= {("tie, left", bool(x)) for x in left[both & (g_right == -g_left)]}
+        seen |= {("t=0 to 1", bool(x)) for x in left & (t == 0.0) & (t_new == 1.0)}
+    # every case is reached: held, moved and right-going points and, on the
+    # rectangle, both sides ascending with either one winning, a tie going
+    # right, and t = 0 moving to 1
+    expected = {("held", True), ("held", False), ("left", True), ("left", False)}
+    if K.closed:
+        expected |= {("both ascend, left", True), ("both ascend, left", False),
+                     ("tie, left", False), ("t=0 to 1", True)}
+    assert expected <= seen, seen
 
 
 def test_ladder_monotone_and_capacity_circle():
