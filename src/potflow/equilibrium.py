@@ -309,7 +309,7 @@ def _project(K: CompactSet, edges: np.ndarray, t, dz, ddz, w):
 
 
 def _newton_refine(K: CompactSet, ts: np.ndarray, pole: complex | None
-                   ) -> tuple[np.ndarray, int, float]:
+                   ) -> tuple[np.ndarray, float, int, float]:
     """Projected Newton ascent (Bertsekas 1982) of the log Fekete product.
 
     The breakpoints cut [0, 1] into pieces; ``_project`` gives the points
@@ -317,8 +317,8 @@ def _newton_refine(K: CompactSet, ts: np.ndarray, pole: complex | None
     point's piece.  Each accepted iterate is evaluated once: the line search
     hands its jet and differences on.  Without a pole, the rotation null
     mode of a round carrier is deflated before ``_newton_step``.  Returns
-    the parameters, the accepted steps and the free gradient's inf-norm at
-    exit.
+    the last accepted iterate's points and log Fekete product, the accepted
+    steps and the free gradient's inf-norm at exit.
     """
     n, closed = len(ts), K.closed
     rotates = pole is None and _CARRIERS[K.kind].rotates(K)
@@ -368,15 +368,15 @@ def _newton_refine(K: CompactSet, ts: np.ndarray, pole: complex | None
                 elif not (trial[order][1:] > trial[order][:-1]).all():
                     continue                         # points out of order
                 # the accepted trial's jet and differences are the next iterate's
-                z, dz, ddz = K.jet(trial)
-                D = z[:, None] - z[None, :]
-                f_trial = _log_objective(z, D, pole)
+                zt, dzt, ddzt = K.jet(trial)
+                Dt = zt[:, None] - zt[None, :]
+                f_trial = _log_objective(zt, Dt, pole)
                 if f_trial > f:
                     break
             else:
                 break                                # no step raises f
-        t, f = trial, f_trial
-    return np.mod(t, 1.0) if closed else t, steps, grad_norm
+        t, f, z, dz, ddz, D = trial, f_trial, zt, dzt, ddzt, Dt
+    return z, f, steps, grad_norm
 
 
 def fekete_points(K: CompactSet, n: int,
@@ -389,7 +389,7 @@ def fekete_points(K: CompactSet, n: int,
     if n < 2:
         raise ParameterError("need at least two points")
     _check_pole(K, pole)
-    return _fekete_from_start(K, _leja_start(K, n, pole), pole, None)
+    return _fekete_from_start(K, _leja_start(K, n, pole), pole)[:2]
 
 
 def _check_pole(K: CompactSet, pole: complex | None) -> None:
@@ -397,20 +397,17 @@ def _check_pole(K: CompactSet, pole: complex | None) -> None:
         raise ParameterError("pole must lie off the carrier set")
 
 
-def _fekete_from_start(K: CompactSet, start: np.ndarray, pole: complex | None,
-                       counters: dict | None) -> tuple[np.ndarray, float]:
-    """``fekete_points`` refined from the given Leja start parameters."""
+def _fekete_from_start(K: CompactSet, start: np.ndarray, pole: complex | None
+                       ) -> tuple[np.ndarray, float, int, float]:
+    """``fekete_points`` refined from the given Leja start parameters, with
+    the accepted Newton steps and the gradient's inf-norm at exit."""
     n = len(start)
-    ts, iterations, grad_norm = _newton_refine(K, start, pole)
-    if counters is not None:
-        counters.setdefault("newton_iterations", []).append(iterations)
-        counters.setdefault("grad_norm", []).append(grad_norm)
-    zs = K.jet(ts)[0]
-    log_delta = 2.0 * _log_objective(zs, zs[:, None] - zs[None, :], pole) / (n * (n - 1))
+    zs, f, iterations, grad_norm = _newton_refine(K, start, pole)
+    log_delta = 2.0 * f / (n * (n - 1))
     if not -700.0 < log_delta < 700.0:
         raise ParameterError("pole too far from or too near the carrier: "
                              "delta_n leaves the floating-point range")
-    return zs, math.exp(log_delta)
+    return zs, math.exp(log_delta), iterations, grad_norm
 
 
 _DEFAULT_LADDER = (4, 6, 8, 12, 16, 24, 32, 48, 64)
@@ -446,11 +443,12 @@ def transfinite_diameter(K: CompactSet, pole: complex | None = None,
     # points of the largest rung's, so the greedy choice runs once
     start = _leja_start(K, ns[-1], pole)
     start.flags.writeable = False
-    deltas, deltas_sq, points, counters = [], [], {}, {}
+    deltas, deltas_sq, points, iterations, grad_norms = [], [], {}, [], []
     for n in ns:
-        zs, dn = _fekete_from_start(K, start[:n], pole, counters)
-        points[n] = zs
+        points[n], dn, steps, grad_norm = _fekete_from_start(K, start[:n], pole)
         deltas.append(dn)
+        iterations.append(steps)
+        grad_norms.append(grad_norm)
         # the 2/n^2 normalization, dn^((n-1)/n), ties the ladder to the discrete energy
         deltas_sq.append(dn ** ((n - 1) / n))
 
@@ -467,7 +465,7 @@ def transfinite_diameter(K: CompactSet, pole: complex | None = None,
     gamma = -math.log(delta)
     energy = -math.log(delta_sq) / (4 * math.pi)
     return CapacityReport(ns, deltas, delta, gamma, math.exp(-gamma), energy,
-                          points=points, **counters)
+                          iterations, grad_norms, points)
 
 
 # ---------------------------------------------------------------------------

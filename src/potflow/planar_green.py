@@ -5,10 +5,11 @@ with G = (1/2pi)(-log|z-a| + H(z,a)), so the harmonic-measure density
 -dG/dn has unit total mass.  Robin data (h0, h1) follows the expansion
 H(z,a) = h0(a) + Re(h1(a)(z-a)) + O((z-a)^2) with h1 = dh0/da.
 
-Every kind answers in closed form: the rectangle's Schottky double (its
-reflections in the four sides) is the torus with periods 2w and 2ih, so
-its G is a theta1 quotient on the lattice (1, i h/w).  Its eigenfunction
-series and 5-point finite-difference Green function remain as oracles.
+Every kind answers in closed form.  The Schottky doubles of the rectangle
+(its reflections in the four sides: periods 2w and 2ih) and of the periodic
+strip are rectangular tori, so both kinds' G is one signed sum of
+log|theta1| over the images of a.  The rectangle's eigenfunction series and
+5-point finite-difference Green function remain as oracles.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ MAX_GRID = 512
 # Strip points have |Im z| <= STRIP_IM_MAX Im tau: the reduction of Im z
 # modulo Im tau then keeps at least half the significand
 STRIP_IM_MAX = 2.0 ** 26
+_TWO_PI = np.float64(2 * math.pi)
 
 
 def size_error(name: str, *sizes: float) -> str | None:
@@ -308,34 +310,87 @@ def szego_disk(z, a: complex):
 
 
 # ---------------------------------------------------------------------------
-# rectangle: closed forms on the torus double
+# the rectangle and the periodic strip: image sums on the torus double
 # ---------------------------------------------------------------------------
 
-def _rectangle_double(ratio: float) -> elliptic.TorusLattice:
-    """The lattice (1, i ratio) of the double of a rectangle of height /
-    width = ratio >= 1, from the cache of ``elliptic.lattice_constants``."""
-    if ratio > elliptic._MAX_IM_TAU:
-        raise ParameterError(f"rectangle aspect ratio {ratio:.6g} exceeds "
-                             f"{elliptic._MAX_IM_TAU:g}, the theta series' limit")
-    return elliptic.lattice_constants(1j * ratio)
+def _image_green(z, images, p: float, L: elliptic.TorusLattice):
+    """G = -(1/2pi) sum_j s_j log|theta1((z - b_j) / p)| on the double with
+    lattice L and period p, over ``images``, the triples (s_j, b_j, part_j)
+    with a first and signs that sum to 0, at points or arrays of z and a,
+    unchecked.  Each log is taken at the reduced z0 = (z - b_j) / p - m - n
+    tau: the images pair up across the signs by Im b_j (a with -conj a, -a
+    with conj a), so the shift terms pi Im(tau) n^2 + 2 pi n Im z0 cancel
+    exactly.  Each sign's logs are summed first, so that equal ones cancel
+    exactly too.  A PoleError names the first z within 1e-13 p of an image
+    of a."""
+    lg = [-0.0, -0.0]     # per sign; -0.0 + x is x
+    for s, b, _ in images:
+        w = (z - b) / p
+        try:
+            z0, _, _, _, lw = elliptic._theta_jet(w, L, log="z0")
+        except PoleError:   # theta1(z0) = 0 where z0 = 0
+            z0 = elliptic.reduce_to_cell(w, L.tau)[0]
+        near = abs(z0) < 1e-13
+        if near.any() if isinstance(near, np.ndarray) else near:
+            bad = complex(numkit.first_where(near, np.broadcast_to(z, np.shape(near))))
+            raise PoleError(f"torus Green function pole at z = {bad}, on a or an image of a")
+        lg[s < 0] += lw
+    # y - x for -(x - y) gives G = 0 as +0.0; a point's np.float64 G rounds
+    # its products with complex numbers as an array's elements do
+    return (lg[1] - lg[0]) / _TWO_PI
+
+
+def _image_dgdz(z, images, p: float, L: elliptic.TorusLattice):
+    """dG/dz = -(1/4 pi p) sum_j s_j (theta1'/theta1)((z - b_j) / p),
+    unchecked; a point takes the array path, so that it rounds as an
+    array's element."""
+    w, val = np.atleast_1d(z), -0j
+    for s, b, _ in images:
+        r = elliptic.theta1_log_derivative((w - b) / p, L)
+        val = val + r if s > 0 else val - r
+    val = -val / (4 * math.pi * p)
+    return complex(val[0]) if numkit.is_scalar(z) and numkit.is_scalar(images[0][1]) else val
+
+
+def _image_robin(a, images, p: float, L: elliptic.TorusLattice) -> tuple:
+    """(h0, h1, z0) at a point or array a, unchecked: h0 = lim 2 pi G +
+    log|z - a| and h1 = dh0/da from one jet per image after a, and z0 the
+    last one's reduced (a - b_j) / p.  Image j adds -s_j P(theta1'/theta1)
+    / p at (a - b_j) / p to h1, with P given by part_j: the identity for
+    -a, i Im for conj(a) and Re for -conj(a) (a float: the strip's h1 =
+    -0j - x has Im -0.0)."""
+    h0, h1 = math.log(p) - L.log_abs_theta1_prime0, -0j
+    for s, b, part in images[1:]:
+        z0, _, th, dth, lg = elliptic._theta_jet((a - b) / p, L, value=True, prime=True, log="z")
+        r = dth / th
+        r = r.real if part == "real" else 1j * r.imag if part == "imag" else r
+        h0, h1 = h0 - s * lg, h1 - s * r / p
+    return h0, h1, z0
 
 
 def _rectangle_frame(d: DomainDescriptor, *points):
     """(flip, lattice, width, height, points) in the frame where the
     rectangle is at least as tall as wide: a wide one is flipped through
     z -> i conj(z), which keeps G and h0 and maps dG/dz and h1 to
-    -i conj(.).  Below, th(s) = theta1(s / p) with the period p = 2 width."""
+    -i conj(.).  Its double has the periods p = 2 width and 2i height."""
     flip = d.w > d.h
     width, height = (d.h, d.w) if flip else (d.w, d.h)
-    return (flip, _rectangle_double(height / width), width, height,
+    if height / width > elliptic._MAX_IM_TAU:
+        raise ParameterError(f"rectangle aspect ratio {height / width:.6g} exceeds "
+                             f"{elliptic._MAX_IM_TAU:g}, the theta series' limit")
+    return (flip, elliptic.lattice_constants(1j * (height / width)), width, height,
             [1j * z.conjugate() if flip else z for z in points])
 
 
+def _rectangle_images(a):   # a and its images in the sides x = 0 and y = 0
+    ac = a.conjugate()
+    return ((1, a, None), (1, -a, None), (-1, ac, "imag"), (-1, -ac, "real"))
+
+
 def _rectangle_green(d: DomainDescriptor, z, a):
-    """G = -(1/2pi) log|th(z-a) th(z+a) / (th(z-conj a) th(z+conj a))|, the
-    images of a in the sides.  It is exactly 0 on x = 0 and y = 0, where the
-    factors pair up as conjugates, so z is first moved into the lower-left
-    quarter by the reflections in the midlines, which leave G unchanged."""
+    """G is exactly 0 on x = 0 and y = 0, where the images pair up as
+    conjugates, so z is first moved into the lower-left quarter by the
+    reflections in the midlines, which leave G unchanged."""
     _, L, width, height, (z, a) = _rectangle_frame(d, z, a)
     for out, mirror in ((z.real > width / 2, lambda s: width - s.conjugate()),
                         (z.imag > height / 2, lambda s: s.conjugate() + 1j * height)):
@@ -343,30 +398,18 @@ def _rectangle_green(d: DomainDescriptor, z, a):
             z, a = np.where(out, mirror(z), z), np.where(out, mirror(a), a)
         elif out:
             z, a = mirror(z), mirror(a)
-    ac = a.conjugate()
-    t = lambda s: elliptic.log_abs_theta1(s / (2 * width), L)
-    return -((t(z - a) + t(z + a)) - (t(z - ac) + t(z + ac))) / (2 * math.pi)
+    return _image_green(z, _rectangle_images(a), 2 * width, L)
 
 
 def _rectangle_dgdz(d: DomainDescriptor, z, a):
     flip, L, width, _, (z, a) = _rectangle_frame(d, z, a)
-    ac, p = a.conjugate(), 2 * width
-    r = lambda s: elliptic.theta1_log_derivative(s / p, L)
-    val = -(r(z - a) + r(z + a) - r(z - ac) - r(z + ac)) / (4 * math.pi * p)
+    val = _image_dgdz(z, _rectangle_images(a), 2 * width, L)
     return -1j * val.conjugate() if flip else val
 
 
-def _rectangle_robin(d: DomainDescriptor, a: complex) -> tuple:
-    """h0 = -log|th'(0)| - log|th(2a)| + log|th(2i Im a)| + log|th(2 Re a)|,
-    the limit of 2 pi G + log|z - a| at z = a, and its a-derivative h1."""
+def _rectangle_robin(d: DomainDescriptor, a) -> tuple:
     flip, L, width, _, (a,) = _rectangle_frame(d, a)
-    p = 2 * width
-    u = [s / p for s in (2 * a, 2j * a.imag, 2 * a.real)]
-    t = [elliptic.log_abs_theta1(s, L) for s in u]
-    r = [elliptic.theta1_log_derivative(s, L) / p for s in u]
-    # theta1'(0) is real and positive on the rectangular lattice
-    h0 = math.log(p) - math.log(L.theta1_prime0.real) - t[0] + t[1] + t[2]
-    h1 = -r[0] + 1j * r[1].imag + r[2].real
+    h0, h1, _ = _image_robin(a, _rectangle_images(a), 2 * width, L)
     return h0, -1j * h1.conjugate() if flip else h1, -4.0
 
 
@@ -646,6 +689,20 @@ def _strip_lattice(tau: complex) -> elliptic.TorusLattice:
     return elliptic.lattice_constants(1j * tau.imag)
 
 
+def _strip_images(a):   # a, and J(a) = -conj(a) of sign -1
+    return ((1, a, None), (-1, -a.conjugate(), "real"))
+
+
+def _strip_robin(d, a) -> tuple:
+    """(h0, h1, curvature) of the strip d (a descriptor or StripDouble) at a,
+    unchecked: the curvature is -4 pi K_electro(a, a) e^{2 h0}, K_electro(a,
+    a) = (wp(2 Re a) + eta1) / pi with wp summed at the jet's reduced z0."""
+    L = _strip_lattice(d.tau)
+    h0, h1, z0 = _image_robin(a, _strip_images(a), 1.0, L)
+    ke = (elliptic._wp_reduced(z0, L) + L.eta1) / math.pi
+    return h0, h1, -4 * math.pi * ke.real * (math.exp if type(a) is complex else np.exp)(2 * h0)
+
+
 def _strip_contains(d, z):
     """Whether z lies in the open strip -1/2 < Re z < 0, |Im z| <= STRIP_IM_MAX
     Im d.tau of d, a strip's descriptor or StripDouble (elementwise for an
@@ -761,18 +818,13 @@ _KINDS: dict[str, _Kind] = {
         interior="-1/2 < Re z < 0, |Im z| <= 2^26 Im tau",
         boundary_distance=lambda d, z: (min if type(z) is complex else np.minimum)(
             -z.real, z.real + 0.5),
-        # green and robin_data have checked the points with contains, so the
-        # strip calls schottky's unchecked evaluators
-        green=lambda d, z, a: schottky._g_electro(z, a, _strip_lattice(d.tau)),
-        robin=lambda d, a: schottky._robin(a, _strip_lattice(d.tau)),
-        green_z_derivative=lambda d, z, a: schottky._g_electro_dz(z, a, _strip_lattice(d.tau)),
+        green=lambda d, z, a: _image_green(z, _strip_images(a), 1.0, _strip_lattice(d.tau)),
+        robin=_strip_robin,
+        green_z_derivative=lambda d, z, a: _image_dgdz(z, _strip_images(a), 1.0,
+                                                       _strip_lattice(d.tau)),
     ),
 }
 
 # the unit disk, for the functions defined on it alone
 UNIT_DISK = DomainDescriptor.disk(1.0)
 
-
-# schottky imports this module at its top, so this module imports schottky
-# at its end, when everything here is defined, whichever is imported first
-from . import schottky  # noqa: E402

@@ -10,7 +10,10 @@ there).  Closed forms:
 
     K_electro(z,a) = (wp(z + conj a) + eta1)/pi,
     K_hydro = K_electro - 2/Im tau,      K_double = 1/Im tau,
-    G_electro(z,a) = G_double(z,a) - G_double(z, J(a)).
+    G_electro(z,a) = G_double(z,a) - G_double(z, J(a))
+                   = -(1/2pi) log|theta1(z - a) / theta1(z + conj a)|,
+
+the image sum that planar_green evaluates for the strip and the rectangle.
 
 The harmonic measure of the x = -1/2 boundary component is u1(z) = -2x.
 """
@@ -159,67 +162,22 @@ def g_electro_strip(z, a, dbl: StripDouble):
     scalars or arrays of z and a (broadcast together)."""
     z, a = numkit.as_points(z), numkit.as_points(a)
     planar_green._require_interior(dbl, z, a)
-    return _g_electro(z, a, dbl.lattice)
-
-
-def _g_electro(z, a, L: elliptic.TorusLattice):
-    """G_double(z, a) - G_double(z, J(a)) on the strip's double with lattice
-    L, for a Python complex or a complex array a: g_electro_strip without
-    the point check, and continued smoothly a little across the walls."""
-    return (surface.torus_monopole_green(z, a, L)
-            - surface.torus_monopole_green(z, -a.conjugate(), L))
-
-
-def _g_electro_dz(z, a, L: elliptic.TorusLattice):
-    """dG_electro/dz = -(r(z - a) - r(z + conj a)) / 4 pi, r = theta1'/theta1,
-    unchecked (PoleError at z = a mod lattice): the monopoles' Im^2 terms
-    cancel, as Im(z - a) = Im(z + conj a).  A scalar z takes the array path,
-    as numpy's complex division rounds unlike Python's."""
-    w, r = np.atleast_1d(z), lambda s: elliptic.theta1_log_derivative(s, L)
-    val = -(r(w - a) - r(w + a.conjugate())) / (4 * math.pi)
-    return complex(val[0]) if numkit.is_scalar(z) else val
-
-
-def _gamma_jet(a: complex, L: elliptic.TorusLattice) -> tuple:
-    """(gamma_electro, gamma_electro_gradient, z0) at a on the double with
-    lattice L, unchecked: h0 = log|theta1(2 Re a) / theta1'(0)| and h1 =
-    (theta1'/theta1)(2 Re a), from one reduction 2 Re a = z0 + m + n tau and
-    one sum of each theta series.  The log raises PoleError where
-    theta1(2 Re a) underflows to 0."""
-    z0, _, th, dth, log_th = elliptic._theta_jet(2 * a.real, L,
-                                                 value=True, prime=True, log="z")
-    return log_th - L.log_abs_theta1_prime0, dth / th, z0
-
-
-def _robin(a, L: elliptic.TorusLattice) -> tuple:
-    """(h0, h1, curvature) of G_electro at a point or array a on the double
-    with lattice L, unchecked: the curvature is -4 pi K_electro(a, a) e^{2 h0},
-    K_electro(a, a) = (wp(2 Re a) + eta1) / pi, wp summed at the jet's z0.
-    The wp is kept out of gamma_electro: it has a pole on each wall."""
-    h0, h1, z0 = _gamma_jet(a, L)
-    ke = (elliptic._wp_reduced(z0, L) + L.eta1) / math.pi
-    exp = math.exp if type(a) is complex else np.exp
-    return h0, h1, -4 * math.pi * ke.real * exp(2 * h0)
+    return planar_green._image_green(z, planar_green._strip_images(a), 1.0, dbl.lattice)
 
 
 def gamma_electro(a: complex, dbl: StripDouble) -> float:
-    """Robin function of G_electro, gamma(a) = log|theta1(2 Re a)/theta1'(0)|.
-
-    From the diagonal limit of 2 pi G_electro + log|z-a|: the log-singularity
-    subtraction leaves 2 pi c(tau) from the first monopole term, and
-    -2 pi G_double(a, J(a)) contributes -log|theta1(2 Re a)/theta1'(0)|
-    minus the same constant, which therefore cancels.
-    """
+    """Robin function of G_electro, gamma(a) = log|theta1(2 Re a)/theta1'(0)|,
+    the limit of 2 pi G_electro + log|z - a| at z = a (a + conj a = 2 Re a)."""
     a = complex(a)
     planar_green._require_interior(dbl, a)
-    return _gamma_jet(a, dbl.lattice)[0]
+    return planar_green._image_robin(a, planar_green._strip_images(a), 1.0, dbl.lattice)[0]
 
 
 def gamma_electro_gradient(a: complex, dbl: StripDouble) -> complex:
     """h1 = d gamma_electro / da = (theta1'/theta1)(2 Re a) (real lattice)."""
     a = complex(a)
     planar_green._require_interior(dbl, a)
-    return _gamma_jet(a, dbl.lattice)[1]
+    return planar_green._image_robin(a, planar_green._strip_images(a), 1.0, dbl.lattice)[1]
 
 
 def g_hydro_strip(z, a, dbl: StripDouble, p: float = 0.0):
@@ -256,14 +214,14 @@ def hydro_circulation(a: complex, dbl: StripDouble, p: float = 0.0) -> float:
 def _g_hydro_extended(z, a, dbl: StripDouble, p: float):
     """g_hydro continued smoothly a little across the strip walls (a scalar
     or an array of z), unchecked."""
-    return (_g_electro(z, a, dbl.lattice)
+    return (planar_green._image_green(z, planar_green._strip_images(a), 1.0, dbl.lattice)
             + (StripDouble.u1(z) - p) * (StripDouble.u1(a) - p) / (2 * dbl.T))
 
 
 def _g_hydro_dx(z, a, dbl: StripDouble, p: float):
     """d/dx of ``_g_hydro_extended`` (du1/dx = -2); G extends smoothly across
     the walls on the double, so z may lie on one."""
-    return (2 * _g_electro_dz(z, a, dbl.lattice).real
+    return (2 * planar_green._image_dgdz(z, planar_green._strip_images(a), 1.0, dbl.lattice).real
             - (StripDouble.u1(a) - p) / dbl.T)
 
 

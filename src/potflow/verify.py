@@ -460,7 +460,7 @@ def schottky_checks() -> list[Check]:
     out.append(Check("upsilon periods purely imaginary", "exupsilonab",
                      max(abs(pa.real), abs(pb.real)), 1e-8))
     ups_j = schottky.upsilon_third_kind(z, a, schottky.StripDouble.involution(a), dbl)
-    dge = 2 * schottky._g_electro_dz(z, a, dbl.lattice)
+    dge = 2 * planar_green.green_z_derivative(dbl, z, a)
     out.append(Check("upsilon matches the electro differential", "dGdGnu",
                      abs(ups_j + 2 * math.pi * dge), 1e-12))
 

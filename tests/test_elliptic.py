@@ -407,9 +407,9 @@ def test_only_elliptic_sums_the_q_series():
 
 
 def test_only_the_torus_and_strip_evaluators_call_the_theta_jet():
-    # the torus Green function (surface) and the strip's Robin data
-    # (schottky) each read one jet; a second caller would be a second copy
-    # of one of them
+    # the torus Green function (surface) and the image sums of the rectangle
+    # and the strip (planar_green) read the jet; a further caller would be a
+    # second copy of one of them
     src = Path(elliptic.__file__).parent
     assert [p.name for p in sorted(src.glob("*.py"))
-            if "_theta_jet" in p.read_text()] == ["elliptic.py", "schottky.py", "surface.py"]
+            if "_theta_jet" in p.read_text()] == ["elliptic.py", "planar_green.py", "surface.py"]

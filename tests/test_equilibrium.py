@@ -301,9 +301,10 @@ def test_cholesky_step_equals_the_floored_step_on_deflated_circle_rungs(monkeypa
 
 def test_ladder_evaluates_each_iterate_once(monkeypatch):
     # the line search hands the accepted trial's jet and differences to the
-    # next iteration.  The jets left are the Leja start's, one at each rung's
-    # start and end, one per trial and, on the segment, one left-sided jet
-    # per iteration at its two end points
+    # next iteration, and the last accepted iterate's points and product to
+    # the rung.  The jets left are the Leja start's, one at each rung's start,
+    # one per trial and, on the segment, one left-sided jet per iteration at
+    # its two end points
     calls = {"jet": 0, "objective": 0}
 
     def counted(name, f):
@@ -316,11 +317,36 @@ def test_ladder_evaluates_each_iterate_once(monkeypatch):
     for kind in ("circle", "segment"):
         monkeypatch.setitem(eq._CARRIERS, kind, dataclasses.replace(
             eq._CARRIERS[kind], jet=counted("jet", eq._CARRIERS[kind].jet)))
-    for K, expected in ((eq.CompactSet.circle(1.0), (31, 30, 12)),
-                        (eq.CompactSet.segment(2.0), (108, 58, 40))):
+    for K, expected in ((eq.CompactSet.circle(1.0), (22, 21, 12)),
+                        (eq.CompactSet.segment(2.0), (99, 49, 40))):
         calls.update(jet=0, objective=0)
         rep = eq.transfinite_diameter(K, n_max=64)
         assert (calls["jet"], calls["objective"], sum(rep.newton_iterations)) == expected
+
+
+@pytest.mark.parametrize("K, pole", [
+    (eq.CompactSet.circle(1.0), None), (eq.CompactSet.circle(1.0), 2.5 + 0.5j),
+    (eq.CompactSet.segment(2.0), None), (eq.CompactSet.segment(2.0), 0.3 + 1.2j),
+    (_RECTANGLE, None), (_RECTANGLE, 3.0 + 2.0j)])
+def test_refinement_hands_back_its_last_accepted_iterate(monkeypatch, K, pole):
+    # the line search evaluates each trial in place of the iterate; after
+    # `calls` true evaluations every trial reads -inf, so a line search
+    # rejects all its trials and the refinement stops: it hands back the
+    # last accepted points and their log product, not the last trial's
+    objective, start = eq._log_objective, eq._leja_start(K, 24, pole)
+    for calls in (1, 2, 3):
+        left = [calls]
+
+        def capped(z, D, pole):
+            left[0] -= 1
+            return objective(z, D, pole) if left[0] >= 0 else -math.inf
+
+        monkeypatch.setattr(eq, "_log_objective", capped)
+        z, f, steps, _ = eq._newton_refine(K, start, pole)
+        assert left[0] < 0 and steps < calls
+        assert f == objective(z, z[:, None] - z[None, :], pole)
+        if calls == 1:       # no step accepted: the start's points
+            assert steps == 0 and z.tobytes() == K.jet(start)[0].tobytes()
 
 
 def _side_masks(K, edges, t, dz, w):

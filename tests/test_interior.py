@@ -61,9 +61,9 @@ CHECKS = {
     "triple_green": ("unit disk", lambda p: hadamard.triple_green(0.1, p, -0.2j),
                      -0.024586487456849347),
     "g_electro_strip": ("strip", lambda p: schottky.g_electro_strip(p, -0.3 + 1.1j, DBL),
-                        0.002039783147982352),
+                        0.002039783147982346),
     "g_hydro_strip": ("strip", lambda p: schottky.g_hydro_strip(-0.3 + 1.1j, p, DBL),
-                      0.06203978314798235),
+                      0.06203978314798234),
     "gamma_electro": ("strip", lambda p: schottky.gamma_electro(p, DBL),
                       -1.194899058395439),
     "gamma_electro_gradient": ("strip", lambda p: schottky.gamma_electro_gradient(p, DBL),

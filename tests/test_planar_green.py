@@ -807,9 +807,11 @@ def test_array_queries_match_point_queries(kind, shape):
     assert _close(rd.h0, [r.h0 for r in point_rd], 0.0 if kind == "rectangle" else tol)
     assert _close(rd.h1, [r.h1 for r in point_rd], tol)
     assert _close(rd.curvature, [r.curvature for r in point_rd], tol)
-    # one point against an array broadcasts
+    # one point against an array broadcasts, for z and for a
     assert _close(pg.green(dom, z, complex(a.flat[0])),
                   [pg.green(dom, p, complex(a.flat[0])) for p, _ in pairs], tol)
+    assert _close(pg.green_z_derivative(dom, complex(z.flat[0]), a),
+                  [pg.green_z_derivative(dom, complex(z.flat[0]), q) for _, q in pairs], tol)
     if kind in ("disk", "half_plane"):
         # one (..., n) table, summed along its last axis as each point's row
         h1 = pg.h1_contour(dom, a, 128)

@@ -376,6 +376,17 @@ def _torus_green_reference(z, a, spec):
     return val + wr.imag * wr.imag / (2 * spec.volume) + sf.torus_green_constant(L.tau)
 
 
+def _strip_green_reference(z, a, dbl):
+    """G_electro = -(1/2pi) log|theta1(z - a) / theta1(z + conj a)| from
+    public primitives: z - a and z + conj a share Im, so their reductions
+    share the shift n tau, and the logs of theta1 at the reduced points
+    differ as the unreduced ones do."""
+    L = dbl.lattice
+    wa, wb = (elliptic.reduce_to_cell(w, L.tau)[0] for w in (z - a, z + a.conjugate()))
+    return np.float64(elliptic.log_abs_theta1(wb, L)
+                      - elliptic.log_abs_theta1(wa, L)) / (2 * math.pi)
+
+
 def _strip_robin_reference(a, dbl):
     L, w = dbl.lattice, 2 * a.real
     h0 = (elliptic.log_abs_theta1(w, L)
@@ -396,9 +407,7 @@ def test_strip_green_and_robin_equal_the_reference_bit_for_bit(T, cells, seed):
     pts = rng.uniform(-0.499, -0.001, (500, 2)) + 1j * rng.uniform(
         -cells * T, cells * T, (500, 2))
     for z, a in pts:
-        want = (_torus_green_reference(z, a, dbl.lattice)
-                - _torus_green_reference(z, sk.StripDouble.involution(a), dbl.lattice))
-        assert _bits(pg.green(dom, z, a)) == _bits(want), (z, a)
+        assert _bits(pg.green(dom, z, a)) == _bits(_strip_green_reference(z, a, dbl)), (z, a)
         r = pg.robin_data(dom, a)
         assert _bits(r.h0, r.h1, r.curvature) == _bits(*_strip_robin_reference(a, dbl)), a
 
